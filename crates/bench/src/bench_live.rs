@@ -20,7 +20,10 @@
 //!   closed-loop run with the grant/spend journal off vs. on (the
 //!   `persist_journal_on_vs_off` speedup documents the ≤ 10% admit
 //!   overhead bar), and `recover()` records/sec at two journal lengths
-//!   (recovery time must scale with the tail, not the history);
+//!   (recovery time scales with the tail, not the history: `recover`
+//!   opens only segments at or above the base snapshot's
+//!   `first_segment`, and retention retires the ones below the older
+//!   retained snapshot's);
 //! * **telemetry** — introspection overhead: the same closed loop with
 //!   no registry, with counters only (`--trace-sample 0`), with 1-in-64
 //!   decision tracing, and with the full observability plane scraped

@@ -30,6 +30,16 @@
 //! usable journal: readers keep everything before it and drop
 //! everything after.
 //!
+//! ## Read path
+//!
+//! The frame grammar above is checked in exactly one function,
+//! [`fold_segment`], which walks a segment's bytes and lends each
+//! verified frame to a visitor as a [`FrameView`] — no copy, no
+//! allocation. Recovery folds those views straight into balances;
+//! [`scan_segment`] is a small collector over the same walk for callers
+//! that want owned records. A second parser is a second place for the
+//! format to drift: add readers as visitors, not as loops over bytes.
+//!
 //! ## Write path
 //!
 //! Producers buffer [`DeltaRec`]s locally per shard (no lock, no
@@ -166,6 +176,126 @@ pub fn encode_range_frame(shard: u32, recs: &[RangeRec], out: &mut Vec<u8>) {
     out.extend_from_slice(&crc.to_le_bytes());
 }
 
+/// One CRC-verified frame as [`fold_segment`] hands it out: the header
+/// fields plus the raw record bytes, borrowed from the segment buffer
+/// (decode them with [`delta_records`] / [`range_records`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameView<'a> {
+    /// Per-client signed deltas ("TAJF").
+    Deltas {
+        /// Sequence of the frame's first record; each record carries
+        /// its `u16` offset from it.
+        base: u64,
+        /// `count × DELTA_REC_BYTES` record bytes.
+        recs: &'a [u8],
+    },
+    /// Run-length `+1` grants ("TAJR").
+    Ranges {
+        /// `count × RANGE_REC_BYTES` record bytes.
+        recs: &'a [u8],
+    },
+}
+
+/// Why a segment walk stopped before the end of the file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameError {
+    /// The file ends inside a frame (torn tail).
+    Torn,
+    /// A frame starts with the wrong magic.
+    BadMagic,
+    /// A frame's CRC does not match its contents.
+    BadCrc,
+    /// The visitor refused a CRC-valid frame (its contents contradict
+    /// what the caller knows, e.g. the domain geometry).
+    Rejected,
+}
+
+/// Where a segment walk ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SegmentEnd {
+    /// Bytes of the frames the visitor accepted (the usable prefix).
+    pub valid_len: usize,
+    /// Set if bytes remain past the usable prefix (`None` means the
+    /// file ended exactly on a frame boundary).
+    pub error: Option<FrameError>,
+}
+
+/// Walks raw segment bytes frame by frame — the one place the frame
+/// grammar (magic, length, CRC) is checked. Each verified frame goes to
+/// `visit(shard, view)` without being copied; the walk stops at the
+/// first torn or corrupt frame, or *before* the first frame `visit`
+/// refuses by returning `false` ([`FrameError::Rejected`]).
+pub fn fold_segment<'a>(
+    bytes: &'a [u8],
+    mut visit: impl FnMut(u32, FrameView<'a>) -> bool,
+) -> SegmentEnd {
+    let mut pos = 0usize;
+    let error = loop {
+        let rest = &bytes[pos..];
+        if rest.is_empty() {
+            break None;
+        }
+        if rest.len() < 12 {
+            break Some(FrameError::Torn);
+        }
+        let word = |at: usize| u32::from_le_bytes(rest[at..at + 4].try_into().expect("4 bytes"));
+        let magic = word(0);
+        let (header, rec_bytes) = match magic {
+            FRAME_MAGIC => (DELTA_FRAME_OVERHEAD - 4, DELTA_REC_BYTES),
+            RANGE_MAGIC => (RANGE_FRAME_OVERHEAD - 4, RANGE_REC_BYTES),
+            _ => break Some(FrameError::BadMagic),
+        };
+        let shard = word(4);
+        // `count` comes from disk: size the frame in u64 so a hostile
+        // value cannot wrap the length check on any target.
+        let payload_end = header as u64 + u64::from(word(8)) * rec_bytes as u64;
+        if (rest.len() as u64) < payload_end + 4 {
+            break Some(FrameError::Torn);
+        }
+        let payload_end = payload_end as usize;
+        if word(payload_end) != crc32(&rest[4..payload_end]) {
+            break Some(FrameError::BadCrc);
+        }
+        let recs = &rest[header..payload_end];
+        let view = if magic == FRAME_MAGIC {
+            let base = u64::from_le_bytes(rest[12..20].try_into().expect("8 bytes"));
+            FrameView::Deltas { base, recs }
+        } else {
+            FrameView::Ranges { recs }
+        };
+        if !visit(shard, view) {
+            break Some(FrameError::Rejected);
+        }
+        pos += payload_end + 4;
+    };
+    SegmentEnd {
+        valid_len: pos,
+        error,
+    }
+}
+
+/// Decodes the record bytes of a delta frame. Sequence arithmetic
+/// saturates: `base` is a disk value, and no value may panic a reader.
+pub fn delta_records(base: u64, recs: &[u8]) -> impl Iterator<Item = DeltaRec> + '_ {
+    recs.chunks_exact(DELTA_REC_BYTES).map(move |r| {
+        let w = u64::from_le_bytes(r.try_into().expect("chunks_exact"));
+        DeltaRec {
+            seq: base.saturating_add(w & 0xFFFF),
+            delta: i32::from((w >> 16) as i16),
+            client: (w >> 32) as u32,
+        }
+    })
+}
+
+/// Decodes the record bytes of a range frame.
+pub fn range_records(recs: &[u8]) -> impl Iterator<Item = RangeRec> + '_ {
+    recs.chunks_exact(RANGE_REC_BYTES).map(|r| RangeRec {
+        seq: u64::from_le_bytes(r[0..8].try_into().expect("8 bytes")),
+        lo: u32::from_le_bytes(r[8..12].try_into().expect("4 bytes")),
+        len: u32::from_le_bytes(r[12..16].try_into().expect("4 bytes")),
+    })
+}
+
 /// The records a frame carries, by frame kind.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FramePayload {
@@ -184,17 +314,6 @@ pub struct ParsedFrame {
     pub payload: FramePayload,
 }
 
-/// Why a segment scan stopped before the end of the file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameError {
-    /// The file ends inside a frame (torn tail).
-    Torn,
-    /// A frame starts with the wrong magic.
-    BadMagic,
-    /// A frame's CRC does not match its contents.
-    BadCrc,
-}
-
 /// Result of scanning one segment: the complete valid frames, the byte
 /// length they occupy, and the reason the scan stopped early (if it
 /// did — `None` means the file ended exactly on a frame boundary).
@@ -208,73 +327,26 @@ pub struct SegmentScan {
     pub error: Option<FrameError>,
 }
 
-/// Scans raw segment bytes into frames, stopping at the first torn or
-/// corrupt frame.
+/// Scans raw segment bytes into owned frames, stopping at the first
+/// torn or corrupt frame: a collector over [`fold_segment`] for callers
+/// that want the records materialised (test oracles, the bench ladder).
+/// Recovery folds the borrowed views directly instead.
 pub fn scan_segment(bytes: &[u8]) -> SegmentScan {
     let mut frames = Vec::new();
-    let mut pos = 0usize;
-    let error = loop {
-        if pos == bytes.len() {
-            break None;
-        }
-        if bytes.len() - pos < 12 {
-            break Some(FrameError::Torn);
-        }
-        let magic = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
-        if magic != FRAME_MAGIC && magic != RANGE_MAGIC {
-            break Some(FrameError::BadMagic);
-        }
-        let shard = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-        let count = u32::from_le_bytes(bytes[pos + 8..pos + 12].try_into().unwrap()) as usize;
-        let frame_len = if magic == FRAME_MAGIC {
-            DELTA_FRAME_OVERHEAD + count * DELTA_REC_BYTES
-        } else {
-            RANGE_FRAME_OVERHEAD + count * RANGE_REC_BYTES
-        };
-        if bytes.len() - pos < frame_len {
-            break Some(FrameError::Torn);
-        }
-        let payload_end = pos + frame_len - 4;
-        let crc = u32::from_le_bytes(bytes[payload_end..payload_end + 4].try_into().unwrap());
-        if crc != crc32(&bytes[pos + 4..payload_end]) {
-            break Some(FrameError::BadCrc);
-        }
-        let payload = if magic == FRAME_MAGIC {
-            let base = u64::from_le_bytes(bytes[pos + 12..pos + 20].try_into().unwrap());
-            let mut rp = pos + 20;
-            let mut recs = Vec::with_capacity(count);
-            for _ in 0..count {
-                let off = u16::from_le_bytes(bytes[rp..rp + 2].try_into().unwrap());
-                let delta = i16::from_le_bytes(bytes[rp + 2..rp + 4].try_into().unwrap());
-                let client = u32::from_le_bytes(bytes[rp + 4..rp + 8].try_into().unwrap());
-                recs.push(DeltaRec {
-                    seq: base + u64::from(off),
-                    client,
-                    delta: i32::from(delta),
-                });
-                rp += DELTA_REC_BYTES;
+    let end = fold_segment(bytes, |shard, view| {
+        let payload = match view {
+            FrameView::Deltas { base, recs } => {
+                FramePayload::Deltas(delta_records(base, recs).collect())
             }
-            FramePayload::Deltas(recs)
-        } else {
-            let mut rp = pos + 12;
-            let mut recs = Vec::with_capacity(count);
-            for _ in 0..count {
-                recs.push(RangeRec {
-                    seq: u64::from_le_bytes(bytes[rp..rp + 8].try_into().unwrap()),
-                    lo: u32::from_le_bytes(bytes[rp + 8..rp + 12].try_into().unwrap()),
-                    len: u32::from_le_bytes(bytes[rp + 12..rp + 16].try_into().unwrap()),
-                });
-                rp += RANGE_REC_BYTES;
-            }
-            FramePayload::Ranges(recs)
+            FrameView::Ranges { recs } => FramePayload::Ranges(range_records(recs).collect()),
         };
         frames.push(ParsedFrame { shard, payload });
-        pos += frame_len;
-    };
+        true
+    });
     SegmentScan {
         frames,
-        valid_len: pos,
-        error,
+        valid_len: end.valid_len,
+        error: end.error,
     }
 }
 

@@ -29,6 +29,12 @@
 //! shard, and refuses to serve unless `granted − burned == Σ balances`
 //! holds per shard and globally.
 //!
+//! **Cost of a restart.** Recovery reads the base snapshot plus the
+//! segments from that snapshot's `first_segment` on — the tail, not the
+//! history — through one reused buffer, and every byte of it is
+//! checksummed: [`crc32`] (slice-by-8) is the floor under time-to-serve,
+//! which is why it is not the textbook byte-at-a-time loop.
+//!
 //! After a kill, records still sitting in producer-local buffers or in
 //! the writer's un-synced batch are lost; the recovered state is the
 //! exact fold of the records that survived on disk — a legal state of
@@ -90,31 +96,62 @@ impl PersistConfig {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — frames,
-/// snapshots, and the manifest all carry one.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
+/// Slice-by-8 lookup tables: `CRC_TABLES[0]` is the classic byte-wise
+/// table, `CRC_TABLES[k][b]` the CRC of byte `b` followed by `k` zero
+/// bytes — eight lookups then advance the CRC over eight input bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut t = 1;
+    while t < 8 {
         let mut i = 0;
         while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
+            let prev = tables[t - 1][i];
+            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
             i += 1;
         }
-        table
-    };
+        t += 1;
+    }
+    tables
+};
+
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — frames,
+/// snapshots, and the manifest all carry one. Slice-by-8: recovery is
+/// bounded by how fast this walks the journal, and a byte-at-a-time
+/// table loop is one dependent load per byte (under 300 MB/s on the
+/// hosts this was measured on, against > 1 GB/s for eight at a time).
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -271,6 +308,15 @@ pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
         let _ = dir;
         Ok(())
     }
+}
+
+/// Reads the whole of `path` into `buf`, replacing its contents but
+/// keeping its allocation: recovery walks every file of a domain
+/// through one buffer instead of faulting in a fresh one per file.
+pub(crate) fn read_into(path: &Path, buf: &mut Vec<u8>) -> io::Result<()> {
+    buf.clear();
+    File::open(path)?.read_to_end(buf)?;
+    Ok(())
 }
 
 /// Writes the domain manifest.
@@ -586,11 +632,175 @@ impl Drop for Persistence {
 mod tests {
     use super::*;
 
+    /// The byte-at-a-time loop `crc32` replaced, kept as the reference.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc = CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // IEEE CRC-32 of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn crc32_slice_by_8_equals_bytewise_reference() {
+        // Every split of the input between the 8-byte body and the
+        // byte-wise remainder, at every alignment of the first byte.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let buf: Vec<u8> = (0..80)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (x >> 56) as u8
+            })
+            .collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");
+            }
+        }
+    }
+
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// Bytes written by the commit *before* the read side was rebuilt
+    /// (byte-wise CRC, two-pass scan): a 5-client / 2-shard domain with
+    /// snapshot 7 (`first_segment` 3), one delta frame and one range
+    /// frame. They must decode, re-encode identically, and recover to
+    /// the state that commit recovered them to.
+    #[test]
+    fn golden_bytes_from_before_the_rewrite_still_recover() {
+        let delta = unhex(
+            "464a4154010000000300000026000000000000000000fbff03000000\
+             02000300040000000300ffff0300000027f5dac6",
+        );
+        let range = unhex(
+            "524a4154000000000200000063000000000000000000000003000000\
+             64000000000000000100000002000000ccb8ceba",
+        );
+        let snap = unhex(
+            "4e534154010000000700000000000000030000000000000005000000\
+             00000000020000000000000064000000000000007800000000000000\
+             140000000000000003000000000000000a0000000000000014000000\
+             00000000460000000000000028000000000000000900000000000000\
+             070000000000000002000000000000000300000000000000ffffffff\
+             ffffffffbb6cbc84",
+        );
+        let manifest = unhex("464d41540100000005000000000000000200000094e92f34");
+
+        let delta_recs = [
+            DeltaRec {
+                seq: 38,
+                client: 3,
+                delta: -5,
+            },
+            DeltaRec {
+                seq: 40,
+                client: 4,
+                delta: 3,
+            },
+            DeltaRec {
+                seq: 41,
+                client: 3,
+                delta: -1,
+            },
+        ];
+        let range_recs = [
+            journal::RangeRec {
+                seq: 99,
+                lo: 0,
+                len: 3,
+            },
+            journal::RangeRec {
+                seq: 100,
+                lo: 1,
+                len: 2,
+            },
+        ];
+        let shards = [
+            snapshot::ShardSnap {
+                watermark: 100,
+                granted: 120,
+                burned: 20,
+                balances: vec![10, 20, 70],
+            },
+            snapshot::ShardSnap {
+                watermark: 40,
+                granted: 9,
+                burned: 7,
+                balances: vec![3, -1],
+            },
+        ];
+
+        // The writer side is untouched: today's encoders emit these bytes.
+        let mut segment = Vec::new();
+        journal::encode_frame(1, &delta_recs, &mut segment);
+        assert_eq!(segment, delta);
+        journal::encode_range_frame(0, &range_recs, &mut segment);
+        assert_eq!(segment[delta.len()..], range[..]);
+        assert_eq!(snapshot::encode(7, 3, 5, &shards, false), snap);
+
+        // The reader decodes them.
+        let scan = journal::scan_segment(&segment);
+        assert_eq!((scan.valid_len, scan.error), (segment.len(), None));
+        assert_eq!(scan.frames.len(), 2);
+        assert_eq!(scan.frames[0].shard, 1);
+        assert_eq!(
+            scan.frames[0].payload,
+            journal::FramePayload::Deltas(delta_recs.to_vec())
+        );
+        assert_eq!(scan.frames[1].shard, 0);
+        assert_eq!(
+            scan.frames[1].payload,
+            journal::FramePayload::Ranges(range_recs.to_vec())
+        );
+
+        let dir = std::env::temp_dir().join(format!("ta-persist-golden-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(MANIFEST_FILE), &manifest).unwrap();
+        std::fs::write(snapshot::snapshot_path(&dir, 7), &snap).unwrap();
+        std::fs::write(journal::segment_path(&dir, 3), &segment).unwrap();
+        assert_eq!(
+            read_manifest(&dir).unwrap(),
+            Manifest {
+                clients: 5,
+                shards: 2
+            }
+        );
+        let loaded = snapshot::load(&snapshot::snapshot_path(&dir, 7)).unwrap();
+        assert_eq!((loaded.id, loaded.first_segment, loaded.clients), (7, 3, 5));
+        assert_eq!(loaded.shards, shards);
+        assert_eq!(
+            snapshot::list_metas(&dir),
+            vec![SnapMeta {
+                id: 7,
+                first_segment: 3
+            }]
+        );
+
+        let state = recover(&dir).unwrap();
+        assert_eq!(state.balances, vec![10, 21, 71, 2, 2]);
+        assert_eq!(state.granted, vec![122, 12]);
+        assert_eq!(state.burned, vec![20, 8]);
+        assert_eq!(state.next_seq, vec![101, 42]);
+        assert_eq!((state.snapshot_id, state.replayed), (Some(7), 3));
+        assert!(state.truncations.is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -6,14 +6,21 @@
 //!    past torn, corrupt, or partially-written files (each skip is
 //!    reported as a [`Truncation`]). No valid snapshot → start from
 //!    zero balances with zero watermarks.
-//! 2. **Replay the tail.** Scan every journal segment in id order;
-//!    apply each record whose `seq` is at or above its shard's snapshot
-//!    watermark (deltas on distinct sequence numbers commute, so order
-//!    within a shard is irrelevant; duplicates cannot exist because the
-//!    sequence is stamped once per record). The first torn or corrupt
-//!    frame ends the usable journal: later frames — even valid ones —
-//!    are dropped and reported, because the gap makes their prefix
-//!    unknowable.
+//! 2. **Replay the tail.** Walk the journal segments at or above the
+//!    base's `first_segment` in id order — the snapshot format
+//!    guarantees every record it does not already contain lives there,
+//!    so older segments are not opened at all, and damage inside one is
+//!    neither noticed nor reported: it cannot change the result.
+//!    (Falling back to an older snapshot lowers the bound with it;
+//!    retention keeps every segment the older retained snapshot needs.)
+//!    Each CRC-verified frame is folded straight from the segment
+//!    buffer: a record applies iff its `seq` is at or above its shard's
+//!    snapshot watermark (deltas on distinct sequence numbers commute,
+//!    so order within a shard is irrelevant; duplicates cannot exist
+//!    because the sequence is stamped once per record). The first torn,
+//!    corrupt, or geometry-contradicting frame ends the usable journal:
+//!    later frames — even valid ones — are dropped and reported,
+//!    because the gap makes their prefix unknowable.
 //! 3. **Verify conservation.** For every shard the recovered books must
 //!    balance exactly: `granted − burned == Σ balances`, and the same
 //!    globally. A mismatch is [`RecoveryError::Conservation`] — the
@@ -23,11 +30,11 @@
 //! prefix — the acceptance oracle the crash tests check against.
 
 use std::fmt;
-use std::io::{self, Read};
+use std::io;
 use std::path::{Path, PathBuf};
 
-use super::journal::{self, FrameError};
-use super::{read_manifest, snapshot, Manifest};
+use super::journal::{self, FrameError, FrameView};
+use super::{read_into, read_manifest, snapshot, Manifest};
 
 /// One event where recovery discarded data it could not trust.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,8 +53,9 @@ pub enum TruncationReason {
         /// Usable prefix length in bytes.
         kept: u64,
     },
-    /// A journal frame failed its CRC (or had a bad magic); the rest of
-    /// the journal is dropped.
+    /// A journal frame failed its CRC, had a bad magic, or named a shard
+    /// or client the manifest rules out; the rest of the journal is
+    /// dropped.
     CorruptFrame {
         /// Usable prefix length in bytes.
         kept: u64,
@@ -184,15 +192,20 @@ pub fn recover(dir: &Path) -> Result<RecoveredState, RecoveryError> {
         }
     }
 
-    let base = pick_base(dir, &manifest, &mut truncations)?;
-    let (snapshot_id, mut balances, mut granted, mut burned, watermarks) = base;
-    let mut next_seq = watermarks.clone();
+    // Every file of the domain passes through this one buffer.
+    let mut buf = Vec::new();
+    let base = pick_base(dir, &manifest, &mut buf, &mut truncations)?;
+    let (snapshot_id, first_segment) = (base.snapshot_id, base.first_segment);
+    let mut fold = Fold::new(&manifest, base);
 
     // Replay every surviving record with seq >= its shard's watermark.
-    let geometry = ShardGeometry::new(manifest.clients, manifest.shards);
-    let mut replayed = 0u64;
+    // Segments below the base's `first_segment` hold none (see
+    // `snapshot.rs`) and are not opened.
     let mut dead = false;
-    for (_, path) in journal::list_segments(dir)? {
+    for (id, path) in journal::list_segments(dir)? {
+        if id < first_segment {
+            continue;
+        }
         if dead {
             truncations.push(Truncation {
                 file: path,
@@ -200,79 +213,20 @@ pub fn recover(dir: &Path) -> Result<RecoveredState, RecoveryError> {
             });
             continue;
         }
-        let mut bytes = Vec::new();
-        std::fs::File::open(&path)?.read_to_end(&mut bytes)?;
-        let scan = journal::scan_segment(&bytes);
-        for frame in &scan.frames {
-            let s = frame.shard as usize;
-            if s >= manifest.shards {
-                // A frame for a shard the manifest doesn't know cannot
-                // be applied; treat like corruption.
-                truncations.push(Truncation {
-                    file: path.clone(),
-                    reason: TruncationReason::CorruptFrame {
-                        kept: scan.valid_len as u64,
-                    },
-                });
-                dead = true;
-                break;
-            }
-            match &frame.payload {
-                journal::FramePayload::Deltas(recs) => {
-                    for r in recs {
-                        if r.seq < watermarks[s] {
-                            continue; // already inside the snapshot
-                        }
-                        let c = r.client as usize;
-                        assert!(
-                            geometry.shard_of(c) == s && c < manifest.clients,
-                            "journal record for client {c} outside shard {s}"
-                        );
-                        balances[c] += r.delta as i64;
-                        if r.delta >= 0 {
-                            granted[s] += r.delta as u64;
-                        } else {
-                            burned[s] += r.delta.unsigned_abs() as u64;
-                        }
-                        next_seq[s] = next_seq[s].max(r.seq + 1);
-                        replayed += 1;
-                    }
-                }
-                journal::FramePayload::Ranges(recs) => {
-                    let shard_range = geometry.shard_range(s);
-                    for r in recs {
-                        if r.seq < watermarks[s] {
-                            continue;
-                        }
-                        let lo = r.lo as usize;
-                        let hi = lo + r.len as usize;
-                        assert!(
-                            lo >= shard_range.start && hi <= shard_range.end,
-                            "range grant [{lo}, {hi}) outside shard {s}"
-                        );
-                        for b in &mut balances[lo..hi] {
-                            *b += 1;
-                        }
-                        granted[s] += u64::from(r.len);
-                        next_seq[s] = next_seq[s].max(r.seq + 1);
-                        replayed += 1;
-                    }
-                }
-            }
-        }
-        if dead {
-            continue; // a bad shard id already condemned this segment
-        }
-        if let Some(err) = scan.error {
+        read_into(&path, &mut buf)?;
+        let end = journal::fold_segment(&buf, |shard, view| fold.frame(shard, view));
+        if let Some(err) = end.error {
+            let kept = end.valid_len as u64;
             truncations.push(Truncation {
                 file: path,
                 reason: match err {
-                    FrameError::Torn => TruncationReason::TornTail {
-                        kept: scan.valid_len as u64,
-                    },
-                    FrameError::BadMagic | FrameError::BadCrc => TruncationReason::CorruptFrame {
-                        kept: scan.valid_len as u64,
-                    },
+                    FrameError::Torn => TruncationReason::TornTail { kept },
+                    // A frame the fold rejects (unknown shard, record
+                    // outside its shard) cannot be applied: CRC-valid
+                    // or not, it is corruption.
+                    FrameError::BadMagic | FrameError::BadCrc | FrameError::Rejected => {
+                        TruncationReason::CorruptFrame { kept }
+                    }
                 },
             });
             dead = true;
@@ -284,14 +238,14 @@ pub fn recover(dir: &Path) -> Result<RecoveredState, RecoveryError> {
     // if it doesn't, the files lied (bit rot, poisoned books) and the
     // state must not be served.
     for s in 0..manifest.shards {
-        let range = geometry.shard_range(s);
-        let sum: i64 = balances[range].iter().sum();
-        let books = granted[s] as i64 - burned[s] as i64;
+        let range = fold.geometry.shard_range(s);
+        let sum: i64 = fold.balances[range].iter().sum();
+        let books = fold.granted[s] as i64 - fold.burned[s] as i64;
         if books != sum {
             return Err(RecoveryError::Conservation {
                 detail: format!(
                     "shard {s}: granted {} − burned {} = {books} but balances sum to {sum}",
-                    granted[s], burned[s]
+                    fold.granted[s], fold.burned[s]
                 ),
             });
         }
@@ -300,68 +254,156 @@ pub fn recover(dir: &Path) -> Result<RecoveredState, RecoveryError> {
     Ok(RecoveredState {
         clients: manifest.clients,
         shards: manifest.shards,
-        balances,
-        granted,
-        burned,
-        next_seq,
+        balances: fold.balances,
+        granted: fold.granted,
+        burned: fold.burned,
+        next_seq: fold.next_seq,
         snapshot_id,
-        replayed,
+        replayed: fold.replayed,
         truncations,
     })
 }
 
-type Base = (Option<u64>, Vec<i64>, Vec<u64>, Vec<u64>, Vec<u64>);
+/// The state replay starts from: a snapshot's contents, or zero.
+struct Base {
+    snapshot_id: Option<u64>,
+    /// No record at or above a watermark lives in a segment below this.
+    first_segment: u64,
+    balances: Vec<i64>,
+    granted: Vec<u64>,
+    burned: Vec<u64>,
+    watermarks: Vec<u64>,
+}
 
 /// Loads the newest valid snapshot (recording a truncation per skipped
-/// file) or falls back to the zero state.
+/// file) or falls back to the zero state. An older snapshot brings its
+/// own, lower `first_segment`, and retention keeps every segment from
+/// the *older* retained snapshot's bound on — so the fallback still
+/// sees every record it needs.
 fn pick_base(
     dir: &Path,
     manifest: &Manifest,
+    buf: &mut Vec<u8>,
     truncations: &mut Vec<Truncation>,
 ) -> Result<Base, RecoveryError> {
     let mut files = snapshot::list_snapshot_files(dir)?;
     while let Some((_, path)) = files.pop() {
-        match snapshot::load(&path) {
-            Ok(snap) => {
-                if snap.clients as usize != manifest.clients || snap.shards.len() != manifest.shards
-                {
-                    truncations.push(Truncation {
-                        file: path,
-                        reason: TruncationReason::BadSnapshot {
-                            error: "geometry disagrees with manifest".into(),
-                        },
-                    });
-                    continue;
-                }
+        let error = match read_into(&path, buf).and_then(|()| snapshot::parse(buf)) {
+            Ok(snap)
+                if snap.clients as usize == manifest.clients
+                    && snap.shards.len() == manifest.shards =>
+            {
                 let mut balances = Vec::with_capacity(manifest.clients);
-                let mut granted = Vec::with_capacity(manifest.shards);
-                let mut burned = Vec::with_capacity(manifest.shards);
-                let mut watermarks = Vec::with_capacity(manifest.shards);
                 for sh in &snap.shards {
-                    balances.extend_from_slice(&sh.balances);
-                    granted.push(sh.granted);
-                    burned.push(sh.burned);
-                    watermarks.push(sh.watermark);
+                    balances.extend(sh.balances());
                 }
-                return Ok((Some(snap.id), balances, granted, burned, watermarks));
-            }
-            Err(e) => {
-                truncations.push(Truncation {
-                    file: path,
-                    reason: TruncationReason::BadSnapshot {
-                        error: e.to_string(),
-                    },
+                return Ok(Base {
+                    snapshot_id: Some(snap.id),
+                    first_segment: snap.first_segment,
+                    balances,
+                    granted: snap.shards.iter().map(|sh| sh.granted).collect(),
+                    burned: snap.shards.iter().map(|sh| sh.burned).collect(),
+                    watermarks: snap.shards.iter().map(|sh| sh.watermark).collect(),
                 });
             }
+            Ok(_) => "geometry disagrees with manifest".to_string(),
+            Err(e) => e.to_string(),
+        };
+        truncations.push(Truncation {
+            file: path,
+            reason: TruncationReason::BadSnapshot { error },
+        });
+    }
+    Ok(Base {
+        snapshot_id: None,
+        first_segment: 0,
+        balances: vec![0; manifest.clients],
+        granted: vec![0; manifest.shards],
+        burned: vec![0; manifest.shards],
+        watermarks: vec![0; manifest.shards],
+    })
+}
+
+/// The replay accumulator: the base plus every record folded so far.
+struct Fold {
+    geometry: ShardGeometry,
+    watermarks: Vec<u64>,
+    balances: Vec<i64>,
+    granted: Vec<u64>,
+    burned: Vec<u64>,
+    next_seq: Vec<u64>,
+    replayed: u64,
+}
+
+impl Fold {
+    fn new(manifest: &Manifest, base: Base) -> Self {
+        Fold {
+            geometry: ShardGeometry::new(manifest.clients, manifest.shards),
+            next_seq: base.watermarks.clone(),
+            watermarks: base.watermarks,
+            balances: base.balances,
+            granted: base.granted,
+            burned: base.burned,
+            replayed: 0,
         }
     }
-    Ok((
-        None,
-        vec![0; manifest.clients],
-        vec![0; manifest.shards],
-        vec![0; manifest.shards],
-        vec![0; manifest.shards],
-    ))
+
+    /// Folds one CRC-verified frame straight from its bytes, applying
+    /// each record at or above the shard's watermark. Returns `false`,
+    /// with nothing applied, for a frame that contradicts the manifest:
+    /// an unknown shard, or such a record reaching outside its shard.
+    fn frame(&mut self, shard: u32, view: FrameView<'_>) -> bool {
+        let s = shard as usize;
+        if s >= self.watermarks.len() {
+            return false;
+        }
+        let w = self.watermarks[s];
+        let range = self.geometry.shard_range(s);
+        let (first, n) = (range.start, range.len());
+        let accounts = &mut self.balances[range];
+        let in_shard = |lo: usize, len: usize| lo >= first && len <= n && lo - first <= n - len;
+        // The books stay in registers for the frame and land once.
+        let (mut granted, mut burned, mut replayed) = (0u64, 0u64, 0u64);
+        let mut next_seq = self.next_seq[s];
+        match view {
+            FrameView::Deltas { base, recs } => {
+                let recs = || journal::delta_records(base, recs).filter(|r| r.seq >= w);
+                if !recs().all(|r| in_shard(r.client as usize, 1)) {
+                    return false;
+                }
+                for r in recs() {
+                    accounts[r.client as usize - first] += i64::from(r.delta);
+                    if r.delta >= 0 {
+                        granted += u64::from(r.delta.unsigned_abs());
+                    } else {
+                        burned += u64::from(r.delta.unsigned_abs());
+                    }
+                    next_seq = next_seq.max(r.seq.saturating_add(1));
+                    replayed += 1;
+                }
+            }
+            FrameView::Ranges { recs } => {
+                let recs = || journal::range_records(recs).filter(|r| r.seq >= w);
+                if !recs().all(|r| in_shard(r.lo as usize, r.len as usize)) {
+                    return false;
+                }
+                for r in recs() {
+                    let lo = r.lo as usize - first;
+                    for b in &mut accounts[lo..lo + r.len as usize] {
+                        *b += 1;
+                    }
+                    granted += u64::from(r.len);
+                    next_seq = next_seq.max(r.seq.saturating_add(1));
+                    replayed += 1;
+                }
+            }
+        }
+        self.granted[s] += granted;
+        self.burned[s] += burned;
+        self.next_seq[s] = next_seq;
+        self.replayed += replayed;
+        true
+    }
 }
 
 /// The client→shard partition rule of
@@ -381,10 +423,6 @@ impl ShardGeometry {
             n,
             shards,
         }
-    }
-
-    fn shard_of(&self, client: usize) -> usize {
-        client / self.block
     }
 
     fn shard_range(&self, s: usize) -> std::ops::Range<usize> {
@@ -425,7 +463,7 @@ mod tests {
                 }
             }
             for c in 0..n {
-                assert_eq!(g.shard_of(c), a.shard_of(c));
+                assert!(g.shard_range(a.shard_of(c)).contains(&c));
             }
         }
     }
@@ -448,6 +486,90 @@ mod tests {
         assert_eq!(state.snapshot_id, None);
         assert!(state.truncations.is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// CRC-valid frames whose contents contradict the manifest — bytes a
+    /// buggy or hostile writer could leave on disk — must condemn the
+    /// segment like any other corruption (the `live` binary's exit 4),
+    /// not abort the process.
+    #[test]
+    fn crc_valid_garbage_is_a_corrupt_frame_not_a_panic() {
+        use super::super::journal::{
+            encode_frame, encode_range_frame, segment_path, DeltaRec, RangeRec,
+        };
+        fn delta(seq: u64, client: u32, delta: i32) -> DeltaRec {
+            DeltaRec { seq, client, delta }
+        }
+        // 10 clients over 2 shards: shard 0 owns 0..5, shard 1 owns 5..10.
+        type EncodeBad = fn(&mut Vec<u8>);
+        let cases: [(&str, EncodeBad); 3] = [
+            ("client", |out| {
+                // In-shard record first: a rejected frame applies nothing.
+                encode_frame(0, &[delta(1, 2, 9), delta(2, 7, 1)], out);
+            }),
+            ("range", |out| {
+                let recs = [
+                    RangeRec {
+                        seq: 1,
+                        lo: 0,
+                        len: 2,
+                    },
+                    RangeRec {
+                        seq: 2,
+                        lo: 3,
+                        len: 4,
+                    },
+                ];
+                encode_range_frame(0, &recs, out);
+            }),
+            ("shard", |out| {
+                encode_frame(9, &[], out);
+            }),
+        ];
+        for (tag, encode_bad) in cases {
+            let dir =
+                std::env::temp_dir().join(format!("ta-rec-garbage-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            write_manifest(
+                &dir,
+                &Manifest {
+                    clients: 10,
+                    shards: 2,
+                },
+            )
+            .unwrap();
+            let mut seg = Vec::new();
+            encode_frame(0, &[delta(0, 1, 4)], &mut seg);
+            let kept = seg.len() as u64;
+            encode_bad(&mut seg);
+            encode_frame(1, &[delta(0, 6, 2)], &mut seg);
+            std::fs::write(segment_path(&dir, 0), &seg).unwrap();
+            std::fs::write(segment_path(&dir, 1), b"").unwrap();
+
+            let state = recover(&dir).unwrap_or_else(|e| panic!("{tag}: {e}"));
+            assert_eq!(
+                state.truncations,
+                vec![
+                    Truncation {
+                        file: segment_path(&dir, 0),
+                        reason: TruncationReason::CorruptFrame { kept },
+                    },
+                    Truncation {
+                        file: segment_path(&dir, 1),
+                        reason: TruncationReason::UnreachableSegment,
+                    },
+                ],
+                "{tag}"
+            );
+            // Exactly the prefix before the bad frame was folded.
+            let mut want = vec![0i64; 10];
+            want[1] = 4;
+            assert_eq!(state.balances, want, "{tag}");
+            assert_eq!((state.granted_total(), state.replayed), (4, 1), "{tag}");
+            assert_eq!(state.next_seq, vec![1, 0], "{tag}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

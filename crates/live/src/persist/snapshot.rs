@@ -33,18 +33,20 @@
 //! writer-side batches.
 
 use std::fs::{self, File};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::channel;
 
 use super::journal::WriterMsg;
-use super::{atomic_write, crc32, sync_dir, tmp_path, Persistence, SnapMeta};
+use super::{atomic_write, crc32, read_into, sync_dir, tmp_path, Persistence, SnapMeta};
 use crate::accounts::ShardedAccounts;
 
 /// Snapshot magic: "TASN".
 pub const SNAPSHOT_MAGIC: u32 = 0x5441_534E;
 const SNAPSHOT_VERSION: u32 = 1;
+/// Bytes before the first shard (`magic .. pad` in the layout above).
+const HEADER_BYTES: usize = 40;
 
 /// Path of snapshot `id` inside `dir`.
 pub fn snapshot_path(dir: &Path, id: u64) -> PathBuf {
@@ -118,7 +120,7 @@ pub(crate) fn encode(
     poison_books: bool,
 ) -> Vec<u8> {
     let payload: usize = shards.iter().map(|s| 32 + 8 * s.balances.len()).sum();
-    let mut out = Vec::with_capacity(36 + payload);
+    let mut out = Vec::with_capacity(HEADER_BYTES + payload + 4);
     out.extend_from_slice(&SNAPSHOT_MAGIC.to_le_bytes());
     out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
     out.extend_from_slice(&id.to_le_bytes());
@@ -148,88 +150,135 @@ pub(crate) fn encode(
     out
 }
 
-/// Loads and validates one snapshot file.
+/// A validated snapshot, borrowed from the file's bytes: the header and,
+/// per shard, the books plus the still-encoded balances. [`parse`] has
+/// checked the CRC, magic, version and geometry, so readers pick what
+/// they need — the header alone, per-shard vectors, or one flat decode —
+/// without a second grammar.
+pub(crate) struct SnapshotView<'a> {
+    pub(crate) id: u64,
+    pub(crate) first_segment: u64,
+    pub(crate) clients: u64,
+    pub(crate) shards: Vec<ShardView<'a>>,
+}
+
+/// One shard of a [`SnapshotView`].
+pub(crate) struct ShardView<'a> {
+    pub(crate) watermark: u64,
+    pub(crate) granted: u64,
+    pub(crate) burned: u64,
+    /// `count × 8` bytes of little-endian `i64` balances.
+    balances: &'a [u8],
+}
+
+impl ShardView<'_> {
+    /// The shard's balances, in client order.
+    pub(crate) fn balances(&self) -> impl Iterator<Item = i64> + '_ {
+        self.balances
+            .chunks_exact(8)
+            .map(|b| i64::from_le_bytes(b.try_into().expect("chunks_exact")))
+    }
+}
+
+/// Validates the bytes of one snapshot file.
 ///
 /// # Errors
 ///
-/// Any I/O error, plus `InvalidData` for truncation, bad magic,
-/// version, CRC, or internal inconsistencies — the recovery path treats
-/// all of these as "fall back to an older snapshot".
-pub fn load(path: &Path) -> io::Result<SnapshotData> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
+/// `InvalidData` for truncation, bad magic, version, CRC, or internal
+/// inconsistencies — the recovery path treats all of these as "fall
+/// back to an older snapshot".
+pub(crate) fn parse(bytes: &[u8]) -> io::Result<SnapshotView<'_>> {
     let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, format!("snapshot: {what}"));
-    if bytes.len() < 40 {
+    if bytes.len() < HEADER_BYTES + 4 {
         return Err(bad("truncated header"));
     }
-    let crc = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().unwrap());
-    if crc != crc32(&bytes[..bytes.len() - 4]) {
+    let (body, crc) = bytes.split_at(bytes.len() - 4);
+    if u32::from_le_bytes(crc.try_into().expect("4 bytes")) != crc32(body) {
         return Err(bad("bad crc"));
     }
-    if u32::from_le_bytes(bytes[0..4].try_into().unwrap()) != SNAPSHOT_MAGIC {
+    let u32_at = |at: usize| u32::from_le_bytes(body[at..at + 4].try_into().expect("4 bytes"));
+    let u64_at = |at: usize| u64::from_le_bytes(body[at..at + 8].try_into().expect("8 bytes"));
+    if u32_at(0) != SNAPSHOT_MAGIC {
         return Err(bad("bad magic"));
     }
-    if u32::from_le_bytes(bytes[4..8].try_into().unwrap()) != SNAPSHOT_VERSION {
+    if u32_at(4) != SNAPSHOT_VERSION {
         return Err(bad("unsupported version"));
     }
-    let id = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-    let first_segment = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-    let clients = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
-    let shard_count = u32::from_le_bytes(bytes[32..36].try_into().unwrap()) as usize;
-    let mut pos = 40usize;
-    let end = bytes.len() - 4;
-    let mut shards = Vec::with_capacity(shard_count);
+    let clients = u64_at(24);
+    let shard_count = u32_at(32) as usize;
+    let mut pos = HEADER_BYTES;
+    // Each shard needs a 32-byte header: bound the allocation by what
+    // the file can actually hold, not by the count it claims.
+    let mut shards = Vec::with_capacity(shard_count.min(body.len() / 32));
     let mut total = 0u64;
     for _ in 0..shard_count {
-        if end - pos < 32 {
+        if body.len() - pos < 32 {
             return Err(bad("truncated shard header"));
         }
-        let watermark = u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap());
-        let granted = u64::from_le_bytes(bytes[pos + 8..pos + 16].try_into().unwrap());
-        let burned = u64::from_le_bytes(bytes[pos + 16..pos + 24].try_into().unwrap());
-        let count = u64::from_le_bytes(bytes[pos + 24..pos + 32].try_into().unwrap()) as usize;
-        pos += 32;
-        if end - pos < 8 * count {
+        let count = u64_at(pos + 24);
+        let start = pos + 32;
+        if ((body.len() - start) as u64) / 8 < count {
             return Err(bad("truncated balances"));
         }
-        let mut balances = Vec::with_capacity(count);
-        for i in 0..count {
-            balances.push(i64::from_le_bytes(
-                bytes[pos + 8 * i..pos + 8 * i + 8].try_into().unwrap(),
-            ));
-        }
-        pos += 8 * count;
-        total += count as u64;
-        shards.push(ShardSnap {
-            watermark,
-            granted,
-            burned,
-            balances,
+        let end = start + 8 * count as usize;
+        shards.push(ShardView {
+            watermark: u64_at(pos),
+            granted: u64_at(pos + 8),
+            burned: u64_at(pos + 16),
+            balances: &body[start..end],
         });
+        pos = end;
+        total += count;
     }
-    if pos != end || total != clients {
+    if pos != body.len() || total != clients {
         return Err(bad("inconsistent geometry"));
     }
-    Ok(SnapshotData {
-        id,
-        first_segment,
+    Ok(SnapshotView {
+        id: u64_at(8),
+        first_segment: u64_at(16),
         clients,
         shards,
     })
 }
 
+/// Loads and validates one snapshot file.
+///
+/// # Errors
+///
+/// Any I/O error, plus `InvalidData` for everything [`parse`] rejects.
+pub fn load(path: &Path) -> io::Result<SnapshotData> {
+    let bytes = fs::read(path)?;
+    let view = parse(&bytes)?;
+    Ok(SnapshotData {
+        id: view.id,
+        first_segment: view.first_segment,
+        clients: view.clients,
+        shards: view
+            .shards
+            .iter()
+            .map(|sh| ShardSnap {
+                watermark: sh.watermark,
+                granted: sh.granted,
+                burned: sh.burned,
+                balances: sh.balances().collect(),
+            })
+            .collect(),
+    })
+}
+
 /// Metadata of every *valid* snapshot in `dir` (invalid files are
-/// skipped — recovery decides what invalidity means).
+/// skipped — recovery decides what invalidity means). Validates each
+/// file in full but decodes only its header: `resume` runs right after
+/// `recover` already built the balances from the same files.
 pub(crate) fn list_metas(dir: &Path) -> Vec<SnapMeta> {
     let mut out = Vec::new();
-    if let Ok(files) = list_snapshot_files(dir) {
-        for (_, path) in files {
-            if let Ok(snap) = load(&path) {
-                out.push(SnapMeta {
-                    id: snap.id,
-                    first_segment: snap.first_segment,
-                });
-            }
+    let mut bytes = Vec::new();
+    for (_, path) in list_snapshot_files(dir).unwrap_or_default() {
+        if let Ok(view) = read_into(&path, &mut bytes).and_then(|()| parse(&bytes)) {
+            out.push(SnapMeta {
+                id: view.id,
+                first_segment: view.first_segment,
+            });
         }
     }
     out.sort_unstable_by_key(|m| m.id);

@@ -342,6 +342,97 @@ fn retention_keeps_two_snapshots_and_retires_segments() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Drives a run with enough snapshots that two are retained, then ruins
+/// the oldest retained segment — the one only the *older* snapshot
+/// still needs. Returns the live balances, the two snapshot files
+/// (older first) and the ruined segment.
+fn drive_then_ruin_oldest_segment(dir: &Path) -> (Vec<i64>, [PathBuf; 2], PathBuf) {
+    use ta_live::persist::{journal, snapshot};
+
+    let mut out = drive(dir, 100, 4, 2, 3_000, FaultPlan::default(), 5);
+    out.persistence.take().unwrap().shutdown().unwrap();
+
+    let snaps = snapshot::list_snapshot_files(dir).unwrap();
+    assert_eq!(snaps.len(), 2, "two snapshots are retained");
+    let older = snapshot::load(&snaps[0].1).unwrap();
+    let newer = snapshot::load(&snaps[1].1).unwrap();
+    let (oldest, path) = journal::list_segments(dir).unwrap().swap_remove(0);
+    assert_eq!(oldest, older.first_segment);
+    assert!(oldest < newer.first_segment);
+    // Whatever it held (possibly nothing), it now starts with garbage.
+    std::fs::write(&path, b"not a journal frame").unwrap();
+    (out.balances, [snaps[0].1.clone(), snaps[1].1.clone()], path)
+}
+
+#[test]
+fn damage_below_the_base_snapshot_is_never_read() {
+    let dir = temp_dir("skip-old");
+    let (balances, _, _) = drive_then_ruin_oldest_segment(&dir);
+
+    // The newest snapshot's `first_segment` lies above the ruined
+    // segment: nothing recovery needs is in it, so it is not opened.
+    let state = recover(&dir).unwrap();
+    assert_eq!(state.balances, balances, "recovery must stay exact");
+    assert!(
+        state.truncations.is_empty(),
+        "nothing usable was discarded: {:?}",
+        state.truncations
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn falling_back_a_snapshot_lowers_the_segment_bound_with_it() {
+    use ta_live::persist::{snapshot, TruncationReason};
+
+    let dir = temp_dir("skip-fallback");
+    let (_, [older, newer], ruined) = drive_then_ruin_oldest_segment(&dir);
+    let wounds = FaultPlan::parse("corrupt_snapshot")
+        .unwrap()
+        .apply_post_mortem(&dir)
+        .unwrap();
+    assert_eq!(wounds.len(), 1);
+
+    // Now the older snapshot is the base, and replay starts at *its*
+    // first segment — the ruined one — so the damage is found and
+    // reported exactly as before (the binary's exit 4).
+    let state = recover(&dir).unwrap();
+    assert_eq!(
+        state.snapshot_id,
+        Some(snapshot::load(&older).unwrap().id),
+        "fell back to the older snapshot"
+    );
+    let reason_for = |file: &Path| {
+        state
+            .truncations
+            .iter()
+            .find(|t| t.file == file)
+            .map(|t| &t.reason)
+    };
+    assert!(matches!(
+        reason_for(&newer),
+        Some(TruncationReason::BadSnapshot { .. })
+    ));
+    assert_eq!(
+        reason_for(&ruined),
+        Some(&TruncationReason::CorruptFrame { kept: 0 })
+    );
+    assert!(
+        state
+            .truncations
+            .iter()
+            .any(|t| t.reason == TruncationReason::UnreachableSegment),
+        "segments past the damage are unreachable: {:?}",
+        state.truncations
+    );
+    assert_eq!(state.replayed, 0);
+    assert_eq!(
+        state.granted_total() as i64 - state.burned_total() as i64,
+        state.balances_sum()
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn durable_loadgen_runs_and_recovers() {
     use ta_live::{run_loadgen_durable, ArrivalMode, LoadGenConfig};
