@@ -611,6 +611,17 @@ fn sync_windows(mode: &str, workers: usize, windows: u64) -> u64 {
     windows
 }
 
+/// The cores the `shard` / `shard_sync` rows were measured on, recorded
+/// inside each section: their thread axes mean speedup only with at least
+/// as many cores as threads, and the two sections may be regenerated on a
+/// different host than the rest of the report.
+fn host_cores_sample() -> Sample {
+    Sample {
+        id: "host_cores".into(),
+        value: crate::report::host_cores() as f64,
+    }
+}
+
 /// The `shard_sync` section: per-window synchronization overhead of the
 /// channel pipeline against the retired barrier rendezvous. The
 /// `empty_window` micro isolates the pure sync cost (windows/sec, no
@@ -620,7 +631,7 @@ fn sync_windows(mode: &str, workers: usize, windows: u64) -> u64 {
 /// not speedup (see ROADMAP on cross-regeneration comparisons).
 fn bench_shard_sync(smoke: bool) -> Vec<Sample> {
     let windows = if smoke { 500 } else { 5_000 };
-    let mut samples = Vec::new();
+    let mut samples = vec![host_cores_sample()];
     for workers in [2usize, 4] {
         for mode in ["barrier", "channel"] {
             samples.push(Sample {
@@ -643,7 +654,9 @@ fn bench_shard_sync(smoke: bool) -> Vec<Sample> {
             });
             // Work-distribution counts from one representative run: the
             // gate counts claims/steals/skips unconditionally (they live
-            // under the gate lock), so no profiling env is needed.
+            // under the gate lock), so no profiling env is needed. A
+            // steal is a claim by a worker other than the shard's home
+            // worker (`shard % threads`): zero whenever threads ≥ shards.
             let prof = shard_gossip_profile(&topo, rounds, shards, threads);
             for (what, value) in [
                 ("gate_claims", prof.claims),
@@ -696,7 +709,7 @@ fn bench_shard(smoke: bool) -> Vec<Sample> {
     let (n, rounds) = if smoke { (300, 6) } else { (2_000, 24) };
     let mut rng = Xoshiro256pp::stream(41, 0);
     let topo = Arc::new(k_out_random(n, paper::OUT_DEGREE, &mut rng).expect("valid topology"));
-    let mut samples = Vec::new();
+    let mut samples = vec![host_cores_sample()];
     samples.push(Sample {
         id: "gossip/serial_engine".into(),
         value: measure_events_per_sec(|| shard_gossip_run(&topo, rounds, None), smoke),
@@ -920,8 +933,17 @@ pub fn run(smoke: bool, out_path: &str) -> String {
 /// silently drop a comparison family like the `batch` rows.
 #[must_use]
 pub fn diff_report(current: &str, baseline_path: &str) -> bool {
-    let schema_ok =
-        crate::report::diff_report(current, baseline_path, &["sweep/", "speedup/", "scale/"]);
+    let schema_ok = crate::report::diff_report(
+        current,
+        baseline_path,
+        &[
+            "sweep/",
+            "speedup/",
+            "scale/",
+            "shard/host_cores",
+            "shard_sync/host_cores",
+        ],
+    );
     let new = crate::report::parse_report(current);
     let pick = |entries: &[(String, f64)], key: &str| {
         entries

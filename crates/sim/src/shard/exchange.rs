@@ -4,24 +4,34 @@
 //! whole run. During a *segment* (a run of consecutive full windows with
 //! no engine-global event inside), all synchronization happens here:
 //!
-//! * workers claim whole shard-window drains off [`WinMeta::next_shard`]
-//!   (the work-stealing claim counter — dynamic assignment replaces the
-//!   old static worker-stride striping, so a worker that finishes early
-//!   steals the next unprocessed shard instead of idling);
+//! * workers claim whole shard-window drains by **home lane**
+//!   ([`next_claim`]): shard `s` belongs to worker `s % workers`, and a
+//!   worker drains its own lane first, in ascending order. A shard
+//!   migrates to a foreign worker under one condition only — the thief's
+//!   lane is exhausted *and* the shard's home worker is at that moment
+//!   busy draining an earlier shard of the same window (tail-balancing
+//!   for `S > T`). With `S == T` every lane holds one shard, so each
+//!   shard stays on one thread for the whole run and its wheel, buffers
+//!   and per-node arrays stay resident in that core's L2 instead of
+//!   ping-ponging between caches every window;
 //! * finished shards deposit cross-shard mail into per-destination
 //!   [`SegCtl::mailboxes`] and publish their queue/mail minima;
 //! * the **last finisher** of a window advances the pipeline under the
-//!   gate mutex — including the empty-window skip — and wakes the others.
-//!   No coordinator hop, no full-stop barrier: the only wait is the true
-//!   data dependency (window `k + 1` needs every shard's window-`k`
-//!   mail).
+//!   gate mutex — including the empty-window skip — and wakes the others
+//!   ([`SegCtl::wake`]). No coordinator hop, no full-stop barrier: the
+//!   only wait is the true data dependency (window `k + 1` needs every
+//!   shard's window-`k` mail), and because a shard-window is short
+//!   (~100 µs) waiters spin on the gate epoch for a small budget before
+//!   parking on the condvar ([`SegCtl::wait`]).
 //!
 //! Early mailbox deposits are harmless by construction: every deposited
 //! message is keyed and due at or after the next window bound, so whether
 //! a destination drains it this window or next, it sits in the queue until
 //! its due time and pops in identical key order.
 
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 use super::OutMsg;
 use crate::time::{SimDuration, SimTime};
@@ -48,11 +58,11 @@ pub(super) enum SegOutcome {
 /// bench rows.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(super) struct GateStats {
-    /// Shard-window claims handed out by the work-stealing counter.
+    /// Shard-window claims handed out to segment participants.
     pub(super) claims: u64,
-    /// Claims where the claiming worker drained a shard other than its
-    /// own index (i.e. actual steals; inline coordinator claims are not
-    /// attributed).
+    /// Claims of a shard outside the claimer's home lane (claimer ≠
+    /// `shard % workers`): the shard migrated to another thread for that
+    /// window. Always zero for `S == T` and for the inline coordinator.
     pub(super) steals: u64,
     /// Windows skipped by the empty-window fast-forward.
     pub(super) skipped: u64,
@@ -66,10 +76,12 @@ pub(super) struct WinMeta {
     pub(super) stats: GateStats,
     /// Start of the window being claimed/processed.
     pub(super) window_start: SimTime,
-    /// Next unclaimed shard of the current window. Claims hand out whole
-    /// shard-window drains, so each runs on exactly one worker and the
-    /// `(origin, counter)` key order is untouched by stealing.
-    pub(super) next_shard: usize,
+    /// `lane_next[h]` is the next unclaimed shard of worker `h`'s home
+    /// lane `{h, h + T, h + 2T, …}` for the current window (`>= shards`
+    /// once the lane is exhausted). Claims hand out whole shard-window
+    /// drains, so each runs on exactly one worker and the
+    /// `(origin, counter)` key order is untouched by who drained it.
+    pub(super) lane_next: Vec<usize>,
     /// Shards finished with the current window.
     pub(super) finished: usize,
     /// Minimum queue event time published by finished shards.
@@ -83,6 +95,28 @@ pub(super) struct WinMeta {
     pub(super) outcome: Option<SegOutcome>,
 }
 
+impl WinMeta {
+    fn new(workers: usize) -> Self {
+        WinMeta {
+            stats: GateStats::default(),
+            window_start: SimTime::ZERO,
+            lane_next: (0..workers).collect(),
+            finished: 0,
+            queue_min: None,
+            mail_min: None,
+            over: true,
+            outcome: None,
+        }
+    }
+
+    /// Reopens every home lane at its first shard (a new window).
+    fn reset_lanes(&mut self) {
+        for (h, next) in self.lane_next.iter_mut().enumerate() {
+            *next = h;
+        }
+    }
+}
+
 /// Shared control block of one sharded run: per-destination mailboxes plus
 /// the window gate. Reset by the quiescent coordinator between dispatches.
 pub(super) struct SegCtl<M> {
@@ -91,7 +125,10 @@ pub(super) struct SegCtl<M> {
     /// its next (part-)window.
     pub(super) mailboxes: Vec<Mutex<Vec<OutMsg<M>>>>,
     pub(super) win: Mutex<WinMeta>,
-    pub(super) cv: Condvar,
+    cv: Condvar,
+    /// Bumped (under the gate mutex) by every [`SegCtl::wake`]; what
+    /// spinning waiters watch instead of the mutex-protected state.
+    epoch: AtomicU64,
     /// First panic payload caught in a worker. The catching worker flips
     /// [`WinMeta::over`] so peers stop claiming instead of waiting on a
     /// window that will never finish; the coordinator re-raises after all
@@ -99,32 +136,37 @@ pub(super) struct SegCtl<M> {
     pub(super) panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
 }
 
+/// How long a gate waiter spins before parking. A wait is the drain-time
+/// imbalance of one shard-window (~115 µs of work at n = 100k, S = T = 2;
+/// a few µs at n = 1000), almost always shorter than a futex park/wake
+/// round trip. Measured on the 2-core box, median `sim_big_churn` run
+/// phase over interleaved rounds: no spin 811 ms; 20 µs 711 ms; 50 µs
+/// 689 ms; 200 µs 705 ms; unbounded 726 ms — anything from 20 µs up is
+/// inside the noise, so take the middle. The spin yields rather than
+/// pauses: equal on that workload (670 vs 668 ms), but with more runnable
+/// threads than cores a pausing spinner holds the core its peer needs
+/// (`bench_sim` `engine/s4_t4` on 2 cores: 0.23 M events/s pausing, 3.0 M
+/// yielding, 2.1 M with the old claim counter and no spin).
+const SPIN_BUDGET: Duration = Duration::from_micros(50);
+
 impl<M> SegCtl<M> {
-    pub(super) fn new(shards: usize) -> Self {
+    pub(super) fn new(shards: usize, workers: usize) -> Self {
         SegCtl {
             mailboxes: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
-            win: Mutex::new(WinMeta {
-                stats: GateStats::default(),
-                window_start: SimTime::ZERO,
-                next_shard: 0,
-                finished: 0,
-                queue_min: None,
-                mail_min: None,
-                over: true,
-                outcome: None,
-            }),
+            win: Mutex::new(WinMeta::new(workers)),
             cv: Condvar::new(),
+            epoch: AtomicU64::new(0),
             panic: Mutex::new(None),
         }
     }
 
     /// Arms the gate for a dispatch starting at `window_start` (a segment)
-    /// or a part-run instant (where only the claim counter matters). Only
+    /// or a part-run instant (where only the lane cursors matter). Only
     /// the coordinator calls this, and only while every worker is idle.
     pub(super) fn arm(&self, window_start: SimTime) {
         let mut w = self.win.lock().expect("window gate poisoned");
         w.window_start = window_start;
-        w.next_shard = 0;
+        w.reset_lanes();
         w.finished = 0;
         w.queue_min = None;
         w.mail_min = None;
@@ -144,7 +186,35 @@ impl<M> SegCtl<M> {
         }
         let mut w = self.win.lock().expect("window gate poisoned");
         w.over = true;
+        self.wake(&mut w);
+    }
+
+    /// Releases every waiter, spinning or parked, to re-read the gate
+    /// after a state change (window opened, or `over` set). Taking the
+    /// locked state is the proof that the gate mutex is held.
+    pub(super) fn wake(&self, _locked: &mut WinMeta) {
+        // Release pairs with the Acquire loads in `wait`; the state itself
+        // is published by the gate mutex, which waiters re-take.
+        self.epoch.fetch_add(1, Ordering::Release);
         self.cv.notify_all();
+    }
+
+    /// Gives up the gate until the next [`SegCtl::wake`]: spins (yielding)
+    /// on the epoch for [`SPIN_BUDGET`], then parks on the condvar. The
+    /// epoch only moves under the mutex, so reading it before the unlock
+    /// and re-checking it under the lock before parking cannot miss a wake.
+    pub(super) fn wait<'a>(&'a self, w: MutexGuard<'a, WinMeta>) -> MutexGuard<'a, WinMeta> {
+        let seen = self.epoch.load(Ordering::Acquire);
+        drop(w);
+        let moved = || self.epoch.load(Ordering::Acquire) != seen;
+        let spun = Instant::now();
+        while !moved() && spun.elapsed() < SPIN_BUDGET {
+            std::thread::yield_now();
+        }
+        let w = self.win.lock().expect("window gate poisoned");
+        self.cv
+            .wait_while(w, |_| !moved())
+            .expect("window gate poisoned")
     }
 
     /// Takes the stored panic payload, if any.
@@ -169,6 +239,29 @@ impl<M> SegCtl<M> {
             .outcome
             .take()
     }
+}
+
+/// The claim policy: which of the current window's `shards` participant
+/// `me` drains next, or `None` when there is nothing for it to take.
+///
+/// Own lane first, in ascending order. A foreign shard is handed out only
+/// from a lane that is *started but not exhausted*: a home worker goes
+/// from finishing one shard of its lane straight to claiming the next (in
+/// `run_segment` inside one critical section), so such a lane's worker is
+/// busy mid-drain right now — while a lane nobody has touched yet merely
+/// has a worker that has not woken up, and stealing its shard would only
+/// drag that shard's state across caches. The inline coordinator is
+/// worker 0 of 1 and so owns every shard.
+pub(super) fn next_claim(w: &mut WinMeta, me: usize, shards: usize) -> Option<usize> {
+    let workers = w.lane_next.len();
+    let lane = if w.lane_next[me] < shards {
+        me
+    } else {
+        (0..workers).find(|&h| w.lane_next[h] != h && w.lane_next[h] < shards)?
+    };
+    let shard = w.lane_next[lane];
+    w.lane_next[lane] += workers;
+    Some(shard)
 }
 
 /// `t` rounded down to a window boundary (windows are aligned multiples of
@@ -228,7 +321,7 @@ pub(super) fn advance_window(
             let global_inside = global.is_some_and(|g| g < next_wb);
             if next_wb <= end && !global_inside {
                 w.window_start = next_start;
-                w.next_shard = 0;
+                w.reset_lanes();
             } else {
                 w.over = true;
                 w.outcome = Some(SegOutcome::Continue { next_start });
@@ -243,14 +336,9 @@ mod tests {
 
     fn meta(start_us: u64) -> WinMeta {
         WinMeta {
-            stats: GateStats::default(),
             window_start: SimTime::from_micros(start_us),
-            next_shard: 0,
-            finished: 0,
-            queue_min: None,
-            mail_min: None,
             over: false,
-            outcome: None,
+            ..WinMeta::new(2)
         }
     }
 
@@ -260,10 +348,11 @@ mod tests {
     fn advance_opens_adjacent_window() {
         let mut w = meta(0);
         w.queue_min = Some(SimTime::from_micros(1_500));
+        while (0..2).any(|me| next_claim(&mut w, me, 4).is_some()) {}
         advance_window(&mut w, None, SimTime::from_micros(10_000), T);
         assert!(!w.over);
         assert_eq!(w.window_start, SimTime::from_micros(1_000));
-        assert_eq!(w.next_shard, 0);
+        assert_eq!(w.lane_next, [0, 1]);
     }
 
     #[test]
@@ -340,5 +429,152 @@ mod tests {
                 next_start: SimTime::from_micros(10_000)
             })
         );
+    }
+
+    /// Replays `(participant, expected claim)` steps against one window
+    /// of `shards` shards over `workers` lanes.
+    fn replay(shards: usize, workers: usize, steps: &[(usize, Option<usize>)]) {
+        let mut w = WinMeta::new(workers);
+        for (i, &(me, expect)) in steps.iter().enumerate() {
+            let got = next_claim(&mut w, me, shards);
+            assert_eq!(
+                got, expect,
+                "S={shards} T={workers} step {i}: worker {me} claimed {got:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn claims_follow_the_lane_policy() {
+        // Own lane first and in ascending order; `None` once everything
+        // is claimed.
+        replay(
+            6,
+            2,
+            &[
+                (1, Some(1)),
+                (0, Some(0)),
+                (0, Some(2)),
+                (1, Some(3)),
+                (1, Some(5)),
+                (0, Some(4)),
+                (0, None),
+                (1, None),
+            ],
+        );
+        // S == T: one shard per lane, so a finished worker never takes a
+        // peer's shard — neither before the peer has claimed it nor after.
+        replay(
+            2,
+            2,
+            &[(0, Some(0)), (0, None), (1, Some(1)), (0, None), (1, None)],
+        );
+        // No steal from a lane whose worker has not claimed yet this
+        // window: worker 1 exhausts its lane while worker 0 is still
+        // asleep and must wait, not take shards 0 and 2.
+        replay(4, 2, &[(1, Some(1)), (1, Some(3)), (1, None), (1, None)]);
+        // Steal from a lane whose worker is mid-drain: worker 0 holds
+        // shard 0, so worker 1 may take shard 2 off its lane — and worker
+        // 0 then finds its lane exhausted.
+        replay(
+            4,
+            2,
+            &[
+                (0, Some(0)),
+                (1, Some(1)),
+                (1, Some(3)),
+                (1, Some(2)),
+                (0, None),
+                (1, None),
+            ],
+        );
+        // The inline coordinator (worker 0 of 1) claims every shard in
+        // order.
+        replay(3, 1, &[(0, Some(0)), (0, Some(1)), (0, Some(2)), (0, None)]);
+    }
+
+    #[test]
+    fn uneven_lanes_hand_out_every_shard_exactly_once_per_window() {
+        for (shards, workers) in [(3, 2), (4, 3), (7, 3), (2, 2), (5, 1)] {
+            // Every claim order the participants could race into: drive
+            // the workers round-robin from each starting offset and with
+            // one worker hogging the gate.
+            for start in 0..workers {
+                for hog in [false, true] {
+                    let mut w = WinMeta::new(workers);
+                    let mut seen = vec![0usize; shards];
+                    let mut idle = 0;
+                    let mut turn = start;
+                    while idle < workers {
+                        match next_claim(&mut w, turn % workers, shards) {
+                            Some(s) => {
+                                seen[s] += 1;
+                                idle = 0;
+                                turn += usize::from(!hog);
+                            }
+                            None => {
+                                idle += 1;
+                                turn += 1;
+                            }
+                        }
+                    }
+                    assert!(
+                        seen.iter().all(|&c| c == 1),
+                        "S={shards} T={workers} start={start} hog={hog}: {seen:?}"
+                    );
+                    // A reset reopens every lane at its first shard.
+                    w.reset_lanes();
+                    assert_eq!(next_claim(&mut w, start, shards), Some(start));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn poison_releases_a_waiter_inside_its_spin_budget() {
+        // The waiter signals while it still holds the gate mutex, so the
+        // poisoner can only get in once `wait` has dropped it — i.e. the
+        // epoch moves at the very start of the waiter's spin.
+        let ctl = SegCtl::<()>::new(2, 2);
+        ctl.arm(SimTime::ZERO);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                let w = ctl.win.lock().expect("window gate poisoned");
+                tx.send(()).expect("main thread is listening");
+                ctl.wait(w).over
+            });
+            rx.recv().expect("waiter signals before waiting");
+            ctl.poison(Box::new("boom"));
+            let over = waiter.join().expect("waiter must not panic");
+            assert!(over, "the waiter must come back to a gate that is over");
+        });
+        assert!(ctl.take_panic().is_some());
+    }
+
+    #[test]
+    fn wake_releases_a_parked_waiter() {
+        // Same handshake, but the waker holds back for many spin budgets
+        // so the waiter has (almost surely) parked; either way it must
+        // return once, and only once, the epoch has moved.
+        let ctl = SegCtl::<()>::new(2, 2);
+        ctl.arm(SimTime::ZERO);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                let w = ctl.win.lock().expect("window gate poisoned");
+                tx.send(()).expect("main thread is listening");
+                ctl.wait(w).window_start
+            });
+            rx.recv().expect("waiter signals before waiting");
+            std::thread::sleep(SPIN_BUDGET * 100);
+            {
+                let mut w = ctl.win.lock().expect("window gate poisoned");
+                w.window_start = SimTime::from_micros(1_000);
+                ctl.wake(&mut w);
+            }
+            let seen = waiter.join().expect("waiter must not panic");
+            assert_eq!(seen, SimTime::from_micros(1_000));
+        });
     }
 }

@@ -20,15 +20,26 @@
 //! windows, or a *part-window* run up to an engine-global instant) over
 //! per-worker channels and collects one finished message per worker per
 //! dispatch. Within a segment the only synchronization is the per-window
-//! gate in [`exchange`]: workers claim whole shard-window drains off a
-//! shared claim counter (work-stealing — an idle worker takes the next
-//! unprocessed shard regardless of any static striping), deposit
-//! cross-shard mail into the destination shards' mailboxes, and the last
-//! finisher of a window advances the pipeline — including the empty-window
-//! skip — without waking the coordinator at all. Engine-global events
-//! (samples, injections) are the only points where the coordinator touches
-//! shard state, and they are rare (every `sample_period`, typically
-//! hundreds of windows apart).
+//! gate in [`exchange`]: workers claim whole shard-window drains by **home
+//! lane** — shard `s` belongs to worker `s % workers`, and a worker drains
+//! its own lane first — deposit cross-shard mail into the destination
+//! shards' mailboxes, and the last finisher of a window advances the
+//! pipeline — including the empty-window skip — without waking the
+//! coordinator at all. Waiters at the gate spin on a window-epoch atomic
+//! for a few tens of microseconds (a shard-window is ~100 µs) before
+//! parking on the condvar. Engine-global events (samples, injections) are
+//! the only points where the coordinator touches shard state, and they are
+//! rare (every `sample_period`, typically hundreds of windows apart).
+//!
+//! A shard leaves its home worker under one condition only: another worker
+//! has exhausted its own lane *and* the home worker is at that moment busy
+//! draining an earlier shard of the same window (tail-balancing, possible
+//! only when `S > T`). The reason is cache residency: a shard's queue,
+//! buffers and per-node arrays are far larger than the per-window work
+//! done on them, so a shard that hops threads every window drags its
+//! working set from one core's L2 to the other's and drains slower on two
+//! threads than on one. With `S == T` every shard stays on one thread for
+//! the whole run.
 //!
 //! Worker threads can be pinned to cores ([`crate::affinity`]) with
 //! `TA_PIN=1` or [`ShardOpts::pin`]; pinning trades nothing but
@@ -55,9 +66,9 @@
 //!   node events of their instant and run with every shard quiescent,
 //!   where the coordinator can merge metrics in node order (see
 //!   [`ShardableDriver::on_sample`]);
-//! * work-stealing moves *whole* shard-window drains between workers:
-//!   each shard-window still executes on exactly one thread, so the keys
-//!   fix the pop order no matter which worker ran it.
+//! * lane claims and tail-steals hand out *whole* shard-window drains:
+//!   each shard-window executes on exactly one thread, so the keys fix
+//!   the pop order no matter which worker ran it.
 //!
 //! # When to shard
 //!

@@ -184,7 +184,7 @@ impl<D: ShardableDriver, Q: EventQueue<SEv<D::Msg>> + Send> SCore<D, Q> {
         // else; the scope guarantees the workers are gone before the
         // engines move back.
         let engines = std::mem::take(&mut self.engines);
-        let ctl = SegCtl::new(shards);
+        let ctl = SegCtl::new(shards, workers);
         if workers <= 1 {
             // Inline: the coordinator is the only participant; the same
             // gate code runs claims and window advances single-threaded.
@@ -302,7 +302,7 @@ impl<D: ShardableDriver, Q: EventQueue<SEv<D::Msg>> + Send> SCore<D, Q> {
             }
             None => {
                 let transfer = self.cfg.transfer_time();
-                worker::run_segment(engines, ctl, None, global, end, transfer, &mut self.scratch);
+                worker::run_segment(engines, ctl, 0, global, end, transfer, &mut self.scratch);
             }
         }
         ctl.take_outcome()
@@ -325,7 +325,7 @@ impl<D: ShardableDriver, Q: EventQueue<SEv<D::Msg>> + Send> SCore<D, Q> {
                     std::panic::resume_unwind(payload);
                 }
             }
-            None => worker::run_part(engines, ctl, t, &mut self.scratch),
+            None => worker::run_part(engines, ctl, 0, t, &mut self.scratch),
         }
     }
 

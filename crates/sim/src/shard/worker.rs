@@ -4,8 +4,8 @@
 //! slice); [`worker_loop`] is the thread body of a pipeline worker:
 //! spawned once per run, optionally pinned to a core, it receives
 //! [`Work`] messages from the coordinator, executes them through the
-//! shared [`SegCtl`] gate (claiming shard-window drains off the
-//! work-stealing counter), and reports one done message per dispatch.
+//! shared [`SegCtl`] gate (claiming shard-window drains from its home
+//! lane first), and reports one done message per dispatch.
 //! Driver panics are caught, poison the gate so peers stop claiming, and
 //! re-raise on the coordinator — the pipeline unwinds instead of
 //! deadlocking.
@@ -15,7 +15,7 @@ use std::sync::{Arc, Mutex};
 
 use ta_telemetry::Profile;
 
-use super::exchange::{advance_window, SegCtl};
+use super::exchange::{advance_window, next_claim, SegCtl};
 use super::{Ctx, OutMsg, SEv, ShardApi, ShardDriver, ShardKernel, ShardPlan};
 use crate::config::SimConfig;
 use crate::engine::{
@@ -440,43 +440,40 @@ fn deposit_outbox<D: ShardDriver, Q: EventQueue<SEv<D::Msg>>>(
     mail_min
 }
 
-/// Executes one [`Work::Segment`] as one participant (worker thread or
-/// the inline coordinator): claim shard-windows off the gate, run them,
-/// deposit mail, and let the last finisher of each window advance the
-/// pipeline. Returns when the gate goes `over` (segment finished, or a
-/// peer panicked). `me` is the participant's worker index (`None` for
-/// the inline coordinator): a claim of a shard other than `me` counts
-/// as a steal in the gate totals.
+/// Executes one [`Work::Segment`] as participant `me` (a worker's index;
+/// the inline coordinator is worker 0 of 1): claim shard-windows through
+/// the gate's lane policy, run them, deposit mail, and let the last
+/// finisher of each window advance the pipeline. Returns when the gate
+/// goes `over` (segment finished, or a peer panicked). Finishing one
+/// drain and claiming the next share one critical section — one gate pass
+/// per shard-window, and what lets [`next_claim`] read "lane started but
+/// not exhausted" as "home worker mid-drain".
 pub(super) fn run_segment<D: ShardDriver, Q: EventQueue<SEv<D::Msg>>>(
     engines: &[Mutex<ShardEngine<D, Q>>],
     ctl: &SegCtl<D::Msg>,
-    me: Option<usize>,
+    me: usize,
     global: Option<SimTime>,
     end: SimTime,
     transfer: SimDuration,
     scratch: &mut Scratch<D::Msg>,
 ) {
     let shards = engines.len();
+    let mut gate = ctl.win.lock().expect("window gate poisoned");
     loop {
-        // Claim the next unprocessed shard of the current window (the
-        // work-stealing counter), or wait for the last finisher to open
-        // the next window.
-        let (shard, wb) = {
-            let mut w = ctl.win.lock().expect("window gate poisoned");
-            loop {
-                if w.over {
-                    return;
-                }
-                if w.next_shard < shards {
-                    let s = w.next_shard;
-                    w.next_shard += 1;
-                    w.stats.claims += 1;
-                    w.stats.steals += u64::from(me.is_some_and(|i| i != s));
-                    break (s, w.window_start + transfer);
-                }
-                w = ctl.cv.wait(w).expect("window gate poisoned");
+        // Claim the next shard of the current window, or wait for the
+        // last finisher to open the next one.
+        let (shard, wb) = loop {
+            if gate.over {
+                return;
             }
+            if let Some(s) = next_claim(&mut gate, me, shards) {
+                gate.stats.claims += 1;
+                gate.stats.steals += u64::from(s % gate.lane_next.len() != me);
+                break (s, gate.window_start + transfer);
+            }
+            gate = ctl.wait(gate);
         };
+        drop(gate);
         // The shard-window drain proper, off the gate lock.
         let (queue_min, mail_min) = {
             let mut e = engines[shard].lock().expect("shard engine lock poisoned");
@@ -490,8 +487,8 @@ pub(super) fn run_segment<D: ShardDriver, Q: EventQueue<SEv<D::Msg>>>(
             (e.queue.peek_time(), mail_min)
         };
         // Publish and, as the last finisher, advance the window.
-        let mut guard = ctl.win.lock().expect("window gate poisoned");
-        let w = &mut *guard;
+        gate = ctl.win.lock().expect("window gate poisoned");
+        let w = &mut *gate;
         for (slot, m) in [(&mut w.queue_min, queue_min), (&mut w.mail_min, mail_min)] {
             *slot = match (*slot, m) {
                 (Some(a), Some(b)) => Some(a.min(b)),
@@ -501,36 +498,36 @@ pub(super) fn run_segment<D: ShardDriver, Q: EventQueue<SEv<D::Msg>>>(
         w.finished += 1;
         if w.finished == shards {
             advance_window(w, global, end, transfer);
-            ctl.cv.notify_all();
+            ctl.wake(w);
         }
     }
 }
 
-/// Executes one [`Work::Part`] as one participant: claim shards and run
-/// each inclusively up to `t` (mailbox drained first — a global at a
-/// window bound must see the previous window's mail). No mail deposit:
-/// callback sends made at `t` are due `t + transfer`, beyond every bound
-/// this dispatch can reach, and the outbox rides along to the next
-/// deposit. Returns when every shard is claimed; the caller's done
+/// Executes one [`Work::Part`] as participant `me`: claim shards by the
+/// same lane policy and run each inclusively up to `t` (mailbox drained
+/// first — a global at a window bound must see the previous window's
+/// mail). No mail deposit: callback sends made at `t` are due
+/// `t + transfer`, beyond every bound this dispatch can reach, and the
+/// outbox rides along to the next deposit. Returns when nothing is left
+/// for `me` to claim — never waits: every lane's home worker got the same
+/// dispatch and drains whatever nobody took off it. The caller's done
 /// message (sent after all its claims completed) tells the coordinator
 /// when the instant is fully processed.
 pub(super) fn run_part<D: ShardDriver, Q: EventQueue<SEv<D::Msg>>>(
     engines: &[Mutex<ShardEngine<D, Q>>],
     ctl: &SegCtl<D::Msg>,
+    me: usize,
     t: SimTime,
     scratch: &mut Scratch<D::Msg>,
 ) {
-    let shards = engines.len();
-    loop {
-        let shard = {
-            let mut w = ctl.win.lock().expect("window gate poisoned");
-            if w.over || w.next_shard >= shards {
-                return;
-            }
-            let s = w.next_shard;
-            w.next_shard += 1;
-            s
-        };
+    let claim = || {
+        let mut w = ctl.win.lock().expect("window gate poisoned");
+        if w.over {
+            return None;
+        }
+        next_claim(&mut w, me, engines.len())
+    };
+    while let Some(shard) = claim() {
         let mut e = engines[shard].lock().expect("shard engine lock poisoned");
         drain_mailbox(&ctl.mailboxes[shard], &mut e, scratch);
         e.run_window(t, true);
@@ -561,16 +558,10 @@ pub(super) fn worker_loop<D: ShardDriver, Q: EventQueue<SEv<D::Msg>>>(
         // released: the run unwinds on the coordinator instead of
         // deadlocking the pipeline.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match msg {
-            Work::Segment { global, end } => run_segment(
-                engines,
-                ctl,
-                Some(index),
-                global,
-                end,
-                transfer,
-                &mut scratch,
-            ),
-            Work::Part { t } => run_part(engines, ctl, t, &mut scratch),
+            Work::Segment { global, end } => {
+                run_segment(engines, ctl, index, global, end, transfer, &mut scratch)
+            }
+            Work::Part { t } => run_part(engines, ctl, index, t, &mut scratch),
         }));
         if let Err(payload) = result {
             ctl.poison(payload);

@@ -3,8 +3,9 @@
 //! reactive replies, timers, churn, sampling, injection, and fault drops.
 //! Serial and sharded runs must be **byte-identical** for every shard
 //! count, thread count, pin setting, and queue implementation — including
-//! when the work-stealing claim counter is doing all the load balancing
-//! (the imbalanced-topology test below).
+//! when tail-stealing between home lanes is doing the load balancing (the
+//! imbalanced-topology test below) — and a shard must never leave its
+//! home worker when there are as many workers as shards.
 
 use ta_sim::config::{QueueKind, SimConfig};
 use ta_sim::engine::{AvailabilityModel, Driver, SimApi, Simulation};
@@ -350,7 +351,9 @@ fn full_shards_threads_pin_matrix_matches_serial() {
     // The acceptance matrix of the channel pipeline: every
     // S × threads × pin combination — inline path, single worker,
     // stealing workers, oversubscribed workers, pinned or not — produces
-    // the serial engine's bytes.
+    // the serial engine's bytes. Shard affinity rides along: every
+    // shard-window drain is claimed exactly once, and with one lane per
+    // shard (or a single participant) no shard ever changes threads.
     let n = 40;
     let (toy, stats) = run_serial(n, QueueKind::Wheel, 7, 0.0, true);
     for shards in [1, 2, 3, 4] {
@@ -364,7 +367,18 @@ fn full_shards_threads_pin_matrix_matches_serial() {
                 };
                 let mut sim =
                     ShardedSimulation::with_opts(config, &Bouncy { n }, Toy::new(n), opts);
+                sim.set_profiling(true);
                 sim.run_to_end();
+                let profile = sim.profile();
+                // `windows` counts shard-window drains (gate windows × S).
+                assert_eq!(
+                    profile.claims, profile.windows,
+                    "S={shards} T={threads} pin={pin} claims"
+                );
+                assert_eq!(shards > 1, profile.windows > 0);
+                if threads == 1 || threads >= shards {
+                    assert_eq!(profile.steals, 0, "S={shards} T={threads} pin={pin} steals");
+                }
                 let (stoy, sstats) = sim.into_parts();
                 assert_eq!(toy, stoy, "S={shards} T={threads} pin={pin} diverged");
                 assert_eq!(stats, sstats, "S={shards} T={threads} pin={pin} stats");
@@ -376,9 +390,9 @@ fn full_shards_threads_pin_matrix_matches_serial() {
 /// Availability that concentrates nearly all event traffic on the first
 /// node block: shards past the first start with every node offline (no
 /// ticks, no timers — their windows drain instantly), so with `S > T`
-/// workers the claim counter is the only thing keeping them busy. A few
-/// cold nodes come online late so stolen shards also grow real work
-/// mid-run.
+/// workers tail-stealing off the hot shard's lane is the only thing
+/// keeping them busy. A few cold nodes come online late so stolen shards
+/// also grow real work mid-run.
 struct HotBlock {
     hot: usize,
 }
@@ -421,6 +435,10 @@ fn work_stealing_on_imbalanced_shards_is_exact() {
                     };
                     let mut sim = ShardedSimulation::with_opts(config, &avail, Toy::new(n), opts);
                     sim.run_to_end();
+                    // How many claims migrate depends on timing; that they
+                    // are a subset of the claims does not.
+                    let profile = sim.profile();
+                    assert!(profile.claims > 0 && profile.steals <= profile.claims);
                     let (stoy, sstats) = sim.into_parts();
                     assert_eq!(
                         toy, stoy,
@@ -488,18 +506,37 @@ fn worker_panics_propagate_instead_of_deadlocking() {
     }
     // Both pin settings: the channel pipeline must poison the window gate,
     // release the idle workers, and re-raise on the coordinator instead of
-    // leaving anyone parked on a gate that will never open.
-    for pin in [false, true] {
+    // leaving anyone parked on a gate that will never open. The third
+    // case lands the panic on a spinning peer: shard 1 holds only offline
+    // nodes, so its worker drains nothing, is back at the gate within a
+    // microsecond of every window opening, and is inside its spin budget
+    // when the few-event drain of shard 0 blows up.
+    for (idle_peer, shards, pin) in [(false, 4, false), (false, 4, true), (true, 2, false)] {
         let config = cfg(24, QueueKind::Heap, 3, 0.0);
-        let result = std::panic::catch_unwind(|| {
+        // Run under a watchdog: a waiter the poison failed to release
+        // would otherwise hang the test binary instead of failing it.
+        let (tx, rx) = std::sync::mpsc::channel::<()>();
+        let run = std::thread::spawn(move || {
+            let _hangs_up_when_the_run_ends = tx;
+            let avail: &dyn AvailabilityModel = if idle_peer {
+                &HotBlock { hot: 12 }
+            } else {
+                &ta_sim::AlwaysOn
+            };
             let opts = ShardOpts {
-                shards: 4,
+                shards,
                 threads: 2,
                 pin,
             };
-            let mut sim = ShardedSimulation::with_opts(config, &ta_sim::AlwaysOn, Bomb, opts);
+            let mut sim = ShardedSimulation::with_opts(config, avail, Bomb, opts);
             sim.run_to_end();
         });
+        assert_eq!(
+            rx.recv_timeout(std::time::Duration::from_secs(120)),
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected),
+            "S={shards} pin={pin}: the pipeline deadlocked"
+        );
+        let result = run.join();
         let payload = result.expect_err("the driver panic must propagate");
         let msg = payload
             .downcast_ref::<String>()
@@ -507,7 +544,7 @@ fn worker_panics_propagate_instead_of_deadlocking() {
             .unwrap_or_default();
         assert!(
             msg.contains("boom"),
-            "pin={pin}: unexpected panic payload: {msg}"
+            "S={shards} pin={pin}: unexpected panic payload: {msg}"
         );
     }
 }

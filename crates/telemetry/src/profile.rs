@@ -1,5 +1,5 @@
 //! Engine self-profiling: batch-size histograms, window wall time,
-//! work-steal claims, empty-window skips, mailbox depths.
+//! shard-window claims and steals, empty-window skips, mailbox depths.
 //!
 //! A [`Profile`] is owned by one engine (or worker) and mutated with
 //! plain stores — no atomics, because the sim engines are single-writer
@@ -29,10 +29,11 @@ pub struct ProfileData {
     pub windows: u64,
     /// Wall time spent inside window drains, nanoseconds.
     pub window_ns: u64,
-    /// Shard-window claims taken off the work-stealing counter.
+    /// Shard-window claims handed out by the sharded engine's gate.
     pub claims: u64,
-    /// Claims that were steals (a worker drained a shard other than its
-    /// own pinned index).
+    /// Claims that were steals: the claiming worker was not the shard's
+    /// home worker (`shard % workers`), so the shard changed threads for
+    /// that window.
     pub steals: u64,
     /// Windows skipped by the empty-window fast-forward.
     pub skipped_windows: u64,
@@ -164,8 +165,8 @@ impl Profile {
         }
     }
 
-    /// Records one work-stealing claim (`stolen` when the claimed shard
-    /// was not the worker's own index).
+    /// Records one shard-window claim (`stolen` when the claimer was not
+    /// the shard's home worker).
     #[inline]
     pub fn claim(&mut self, stolen: bool) {
         if self.enabled {
