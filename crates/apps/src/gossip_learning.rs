@@ -20,42 +20,7 @@ use ta_sim::shard::ShardPlan;
 use ta_sim::{NodeId, SimDuration, SimTime};
 use token_account::Usefulness;
 
-use crate::app::Application;
-use crate::protocol::sharded::{ApplicationShard, ShardableApplication};
-
-/// Eq. 6 from shared integer partials: mean relative age over online
-/// nodes. One implementation for the serial and the sharded metric so the
-/// two cannot drift — the partials are integers, so any fold order yields
-/// the same sums and the same f64 result.
-fn eq6_metric(
-    online_age_sum: u64,
-    online_count: usize,
-    transfer: SimDuration,
-    now: SimTime,
-) -> f64 {
-    let optimal = now.as_secs_f64() / transfer.as_secs_f64();
-    if optimal <= 0.0 || online_count == 0 {
-        return 0.0;
-    }
-    online_age_sum as f64 / (online_count as f64 * optimal)
-}
-
-/// The age-update rule of Section 3.2, shared by the serial and sharded
-/// applications: adopt-and-train iff at least as old, returning the new
-/// online sum contribution.
-#[inline]
-fn adopt_age(age: &mut u64, online: bool, incoming: u64, online_age_sum: &mut u64) -> Usefulness {
-    if incoming >= *age {
-        let new_age = incoming + 1;
-        if online {
-            *online_age_sum += new_age - *age;
-        }
-        *age = new_age;
-        Usefulness::Useful
-    } else {
-        Usefulness::NotUseful
-    }
-}
+use crate::app::{Application, ShardableApplication};
 
 /// A gossip-learning model message: the model's age (visit count).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,9 +29,11 @@ pub struct ModelMsg {
     pub age: u64,
 }
 
-/// The gossip learning application state.
+/// The gossip learning application state of one block of nodes.
 #[derive(Debug, Clone)]
 pub struct GossipLearning {
+    /// First node of the block (0 for the whole network).
+    base: usize,
     ages: Vec<u64>,
     online: Vec<bool>,
     /// Σ ages over online nodes, maintained incrementally so the metric is
@@ -88,6 +55,7 @@ impl GossipLearning {
         assert_eq!(initial_online.len(), n, "initial_online length mismatch");
         assert!(!transfer.is_zero(), "transfer time must be positive");
         GossipLearning {
+            base: 0,
             ages: vec![0; n],
             online: initial_online.to_vec(),
             online_age_sum: 0,
@@ -98,10 +66,10 @@ impl GossipLearning {
 
     /// Age of the model currently stored at `node`.
     pub fn age(&self, node: NodeId) -> u64 {
-        self.ages[node.index()]
+        self.ages[self.local(node)]
     }
 
-    /// All model ages (for distribution analyses).
+    /// All model ages of the block (for distribution analyses).
     pub fn ages(&self) -> &[u64] {
         &self.ages
     }
@@ -110,79 +78,14 @@ impl GossipLearning {
     pub fn optimal_age(&self, now: SimTime) -> f64 {
         now.as_secs_f64() / self.transfer.as_secs_f64()
     }
-}
 
-impl Application for GossipLearning {
-    type Msg = ModelMsg;
-
-    fn create_message(&mut self, node: NodeId) -> ModelMsg {
-        ModelMsg {
-            age: self.ages[node.index()],
-        }
-    }
-
-    fn update_state(
-        &mut self,
-        node: NodeId,
-        _from: NodeId,
-        msg: &ModelMsg,
-        _now: SimTime,
-    ) -> Usefulness {
-        let i = node.index();
-        adopt_age(
-            &mut self.ages[i],
-            self.online[i],
-            msg.age,
-            &mut self.online_age_sum,
-        )
-    }
-
-    fn metric(&self, _online_count: usize, now: SimTime) -> f64 {
-        eq6_metric(self.online_age_sum, self.online_count, self.transfer, now)
-    }
-
-    fn on_node_up(&mut self, node: NodeId, _now: SimTime) {
-        if !self.online[node.index()] {
-            self.online[node.index()] = true;
-            self.online_age_sum += self.ages[node.index()];
-            self.online_count += 1;
-        }
-    }
-
-    fn on_node_down(&mut self, node: NodeId, _now: SimTime) {
-        if self.online[node.index()] {
-            self.online[node.index()] = false;
-            self.online_age_sum -= self.ages[node.index()];
-            self.online_count -= 1;
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "gossip-learning"
-    }
-}
-
-/// One shard's block of [`GossipLearning`]: ages and online bookkeeping
-/// for the owned nodes only (the metric partials are integers, so shard
-/// sums merge exactly).
-#[derive(Debug, Clone)]
-pub struct GossipLearningShard {
-    base: usize,
-    ages: Vec<u64>,
-    online: Vec<bool>,
-    online_age_sum: u64,
-    online_count: usize,
-    transfer: SimDuration,
-}
-
-impl GossipLearningShard {
     #[inline]
     fn local(&self, node: NodeId) -> usize {
         node.index() - self.base
     }
 }
 
-impl ApplicationShard for GossipLearningShard {
+impl Application for GossipLearning {
     type Msg = ModelMsg;
 
     fn create_message(&mut self, node: NodeId) -> ModelMsg {
@@ -191,6 +94,8 @@ impl ApplicationShard for GossipLearningShard {
         }
     }
 
+    /// The age-update rule of Section 3.2: adopt-and-train iff at least as
+    /// old.
     fn update_state(
         &mut self,
         node: NodeId,
@@ -199,12 +104,20 @@ impl ApplicationShard for GossipLearningShard {
         _now: SimTime,
     ) -> Usefulness {
         let i = self.local(node);
-        adopt_age(
-            &mut self.ages[i],
-            self.online[i],
-            msg.age,
-            &mut self.online_age_sum,
-        )
+        if msg.age >= self.ages[i] {
+            let new_age = msg.age + 1;
+            if self.online[i] {
+                self.online_age_sum += new_age - self.ages[i];
+            }
+            self.ages[i] = new_age;
+            Usefulness::Useful
+        } else {
+            Usefulness::NotUseful
+        }
+    }
+
+    fn metric(&self, online_count: usize, now: SimTime) -> f64 {
+        Self::metric_sharded(&[self], online_count, now)
     }
 
     fn on_node_up(&mut self, node: NodeId, _now: SimTime) {
@@ -224,70 +137,56 @@ impl ApplicationShard for GossipLearningShard {
             self.online_count -= 1;
         }
     }
+
+    fn name(&self) -> &'static str {
+        "gossip-learning"
+    }
 }
 
 impl ShardableApplication for GossipLearning {
-    type Shard = GossipLearningShard;
-
-    fn split(self, plan: &ShardPlan) -> Vec<GossipLearningShard> {
-        let mut ages = self.ages;
-        let mut online = self.online;
-        let mut blocks = Vec::with_capacity(plan.shards());
-        for s in (0..plan.shards()).rev() {
-            let start = plan.range(s).start;
-            blocks.push((ages.split_off(start), online.split_off(start)));
-        }
-        blocks.reverse();
-        blocks
+    fn split(self, plan: &ShardPlan) -> Vec<GossipLearning> {
+        plan.partition(self.ages)
             .into_iter()
+            .zip(plan.partition(self.online))
             .enumerate()
-            .map(|(s, (ages, online))| {
-                let online_age_sum = ages
+            .map(|(s, (ages, online))| GossipLearning {
+                base: plan.range(s).start,
+                online_age_sum: ages
                     .iter()
                     .zip(&online)
                     .filter(|(_, &up)| up)
                     .map(|(&a, _)| a)
-                    .sum();
-                let online_count = online.iter().filter(|&&up| up).count();
-                GossipLearningShard {
-                    base: plan.range(s).start,
-                    ages,
-                    online,
-                    online_age_sum,
-                    online_count,
-                    transfer: self.transfer,
-                }
+                    .sum(),
+                online_count: online.iter().filter(|&&up| up).count(),
+                ages,
+                online,
+                transfer: self.transfer,
             })
             .collect()
     }
 
-    fn merge(_plan: &ShardPlan, shards: Vec<GossipLearningShard>) -> Self {
-        let transfer = shards[0].transfer;
-        let mut ages = Vec::new();
-        let mut online = Vec::new();
-        let mut online_age_sum = 0u64;
-        let mut online_count = 0usize;
-        for sh in shards {
-            ages.extend(sh.ages);
-            online.extend(sh.online);
-            online_age_sum += sh.online_age_sum;
-            online_count += sh.online_count;
+    fn merge(_plan: &ShardPlan, blocks: Vec<GossipLearning>) -> Self {
+        let mut whole = GossipLearning::new(0, blocks[0].transfer, &[]);
+        for b in blocks {
+            whole.ages.extend(b.ages);
+            whole.online.extend(b.online);
+            whole.online_age_sum += b.online_age_sum;
+            whole.online_count += b.online_count;
         }
-        GossipLearning {
-            ages,
-            online,
-            online_age_sum,
-            online_count,
-            transfer,
-        }
+        whole
     }
 
-    fn metric_sharded(shards: &[&GossipLearningShard], _online_count: usize, now: SimTime) -> f64 {
-        // u64/usize partials: any fold order gives the serial sums, and
-        // `eq6_metric` is the single shared formula.
-        let sum: u64 = shards.iter().map(|s| s.online_age_sum).sum();
-        let count: usize = shards.iter().map(|s| s.online_count).sum();
-        eq6_metric(sum, count, shards[0].transfer, now)
+    fn metric_sharded(blocks: &[&GossipLearning], _online_count: usize, now: SimTime) -> f64 {
+        // Eq. 6: mean relative age over online nodes. The partials are
+        // integers, so any partition yields the same sums and the same
+        // f64 result.
+        let sum: u64 = blocks.iter().map(|b| b.online_age_sum).sum();
+        let count: usize = blocks.iter().map(|b| b.online_count).sum();
+        let optimal = now.as_secs_f64() / blocks[0].transfer.as_secs_f64();
+        if optimal <= 0.0 || count == 0 {
+            return 0.0;
+        }
+        sum as f64 / (count as f64 * optimal)
     }
 }
 

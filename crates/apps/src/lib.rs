@@ -51,12 +51,9 @@ pub mod protocol;
 pub mod push_gossip;
 pub mod sgd;
 
-pub use app::Application;
+pub use app::{Application, ShardableApplication};
 pub use chaotic::ChaoticIteration;
 pub use gossip_learning::GossipLearning;
-pub use protocol::sharded::{
-    ApplicationShard, ShardableApplication, TokenProtocolGlobal, TokenProtocolShard,
-};
 pub use protocol::{ProtocolMsg, ProtocolResults, ProtocolStats, ReplyPolicy, TokenProtocol};
 pub use push_gossip::PushGossip;
 pub use sgd::SgdGossipLearning;

@@ -18,6 +18,19 @@
 //! When a send cannot be performed because no neighbour is online, the
 //! token is banked (proactive case) or refunded (reactive case), keeping
 //! the one-token-per-Δ accounting exact.
+//!
+//! # One body for every shard count
+//!
+//! A `TokenProtocol` value is a **node block**: the strategy, the
+//! application block, the [`TokenNode`] accounts and counters of a
+//! contiguous node range starting at `base`, plus a full copy-on-churn
+//! replica of the online-neighbour mirror. As constructed it is the block
+//! `0..n`, which [`ta_sim::engine::Simulation`] runs whole;
+//! [`ShardableDriver::split`](ta_sim::shard::ShardableDriver::split) (in
+//! [`sharded`]) cuts it into S blocks of the same type, which run the same
+//! [`Driver`] callbacks below. The two barrier-time bodies — recording a
+//! sample, performing an injection — are written over a slice of blocks,
+//! and the whole protocol is the one-element slice.
 
 use std::sync::Arc;
 
@@ -29,9 +42,9 @@ use ta_metrics::TimeSeries;
 use ta_overlay::sampling::OnlineNeighbors;
 use ta_overlay::Topology;
 use ta_sim::engine::{Driver, MsgBatch, SimApi};
-use ta_sim::{NodeId, SimTime};
+use ta_sim::NodeId;
 use token_account::node::{RoundAction, TokenNode};
-use token_account::Strategy;
+use token_account::{Strategy, Usefulness};
 
 use crate::app::Application;
 
@@ -150,6 +163,9 @@ pub struct TokenProtocol<A: Application, S: Strategy = Box<dyn Strategy>> {
     strategy: S,
     app: A,
     topo: Arc<Topology>,
+    /// First node of the block (0 for the whole network).
+    base: usize,
+    /// Token accounts of the block's nodes.
     nodes: Vec<TokenNode>,
     /// Driver-side packed mirror of the online set (kept by up/down
     /// callbacks): O(1) uniform online-neighbour selection per send.
@@ -157,13 +173,14 @@ pub struct TokenProtocol<A: Application, S: Strategy = Box<dyn Strategy>> {
     /// Held behind an [`Arc`] with copy-on-churn semantics
     /// ([`Arc::make_mut`] on the first transition): failure-free runs of
     /// one prepared grid can share a single frozen mirror — an O(E) build
-    /// per (spec × run) job otherwise — and the sharded engine hands each
-    /// shard a handle to the same frozen replica.
+    /// per (spec × run) job otherwise — and every block of a split
+    /// protocol holds a handle to the same frozen replica.
     peers: Arc<OnlineNeighbors>,
     pull_on_rejoin: bool,
     record_tokens: bool,
     react_to_injections: bool,
     reply_policy: ReplyPolicy,
+    /// The sampled series (kept by the first block of a split protocol).
     metric: TimeSeries,
     tokens: TimeSeries,
     stats: ProtocolStats,
@@ -222,6 +239,7 @@ impl<A: Application, S: Strategy> TokenProtocol<A, S> {
             strategy,
             app,
             topo,
+            base: 0,
             nodes: vec![TokenNode::new(0); n],
             peers,
             pull_on_rejoin: false,
@@ -286,7 +304,7 @@ impl<A: Application, S: Strategy> TokenProtocol<A, S> {
 
     /// Token balance of `node` (diagnostics and tests).
     pub fn balance(&self, node: NodeId) -> i64 {
-        self.nodes[node.index()].balance()
+        self.nodes[self.local(node)].balance()
     }
 
     /// Sum of all token balances (conservation checks; see
@@ -308,8 +326,20 @@ impl<A: Application, S: Strategy> TokenProtocol<A, S> {
         }
     }
 
-    /// Accounts one send in the traffic histogram (transfer-time slots).
-    fn record_send(&mut self, api: &SimApi<'_, ProtocolMsg<A::Msg>>) {
+    #[inline]
+    fn local(&self, node: NodeId) -> usize {
+        node.index() - self.base
+    }
+
+    /// Accounts `count` sends made at the current instant in the traffic
+    /// histogram — every send of one delivery (or one same-time batch)
+    /// lands in the same transfer-time slot, so one bucket add covers them
+    /// all. The histograms of the blocks of a split protocol sum
+    /// elementwise to the whole one.
+    fn record_sends(&mut self, api: &SimApi<'_, ProtocolMsg<A::Msg>>, count: u64) {
+        if count == 0 {
+            return;
+        }
         if self.slot_len_us == 0 {
             // The config only becomes reachable through the API, so the
             // slot length is cached on the first send instead of at
@@ -320,43 +350,19 @@ impl<A: Application, S: Strategy> TokenProtocol<A, S> {
         if bucket >= self.sends_per_slot.len() {
             self.sends_per_slot.resize(bucket + 1, 0);
         }
-        self.sends_per_slot[bucket] += 1;
+        self.sends_per_slot[bucket] += count;
     }
 
     /// Sends one state copy from `node` to a random online neighbour.
-    /// Returns whether a peer was available.
+    /// Returns whether a peer was available; the caller accounts the send.
     fn send_state(&mut self, api: &mut SimApi<'_, ProtocolMsg<A::Msg>>, node: NodeId) -> bool {
         match self.peers.select(node, api.rng()) {
             Some(peer) => {
                 let msg = self.app.create_message(node);
                 api.send(node, peer, ProtocolMsg::App(msg));
-                self.record_send(api);
                 true
             }
             None => false,
-        }
-    }
-
-    /// Accounts `count` sends at one instant — every send of one
-    /// delivery (or one same-time batch) lands in the same transfer-time
-    /// slot, so one bucket add covers them all (bitwise the same
-    /// histogram per-send recording produces).
-    fn record_sends_at(&mut self, now: SimTime, count: u64) {
-        debug_assert!(self.slot_len_us != 0, "slot length must be cached first");
-        let bucket = (now.as_micros() / self.slot_len_us) as usize;
-        if bucket >= self.sends_per_slot.len() {
-            self.sends_per_slot.resize(bucket + 1, 0);
-        }
-        self.sends_per_slot[bucket] += count;
-    }
-
-    /// Caches the transfer-slot length on first use (the config is only
-    /// reachable through the API; `max(1)` keeps the 0 sentinel
-    /// unreachable).
-    #[inline]
-    fn ensure_slot_len(&mut self, api: &SimApi<'_, ProtocolMsg<A::Msg>>) {
-        if self.slot_len_us == 0 {
-            self.slot_len_us = api.config().transfer_time().as_micros().max(1);
         }
     }
 
@@ -364,14 +370,14 @@ impl<A: Application, S: Strategy> TokenProtocol<A, S> {
     /// single body behind [`Driver::on_message`] and
     /// [`Driver::on_message_batch`], so the two entry points cannot
     /// drift. Returns the number of sends performed; the caller accounts
-    /// them in the traffic histogram (all at `now`, hence one bucket).
+    /// them in the traffic histogram (all at one instant, hence one
+    /// bucket).
     fn handle_message(
         &mut self,
         api: &mut SimApi<'_, ProtocolMsg<A::Msg>>,
         from: NodeId,
         to: NodeId,
-        idx: usize,
-        now: SimTime,
+        local: usize,
         msg: ProtocolMsg<A::Msg>,
     ) -> u64 {
         let mut sent = 0u64;
@@ -379,7 +385,7 @@ impl<A: Application, S: Strategy> TokenProtocol<A, S> {
             ProtocolMsg::PullRequest => {
                 // Section 4.1.2: answer with the latest state iff a token
                 // is available; otherwise stay silent.
-                if self.nodes[idx].try_spend_one() {
+                if self.nodes[local].try_spend_one() {
                     let reply = self.app.create_message(to);
                     api.send(to, from, ProtocolMsg::App(reply));
                     sent += 1;
@@ -389,8 +395,8 @@ impl<A: Application, S: Strategy> TokenProtocol<A, S> {
                 }
             }
             ProtocolMsg::App(payload) => {
-                let usefulness = self.app.update_state(to, from, &payload, now);
-                let burst = self.nodes[idx].on_message(&self.strategy, usefulness, api.rng());
+                let usefulness = self.app.update_state(to, from, &payload, api.now());
+                let burst = self.nodes[local].on_message(&self.strategy, usefulness, api.rng());
                 for i in 0..burst {
                     // Push–pull extension: the first reactive message may
                     // answer the sender directly instead of a random peer.
@@ -412,7 +418,7 @@ impl<A: Application, S: Strategy> TokenProtocol<A, S> {
                         None => {
                             // Token already burned for a send that cannot
                             // happen: refund it.
-                            self.nodes[idx].bank_token();
+                            self.nodes[local].bank_token();
                             self.stats.reactive_refunded += 1;
                         }
                     }
@@ -421,20 +427,86 @@ impl<A: Application, S: Strategy> TokenProtocol<A, S> {
         }
         sent
     }
+
+    /// Records one sample over the blocks of a protocol: the application
+    /// metric `value` (computed by the caller, who knows whether the
+    /// application is whole or split) and, if enabled, the average token
+    /// balance over online nodes. The series live in the first block.
+    fn record_sample(blocks: &mut [&mut Self], api: &SimApi<'_, ProtocolMsg<A::Msg>>, value: f64) {
+        let time = api.now().as_secs_f64();
+        let avg = blocks[0].record_tokens.then(|| {
+            // Blocks are contiguous, so folding them in order is the
+            // node-order fold; the sums are integers, so the division
+            // below yields the same bits for every partition.
+            let (sum, count) = blocks.iter().fold((0i64, 0usize), |acc, b| {
+                let flags = &b.peers.online_flags()[b.base..b.base + b.nodes.len()];
+                flags
+                    .iter()
+                    .zip(&b.nodes)
+                    .filter(|(&up, _)| up)
+                    .fold(acc, |(s, c), (_, node)| (s + node.balance(), c + 1))
+            });
+            if count == 0 {
+                0.0
+            } else {
+                sum as f64 / count as f64
+            }
+        });
+        let first = &mut *blocks[0];
+        first.metric.push(time, value);
+        if let Some(avg) = avg {
+            first.tokens.push(time, avg);
+        }
+    }
+
+    /// Performs one injection over the blocks of a protocol: the owner of
+    /// the drawn target takes the update (and, if enabled, reacts to it as
+    /// to a useful message); every other block only hears that it
+    /// happened.
+    fn inject(blocks: &mut [&mut Self], api: &mut SimApi<'_, ProtocolMsg<A::Msg>>) {
+        let Some(target) = api.random_online_node() else {
+            return;
+        };
+        let now = api.now();
+        let owner = api.plan().shard_of(target);
+        for (s, b) in blocks.iter_mut().enumerate() {
+            if s != owner {
+                b.app.on_remote_inject(now);
+            }
+        }
+        let b = &mut *blocks[owner];
+        b.app.inject(target, now);
+        if b.react_to_injections {
+            let local = b.local(target);
+            let burst = b.nodes[local].on_message(&b.strategy, Usefulness::Useful, api.rng());
+            let mut sent = 0;
+            for _ in 0..burst {
+                if b.send_state(api, target) {
+                    sent += 1;
+                } else {
+                    b.nodes[local].bank_token();
+                    b.stats.reactive_refunded += 1;
+                }
+            }
+            b.stats.reactive_sent += sent;
+            b.record_sends(api, sent);
+        }
+    }
 }
 
 impl<A: Application, S: Strategy> Driver for TokenProtocol<A, S> {
     type Msg = ProtocolMsg<A::Msg>;
 
     fn on_round_tick(&mut self, api: &mut SimApi<'_, Self::Msg>, node: NodeId) {
-        let action = self.nodes[node.index()].on_round(&self.strategy, api.rng());
-        match action {
+        let local = self.local(node);
+        match self.nodes[local].on_round(&self.strategy, api.rng()) {
             RoundAction::SendProactive => {
                 if self.send_state(api, node) {
                     self.stats.proactive_sent += 1;
+                    self.record_sends(api, 1);
                 } else {
                     // No online neighbour: bank the granted token instead.
-                    self.nodes[node.index()].bank_token();
+                    self.nodes[local].bank_token();
                     self.stats.proactive_skipped += 1;
                 }
             }
@@ -451,98 +523,57 @@ impl<A: Application, S: Strategy> Driver for TokenProtocol<A, S> {
         to: NodeId,
         msg: Self::Msg,
     ) {
-        self.ensure_slot_len(api);
-        let now = api.now();
-        let sent = self.handle_message(api, from, to, to.index(), now, msg);
-        if sent > 0 {
-            self.record_sends_at(now, sent);
-        }
+        let sent = self.handle_message(api, from, to, self.local(to), msg);
+        self.record_sends(api, sent);
     }
 
     /// The batched delivery hot path: one call per destination node per
-    /// same-instant run, with the per-delivery lookups — destination
-    /// index, clock read, histogram slot — hoisted out of the loop. The
-    /// per-message body is shared with [`Driver::on_message`]
-    /// (`handle_message`), so the two entry points cannot drift — the
-    /// engines split runs differently, and any divergence would break
-    /// the byte-identical-results guarantee.
+    /// same-instant run, with the destination lookup and the histogram
+    /// slot hoisted out of the loop. The per-message body is shared with
+    /// [`Driver::on_message`] (`handle_message`), so the two entry points
+    /// cannot drift — where a run is split depends on the shard count, and
+    /// any divergence would break the byte-identical-results guarantee.
     fn on_message_batch(
         &mut self,
         api: &mut SimApi<'_, Self::Msg>,
         to: NodeId,
         msgs: &mut MsgBatch<'_, Self::Msg>,
     ) {
-        let idx = to.index();
-        let now = api.now();
-        self.ensure_slot_len(api);
-        let mut sent_in_slot = 0u64;
+        let local = self.local(to);
+        let mut sent = 0u64;
         for (from, msg) in msgs.by_ref() {
-            sent_in_slot += self.handle_message(api, from, to, idx, now, msg);
+            sent += self.handle_message(api, from, to, local, msg);
         }
-        if sent_in_slot > 0 {
-            self.record_sends_at(now, sent_in_slot);
-        }
+        self.record_sends(api, sent);
     }
 
     fn on_node_up(&mut self, api: &mut SimApi<'_, Self::Msg>, node: NodeId) {
         Arc::make_mut(&mut self.peers).set_online(node, true);
-        self.app.on_node_up(node, api.now());
-        if self.pull_on_rejoin {
-            if let Some(peer) = self.peers.select(node, api.rng()) {
-                api.send(node, peer, ProtocolMsg::PullRequest);
-                self.stats.pull_requests += 1;
+        if api.owns(node) {
+            self.app.on_node_up(node, api.now());
+            if self.pull_on_rejoin {
+                if let Some(peer) = self.peers.select(node, api.rng()) {
+                    api.send(node, peer, ProtocolMsg::PullRequest);
+                    self.stats.pull_requests += 1;
+                }
             }
         }
     }
 
     fn on_node_down(&mut self, api: &mut SimApi<'_, Self::Msg>, node: NodeId) {
         Arc::make_mut(&mut self.peers).set_online(node, false);
-        self.app.on_node_down(node, api.now());
+        if api.owns(node) {
+            self.app.on_node_down(node, api.now());
+        }
     }
 
     fn on_sample(&mut self, api: &mut SimApi<'_, Self::Msg>) {
-        let now = api.now();
-        let online_count = api.online_count();
-        let value = self.app.metric(online_count, now);
-        self.metric.push(now.as_secs_f64(), value);
-        if self.record_tokens {
-            let (sum, count) = self
-                .peers
-                .online_flags()
-                .iter()
-                .zip(&self.nodes)
-                .filter(|(&up, _)| up)
-                .fold((0i64, 0usize), |(s, c), (_, node)| {
-                    (s + node.balance(), c + 1)
-                });
-            let avg = if count == 0 {
-                0.0
-            } else {
-                sum as f64 / count as f64
-            };
-            self.tokens.push(now.as_secs_f64(), avg);
-        }
+        let value = self.app.metric(api.online_count(), api.now());
+        Self::record_sample(&mut [self], api, value);
     }
 
     fn on_inject(&mut self, api: &mut SimApi<'_, Self::Msg>) {
-        if let Some(target) = api.random_online_node() {
-            self.app.inject(target, api.now());
-            if self.react_to_injections {
-                let burst = self.nodes[target.index()].on_message(
-                    &self.strategy,
-                    token_account::Usefulness::Useful,
-                    api.rng(),
-                );
-                for _ in 0..burst {
-                    if self.send_state(api, target) {
-                        self.stats.reactive_sent += 1;
-                    } else {
-                        self.nodes[target.index()].bank_token();
-                        self.stats.reactive_refunded += 1;
-                    }
-                }
-            }
-        }
+        Self::inject(&mut [self], api);
     }
 }
 
@@ -551,6 +582,7 @@ impl<A: Application + std::fmt::Debug, S: Strategy> std::fmt::Debug for TokenPro
         f.debug_struct("TokenProtocol")
             .field("strategy", &self.strategy.label())
             .field("app", &self.app)
+            .field("block", &(self.base..self.base + self.nodes.len()))
             .field("stats", &self.stats)
             .finish()
     }

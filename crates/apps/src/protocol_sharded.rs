@@ -1,515 +1,101 @@
-//! Sharding the Algorithm-4 driver: [`TokenProtocol`] as a
+//! Cutting the Algorithm-4 driver into shards: [`TokenProtocol`] as a
 //! [`ShardableDriver`].
 //!
-//! A [`TokenProtocolShard`] owns a contiguous block of nodes — their
-//! [`TokenNode`] accounts, their slice of the application state
-//! ([`ApplicationShard`]) — plus a full copy-on-churn replica of the
-//! online-neighbour mirror, kept exact by the engine's replayed churn.
-//! The per-event bodies mirror the serial [`Driver`] implementation
-//! line for line (same strategy evaluations, same RNG draw order, same
-//! counter updates), which the digest-equality tests pin down; any drift
-//! between the two is a bug.
-//!
-//! Metric samples run at window barriers through
-//! [`ShardableApplication::metric_sharded`], which must reproduce
-//! [`Application::metric`] *bitwise*. The two supplied applications show
-//! the two ways to do that: `GossipLearning` folds integer partials
-//! (order-free), `SgdGossipLearning` walks the shards in order so its
-//! f64 accumulation visits nodes in exactly the serial node-id order
+//! There is no second driver here. A block of a split protocol is a
+//! [`TokenProtocol`] over a node range — its [`TokenNode`]s, its block of
+//! the application state ([`ShardableApplication::split`]) and a handle to
+//! the shared copy-on-churn online-neighbour mirror, which the engine's
+//! replayed churn keeps exact in every block. The per-event bodies and the
+//! two barrier-time bodies are those of `protocol.rs`; this file only cuts
+//! the state, puts it back together, and supplies the one thing a split
+//! application computes differently: its metric, through
+//! [`ShardableApplication::metric_sharded`]. The two supplied f64 metrics
+//! show the two ways to make that partition-invariant: `GossipLearning`
+//! folds integer partials (order-free), `SgdGossipLearning` walks the
+//! blocks in order so its f64 accumulation visits nodes in node-id order
 //! (shards are contiguous blocks precisely to allow this).
 //!
-//! [`Driver`]: ta_sim::engine::Driver
+//! [`TokenNode`]: token_account::node::TokenNode
 
 use std::sync::Arc;
 
-use ta_metrics::TimeSeries;
-use ta_overlay::sampling::OnlineNeighbors;
-use ta_sim::engine::MsgBatch;
-use ta_sim::shard::{BarrierApi, ShardApi, ShardDriver, ShardPlan, ShardableDriver};
-use ta_sim::{NodeId, SimConfig, SimTime};
-use token_account::node::{RoundAction, TokenNode};
-use token_account::{Strategy, Usefulness};
+use ta_sim::engine::SimApi;
+use ta_sim::shard::{ShardPlan, ShardableDriver};
+use token_account::Strategy;
 
-use super::{ProtocolMsg, ProtocolStats, ReplyPolicy, TokenProtocol};
-use crate::app::Application;
+use super::TokenProtocol;
+use crate::app::ShardableApplication;
 
-/// One shard's slice of an application: the node-scoped half of
-/// [`Application`], operating only on owned nodes.
-pub trait ApplicationShard: Send {
-    /// The message payload (must match the parent application's).
-    type Msg: Clone + Send;
-
-    /// `CREATEMESSAGE()` for an owned node.
-    fn create_message(&mut self, node: NodeId) -> Self::Msg;
-
-    /// `UPDATESTATE(m)` at an owned node.
-    fn update_state(
-        &mut self,
-        node: NodeId,
-        from: NodeId,
-        msg: &Self::Msg,
-        now: SimTime,
-    ) -> Usefulness;
-
-    /// Fresh external data arrives at owned node `target`.
-    fn inject(&mut self, target: NodeId, now: SimTime) {
-        let _ = (target, now);
-    }
-
-    /// An injection happened at a node *another* shard owns.
-    ///
-    /// Injections fire at window barriers, where the coordinator owns
-    /// every shard, so this broadcast is race-free. Applications whose
-    /// injection updates *global* state (push gossip's injection counter,
-    /// which numbers every update network-wide) advance their replica of
-    /// that state here so all shards agree at the next barrier; the
-    /// node-local half of the injection stays with the owner's
-    /// [`inject`](Self::inject). Purely node-local applications ignore
-    /// it.
-    fn on_remote_inject(&mut self, now: SimTime) {
-        let _ = now;
-    }
-
-    /// Owned `node` came online.
-    fn on_node_up(&mut self, node: NodeId, now: SimTime) {
-        let _ = (node, now);
-    }
-
-    /// Owned `node` went offline.
-    fn on_node_down(&mut self, node: NodeId, now: SimTime) {
-        let _ = (node, now);
-    }
-}
-
-/// An application that can be partitioned across shards.
-pub trait ShardableApplication: Application + Sized {
-    /// One shard's slice of the application state.
-    type Shard: ApplicationShard<Msg = Self::Msg>;
-
-    /// Partitions the state into `plan.shards()` contiguous blocks.
-    fn split(self, plan: &ShardPlan) -> Vec<Self::Shard>;
-
-    /// Reassembles the application (inverse of [`split`](Self::split)).
-    fn merge(plan: &ShardPlan, shards: Vec<Self::Shard>) -> Self;
-
-    /// The performance metric over the partitioned state. **Must equal
-    /// [`Application::metric`] of the assembled state bitwise**: fold
-    /// integer partials, or accumulate f64 by walking `shards` in order
-    /// (contiguous blocks make that the serial node order).
-    fn metric_sharded(shards: &[&Self::Shard], online_count: usize, now: SimTime) -> f64;
-}
-
-/// One shard of the Algorithm-4 driver (see the [module docs](self)).
-pub struct TokenProtocolShard<P: ApplicationShard, S: Strategy> {
-    strategy: S,
-    app: P,
-    /// First owned node index.
-    base: usize,
-    /// Token accounts of the owned block.
-    nodes: Vec<TokenNode>,
-    /// Full online-neighbour replica (copy-on-churn; identical to the
-    /// serial driver's mirror at every instant).
-    peers: Arc<OnlineNeighbors>,
-    pull_on_rejoin: bool,
-    reply_policy: ReplyPolicy,
-    stats: ProtocolStats,
-    sends_per_slot: Vec<u64>,
-    slot_len_us: u64,
-}
-
-impl<P: ApplicationShard, S: Strategy> TokenProtocolShard<P, S> {
-    #[inline]
-    fn local(&self, node: NodeId) -> usize {
-        node.index() - self.base
-    }
-
-    /// Accounts one send in the traffic histogram (transfer-time slots);
-    /// the shard histograms sum elementwise to the serial one.
-    fn record_send_at(&mut self, now: SimTime, cfg: &SimConfig) {
-        if self.slot_len_us == 0 {
-            self.slot_len_us = cfg.transfer_time().as_micros().max(1);
-        }
-        self.record_sends_at(now, 1);
-    }
-
-    /// Accounts `count` sends at one instant (the batch path — mirrors
-    /// `TokenProtocol::record_sends_at` so the bucketing cannot drift
-    /// between the serial and sharded drivers).
-    fn record_sends_at(&mut self, now: SimTime, count: u64) {
-        debug_assert!(self.slot_len_us != 0, "slot length must be cached first");
-        let bucket = (now.as_micros() / self.slot_len_us) as usize;
-        if bucket >= self.sends_per_slot.len() {
-            self.sends_per_slot.resize(bucket + 1, 0);
-        }
-        self.sends_per_slot[bucket] += count;
-    }
-
-    /// Sends one state copy from owned `node` to a random online
-    /// neighbour. Returns whether a peer was available.
-    fn send_state(&mut self, api: &mut ShardApi<'_, ProtocolMsg<P::Msg>>, node: NodeId) -> bool {
-        match self.peers.select(node, api.rng()) {
-            Some(peer) => {
-                let msg = self.app.create_message(node);
-                api.send(node, peer, ProtocolMsg::App(msg));
-                self.record_send_at(api.now(), api.config());
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Caches the transfer-slot length on first use (mirrors
-    /// `TokenProtocol::ensure_slot_len`).
-    #[inline]
-    fn ensure_slot_len(&mut self, cfg: &SimConfig) {
-        if self.slot_len_us == 0 {
-            self.slot_len_us = cfg.transfer_time().as_micros().max(1);
-        }
-    }
-
-    /// Handles one delivered protocol message at owned online node `to` —
-    /// the single body behind the per-event and batched hooks, mirroring
-    /// `TokenProtocol::handle_message` so the serial and sharded drivers
-    /// cannot drift. Returns the number of sends performed (accounted by
-    /// the caller, all at `now`).
-    fn handle_message(
-        &mut self,
-        api: &mut ShardApi<'_, ProtocolMsg<P::Msg>>,
-        from: NodeId,
-        to: NodeId,
-        local: usize,
-        now: SimTime,
-        msg: ProtocolMsg<P::Msg>,
-    ) -> u64 {
-        let mut sent = 0u64;
-        match msg {
-            ProtocolMsg::PullRequest => {
-                if self.nodes[local].try_spend_one() {
-                    let reply = self.app.create_message(to);
-                    api.send(to, from, ProtocolMsg::App(reply));
-                    sent += 1;
-                    self.stats.pull_replies += 1;
-                } else {
-                    self.stats.pull_ignored += 1;
-                }
-            }
-            ProtocolMsg::App(payload) => {
-                let usefulness = self.app.update_state(to, from, &payload, now);
-                let burst = self.nodes[local].on_message(&self.strategy, usefulness, api.rng());
-                for i in 0..burst {
-                    let answered_sender = i == 0
-                        && self.reply_policy == ReplyPolicy::SenderFirst
-                        && self.peers.is_online(from);
-                    let peer = if answered_sender {
-                        Some(from)
-                    } else {
-                        self.peers.select(to, api.rng())
-                    };
-                    match peer {
-                        Some(peer) => {
-                            let m = self.app.create_message(to);
-                            api.send(to, peer, ProtocolMsg::App(m));
-                            sent += 1;
-                            self.stats.reactive_sent += 1;
-                        }
-                        None => {
-                            self.nodes[local].bank_token();
-                            self.stats.reactive_refunded += 1;
-                        }
-                    }
-                }
-            }
-        }
-        sent
-    }
-}
-
-impl<P: ApplicationShard, S: Strategy> ShardDriver for TokenProtocolShard<P, S> {
-    type Msg = ProtocolMsg<P::Msg>;
-
-    fn on_round_tick(&mut self, api: &mut ShardApi<'_, Self::Msg>, node: NodeId) {
-        let local = self.local(node);
-        let action = self.nodes[local].on_round(&self.strategy, api.rng());
-        match action {
-            RoundAction::SendProactive => {
-                if self.send_state(api, node) {
-                    self.stats.proactive_sent += 1;
-                } else {
-                    self.nodes[local].bank_token();
-                    self.stats.proactive_skipped += 1;
-                }
-            }
-            RoundAction::SaveToken => {
-                self.stats.tokens_banked += 1;
-            }
-        }
-    }
-
-    fn on_message(
-        &mut self,
-        api: &mut ShardApi<'_, Self::Msg>,
-        from: NodeId,
-        to: NodeId,
-        msg: Self::Msg,
-    ) {
-        self.ensure_slot_len(api.config());
-        let now = api.now();
-        let local = self.local(to);
-        let sent = self.handle_message(api, from, to, local, now, msg);
-        if sent > 0 {
-            self.record_sends_at(now, sent);
-        }
-    }
-
-    /// The batched delivery hot path — the shard mirror of
-    /// `TokenProtocol::on_message_batch`, with the same hoisted lookups
-    /// and the shared per-message body (`handle_message`), so the
-    /// per-event and batched hooks cannot drift.
-    fn on_message_batch(
-        &mut self,
-        api: &mut ShardApi<'_, Self::Msg>,
-        to: NodeId,
-        msgs: &mut MsgBatch<'_, Self::Msg>,
-    ) {
-        let local = self.local(to);
-        let now = api.now();
-        self.ensure_slot_len(api.config());
-        let mut sent_in_slot = 0u64;
-        for (from, msg) in msgs.by_ref() {
-            sent_in_slot += self.handle_message(api, from, to, local, now, msg);
-        }
-        if sent_in_slot > 0 {
-            self.record_sends_at(now, sent_in_slot);
-        }
-    }
-
-    fn on_node_up(&mut self, api: &mut ShardApi<'_, Self::Msg>, node: NodeId, owned: bool) {
-        Arc::make_mut(&mut self.peers).set_online(node, true);
-        if owned {
-            self.app.on_node_up(node, api.now());
-            if self.pull_on_rejoin {
-                if let Some(peer) = self.peers.select(node, api.rng()) {
-                    api.send(node, peer, ProtocolMsg::PullRequest);
-                    self.stats.pull_requests += 1;
-                }
-            }
-        }
-    }
-
-    fn on_node_down(&mut self, api: &mut ShardApi<'_, Self::Msg>, node: NodeId, owned: bool) {
-        Arc::make_mut(&mut self.peers).set_online(node, false);
-        if owned {
-            self.app.on_node_down(node, api.now());
-        }
-    }
-}
-
-/// Coordinator-side state of a sharded [`TokenProtocol`] run: the metric
-/// series the barrier-time sample callback accumulates, plus what merge
-/// needs to reassemble the driver.
-pub struct TokenProtocolGlobal {
-    topo: Arc<ta_overlay::Topology>,
-    metric: TimeSeries,
-    tokens: TimeSeries,
-    record_tokens: bool,
-    react_to_injections: bool,
-}
-
-impl<A, S> ShardableDriver for TokenProtocol<A, S>
-where
-    A: ShardableApplication,
-    A::Msg: Send,
-    S: Strategy + Clone,
-{
-    type Shard = TokenProtocolShard<A::Shard, S>;
-    type Global = TokenProtocolGlobal;
-
-    fn split(self, plan: &ShardPlan) -> (Self::Global, Vec<Self::Shard>) {
+impl<A: ShardableApplication, S: Strategy + Clone> ShardableDriver for TokenProtocol<A, S> {
+    fn split(self, plan: &ShardPlan) -> Vec<Self> {
         let apps = self.app.split(plan);
         assert_eq!(apps.len(), plan.shards(), "application split arity");
-        let mut nodes = self.nodes;
-        let mut node_blocks = Vec::with_capacity(plan.shards());
-        for s in (0..plan.shards()).rev() {
-            node_blocks.push(nodes.split_off(plan.range(s).start));
-        }
-        node_blocks.reverse();
-        let shards = apps
-            .into_iter()
-            .zip(node_blocks)
+        // What the protocol recorded before the split stays with the first
+        // block, so the merged sums are those of an unsplit run (it is all
+        // empty in practice: the driver is split before the first event).
+        let mut recorded = Some((self.metric, self.tokens, self.stats, self.sends_per_slot));
+        apps.into_iter()
+            .zip(plan.partition(self.nodes))
             .enumerate()
-            .map(|(s, (app, nodes))| TokenProtocolShard {
-                strategy: self.strategy.clone(),
-                app,
-                base: plan.range(s).start,
-                nodes,
-                peers: Arc::clone(&self.peers),
-                pull_on_rejoin: self.pull_on_rejoin,
-                reply_policy: self.reply_policy,
-                // Pre-run counters belong to shard 0 so the merged sums
-                // equal the serial run's (they are zero in practice: the
-                // driver is split before the first event).
-                stats: if s == 0 {
-                    self.stats
-                } else {
-                    ProtocolStats::default()
-                },
-                sends_per_slot: if s == 0 {
-                    self.sends_per_slot.clone()
-                } else {
-                    Vec::new()
-                },
-                slot_len_us: self.slot_len_us,
+            .map(|(s, (app, nodes))| {
+                let (metric, tokens, stats, sends_per_slot) = recorded.take().unwrap_or_default();
+                TokenProtocol {
+                    strategy: self.strategy.clone(),
+                    app,
+                    topo: Arc::clone(&self.topo),
+                    base: plan.range(s).start,
+                    nodes,
+                    peers: Arc::clone(&self.peers),
+                    pull_on_rejoin: self.pull_on_rejoin,
+                    record_tokens: self.record_tokens,
+                    react_to_injections: self.react_to_injections,
+                    reply_policy: self.reply_policy,
+                    metric,
+                    tokens,
+                    stats,
+                    sends_per_slot,
+                    slot_len_us: self.slot_len_us,
+                }
             })
-            .collect();
-        (
-            TokenProtocolGlobal {
-                topo: self.topo,
-                metric: self.metric,
-                tokens: self.tokens,
-                record_tokens: self.record_tokens,
-                react_to_injections: self.react_to_injections,
-            },
-            shards,
-        )
+            .collect()
     }
 
-    fn merge(plan: &ShardPlan, global: Self::Global, shards: Vec<Self::Shard>) -> Self {
-        let _ = plan;
-        let mut shards = shards;
-        let mut stats = ProtocolStats::default();
-        let mut sends_per_slot: Vec<u64> = Vec::new();
-        let mut slot_len_us = 0;
-        for sh in &shards {
-            stats.merge(&sh.stats);
-            if sh.sends_per_slot.len() > sends_per_slot.len() {
-                sends_per_slot.resize(sh.sends_per_slot.len(), 0);
+    fn merge(plan: &ShardPlan, blocks: Vec<Self>) -> Self {
+        let mut blocks = blocks.into_iter();
+        // The first block carries the series; every replica of the mirror
+        // saw the identical transition sequence, so its copy is as good as
+        // any.
+        let mut whole = blocks.next().expect("a plan has at least one shard");
+        let mut apps = vec![whole.app];
+        let mut nodes = whole.nodes;
+        for b in blocks {
+            apps.push(b.app);
+            nodes.extend(b.nodes);
+            whole.stats.merge(&b.stats);
+            if b.sends_per_slot.len() > whole.sends_per_slot.len() {
+                whole.sends_per_slot.resize(b.sends_per_slot.len(), 0);
             }
-            for (acc, v) in sends_per_slot.iter_mut().zip(&sh.sends_per_slot) {
+            for (acc, v) in whole.sends_per_slot.iter_mut().zip(&b.sends_per_slot) {
                 *acc += v;
             }
-            slot_len_us = slot_len_us.max(sh.slot_len_us);
-        }
-        let mut nodes = Vec::new();
-        let mut apps = Vec::with_capacity(shards.len());
-        // Every replica of the mirror saw the identical transition
-        // sequence; shard 0's is the serial driver's mirror.
-        let peers = Arc::clone(&shards[0].peers);
-        let pull_on_rejoin = shards[0].pull_on_rejoin;
-        let reply_policy = shards[0].reply_policy;
-        let strategy = shards[0].strategy.clone();
-        for sh in shards.drain(..) {
-            nodes.extend(sh.nodes);
-            apps.push(sh.app);
+            whole.slot_len_us = whole.slot_len_us.max(b.slot_len_us);
         }
         TokenProtocol {
-            strategy,
             app: A::merge(plan, apps),
-            topo: global.topo,
             nodes,
-            peers,
-            pull_on_rejoin,
-            record_tokens: global.record_tokens,
-            react_to_injections: global.react_to_injections,
-            reply_policy,
-            metric: global.metric,
-            tokens: global.tokens,
-            stats,
-            sends_per_slot,
-            slot_len_us,
+            ..whole
         }
     }
 
-    fn on_sample(
-        global: &mut Self::Global,
-        shards: &mut [&mut Self::Shard],
-        api: &mut BarrierApi<'_, Self::Msg>,
-    ) {
-        let now = api.now();
-        let online_count = api.online_count();
+    fn on_sample_blocks(blocks: &mut [&mut Self], api: &mut SimApi<'_, Self::Msg>) {
         let value = {
-            let apps: Vec<&A::Shard> = shards.iter().map(|sh| &sh.app).collect();
-            A::metric_sharded(&apps, online_count, now)
+            let apps: Vec<&A> = blocks.iter().map(|b| &b.app).collect();
+            A::metric_sharded(&apps, api.online_count(), api.now())
         };
-        global.metric.push(now.as_secs_f64(), value);
-        if global.record_tokens {
-            // Shard blocks are contiguous, so folding them in shard order
-            // is the serial node-order fold; sums are integers, so the
-            // division below is bitwise the serial one.
-            let (sum, count) = shards.iter().fold((0i64, 0usize), |(s, c), sh| {
-                let flags = &sh.peers.online_flags()[sh.base..sh.base + sh.nodes.len()];
-                flags
-                    .iter()
-                    .zip(&sh.nodes)
-                    .filter(|(&up, _)| up)
-                    .fold((s, c), |(s, c), (_, node)| (s + node.balance(), c + 1))
-            });
-            let avg = if count == 0 {
-                0.0
-            } else {
-                sum as f64 / count as f64
-            };
-            global.tokens.push(now.as_secs_f64(), avg);
-        }
+        Self::record_sample(blocks, api, value);
     }
 
-    fn on_inject(
-        global: &mut Self::Global,
-        shards: &mut [&mut Self::Shard],
-        api: &mut BarrierApi<'_, Self::Msg>,
-    ) {
-        if let Some(target) = api.random_online_node() {
-            let now = api.now();
-            let shard = api.plan().shard_of(target);
-            // Global halves of the injection (e.g. push gossip's update
-            // counter) advance on every replica; the node-local half goes
-            // to the owner below.
-            for (s, sh) in shards.iter_mut().enumerate() {
-                if s != shard {
-                    sh.app.on_remote_inject(now);
-                }
-            }
-            let sh = &mut *shards[shard];
-            sh.app.inject(target, now);
-            if global.react_to_injections {
-                let local = target.index() - sh.base;
-                let burst = sh.nodes[local].on_message(&sh.strategy, Usefulness::Useful, api.rng());
-                for _ in 0..burst {
-                    match sh.peers.select(target, api.rng()) {
-                        Some(peer) => {
-                            let msg = sh.app.create_message(target);
-                            api.send(target, peer, ProtocolMsg::App(msg));
-                            sh.record_send_at(now, api.config());
-                            sh.stats.reactive_sent += 1;
-                        }
-                        None => {
-                            sh.nodes[local].bank_token();
-                            sh.stats.reactive_refunded += 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl<P: ApplicationShard + std::fmt::Debug, S: Strategy> std::fmt::Debug
-    for TokenProtocolShard<P, S>
-{
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TokenProtocolShard")
-            .field("strategy", &self.strategy.label())
-            .field("base", &self.base)
-            .field("owned", &self.nodes.len())
-            .field("stats", &self.stats)
-            .finish()
-    }
-}
-
-impl std::fmt::Debug for TokenProtocolGlobal {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TokenProtocolGlobal")
-            .field("samples", &self.metric.len())
-            .field("record_tokens", &self.record_tokens)
-            .finish()
+    fn on_inject_blocks(blocks: &mut [&mut Self], api: &mut SimApi<'_, Self::Msg>) {
+        Self::inject(blocks, api);
     }
 }

@@ -14,8 +14,7 @@ use ta_sim::shard::ShardPlan;
 use ta_sim::{NodeId, SimTime};
 use token_account::Usefulness;
 
-use crate::app::Application;
-use crate::protocol::sharded::{ApplicationShard, ShardableApplication};
+use crate::app::{Application, ShardableApplication};
 
 /// A push gossip message: the timestamp (injection index) of an update.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,9 +23,19 @@ pub struct UpdateMsg {
     pub id: u64,
 }
 
-/// The push gossip application state.
+/// The push gossip application state of one block of nodes.
+///
+/// `freshest` is global state: every injection increments it
+/// network-wide. The block that owns the target advances it in
+/// [`inject`](Application::inject) (and stores the update); every other
+/// block advances its replica through
+/// [`on_remote_inject`](Application::on_remote_inject) — injections fire
+/// with every block quiescent, so the replicas agree whenever the metric
+/// is sampled.
 #[derive(Debug, Clone)]
 pub struct PushGossip {
+    /// First node of the block (0 for the whole network).
+    base: usize,
     /// Freshest update id known per node; 0 = nothing yet (ids start at 1).
     latest: Vec<u64>,
     online: Vec<bool>,
@@ -46,6 +55,7 @@ impl PushGossip {
     pub fn new(n: usize, initial_online: &[bool]) -> Self {
         assert_eq!(initial_online.len(), n, "initial_online length mismatch");
         PushGossip {
+            base: 0,
             latest: vec![0; n],
             online: initial_online.to_vec(),
             online_sum: 0,
@@ -61,109 +71,9 @@ impl PushGossip {
 
     /// The update id stored at `node` (0 if none).
     pub fn stored(&self, node: NodeId) -> u64 {
-        self.latest[node.index()]
+        self.latest[self.local(node)]
     }
 
-    fn store(&mut self, node: NodeId, id: u64) {
-        let current = self.latest[node.index()];
-        if id > current {
-            self.latest[node.index()] = id;
-            if self.online[node.index()] {
-                self.online_sum += id - current;
-            }
-        }
-    }
-}
-
-impl Application for PushGossip {
-    type Msg = UpdateMsg;
-
-    fn create_message(&mut self, node: NodeId) -> UpdateMsg {
-        UpdateMsg {
-            id: self.latest[node.index()],
-        }
-    }
-
-    fn update_state(
-        &mut self,
-        node: NodeId,
-        _from: NodeId,
-        msg: &UpdateMsg,
-        _now: SimTime,
-    ) -> Usefulness {
-        if msg.id > self.latest[node.index()] {
-            self.store(node, msg.id);
-            Usefulness::Useful
-        } else {
-            Usefulness::NotUseful
-        }
-    }
-
-    fn metric(&self, _online_count: usize, _now: SimTime) -> f64 {
-        if self.online_count == 0 {
-            return 0.0;
-        }
-        // eq. 7: t − (1/N) Σ t_i over the online population.
-        self.freshest as f64 - self.online_sum as f64 / self.online_count as f64
-    }
-
-    fn inject(&mut self, target: NodeId, _now: SimTime) {
-        self.freshest += 1;
-        let id = self.freshest;
-        self.store(target, id);
-    }
-
-    fn on_node_up(&mut self, node: NodeId, _now: SimTime) {
-        if !self.online[node.index()] {
-            self.online[node.index()] = true;
-            self.online_sum += self.latest[node.index()];
-            self.online_count += 1;
-        }
-    }
-
-    fn on_node_down(&mut self, node: NodeId, _now: SimTime) {
-        if self.online[node.index()] {
-            self.online[node.index()] = false;
-            self.online_sum -= self.latest[node.index()];
-            self.online_count -= 1;
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "push-gossip"
-    }
-}
-
-/// One shard's block of [`PushGossip`]: the owned nodes' freshest-update
-/// ids and online flags, plus a replica of the global injection counter.
-///
-/// The lag metric (eq. 7) is a fold of *integer* partials — `Σ latest`
-/// and the online count over the owned block — so
-/// [`metric_sharded`](ShardableApplication::metric_sharded) folds the
-/// shards in order (contiguous blocks = serial node order, the same
-/// ordered-fold discipline `SgdGossipLearning` uses for its f64
-/// accumulation) and reproduces [`Application::metric`] bitwise: the
-/// only floating-point arithmetic is the final division, applied to
-/// sums that are exact integers on both paths.
-///
-/// `freshest` is global state: every injection increments it
-/// network-wide. The owning shard advances it in
-/// [`inject`](ApplicationShard::inject) (and stores the update); every
-/// other shard advances its replica through
-/// [`on_remote_inject`](ApplicationShard::on_remote_inject) — injections
-/// fire at window barriers, so the replicas agree whenever the metric is
-/// sampled.
-#[derive(Debug, Clone)]
-pub struct PushGossipShard {
-    base: usize,
-    latest: Vec<u64>,
-    online: Vec<bool>,
-    online_sum: u64,
-    online_count: usize,
-    freshest: u64,
-}
-
-impl PushGossipShard {
     #[inline]
     fn local(&self, node: NodeId) -> usize {
         node.index() - self.base
@@ -180,7 +90,7 @@ impl PushGossipShard {
     }
 }
 
-impl ApplicationShard for PushGossipShard {
+impl Application for PushGossip {
     type Msg = UpdateMsg;
 
     fn create_message(&mut self, node: NodeId) -> UpdateMsg {
@@ -203,6 +113,10 @@ impl ApplicationShard for PushGossipShard {
         } else {
             Usefulness::NotUseful
         }
+    }
+
+    fn metric(&self, online_count: usize, now: SimTime) -> f64 {
+        Self::metric_sharded(&[self], online_count, now)
     }
 
     fn inject(&mut self, target: NodeId, _now: SimTime) {
@@ -233,78 +147,60 @@ impl ApplicationShard for PushGossipShard {
             self.online_count -= 1;
         }
     }
+
+    fn name(&self) -> &'static str {
+        "push-gossip"
+    }
 }
 
 impl ShardableApplication for PushGossip {
-    type Shard = PushGossipShard;
-
-    fn split(self, plan: &ShardPlan) -> Vec<PushGossipShard> {
-        let mut latest = self.latest;
-        let mut online = self.online;
-        let mut blocks = Vec::with_capacity(plan.shards());
-        for s in (0..plan.shards()).rev() {
-            let start = plan.range(s).start;
-            blocks.push((latest.split_off(start), online.split_off(start)));
-        }
-        blocks.reverse();
-        blocks
+    fn split(self, plan: &ShardPlan) -> Vec<PushGossip> {
+        plan.partition(self.latest)
             .into_iter()
+            .zip(plan.partition(self.online))
             .enumerate()
-            .map(|(s, (latest, online))| {
-                let online_sum = latest
+            .map(|(s, (latest, online))| PushGossip {
+                base: plan.range(s).start,
+                online_sum: latest
                     .iter()
                     .zip(&online)
                     .filter(|(_, &up)| up)
                     .map(|(&id, _)| id)
-                    .sum();
-                let online_count = online.iter().filter(|&&up| up).count();
-                PushGossipShard {
-                    base: plan.range(s).start,
-                    latest,
-                    online,
-                    online_sum,
-                    online_count,
-                    freshest: self.freshest,
-                }
+                    .sum(),
+                online_count: online.iter().filter(|&&up| up).count(),
+                latest,
+                online,
+                freshest: self.freshest,
             })
             .collect()
     }
 
-    fn merge(_plan: &ShardPlan, shards: Vec<PushGossipShard>) -> Self {
+    fn merge(_plan: &ShardPlan, blocks: Vec<PushGossip>) -> Self {
         debug_assert!(
-            shards.windows(2).all(|w| w[0].freshest == w[1].freshest),
-            "freshest replicas diverged across shards"
+            blocks.windows(2).all(|w| w[0].freshest == w[1].freshest),
+            "freshest replicas diverged across blocks"
         );
-        let freshest = shards[0].freshest;
-        let mut latest = Vec::new();
-        let mut online = Vec::new();
-        let mut online_sum = 0u64;
-        let mut online_count = 0usize;
-        for sh in shards {
-            latest.extend(sh.latest);
-            online.extend(sh.online);
-            online_sum += sh.online_sum;
-            online_count += sh.online_count;
+        let mut whole = PushGossip::new(0, &[]);
+        whole.freshest = blocks[0].freshest;
+        for b in blocks {
+            whole.latest.extend(b.latest);
+            whole.online.extend(b.online);
+            whole.online_sum += b.online_sum;
+            whole.online_count += b.online_count;
         }
-        PushGossip {
-            latest,
-            online,
-            online_sum,
-            online_count,
-            freshest,
-        }
+        whole
     }
 
-    fn metric_sharded(shards: &[&PushGossipShard], _online_count: usize, _now: SimTime) -> f64 {
-        // u64/usize partials folded in shard (= serial node) order: the
-        // sums are exact integers, so the single division below is
-        // bitwise the serial eq. 7 evaluation.
-        let sum: u64 = shards.iter().map(|s| s.online_sum).sum();
-        let count: usize = shards.iter().map(|s| s.online_count).sum();
+    fn metric_sharded(blocks: &[&PushGossip], _online_count: usize, _now: SimTime) -> f64 {
+        // eq. 7: t − (1/N) Σ t_i over the online population. The partials
+        // are exact integers, so the single division below yields the same
+        // bits for every partition.
+        let sum: u64 = blocks.iter().map(|b| b.online_sum).sum();
+        let count: usize = blocks.iter().map(|b| b.online_count).sum();
         if count == 0 {
             return 0.0;
         }
-        shards[0].freshest as f64 - sum as f64 / count as f64
+        blocks[0].freshest as f64 - sum as f64 / count as f64
     }
 }
 
@@ -404,7 +300,7 @@ mod tests {
         let plan = ShardPlan::new(n, 3);
         let mut shards = app.split(&plan);
         {
-            let views: Vec<&PushGossipShard> = shards.iter().collect();
+            let views: Vec<&PushGossip> = shards.iter().collect();
             let sharded_metric = PushGossip::metric_sharded(&views, 10, now());
             assert_eq!(sharded_metric.to_bits(), before_metric.to_bits());
         }

@@ -31,8 +31,7 @@ use token_account::Usefulness;
 
 use ta_sim::shard::ShardPlan;
 
-use crate::app::Application;
-use crate::protocol::sharded::{ApplicationShard, ShardableApplication};
+use crate::app::{Application, ShardableApplication};
 
 /// A walking linear model: weights plus its visit count (age).
 #[derive(Debug, Clone, PartialEq)]
@@ -187,7 +186,8 @@ impl SgdMsg {
     }
 }
 
-/// Gossip learning with real SGD models (Algorithm 1 with actual training).
+/// Gossip learning with real SGD models (Algorithm 1 with actual training):
+/// the models of one block of nodes.
 ///
 /// The per-node weight vectors live behind [`Arc`]s shared with outgoing
 /// messages: `CREATEMESSAGE` is a refcount bump (zero copies, zero
@@ -199,8 +199,11 @@ impl SgdMsg {
 /// design paid two allocations plus two full copies per message.
 #[derive(Debug, Clone)]
 pub struct SgdGossipLearning {
-    /// The dataset, behind an [`Arc`] so shards of a partitioned run can
-    /// share one copy (every node's example is needed for the global MSE).
+    /// First node of the block (0 for the whole network).
+    base: usize,
+    /// The dataset, behind an [`Arc`] so the blocks of a partitioned run
+    /// can share one copy (every node's example is needed for the global
+    /// MSE).
     data: Arc<RegressionData>,
     /// Current weight vector per node, shared with in-flight messages.
     weights: Vec<Arc<Vec<f64>>>,
@@ -223,6 +226,7 @@ impl SgdGossipLearning {
         let n = data.len();
         let dim = data.dim();
         SgdGossipLearning {
+            base: 0,
             data: Arc::new(data),
             weights: (0..n).map(|_| Arc::new(vec![0.0; dim])).collect(),
             ages: vec![0; n],
@@ -230,28 +234,33 @@ impl SgdGossipLearning {
         }
     }
 
+    #[inline]
+    fn local(&self, node: NodeId) -> usize {
+        node.index() - self.base
+    }
+
     /// The weight vector currently stored at `node`.
     pub fn weights(&self, node: NodeId) -> &[f64] {
-        &self.weights[node.index()]
+        &self.weights[self.local(node)]
     }
 
     /// The age of the model currently stored at `node`.
     pub fn age(&self, node: NodeId) -> u64 {
-        self.ages[node.index()]
+        self.ages[self.local(node)]
     }
 
     /// The model currently stored at `node`, as an owned [`LinearModel`]
     /// (convenience for diagnostics; copies the weights).
     pub fn model(&self, node: NodeId) -> LinearModel {
         LinearModel {
-            weights: self.weights[node.index()].as_ref().clone(),
-            age: self.ages[node.index()],
+            weights: self.weights(node).to_vec(),
+            age: self.age(node),
         }
     }
 
     /// Component-wise average of all stored models.
     pub fn average_model(&self) -> Vec<f64> {
-        average_model_of(self.data.dim(), self.weights.len(), self.weights.iter())
+        average_model_of(&[self])
     }
 
     /// MSE of the average model over the dataset (the reported metric).
@@ -272,13 +281,18 @@ impl Application for SgdGossipLearning {
         // Zero-copy: the message shares the node's current buffer. The
         // buffer is immutable while shared (adoption below goes
         // copy-on-write), so in-flight messages keep value semantics.
-        let i = node.index();
+        let i = self.local(node);
         SgdMsg {
             weights: Arc::clone(&self.weights[i]),
             age: self.ages[i],
         }
     }
 
+    /// The fused adopt-and-train pass (Algorithm 1's `updateModel`):
+    /// `out = msg − η·err·x` with the gradient evaluated on the incoming
+    /// model — exactly clone-then-step without the intermediate copy.
+    /// In-place when the node's buffer is unshared, copy-on-write otherwise
+    /// (in-flight messages keep their snapshot).
     fn update_state(
         &mut self,
         node: NodeId,
@@ -286,36 +300,14 @@ impl Application for SgdGossipLearning {
         msg: &SgdMsg,
         _now: SimTime,
     ) -> Usefulness {
-        let i = node.index();
+        let i = self.local(node);
+        if msg.age < self.ages[i] {
+            return Usefulness::NotUseful;
+        }
         let (x, y) = self.data.example(node);
-        fused_adopt(&mut self.weights[i], &mut self.ages[i], x, y, self.eta, msg)
-    }
-
-    fn metric(&self, _online_count: usize, _now: SimTime) -> f64 {
-        self.global_mse()
-    }
-
-    fn name(&self) -> &'static str {
-        "sgd-gossip-learning"
-    }
-}
-
-/// The fused adopt-and-train pass (Algorithm 1's `updateModel`), shared by
-/// the serial application and its shard so the arithmetic cannot drift:
-/// `out = msg − η·err·x` with the gradient evaluated on the incoming model
-/// — exactly clone-then-step without the intermediate copy. In-place when
-/// the node's buffer is unshared, copy-on-write otherwise (in-flight
-/// messages keep their snapshot).
-fn fused_adopt(
-    slot: &mut Arc<Vec<f64>>,
-    age: &mut u64,
-    x: &[f64],
-    y: f64,
-    eta: f64,
-    msg: &SgdMsg,
-) -> Usefulness {
-    if msg.age >= *age {
+        let eta = self.eta;
         let err: f64 = msg.weights.iter().zip(x).map(|(w, v)| w * v).sum::<f64>() - y;
+        let slot = &mut self.weights[i];
         match Arc::get_mut(slot) {
             // Unique buffer: rewrite it in place, no allocation. The
             // incoming message cannot alias it (aliasing implies a second
@@ -337,24 +329,26 @@ fn fused_adopt(
                 );
             }
         }
-        *age = msg.age + 1;
+        self.ages[i] = msg.age + 1;
         Usefulness::Useful
-    } else {
-        Usefulness::NotUseful
+    }
+
+    fn metric(&self, online_count: usize, now: SimTime) -> f64 {
+        Self::metric_sharded(&[self], online_count, now)
+    }
+
+    fn name(&self) -> &'static str {
+        "sgd-gossip-learning"
     }
 }
 
-/// Component-wise mean of `n` models visited in iteration order; one
-/// implementation for the serial metric and the sharded fold so the f64
-/// addition sequence is identical (the sharded caller chains the shard
-/// blocks in shard order, which *is* node order for contiguous blocks).
-fn average_model_of<'a, I: Iterator<Item = &'a Arc<Vec<f64>>>>(
-    dim: usize,
-    n: usize,
-    models: I,
-) -> Vec<f64> {
-    let mut avg = vec![0.0; dim];
-    for m in models {
+/// Component-wise mean of the models of `blocks`, visited in block order —
+/// which for the contiguous blocks of one application *is* node order, so
+/// the f64 addition sequence is the same for every partition.
+fn average_model_of(blocks: &[&SgdGossipLearning]) -> Vec<f64> {
+    let n: usize = blocks.iter().map(|b| b.weights.len()).sum();
+    let mut avg = vec![0.0; blocks[0].data.dim()];
+    for m in blocks.iter().flat_map(|b| &b.weights) {
         for (a, w) in avg.iter_mut().zip(m.iter()) {
             *a += w;
         }
@@ -365,57 +359,13 @@ fn average_model_of<'a, I: Iterator<Item = &'a Arc<Vec<f64>>>>(
     avg
 }
 
-/// One shard's block of [`SgdGossipLearning`]: the owned models plus a
-/// shared handle to the full dataset.
-#[derive(Debug, Clone)]
-pub struct SgdGossipLearningShard {
-    base: usize,
-    data: Arc<RegressionData>,
-    weights: Vec<Arc<Vec<f64>>>,
-    ages: Vec<u64>,
-    eta: f64,
-}
-
-impl ApplicationShard for SgdGossipLearningShard {
-    type Msg = SgdMsg;
-
-    fn create_message(&mut self, node: NodeId) -> SgdMsg {
-        let i = node.index() - self.base;
-        SgdMsg {
-            weights: Arc::clone(&self.weights[i]),
-            age: self.ages[i],
-        }
-    }
-
-    fn update_state(
-        &mut self,
-        node: NodeId,
-        _from: NodeId,
-        msg: &SgdMsg,
-        _now: SimTime,
-    ) -> Usefulness {
-        let i = node.index() - self.base;
-        let (x, y) = self.data.example(node);
-        fused_adopt(&mut self.weights[i], &mut self.ages[i], x, y, self.eta, msg)
-    }
-}
-
 impl ShardableApplication for SgdGossipLearning {
-    type Shard = SgdGossipLearningShard;
-
-    fn split(self, plan: &ShardPlan) -> Vec<SgdGossipLearningShard> {
-        let mut weights = self.weights;
-        let mut ages = self.ages;
-        let mut blocks = Vec::with_capacity(plan.shards());
-        for s in (0..plan.shards()).rev() {
-            let start = plan.range(s).start;
-            blocks.push((weights.split_off(start), ages.split_off(start)));
-        }
-        blocks.reverse();
-        blocks
+    fn split(self, plan: &ShardPlan) -> Vec<SgdGossipLearning> {
+        plan.partition(self.weights)
             .into_iter()
+            .zip(plan.partition(self.ages))
             .enumerate()
-            .map(|(s, (weights, ages))| SgdGossipLearningShard {
+            .map(|(s, (weights, ages))| SgdGossipLearning {
                 base: plan.range(s).start,
                 data: Arc::clone(&self.data),
                 weights,
@@ -425,32 +375,18 @@ impl ShardableApplication for SgdGossipLearning {
             .collect()
     }
 
-    fn merge(_plan: &ShardPlan, shards: Vec<SgdGossipLearningShard>) -> Self {
-        let data = Arc::clone(&shards[0].data);
-        let eta = shards[0].eta;
-        let mut weights = Vec::new();
-        let mut ages = Vec::new();
-        for sh in shards {
-            weights.extend(sh.weights);
-            ages.extend(sh.ages);
+    fn merge(_plan: &ShardPlan, blocks: Vec<SgdGossipLearning>) -> Self {
+        let mut blocks = blocks.into_iter();
+        let mut whole = blocks.next().expect("a plan has at least one shard");
+        for b in blocks {
+            whole.weights.extend(b.weights);
+            whole.ages.extend(b.ages);
         }
-        SgdGossipLearning {
-            data,
-            weights,
-            ages,
-            eta,
-        }
+        whole
     }
 
-    fn metric_sharded(
-        shards: &[&SgdGossipLearningShard],
-        _online_count: usize,
-        _now: SimTime,
-    ) -> f64 {
-        let data = &shards[0].data;
-        let n: usize = shards.iter().map(|s| s.weights.len()).sum();
-        let avg = average_model_of(data.dim(), n, shards.iter().flat_map(|s| s.weights.iter()));
-        data.mse(&avg)
+    fn metric_sharded(blocks: &[&SgdGossipLearning], _online_count: usize, _now: SimTime) -> f64 {
+        blocks[0].data.mse(&average_model_of(blocks))
     }
 }
 

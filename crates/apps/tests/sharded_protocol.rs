@@ -1,6 +1,7 @@
-//! Digest equality of the full Algorithm-4 driver: a sharded
-//! [`TokenProtocol`] run must be byte-identical to the serial engine for
-//! both shardable applications, every shard count, both queues, and churn
+//! Digest equality of the full Algorithm-4 driver: a [`TokenProtocol`]
+//! cut into shards must be byte-identical to the same protocol run whole
+//! (S = 1, [`Simulation`]) for the shardable applications, every shard
+//! count, both queues, and churn
 //! on/off — including the metric series (f64 bits), the token series, the
 //! burstiness histogram, every counter, and the final application state.
 

@@ -13,11 +13,11 @@
 //!   churn (two-pass scan vs. rejection fallback vs. packed mirror), and
 //!   the end-to-end SGD gossip-learning workload against the
 //!   [`crate::legacy_proto`] baseline;
-//! * **shard** — the intra-run sharded engine: S=1 overhead against the
-//!   monomorphized serial engine, multi-shard scaling at S ∈ {2, 4}
-//!   (results are byte-identical across all of them; only wall-clock
-//!   differs — on a single-core container the multi-shard rows measure
-//!   the per-window synchronization tax, not a speedup);
+//! * **shard** — intra-run sharding: multi-shard scaling at S ∈ {2, 4}
+//!   against the one-block run (results are byte-identical across all of
+//!   them; only wall-clock differs — on a single-core container the
+//!   multi-shard rows measure the per-window synchronization tax, not a
+//!   speedup);
 //! * **shard_sync** — per-window synchronization in isolation: the
 //!   channel-pipeline dispatch vs. the retired two-`Barrier::wait`
 //!   rendezvous on empty windows, plus engine rows at S ∈ {2, 4} ×
@@ -512,8 +512,8 @@ fn bench_protocol(smoke: bool) -> Vec<Sample> {
     samples
 }
 
-/// One gossip-learning (age-only) run through the serial or the sharded
-/// engine; returns events processed. The workload is message-dominated
+/// One gossip-learning (age-only) run, whole (`None`) or cut into shards;
+/// returns events processed. The workload is message-dominated
 /// (accounts fill within a few rounds) so cross-shard traffic is heavy —
 /// the honest case for the per-window synchronization overhead.
 fn shard_gossip_run(
@@ -702,9 +702,10 @@ fn shard_gossip_profile(
     sim.profile()
 }
 
-/// The `shard` section: S=1 overhead against the monomorphized serial
-/// engine, and multi-shard scaling at S ∈ {2, 4} (threads = S). All four
-/// runs are byte-identical in results; only wall-clock differs.
+/// The `shard` section: the one-block run (`gossip/serial_engine`, an id
+/// kept from when that was a separate engine, so the ledger's ratios stay
+/// comparable) and multi-shard scaling at S ∈ {2, 4}. All runs are
+/// byte-identical in results; only wall-clock differs.
 fn bench_shard(smoke: bool) -> Vec<Sample> {
     let (n, rounds) = if smoke { (300, 6) } else { (2_000, 24) };
     let mut rng = Xoshiro256pp::stream(41, 0);
@@ -715,7 +716,6 @@ fn bench_shard(smoke: bool) -> Vec<Sample> {
         value: measure_events_per_sec(|| shard_gossip_run(&topo, rounds, None), smoke),
     });
     for (id, shards, threads) in [
-        ("gossip/s1_t1", 1, 1),
         // s2_t1 runs two shards inline on the coordinator thread: it
         // isolates the window/gate machinery from thread context
         // switches (the two are indistinguishable in s2_t2 on one core).
@@ -864,7 +864,6 @@ pub fn run(smoke: bool, out_path: &str) -> String {
                 / find(&batch_samples, "dense_wave/legacy_wheel/drain"),
         });
         for (id, sample) in [
-            ("shard_s1_vs_serial_engine", "gossip/s1_t1"),
             ("shard_s2_vs_serial_engine", "gossip/s2_t2"),
             ("shard_s4_vs_serial_engine", "gossip/s4_t4"),
         ] {
@@ -1032,11 +1031,10 @@ mod tests {
             "protocol_sgd_end_to_end_vs_legacy",
             "\"shard\"",
             "gossip/serial_engine",
-            "gossip/s1_t1",
             "gossip/s2_t1",
             "gossip/s2_t2",
             "gossip/s4_t4",
-            "shard_s1_vs_serial_engine",
+            "shard_s2_vs_serial_engine",
             "\"shard_sync\"",
             "empty_window/barrier_w2",
             "empty_window/channel_w2",

@@ -36,11 +36,10 @@ pub struct FigureOpts {
     pub out_dir: PathBuf,
     /// Use paper-scale defaults.
     pub full: bool,
-    /// Intra-run shard count override (`--shards`): forces every replica
-    /// through the sharded engine with this many shards. `None` lets the
-    /// runner trade across-run vs. intra-run parallelism itself. Never
-    /// affects results — the sharded engine is byte-identical to the
-    /// serial one.
+    /// Intra-run shard count override (`--shards`): cuts every replica
+    /// into this many shards. `None` lets the runner trade across-run vs.
+    /// intra-run parallelism itself. Never affects results — a run is
+    /// byte-identical for every shard count.
     pub shards: Option<usize>,
     /// Pin intra-run shard workers to cores (`--pin`, exported as
     /// `TA_PIN=1`). Wall-clock only; results are identical either way.

@@ -12,8 +12,8 @@
 //! Jobs are identified by index; results are returned in index order, so
 //! output is deterministic regardless of scheduling.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Maximum workers the pool will use: `available_parallelism`, clamped by
 /// the `TA_THREADS` environment variable when set (useful on shared CI).
@@ -34,13 +34,52 @@ pub fn max_workers() -> usize {
 /// variable (the `--shards` CLI knob exports it), or `None` to let the
 /// runner trade across-run against intra-run parallelism itself.
 ///
-/// Shard count never affects results — the sharded engine is
-/// byte-identical to the serial one for every `TA_SHARDS` — so this knob
-/// is purely about wall-clock scheduling.
+/// Shard count never affects results — a run is byte-identical for every
+/// `TA_SHARDS`, 1 included — so this knob is purely about wall-clock
+/// scheduling.
 pub fn shard_override() -> Option<usize> {
     match std::env::var("TA_SHARDS") {
         Ok(v) => v.trim().parse::<usize>().ok().filter(|&n| n >= 1),
         Err(_) => None,
+    }
+}
+
+/// Tells glibc's allocator to keep freed memory mapped for the rest of the
+/// process (once; a no-op elsewhere).
+///
+/// A replica builds and frees its whole state — ~140 MB at n = 100 000 —
+/// and the next one asks for the same again. By default glibc hands every
+/// large free back to the kernel (`brk` shrink, `munmap`), so each replica
+/// re-faults its working set page by page, and whether a caller's own
+/// buffers between two grids (a prepared topology) are unmapped with it
+/// depends on where a few small allocations happened to land: measured on
+/// `sim_big_churn`, 0 or 2 ms per repetition to drop the topology and
+/// 52 or 60 ms to build the next one, flipping with changes that touch no
+/// allocation on the timed path. A batch simulator wants neither the cost
+/// nor the coin toss: freed memory stays in the heap until the process
+/// exits. Both parameters are needed — setting either one freezes glibc's
+/// dynamic `mmap` threshold at its 128 KB default, which alone would send
+/// every per-node array through `mmap`/`munmap`.
+fn keep_freed_memory() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        static ONCE: std::sync::Once = std::sync::Once::new();
+        ONCE.call_once(|| {
+            extern "C" {
+                // int mallopt(int param, int value);
+                fn mallopt(param: i32, value: i32) -> i32;
+            }
+            const M_TRIM_THRESHOLD: i32 = -1;
+            const M_MMAP_THRESHOLD: i32 = -3;
+            // SAFETY: mallopt only stores the two integers in the
+            // allocator's parameter block; 32 MB is the largest mmap
+            // threshold glibc accepts. A refusal (return 0) leaves the
+            // defaults in place.
+            unsafe {
+                mallopt(M_MMAP_THRESHOLD, 32 << 20);
+                mallopt(M_TRIM_THRESHOLD, i32::MAX);
+            }
+        });
     }
 }
 
@@ -53,7 +92,9 @@ pub fn shard_override() -> Option<usize> {
 ///
 /// # Panics
 ///
-/// Propagates the panic of any job after the scope joins.
+/// If jobs panic, re-raises the panic of the lowest-indexed one that did,
+/// with its own payload, once every worker has been joined; workers stop
+/// claiming further jobs as soon as one has failed.
 pub fn run_indexed<T, F>(jobs: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -62,28 +103,55 @@ where
     if jobs == 0 {
         return Vec::new();
     }
+    keep_freed_memory();
     let workers = max_workers().min(jobs);
     if workers <= 1 {
         return (0..jobs).map(f).collect();
     }
     let next = AtomicUsize::new(0);
-    let collected: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(jobs));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs {
-                    break;
+    let failed = AtomicBool::new(false);
+    // One worker: the results of the jobs it ran, or the first job of its
+    // own that panicked.
+    let work = || {
+        let mut done = Vec::new();
+        while !failed.load(Ordering::Relaxed) {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= jobs {
+                break;
+            }
+            match catch_unwind(AssertUnwindSafe(|| f(i))) {
+                Ok(result) => done.push((i, result)),
+                Err(payload) => {
+                    failed.store(true, Ordering::Relaxed);
+                    return Err((i, payload));
                 }
-                let result = f(i);
-                collected
-                    .lock()
-                    .expect("a worker panicked while holding the result lock")
-                    .push((i, result));
-            });
+            }
+        }
+        Ok(done)
+    };
+    let mut results = Vec::with_capacity(jobs);
+    let mut first_panic = None;
+    std::thread::scope(|scope| {
+        // Joined by hand: the scope's own join re-panics with a fixed
+        // message and drops the job's payload.
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+        for handle in handles {
+            match handle
+                .join()
+                .expect("a pool worker catches its job's panic")
+            {
+                Ok(done) => results.extend(done),
+                Err((i, payload)) => {
+                    if first_panic.as_ref().is_none_or(|&(j, _)| i < j) {
+                        first_panic = Some((i, payload));
+                    }
+                }
+            }
         }
     });
-    let mut results = collected.into_inner().expect("all workers joined cleanly");
+    if let Some((_, payload)) = first_panic {
+        resume_unwind(payload);
+    }
     debug_assert_eq!(results.len(), jobs);
     results.sort_unstable_by_key(|&(i, _)| i);
     results.into_iter().map(|(_, r)| r).collect()

@@ -9,27 +9,29 @@
 //! *(spec × run)* grid — a figure panel or the Section 4.2 sweep — into one
 //! job list so every core stays busy across cells, not just within one.
 //!
-//! When even the flattened grid cannot fill the pool (one huge-N spec, a
-//! straggler tail), replicas of shardable applications are routed through
-//! the intra-run sharded engine ([`ta_sim::shard::ShardedSimulation`])
-//! instead — `TA_SHARDS`/`--shards` overrides the automatic trade, and
-//! `TA_PIN`/`--pin` additionally pins the shard workers to cores. Whatever
-//! the trade, intra-run worker threads are capped so that *concurrent
-//! replicas × threads per replica* never exceeds the pool size (an
-//! explicit shard count keeps its S blocks, multiplexed onto fewer
-//! threads). Either path produces byte-identical results; failure-free specs additionally
-//! share one frozen copy-on-churn `OnlineNeighbors` mirror across all
-//! their runs (built once per prepared topology instead of once per job).
+//! Every replica runs on the one engine of `ta-sim`; what varies is into
+//! how many shards it is cut ([`ShardOpts`]). One shard — the replica on
+//! the thread of its pool worker — is the choice while the flattened grid
+//! fills the pool. When it cannot (one huge-N spec, a straggler tail),
+//! replicas of shardable applications are cut into several shards that run
+//! side by side — `TA_SHARDS`/`--shards` overrides the automatic trade,
+//! and `TA_PIN`/`--pin` additionally pins the shard workers to cores.
+//! Whatever the trade, intra-run worker threads are capped so that
+//! *concurrent replicas × threads per replica* never exceeds the pool size
+//! (an explicit shard count keeps its S blocks, multiplexed onto fewer
+//! threads). The shard count never changes a result; failure-free specs
+//! additionally share one frozen copy-on-churn `OnlineNeighbors` mirror
+//! across all their runs (built once per prepared topology instead of once
+//! per job).
 
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
-use ta_apps::app::Application;
+use ta_apps::app::{Application, ShardableApplication};
 use ta_apps::chaotic::ChaoticIteration;
 use ta_apps::gossip_learning::GossipLearning;
-use ta_apps::protocol::sharded::ShardableApplication;
 use ta_apps::protocol::{ProtocolStats, TokenProtocol};
 use ta_apps::push_gossip::PushGossip;
 use ta_churn::schedule::AvailabilitySchedule;
@@ -229,71 +231,79 @@ fn build_config(spec: &ExperimentSpec, run: usize) -> Result<SimConfig, InvalidC
     builder.build()
 }
 
-/// How one replica executes: serially, or sharded over the intra-run
-/// engine with explicit [`ShardOpts`] (shard blocks, worker threads, core
-/// pinning).
-///
-/// Sharding never changes results — the sharded engine is byte-identical
-/// to the serial one — so this is purely a wall-clock scheduling choice.
-/// The shard *count* and the worker-*thread* count are decoupled on
-/// purpose: `run_grid_prepared` caps `grid workers × intra-run threads` at
-/// the pool size, so an explicit `TA_SHARDS` still partitions into S
-/// blocks but multiplexes them onto the capped thread budget instead of
-/// oversubscribing the machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RunMode {
-    Serial,
-    Sharded(ShardOpts),
+/// Which face of the engine a replica runs on, as a type: `A`'s
+/// [`TokenProtocol`] in, the finished protocol and the engine's books out.
+trait Face<A: Application> {
+    fn run<S: Strategy + Clone + 'static>(
+        self,
+        cfg: SimConfig,
+        schedule: &AvailabilitySchedule,
+        proto: TokenProtocol<A, S>,
+    ) -> (TokenProtocol<A, S>, SimStats, ProfileData);
 }
 
-/// Monomorphizing bridge from the serializable [`StrategySpec`] to
-/// [`run_single`]: `visit` compiles once per concrete strategy family, so
-/// the whole simulation loop below it runs with direct strategy calls.
-struct SingleRun<'a, A, F> {
-    spec: &'a ExperimentSpec,
-    run: usize,
-    topo: &'a Arc<Topology>,
-    mirror: Option<&'a Arc<OnlineNeighbors>>,
-    make_app: F,
-    _app: std::marker::PhantomData<fn() -> A>,
-}
+/// The whole network as one block on the calling thread: any application.
+struct Whole;
 
-impl<A, F> StrategyVisitor for SingleRun<'_, A, F>
-where
-    A: Application,
-    F: FnOnce(&[bool]) -> A,
-{
-    type Output = Result<RunOutcome, RunError>;
-
-    fn visit<S: Strategy + Clone + 'static>(self, strategy: S) -> Self::Output {
-        run_single(
-            self.spec,
-            self.run,
-            self.topo,
-            self.mirror,
-            self.make_app,
-            strategy,
-        )
+impl<A: Application> Face<A> for Whole {
+    fn run<S: Strategy + Clone + 'static>(
+        self,
+        cfg: SimConfig,
+        schedule: &AvailabilitySchedule,
+        proto: TokenProtocol<A, S>,
+    ) -> (TokenProtocol<A, S>, SimStats, ProfileData) {
+        let mut sim = Simulation::new(cfg, schedule, proto);
+        sim.run_to_end();
+        let profile = *sim.profile().data();
+        let (proto, stats) = sim.into_parts();
+        (proto, stats, profile)
     }
 }
 
-/// The [`SingleRun`] counterpart for shardable applications: dispatches
-/// into the intra-run sharded engine.
-struct SingleRunSharded<'a, A, F> {
+/// Cut into `shards` blocks (one block is the same run as [`Whole`]):
+/// shardable applications. Sharding never changes results, so this is
+/// purely a wall-clock scheduling choice. The shard *count* and the
+/// worker-*thread* count are decoupled on purpose: `run_grid_prepared`
+/// caps `grid workers × intra-run threads` at the pool size, so an explicit
+/// `TA_SHARDS` still partitions into S blocks but multiplexes them onto the
+/// capped thread budget instead of oversubscribing the machine.
+impl<A> Face<A> for ShardOpts
+where
+    A: ShardableApplication + Send,
+    A::Msg: Send,
+{
+    fn run<S: Strategy + Clone + 'static>(
+        self,
+        cfg: SimConfig,
+        schedule: &AvailabilitySchedule,
+        proto: TokenProtocol<A, S>,
+    ) -> (TokenProtocol<A, S>, SimStats, ProfileData) {
+        let mut sim = ShardedSimulation::with_opts(cfg, schedule, proto, self);
+        sim.run_to_end();
+        let profile = sim.profile();
+        let (proto, stats) = sim.into_parts();
+        (proto, stats, profile)
+    }
+}
+
+/// One replica. A monomorphizing bridge from the serializable
+/// [`StrategySpec`](token_account::StrategySpec): `visit` compiles once per
+/// concrete strategy family, so the whole simulation loop below it runs
+/// with direct strategy calls.
+struct SingleRun<'a, F, E> {
     spec: &'a ExperimentSpec,
     run: usize,
     topo: &'a Arc<Topology>,
     mirror: Option<&'a Arc<OnlineNeighbors>>,
     make_app: F,
-    opts: ShardOpts,
-    _app: std::marker::PhantomData<fn() -> A>,
+    face: E,
 }
 
-impl<A, F> StrategyVisitor for SingleRunSharded<'_, A, F>
+impl<A, F, E> StrategyVisitor for SingleRun<'_, F, E>
 where
-    A: ShardableApplication,
-    A::Msg: Send,
+    A: Application,
     F: FnOnce(&[bool]) -> A,
+    E: Face<A>,
 {
     type Output = Result<RunOutcome, RunError>;
 
@@ -308,48 +318,31 @@ where
             self.make_app,
             strategy,
         );
-        let mut sim = ShardedSimulation::with_opts(cfg, &schedule, proto, self.opts);
-        sim.run_to_end();
+        let (proto, sim, profile) = self.face.run(cfg, &schedule, proto);
+        // The gate's claim counts are collected regardless; they are only
+        // reported when profiling was asked for.
         let profile = if profiling_enabled() {
-            sim.profile()
+            note_profile(&profile);
+            profile
         } else {
             ProfileData::default()
         };
-        let (proto, sim_stats) = sim.into_parts();
-        Ok(outcome_of(proto.into_results(), sim_stats, profile))
+        let results = proto.into_results();
+        Ok(RunOutcome {
+            metric: results.metric,
+            tokens: results.tokens,
+            protocol: results.stats,
+            sim,
+            sends_per_slot: results.sends_per_slot,
+            profile,
+        })
     }
 }
 
-/// Builds the concrete strategy for `spec` and runs one replica with it,
-/// without boxing (see [`SingleRun`]).
-fn run_single_dispatched<A, F>(
-    spec: &ExperimentSpec,
-    run: usize,
-    topo: &Arc<Topology>,
-    mirror: Option<&Arc<OnlineNeighbors>>,
-    make_app: F,
-) -> Result<RunOutcome, RunError>
-where
-    A: Application,
-    F: FnOnce(&[bool]) -> A,
-{
-    spec.strategy
-        .dispatch(SingleRun {
-            spec,
-            run,
-            topo,
-            mirror,
-            make_app,
-            _app: std::marker::PhantomData,
-        })
-        .map_err(RunError::Strategy)?
-}
-
-/// Shared construction of the Algorithm-4 driver, used by both the serial
-/// and the sharded replica paths (so the two cannot drift). Failure-free
-/// specs reuse the prepared grid's frozen online-neighbour `mirror` (an
-/// O(E) build otherwise); the first churn transition of a run copies it,
-/// so sharing is always sound.
+/// Construction of the Algorithm-4 driver. Failure-free specs reuse the
+/// prepared grid's frozen online-neighbour `mirror` (an O(E) build
+/// otherwise); the first churn transition of a run copies it, so sharing
+/// is always sound.
 fn build_protocol<A, S, F>(
     spec: &ExperimentSpec,
     topo: &Arc<Topology>,
@@ -390,103 +383,49 @@ where
     proto
 }
 
-fn outcome_of<A>(
-    results: ta_apps::protocol::ProtocolResults<A>,
-    sim_stats: SimStats,
-    profile: ProfileData,
-) -> RunOutcome {
-    if !profile.is_empty() {
-        note_profile(&profile);
-    }
-    RunOutcome {
-        metric: results.metric,
-        tokens: results.tokens,
-        protocol: results.stats,
-        sim: sim_stats,
-        sends_per_slot: results.sends_per_slot,
-        profile,
-    }
-}
-
-fn run_single<A, S, F>(
-    spec: &ExperimentSpec,
-    run: usize,
-    topo: &Arc<Topology>,
-    mirror: Option<&Arc<OnlineNeighbors>>,
-    make_app: F,
-    strategy: S,
-) -> Result<RunOutcome, RunError>
-where
-    A: Application,
-    S: Strategy,
-    F: FnOnce(&[bool]) -> A,
-{
-    let cfg = build_config(spec, run)?;
-    let schedule = build_schedule(spec, run);
-    let proto = build_protocol(spec, topo, mirror, &schedule, make_app, strategy);
-    let mut sim = Simulation::new(cfg, &schedule, proto);
-    sim.run_to_end();
-    let profile = if profiling_enabled() {
-        *sim.profile().data()
-    } else {
-        ProfileData::default()
-    };
-    let (proto, sim_stats) = sim.into_parts();
-    Ok(outcome_of(proto.into_results(), sim_stats, profile))
-}
-
+/// Runs replica `run` of `spec`, cut as `opts` says where the application
+/// can be cut at all (chaotic iteration cannot; it always runs whole).
 fn dispatch_run(
     spec: &ExperimentSpec,
     run: usize,
     topo: &Arc<Topology>,
     reference: &Option<Arc<Vec<f64>>>,
     mirror: Option<&Arc<OnlineNeighbors>>,
-    mode: RunMode,
+    opts: ShardOpts,
 ) -> Result<RunOutcome, RunError> {
+    fn replica<A: Application>(
+        spec: &ExperimentSpec,
+        run: usize,
+        topo: &Arc<Topology>,
+        mirror: Option<&Arc<OnlineNeighbors>>,
+        make_app: impl FnOnce(&[bool]) -> A,
+        face: impl Face<A>,
+    ) -> Result<RunOutcome, RunError> {
+        spec.strategy
+            .dispatch(SingleRun {
+                spec,
+                run,
+                topo,
+                mirror,
+                make_app,
+                face,
+            })
+            .map_err(RunError::Strategy)?
+    }
     match spec.app {
         AppKind::GossipLearning => {
             let make = |online: &[bool]| GossipLearning::new(spec.n, spec.transfer, online);
-            // Shardable: routed through the intra-run engine when the
-            // mode asks for it (results are identical either way).
-            match mode {
-                RunMode::Sharded(opts) if opts.shards > 1 => spec
-                    .strategy
-                    .dispatch(SingleRunSharded {
-                        spec,
-                        run,
-                        topo,
-                        mirror,
-                        make_app: make,
-                        opts,
-                        _app: std::marker::PhantomData,
-                    })
-                    .map_err(RunError::Strategy)?,
-                _ => run_single_dispatched::<GossipLearning, _>(spec, run, topo, mirror, make),
-            }
+            replica(spec, run, topo, mirror, make, opts)
         }
         AppKind::PushGossip => {
             let make = |online: &[bool]| PushGossip::new(spec.n, online);
-            match mode {
-                RunMode::Sharded(opts) if opts.shards > 1 => spec
-                    .strategy
-                    .dispatch(SingleRunSharded {
-                        spec,
-                        run,
-                        topo,
-                        mirror,
-                        make_app: make,
-                        opts,
-                        _app: std::marker::PhantomData,
-                    })
-                    .map_err(RunError::Strategy)?,
-                _ => run_single_dispatched::<PushGossip, _>(spec, run, topo, mirror, make),
-            }
+            replica(spec, run, topo, mirror, make, opts)
         }
         AppKind::ChaoticIteration => {
             let reference = reference
                 .as_ref()
                 .expect("reference eigenvector precomputed for chaotic runs");
-            run_single_dispatched::<ChaoticIteration, _>(spec, run, topo, mirror, |_online| {
+            let make = |_online: &[bool]| {
                 let mut app =
                     ChaoticIteration::with_reference(Arc::clone(topo), reference.as_ref().clone());
                 // Algorithm 3 starts from "any positive value"; a random
@@ -495,7 +434,8 @@ fn dispatch_run(
                 let mut rng = Xoshiro256pp::stream(run_seed(spec, run), 0xb0f);
                 app.randomize_buffers(&mut rng);
                 app
-            })
+            };
+            replica(spec, run, topo, mirror, make, Whole)
         }
     }
 }
@@ -619,48 +559,34 @@ pub fn run_grid_prepared(
         .flat_map(|(s, spec)| (0..spec.runs).map(move |r| (s, r)))
         .collect();
     // Trade across-run against intra-run parallelism: while the job list
-    // alone can fill the pool, run every replica serially; once there are
-    // fewer jobs than workers (one huge-N spec, a tail of stragglers),
-    // shard each replica so the machine stays saturated. `TA_SHARDS`
-    // overrides the choice; results are byte-identical either way.
+    // alone can fill the pool, every replica is one shard on its pool
+    // worker's thread; once there are fewer jobs than workers (one huge-N
+    // spec, a tail of stragglers), cut each replica into shards so the
+    // machine stays saturated. `TA_SHARDS` overrides the choice; results
+    // are byte-identical either way.
     //
     // Oversubscription policy: the pool runs `min(max_workers, jobs)`
-    // replicas concurrently, so each replica's intra-run engine gets a
-    // thread budget of `max_workers / grid_workers` — the product never
-    // exceeds the pool size. An explicit `TA_SHARDS=S` keeps its S shard
-    // *blocks* (the partition is part of the byte-identical contract's
-    // schedule, never its results) but multiplexes them onto the capped
-    // budget instead of spawning S threads per concurrent replica.
+    // replicas concurrently, so each replica's shards get a thread budget
+    // of `max_workers / grid_workers` — the product never exceeds the pool
+    // size. An explicit `TA_SHARDS=S` keeps its S shard *blocks* (the
+    // partition is part of the byte-identical contract's schedule, never
+    // its results) but multiplexes them onto the capped budget instead of
+    // spawning S threads per concurrent replica.
     let workers = crate::pool::max_workers();
     let grid_workers = workers.min(jobs.len()).max(1);
     let thread_budget = (workers / grid_workers).max(1);
-    let mode = match crate::pool::shard_override() {
-        Some(s) => {
-            if s > 1 {
-                RunMode::Sharded(ShardOpts::new(s, s.min(thread_budget)))
-            } else {
-                RunMode::Serial
-            }
-        }
-        None => {
-            if jobs.len() >= workers {
-                RunMode::Serial
-            } else {
-                let shards = thread_budget.clamp(1, 8);
-                if shards > 1 {
-                    RunMode::Sharded(ShardOpts::new(shards, shards))
-                } else {
-                    RunMode::Serial
-                }
-            }
-        }
+    let shards = match crate::pool::shard_override() {
+        Some(s) => s,
+        None if jobs.len() >= workers => 1,
+        None => thread_budget.min(8),
     };
+    let opts = ShardOpts::new(shards, shards.min(thread_budget));
     let topo = Arc::clone(&prepared.topo);
     let reference = prepared.reference.clone();
     let mirror = prepared.frozen_mirror.clone();
     let mut outcomes = crate::pool::run_indexed(jobs.len(), |j| {
         let (s, run) = jobs[j];
-        dispatch_run(&specs[s], run, &topo, &reference, mirror.as_ref(), mode)
+        dispatch_run(&specs[s], run, &topo, &reference, mirror.as_ref(), opts)
             .expect("validated spec cannot fail at run time")
     });
 
@@ -715,6 +641,12 @@ fn aggregate(spec: &ExperimentSpec, runs: Vec<RunOutcome>) -> ExperimentResult {
 mod tests {
     use super::*;
     use token_account::StrategySpec;
+
+    const ONE_SHARD: ShardOpts = ShardOpts {
+        shards: 1,
+        threads: 1,
+        pin: false,
+    };
 
     fn tiny(app: AppKind, strategy: StrategySpec) -> ExperimentSpec {
         let mut spec = ExperimentSpec::paper_defaults(app, strategy, 60)
@@ -834,9 +766,9 @@ mod tests {
 
     #[test]
     fn sharded_replicas_match_serial_bit_for_bit() {
-        // The runner's intra-run sharded path must reproduce the serial
-        // path exactly — metric series included — for every shard count
-        // and both shardable applications.
+        // A replica cut into shards must reproduce the one-shard replica
+        // exactly — metric series included — for every shard count and
+        // both shardable applications.
         for (app, churn) in [
             (AppKind::GossipLearning, false),
             (AppKind::GossipLearning, true),
@@ -855,7 +787,7 @@ mod tests {
                 &prepared.topo,
                 &prepared.reference,
                 prepared.frozen_mirror.as_ref(),
-                RunMode::Serial,
+                ONE_SHARD,
             )
             .unwrap();
             for (shards, pin) in [(2, false), (3, true), (4, false)] {
@@ -865,11 +797,11 @@ mod tests {
                     &prepared.topo,
                     &prepared.reference,
                     prepared.frozen_mirror.as_ref(),
-                    RunMode::Sharded(ShardOpts {
+                    ShardOpts {
                         shards,
                         threads: 2,
                         pin,
-                    }),
+                    },
                 )
                 .unwrap();
                 assert_eq!(serial.metric, sharded.metric, "churn={churn} S={shards}");
@@ -898,7 +830,7 @@ mod tests {
             &prepared.topo,
             &prepared.reference,
             prepared.frozen_mirror.as_ref(),
-            RunMode::Serial,
+            ONE_SHARD,
         )
         .unwrap();
         let without = dispatch_run(
@@ -907,7 +839,7 @@ mod tests {
             &prepared.topo,
             &prepared.reference,
             None,
-            RunMode::Serial,
+            ONE_SHARD,
         )
         .unwrap();
         assert_eq!(with_mirror.metric, without.metric);

@@ -1,10 +1,15 @@
 //! The discrete-event simulation engine.
 //!
-//! [`Simulation`] drives a [`Driver`] (the protocol under test) through a
-//! totally ordered stream of events: per-node round ticks, message
-//! deliveries, churn transitions, periodic metric samples, periodic
-//! injections, and one-shot timers. It plays the role PeerSim's event-driven
-//! engine plays in the paper.
+//! One event loop serves every shard count. An [`Engine`] owns a
+//! contiguous block of nodes `lo..hi` — their streams, schedule counters
+//! and tick epochs in a [`Kernel`], their pending events in a queue — and
+//! drives a [`Driver`] through the block's totally ordered stream of round
+//! ticks, message deliveries, churn transitions and one-shot timers.
+//! [`Simulation`] is the S = 1 face: one engine whose block is the whole
+//! network `0..n`, run on the calling thread with no window, gate or
+//! mailbox. [`crate::shard::ShardedSimulation`] runs S of the same engines
+//! side by side. It plays the role PeerSim's event-driven engine plays in
+//! the paper.
 //!
 //! # Semantics
 //!
@@ -21,6 +26,10 @@
 //! * **Churn.** An [`AvailabilityModel`] supplies each node's initial state
 //!   and up/down transitions. The driver observes them via
 //!   [`Driver::on_node_up`]/[`Driver::on_node_down`].
+//! * **Sampling and injection.** The two periodic engine-global events
+//!   sort after every node event of their instant; they fire between
+//!   batches, with every block quiescent
+//!   ([`Driver::on_sample`]/[`Driver::on_inject`]).
 //! * **Determinism.** All randomness derives from the master seed via
 //!   independent [`Xoshiro256pp`] streams — one engine stream and one
 //!   protocol stream *per node*, plus a global protocol stream for the
@@ -28,9 +37,8 @@
 //!   `(origin node, per-origin schedule counter)` order (see
 //!   [`crate::queue::order_key`]). A run is therefore a pure function of
 //!   `(config, availability, driver)`, and — because neither the tie order
-//!   nor any stream depends on global sequencing — the *same* function the
-//!   sharded engine ([`crate::shard::ShardedSimulation`]) computes for any
-//!   shard count.
+//!   nor any stream depends on global sequencing — the same function for
+//!   every shard count.
 //!
 //! # Example
 //!
@@ -61,22 +69,25 @@
 //! # Ok::<(), ta_sim::config::InvalidConfigError>(())
 //! ```
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 use ta_telemetry::Profile;
 
-use crate::config::{QueueKind, SimConfig, TickPhase};
+use crate::config::{SimConfig, TickPhase};
 use crate::ids::{node_ids, NodeId};
-use crate::queue::{order_key, BinaryHeapQueue, EventQueue, ReadyBatch};
+use crate::queue::{order_key, EventQueue, ReadyBatch};
 use crate::rng::Xoshiro256pp;
+use crate::shard::pipeline::{on_core, AnyCore};
+use crate::shard::ShardPlan;
 use crate::time::{SimDuration, SimTime};
-use crate::wheel::TimingWheel;
 
 /// Sentinel terminating the per-destination delivery chains of a grouped
 /// run (see [`RunGrouper`]).
-pub(crate) const RUN_NIL: u32 = u32::MAX;
+const RUN_NIL: u32 = u32::MAX;
 
 /// One destination's slice of a same-instant delivery run, handed to
-/// [`Driver::on_message_batch`] (and its sharded counterpart). Yields
+/// [`Driver::on_message_batch`]. Yields
 /// `(from, msg)` pairs in exactly the order the per-event path would
 /// deliver them to this destination.
 pub struct MsgBatch<'a, M> {
@@ -91,7 +102,7 @@ pub struct MsgBatch<'a, M> {
 
 impl<'a, M> MsgBatch<'a, M> {
     #[inline]
-    pub(crate) fn new(
+    fn new(
         run: &'a mut [(NodeId, NodeId, Option<M>)],
         next: &'a [u32],
         head: u32,
@@ -154,10 +165,9 @@ impl<M> std::fmt::Debug for MsgBatch<'_, M> {
 /// per delivery, no comparison sort. Destinations are visited in
 /// first-occurrence order; the choice of cross-destination order is
 /// unobservable (per-destination effects are isolated, new events carry
-/// their own keys), so the cheapest deterministic order wins. Shared by
-/// the serial and sharded engines. All buffers are epoch-stamped and
-/// recycled; steady state allocates nothing.
-pub(crate) struct RunGrouper {
+/// their own keys), so the cheapest deterministic order wins. All buffers
+/// are epoch-stamped and recycled; steady state allocates nothing.
+struct RunGrouper {
     /// Per owned node (dense local index): chain head/tail into the run,
     /// valid iff `mark` carries the current epoch.
     head: Vec<u32>,
@@ -170,12 +180,12 @@ pub(crate) struct RunGrouper {
     /// order.
     touched: Vec<NodeId>,
     epoch: u32,
-    /// First owned node index (0 for the serial engine).
+    /// First owned node index.
     base: usize,
 }
 
 impl RunGrouper {
-    pub(crate) fn new(base: usize, owned: usize) -> Self {
+    fn new(base: usize, owned: usize) -> Self {
         RunGrouper {
             head: vec![RUN_NIL; owned],
             tail: vec![RUN_NIL; owned],
@@ -189,7 +199,7 @@ impl RunGrouper {
     }
 
     /// Starts a new run (invalidates every previous chain in O(1)).
-    pub(crate) fn begin(&mut self) {
+    fn begin(&mut self) {
         self.next.clear();
         self.touched.clear();
         self.epoch = self.epoch.wrapping_add(1);
@@ -204,7 +214,7 @@ impl RunGrouper {
     /// Appends run entry `i` (the next index, in order) addressed to
     /// destination `to`.
     #[inline]
-    pub(crate) fn add(&mut self, to: NodeId) {
+    fn add(&mut self, to: NodeId) {
         let i = self.next.len() as u32;
         self.next.push(RUN_NIL);
         let l = to.index() - self.base;
@@ -223,14 +233,14 @@ impl RunGrouper {
 
     /// Number of distinct destinations in the grouped run.
     #[inline]
-    pub(crate) fn groups(&self) -> usize {
+    fn groups(&self) -> usize {
         self.touched.len()
     }
 
     /// The `gi`-th destination (first-occurrence order) with its chain
     /// head and length.
     #[inline]
-    pub(crate) fn group(&self, gi: usize) -> (NodeId, u32, u32) {
+    fn group(&self, gi: usize) -> (NodeId, u32, u32) {
         let to = self.touched[gi];
         let l = to.index() - self.base;
         (to, self.head[l], self.count[l])
@@ -238,14 +248,14 @@ impl RunGrouper {
 
     /// The chain links, for constructing [`MsgBatch`]es.
     #[inline]
-    pub(crate) fn links(&self) -> &[u32] {
+    fn links(&self) -> &[u32] {
         &self.next
     }
 }
 
 /// Stream-id namespace of per-node engine randomness (tick phases, drop
 /// decisions attributed to the sending node).
-pub(crate) const STREAM_ENGINE_NODE: u64 = 1 << 40;
+const STREAM_ENGINE_NODE: u64 = 1 << 40;
 /// Stream-id namespace of per-node protocol randomness ([`SimApi::rng`] in
 /// node-scoped callbacks).
 const STREAM_PROTO_NODE: u64 = 2 << 40;
@@ -253,33 +263,30 @@ const STREAM_PROTO_NODE: u64 = 2 << 40;
 /// sampling/injection callbacks, which are not tied to one node).
 const STREAM_PROTO_GLOBAL: u64 = 3 << 40;
 
-/// The engine stream of `node` (shared with the sharded engine so both
-/// consume identical randomness).
+/// The engine stream of `node`.
 #[inline]
-pub(crate) fn engine_stream(seed: u64, node: usize) -> Xoshiro256pp {
+fn engine_stream(seed: u64, node: usize) -> Xoshiro256pp {
     Xoshiro256pp::stream(seed, STREAM_ENGINE_NODE | node as u64)
 }
 
 /// The protocol stream of `node`.
 #[inline]
-pub(crate) fn proto_stream(seed: u64, node: usize) -> Xoshiro256pp {
+fn proto_stream(seed: u64, node: usize) -> Xoshiro256pp {
     Xoshiro256pp::stream(seed, STREAM_PROTO_NODE | node as u64)
 }
 
 /// The global protocol stream (sample/inject callbacks).
 #[inline]
-pub(crate) fn proto_global_stream(seed: u64) -> Xoshiro256pp {
+fn proto_global_stream(seed: u64) -> Xoshiro256pp {
     Xoshiro256pp::stream(seed, STREAM_PROTO_GLOBAL)
 }
 
-/// Online-set bookkeeping shared by the serial kernel and every shard
-/// kernel: a flag vector plus a dense list (swap-removed) for O(1)
-/// uniform sampling. The *list order* is observable through
-/// [`SimApi::random_online_node`], so the update discipline is part of
-/// the byte-identical-results contract and must not fork between
-/// engines.
+/// Online-set bookkeeping of a kernel: a flag vector plus a dense list
+/// (swap-removed) for O(1) uniform sampling. The *list order* is
+/// observable through [`SimApi::random_online_node`], so the update
+/// discipline is part of the byte-identical-results contract.
 #[derive(Debug, Clone)]
-pub(crate) struct OnlineSet {
+struct OnlineSet {
     flags: Vec<bool>,
     list: Vec<NodeId>,
     /// Position of each node in `list` (`usize::MAX` when offline).
@@ -287,7 +294,7 @@ pub(crate) struct OnlineSet {
 }
 
 impl OnlineSet {
-    pub(crate) fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         OnlineSet {
             flags: vec![false; n],
             list: Vec::with_capacity(n),
@@ -296,27 +303,21 @@ impl OnlineSet {
     }
 
     #[inline]
-    pub(crate) fn is_online(&self, node: NodeId) -> bool {
+    fn is_online(&self, node: NodeId) -> bool {
         self.flags[node.index()]
     }
 
     #[inline]
-    pub(crate) fn count(&self) -> usize {
+    fn count(&self) -> usize {
         self.list.len()
     }
 
-    /// The per-node flags, indexed by [`NodeId::index`].
     #[inline]
-    pub(crate) fn flags(&self) -> &[bool] {
-        &self.flags
-    }
-
-    #[inline]
-    pub(crate) fn list(&self) -> &[NodeId] {
+    fn list(&self) -> &[NodeId] {
         &self.list
     }
 
-    pub(crate) fn set(&mut self, node: NodeId, up: bool) {
+    fn set(&mut self, node: NodeId, up: bool) {
         let idx = node.index();
         if self.flags[idx] == up {
             return;
@@ -334,20 +335,6 @@ impl OnlineSet {
             }
             self.pos[idx] = usize::MAX;
         }
-    }
-}
-
-/// The tick phasing draw, shared by both engines: uniform in `(0, Δ]`
-/// (keeps the long-run grant rate at 1/Δ) or the synchronized lockstep.
-#[inline]
-pub(crate) fn tick_delay_from(
-    rng: &mut Xoshiro256pp,
-    delta: SimDuration,
-    phase: TickPhase,
-) -> SimDuration {
-    match phase {
-        TickPhase::Synchronized => delta,
-        TickPhase::UniformRandom => SimDuration::from_micros(rng.below(delta.as_micros()) + 1),
     }
 }
 
@@ -390,6 +377,13 @@ impl AvailabilityModel for AlwaysOn {
 
 /// Protocol callbacks invoked by the engine.
 ///
+/// A driver serves one **block** of nodes: the whole network under
+/// [`Simulation`], one contiguous slice of it per shard under
+/// [`crate::shard::ShardedSimulation`]. Node-scoped callbacks (tick,
+/// delivery, timer) only ever name nodes of the block; churn transitions
+/// are reported for *every* node, so a driver that keeps per-node state
+/// checks [`SimApi::owns`] before touching it.
+///
 /// All methods receive a [`SimApi`] giving access to the clock, the RNG, the
 /// online set, and message sending. Default implementations ignore the
 /// event, so simple drivers implement only what they need.
@@ -401,7 +395,8 @@ pub trait Driver {
     /// elapsed for this node).
     fn on_round_tick(&mut self, api: &mut SimApi<'_, Self::Msg>, node: NodeId);
 
-    /// A message arrived at online node `to`.
+    /// A message arrived at online node `to` (`from` may live in any
+    /// block).
     fn on_message(
         &mut self,
         api: &mut SimApi<'_, Self::Msg>,
@@ -420,10 +415,9 @@ pub trait Driver {
     /// [`on_message`](Self::on_message).
     ///
     /// Overrides must consume every entry and be observably equivalent to
-    /// calling `on_message` once per entry in order: the serial and
-    /// sharded engines split runs at different points, so a batch hook
-    /// that drifts from its per-event hook forfeits the byte-identical
-    /// results guarantee.
+    /// calling `on_message` once per entry in order: where a run is split
+    /// depends on the shard count, so a batch hook that drifts from its
+    /// per-event hook forfeits the byte-identical results guarantee.
     fn on_message_batch(
         &mut self,
         api: &mut SimApi<'_, Self::Msg>,
@@ -435,29 +429,38 @@ pub trait Driver {
         }
     }
 
-    /// `node` came online.
+    /// `node` came online. Fired on every block for every node: update
+    /// full-network mirrors unconditionally, and run node-scoped reactions
+    /// (which may draw randomness and send) only when
+    /// [`api.owns(node)`](SimApi::owns) — always true under
+    /// [`Simulation`].
     fn on_node_up(&mut self, api: &mut SimApi<'_, Self::Msg>, node: NodeId) {
         let _ = (api, node);
     }
 
-    /// `node` went offline.
+    /// `node` went offline (same ownership contract as
+    /// [`on_node_up`](Self::on_node_up)).
     fn on_node_down(&mut self, api: &mut SimApi<'_, Self::Msg>, node: NodeId) {
         let _ = (api, node);
     }
 
     /// Periodic metric sampling hook (enabled via
-    /// [`SimConfigBuilder::sample_period`](crate::config::SimConfigBuilder::sample_period)).
+    /// [`SimConfigBuilder::sample_period`](crate::config::SimConfigBuilder::sample_period)),
+    /// fired in the engine-global context: [`SimApi::rng`] is the global
+    /// stream.
     fn on_sample(&mut self, api: &mut SimApi<'_, Self::Msg>) {
         let _ = api;
     }
 
     /// Periodic injection hook (enabled via
-    /// [`SimConfigBuilder::injection_period`](crate::config::SimConfigBuilder::injection_period)).
+    /// [`SimConfigBuilder::injection_period`](crate::config::SimConfigBuilder::injection_period)),
+    /// fired in the engine-global context; it may send from any node.
     fn on_inject(&mut self, api: &mut SimApi<'_, Self::Msg>) {
         let _ = api;
     }
 
-    /// A one-shot timer scheduled through [`SimApi::schedule_timer`] fired.
+    /// A one-shot timer scheduled through [`SimApi::schedule_timer`] fired
+    /// at the node that scheduled it.
     fn on_timer(&mut self, api: &mut SimApi<'_, Self::Msg>, token: u64) {
         let _ = (api, token);
     }
@@ -504,37 +507,72 @@ impl SimStats {
     }
 }
 
-/// Engine-internal event payload.
+/// Event payload of an engine's queue. The engine-global sample/inject
+/// trains live with the run's coordinator, never in a queue.
 #[derive(Debug)]
-enum Ev<M> {
+pub(crate) enum Ev<M> {
     Tick { node: NodeId, epoch: u32 },
     Deliver { from: NodeId, to: NodeId, msg: M },
     Up(NodeId),
     Down(NodeId),
-    Sample,
-    Inject,
-    Timer { node: Option<NodeId>, token: u64 },
+    Timer { node: NodeId, token: u64 },
 }
 
-/// Mutable engine state shared with the driver during callbacks.
+/// A delivery addressed outside the sending block, waiting in the
+/// sender's outbox for the next mailbox deposit.
+#[derive(Debug)]
+pub(crate) struct OutMsg<M> {
+    pub(crate) time: SimTime,
+    pub(crate) key: u64,
+    pub(crate) from: NodeId,
+    pub(crate) to: NodeId,
+    pub(crate) msg: M,
+}
+
+/// Whose callback is running: selects the stream [`SimApi::rng`] hands
+/// out and the origin of [`SimApi::schedule_timer`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Ctx {
+    /// A callback scoped to a node of the block.
+    Node(NodeId),
+    /// A churn notification for a node of another block: the driver may
+    /// update mirrors but must not draw randomness or send.
+    Remote,
+    /// A sample/inject callback, fired with every block quiescent.
+    Global,
+}
+
+/// The state of one block of nodes `lo..hi`, shared with the driver during
+/// callbacks through [`SimApi`]: the block's slice of streams, counters and
+/// tick epochs, plus a full replica of the online bookkeeping (churn is
+/// statically known, so every block replays all of it). The whole network
+/// is the block `0..n`, whose outbox stays empty.
 ///
 /// Deliberately does *not* own the event queue: callbacks append new events
 /// to the `pending` buffer and the engine flushes it into its queue after
 /// each same-time batch. This keeps [`SimApi`] (and therefore the
 /// [`Driver`] trait) non-generic while the engine's event loop is
 /// monomorphized over the concrete queue — every `drain`/`push` in the hot
-/// path is a direct call, selected once at [`Simulation::new`], instead of
-/// an enum-dispatch branch per event. The buffer is drained in schedule
-/// order before the next queue drain; scheduled events carry their
+/// path is a direct call, selected once at construction, instead of an
+/// enum-dispatch branch per event. Scheduled events carry their
 /// `(origin, counter)` keys from the moment they are created, so the flush
 /// order is irrelevant to the observable event order.
-struct Kernel<M> {
+pub(crate) struct Kernel<M> {
+    pub(crate) plan: Arc<ShardPlan>,
+    /// First node of the owned range `lo..lo + counters.len()` (the dense
+    /// per-node vectors are offset by it).
+    lo: usize,
     cfg: SimConfig,
+    pub(crate) now: SimTime,
     /// Events scheduled during the current batch; flushed before the next
     /// queue drain (whole reactive bursts re-enter through
     /// [`EventQueue::push_keyed_run`]). Capacity is reused across
     /// batches: steady-state, the hot path does not allocate.
     pending: Vec<(SimTime, u64, Ev<M>)>,
+    pub(crate) outbox: Vec<OutMsg<M>>,
+    /// Sends a barrier callback made on behalf of another block's node;
+    /// the coordinator replays each on its owner's kernel.
+    pub(crate) foreign: Vec<(NodeId, NodeId, M)>,
     /// Per-node engine randomness (tick phases; drop decisions charged to
     /// the sending node). Per-node streams keep engine decisions
     /// independent of cross-node event interleaving.
@@ -542,51 +580,59 @@ struct Kernel<M> {
     /// Per-node protocol randomness: [`SimApi::rng`] in a callback scoped
     /// to node `v` (tick, delivery, churn) yields stream `v`.
     proto_rngs: Vec<Xoshiro256pp>,
-    /// Protocol randomness of the global callbacks (sample/inject), which
-    /// are not tied to one node.
+    /// Protocol randomness of the sample/inject callbacks, which are not
+    /// tied to one node (consumed on the first block's kernel only).
     proto_global: Xoshiro256pp,
     /// Per-node schedule counters: the `counter` half of
     /// [`order_key`]. Incremented every time the node originates an event.
     counters: Vec<u64>,
-    /// Schedule counter of engine-global events (sample/inject trains,
-    /// global timers).
-    global_counter: u64,
-    /// The node whose callback is running (`None` in sample/inject
-    /// context); selects the stream [`SimApi::rng`] returns and the origin
-    /// of [`SimApi::schedule_timer`].
-    ctx: Option<NodeId>,
-    online: OnlineSet,
     /// Tick epoch per node; stale ticks carry an older epoch.
     tick_epoch: Vec<u32>,
-    stats: SimStats,
-    now: SimTime,
+    /// Full online mirror (all nodes), exact at every instant.
+    online: OnlineSet,
+    pub(crate) ctx: Ctx,
+    pub(crate) stats: SimStats,
 }
 
 impl<M> Kernel<M> {
+    /// One compare: a node below `lo` wraps far past any block length.
+    #[inline]
+    fn owns(&self, node: NodeId) -> bool {
+        node.index().wrapping_sub(self.lo) < self.counters.len()
+    }
+
+    #[inline]
+    fn local(&self, node: NodeId) -> usize {
+        debug_assert!(self.owns(node), "node {node} is outside this block");
+        node.index() - self.lo
+    }
+
     /// Consumes the next schedule counter of `node`, returning the packed
     /// event key.
     #[inline]
     fn next_key(&mut self, node: NodeId) -> u64 {
-        let c = &mut self.counters[node.index()];
+        let local = self.local(node);
+        let c = &mut self.counters[local];
         let key = order_key(node.raw(), *c);
         *c += 1;
         key
     }
 
-    /// Consumes the next schedule counter of the global origin.
-    #[inline]
-    fn next_global_key(&mut self) -> u64 {
-        let key = order_key(crate::queue::GLOBAL_ORIGIN, self.global_counter);
-        self.global_counter += 1;
-        key
-    }
-
-    fn tick_delay(&mut self, node: NodeId, phase: TickPhase) -> SimDuration {
-        tick_delay_from(&mut self.engine_rngs[node.index()], self.cfg.delta(), phase)
+    /// The tick phasing draw: uniform in `(0, Δ]` (keeps the long-run
+    /// grant rate at 1/Δ) or the synchronized lockstep.
+    fn tick_delay(&mut self, node: NodeId) -> SimDuration {
+        let delta = self.cfg.delta();
+        match self.cfg.tick_phase() {
+            TickPhase::Synchronized => delta,
+            TickPhase::UniformRandom => {
+                let local = self.local(node);
+                SimDuration::from_micros(self.engine_rngs[local].below(delta.as_micros()) + 1)
+            }
+        }
     }
 
     fn schedule_tick(&mut self, node: NodeId, delay: SimDuration) {
-        let epoch = self.tick_epoch[node.index()];
+        let epoch = self.tick_epoch[self.local(node)];
         let key = self.next_key(node);
         self.pending
             .push((self.now + delay, key, Ev::Tick { node, epoch }));
@@ -596,20 +642,65 @@ impl<M> Kernel<M> {
     #[inline]
     fn ctx_rng(&mut self) -> &mut Xoshiro256pp {
         match self.ctx {
-            Some(node) => &mut self.proto_rngs[node.index()],
-            None => &mut self.proto_global,
+            Ctx::Node(node) => {
+                let local = self.local(node);
+                &mut self.proto_rngs[local]
+            }
+            Ctx::Global => &mut self.proto_global,
+            Ctx::Remote => panic!(
+                "SimApi::rng is not available in a churn callback for a node \
+                 of another block (its stream lives with its owner)"
+            ),
+        }
+    }
+
+    /// [`SimApi::send`]: the key and the drop decision belong to `from`'s
+    /// counter and engine stream; where the delivery waits depends only on
+    /// whether `to` is inside the block.
+    pub(crate) fn send(&mut self, from: NodeId, to: NodeId, msg: M) {
+        let local = from.index().wrapping_sub(self.lo);
+        if local >= self.counters.len() {
+            debug_assert!(
+                matches!(self.ctx, Ctx::Global),
+                "driver sent from node {from}, which this block does not own"
+            );
+            self.foreign.push((from, to, msg));
+            return;
+        }
+        self.stats.messages_sent += 1;
+        let p = self.cfg.drop_probability();
+        if p > 0.0 && self.engine_rngs[local].chance(p) {
+            self.stats.messages_dropped_fault += 1;
+            return;
+        }
+        let time = self.now + self.cfg.transfer_time();
+        let key = order_key(from.raw(), self.counters[local]);
+        self.counters[local] += 1;
+        if self.owns(to) {
+            self.pending
+                .push((time, key, Ev::Deliver { from, to, msg }));
+        } else {
+            self.outbox.push(OutMsg {
+                time,
+                key,
+                from,
+                to,
+                msg,
+            });
         }
     }
 }
 
 /// The engine-facing API handed to [`Driver`] callbacks.
 pub struct SimApi<'a, M> {
-    kernel: &'a mut Kernel<M>,
+    pub(crate) kernel: &'a mut Kernel<M>,
 }
 
 impl<M> std::fmt::Debug for SimApi<'_, M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimApi")
+            .field("first_node", &self.kernel.lo)
+            .field("nodes", &self.kernel.counters.len())
             .field("now", &self.kernel.now)
             .field("online", &self.kernel.online.count())
             .finish()
@@ -623,7 +714,7 @@ impl<'a, M> SimApi<'a, M> {
         self.kernel.now
     }
 
-    /// Network size.
+    /// Network size (the whole network, not the driver's block).
     #[inline]
     pub fn n(&self) -> usize {
         self.kernel.cfg.n()
@@ -635,19 +726,32 @@ impl<'a, M> SimApi<'a, M> {
         &self.kernel.cfg
     }
 
-    /// Whether `node` is currently online.
+    /// The node partition of this run (one block under [`Simulation`]).
+    #[inline]
+    pub fn plan(&self) -> &ShardPlan {
+        &self.kernel.plan
+    }
+
+    /// Whether `node` belongs to the block this driver serves.
+    #[inline]
+    pub fn owns(&self, node: NodeId) -> bool {
+        self.kernel.owns(node)
+    }
+
+    /// Whether `node` (any node, owned or not) is currently online.
     #[inline]
     pub fn is_online(&self, node: NodeId) -> bool {
         self.kernel.online.is_online(node)
     }
 
-    /// Number of currently online nodes.
+    /// Number of currently online nodes network-wide.
     #[inline]
     pub fn online_count(&self) -> usize {
         self.kernel.online.count()
     }
 
-    /// The currently online nodes (unspecified order).
+    /// The currently online nodes (unspecified order, but the same order
+    /// for every shard count).
     #[inline]
     pub fn online_nodes(&self) -> &[NodeId] {
         self.kernel.online.list()
@@ -655,82 +759,79 @@ impl<'a, M> SimApi<'a, M> {
 
     /// Protocol random number generator (deterministic per seed).
     ///
-    /// In a node-scoped callback (tick, delivery, churn) this is the
-    /// *per-node* stream of that node; in sample/inject callbacks it is
-    /// the global stream. Per-node streams make protocol randomness
-    /// independent of how same-time events at other nodes interleave —
-    /// the property the sharded engine's digest guarantee rests on.
+    /// In a node-scoped callback (tick, delivery, timer, churn of an owned
+    /// node) this is the *per-node* stream of that node; in sample/inject
+    /// callbacks it is the global stream. Per-node streams make protocol
+    /// randomness independent of how same-time events at other nodes
+    /// interleave — the property the shard-count invariance rests on.
+    ///
+    /// # Panics
+    ///
+    /// Panics in a churn callback for a node of another block
+    /// ([`owns`](Self::owns) is false): that node's stream lives with its
+    /// owner.
     #[inline]
     pub fn rng(&mut self) -> &mut Xoshiro256pp {
         self.kernel.ctx_rng()
     }
 
-    /// Draws a uniformly random online node, or `None` if all are offline.
+    /// Draws a uniformly random online node (network-wide), or `None` if
+    /// all are offline.
     pub fn random_online_node(&mut self) -> Option<NodeId> {
-        if self.kernel.online.count() == 0 {
+        let count = self.kernel.online.count();
+        if count == 0 {
             return None;
         }
-        let bound = self.kernel.online.count() as u64;
-        let i = match self.kernel.ctx {
-            Some(node) => self.kernel.proto_rngs[node.index()].below(bound),
-            None => self.kernel.proto_global.below(bound),
-        } as usize;
+        let i = self.kernel.ctx_rng().below(count as u64) as usize;
         Some(self.kernel.online.list()[i])
     }
 
     /// Sends `msg` from `from` to `to`; it arrives `transfer_time` later if
-    /// `to` is online at that instant.
+    /// `to` is online at that instant. `to` may live in any block; `from`
+    /// must be a node of this one, except in sample/inject callbacks, which
+    /// may send on behalf of any node.
+    #[inline]
     pub fn send(&mut self, from: NodeId, to: NodeId, msg: M) {
-        self.kernel.stats.messages_sent += 1;
-        let p = self.kernel.cfg.drop_probability();
-        if p > 0.0 && self.kernel.engine_rngs[from.index()].chance(p) {
-            self.kernel.stats.messages_dropped_fault += 1;
-            return;
-        }
-        let at = self.kernel.now + self.kernel.cfg.transfer_time();
-        let key = self.kernel.next_key(from);
-        self.kernel
-            .pending
-            .push((at, key, Ev::Deliver { from, to, msg }));
+        self.kernel.send(from, to, msg);
     }
 
-    /// Schedules [`Driver::on_timer`] with `token` after `delay`.
-    ///
-    /// The timer is owned by the current callback's node (or by the global
-    /// origin in sample/inject context).
+    /// Schedules [`Driver::on_timer`] with `token` after `delay`, at the
+    /// node whose callback is running.
     ///
     /// # Panics
     ///
     /// Panics if `delay` is zero: a zero-delay timer could fire "before"
     /// already-processed same-instant events, which would break the
-    /// engine's deterministic tie order.
+    /// engine's deterministic tie order. Panics outside a node-scoped
+    /// callback (sample/inject, churn of a node of another block): a timer
+    /// belongs to a node.
     pub fn schedule_timer(&mut self, delay: SimDuration, token: u64) {
         assert!(!delay.is_zero(), "timer delay must be positive");
-        let (key, node) = match self.kernel.ctx {
-            Some(node) => (self.kernel.next_key(node), Some(node)),
-            None => (self.kernel.next_global_key(), None),
+        let Ctx::Node(node) = self.kernel.ctx else {
+            panic!("timers can only be scheduled from a node's own callback");
         };
+        let key = self.kernel.next_key(node);
         self.kernel
             .pending
             .push((self.kernel.now + delay, key, Ev::Timer { node, token }));
     }
 
-    /// Statistics accumulated so far.
+    /// Statistics accumulated so far (this block's share under
+    /// [`crate::shard::ShardedSimulation`]).
     #[inline]
     pub fn stats(&self) -> &SimStats {
         &self.kernel.stats
     }
 }
 
-/// One monomorphized engine: driver + state + a concrete event queue.
-///
-/// The queue type is fixed at construction, so the event loop in
-/// [`run_until`](Engine::run_until) compiles to direct (inlinable) queue
-/// calls with no per-event dispatch branch.
-struct Engine<D: Driver, Q: EventQueue<Ev<D::Msg>>> {
-    driver: D,
-    kernel: Kernel<D::Msg>,
-    queue: Q,
+/// One block's event loop: kernel + queue + driver, monomorphized over a
+/// concrete event queue so the loop in [`run_until`](Engine::run_until)
+/// compiles to direct (inlinable) queue calls with no per-event dispatch
+/// branch.
+pub(crate) struct Engine<D: Driver, Q: EventQueue<Ev<D::Msg>>> {
+    pub(crate) kernel: Kernel<D::Msg>,
+    pub(crate) queue: Q,
+    pub(crate) driver: D,
     /// Scratch buffer for same-deadline runs handed to
     /// [`EventQueue::push_keyed_run`] (capacity reused).
     run_buf: Vec<(u64, Ev<D::Msg>)>,
@@ -742,118 +843,92 @@ struct Engine<D: Driver, Q: EventQueue<Ev<D::Msg>>> {
     /// destination through `grouper` (capacity reused).
     run_scratch: Vec<(NodeId, NodeId, Option<D::Msg>)>,
     grouper: RunGrouper,
-    /// Batch-size self-profiling (no-op unless `TA_PROFILE=1` or forced
-    /// on); replaces the throwaway instrumentation PR 5 bolted on to
-    /// learn that engine rows run at mean batch ≈ 1.3.
-    profile: Profile,
-    finished: bool,
-}
-
-/// A configured simulation run: the engine plus its driver.
-///
-/// Internally this is an enum over one monomorphized [`Engine`] per
-/// [`QueueKind`]: the branch on the queue implementation is taken once per
-/// public API call, never once per event.
-pub struct Simulation<D: Driver> {
-    inner: Inner<D>,
-}
-
-enum Inner<D: Driver> {
-    // Boxed so `Simulation` stays one pointer-sized move regardless of the
-    // queue's inline footprint (the wheel embeds its level tables). The
-    // indirection is touched once per public API call, not per event.
-    Heap(Box<Engine<D, BinaryHeapQueue<Ev<D::Msg>>>>),
-    Wheel(Box<Engine<D, TimingWheel<Ev<D::Msg>>>>),
-}
-
-/// Dispatches a method call to whichever monomorphized engine is active.
-macro_rules! on_engine {
-    ($self:expr, $e:ident => $body:expr) => {
-        match &$self.inner {
-            Inner::Heap($e) => $body,
-            Inner::Wheel($e) => $body,
-        }
-    };
-    (mut $self:expr, $e:ident => $body:expr) => {
-        match &mut $self.inner {
-            Inner::Heap($e) => $body,
-            Inner::Wheel($e) => $body,
-        }
-    };
+    /// Batch/window/mailbox self-profiling (no-op unless `TA_PROFILE=1`
+    /// or forced on).
+    pub(crate) profile: Profile,
 }
 
 impl<D: Driver, Q: EventQueue<Ev<D::Msg>>> Engine<D, Q> {
-    fn new(cfg: SimConfig, availability: &dyn AvailabilityModel, driver: D, queue: Q) -> Self {
+    /// Builds the engine of block `shard` of `plan`: the full initial
+    /// online set, every node's churn transitions, and the first tick of
+    /// each owned online node.
+    pub(crate) fn new(
+        plan: &Arc<ShardPlan>,
+        shard: usize,
+        cfg: &SimConfig,
+        availability: &dyn AvailabilityModel,
+        driver: D,
+        queue: Q,
+    ) -> Self {
         let n = cfg.n();
         let seed = cfg.seed();
+        let range = plan.range(shard);
         let mut kernel = Kernel {
-            engine_rngs: (0..n).map(|i| engine_stream(seed, i)).collect(),
-            proto_rngs: (0..n).map(|i| proto_stream(seed, i)).collect(),
-            proto_global: proto_global_stream(seed),
-            counters: vec![0; n],
-            global_counter: 0,
-            ctx: None,
-            pending: Vec::with_capacity(64),
-            online: OnlineSet::new(n),
-            tick_epoch: vec![0; n],
-            stats: SimStats::default(),
+            plan: Arc::clone(plan),
+            lo: range.start,
+            cfg: cfg.clone(),
             now: SimTime::ZERO,
-            cfg,
+            pending: Vec::with_capacity(64),
+            outbox: Vec::new(),
+            foreign: Vec::new(),
+            engine_rngs: range.clone().map(|i| engine_stream(seed, i)).collect(),
+            proto_rngs: range.clone().map(|i| proto_stream(seed, i)).collect(),
+            proto_global: proto_global_stream(seed),
+            counters: vec![0; range.len()],
+            tick_epoch: vec![0; range.len()],
+            online: OnlineSet::new(n),
+            ctx: Ctx::Remote,
+            stats: SimStats::default(),
         };
 
         // Initial online set, then per-node schedules. The per-node order —
         // all of a node's churn transitions, then its first tick — pins the
         // node's counter assignment; because keys and streams are per-node,
-        // the sharded engine reproduces the identical schedule for any
-        // subset of nodes.
+        // every partition reproduces the identical schedule. Every block
+        // replays every node's churn (so its mirror stays exact), but only
+        // owned nodes get ticks and a stored counter.
         for node in node_ids(n) {
             if availability.initially_online(node) {
                 kernel.online.set(node, true);
             }
         }
         for node in node_ids(n) {
+            let mut counter = 0;
             availability.for_each_transition(node, &mut |time, up| {
-                let key = kernel.next_key(node);
-                kernel
-                    .pending
-                    .push((time, key, if up { Ev::Up(node) } else { Ev::Down(node) }));
+                let key = order_key(node.raw(), counter);
+                counter += 1;
+                let ev = if up { Ev::Up(node) } else { Ev::Down(node) };
+                kernel.pending.push((time, key, ev));
             });
+            if kernel.owns(node) {
+                let local = kernel.local(node);
+                kernel.counters[local] = counter;
+            }
         }
-        let phase = kernel.cfg.tick_phase();
-        for node in node_ids(n) {
+        for node in range.clone().map(NodeId::from_index) {
             if kernel.online.is_online(node) {
-                let delay = kernel.tick_delay(node, phase);
+                let delay = kernel.tick_delay(node);
                 kernel.schedule_tick(node, delay);
             }
         }
-        if let Some(p) = kernel.cfg.sample_period() {
-            let key = kernel.next_global_key();
-            kernel.pending.push((SimTime::ZERO + p, key, Ev::Sample));
-        }
-        if let Some(p) = kernel.cfg.injection_period() {
-            let key = kernel.next_global_key();
-            kernel.pending.push((SimTime::ZERO + p, key, Ev::Inject));
-        }
         let mut engine = Engine {
-            driver,
             kernel,
             queue,
+            driver,
             run_buf: Vec::new(),
             batch: ReadyBatch::new(),
             run_scratch: Vec::new(),
-            grouper: RunGrouper::new(0, n),
+            grouper: RunGrouper::new(range.start, range.len()),
             profile: Profile::from_env(),
-            finished: false,
         };
         engine.flush_pending();
         engine
     }
 
     /// Moves buffered schedules into the queue, batching same-deadline
-    /// runs (see [`crate::queue::flush_run_batched`] — shared with the
-    /// sharded engine so the two push disciplines cannot drift).
+    /// runs (see [`crate::queue::flush_run_batched`]).
     #[inline]
-    fn flush_pending(&mut self) {
+    pub(crate) fn flush_pending(&mut self) {
         crate::queue::flush_run_batched(
             &mut self.kernel.pending,
             &mut self.run_buf,
@@ -861,12 +936,14 @@ impl<D: Driver, Q: EventQueue<Ev<D::Msg>>> Engine<D, Q> {
         );
     }
 
-    fn run_to_end(&mut self) {
-        let end = SimTime::ZERO + self.kernel.cfg.duration();
-        self.run_until(end);
-        self.finished = true;
+    /// Events not yet processed (diagnostic).
+    pub(crate) fn pending_events(&self) -> usize {
+        self.queue.len() + self.kernel.pending.len()
     }
 
+    /// Processes all events with `time <= until`, then parks the clock at
+    /// `until`.
+    ///
     /// The batch-drain event loop: one bounded queue drain hands out the
     /// whole earliest same-time run (no peek-then-pop double traversal),
     /// the clock advances once per run, and the deferred-push buffer
@@ -875,7 +952,7 @@ impl<D: Driver, Q: EventQueue<Ev<D::Msg>>> Engine<D, Q> {
     /// Every event scheduled during a dispatch lies strictly after the
     /// batch instant (all delays are positive), so consuming the run
     /// without re-consulting the queue is exact.
-    fn run_until(&mut self, until: SimTime) {
+    pub(crate) fn run_until(&mut self, until: SimTime) {
         loop {
             self.queue.drain_ready_before(until, &mut self.batch);
             let Some(t) = self.batch.time() else { break };
@@ -952,7 +1029,7 @@ impl<D: Driver, Q: EventQueue<Ev<D::Msg>>> Engine<D, Q> {
         self.kernel.stats.messages_delivered += self.run_scratch.len() as u64;
         for gi in 0..self.grouper.groups() {
             let (to, head, count) = self.grouper.group(gi);
-            self.kernel.ctx = Some(to);
+            self.kernel.ctx = Ctx::Node(to);
             let mut api = SimApi {
                 kernel: &mut self.kernel,
             };
@@ -969,13 +1046,13 @@ impl<D: Driver, Q: EventQueue<Ev<D::Msg>>> Engine<D, Q> {
     fn dispatch(&mut self, ev: Ev<D::Msg>) {
         match ev {
             Ev::Tick { node, epoch } => {
-                if self.kernel.tick_epoch[node.index()] != epoch {
+                if self.kernel.tick_epoch[self.kernel.local(node)] != epoch {
                     self.kernel.stats.ticks_stale += 1;
                     return;
                 }
                 debug_assert!(self.kernel.online.is_online(node));
                 self.kernel.stats.ticks_fired += 1;
-                self.kernel.ctx = Some(node);
+                self.kernel.ctx = Ctx::Node(node);
                 let mut api = SimApi {
                     kernel: &mut self.kernel,
                 };
@@ -990,73 +1067,16 @@ impl<D: Driver, Q: EventQueue<Ev<D::Msg>>> Engine<D, Q> {
                     return;
                 }
                 self.kernel.stats.messages_delivered += 1;
-                self.kernel.ctx = Some(to);
+                self.kernel.ctx = Ctx::Node(to);
                 let mut api = SimApi {
                     kernel: &mut self.kernel,
                 };
                 self.driver.on_message(&mut api, from, to, msg);
             }
-            Ev::Up(node) => {
-                if self.kernel.online.is_online(node) {
-                    return; // duplicate transition; ignore
-                }
-                self.kernel.online.set(node, true);
-                self.kernel.tick_epoch[node.index()] += 1;
-                let phase = self.kernel.cfg.tick_phase();
-                let delay = self.kernel.tick_delay(node, phase);
-                self.kernel.schedule_tick(node, delay);
-                self.kernel.ctx = Some(node);
-                let mut api = SimApi {
-                    kernel: &mut self.kernel,
-                };
-                self.driver.on_node_up(&mut api, node);
-            }
-            Ev::Down(node) => {
-                if !self.kernel.online.is_online(node) {
-                    return;
-                }
-                self.kernel.online.set(node, false);
-                self.kernel.tick_epoch[node.index()] += 1;
-                self.kernel.ctx = Some(node);
-                let mut api = SimApi {
-                    kernel: &mut self.kernel,
-                };
-                self.driver.on_node_down(&mut api, node);
-            }
-            Ev::Sample => {
-                self.kernel.stats.samples += 1;
-                self.kernel.ctx = None;
-                let mut api = SimApi {
-                    kernel: &mut self.kernel,
-                };
-                self.driver.on_sample(&mut api);
-                let p = self
-                    .kernel
-                    .cfg
-                    .sample_period()
-                    .expect("sample event without period");
-                let next = self.kernel.now + p;
-                let key = self.kernel.next_global_key();
-                self.kernel.pending.push((next, key, Ev::Sample));
-            }
-            Ev::Inject => {
-                self.kernel.stats.injections += 1;
-                self.kernel.ctx = None;
-                let mut api = SimApi {
-                    kernel: &mut self.kernel,
-                };
-                self.driver.on_inject(&mut api);
-                let p = self
-                    .kernel
-                    .cfg
-                    .injection_period()
-                    .expect("inject event without period");
-                let next = self.kernel.now + p;
-                let key = self.kernel.next_global_key();
-                self.kernel.pending.push((next, key, Ev::Inject));
-            }
+            Ev::Up(node) => self.churn(node, true),
+            Ev::Down(node) => self.churn(node, false),
             Ev::Timer { node, token } => {
-                self.kernel.ctx = node;
+                self.kernel.ctx = Ctx::Node(node);
                 let mut api = SimApi {
                     kernel: &mut self.kernel,
                 };
@@ -1064,38 +1084,84 @@ impl<D: Driver, Q: EventQueue<Ev<D::Msg>>> Engine<D, Q> {
             }
         }
     }
+
+    /// One churn transition: every block applies it to its online mirror
+    /// and tells its driver; the owning block also restarts (or cancels)
+    /// the node's ticks.
+    fn churn(&mut self, node: NodeId, up: bool) {
+        let k = &mut self.kernel;
+        let owned = k.owns(node);
+        if !owned {
+            // Replayed here only to keep the mirror exact: the merged
+            // `events_processed` counts a transition once, at its owner.
+            k.stats.events_processed -= 1;
+        }
+        if k.online.is_online(node) == up {
+            return; // duplicate transition; ignore
+        }
+        k.online.set(node, up);
+        if owned {
+            let local = k.local(node);
+            k.tick_epoch[local] += 1;
+            if up {
+                let delay = k.tick_delay(node);
+                k.schedule_tick(node, delay);
+            }
+            k.ctx = Ctx::Node(node);
+        } else {
+            k.ctx = Ctx::Remote;
+        }
+        let mut api = SimApi { kernel: k };
+        if up {
+            self.driver.on_node_up(&mut api, node);
+        } else {
+            self.driver.on_node_down(&mut api, node);
+        }
+    }
+}
+
+/// A configured simulation run on one block: the engine for the whole
+/// network `0..n` plus its driver, executed on the calling thread.
+///
+/// The queue implementation is chosen at construction, once: the event
+/// loop is monomorphized over it, so the branch on [`QueueKind`] is taken
+/// once per public API call, never once per event.
+///
+/// [`QueueKind`]: crate::config::QueueKind
+pub struct Simulation<D: Driver> {
+    core: AnyCore<D>,
+}
+
+/// The whole network is one block: it samples and injects for itself.
+fn whole_sample<D: Driver>(blocks: &mut [&mut D], api: &mut SimApi<'_, D::Msg>) {
+    blocks[0].on_sample(api);
+}
+
+fn whole_inject<D: Driver>(blocks: &mut [&mut D], api: &mut SimApi<'_, D::Msg>) {
+    blocks[0].on_inject(api);
 }
 
 impl<D: Driver> Simulation<D> {
     /// Builds a simulation over `availability` with the given driver.
     ///
     /// Schedules initial round ticks for initially-online nodes, all churn
-    /// transitions, and the sampling/injection trains if configured. The
-    /// queue implementation is chosen here, once: the event loop is
-    /// monomorphized over it, so per-event queue operations carry no
-    /// dispatch overhead.
+    /// transitions, and the sampling/injection trains if configured.
     pub fn new(cfg: SimConfig, availability: &dyn AvailabilityModel, driver: D) -> Self {
-        let n = cfg.n();
-        let inner = match cfg.queue() {
-            QueueKind::Heap => Inner::Heap(Box::new(Engine::new(
+        let plan = ShardPlan::new(cfg.n(), 1);
+        Simulation {
+            core: AnyCore::new(
                 cfg,
                 availability,
-                driver,
-                BinaryHeapQueue::with_capacity(n * 2),
-            ))),
-            QueueKind::Wheel => Inner::Wheel(Box::new(Engine::new(
-                cfg,
-                availability,
-                driver,
-                TimingWheel::new(),
-            ))),
-        };
-        Simulation { inner }
+                plan,
+                vec![driver],
+                (whole_sample::<D>, whole_inject::<D>),
+            ),
+        }
     }
 
     /// Runs until the configured duration is reached (or the queue drains).
     pub fn run_to_end(&mut self) {
-        on_engine!(mut self, e => e.run_to_end())
+        on_core!(mut self.core, c => c.run_whole_to_end())
     }
 
     /// Processes all events with `time <= until`, advancing the clock to
@@ -1104,82 +1170,79 @@ impl<D: Driver> Simulation<D> {
     /// Can be called repeatedly with increasing horizons to interleave
     /// simulation with external observation.
     pub fn run_until(&mut self, until: SimTime) {
-        on_engine!(mut self, e => e.run_until(until))
+        on_core!(mut self.core, c => c.run_whole(until))
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        on_engine!(self, e => e.kernel.now)
+        on_core!(self.core, c => c.now())
     }
 
     /// Statistics accumulated so far.
     pub fn stats(&self) -> &SimStats {
-        on_engine!(self, e => &e.kernel.stats)
+        on_core!(self.core, c => &c.engines[0].kernel.stats)
     }
 
     /// The driver (protocol state), for inspection.
     pub fn driver(&self) -> &D {
-        on_engine!(self, e => &e.driver)
+        on_core!(self.core, c => &c.engines[0].driver)
     }
 
     /// Mutable access to the driver between run segments.
     pub fn driver_mut(&mut self) -> &mut D {
-        on_engine!(mut self, e => &mut e.driver)
+        on_core!(mut self.core, c => &mut c.engines[0].driver)
     }
 
     /// Consumes the simulation, returning the driver and final statistics.
     pub fn into_parts(self) -> (D, SimStats) {
-        match self.inner {
-            Inner::Heap(e) => (e.driver, e.kernel.stats),
-            Inner::Wheel(e) => (e.driver, e.kernel.stats),
-        }
+        let (mut blocks, stats) = self.core.into_blocks();
+        (blocks.pop().expect("the whole network is one block"), stats)
     }
 
     /// Self-profiling totals (empty unless profiling is enabled).
     pub fn profile(&self) -> &Profile {
-        on_engine!(self, e => &e.profile)
+        on_core!(self.core, c => &c.engines[0].profile)
     }
 
     /// Forces self-profiling on or off for this simulation, overriding
     /// the `TA_PROFILE` environment default (benches force it on for
     /// dedicated collection runs so measured runs stay untouched).
     pub fn set_profiling(&mut self, enabled: bool) {
-        on_engine!(mut self, e => e.profile = Profile::forced(enabled))
+        self.core.set_profiling(enabled);
     }
 
     /// Number of pending events (diagnostic).
     pub fn pending_events(&self) -> usize {
-        on_engine!(self, e => e.queue.len() + e.kernel.pending.len())
+        on_core!(self.core, c => c.pending_events())
     }
 
     /// Whether `run_to_end` has completed.
     pub fn is_finished(&self) -> bool {
-        on_engine!(self, e => e.finished)
+        on_core!(self.core, c => c.finished)
     }
 
     /// Engine state, for in-crate tests.
     #[cfg(test)]
     fn kernel(&self) -> &Kernel<D::Msg> {
-        on_engine!(self, e => &e.kernel)
+        on_core!(self.core, c => &c.engines[0].kernel)
     }
 }
 
 impl<D: Driver + std::fmt::Debug> std::fmt::Debug for Simulation<D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        on_engine!(self, e => f
-            .debug_struct("Simulation")
-            .field("now", &e.kernel.now)
-            .field("pending", &e.queue.len())
-            .field("stats", &e.kernel.stats)
-            .field("driver", &e.driver)
-            .finish())
+        f.debug_struct("Simulation")
+            .field("now", &self.now())
+            .field("pending", &self.pending_events())
+            .field("stats", self.stats())
+            .field("driver", self.driver())
+            .finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SimConfig;
+    use crate::config::{QueueKind, SimConfig};
 
     /// Counts everything; replies to every message once.
     #[derive(Debug, Default)]
@@ -1593,6 +1656,27 @@ mod tests {
             fn on_message(&mut self, _: &mut SimApi<'_, ()>, _: NodeId, _: NodeId, _: ()) {}
         }
         let mut sim = Simulation::new(small_cfg(1), &AlwaysOn, BadTimer);
+        sim.run_to_end();
+    }
+
+    #[test]
+    #[should_panic(expected = "timers can only be scheduled from a node's own callback")]
+    fn timers_outside_a_node_callback_are_rejected() {
+        struct SampleTimer;
+        impl Driver for SampleTimer {
+            type Msg = ();
+            fn on_round_tick(&mut self, _: &mut SimApi<'_, ()>, _: NodeId) {}
+            fn on_message(&mut self, _: &mut SimApi<'_, ()>, _: NodeId, _: NodeId, _: ()) {}
+            fn on_sample(&mut self, api: &mut SimApi<'_, ()>) {
+                api.schedule_timer(SimDuration::from_secs(1), 1);
+            }
+        }
+        let cfg = SimConfig::builder(1)
+            .duration(SimDuration::from_secs(100))
+            .sample_period(SimDuration::from_secs(10))
+            .build()
+            .unwrap();
+        let mut sim = Simulation::new(cfg, &AlwaysOn, SampleTimer);
         sim.run_to_end();
     }
 

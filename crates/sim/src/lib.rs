@@ -10,13 +10,13 @@
 //! * [`queue`]/[`wheel`] — two interchangeable pending-event sets with
 //!   identical deterministic ordering (binary heap and hierarchical timing
 //!   wheel).
-//! * [`engine`] — the event loop: round ticks, message transfer, churn,
-//!   sampling/injection trains, one-shot timers ([`Simulation`],
-//!   [`Driver`], [`SimApi`]).
-//! * [`shard`] — intra-run parallelism: [`ShardedSimulation`] partitions
-//!   one run across shards with transfer-time lookahead windows, producing
-//!   results byte-identical to [`Simulation`] for every shard and thread
-//!   count.
+//! * [`engine`] — the one event loop: round ticks, message transfer,
+//!   churn, one-shot timers over a block of nodes; [`Simulation`] runs it
+//!   for the whole network ([`Driver`], [`SimApi`]).
+//! * [`shard`] — intra-run parallelism: [`ShardedSimulation`] cuts one run
+//!   into shards, each the same event loop over its block, synchronized
+//!   by transfer-time lookahead windows; results are byte-identical to
+//!   [`Simulation`] for every shard and thread count.
 //! * [`paper`] — the timing constants of the paper's experimental setup.
 //!
 //! # Quickstart
@@ -61,9 +61,7 @@ pub mod wheel;
 pub use config::{QueueKind, SimConfig, TickPhase};
 pub use engine::{AlwaysOn, AvailabilityModel, Driver, SimApi, SimStats, Simulation};
 pub use ids::NodeId;
-pub use shard::{
-    BarrierApi, ShardApi, ShardDriver, ShardOpts, ShardPlan, ShardableDriver, ShardedSimulation,
-};
+pub use shard::{ShardOpts, ShardPlan, ShardableDriver, ShardedSimulation};
 pub use time::{SimDuration, SimTime};
 
 /// Convenient glob import for driver implementations.
@@ -72,8 +70,6 @@ pub mod prelude {
     pub use crate::engine::{AlwaysOn, AvailabilityModel, Driver, SimApi, SimStats, Simulation};
     pub use crate::ids::NodeId;
     pub use crate::rng::Xoshiro256pp;
-    pub use crate::shard::{
-        BarrierApi, ShardApi, ShardDriver, ShardOpts, ShardPlan, ShardableDriver, ShardedSimulation,
-    };
+    pub use crate::shard::{ShardOpts, ShardPlan, ShardableDriver, ShardedSimulation};
     pub use crate::time::{SimDuration, SimTime};
 }

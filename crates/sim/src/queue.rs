@@ -4,10 +4,10 @@
 //! is a tie-breaking key: two events scheduled for the same instant fire in
 //! increasing key order. The engine assigns keys with [`order_key`] — a
 //! *shard-invariant* `(origin node, per-origin counter)` pair packed into a
-//! `u64` — so that the same total event order can be reproduced by the
-//! serial engine and by every shard of
-//! [`crate::shard::ShardedSimulation`] without global coordination.
-//! Callers that do not care about cross-engine reproducibility can use
+//! `u64` — so that the same total event order is reproduced by every shard
+//! of [`crate::shard::ShardedSimulation`], for every shard count, without
+//! global coordination.
+//! Callers that do not care about cross-partition reproducibility can use
 //! [`EventQueue::push`], which assigns keys in FIFO call order from an
 //! internal counter (do not mix the two disciplines in one queue: key
 //! uniqueness is the caller's responsibility under `push_keyed`).
@@ -242,10 +242,9 @@ pub(crate) const RUN_BATCH_MIN: usize = 3;
 /// exactly `transfer_time` later) to [`EventQueue::push_keyed_run`] so the
 /// wheel classifies the slot once per run.
 ///
-/// One implementation serves the serial and the sharded engines: the
-/// run-detection threshold is part of the byte-identical-results contract
-/// (both engines must push through identical queue entry points), so it
-/// must not fork.
+/// The run-detection threshold is part of the byte-identical-results
+/// contract: every shard count must push through identical queue entry
+/// points.
 pub(crate) fn flush_run_batched<E, Q: EventQueue<E>>(
     pending: &mut Vec<(SimTime, u64, E)>,
     run_buf: &mut Vec<(u64, E)>,

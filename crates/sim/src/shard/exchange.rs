@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use super::OutMsg;
+use crate::engine::OutMsg;
 use crate::time::{SimDuration, SimTime};
 
 /// Why a segment stopped, computed by the last finisher and read by the

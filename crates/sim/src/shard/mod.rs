@@ -2,11 +2,14 @@
 //! transfer-time lookahead.
 //!
 //! [`ShardedSimulation`] partitions the nodes of one run across `S` shards
-//! — contiguous node-id blocks — each owning its own event queue, its own
-//! per-node [`Xoshiro256pp`] streams, and its own slice of driver state
-//! (a [`ShardDriver`]). Shards execute windows of `[t, t + transfer_time)`
-//! independently; cross-shard sends are deposited in per-shard mailboxes
-//! and drained at window boundaries. This is classic
+//! — contiguous node-id blocks — and gives each block its own
+//! [`crate::engine`] event loop: its own event queue, its own per-node
+//! [`Xoshiro256pp`](crate::rng::Xoshiro256pp) streams, and its own block
+//! of driver state (one piece of a [`ShardableDriver`]). It is the same
+//! loop [`Simulation`] runs for the single block `0..n`; nothing in this
+//! module dispatches an event. Shards execute windows of
+//! `[t, t + transfer_time)` independently; cross-shard sends are deposited
+//! in per-shard mailboxes and drained at window boundaries. This is classic
 //! conservative-synchronization parallel discrete-event simulation, and
 //! the engine's own semantics provide the lookahead: *every* cross-node
 //! effect travels as a message delivered exactly `transfer_time` later, so
@@ -15,8 +18,10 @@
 //!
 //! # Execution: a channel pipeline, not a barrier
 //!
-//! Workers are spawned once per run and stay hot: the coordinator sends
-//! [`pipeline`]-level work messages (a *segment* of consecutive full
+//! With one shard there is nothing to exchange: the run is the S = 1 loop
+//! on the calling thread — no window, no gate, no mailbox, no thread.
+//! Otherwise workers are spawned once per run and stay hot: the coordinator
+//! sends [`pipeline`]-level work messages (a *segment* of consecutive full
 //! windows, or a *part-window* run up to an engine-global instant) over
 //! per-worker channels and collects one finished message per worker per
 //! dispatch. Within a segment the only synchronization is the per-window
@@ -47,10 +52,12 @@
 //!
 //! # Exactness, not just determinism
 //!
-//! Results are **byte-identical to the serial [`Simulation`] engine** for
-//! every shard count (including `S = 1`), every worker-thread count, and
-//! pinning on or off, because every source of ordering and randomness in
-//! the engine is *shard-invariant*:
+//! Results are **byte-identical to S = 1** — the run [`Simulation`]
+//! executes — for every shard count, every worker-thread count, and
+//! pinning on or off; and S = 1 is pinned to the serial engine this
+//! workspace used to carry by the constants of `tests/golden_runs.rs`.
+//! Every source of ordering and randomness in the engine is
+//! *shard-invariant*:
 //!
 //! * ties in event time fire in `(origin node, per-origin counter)` key
 //!   order ([`crate::queue::order_key`]) — a total order every shard can
@@ -65,7 +72,7 @@
 //! * engine-global events (metric samples, injections) sort after all
 //!   node events of their instant and run with every shard quiescent,
 //!   where the coordinator can merge metrics in node order (see
-//!   [`ShardableDriver::on_sample`]);
+//!   [`ShardableDriver::on_sample_blocks`]);
 //! * lane claims and tail-steals hand out *whole* shard-window drains:
 //!   each shard-window executes on exactly one thread, so the keys fix
 //!   the pop order no matter which worker ran it.
@@ -78,24 +85,21 @@
 //! cores; reach for `--shards` when a single huge-N scenario must saturate
 //! the machine (see `ta-experiments`' `run_grid_prepared`, which trades
 //! the two automatically and caps the product of the two layers at the
-//! core count).
+//! core count). A shard-window must hold enough events to pay for its gate
+//! pass: at n = 100 000 two shards on two cores run 1.6× the single block,
+//! at n = 2 000 they run at 0.6–0.8× of it. Shard big runs, not small
+//! ones.
 
 mod exchange;
-mod pipeline;
+pub(crate) mod pipeline;
 mod worker;
 
-use std::sync::Arc;
-
-use crate::config::{QueueKind, SimConfig, TickPhase};
-use crate::engine::{tick_delay_from, OnlineSet};
-use crate::engine::{AvailabilityModel, Driver, MsgBatch, SimStats};
+use crate::config::SimConfig;
+use crate::engine::{AvailabilityModel, Driver, SimApi, SimStats};
 use crate::ids::NodeId;
-use crate::queue::{order_key, BinaryHeapQueue};
-use crate::rng::Xoshiro256pp;
-use crate::time::{SimDuration, SimTime};
-use crate::wheel::TimingWheel;
+use crate::time::SimTime;
 
-use pipeline::SCore;
+use pipeline::{on_core, AnyCore};
 
 #[cfg(doc)]
 use crate::engine::Simulation;
@@ -105,7 +109,7 @@ use crate::engine::Simulation;
 /// Shard `s` owns the node-id range `[s·n/S, (s+1)·n/S)`. Contiguous
 /// blocks (rather than round-robin striping) matter for exactness: metric
 /// merges that fold shard partials in shard order visit nodes in exactly
-/// the node-id order the serial engine uses.
+/// the node-id order a single block does.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPlan {
     n: usize,
@@ -164,449 +168,59 @@ impl ShardPlan {
     pub fn range(&self, shard: usize) -> std::ops::Range<usize> {
         self.bounds[shard] as usize..self.bounds[shard + 1] as usize
     }
-}
 
-/// Shard-internal event payload (engine-global events live with the
-/// coordinator, never in shard queues).
-#[derive(Debug)]
-enum SEv<M> {
-    Tick { node: NodeId, epoch: u32 },
-    Deliver { from: NodeId, to: NodeId, msg: M },
-    Up(NodeId),
-    Down(NodeId),
-    Timer { node: NodeId, token: u64 },
-}
-
-/// A cross-shard delivery awaiting its destination's next window.
-#[derive(Debug)]
-struct OutMsg<M> {
-    time: SimTime,
-    key: u64,
-    from: NodeId,
-    to: NodeId,
-    msg: M,
-}
-
-/// Whose callback is running (selects the stream [`ShardApi::rng`] hands
-/// out, and guards against misuse in remote-churn callbacks).
-#[derive(Debug, Clone, Copy)]
-enum Ctx {
-    /// A callback scoped to an owned node.
-    Owned(NodeId),
-    /// A churn notification for a node another shard owns: the driver may
-    /// update mirrors but must not draw randomness or send.
-    Remote,
-}
-
-/// Per-shard engine state handed to [`ShardDriver`] callbacks through
-/// [`ShardApi`]. Owns the shard's slice of streams/counters plus a full
-/// replica of the online bookkeeping (kept exact by replayed churn).
-struct ShardKernel<M> {
-    plan: Arc<ShardPlan>,
-    shard: usize,
-    /// First owned node index (dense stream/counter vectors are offset by
-    /// this).
-    base: usize,
-    cfg: SimConfig,
-    now: SimTime,
-    pending: Vec<(SimTime, u64, SEv<M>)>,
-    outbox: Vec<OutMsg<M>>,
-    /// Engine streams of owned nodes (tick phases, drop decisions).
-    engine_rngs: Vec<Xoshiro256pp>,
-    /// Protocol streams of owned nodes.
-    proto_rngs: Vec<Xoshiro256pp>,
-    /// Schedule counters of owned nodes.
-    counters: Vec<u64>,
-    /// Tick epochs of owned nodes.
-    tick_epoch: Vec<u32>,
-    /// Full online mirror (all nodes), exact at every instant.
-    online: OnlineSet,
-    ctx: Ctx,
-    stats: SimStats,
-}
-
-impl<M> ShardKernel<M> {
-    #[inline]
-    fn owns(&self, node: NodeId) -> bool {
-        let i = node.index();
-        let r = self.plan.range(self.shard);
-        r.start <= i && i < r.end
-    }
-
-    #[inline]
-    fn local(&self, node: NodeId) -> usize {
-        debug_assert!(self.owns(node), "node {node} not owned by this shard");
-        node.index() - self.base
-    }
-
-    #[inline]
-    fn next_key(&mut self, node: NodeId) -> u64 {
-        let local = self.local(node);
-        let c = &mut self.counters[local];
-        let key = order_key(node.raw(), *c);
-        *c += 1;
-        key
-    }
-
-    fn tick_delay(&mut self, node: NodeId, phase: TickPhase) -> SimDuration {
-        let local = self.local(node);
-        tick_delay_from(&mut self.engine_rngs[local], self.cfg.delta(), phase)
-    }
-
-    fn schedule_tick(&mut self, node: NodeId, delay: SimDuration) {
-        let epoch = self.tick_epoch[self.local(node)];
-        let key = self.next_key(node);
-        self.pending
-            .push((self.now + delay, key, SEv::Tick { node, epoch }));
-    }
-}
-
-/// The engine-facing API handed to [`ShardDriver`] callbacks; the sharded
-/// counterpart of [`crate::engine::SimApi`].
-pub struct ShardApi<'a, M> {
-    kernel: &'a mut ShardKernel<M>,
-}
-
-impl<M> std::fmt::Debug for ShardApi<'_, M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardApi")
-            .field("shard", &self.kernel.shard)
-            .field("now", &self.kernel.now)
-            .field("online", &self.kernel.online.count())
-            .finish()
-    }
-}
-
-impl<'a, M> ShardApi<'a, M> {
-    /// Current virtual time.
-    #[inline]
-    pub fn now(&self) -> SimTime {
-        self.kernel.now
-    }
-
-    /// Network size (the whole network, not this shard's block).
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.kernel.cfg.n()
-    }
-
-    /// The simulation configuration.
-    #[inline]
-    pub fn config(&self) -> &SimConfig {
-        &self.kernel.cfg
-    }
-
-    /// The node partition of this run.
-    #[inline]
-    pub fn plan(&self) -> &ShardPlan {
-        &self.kernel.plan
-    }
-
-    /// Whether `node` (any node, owned or not) is currently online. Exact:
-    /// every shard replays the full churn schedule.
-    #[inline]
-    pub fn is_online(&self, node: NodeId) -> bool {
-        self.kernel.online.is_online(node)
-    }
-
-    /// Number of currently online nodes network-wide.
-    #[inline]
-    pub fn online_count(&self) -> usize {
-        self.kernel.online.count()
-    }
-
-    /// The currently online nodes (unspecified order; identical to the
-    /// serial engine's order at the same instant).
-    #[inline]
-    pub fn online_nodes(&self) -> &[NodeId] {
-        self.kernel.online.list()
-    }
-
-    /// Protocol random number generator of the node whose callback is
-    /// running — the identical stream, at the identical position, the
-    /// serial engine would hand out.
+    /// Cuts a per-node vector (one entry per node, in node order) into
+    /// the per-shard blocks of this plan.
     ///
     /// # Panics
     ///
-    /// Panics in a remote-churn callback (`owned = false` in
-    /// [`ShardDriver::on_node_up`]/[`on_node_down`](ShardDriver::on_node_down)):
-    /// that node's stream lives on its owning shard.
-    #[inline]
-    pub fn rng(&mut self) -> &mut Xoshiro256pp {
-        match self.kernel.ctx {
-            Ctx::Owned(node) => {
-                let local = self.kernel.local(node);
-                &mut self.kernel.proto_rngs[local]
-            }
-            Ctx::Remote => panic!(
-                "ShardApi::rng is not available in remote-churn callbacks \
-                 (the node's stream lives on its owning shard)"
-            ),
-        }
-    }
-
-    /// Draws a uniformly random online node (network-wide), or `None` if
-    /// all are offline.
-    pub fn random_online_node(&mut self) -> Option<NodeId> {
-        if self.kernel.online.count() == 0 {
-            return None;
-        }
-        let bound = self.kernel.online.count() as u64;
-        let i = self.rng().below(bound) as usize;
-        Some(self.kernel.online.list()[i])
-    }
-
-    /// Sends `msg` from `from` to `to`; it arrives `transfer_time` later
-    /// if `to` is online at that instant. `to` may live on any shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if `from` is not owned by this shard: the
-    /// send key and drop decision belong to `from`'s streams.
-    pub fn send(&mut self, from: NodeId, to: NodeId, msg: M) {
-        let k = &mut *self.kernel;
-        debug_assert!(
-            k.owns(from),
-            "ShardDriver sent from node {from}, which this shard does not own"
-        );
-        k.stats.messages_sent += 1;
-        let p = k.cfg.drop_probability();
-        if p > 0.0 {
-            let local = from.index() - k.base;
-            if k.engine_rngs[local].chance(p) {
-                k.stats.messages_dropped_fault += 1;
-                return;
-            }
-        }
-        let at = k.now + k.cfg.transfer_time();
-        let key = k.next_key(from);
-        if k.plan.shard_of(to) == k.shard {
-            k.pending.push((at, key, SEv::Deliver { from, to, msg }));
-        } else {
-            k.outbox.push(OutMsg {
-                time: at,
-                key,
-                from,
-                to,
-                msg,
-            });
-        }
-    }
-
-    /// Schedules [`ShardDriver::on_timer`] for the current callback's node
-    /// after `delay`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delay` is zero (see
-    /// [`crate::engine::SimApi::schedule_timer`]) or in a remote-churn
-    /// callback.
-    pub fn schedule_timer(&mut self, delay: SimDuration, token: u64) {
-        assert!(!delay.is_zero(), "timer delay must be positive");
-        let node = match self.kernel.ctx {
-            Ctx::Owned(node) => node,
-            Ctx::Remote => panic!("cannot schedule timers from remote-churn callbacks"),
-        };
-        let key = self.kernel.next_key(node);
-        let at = self.kernel.now + delay;
-        self.kernel
-            .pending
-            .push((at, key, SEv::Timer { node, token }));
-    }
-
-    /// This shard's statistics so far (merged across shards at the end of
-    /// the run).
-    #[inline]
-    pub fn stats(&self) -> &SimStats {
-        &self.kernel.stats
+    /// Panics if `items.len() != n`.
+    pub fn partition<T>(&self, mut items: Vec<T>) -> Vec<Vec<T>> {
+        assert_eq!(items.len(), self.n, "one entry per node");
+        let mut blocks: Vec<Vec<T>> = (0..self.shards)
+            .rev()
+            .map(|s| items.split_off(self.bounds[s] as usize))
+            .collect();
+        blocks.reverse();
+        blocks
     }
 }
 
-/// One shard's slice of a partitioned driver: the node-scoped callbacks of
-/// [`Driver`], restricted to owned nodes, plus full-network churn
-/// notifications for mirror maintenance.
-pub trait ShardDriver: Send {
-    /// Message payload carried between nodes (must cross threads).
-    type Msg: Send;
-
-    /// A round tick fired at an owned online node.
-    fn on_round_tick(&mut self, api: &mut ShardApi<'_, Self::Msg>, node: NodeId);
-
-    /// A message arrived at owned online node `to` (`from` may live on any
-    /// shard).
-    fn on_message(
-        &mut self,
-        api: &mut ShardApi<'_, Self::Msg>,
-        from: NodeId,
-        to: NodeId,
-        msg: Self::Msg,
-    );
-
-    /// A same-instant batch of messages addressed to owned online node
-    /// `to`, in per-event delivery order — the sharded counterpart of
-    /// [`Driver::on_message_batch`], with the same contract: consume
-    /// every entry, stay observably equivalent to per-event
-    /// [`on_message`](Self::on_message) calls (the serial engine splits
-    /// runs differently, so drift breaks the byte-identical guarantee).
-    fn on_message_batch(
-        &mut self,
-        api: &mut ShardApi<'_, Self::Msg>,
-        to: NodeId,
-        msgs: &mut MsgBatch<'_, Self::Msg>,
-    ) {
-        for (from, msg) in msgs.by_ref() {
-            self.on_message(api, from, to, msg);
-        }
-    }
-
-    /// `node` came online. Fired for **every** node's transitions, with
-    /// `owned` telling whether this shard owns it: update full-network
-    /// mirrors unconditionally, run node-scoped reactions (which may draw
-    /// randomness and send) only when `owned`.
-    fn on_node_up(&mut self, api: &mut ShardApi<'_, Self::Msg>, node: NodeId, owned: bool) {
-        let _ = (api, node, owned);
-    }
-
-    /// `node` went offline (same ownership contract as
-    /// [`on_node_up`](Self::on_node_up)).
-    fn on_node_down(&mut self, api: &mut ShardApi<'_, Self::Msg>, node: NodeId, owned: bool) {
-        let _ = (api, node, owned);
-    }
-
-    /// A timer scheduled through [`ShardApi::schedule_timer`] fired at its
-    /// owned node.
-    fn on_timer(&mut self, api: &mut ShardApi<'_, Self::Msg>, node: NodeId, token: u64) {
-        let _ = (api, node, token);
-    }
-}
-
-/// A driver that can be partitioned into independent per-shard pieces.
+/// A driver that can be cut into independent per-shard blocks.
 ///
-/// The split/merge pair must round-trip the driver's state, and the two
-/// barrier callbacks must reproduce the serial driver's sample/inject
-/// behaviour *bitwise* (fold integer partials, or walk shards in order so
-/// f64 accumulation visits nodes in node-id order — shards are contiguous
-/// blocks precisely to make that possible).
-pub trait ShardableDriver: Driver<Msg: Send> + Sized {
-    /// One shard's slice of the driver state.
-    type Shard: ShardDriver<Msg = Self::Msg>;
-    /// Coordinator-side state: metric series and whatever else the
-    /// barrier callbacks accumulate.
-    type Global: Send;
-
-    /// Partitions the driver into `plan.shards()` pieces plus the
-    /// coordinator state.
-    fn split(self, plan: &ShardPlan) -> (Self::Global, Vec<Self::Shard>);
+/// Every block is the same type as the whole: a driver whose per-node
+/// state covers `plan.range(s)` instead of `0..n`, running the same
+/// [`Driver`] callbacks on the same [`SimApi`]. The split/merge pair must
+/// round-trip the driver's state, and the two barrier callbacks must
+/// reproduce the whole driver's [`Driver::on_sample`]/[`Driver::on_inject`]
+/// *bitwise* (fold integer partials, or walk blocks in order so f64
+/// accumulation visits nodes in node-id order — shards are contiguous
+/// blocks precisely to make that possible). The natural way to get that
+/// is to write the barrier callbacks once, over blocks, and let the
+/// `Driver` hooks call them with the one-block slice `&mut [self]`.
+pub trait ShardableDriver: Driver + Sized {
+    /// Cuts the driver into `plan.shards()` blocks, in shard order.
+    /// Coordinator-side state (metric series and whatever else the barrier
+    /// callbacks accumulate) stays with one of them, conventionally the
+    /// first. Only called for more than one shard: a one-shard run takes
+    /// the driver as it is.
+    fn split(self, plan: &ShardPlan) -> Vec<Self>;
 
     /// Reassembles the driver after the run (inverse of
     /// [`split`](Self::split)).
-    fn merge(plan: &ShardPlan, global: Self::Global, shards: Vec<Self::Shard>) -> Self;
+    fn merge(plan: &ShardPlan, blocks: Vec<Self>) -> Self;
 
-    /// The periodic metric sample (the serial driver's
-    /// [`Driver::on_sample`]), fired at an engine-global instant with
-    /// every shard quiescent.
-    fn on_sample(
-        global: &mut Self::Global,
-        shards: &mut [&mut Self::Shard],
-        api: &mut BarrierApi<'_, Self::Msg>,
-    ) {
-        let _ = (global, shards, api);
+    /// The periodic metric sample over all blocks, fired at an
+    /// engine-global instant with every shard quiescent. `api` is in the
+    /// engine-global context of [`Driver::on_sample`].
+    fn on_sample_blocks(blocks: &mut [&mut Self], api: &mut SimApi<'_, Self::Msg>) {
+        let _ = (blocks, api);
     }
 
-    /// The periodic injection (the serial driver's
-    /// [`Driver::on_inject`]), fired at an engine-global instant.
-    fn on_inject(
-        global: &mut Self::Global,
-        shards: &mut [&mut Self::Shard],
-        api: &mut BarrierApi<'_, Self::Msg>,
-    ) {
-        let _ = (global, shards, api);
-    }
-}
-
-/// The API of barrier-time (engine-global) callbacks: sample and inject.
-///
-/// Mirrors the serial engine's global-context [`crate::engine::SimApi`]:
-/// the RNG is the global protocol stream, and sends are buffered and
-/// routed by the coordinator with the sending node's key and drop
-/// decision — in buffer order, exactly as the serial engine consumes them.
-pub struct BarrierApi<'a, M> {
-    now: SimTime,
-    cfg: &'a SimConfig,
-    plan: &'a ShardPlan,
-    online: &'a [bool],
-    online_list: &'a [NodeId],
-    rng: &'a mut Xoshiro256pp,
-    sends: Vec<(NodeId, NodeId, M)>,
-}
-
-impl<M> std::fmt::Debug for BarrierApi<'_, M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BarrierApi")
-            .field("now", &self.now)
-            .field("online", &self.online_list.len())
-            .finish()
-    }
-}
-
-impl<'a, M> BarrierApi<'a, M> {
-    /// Current virtual time.
-    #[inline]
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Network size.
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.cfg.n()
-    }
-
-    /// The simulation configuration.
-    #[inline]
-    pub fn config(&self) -> &SimConfig {
-        self.cfg
-    }
-
-    /// The node partition of this run.
-    #[inline]
-    pub fn plan(&self) -> &ShardPlan {
-        self.plan
-    }
-
-    /// Whether `node` is currently online.
-    #[inline]
-    pub fn is_online(&self, node: NodeId) -> bool {
-        self.online[node.index()]
-    }
-
-    /// Number of currently online nodes.
-    #[inline]
-    pub fn online_count(&self) -> usize {
-        self.online_list.len()
-    }
-
-    /// The global protocol stream (the stream the serial engine hands to
-    /// sample/inject callbacks).
-    #[inline]
-    pub fn rng(&mut self) -> &mut Xoshiro256pp {
-        self.rng
-    }
-
-    /// Draws a uniformly random online node, or `None` if all are offline.
-    pub fn random_online_node(&mut self) -> Option<NodeId> {
-        if self.online_list.is_empty() {
-            return None;
-        }
-        let i = self.rng.below(self.online_list.len() as u64) as usize;
-        Some(self.online_list[i])
-    }
-
-    /// Sends `msg` from `from` to `to` (arriving `transfer_time` later).
-    /// `from` may be any node: the coordinator charges the send to
-    /// `from`'s counter and engine stream when it routes the buffer.
-    pub fn send(&mut self, from: NodeId, to: NodeId, msg: M) {
-        self.sends.push((from, to, msg));
+    /// The periodic injection over all blocks, fired at an engine-global
+    /// instant. `api` may send from any node of any block.
+    fn on_inject_blocks(blocks: &mut [&mut Self], api: &mut SimApi<'_, Self::Msg>) {
+        let _ = (blocks, api);
     }
 }
 
@@ -645,31 +259,12 @@ impl ShardOpts {
     }
 }
 
-/// The sharded counterpart of [`crate::engine::Simulation`].
+/// One run partitioned across S ≥ 1 shards of a [`ShardableDriver`].
 ///
 /// See the [module docs](self) for semantics and the exactness argument.
 pub struct ShardedSimulation<D: ShardableDriver> {
-    inner: SInner<D>,
-}
-
-enum SInner<D: ShardableDriver> {
-    Heap(SCore<D, BinaryHeapQueue<SEv<D::Msg>>>),
-    Wheel(SCore<D, TimingWheel<SEv<D::Msg>>>),
-}
-
-macro_rules! on_core {
-    ($self:expr, $c:ident => $body:expr) => {
-        match &$self.inner {
-            SInner::Heap($c) => $body,
-            SInner::Wheel($c) => $body,
-        }
-    };
-    (mut $self:expr, $c:ident => $body:expr) => {
-        match &mut $self.inner {
-            SInner::Heap($c) => $body,
-            SInner::Wheel($c) => $body,
-        }
-    };
+    core: AnyCore<D>,
+    opts: ShardOpts,
 }
 
 impl<D: ShardableDriver> ShardedSimulation<D> {
@@ -697,49 +292,57 @@ impl<D: ShardableDriver> ShardedSimulation<D> {
         driver: D,
         opts: ShardOpts,
     ) -> Self {
-        let inner = match cfg.queue() {
-            QueueKind::Heap => SInner::Heap(SCore::new(
-                cfg,
-                availability,
-                driver,
-                opts,
-                BinaryHeapQueue::new,
-            )),
-            QueueKind::Wheel => SInner::Wheel(SCore::new(
-                cfg,
-                availability,
-                driver,
-                opts,
-                TimingWheel::new,
-            )),
+        let plan = ShardPlan::new(cfg.n(), opts.shards);
+        // One shard is the driver as constructed: nothing to cut.
+        let blocks = if plan.shards() == 1 {
+            vec![driver]
+        } else {
+            driver.split(&plan)
         };
-        ShardedSimulation { inner }
+        assert_eq!(
+            blocks.len(),
+            plan.shards(),
+            "ShardableDriver::split must produce one block per shard"
+        );
+        let barriers: pipeline::Barriers<D> = (D::on_sample_blocks, D::on_inject_blocks);
+        ShardedSimulation {
+            core: AnyCore::new(cfg, availability, plan, blocks, barriers),
+            opts,
+        }
     }
 
-    /// Runs until the configured duration is reached.
-    pub fn run_to_end(&mut self) {
-        on_core!(mut self, c => c.run_to_end())
+    /// Runs until the configured duration is reached. The bounds are
+    /// those of the worker threads a run with more than one shard spawns.
+    pub fn run_to_end(&mut self)
+    where
+        D: Send,
+        D::Msg: Send,
+    {
+        let threads = match self.opts.threads {
+            0 => crate::affinity::available_cores(),
+            t => t,
+        };
+        on_core!(mut self.core, c => c.run_to_end(threads, self.opts.pin))
     }
 
     /// Current virtual time (the horizon once finished).
     pub fn now(&self) -> SimTime {
-        on_core!(self, c => c.now)
+        on_core!(self.core, c => c.now())
     }
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        on_core!(self, c => c.plan.shards())
+        on_core!(self.core, c => c.plan.shards())
     }
 
     /// Whether [`run_to_end`](Self::run_to_end) has completed.
     pub fn is_finished(&self) -> bool {
-        on_core!(self, c => c.finished)
+        on_core!(self.core, c => c.finished)
     }
 
-    /// Statistics merged across shards (identical to the serial engine's
-    /// [`SimStats`] for the same run).
+    /// Statistics merged across shards (identical for every shard count).
     pub fn stats(&self) -> SimStats {
-        on_core!(self, c => c.merged_stats())
+        on_core!(self.core, c => c.merged_stats())
     }
 
     /// Self-profiling totals merged across shards. Claim/steal/skip
@@ -748,35 +351,36 @@ impl<D: ShardableDriver> ShardedSimulation<D> {
     /// depths require profiling (`TA_PROFILE=1` or
     /// [`set_profiling`](Self::set_profiling)).
     pub fn profile(&self) -> ta_telemetry::ProfileData {
-        on_core!(self, c => c.merged_profile())
+        on_core!(self.core, c => c.merged_profile())
     }
 
     /// Forces self-profiling on or off for every shard engine,
     /// overriding the `TA_PROFILE` environment default.
     pub fn set_profiling(&mut self, enabled: bool) {
-        on_core!(mut self, c => c.set_profiling(enabled))
+        self.core.set_profiling(enabled);
     }
 
     /// Consumes the simulation, reassembling the driver and returning it
     /// with the merged statistics.
     pub fn into_parts(self) -> (D, SimStats) {
-        match self.inner {
-            SInner::Heap(c) => c.into_parts(),
-            SInner::Wheel(c) => c.into_parts(),
-        }
+        let plan = on_core!(self.core, c => std::sync::Arc::clone(&c.plan));
+        let (mut blocks, stats) = self.core.into_blocks();
+        let driver = if blocks.len() == 1 {
+            blocks.pop().expect("length checked")
+        } else {
+            D::merge(&plan, blocks)
+        };
+        (driver, stats)
     }
 }
 
 impl<D: ShardableDriver> std::fmt::Debug for ShardedSimulation<D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        on_core!(self, c => f
-            .debug_struct("ShardedSimulation")
-            .field("shards", &c.plan.shards())
-            .field("threads", &c.threads)
-            .field("pin", &c.pin)
-            .field("now", &c.now)
-            .field("finished", &c.finished)
-            .finish())
+        f.debug_struct("ShardedSimulation")
+            .field("opts", &self.opts)
+            .field("now", &self.now())
+            .field("finished", &self.is_finished())
+            .finish()
     }
 }
 
@@ -811,6 +415,18 @@ mod tests {
         let sizes: Vec<usize> = (0..4).map(|s| plan.range(s).len()).collect();
         assert_eq!(sizes.iter().sum::<usize>(), 1003);
         assert!(sizes.iter().all(|&x| (250..=251).contains(&x)), "{sizes:?}");
+    }
+
+    #[test]
+    fn partition_cuts_at_the_plan_bounds() {
+        let plan = ShardPlan::new(11, 3);
+        let blocks = plan.partition((0..11).collect());
+        assert_eq!(blocks.len(), 3);
+        for (s, block) in blocks.iter().enumerate() {
+            assert_eq!(block, &plan.range(s).collect::<Vec<_>>());
+        }
+        // One block is the whole vector.
+        assert_eq!(ShardPlan::new(4, 1).partition(vec![7; 4]), [vec![7; 4]]);
     }
 
     #[test]

@@ -1,7 +1,11 @@
-//! The coordinator side of the barrier-free pipeline.
+//! The coordinator of a run: the blocks' engines, the engine-global event
+//! trains, and — for more than one shard — the barrier-free pipeline.
 //!
-//! [`SCore::run_to_end`] spawns the persistent workers once, then drives
-//! the run as a sequence of dispatches over per-worker channels:
+//! A [`Core`] over one block runs it straight through on the calling
+//! thread ([`Core::run_whole`]): to each engine-global instant, fire, go
+//! on. Over several blocks [`Core::run_to_end`] spawns the persistent
+//! workers once, then drives the run as a sequence of dispatches over
+//! per-worker channels:
 //!
 //! * [`Work::Segment`] — a run of consecutive full windows with no
 //!   engine-global event inside. Workers advance window-to-window through
@@ -10,33 +14,136 @@
 //! * [`Work::Part`] — an inclusive run up to an engine-global instant (or
 //!   the horizon). Once every worker reports done the fleet is quiescent
 //!   and the coordinator fires the sample/inject callbacks with all
-//!   shards parked, exactly like the serial engine's global events.
+//!   shards parked.
 //!
 //! One done message per worker per dispatch is the only coordinator-side
 //! synchronization; within a segment the per-window cost is a single gate
-//! pass instead of the old two full `std::sync::Barrier` rendezvous plus
-//! a serial coordinator exchange.
+//! pass.
 
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 
-use ta_telemetry::ProfileData;
+use ta_telemetry::{Profile, ProfileData};
 
 use super::exchange::{GateStats, SegCtl, SegOutcome};
-use super::worker::{self, ShardEngine, Work};
-use super::{BarrierApi, SEv, ShardOpts, ShardPlan, ShardableDriver};
-use crate::config::SimConfig;
-use crate::engine::{proto_global_stream, AvailabilityModel, SimStats};
-use crate::ids::NodeId;
-use crate::queue::{order_key, EventQueue, GLOBAL_ORIGIN};
-use crate::rng::Xoshiro256pp;
-use crate::time::SimTime;
+use super::worker::{self, Work};
+use super::ShardPlan;
+use crate::config::{QueueKind, SimConfig};
+use crate::engine::{AvailabilityModel, Ctx, Driver, Engine, Ev, Kernel, SimApi, SimStats};
+use crate::queue::{order_key, BinaryHeapQueue, EventQueue, GLOBAL_ORIGIN};
+use crate::time::{SimDuration, SimTime};
+use crate::wheel::TimingWheel;
+
+/// A barrier-time callback over every block of the run.
+pub(crate) type Barrier<B> = fn(&mut [&mut B], &mut SimApi<'_, <B as Driver>::Msg>);
+
+/// The sample and the inject callback of a run.
+pub(crate) type Barriers<B> = (Barrier<B>, Barrier<B>);
 
 /// Engine-global events the coordinator owns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum GlobalEv {
     Sample,
     Inject,
+}
+
+/// The engine-global event trains — periodic sample and inject — and the
+/// callbacks they fire. Their keys carry [`GLOBAL_ORIGIN`], so they sort
+/// after every node event of their instant: "run every block through `t`,
+/// then fire the globals at `t`" is exact.
+struct Trains<B: Driver> {
+    barriers: Barriers<B>,
+    sample_period: Option<SimDuration>,
+    injection_period: Option<SimDuration>,
+    counter: u64,
+    /// Pending firings (one per configured train; scanned linearly).
+    pending: Vec<(SimTime, u64, GlobalEv)>,
+}
+
+impl<B: Driver> Trains<B> {
+    fn new(cfg: &SimConfig, barriers: Barriers<B>) -> Self {
+        let mut trains = Trains {
+            barriers,
+            sample_period: cfg.sample_period(),
+            injection_period: cfg.injection_period(),
+            counter: 0,
+            pending: Vec::new(),
+        };
+        // Sample first: at a shared instant it fires before the inject.
+        for ev in [GlobalEv::Sample, GlobalEv::Inject] {
+            trains.schedule(SimTime::ZERO, ev);
+        }
+        trains
+    }
+
+    /// Schedules the firing of `ev` one period after `from`, if its train
+    /// is configured (one global key per firing).
+    fn schedule(&mut self, from: SimTime, ev: GlobalEv) {
+        let period = match ev {
+            GlobalEv::Sample => self.sample_period,
+            GlobalEv::Inject => self.injection_period,
+        };
+        if let Some(period) = period {
+            let key = order_key(GLOBAL_ORIGIN, self.counter);
+            self.counter += 1;
+            self.pending.push((from + period, key, ev));
+        }
+    }
+
+    /// Earliest pending firing (unbounded; callers bound it against the
+    /// horizon and window edge themselves).
+    fn next(&self) -> Option<SimTime> {
+        self.pending.iter().map(|&(t, ..)| t).min()
+    }
+
+    /// Fires every pending global event scheduled exactly at `t`, in key
+    /// order, with all blocks quiescent at `t`.
+    fn fire_at<Q: EventQueue<Ev<B::Msg>>>(
+        &mut self,
+        engines: &mut [&mut Engine<B, Q>],
+        plan: &ShardPlan,
+        t: SimTime,
+    ) {
+        let (mut kernels, mut blocks): (Vec<&mut Kernel<B::Msg>>, Vec<&mut B>) = engines
+            .iter_mut()
+            .map(|e| (&mut e.kernel, &mut e.driver))
+            .unzip();
+        while let Some(i) = (0..self.pending.len())
+            .filter(|&i| self.pending[i].0 == t)
+            .min_by_key(|&i| self.pending[i].1)
+        {
+            let (_, _, ev) = self.pending.swap_remove(i);
+            // The first block's kernel replays every churn event, so its
+            // online bookkeeping is the network's; it also keeps the
+            // global stream and the books of the global events.
+            let k0 = &mut *kernels[0];
+            debug_assert_eq!(k0.now, t);
+            k0.stats.events_processed += 1;
+            k0.ctx = Ctx::Global;
+            let callback = match ev {
+                GlobalEv::Sample => {
+                    k0.stats.samples += 1;
+                    self.barriers.0
+                }
+                GlobalEv::Inject => {
+                    k0.stats.injections += 1;
+                    self.barriers.1
+                }
+            };
+            callback(&mut blocks, &mut SimApi { kernel: k0 });
+            // Sends made on behalf of other blocks' nodes: each is charged
+            // to its sender's counter and engine stream, by its owner.
+            let mut foreign = std::mem::take(&mut kernels[0].foreign);
+            for (from, to, msg) in foreign.drain(..) {
+                kernels[plan.shard_of(from)].send(from, to, msg);
+            }
+            kernels[0].foreign = foreign;
+            self.schedule(t, ev);
+        }
+        for e in engines {
+            e.flush_pending();
+        }
+    }
 }
 
 /// Channel ends the coordinator dispatches through (absent for the
@@ -65,133 +172,133 @@ impl Dispatch {
     }
 }
 
-pub(super) struct SCore<D: ShardableDriver, Q: EventQueue<SEv<D::Msg>>> {
-    pub(super) plan: Arc<ShardPlan>,
-    pub(super) cfg: SimConfig,
-    pub(super) threads: usize,
-    pub(super) pin: bool,
-    pub(super) engines: Vec<Mutex<ShardEngine<D::Shard, Q>>>,
-    pub(super) global: D::Global,
-    proto_global: Xoshiro256pp,
-    global_counter: u64,
-    /// Pending engine-global events (at most a few entries; scanned
-    /// linearly).
-    globals: Vec<(SimTime, u64, GlobalEv)>,
-    /// Samples/injections fired and their events_processed contribution.
-    gstats: SimStats,
-    /// Scratch buffer of barrier-callback sends (capacity reused).
-    sends_scratch: Vec<(NodeId, NodeId, D::Msg)>,
-    /// Inline-path mailbox/deposit scratch (the coordinator acts as the
-    /// only worker when `threads <= 1`).
-    scratch: worker::Scratch<D::Msg>,
+pub(crate) struct Core<B: Driver, Q: EventQueue<Ev<B::Msg>>> {
+    pub(crate) plan: Arc<ShardPlan>,
+    end: SimTime,
+    transfer: SimDuration,
+    /// One engine per block, in shard order.
+    pub(crate) engines: Vec<Engine<B, Q>>,
+    trains: Trains<B>,
     /// Gate work-distribution totals accumulated across dispatches (the
     /// gate itself lives only for one `run_to_end`).
     gate_stats: GateStats,
-    pub(super) now: SimTime,
-    pub(super) finished: bool,
+    pub(crate) finished: bool,
 }
 
-impl<D: ShardableDriver, Q: EventQueue<SEv<D::Msg>> + Send> SCore<D, Q> {
-    pub(super) fn new<F: FnMut() -> Q>(
+impl<B: Driver, Q: EventQueue<Ev<B::Msg>>> Core<B, Q> {
+    fn new(
         cfg: SimConfig,
         availability: &dyn AvailabilityModel,
-        driver: D,
-        opts: ShardOpts,
-        mut make_queue: F,
+        plan: ShardPlan,
+        blocks: Vec<B>,
+        barriers: Barriers<B>,
+        mut make_queue: impl FnMut(usize) -> Q,
     ) -> Self {
-        let plan = Arc::new(ShardPlan::new(cfg.n(), opts.shards));
-        let seed = cfg.seed();
-        let (global, shard_drivers) = driver.split(&plan);
-        assert_eq!(
-            shard_drivers.len(),
-            plan.shards(),
-            "ShardableDriver::split must produce one piece per shard"
-        );
-        let engines: Vec<_> = shard_drivers
+        let plan = Arc::new(plan);
+        let engines = blocks
             .into_iter()
             .enumerate()
-            .map(|(s, d)| {
-                Mutex::new(ShardEngine::new(
-                    &plan,
-                    s,
-                    &cfg,
-                    availability,
-                    d,
-                    make_queue(),
-                ))
+            .map(|(s, block)| {
+                let queue = make_queue(plan.range(s).len());
+                Engine::new(&plan, s, &cfg, availability, block, queue)
             })
             .collect();
-        let proto_global = proto_global_stream(seed);
-        let plan_shards = plan.shards();
-        let mut core = SCore {
+        Core {
             plan,
-            threads: if opts.threads == 0 {
-                crate::affinity::available_cores()
-            } else {
-                opts.threads
-            },
-            pin: opts.pin,
+            end: SimTime::ZERO + cfg.duration(),
+            transfer: cfg.transfer_time(),
             engines,
-            global,
-            proto_global,
-            global_counter: 0,
-            globals: Vec::new(),
-            gstats: SimStats::default(),
-            sends_scratch: Vec::new(),
-            scratch: worker::Scratch::new(plan_shards),
+            trains: Trains::new(&cfg, barriers),
             gate_stats: GateStats::default(),
-            now: SimTime::ZERO,
             finished: false,
-            cfg,
+        }
+    }
+
+    /// The S = 1 run: nothing to exchange, so the one block runs straight
+    /// to each engine-global instant and then to `until` — no window, no
+    /// gate, no thread. Incremental: call again with a later `until`.
+    pub(crate) fn run_whole(&mut self, until: SimTime) {
+        let [engine] = &mut self.engines[..] else {
+            unreachable!("the whole network is one block");
         };
-        // The sample/inject trains, with the serial engine's key order
-        // (sample scheduled first).
-        if let Some(p) = core.cfg.sample_period() {
-            let key = core.next_global_key();
-            core.globals
-                .push((SimTime::ZERO + p, key, GlobalEv::Sample));
+        while let Some(t) = self.trains.next().filter(|&t| t <= until) {
+            engine.run_until(t);
+            self.trains.fire_at(&mut [&mut *engine], &self.plan, t);
         }
-        if let Some(p) = core.cfg.injection_period() {
-            let key = core.next_global_key();
-            core.globals
-                .push((SimTime::ZERO + p, key, GlobalEv::Inject));
+        engine.run_until(until);
+    }
+
+    pub(crate) fn run_whole_to_end(&mut self) {
+        self.run_whole(self.end);
+        self.finished = true;
+    }
+
+    /// Current virtual time of a run between dispatches.
+    pub(crate) fn now(&self) -> SimTime {
+        if self.finished {
+            self.end
+        } else {
+            self.engines[0].kernel.now
         }
-        core
     }
 
-    #[inline]
-    fn next_global_key(&mut self) -> u64 {
-        let key = order_key(GLOBAL_ORIGIN, self.global_counter);
-        self.global_counter += 1;
-        key
+    pub(crate) fn pending_events(&self) -> usize {
+        let queued: usize = self.engines.iter().map(Engine::pending_events).sum();
+        queued + self.trains.pending.len()
     }
 
-    /// Earliest pending global event (unbounded; callers bound it against
-    /// the horizon and window edge themselves).
-    fn next_global(&self) -> Option<(SimTime, u64)> {
-        self.globals.iter().map(|&(t, k, _)| (t, k)).min()
+    pub(crate) fn merged_stats(&self) -> SimStats {
+        let mut stats = SimStats::default();
+        for e in &self.engines {
+            stats.merge(&e.kernel.stats);
+        }
+        stats
     }
 
-    pub(super) fn run_to_end(&mut self) {
+    /// Self-profiling totals merged across shards, plus the gate's
+    /// always-on claim/steal/skip counts.
+    pub(crate) fn merged_profile(&self) -> ProfileData {
+        let mut data = ProfileData::default();
+        for e in &self.engines {
+            data.merge(e.profile.data());
+        }
+        data.claims += self.gate_stats.claims;
+        data.steals += self.gate_stats.steals;
+        data.skipped_windows += self.gate_stats.skipped;
+        data
+    }
+}
+
+impl<B: Driver + Send, Q: EventQueue<Ev<B::Msg>> + Send> Core<B, Q>
+where
+    B::Msg: Send,
+{
+    /// Runs to the horizon on up to `threads` worker threads (clamped to
+    /// the shard count), optionally pinned.
+    pub(crate) fn run_to_end(&mut self, threads: usize, pin: bool) {
         if self.finished {
             return;
         }
-        let end = SimTime::ZERO + self.cfg.duration();
-        let shards = self.plan.shards();
-        let workers = self.threads.clamp(1, shards);
-        // Move the engines into a local so worker threads can borrow the
-        // mutexes while the coordinator keeps `&mut self` for everything
-        // else; the scope guarantees the workers are gone before the
-        // engines move back.
-        let engines = std::mem::take(&mut self.engines);
+        let shards = self.engines.len();
+        if shards == 1 {
+            return self.run_whole_to_end();
+        }
+        let end = self.end;
+        let workers = threads.clamp(1, shards);
+        // Worker threads share the engines through mutexes while the
+        // coordinator keeps `&mut self` for everything else; the scope
+        // guarantees the workers are gone before the engines move back.
+        let engines: Vec<_> = std::mem::take(&mut self.engines)
+            .into_iter()
+            .map(Mutex::new)
+            .collect();
         let ctl = SegCtl::new(shards, workers);
-        if workers <= 1 {
+        if workers == 1 {
             // Inline: the coordinator is the only participant; the same
             // gate code runs claims and window advances single-threaded.
             self.coordinate(&engines, &ctl, end, None);
         } else {
-            let pin = self.pin;
-            let transfer = self.cfg.transfer_time();
+            let transfer = self.transfer;
             std::thread::scope(|scope| {
                 let (done_tx, done_rx) = channel::<()>();
                 let mut txs = Vec::with_capacity(workers);
@@ -199,8 +306,7 @@ impl<D: ShardableDriver, Q: EventQueue<SEv<D::Msg>> + Send> SCore<D, Q> {
                     let (tx, rx) = channel::<Work>();
                     txs.push(tx);
                     let done = done_tx.clone();
-                    let engines = &engines;
-                    let ctl = &ctl;
+                    let (engines, ctl) = (&engines, &ctl);
                     scope.spawn(move || {
                         worker::worker_loop(w, rx, done, engines, ctl, transfer, pin)
                     });
@@ -223,8 +329,10 @@ impl<D: ShardableDriver, Q: EventQueue<SEv<D::Msg>> + Send> SCore<D, Q> {
         self.gate_stats.claims += g.claims;
         self.gate_stats.steals += g.steals;
         self.gate_stats.skipped += g.skipped;
-        self.engines = engines;
-        self.now = end;
+        self.engines = engines
+            .into_iter()
+            .map(|e| e.into_inner().expect("shard engine lock poisoned"))
+            .collect();
         self.finished = true;
     }
 
@@ -233,29 +341,13 @@ impl<D: ShardableDriver, Q: EventQueue<SEv<D::Msg>> + Send> SCore<D, Q> {
     /// worker threads execute the windows, `None` for inline execution.
     fn coordinate(
         &mut self,
-        engines: &[Mutex<ShardEngine<D::Shard, Q>>],
-        ctl: &SegCtl<D::Msg>,
+        engines: &[Mutex<Engine<B, Q>>],
+        ctl: &SegCtl<B::Msg>,
         end: SimTime,
         dispatch: Option<&Dispatch>,
     ) {
-        if self.plan.shards() == 1 {
-            // Windowless fast path: nothing to exchange, run straight to
-            // each global instant and then the horizon.
-            loop {
-                match self.next_global().filter(|&(t, _)| t <= end) {
-                    Some((t, _)) => {
-                        self.run_part(engines, ctl, dispatch, t);
-                        self.fire_globals_at(engines, t);
-                    }
-                    None => {
-                        self.run_part(engines, ctl, dispatch, end);
-                        break;
-                    }
-                }
-            }
-            return;
-        }
-        let transfer = self.cfg.transfer_time();
+        let transfer = self.transfer;
+        let mut scratch = worker::Scratch::new(engines.len());
         let mut window_start = SimTime::ZERO;
         loop {
             // Global events strictly inside the next window fire
@@ -263,58 +355,48 @@ impl<D: ShardableDriver, Q: EventQueue<SEv<D::Msg>> + Send> SCore<D, Q> {
             // (node events at the same instant precede them by key order,
             // so "run through t, then fire globals at t" is exact).
             let wb = window_start + transfer;
-            if let Some((t, _)) = self.next_global().filter(|&(t, _)| t <= end && t < wb) {
-                self.run_part(engines, ctl, dispatch, t);
-                self.fire_globals_at(engines, t);
+            let global = self.trains.next();
+            if let Some(t) = global.filter(|&t| t <= end && t < wb) {
+                Self::run_part(engines, ctl, dispatch, &mut scratch, t);
+                let mut guards: Vec<_> = engines
+                    .iter()
+                    .map(|e| e.lock().expect("shard engine lock poisoned"))
+                    .collect();
+                let mut refs: Vec<_> = guards.iter_mut().map(|g| &mut **g).collect();
+                self.trains.fire_at(&mut refs, &self.plan, t);
                 continue;
             }
             if wb > end {
-                self.run_part(engines, ctl, dispatch, end);
+                Self::run_part(engines, ctl, dispatch, &mut scratch, end);
                 break;
             }
             // At least one full window fits: hand the fleet a segment.
-            let global = self.next_global().map(|(t, _)| t);
-            match self.run_segment(engines, ctl, dispatch, window_start, global, end) {
+            ctl.arm(window_start);
+            match dispatch {
+                Some(d) => {
+                    d.run(Work::Segment { global, end });
+                    if let Some(payload) = ctl.take_panic() {
+                        std::panic::resume_unwind(payload);
+                    }
+                }
+                None => worker::run_segment(engines, ctl, 0, global, end, transfer, &mut scratch),
+            }
+            match ctl
+                .take_outcome()
+                .expect("segment finished without an outcome")
+            {
                 SegOutcome::RunDone => break,
                 SegOutcome::Continue { next_start } => window_start = next_start,
             }
         }
     }
 
-    /// Runs one segment of full windows across the fleet and returns why
-    /// it stopped.
-    fn run_segment(
-        &mut self,
-        engines: &[Mutex<ShardEngine<D::Shard, Q>>],
-        ctl: &SegCtl<D::Msg>,
-        dispatch: Option<&Dispatch>,
-        start: SimTime,
-        global: Option<SimTime>,
-        end: SimTime,
-    ) -> SegOutcome {
-        ctl.arm(start);
-        match dispatch {
-            Some(d) => {
-                d.run(Work::Segment { global, end });
-                if let Some(payload) = ctl.take_panic() {
-                    std::panic::resume_unwind(payload);
-                }
-            }
-            None => {
-                let transfer = self.cfg.transfer_time();
-                worker::run_segment(engines, ctl, 0, global, end, transfer, &mut self.scratch);
-            }
-        }
-        ctl.take_outcome()
-            .expect("segment finished without an outcome")
-    }
-
     /// Runs every shard inclusively up to `t` and waits for quiescence.
     fn run_part(
-        &mut self,
-        engines: &[Mutex<ShardEngine<D::Shard, Q>>],
-        ctl: &SegCtl<D::Msg>,
+        engines: &[Mutex<Engine<B, Q>>],
+        ctl: &SegCtl<B::Msg>,
         dispatch: Option<&Dispatch>,
+        scratch: &mut worker::Scratch<B::Msg>,
         t: SimTime,
     ) {
         ctl.arm(t);
@@ -325,146 +407,85 @@ impl<D: ShardableDriver, Q: EventQueue<SEv<D::Msg>> + Send> SCore<D, Q> {
                     std::panic::resume_unwind(payload);
                 }
             }
-            None => worker::run_part(engines, ctl, 0, t, &mut self.scratch),
+            None => worker::run_part(engines, ctl, 0, t, scratch),
+        }
+    }
+}
+
+/// A [`Core`] over whichever event queue the configuration selects: the
+/// branch on [`QueueKind`] is taken once per public API call, never once
+/// per event.
+pub(crate) enum AnyCore<B: Driver> {
+    // Boxed so the public simulation types stay one pointer-sized move
+    // regardless of the queue's inline footprint (the wheel embeds its
+    // level tables). The indirection is touched once per API call.
+    Heap(Box<Core<B, BinaryHeapQueue<Ev<B::Msg>>>>),
+    Wheel(Box<Core<B, TimingWheel<Ev<B::Msg>>>>),
+}
+
+/// Dispatches an expression to whichever monomorphized core is active.
+macro_rules! on_core {
+    ($core:expr, $c:ident => $body:expr) => {
+        match &$core {
+            $crate::shard::pipeline::AnyCore::Heap($c) => $body,
+            $crate::shard::pipeline::AnyCore::Wheel($c) => $body,
+        }
+    };
+    (mut $core:expr, $c:ident => $body:expr) => {
+        match &mut $core {
+            $crate::shard::pipeline::AnyCore::Heap($c) => $body,
+            $crate::shard::pipeline::AnyCore::Wheel($c) => $body,
+        }
+    };
+}
+pub(crate) use on_core;
+
+impl<B: Driver> AnyCore<B> {
+    pub(crate) fn new(
+        cfg: SimConfig,
+        availability: &dyn AvailabilityModel,
+        plan: ShardPlan,
+        blocks: Vec<B>,
+        barriers: Barriers<B>,
+    ) -> Self {
+        match cfg.queue() {
+            QueueKind::Heap => AnyCore::Heap(Box::new(Core::new(
+                cfg,
+                availability,
+                plan,
+                blocks,
+                barriers,
+                |owned| BinaryHeapQueue::with_capacity(owned * 2),
+            ))),
+            QueueKind::Wheel => AnyCore::Wheel(Box::new(Core::new(
+                cfg,
+                availability,
+                plan,
+                blocks,
+                barriers,
+                |_| TimingWheel::new(),
+            ))),
         }
     }
 
-    /// Fires every pending global event scheduled exactly at `t`, in key
-    /// order, with all shards quiescent.
-    fn fire_globals_at(&mut self, engines: &[Mutex<ShardEngine<D::Shard, Q>>], t: SimTime) {
-        self.now = t;
-        // Lock every shard once for the whole instant (Sample and Inject
-        // due at the same `t` share the stop) and split the borrows:
-        // kernels/queues for send routing, drivers for the callbacks.
-        let mut guards: Vec<_> = engines
-            .iter()
-            .map(|e| e.lock().expect("shard engine lock poisoned"))
-            .collect();
-        let mut kernels = Vec::with_capacity(guards.len());
-        let mut queues = Vec::with_capacity(guards.len());
-        let mut drivers = Vec::with_capacity(guards.len());
-        for g in guards.iter_mut() {
-            let e = &mut **g;
-            kernels.push(&mut e.kernel);
-            queues.push(&mut e.queue);
-            drivers.push(&mut e.driver);
-        }
-        loop {
-            let due = self
-                .globals
-                .iter()
-                .enumerate()
-                .filter(|(_, &(time, _, _))| time == t)
-                .min_by_key(|(_, &(_, key, _))| key)
-                .map(|(i, _)| i);
-            let Some(i) = due else { break };
-            let (_, _, ev) = self.globals.swap_remove(i);
-            self.gstats.events_processed += 1;
-
-            let sends = {
-                // Shard 0's kernel replays every churn event exactly like
-                // the serial engine, so its online bookkeeping *is* the
-                // serial engine's at this instant.
-                let (online, online_list) = {
-                    let k0 = &*kernels[0];
-                    (k0.online.flags(), k0.online.list())
-                };
-                let mut api = BarrierApi {
-                    now: t,
-                    cfg: &self.cfg,
-                    plan: &self.plan,
-                    online,
-                    online_list,
-                    rng: &mut self.proto_global,
-                    sends: std::mem::take(&mut self.sends_scratch),
-                };
-                match ev {
-                    GlobalEv::Sample => {
-                        self.gstats.samples += 1;
-                        <D as ShardableDriver>::on_sample(&mut self.global, &mut drivers, &mut api);
-                    }
-                    GlobalEv::Inject => {
-                        self.gstats.injections += 1;
-                        <D as ShardableDriver>::on_inject(&mut self.global, &mut drivers, &mut api);
-                    }
-                }
-                api.sends
-            };
-            // Route buffered sends in order, charging each to the sending
-            // node's counter and engine stream — the exact consumption
-            // order of the serial engine's global-context sends.
-            let transfer = self.cfg.transfer_time();
-            let p = self.cfg.drop_probability();
-            let mut sends = sends;
-            for (from, to, msg) in sends.drain(..) {
-                let src = self.plan.shard_of(from);
-                let k = &mut *kernels[src];
-                k.stats.messages_sent += 1;
-                if p > 0.0 {
-                    let local = from.index() - k.base;
-                    if k.engine_rngs[local].chance(p) {
-                        k.stats.messages_dropped_fault += 1;
-                        continue;
-                    }
-                }
-                let key = k.next_key(from);
-                let dst = self.plan.shard_of(to);
-                queues[dst].push_keyed(t + transfer, key, SEv::Deliver { from, to, msg });
-            }
-            self.sends_scratch = sends;
-            // Reschedule the train, with the serial engine's counter
-            // consumption (one global key per firing).
-            let period = match ev {
-                GlobalEv::Sample => self.cfg.sample_period(),
-                GlobalEv::Inject => self.cfg.injection_period(),
-            }
-            .expect("global event without a configured period");
-            let key = {
-                let k = order_key(GLOBAL_ORIGIN, self.global_counter);
-                self.global_counter += 1;
-                k
-            };
-            self.globals.push((t + period, key, ev));
-        }
+    /// Forces batch/window/mailbox profiling on or off for every engine
+    /// (overrides the `TA_PROFILE` environment default).
+    pub(crate) fn set_profiling(&mut self, enabled: bool) {
+        on_core!(mut *self, c => for e in &mut c.engines {
+            e.profile = Profile::forced(enabled);
+        })
     }
 
-    pub(super) fn merged_stats(&self) -> SimStats {
-        let mut stats = self.gstats;
-        for e in &self.engines {
-            stats.merge(&e.lock().expect("shard engine lock poisoned").kernel.stats);
+    /// Consumes the run: the blocks in shard order, and the merged
+    /// statistics.
+    pub(crate) fn into_blocks(self) -> (Vec<B>, SimStats) {
+        fn parts<B: Driver, Q: EventQueue<Ev<B::Msg>>>(core: Core<B, Q>) -> (Vec<B>, SimStats) {
+            let stats = core.merged_stats();
+            (core.engines.into_iter().map(|e| e.driver).collect(), stats)
         }
-        stats
-    }
-
-    /// Self-profiling totals merged across shards, plus the gate's
-    /// always-on claim/steal/skip counts.
-    pub(super) fn merged_profile(&self) -> ProfileData {
-        let mut data = ProfileData::default();
-        for e in &self.engines {
-            data.merge(e.lock().expect("shard engine lock poisoned").profile.data());
+        match self {
+            AnyCore::Heap(c) => parts(*c),
+            AnyCore::Wheel(c) => parts(*c),
         }
-        data.claims += self.gate_stats.claims;
-        data.steals += self.gate_stats.steals;
-        data.skipped_windows += self.gate_stats.skipped;
-        data
-    }
-
-    /// Forces batch/window/mailbox profiling on or off for every shard
-    /// engine (overrides the `TA_PROFILE` environment default).
-    pub(super) fn set_profiling(&mut self, enabled: bool) {
-        for e in &mut self.engines {
-            e.get_mut().expect("shard engine lock poisoned").profile =
-                ta_telemetry::Profile::forced(enabled);
-        }
-    }
-
-    pub(super) fn into_parts(self) -> (D, SimStats) {
-        let stats = self.merged_stats();
-        let shards: Vec<D::Shard> = self
-            .engines
-            .into_iter()
-            .map(|e| e.into_inner().expect("shard engine lock poisoned").driver)
-            .collect();
-        (D::merge(&self.plan, self.global, shards), stats)
     }
 }

@@ -1,5 +1,5 @@
-//! Self-profiling coverage: the `Profile`-gated batch histogram in the
-//! serial engine and the sharded engine's merged profile (including the
+//! Self-profiling coverage: the `Profile`-gated batch histogram of a
+//! one-block run and the merged profile of a sharded one (including the
 //! gate's always-on claim/steal/skip totals).
 
 use ta_sim::prelude::*;
@@ -36,7 +36,7 @@ fn serial_profile_counts_every_processed_event() {
     assert_eq!(data.batch_events, sim.stats().events_processed);
     assert_eq!(data.batch_hist.iter().sum::<u64>(), data.batches);
     assert!(data.mean_batch() >= 1.0);
-    // The serial engine has no windows, claims, or mailboxes.
+    // One block has no windows, claims, or mailboxes.
     assert_eq!((data.windows, data.claims, data.mailbox_drains), (0, 0, 0));
 }
 
@@ -66,35 +66,15 @@ impl Driver for Ring {
     }
 }
 
-struct RingShard {
-    received: u64,
-}
-
-impl ShardDriver for RingShard {
-    type Msg = u32;
-    fn on_round_tick(&mut self, api: &mut ShardApi<'_, u32>, node: NodeId) {
-        let to = NodeId::from_index((node.index() + 1) % api.n());
-        api.send(node, to, node.raw());
-    }
-    fn on_message(&mut self, _api: &mut ShardApi<'_, u32>, _f: NodeId, _t: NodeId, _m: u32) {
-        self.received += 1;
-    }
-}
-
 impl ShardableDriver for Ring {
-    type Shard = RingShard;
-    type Global = ();
-    fn split(self, plan: &ShardPlan) -> ((), Vec<RingShard>) {
-        (
-            (),
-            (0..plan.shards())
-                .map(|_| RingShard { received: 0 })
-                .collect(),
-        )
+    fn split(self, plan: &ShardPlan) -> Vec<Ring> {
+        let mut blocks: Vec<Ring> = (0..plan.shards()).map(|_| Ring::default()).collect();
+        blocks[0].received = self.received;
+        blocks
     }
-    fn merge(_plan: &ShardPlan, _global: (), shards: Vec<RingShard>) -> Self {
+    fn merge(_plan: &ShardPlan, blocks: Vec<Ring>) -> Self {
         Ring {
-            received: shards.iter().map(|s| s.received).sum(),
+            received: blocks.iter().map(|b| b.received).sum(),
         }
     }
 }

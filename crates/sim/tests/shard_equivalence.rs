@@ -1,22 +1,23 @@
-//! The sharded engine's core guarantee, exercised at the `ta-sim` level
-//! with a toy protocol that touches every event type: ticks, deliveries,
-//! reactive replies, timers, churn, sampling, injection, and fault drops.
-//! Serial and sharded runs must be **byte-identical** for every shard
-//! count, thread count, pin setting, and queue implementation — including
-//! when tail-stealing between home lanes is doing the load balancing (the
-//! imbalanced-topology test below) — and a shard must never leave its
-//! home worker when there are as many workers as shards.
+//! The engine's core guarantee, exercised at the `ta-sim` level with a toy
+//! protocol that touches every event type: ticks, deliveries, reactive
+//! replies, timers, churn, sampling, injection, and fault drops. The same
+//! driver cut into S blocks must be **byte-identical** to its S = 1 run
+//! for every shard count, thread count, pin setting, and queue
+//! implementation — including when tail-stealing between home lanes is
+//! doing the load balancing (the imbalanced-topology test below) — and a
+//! shard must never leave its home worker when there are as many workers
+//! as shards.
 
 use ta_sim::config::{QueueKind, SimConfig};
 use ta_sim::engine::{AvailabilityModel, Driver, SimApi, Simulation};
-use ta_sim::shard::{
-    BarrierApi, ShardApi, ShardDriver, ShardOpts, ShardPlan, ShardableDriver, ShardedSimulation,
-};
+use ta_sim::shard::{ShardOpts, ShardPlan, ShardableDriver, ShardedSimulation};
 use ta_sim::{NodeId, SimDuration, SimStats, SimTime};
 
-/// Toy protocol state: two per-node counters plus a sampled series.
+/// Toy protocol state of one block of nodes: two per-node counters, plus
+/// the sampled series (kept by the first block).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 struct Toy {
+    base: usize,
     counts: Vec<u64>,
     accs: Vec<u64>,
     samples: Vec<(u64, u64)>,
@@ -25,19 +26,17 @@ struct Toy {
 impl Toy {
     fn new(n: usize) -> Self {
         Toy {
+            base: 0,
             counts: vec![0; n],
             accs: vec![0; n],
             samples: Vec::new(),
         }
     }
-}
 
-/// Shared per-event logic so the serial and sharded implementations cannot
-/// drift: everything is expressed against the node-local slices.
-fn toy_tick(count: &mut u64, rng_draw: u64, node: NodeId, n: usize) -> (NodeId, u64) {
-    *count += 1;
-    let to = NodeId::from_index((node.index() + 1 + (rng_draw % 5) as usize) % n);
-    (to, rng_draw)
+    #[inline]
+    fn l(&self, node: NodeId) -> usize {
+        node.index() - self.base
+    }
 }
 
 fn timer_token(node: NodeId, msg: u64) -> u64 {
@@ -49,88 +48,13 @@ impl Driver for Toy {
 
     fn on_round_tick(&mut self, api: &mut SimApi<'_, u64>, node: NodeId) {
         let draw = api.rng().next();
-        let (to, msg) = toy_tick(&mut self.counts[node.index()], draw, node, api.n());
-        api.send(node, to, msg);
+        let local = self.l(node);
+        self.counts[local] += 1;
+        let to = NodeId::from_index((node.index() + 1 + (draw % 5) as usize) % api.n());
+        api.send(node, to, draw);
     }
 
     fn on_message(&mut self, api: &mut SimApi<'_, u64>, from: NodeId, to: NodeId, msg: u64) {
-        self.accs[to.index()] = self.accs[to.index()].wrapping_add(msg);
-        if msg.is_multiple_of(3) {
-            api.send(to, from, msg / 3 + 1);
-        }
-        if msg.is_multiple_of(16) {
-            let delay = SimDuration::from_millis(1 + msg % 900);
-            api.schedule_timer(delay, timer_token(to, msg));
-        }
-    }
-
-    fn on_timer(&mut self, api: &mut SimApi<'_, u64>, token: u64) {
-        let node = NodeId::new((token >> 32) as u32);
-        self.accs[node.index()] ^= token;
-        let draw = api.rng().next();
-        let to = NodeId::from_index((node.index() + 2) % api.n());
-        api.send(node, to, draw | 1);
-    }
-
-    fn on_node_up(&mut self, _api: &mut SimApi<'_, u64>, node: NodeId) {
-        self.counts[node.index()] += 1000;
-    }
-
-    fn on_node_down(&mut self, _api: &mut SimApi<'_, u64>, node: NodeId) {
-        self.counts[node.index()] += 1_000_000;
-    }
-
-    fn on_sample(&mut self, api: &mut SimApi<'_, u64>) {
-        let total: u64 = self
-            .counts
-            .iter()
-            .zip(&self.accs)
-            .map(|(c, a)| c.wrapping_add(*a))
-            .fold(0u64, |s, v| s.wrapping_add(v));
-        self.samples.push((api.now().as_micros(), total));
-    }
-
-    fn on_inject(&mut self, api: &mut SimApi<'_, u64>) {
-        if let Some(target) = api.random_online_node() {
-            self.accs[target.index()] = self.accs[target.index()].wrapping_add(7);
-            let draw = api.rng().next();
-            let to = NodeId::from_index((target.index() + 2) % api.n());
-            api.send(target, to, draw);
-        }
-    }
-}
-
-/// One shard's block of the toy state.
-#[derive(Debug)]
-struct ToyShard {
-    base: usize,
-    counts: Vec<u64>,
-    accs: Vec<u64>,
-}
-
-impl ToyShard {
-    #[inline]
-    fn l(&self, node: NodeId) -> usize {
-        node.index() - self.base
-    }
-}
-
-#[derive(Debug)]
-struct ToyGlobal {
-    samples: Vec<(u64, u64)>,
-}
-
-impl ShardDriver for ToyShard {
-    type Msg = u64;
-
-    fn on_round_tick(&mut self, api: &mut ShardApi<'_, u64>, node: NodeId) {
-        let draw = api.rng().next();
-        let local = self.l(node);
-        let (to, msg) = toy_tick(&mut self.counts[local], draw, node, api.n());
-        api.send(node, to, msg);
-    }
-
-    fn on_message(&mut self, api: &mut ShardApi<'_, u64>, from: NodeId, to: NodeId, msg: u64) {
         let local = self.l(to);
         self.accs[local] = self.accs[local].wrapping_add(msg);
         if msg.is_multiple_of(3) {
@@ -142,7 +66,8 @@ impl ShardDriver for ToyShard {
         }
     }
 
-    fn on_timer(&mut self, api: &mut ShardApi<'_, u64>, node: NodeId, token: u64) {
+    fn on_timer(&mut self, api: &mut SimApi<'_, u64>, token: u64) {
+        let node = NodeId::new((token >> 32) as u32);
         let local = self.l(node);
         self.accs[local] ^= token;
         let draw = api.rng().next();
@@ -150,84 +75,71 @@ impl ShardDriver for ToyShard {
         api.send(node, to, draw | 1);
     }
 
-    fn on_node_up(&mut self, _api: &mut ShardApi<'_, u64>, node: NodeId, owned: bool) {
-        if owned {
+    fn on_node_up(&mut self, api: &mut SimApi<'_, u64>, node: NodeId) {
+        if api.owns(node) {
             let local = self.l(node);
             self.counts[local] += 1000;
         }
     }
 
-    fn on_node_down(&mut self, _api: &mut ShardApi<'_, u64>, node: NodeId, owned: bool) {
-        if owned {
+    fn on_node_down(&mut self, api: &mut SimApi<'_, u64>, node: NodeId) {
+        if api.owns(node) {
             let local = self.l(node);
             self.counts[local] += 1_000_000;
         }
     }
+
+    fn on_sample(&mut self, api: &mut SimApi<'_, u64>) {
+        Self::on_sample_blocks(&mut [self], api);
+    }
+
+    fn on_inject(&mut self, api: &mut SimApi<'_, u64>) {
+        Self::on_inject_blocks(&mut [self], api);
+    }
 }
 
 impl ShardableDriver for Toy {
-    type Shard = ToyShard;
-    type Global = ToyGlobal;
-
-    fn split(self, plan: &ShardPlan) -> (ToyGlobal, Vec<ToyShard>) {
-        let mut counts = self.counts;
-        let mut accs = self.accs;
-        let mut shards = Vec::with_capacity(plan.shards());
-        for s in (0..plan.shards()).rev() {
-            let range = plan.range(s);
-            shards.push(ToyShard {
-                base: range.start,
-                counts: counts.split_off(range.start),
-                accs: accs.split_off(range.start),
-            });
-        }
-        shards.reverse();
-        (
-            ToyGlobal {
-                samples: self.samples,
-            },
-            shards,
-        )
+    fn split(self, plan: &ShardPlan) -> Vec<Toy> {
+        let mut samples = Some(self.samples);
+        plan.partition(self.counts)
+            .into_iter()
+            .zip(plan.partition(self.accs))
+            .enumerate()
+            .map(|(s, (counts, accs))| Toy {
+                base: plan.range(s).start,
+                counts,
+                accs,
+                samples: samples.take().unwrap_or_default(),
+            })
+            .collect()
     }
 
-    fn merge(_plan: &ShardPlan, global: ToyGlobal, shards: Vec<ToyShard>) -> Self {
-        let mut counts = Vec::new();
-        let mut accs = Vec::new();
-        for s in shards {
-            counts.extend(s.counts);
-            accs.extend(s.accs);
+    fn merge(_plan: &ShardPlan, blocks: Vec<Toy>) -> Self {
+        let mut whole = Toy::default();
+        for b in blocks {
+            whole.counts.extend(b.counts);
+            whole.accs.extend(b.accs);
+            whole.samples.extend(b.samples);
         }
-        Toy {
-            counts,
-            accs,
-            samples: global.samples,
-        }
+        whole
     }
 
-    fn on_sample(
-        global: &mut ToyGlobal,
-        shards: &mut [&mut ToyShard],
-        api: &mut BarrierApi<'_, u64>,
-    ) {
+    fn on_sample_blocks(blocks: &mut [&mut Toy], api: &mut SimApi<'_, u64>) {
         // Integer fold in shard order == node order (contiguous blocks):
-        // bitwise-equal to the serial sample.
-        let total = shards
+        // bitwise the one-block sample.
+        let total = blocks
             .iter()
-            .flat_map(|s| s.counts.iter().zip(&s.accs))
+            .flat_map(|b| b.counts.iter().zip(&b.accs))
             .map(|(c, a)| c.wrapping_add(*a))
             .fold(0u64, |s, v| s.wrapping_add(v));
-        global.samples.push((api.now().as_micros(), total));
+        blocks[0].samples.push((api.now().as_micros(), total));
     }
 
-    fn on_inject(
-        _global: &mut ToyGlobal,
-        shards: &mut [&mut ToyShard],
-        api: &mut BarrierApi<'_, u64>,
-    ) {
+    fn on_inject_blocks(blocks: &mut [&mut Toy], api: &mut SimApi<'_, u64>) {
         if let Some(target) = api.random_online_node() {
-            let shard = &mut shards[api.plan().shard_of(target)];
-            let local = shard.l(target);
-            shard.accs[local] = shard.accs[local].wrapping_add(7);
+            let block = &mut blocks[api.plan().shard_of(target)];
+            let local = block.l(target);
+            block.accs[local] = block.accs[local].wrapping_add(7);
             let draw = api.rng().next();
             let to = NodeId::from_index((target.index() + 2) % api.n());
             api.send(target, to, draw);
@@ -351,7 +263,7 @@ fn full_shards_threads_pin_matrix_matches_serial() {
     // The acceptance matrix of the channel pipeline: every
     // S × threads × pin combination — inline path, single worker,
     // stealing workers, oversubscribed workers, pinned or not — produces
-    // the serial engine's bytes. Shard affinity rides along: every
+    // the bytes of the S = 1 run. Shard affinity rides along: every
     // shard-window drain is claimed exactly once, and with one lane per
     // shard (or a single participant) no shard ever changes threads.
     let n = 40;
@@ -469,39 +381,28 @@ fn worker_panics_propagate_instead_of_deadlocking() {
     // panic from run_to_end, not leave the coordinator parked forever on
     // the window barrier.
     #[derive(Debug)]
-    struct Bomb;
-    struct BombShard {
+    struct Bomb {
         last: usize,
     }
     impl Driver for Bomb {
         type Msg = ();
-        fn on_round_tick(&mut self, _: &mut SimApi<'_, ()>, _: NodeId) {}
-        fn on_message(&mut self, _: &mut SimApi<'_, ()>, _: NodeId, _: NodeId, _: ()) {}
-    }
-    impl ShardDriver for BombShard {
-        type Msg = ();
-        fn on_round_tick(&mut self, api: &mut ShardApi<'_, ()>, node: NodeId) {
+        fn on_round_tick(&mut self, api: &mut SimApi<'_, ()>, node: NodeId) {
             if node.index() == self.last && api.now() > SimTime::from_secs(30) {
                 panic!("boom at {node}");
             }
         }
-        fn on_message(&mut self, _: &mut ShardApi<'_, ()>, _: NodeId, _: NodeId, _: ()) {}
+        fn on_message(&mut self, _: &mut SimApi<'_, ()>, _: NodeId, _: NodeId, _: ()) {}
     }
     impl ShardableDriver for Bomb {
-        type Shard = BombShard;
-        type Global = ();
-        fn split(self, plan: &ShardPlan) -> ((), Vec<BombShard>) {
-            (
-                (),
-                (0..plan.shards())
-                    .map(|s| BombShard {
-                        last: plan.range(s).end - 1,
-                    })
-                    .collect(),
-            )
+        fn split(self, plan: &ShardPlan) -> Vec<Bomb> {
+            (0..plan.shards())
+                .map(|s| Bomb {
+                    last: plan.range(s).end - 1,
+                })
+                .collect()
         }
-        fn merge(_plan: &ShardPlan, _g: (), _shards: Vec<BombShard>) -> Self {
-            Bomb
+        fn merge(plan: &ShardPlan, _blocks: Vec<Bomb>) -> Self {
+            Bomb { last: plan.n() - 1 }
         }
     }
     // Both pin settings: the channel pipeline must poison the window gate,
@@ -528,7 +429,7 @@ fn worker_panics_propagate_instead_of_deadlocking() {
                 threads: 2,
                 pin,
             };
-            let mut sim = ShardedSimulation::with_opts(config, avail, Bomb, opts);
+            let mut sim = ShardedSimulation::with_opts(config, avail, Bomb { last: 23 }, opts);
             sim.run_to_end();
         });
         assert_eq!(
@@ -562,12 +463,9 @@ fn offline_at_delivery_is_lost_across_shard_boundaries() {
     // t = 9.5 s; the target drops offline at t = 10 s, exactly one window
     // boundary before the delivery at t = 10.5 s. The loss must be
     // detected on the owning shard with its exact-at-that-instant mirror —
-    // identically to the serial engine.
+    // identically to the one-block run.
     #[derive(Debug, Default, PartialEq, Eq)]
     struct Probe {
-        got: u64,
-    }
-    struct ProbeShard {
         got: u64,
     }
     impl Driver for Probe {
@@ -582,32 +480,17 @@ fn offline_at_delivery_is_lost_across_shard_boundaries() {
             self.got = self.got.wrapping_add(m);
         }
     }
-    impl ShardDriver for ProbeShard {
-        type Msg = u64;
-        fn on_round_tick(&mut self, api: &mut ShardApi<'_, u64>, node: NodeId) {
-            let n = api.n();
-            if node.index() == 0 {
-                api.send(node, NodeId::from_index(n - 1), api.now().as_micros());
-            }
-        }
-        fn on_message(&mut self, _api: &mut ShardApi<'_, u64>, _f: NodeId, _t: NodeId, m: u64) {
-            self.got = self.got.wrapping_add(m);
-        }
-    }
     impl ShardableDriver for Probe {
-        type Shard = ProbeShard;
-        type Global = ();
-        fn split(self, plan: &ShardPlan) -> ((), Vec<ProbeShard>) {
-            let mut shards: Vec<ProbeShard> =
-                (0..plan.shards()).map(|_| ProbeShard { got: 0 }).collect();
-            shards[plan.shards() - 1].got = self.got;
-            ((), shards)
+        fn split(self, plan: &ShardPlan) -> Vec<Probe> {
+            let mut blocks: Vec<Probe> = (0..plan.shards()).map(|_| Probe::default()).collect();
+            blocks[plan.shards() - 1].got = self.got;
+            blocks
         }
-        fn merge(_plan: &ShardPlan, _g: (), shards: Vec<ProbeShard>) -> Self {
+        fn merge(_plan: &ShardPlan, blocks: Vec<Probe>) -> Self {
             Probe {
-                got: shards
+                got: blocks
                     .iter()
-                    .map(|s| s.got)
+                    .map(|b| b.got)
                     .fold(0u64, |a, b| a.wrapping_add(b)),
             }
         }

@@ -1,7 +1,7 @@
 //! The `TA_SHARDS`/`TA_PIN` guarantee at the experiment-pipeline level:
 //! the shard and pin knobs (like `TA_THREADS` before them) trade
 //! wall-clock layout only — every experiment result is byte-identical for
-//! every combination, serial path included.
+//! every combination, one shard included.
 //!
 //! Queue-kind × churn × explicit shard-count digests live closer to the
 //! engine (`crates/sim/tests/shard_equivalence.rs`,
