@@ -1,8 +1,7 @@
 //! Digest equality of the full Algorithm-4 driver: a [`TokenProtocol`]
 //! cut into shards must be byte-identical to the same protocol run whole
 //! (S = 1, [`Simulation`]) for the shardable applications, every shard
-//! count, both queues, and churn
-//! on/off — including the metric series (f64 bits), the token series, the
+//! count, and churn on/off — including the metric series (f64 bits), the token series, the
 //! burstiness histogram, every counter, and the final application state.
 
 use std::sync::Arc;
@@ -13,7 +12,7 @@ use ta_apps::sgd::{RegressionData, SgdGossipLearning};
 use ta_apps::{Application, ShardableApplication};
 use ta_overlay::generators::k_out_random;
 use ta_overlay::Topology;
-use ta_sim::config::{QueueKind, SimConfig};
+use ta_sim::config::SimConfig;
 use ta_sim::engine::{AvailabilityModel, Simulation};
 use ta_sim::rng::Xoshiro256pp;
 use ta_sim::shard::{ShardOpts, ShardedSimulation};
@@ -42,14 +41,13 @@ impl AvailabilityModel for Flap {
     }
 }
 
-fn cfg(n: usize, queue: QueueKind, seed: u64) -> SimConfig {
+fn cfg(n: usize, seed: u64) -> SimConfig {
     SimConfig::builder(n)
         .delta(SimDuration::from_secs(20))
         .transfer_time(SimDuration::from_millis(1500))
         .duration(SimDuration::from_secs(400))
         .sample_period(SimDuration::from_secs(20))
         .injection_period(SimDuration::from_secs(13))
-        .queue(queue)
         .seed(seed)
         .build()
         .unwrap()
@@ -123,16 +121,10 @@ fn build_gossip(
     proto
 }
 
-fn gossip_digest(
-    n: usize,
-    queue: QueueKind,
-    seed: u64,
-    churn: bool,
-    shards: Option<(usize, usize, bool)>,
-) -> Digest {
+fn gossip_digest(n: usize, seed: u64, churn: bool, shards: Option<(usize, usize, bool)>) -> Digest {
     let topo = topo(n, seed);
     let proto = build_gossip(n, seed, &topo, churn);
-    let config = cfg(n, queue, seed);
+    let config = cfg(n, seed);
     let avail: &dyn AvailabilityModel = if churn { &Flap } else { &ta_sim::AlwaysOn };
     let (proto, sim) = match shards {
         None => {
@@ -158,20 +150,18 @@ fn gossip_digest(
 
 #[test]
 fn gossip_learning_sharded_is_byte_identical() {
-    for queue in [QueueKind::Heap, QueueKind::Wheel] {
-        for churn in [false, true] {
-            let serial = gossip_digest(60, queue, 9, churn, None);
-            assert!(serial.sim.messages_delivered > 0);
-            if churn {
-                assert!(serial.stats.pull_requests > 0, "churn run must pull");
-            }
-            for (shards, pin) in [(1, false), (2, false), (2, true), (4, true)] {
-                let sharded = gossip_digest(60, queue, 9, churn, Some((shards, 2, pin)));
-                assert_eq!(
-                    serial, sharded,
-                    "gossip-learning {queue:?} churn={churn} S={shards} pin={pin}"
-                );
-            }
+    for churn in [false, true] {
+        let serial = gossip_digest(60, 9, churn, None);
+        assert!(serial.sim.messages_delivered > 0);
+        if churn {
+            assert!(serial.stats.pull_requests > 0, "churn run must pull");
+        }
+        for (shards, pin) in [(1, false), (2, false), (2, true), (4, true)] {
+            let sharded = gossip_digest(60, 9, churn, Some((shards, 2, pin)));
+            assert_eq!(
+                serial, sharded,
+                "gossip-learning churn={churn} S={shards} pin={pin}"
+            );
         }
     }
 }
@@ -182,7 +172,6 @@ fn gossip_learning_sharded_is_byte_identical() {
 /// (f64 bits), counters, histograms, and the full per-node update state.
 fn push_gossip_digest(
     n: usize,
-    queue: QueueKind,
     seed: u64,
     churn: bool,
     shards: Option<(usize, usize, bool)>,
@@ -205,7 +194,7 @@ fn push_gossip_digest(
     if churn {
         proto = proto.with_pull_on_rejoin();
     }
-    let config = cfg(n, queue, seed);
+    let config = cfg(n, seed);
     let avail: &dyn AvailabilityModel = if churn { &Flap } else { &ta_sim::AlwaysOn };
     let (proto, sim) = match shards {
         None => {
@@ -234,18 +223,16 @@ fn push_gossip_digest(
 
 #[test]
 fn push_gossip_sharded_is_byte_identical() {
-    for queue in [QueueKind::Heap, QueueKind::Wheel] {
-        for churn in [false, true] {
-            let serial = push_gossip_digest(60, queue, 21, churn, None);
-            assert!(serial.sim.injections > 0, "workload must inject updates");
-            assert!(serial.sim.messages_delivered > 0);
-            for (shards, pin) in [(1, false), (2, false), (2, true), (4, true)] {
-                let sharded = push_gossip_digest(60, queue, 21, churn, Some((shards, 2, pin)));
-                assert_eq!(
-                    serial, sharded,
-                    "push-gossip {queue:?} churn={churn} S={shards} pin={pin}"
-                );
-            }
+    for churn in [false, true] {
+        let serial = push_gossip_digest(60, 21, churn, None);
+        assert!(serial.sim.injections > 0, "workload must inject updates");
+        assert!(serial.sim.messages_delivered > 0);
+        for (shards, pin) in [(1, false), (2, false), (2, true), (4, true)] {
+            let sharded = push_gossip_digest(60, 21, churn, Some((shards, 2, pin)));
+            assert_eq!(
+                serial, sharded,
+                "push-gossip churn={churn} S={shards} pin={pin}"
+            );
         }
     }
 }
@@ -259,7 +246,7 @@ fn sgd_sharded_is_byte_identical_including_f64_metric() {
         let app = SgdGossipLearning::new(data.clone(), 0.15);
         let strategy = RandomizedTokenAccount::new(3, 8).unwrap();
         let proto = TokenProtocol::new(Arc::clone(&topo), strategy, app, vec![true; n]);
-        let config = cfg(n, QueueKind::Wheel, 3);
+        let config = cfg(n, 3);
         let (proto, sim) = match shards {
             None => {
                 let mut s = Simulation::new(config, &ta_sim::AlwaysOn, proto);

@@ -1,27 +1,26 @@
 //! End-to-end simulator throughput: a full token-account push gossip run
-//! at micro scale, under both scheduler implementations.
+//! at micro scale.
 
 use std::sync::Arc;
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ta_apps::protocol::TokenProtocol;
 use ta_apps::push_gossip::PushGossip;
 use ta_bench::scales::{BENCH_N, BENCH_ROUNDS};
 use ta_overlay::generators::k_out_random;
 use ta_overlay::Topology;
-use ta_sim::config::{QueueKind, SimConfig};
+use ta_sim::config::SimConfig;
 use ta_sim::engine::{AlwaysOn, Simulation};
 use ta_sim::paper;
 use ta_sim::rng::Xoshiro256pp;
 use token_account::prelude::*;
 
-fn run_once(topo: &Arc<Topology>, queue: QueueKind) -> u64 {
+fn run_once(topo: &Arc<Topology>) -> u64 {
     let n = topo.n();
     let cfg = SimConfig::builder(n)
         .duration(paper::DELTA * BENCH_ROUNDS)
         .sample_period(paper::DELTA)
         .injection_period(paper::UPDATE_INJECTION_PERIOD)
-        .queue(queue)
         .seed(3)
         .build()
         .expect("valid bench config");
@@ -39,13 +38,7 @@ fn bench_engine(c: &mut Criterion) {
     let topo = Arc::new(k_out_random(BENCH_N, 20, &mut rng).expect("valid topology"));
     let mut group = c.benchmark_group("engine_throughput");
     group.sample_size(20);
-    for queue in [QueueKind::Heap, QueueKind::Wheel] {
-        group.bench_with_input(
-            BenchmarkId::new("push_gossip_run", format!("{queue:?}")),
-            &queue,
-            |b, &queue| b.iter(|| black_box(run_once(&topo, queue))),
-        );
-    }
+    group.bench_function("push_gossip_run", |b| b.iter(|| black_box(run_once(&topo))));
     group.finish();
 }
 

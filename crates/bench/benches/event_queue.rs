@@ -1,16 +1,16 @@
-//! Scheduler ablation: binary heap vs. hierarchical timing wheel.
+//! Scheduler ablation: the engine's lane scheduler vs. the binary heap it
+//! falls back to.
 //!
-//! Two workloads: a uniformly random offset mix, and the round-based
-//! pattern that dominates the token account protocols (every pending event
-//! is either a Δ round tick or a transfer-delay delivery). The wheel's
-//! `O(1)` insertion is expected to win on the periodic workload.
+//! Two workloads: a uniformly random offset mix (no push matches a lane, so
+//! the scheduler is the heap plus its merge), and the round-based pattern
+//! that dominates the token account protocols (every pending event is
+//! either a Δ round tick or a transfer-delay delivery, so every push is an
+//! `O(1)` lane append).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use ta_bench::legacy_wheel::LegacyVecWheel;
-use ta_sim::queue::{BinaryHeapQueue, EventQueue};
+use ta_sim::queue::{BinaryHeapQueue, EventQueue, LaneScheduler};
 use ta_sim::rng::Xoshiro256pp;
 use ta_sim::time::SimTime;
-use ta_sim::wheel::TimingWheel;
 
 const PENDING: usize = 10_000;
 const OPS: usize = 20_000;
@@ -66,17 +66,10 @@ fn bench_queues(c: &mut Criterion) {
             },
         );
         group.bench_with_input(
-            BenchmarkId::new("legacy_vec_wheel", workload),
+            BenchmarkId::new("scheduler", workload),
             offsets,
             |b, offsets| {
-                b.iter(|| black_box(churn(LegacyVecWheel::new(), offsets)));
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("slab_wheel", workload),
-            offsets,
-            |b, offsets| {
-                b.iter(|| black_box(churn(TimingWheel::new(), offsets)));
+                b.iter(|| black_box(churn(LaneScheduler::new(), offsets)));
             },
         );
     }

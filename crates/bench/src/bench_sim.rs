@@ -3,11 +3,13 @@
 //! Measures, in one process and one run:
 //!
 //! * **event_queue** — steady-state push/pop churn throughput (events/sec)
-//!   of the binary heap, the legacy Vec-of-Vecs wheel, and the slab wheel,
-//!   on the uniform and the protocol-periodic offset mixes;
-//! * **engine** — end-to-end engine throughput (processed events/sec) under
-//!   heap vs. slab wheel, for a lean echo driver (engine-bound) and a real
-//!   push gossip protocol run;
+//!   of the engine's lane scheduler beside the binary heap it falls back
+//!   to, on the uniform (all fallback) and the protocol-periodic (all
+//!   lanes) offset mixes;
+//! * **batch** — dense same-time waves through the binary heap, popped per
+//!   event or drained as one batch;
+//! * **engine** — end-to-end engine throughput (processed events/sec) for a
+//!   lean echo driver (engine-bound) and a real push gossip protocol run;
 //! * **protocol** — the protocol-layer hot path: strategy dispatch
 //!   (boxed vs. monomorphized node steps), online peer sampling under
 //!   churn (two-pass scan vs. rejection fallback vs. packed mirror), and
@@ -32,8 +34,7 @@
 //! validate the harness, not for comparisons). `--diff BASELINE.json`
 //! additionally prints a non-failing comparison of every metric present in
 //! both reports (CI runs it against the committed `BENCH_sim.json` so perf
-//! regressions are visible in PR logs), calling out the known dense
-//! same-tick periodic trade-off explicitly.
+//! regressions are visible in PR logs).
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -47,19 +48,17 @@ use ta_experiments::runner::{prepare_topology, run_grid_prepared};
 use ta_experiments::spec::{AppKind, ExperimentSpec, TopologyKind};
 use ta_overlay::generators::k_out_random;
 use ta_overlay::sampling::{OnlineNeighbors, PeerSampler};
-use ta_sim::config::{QueueKind, SimConfig};
+use ta_sim::config::SimConfig;
 use ta_sim::engine::{AlwaysOn, Driver, SimApi, Simulation};
 use ta_sim::paper;
-use ta_sim::queue::{BinaryHeapQueue, EventQueue};
+use ta_sim::queue::{BinaryHeapQueue, EventQueue, LaneScheduler};
 use ta_sim::rng::Xoshiro256pp;
 use ta_sim::time::SimTime;
-use ta_sim::wheel::TimingWheel;
 use ta_sim::NodeId;
 use token_account::node::TokenNode;
 use token_account::prelude::*;
 
 use crate::legacy_proto::{two_pass_select_online, CloningSgd, LegacyTokenProtocol};
-use crate::legacy_wheel::LegacyVecWheel;
 use crate::report::{find, json_section, measure_events_per_sec, Sample};
 
 /// Pending events kept in flight during queue churn.
@@ -104,34 +103,6 @@ fn periodic_offsets(n: usize) -> Vec<u64> {
         .collect()
 }
 
-/// Reactive-burst insertion: rounds of `k` pushes sharing one deadline
-/// (`now + transfer_time`, the pattern every reactive burst produces),
-/// drained between rounds. `batched` routes each round through
-/// [`EventQueue::push_keyed_run`] — one slot classification per burst —
-/// instead of per-event `push_keyed`.
-fn burst_push_drain(batched: bool, bursts: u64, k: u64) -> u64 {
-    use ta_sim::queue::order_key;
-    let mut wheel: TimingWheel<u64> = TimingWheel::new();
-    let mut now = 0u64;
-    let mut acc = 0u64;
-    for b in 0..bursts {
-        let t = SimTime::from_micros(now + 1_728_000);
-        if batched {
-            wheel.push_keyed_run(t, (0..k).map(|j| (order_key(j as u32, b), j)));
-        } else {
-            for j in 0..k {
-                wheel.push_keyed(t, order_key(j as u32, b), j);
-            }
-        }
-        while let Some(s) = wheel.pop() {
-            acc ^= s.event;
-        }
-        now = t.as_micros();
-    }
-    black_box(acc);
-    2 * bursts * k
-}
-
 fn bench_event_queue(smoke: bool) -> Vec<Sample> {
     let workloads = [
         ("uniform", uniform_offsets(PENDING + OPS)),
@@ -144,42 +115,28 @@ fn bench_event_queue(smoke: bool) -> Vec<Sample> {
             value: measure_events_per_sec(|| queue_churn(BinaryHeapQueue::new(), offsets), smoke),
         });
         samples.push(Sample {
-            id: format!("legacy_wheel/{name}"),
-            value: measure_events_per_sec(|| queue_churn(LegacyVecWheel::new(), offsets), smoke),
-        });
-        samples.push(Sample {
-            id: format!("slab_wheel/{name}"),
-            value: measure_events_per_sec(|| queue_churn(TimingWheel::new(), offsets), smoke),
+            id: format!("scheduler/{name}"),
+            value: measure_events_per_sec(|| queue_churn(LaneScheduler::new(), offsets), smoke),
         });
     }
-    // Same-deadline burst batching (the ROADMAP "reactive-burst send
-    // batching" item): per-push vs. one-classification-per-run insertion.
-    let (bursts, k) = if smoke { (2_000, 16) } else { (40_000, 16) };
-    samples.push(Sample {
-        id: "slab_wheel/burst16_single".into(),
-        value: measure_events_per_sec(|| burst_push_drain(false, bursts, k), smoke),
-    });
-    samples.push(Sample {
-        id: "slab_wheel/burst16_batched".into(),
-        value: measure_events_per_sec(|| burst_push_drain(true, bursts, k), smoke),
-    });
     samples
 }
 
-/// Dense same-tick waves through one queue: each wave pushes `k` events
-/// sharing one deadline Δ out (landing in a deep wheel level, so the mass
-/// cascades down before it drains), consumed either per event (`pop`) or
-/// as one contiguous [`EventQueue::drain_ready`] batch. The pop/drain
-/// pair isolates the dispatch tax the batch-drain engine loop removes;
-/// the cross-queue drain rows give the dense-tick slab-vs-legacy ratio.
-fn dense_wave<Q: EventQueue<u64>>(mut queue: Q, batched: bool, waves: u64, k: u64) -> u64 {
+/// Dense same-time waves through the binary heap: each wave pushes `k`
+/// events sharing one deadline Δ out, consumed either per event (`pop`) or
+/// as one contiguous [`EventQueue::drain_ready`] batch. The pair isolates
+/// the dispatch tax the batch-drain engine loop removes.
+fn dense_wave(batched: bool, waves: u64, k: u64) -> u64 {
     use ta_sim::queue::{order_key, ReadyBatch};
+    let mut queue = BinaryHeapQueue::new();
     let mut batch = ReadyBatch::new();
     let mut now = 0u64;
     let mut acc = 0u64;
     for w in 0..waves {
         let t = SimTime::from_micros(now + 172_800_000);
-        queue.push_keyed_run(t, (0..k).map(|j| (order_key(j as u32, w), j)));
+        for j in 0..k {
+            queue.push_keyed(t, order_key(j as u32, w), j);
+        }
         if batched {
             queue.drain_ready(&mut batch);
             debug_assert_eq!(batch.len() as u64, k);
@@ -198,36 +155,16 @@ fn dense_wave<Q: EventQueue<u64>>(mut queue: Q, batched: bool, waves: u64, k: u6
 }
 
 /// The `batch` section: contiguous same-time drains vs per-event pops on
-/// dense waves, for all three queue implementations (the legacy wheel
-/// runs the trait's pop-loop fallback — its rows are the "no contiguous
-/// ready run to swap" baseline).
+/// dense waves.
 fn bench_batch(smoke: bool) -> Vec<Sample> {
     let (waves, k) = if smoke { (50, 1_024) } else { (400, 4_096) };
-    let mut samples = Vec::new();
-    for (mode, batched) in [("pop", false), ("drain", true)] {
-        samples.push(Sample {
+    [("pop", false), ("drain", true)]
+        .into_iter()
+        .map(|(mode, batched)| Sample {
             id: format!("dense_wave/binary_heap/{mode}"),
-            value: measure_events_per_sec(
-                || dense_wave(BinaryHeapQueue::new(), batched, waves, k),
-                smoke,
-            ),
-        });
-        samples.push(Sample {
-            id: format!("dense_wave/legacy_wheel/{mode}"),
-            value: measure_events_per_sec(
-                || dense_wave(LegacyVecWheel::new(), batched, waves, k),
-                smoke,
-            ),
-        });
-        samples.push(Sample {
-            id: format!("dense_wave/slab_wheel/{mode}"),
-            value: measure_events_per_sec(
-                || dense_wave(TimingWheel::new(), batched, waves, k),
-                smoke,
-            ),
-        });
-    }
-    samples
+            value: measure_events_per_sec(|| dense_wave(batched, waves, k), smoke),
+        })
+        .collect()
 }
 
 /// A protocol-free driver: every tick sends one message to a random online
@@ -249,12 +186,11 @@ impl Driver for Echo {
     }
 }
 
-fn engine_echo_run(n: usize, rounds: u64, queue: QueueKind) -> u64 {
+fn engine_echo_run(n: usize, rounds: u64) -> u64 {
     let cfg = SimConfig::builder(n)
         .delta(paper::DELTA)
         .transfer_time(paper::TRANSFER_TIME)
         .duration(paper::DELTA * rounds)
-        .queue(queue)
         .seed(42)
         .build()
         .expect("valid bench config");
@@ -264,7 +200,7 @@ fn engine_echo_run(n: usize, rounds: u64, queue: QueueKind) -> u64 {
     sim.stats().events_processed
 }
 
-fn engine_gossip_run(topo: &Arc<ta_overlay::Topology>, rounds: u64, queue: QueueKind) -> u64 {
+fn engine_gossip_run(topo: &Arc<ta_overlay::Topology>, rounds: u64) -> u64 {
     let n = topo.n();
     let cfg = SimConfig::builder(n)
         .delta(paper::DELTA)
@@ -272,7 +208,6 @@ fn engine_gossip_run(topo: &Arc<ta_overlay::Topology>, rounds: u64, queue: Queue
         .duration(paper::DELTA * rounds)
         .sample_period(paper::DELTA)
         .injection_period(paper::UPDATE_INJECTION_PERIOD)
-        .queue(queue)
         .seed(3)
         .build()
         .expect("valid bench config");
@@ -330,26 +265,16 @@ fn bench_engine(smoke: bool) -> Vec<Sample> {
     let mut rng = Xoshiro256pp::stream(5, 0);
     let topo =
         Arc::new(k_out_random(gossip_n, paper::OUT_DEGREE, &mut rng).expect("valid topology"));
-    let mut samples = Vec::new();
-    for (label, queue) in [
-        ("binary_heap", QueueKind::Heap),
-        ("slab_wheel", QueueKind::Wheel),
-    ] {
-        samples.push(Sample {
-            id: format!("echo/{label}"),
-            value: measure_events_per_sec(|| engine_echo_run(echo_n, echo_rounds, queue), smoke),
-        });
-    }
-    for (label, queue) in [
-        ("binary_heap", QueueKind::Heap),
-        ("slab_wheel", QueueKind::Wheel),
-    ] {
-        samples.push(Sample {
-            id: format!("push_gossip/{label}"),
-            value: measure_events_per_sec(|| engine_gossip_run(&topo, gossip_rounds, queue), smoke),
-        });
-    }
-    samples
+    vec![
+        Sample {
+            id: "echo/scheduler".into(),
+            value: measure_events_per_sec(|| engine_echo_run(echo_n, echo_rounds), smoke),
+        },
+        Sample {
+            id: "push_gossip/scheduler".into(),
+            value: measure_events_per_sec(|| engine_gossip_run(&topo, gossip_rounds), smoke),
+        },
+    ]
 }
 
 /// Algorithm-4 node steps (one round tick + one message reaction) through
@@ -422,7 +347,6 @@ fn sgd_run_modern(topo: &Arc<ta_overlay::Topology>, data: &RegressionData, round
         .delta(paper::DELTA)
         .transfer_time(paper::TRANSFER_TIME)
         .duration(paper::DELTA * rounds)
-        .queue(QueueKind::Wheel)
         .seed(29)
         .build()
         .expect("valid bench config");
@@ -443,7 +367,6 @@ fn sgd_run_legacy(topo: &Arc<ta_overlay::Topology>, data: &RegressionData, round
         .delta(paper::DELTA)
         .transfer_time(paper::TRANSFER_TIME)
         .duration(paper::DELTA * rounds)
-        .queue(QueueKind::Wheel)
         .seed(29)
         .build()
         .expect("valid bench config");
@@ -529,7 +452,6 @@ fn shard_gossip_run(
         .transfer_time(paper::TRANSFER_TIME)
         .duration(paper::DELTA * rounds)
         .sample_period(paper::DELTA)
-        .queue(QueueKind::Wheel)
         .seed(37)
         .build()
         .expect("valid bench config");
@@ -690,7 +612,6 @@ fn shard_gossip_profile(
         .transfer_time(paper::TRANSFER_TIME)
         .duration(paper::DELTA * rounds)
         .sample_period(paper::DELTA)
-        .queue(QueueKind::Wheel)
         .seed(37)
         .build()
         .expect("valid bench config");
@@ -793,32 +714,15 @@ pub fn run(smoke: bool, out_path: &str) -> String {
     eprintln!("bench_sim: sweep...");
     let (sweep_wall, sweep_jobs, workers) = bench_sweep(smoke);
 
-    // Headline speedups: slab wheel vs. the binary-heap baseline, same run.
+    // Headline speedups: the scheduler vs. its binary-heap fallback alone,
+    // same run.
     let speedups = {
         let mut v = Vec::new();
         for name in ["uniform", "periodic"] {
             v.push(Sample {
-                id: format!("event_queue_{name}_slab_wheel_vs_binary_heap"),
-                value: find(&queue_samples, &format!("slab_wheel/{name}"))
+                id: format!("event_queue_{name}_scheduler_vs_binary_heap"),
+                value: find(&queue_samples, &format!("scheduler/{name}"))
                     / find(&queue_samples, &format!("binary_heap/{name}")),
-            });
-            v.push(Sample {
-                id: format!("event_queue_{name}_slab_wheel_vs_legacy_wheel"),
-                value: find(&queue_samples, &format!("slab_wheel/{name}"))
-                    / find(&queue_samples, &format!("legacy_wheel/{name}")),
-            });
-        }
-        let engine_ids: Vec<&str> = engine_samples
-            .iter()
-            .map(|s| s.id.as_str())
-            .filter(|id| id.ends_with("/binary_heap"))
-            .collect();
-        for heap_id in engine_ids {
-            let stem = heap_id.trim_end_matches("/binary_heap");
-            v.push(Sample {
-                id: format!("engine_{}_slab_wheel_vs_binary_heap", stem),
-                value: find(&engine_samples, &format!("{stem}/slab_wheel"))
-                    / find(&engine_samples, heap_id),
             });
         }
         // Protocol-layer headlines: dispatch, sampling, end-to-end.
@@ -842,26 +746,11 @@ pub fn run(smoke: bool, out_path: &str) -> String {
             value: find(&protocol_samples, "sgd/monomorphized_arc")
                 / find(&protocol_samples, "sgd/legacy_boxed_cloning"),
         });
-        // Burst batching and sharded-engine headlines.
+        // What drain_ready buys over per-event pops on dense waves.
         v.push(Sample {
-            id: "event_queue_burst16_batched_vs_single".into(),
-            value: find(&queue_samples, "slab_wheel/burst16_batched")
-                / find(&queue_samples, "slab_wheel/burst16_single"),
-        });
-        // Batch-drain headlines: what drain_ready buys over per-event
-        // pops on dense waves, and the dense-tick slab-vs-legacy ratio
-        // under batch draining (the ROADMAP deep-level contiguity item).
-        for queue in ["binary_heap", "legacy_wheel", "slab_wheel"] {
-            v.push(Sample {
-                id: format!("batch_dense_wave_drain_vs_pop_{queue}"),
-                value: find(&batch_samples, &format!("dense_wave/{queue}/drain"))
-                    / find(&batch_samples, &format!("dense_wave/{queue}/pop")),
-            });
-        }
-        v.push(Sample {
-            id: "batch_dense_wave_drain_slab_vs_legacy".into(),
-            value: find(&batch_samples, "dense_wave/slab_wheel/drain")
-                / find(&batch_samples, "dense_wave/legacy_wheel/drain"),
+            id: "batch_dense_wave_drain_vs_pop_binary_heap".into(),
+            value: find(&batch_samples, "dense_wave/binary_heap/drain")
+                / find(&batch_samples, "dense_wave/binary_heap/pop"),
         });
         for (id, sample) in [
             ("shard_s2_vs_serial_engine", "gossip/s2_t2"),
@@ -923,16 +812,14 @@ pub fn run(smoke: bool, out_path: &str) -> String {
 
 /// Prints a metric-by-metric comparison of `current` against the
 /// baseline report at `baseline_path` (typically the committed
-/// `BENCH_sim.json`), then surfaces the dense same-tick periodic case
-/// explicitly (the trade-off the hybrid spill wheel was built to close),
-/// so movement in either direction is one line away in every CI log.
-/// Value movement never fails; returns `false` on report **schema**
-/// drift — a section name present in only one of the two reports (see
-/// [`crate::report::section_drift`]) — so a harness refactor cannot
-/// silently drop a comparison family like the `batch` rows.
+/// `BENCH_sim.json`). Value movement never fails; returns `false` on
+/// report **schema** drift — a section name present in only one of the
+/// two reports (see [`crate::report::section_drift`]) — so a harness
+/// refactor cannot silently drop a comparison family like the `batch`
+/// rows.
 #[must_use]
 pub fn diff_report(current: &str, baseline_path: &str) -> bool {
-    let schema_ok = crate::report::diff_report(
+    crate::report::diff_report(
         current,
         baseline_path,
         &[
@@ -942,23 +829,7 @@ pub fn diff_report(current: &str, baseline_path: &str) -> bool {
             "shard/host_cores",
             "shard_sync/host_cores",
         ],
-    );
-    let new = crate::report::parse_report(current);
-    let pick = |entries: &[(String, f64)], key: &str| {
-        entries
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|&(_, v)| v)
-            .unwrap_or(f64::NAN)
-    };
-    let slab = pick(&new, "event_queue/slab_wheel/periodic");
-    let legacy = pick(&new, "event_queue/legacy_wheel/periodic");
-    println!(
-        "dense same-tick periodic case: slab_wheel {slab:.0} vs legacy_wheel {legacy:.0} \
-         ev/s (slab/legacy = {:.2}x; hybrid spill runs, see ROADMAP)",
-        slab / legacy
-    );
-    schema_ok
+    )
 }
 
 /// CLI entry: `bench_sim [--test] [--out PATH] [--diff BASELINE]`.
@@ -1003,14 +874,9 @@ mod tests {
             "\"batch\"",
             "dense_wave/binary_heap/pop",
             "dense_wave/binary_heap/drain",
-            "dense_wave/legacy_wheel/pop",
-            "dense_wave/legacy_wheel/drain",
-            "dense_wave/slab_wheel/pop",
-            "dense_wave/slab_wheel/drain",
-            "batch_dense_wave_drain_vs_pop_slab_wheel",
-            "batch_dense_wave_drain_slab_vs_legacy",
-            "echo/binary_heap",
-            "push_gossip/slab_wheel",
+            "batch_dense_wave_drain_vs_pop_binary_heap",
+            "echo/scheduler",
+            "push_gossip/scheduler",
             "sgd/legacy_boxed_cloning",
             "sgd/monomorphized_arc",
             "\"event_queue\"",
@@ -1019,8 +885,8 @@ mod tests {
             "\"speedup\"",
             "\"sweep\"",
             "binary_heap/periodic",
-            "legacy_wheel/periodic",
-            "slab_wheel/periodic",
+            "scheduler/periodic",
+            "event_queue_periodic_scheduler_vs_binary_heap",
             "node_step/boxed",
             "node_step/monomorphized",
             "sampling_churn/two_pass",
@@ -1048,9 +914,6 @@ mod tests {
             "engine/s4_t4",
             "shard_sync_channel_vs_barrier_w2",
             "shard_sync_channel_vs_barrier_w4",
-            "slab_wheel/burst16_single",
-            "slab_wheel/burst16_batched",
-            "event_queue_burst16_batched_vs_single",
             "wall_clock_seconds",
         ] {
             assert!(report.contains(key), "missing {key} in report:\n{report}");

@@ -5,15 +5,15 @@
 //! | Bench | What it measures |
 //! |-------|------------------|
 //! | `strategy` | proactive/reactive kernels of all five strategies, `randRound`, Algorithm-4 node steps |
-//! | `event_queue` | binary heap vs. legacy Vec wheel vs. slab wheel (the DESIGN.md scheduler ablation) |
-//! | `engine` | end-to-end simulator throughput (events/second) under both queues |
+//! | `event_queue` | the engine's lane scheduler vs. the binary heap it falls back to |
+//! | `engine` | end-to-end simulator throughput (events/second) |
 //! | `overlay` | k-out and Watts–Strogatz generation, reference eigenvector |
 //! | `churn` | synthetic smartphone trace generation |
 //! | `figures` | scaled-down regenerations of Figures 1, 2 and 5 (per-figure wall time) |
 //!
 //! Run with `cargo bench -p ta-bench` (or `cargo bench --workspace`).
 //!
-//! The library carries three support pieces:
+//! The library carries two support pieces:
 //!
 //! * [`bench_sim`] — the `bench_sim` binary's harness, which measures
 //!   queue, engine, and protocol throughput plus sweep wall-clock and
@@ -21,8 +21,6 @@
 //!   tracking: `cargo run --release -p ta-bench --bin bench_sim` (add
 //!   `--test` for the CI smoke mode, `--diff PATH` for a non-failing
 //!   comparison against a committed baseline);
-//! * [`legacy_wheel`] — the pre-slab Vec-of-Vecs timing wheel, kept as the
-//!   baseline the slab rewrite is measured against;
 //! * [`legacy_proto`] — the pre-monomorphization protocol driver (boxed
 //!   strategy dispatch, two-pass peer selection, cloning payloads), kept
 //!   as the baseline the allocation-free protocol path is measured
@@ -31,7 +29,6 @@
 pub mod bench_live;
 pub mod bench_sim;
 pub mod legacy_proto;
-pub mod legacy_wheel;
 pub mod report;
 
 /// Common scale constants shared by the benches so results are comparable

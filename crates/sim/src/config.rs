@@ -21,17 +21,6 @@ pub enum TickPhase {
     Synchronized,
 }
 
-/// Which pending-event set implementation the engine uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum QueueKind {
-    /// Binary heap: `O(log n)` operations, the robust default.
-    #[default]
-    Heap,
-    /// Hierarchical timing wheel: `O(1)` amortized insertion; faster for
-    /// round-based workloads (see the `event_queue` bench).
-    Wheel,
-}
-
 /// Validated simulation parameters.
 ///
 /// Construct through [`SimConfig::builder`]; defaults follow the paper's
@@ -56,7 +45,6 @@ pub struct SimConfig {
     duration: SimDuration,
     seed: u64,
     tick_phase: TickPhase,
-    queue: QueueKind,
     sample_period: Option<SimDuration>,
     injection_period: Option<SimDuration>,
     drop_probability: f64,
@@ -72,7 +60,6 @@ impl SimConfig {
             duration: paper::TWO_DAYS,
             seed: 0,
             tick_phase: TickPhase::default(),
-            queue: QueueKind::default(),
             sample_period: None,
             injection_period: None,
             drop_probability: 0.0,
@@ -115,12 +102,6 @@ impl SimConfig {
         self.tick_phase
     }
 
-    /// Event queue implementation.
-    #[inline]
-    pub fn queue(&self) -> QueueKind {
-        self.queue
-    }
-
     /// Period of metric sampling callbacks, if enabled.
     #[inline]
     pub fn sample_period(&self) -> Option<SimDuration> {
@@ -150,7 +131,6 @@ pub struct SimConfigBuilder {
     duration: SimDuration,
     seed: u64,
     tick_phase: TickPhase,
-    queue: QueueKind,
     sample_period: Option<SimDuration>,
     injection_period: Option<SimDuration>,
     drop_probability: f64,
@@ -184,12 +164,6 @@ impl SimConfigBuilder {
     /// Sets the round phasing policy.
     pub fn tick_phase(mut self, tick_phase: TickPhase) -> Self {
         self.tick_phase = tick_phase;
-        self
-    }
-
-    /// Selects the event queue implementation.
-    pub fn queue(mut self, queue: QueueKind) -> Self {
-        self.queue = queue;
         self
     }
 
@@ -251,7 +225,6 @@ impl SimConfigBuilder {
             duration: self.duration,
             seed: self.seed,
             tick_phase: self.tick_phase,
-            queue: self.queue,
             sample_period: self.sample_period,
             injection_period: self.injection_period,
             drop_probability: self.drop_probability,
@@ -303,7 +276,6 @@ mod tests {
         assert_eq!(cfg.transfer_time(), paper::TRANSFER_TIME);
         assert_eq!(cfg.duration(), paper::TWO_DAYS);
         assert_eq!(cfg.tick_phase(), TickPhase::UniformRandom);
-        assert_eq!(cfg.queue(), QueueKind::Heap);
         assert_eq!(cfg.drop_probability(), 0.0);
         assert_eq!(cfg.sample_period(), None);
     }
@@ -368,7 +340,6 @@ mod tests {
             .duration(SimDuration::from_secs(1000))
             .seed(99)
             .tick_phase(TickPhase::Synchronized)
-            .queue(QueueKind::Wheel)
             .sample_period(SimDuration::from_secs(10))
             .injection_period(SimDuration::from_secs(1))
             .drop_probability(0.25)
@@ -380,7 +351,6 @@ mod tests {
         assert_eq!(cfg.duration(), SimDuration::from_secs(1000));
         assert_eq!(cfg.seed(), 99);
         assert_eq!(cfg.tick_phase(), TickPhase::Synchronized);
-        assert_eq!(cfg.queue(), QueueKind::Wheel);
         assert_eq!(cfg.sample_period(), Some(SimDuration::from_secs(10)));
         assert_eq!(cfg.injection_period(), Some(SimDuration::from_secs(1)));
         assert_eq!(cfg.drop_probability(), 0.25);

@@ -76,9 +76,9 @@ use ta_telemetry::Profile;
 
 use crate::config::{SimConfig, TickPhase};
 use crate::ids::{node_ids, NodeId};
-use crate::queue::{order_key, EventQueue, ReadyBatch};
+use crate::queue::{order_key, EventQueue, LaneScheduler, ReadyBatch};
 use crate::rng::Xoshiro256pp;
-use crate::shard::pipeline::{on_core, AnyCore};
+use crate::shard::pipeline::Core;
 use crate::shard::ShardPlan;
 use crate::time::{SimDuration, SimTime};
 
@@ -550,13 +550,11 @@ pub(crate) enum Ctx {
 ///
 /// Deliberately does *not* own the event queue: callbacks append new events
 /// to the `pending` buffer and the engine flushes it into its queue after
-/// each same-time batch. This keeps [`SimApi`] (and therefore the
-/// [`Driver`] trait) non-generic while the engine's event loop is
-/// monomorphized over the concrete queue — every `drain`/`push` in the hot
-/// path is a direct call, selected once at construction, instead of an
-/// enum-dispatch branch per event. Scheduled events carry their
-/// `(origin, counter)` keys from the moment they are created, so the flush
-/// order is irrelevant to the observable event order.
+/// each same-time batch, while the queue's clock still stands at the batch
+/// instant — which is what lets the scheduler read each push's delay off
+/// its time. Scheduled events carry their `(origin, counter)` keys from the
+/// moment they are created, so the flush order is irrelevant to the
+/// observable event order.
 pub(crate) struct Kernel<M> {
     pub(crate) plan: Arc<ShardPlan>,
     /// First node of the owned range `lo..lo + counters.len()` (the dense
@@ -565,9 +563,8 @@ pub(crate) struct Kernel<M> {
     cfg: SimConfig,
     pub(crate) now: SimTime,
     /// Events scheduled during the current batch; flushed before the next
-    /// queue drain (whole reactive bursts re-enter through
-    /// [`EventQueue::push_keyed_run`]). Capacity is reused across
-    /// batches: steady-state, the hot path does not allocate.
+    /// queue drain. Capacity is reused across batches: steady-state, the
+    /// hot path does not allocate.
     pending: Vec<(SimTime, u64, Ev<M>)>,
     pub(crate) outbox: Vec<OutMsg<M>>,
     /// Sends a barrier callback made on behalf of another block's node;
@@ -824,20 +821,13 @@ impl<'a, M> SimApi<'a, M> {
     }
 }
 
-/// One block's event loop: kernel + queue + driver, monomorphized over a
-/// concrete event queue so the loop in [`run_until`](Engine::run_until)
-/// compiles to direct (inlinable) queue calls with no per-event dispatch
-/// branch.
-pub(crate) struct Engine<D: Driver, Q: EventQueue<Ev<D::Msg>>> {
+/// One block's event loop: kernel + scheduler + driver.
+pub(crate) struct Engine<D: Driver> {
     pub(crate) kernel: Kernel<D::Msg>,
-    pub(crate) queue: Q,
+    pub(crate) queue: LaneScheduler<Ev<D::Msg>>,
     pub(crate) driver: D,
-    /// Scratch buffer for same-deadline runs handed to
-    /// [`EventQueue::push_keyed_run`] (capacity reused).
-    run_buf: Vec<(u64, Ev<D::Msg>)>,
     /// The same-time run currently being dispatched, drained from the
-    /// queue in one [`EventQueue::drain_ready_before`] call (the wheel
-    /// swaps buffers, so the capacity circulates between the two).
+    /// queue in one [`EventQueue::drain_ready_before`] call.
     batch: ReadyBatch<Ev<D::Msg>>,
     /// Contiguous delivery run scratch: `(from, to, payload)`, grouped by
     /// destination through `grouper` (capacity reused).
@@ -848,7 +838,7 @@ pub(crate) struct Engine<D: Driver, Q: EventQueue<Ev<D::Msg>>> {
     pub(crate) profile: Profile,
 }
 
-impl<D: Driver, Q: EventQueue<Ev<D::Msg>>> Engine<D, Q> {
+impl<D: Driver> Engine<D> {
     /// Builds the engine of block `shard` of `plan`: the full initial
     /// online set, every node's churn transitions, and the first tick of
     /// each owned online node.
@@ -858,7 +848,6 @@ impl<D: Driver, Q: EventQueue<Ev<D::Msg>>> Engine<D, Q> {
         cfg: &SimConfig,
         availability: &dyn AvailabilityModel,
         driver: D,
-        queue: Q,
     ) -> Self {
         let n = cfg.n();
         let seed = cfg.seed();
@@ -913,9 +902,8 @@ impl<D: Driver, Q: EventQueue<Ev<D::Msg>>> Engine<D, Q> {
         }
         let mut engine = Engine {
             kernel,
-            queue,
+            queue: LaneScheduler::with_delays([cfg.delta(), cfg.transfer_time()]),
             driver,
-            run_buf: Vec::new(),
             batch: ReadyBatch::new(),
             run_scratch: Vec::new(),
             grouper: RunGrouper::new(range.start, range.len()),
@@ -925,15 +913,28 @@ impl<D: Driver, Q: EventQueue<Ev<D::Msg>>> Engine<D, Q> {
         engine
     }
 
-    /// Moves buffered schedules into the queue, batching same-deadline
-    /// runs (see [`crate::queue::flush_run_batched`]).
+    /// Moves buffered schedules into the queue.
     #[inline]
     pub(crate) fn flush_pending(&mut self) {
-        crate::queue::flush_run_batched(
-            &mut self.kernel.pending,
-            &mut self.run_buf,
-            &mut self.queue,
-        );
+        let mut pending = std::mem::take(&mut self.kernel.pending);
+        self.enqueue(pending.drain(..));
+        self.kernel.pending = pending;
+    }
+
+    /// Pushes `events` into the queue, telling the profile how many a lane
+    /// took and how many fell back to the heap (no pop runs in between, so
+    /// the heap's growth is the fallback count).
+    #[inline]
+    pub(crate) fn enqueue(
+        &mut self,
+        events: impl ExactSizeIterator<Item = (SimTime, u64, Ev<D::Msg>)>,
+    ) {
+        let (total, before) = (events.len(), self.queue.fallback_len());
+        for (time, key, ev) in events {
+            self.queue.push_keyed(time, key, ev);
+        }
+        self.profile
+            .pushes(total, self.queue.fallback_len() - before);
     }
 
     /// Events not yet processed (diagnostic).
@@ -947,11 +948,9 @@ impl<D: Driver, Q: EventQueue<Ev<D::Msg>>> Engine<D, Q> {
     /// The batch-drain event loop: one bounded queue drain hands out the
     /// whole earliest same-time run (no peek-then-pop double traversal),
     /// the clock advances once per run, and the deferred-push buffer
-    /// flushes once per run — so a reactive burst leaves the queue as one
-    /// batch and its responses re-enter as one [`EventQueue::push_keyed_run`].
-    /// Every event scheduled during a dispatch lies strictly after the
-    /// batch instant (all delays are positive), so consuming the run
-    /// without re-consulting the queue is exact.
+    /// flushes once per run. Every event scheduled during a dispatch lies
+    /// strictly after the batch instant (all delays are positive), so
+    /// consuming the run without re-consulting the queue is exact.
     pub(crate) fn run_until(&mut self, until: SimTime) {
         loop {
             self.queue.drain_ready_before(until, &mut self.batch);
@@ -1122,14 +1121,8 @@ impl<D: Driver, Q: EventQueue<Ev<D::Msg>>> Engine<D, Q> {
 
 /// A configured simulation run on one block: the engine for the whole
 /// network `0..n` plus its driver, executed on the calling thread.
-///
-/// The queue implementation is chosen at construction, once: the event
-/// loop is monomorphized over it, so the branch on [`QueueKind`] is taken
-/// once per public API call, never once per event.
-///
-/// [`QueueKind`]: crate::config::QueueKind
 pub struct Simulation<D: Driver> {
-    core: AnyCore<D>,
+    core: Core<D>,
 }
 
 /// The whole network is one block: it samples and injects for itself.
@@ -1149,7 +1142,7 @@ impl<D: Driver> Simulation<D> {
     pub fn new(cfg: SimConfig, availability: &dyn AvailabilityModel, driver: D) -> Self {
         let plan = ShardPlan::new(cfg.n(), 1);
         Simulation {
-            core: AnyCore::new(
+            core: Core::new(
                 cfg,
                 availability,
                 plan,
@@ -1161,7 +1154,7 @@ impl<D: Driver> Simulation<D> {
 
     /// Runs until the configured duration is reached (or the queue drains).
     pub fn run_to_end(&mut self) {
-        on_core!(mut self.core, c => c.run_whole_to_end())
+        self.core.run_whole_to_end();
     }
 
     /// Processes all events with `time <= until`, advancing the clock to
@@ -1170,27 +1163,27 @@ impl<D: Driver> Simulation<D> {
     /// Can be called repeatedly with increasing horizons to interleave
     /// simulation with external observation.
     pub fn run_until(&mut self, until: SimTime) {
-        on_core!(mut self.core, c => c.run_whole(until))
+        self.core.run_whole(until);
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        on_core!(self.core, c => c.now())
+        self.core.now()
     }
 
     /// Statistics accumulated so far.
     pub fn stats(&self) -> &SimStats {
-        on_core!(self.core, c => &c.engines[0].kernel.stats)
+        &self.core.engines[0].kernel.stats
     }
 
     /// The driver (protocol state), for inspection.
     pub fn driver(&self) -> &D {
-        on_core!(self.core, c => &c.engines[0].driver)
+        &self.core.engines[0].driver
     }
 
     /// Mutable access to the driver between run segments.
     pub fn driver_mut(&mut self) -> &mut D {
-        on_core!(mut self.core, c => &mut c.engines[0].driver)
+        &mut self.core.engines[0].driver
     }
 
     /// Consumes the simulation, returning the driver and final statistics.
@@ -1201,7 +1194,7 @@ impl<D: Driver> Simulation<D> {
 
     /// Self-profiling totals (empty unless profiling is enabled).
     pub fn profile(&self) -> &Profile {
-        on_core!(self.core, c => &c.engines[0].profile)
+        &self.core.engines[0].profile
     }
 
     /// Forces self-profiling on or off for this simulation, overriding
@@ -1213,18 +1206,18 @@ impl<D: Driver> Simulation<D> {
 
     /// Number of pending events (diagnostic).
     pub fn pending_events(&self) -> usize {
-        on_core!(self.core, c => c.pending_events())
+        self.core.pending_events()
     }
 
     /// Whether `run_to_end` has completed.
     pub fn is_finished(&self) -> bool {
-        on_core!(self.core, c => c.finished)
+        self.core.finished
     }
 
     /// Engine state, for in-crate tests.
     #[cfg(test)]
     fn kernel(&self) -> &Kernel<D::Msg> {
-        on_core!(self.core, c => &c.engines[0].kernel)
+        &self.core.engines[0].kernel
     }
 }
 
@@ -1242,7 +1235,7 @@ impl<D: Driver + std::fmt::Debug> std::fmt::Debug for Simulation<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{QueueKind, SimConfig};
+    use crate::config::SimConfig;
 
     /// Counts everything; replies to every message once.
     #[derive(Debug, Default)]
@@ -1538,40 +1531,42 @@ mod tests {
     }
 
     #[test]
-    fn heap_and_wheel_produce_identical_runs() {
-        let run = |queue: QueueKind| {
-            let cfg = SimConfig::builder(30)
-                .delta(SimDuration::from_secs(7))
-                .transfer_time(SimDuration::from_millis(1700))
-                .duration(SimDuration::from_secs(500))
-                .seed(5)
-                .queue(queue)
-                .build()
-                .unwrap();
-            struct Chat;
-            impl Driver for Chat {
-                type Msg = u64;
-                fn on_round_tick(&mut self, api: &mut SimApi<'_, u64>, node: NodeId) {
-                    let peer = api.random_online_node().unwrap();
-                    api.send(node, peer, api.now().as_micros());
-                }
-                fn on_message(
-                    &mut self,
-                    api: &mut SimApi<'_, u64>,
-                    from: NodeId,
-                    to: NodeId,
-                    m: u64,
-                ) {
-                    if m.is_multiple_of(3) {
-                        api.send(to, from, m + 1);
-                    }
+    fn scheduler_reproduces_the_heap_engines_run() {
+        // Ticks and sends ride the lanes, same-instant replies land in
+        // them out of key order; the counters are those the engine
+        // produced on `BinaryHeapQueue` alone.
+        struct Chat;
+        impl Driver for Chat {
+            type Msg = u64;
+            fn on_round_tick(&mut self, api: &mut SimApi<'_, u64>, node: NodeId) {
+                let peer = api.random_online_node().unwrap();
+                api.send(node, peer, api.now().as_micros());
+            }
+            fn on_message(&mut self, api: &mut SimApi<'_, u64>, from: NodeId, to: NodeId, m: u64) {
+                if m.is_multiple_of(3) {
+                    api.send(to, from, m + 1);
                 }
             }
-            let mut sim = Simulation::new(cfg, &AlwaysOn, Chat);
-            sim.run_to_end();
-            *sim.stats()
-        };
-        assert_eq!(run(QueueKind::Heap), run(QueueKind::Wheel));
+        }
+        let cfg = SimConfig::builder(30)
+            .delta(SimDuration::from_secs(7))
+            .transfer_time(SimDuration::from_millis(1700))
+            .duration(SimDuration::from_secs(500))
+            .seed(5)
+            .build()
+            .unwrap();
+        let mut sim = Simulation::new(cfg, &AlwaysOn, Chat);
+        sim.run_to_end();
+        assert_eq!(
+            *sim.stats(),
+            SimStats {
+                messages_sent: 2853,
+                messages_delivered: 2847,
+                ticks_fired: 2142,
+                events_processed: 4989,
+                ..SimStats::default()
+            }
+        );
     }
 
     #[test]

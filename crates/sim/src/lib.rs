@@ -7,9 +7,9 @@
 //!   [`SimDuration`]).
 //! * [`rng`] — pinned, reproducible random number generation
 //!   ([`rng::Xoshiro256pp`], [`rng::SplitMix64`]).
-//! * [`queue`]/[`wheel`] — two interchangeable pending-event sets with
-//!   identical deterministic ordering (binary heap and hierarchical timing
-//!   wheel).
+//! * [`queue`] — the pending-event set: [`queue::LaneScheduler`], one FIFO
+//!   lane per fixed delay (Δ, transfer time) in front of a binary heap,
+//!   and the heap itself, which the tests hold the scheduler to.
 //! * [`engine`] — the one event loop: round ticks, message transfer,
 //!   churn, one-shot timers over a block of nodes; [`Simulation`] runs it
 //!   for the whole network ([`Driver`], [`SimApi`]).
@@ -58,7 +58,7 @@ pub mod shard;
 pub mod time;
 pub mod wheel;
 
-pub use config::{QueueKind, SimConfig, TickPhase};
+pub use config::{SimConfig, TickPhase};
 pub use engine::{AlwaysOn, AvailabilityModel, Driver, SimApi, SimStats, Simulation};
 pub use ids::NodeId;
 pub use shard::{ShardOpts, ShardPlan, ShardableDriver, ShardedSimulation};
@@ -66,7 +66,7 @@ pub use time::{SimDuration, SimTime};
 
 /// Convenient glob import for driver implementations.
 pub mod prelude {
-    pub use crate::config::{QueueKind, SimConfig, TickPhase};
+    pub use crate::config::{SimConfig, TickPhase};
     pub use crate::engine::{AlwaysOn, AvailabilityModel, Driver, SimApi, SimStats, Simulation};
     pub use crate::ids::NodeId;
     pub use crate::rng::Xoshiro256pp;

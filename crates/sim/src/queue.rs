@@ -12,21 +12,27 @@
 //! internal counter (do not mix the two disciplines in one queue: key
 //! uniqueness is the caller's responsibility under `push_keyed`).
 //!
-//! Two implementations are provided behind the [`EventQueue`] trait:
+//! Two implementations sit behind the [`EventQueue`] trait:
 //!
-//! * [`BinaryHeapQueue`] — `O(log n)` push/pop on `std`'s binary heap; the
-//!   robust default.
-//! * [`crate::wheel::TimingWheel`] — a hierarchical timing wheel with `O(1)`
-//!   amortized push; faster when millions of timers share a few fixed
-//!   periods, as in our round-based protocols (see the `event_queue` bench).
+//! * [`LaneScheduler`] — the queue every engine runs. Algorithm 4 schedules
+//!   with two fixed delays (a round Δ after each tick, a delivery one
+//!   transfer time after each send), so events pushed exactly that far past
+//!   the scheduler's clock are appended to one FIFO lane per delay, in
+//!   `O(1)`; everything else goes to a binary heap. Pops merge the lane
+//!   heads with the heap.
+//! * [`BinaryHeapQueue`] — `O(log n)` push/pop on `std`'s binary heap: the
+//!   scheduler's fallback, and the ordering oracle of the tests.
 //!
-//! Both produce exactly the same pop order; a property test in this module's
-//! test suite and in `crates/sim/tests` verifies the equivalence.
+//! Both produce exactly the same pop order, whichever side of the scheduler
+//! an event lands on; the tests of this module and the property tests in
+//! `crates/sim/tests/queue_equivalence.rs` hold the scheduler to the heap
+//! through every trait entry point.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
-use crate::time::SimTime;
+use crate::paper;
+use crate::time::{SimDuration, SimTime};
 
 /// The origin id of engine-global events (sampling/injection trains and
 /// global timers): they sort after every node-originated event at the same
@@ -57,13 +63,12 @@ pub const fn order_key(origin: u32, counter: u64) -> u64 {
 ///
 /// Entries share one `time` and are ordered by ascending `seq` — exactly
 /// the order repeated [`EventQueue::pop`] calls would produce. The buffer
-/// keeps its capacity across drains (and the timing wheel *swaps* its
-/// internal ready run with this buffer on the dense path), so steady-state
-/// batch draining performs no allocation.
+/// keeps its capacity across drains, so steady-state batch draining
+/// performs no allocation.
 #[derive(Debug)]
 pub struct ReadyBatch<E> {
     /// Ascending `(time, seq)`; all entries share `time`. `pub(crate)` so
-    /// in-crate queue implementations can swap whole buffers in.
+    /// the engine can take the buffer while it dispatches from it.
     pub(crate) entries: Vec<(SimTime, u64, E)>,
 }
 
@@ -94,10 +99,7 @@ impl<E> ReadyBatch<E> {
     }
 
     /// Appends one entry, asserting the batch invariant in debug builds:
-    /// entries arrive in ascending `seq` at one shared `time`. The
-    /// per-event fill paths (the trait's pop-loop default, the wheel's
-    /// fallback and merge paths) go through this; the wheel's dense fast
-    /// path swaps a whole pre-sorted buffer in instead.
+    /// entries arrive in ascending `seq` at one shared `time`.
     #[inline]
     pub fn push(&mut self, time: SimTime, seq: u64, event: E) {
         debug_assert!(self
@@ -149,9 +151,9 @@ impl<E> Scheduled<E> {
 
 /// A pending-event set ordered by `(time, seq)`.
 ///
-/// This trait is sealed in spirit: it exists so the engine can switch
-/// between queue implementations, not as a public extension point, but it is
-/// left open so downstream experiments can plug in custom schedulers.
+/// The engine runs [`LaneScheduler`] and nothing else; the trait exists so
+/// tests and benches drive the scheduler and its [`BinaryHeapQueue`] oracle
+/// through the same entry points.
 pub trait EventQueue<E> {
     /// Inserts an event; `seq` numbers are assigned internally in call order.
     fn push(&mut self, time: SimTime, event: E);
@@ -162,20 +164,6 @@ pub trait EventQueue<E> {
     /// entry most recently popped.
     fn push_keyed(&mut self, time: SimTime, key: u64, event: E);
 
-    /// Inserts a run of events sharing one deadline (a reactive burst, a
-    /// same-slot batch). Equivalent to `push_keyed` in a loop; queue
-    /// implementations may override it to amortize per-push placement work
-    /// (the timing wheel classifies the target slot once per run).
-    fn push_keyed_run<I>(&mut self, time: SimTime, run: I)
-    where
-        I: Iterator<Item = (u64, E)>,
-        Self: Sized,
-    {
-        for (key, event) in run {
-            self.push_keyed(time, key, event);
-        }
-    }
-
     /// Removes and returns the earliest event.
     fn pop(&mut self) -> Option<Scheduled<E>>;
 
@@ -184,11 +172,8 @@ pub trait EventQueue<E> {
     /// exactly what repeated [`pop`](Self::pop) calls would return, as one
     /// contiguous recycled buffer. `into` must be empty.
     ///
-    /// The default implementation is the pop loop; implementations with an
-    /// internal contiguous ready run (the timing wheel) override it with a
-    /// buffer swap. After a drain, pushing at the drained instant is
-    /// allowed only above the batch's last key (the batch counts as
-    /// popped).
+    /// After a drain, pushing at the drained instant is allowed only above
+    /// the batch's last key (the batch counts as popped).
     fn drain_ready(&mut self, into: &mut ReadyBatch<E>) {
         self.drain_ready_before(SimTime::MAX, into);
     }
@@ -218,9 +203,8 @@ pub trait EventQueue<E> {
 
     /// The time of the earliest event without removing it.
     ///
-    /// Takes `&mut self` so implementations may reorganize internal storage
-    /// (the timing wheel advances its cursor to locate the minimum); the
-    /// observable queue contents are unchanged.
+    /// Takes `&mut self` so implementations may reorganize internal
+    /// storage; the observable queue contents are unchanged.
     fn peek_time(&mut self) -> Option<SimTime>;
 
     /// Number of pending events.
@@ -229,55 +213,6 @@ pub trait EventQueue<E> {
     /// True if no events are pending.
     fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-/// Minimum same-deadline run length worth routing through
-/// [`EventQueue::push_keyed_run`] instead of per-event pushes (below this,
-/// the run bookkeeping costs more than the saved placement work).
-pub(crate) const RUN_BATCH_MIN: usize = 3;
-
-/// Drains a pending-event buffer into `queue`, handing runs of events that
-/// share one deadline (reactive bursts — every send in a burst lands
-/// exactly `transfer_time` later) to [`EventQueue::push_keyed_run`] so the
-/// wheel classifies the slot once per run.
-///
-/// The run-detection threshold is part of the byte-identical-results
-/// contract: every shard count must push through identical queue entry
-/// points.
-pub(crate) fn flush_run_batched<E, Q: EventQueue<E>>(
-    pending: &mut Vec<(SimTime, u64, E)>,
-    run_buf: &mut Vec<(u64, E)>,
-    queue: &mut Q,
-) {
-    if pending.len() < RUN_BATCH_MIN {
-        for (time, key, ev) in pending.drain(..) {
-            queue.push_keyed(time, key, ev);
-        }
-        return;
-    }
-    let mut drain = pending.drain(..).peekable();
-    while let Some((time, key, ev)) = drain.next() {
-        match drain.peek() {
-            Some(&(t2, ..)) if t2 == time => {
-                run_buf.push((key, ev));
-                while let Some(&(t2, ..)) = drain.peek() {
-                    if t2 != time {
-                        break;
-                    }
-                    let (_, k2, e2) = drain.next().expect("peeked entry exists");
-                    run_buf.push((k2, e2));
-                }
-                if run_buf.len() >= RUN_BATCH_MIN {
-                    queue.push_keyed_run(time, run_buf.drain(..));
-                } else {
-                    for (k, e) in run_buf.drain(..) {
-                        queue.push_keyed(time, k, e);
-                    }
-                }
-            }
-            _ => queue.push_keyed(time, key, ev),
-        }
     }
 }
 
@@ -336,12 +271,10 @@ impl<E> BinaryHeapQueue<E> {
         }
     }
 
-    /// Creates an empty queue with pre-allocated capacity.
-    pub fn with_capacity(capacity: usize) -> Self {
-        BinaryHeapQueue {
-            heap: BinaryHeap::with_capacity(capacity),
-            next_seq: 0,
-        }
+    /// The `(time, seq)` of the earliest event without removing it.
+    #[inline]
+    fn peek_key(&self) -> Option<(SimTime, u64)> {
+        self.heap.peek().map(|e| (e.time, e.seq))
     }
 }
 
@@ -380,6 +313,215 @@ impl<E> EventQueue<E> for BinaryHeapQueue<E> {
 
     fn len(&self) -> usize {
         self.heap.len()
+    }
+}
+
+/// Fixed delays the scheduler keeps a lane for: Δ and the transfer time.
+const LANES: usize = 2;
+
+/// Index of the fallback heap among the merge sources (the lanes are
+/// `0..LANES`).
+const FALLBACK: usize = LANES;
+
+/// How far below its tail a lane takes an out-of-order push. Same-instant
+/// pushes arrive in arbitrary key order, and a reactive burst makes runs of
+/// a few hundred; bounding the reach bounds the elements one insertion
+/// moves, so a run of any length (synchronized ticks on a large network)
+/// costs at worst the heap's price per event instead of an insertion sort.
+const LANE_REACH: usize = 256;
+
+/// One FIFO lane: the events pushed exactly `delay` past the scheduler's
+/// clock, in ascending `(time, key)`.
+#[derive(Debug)]
+struct Lane<E> {
+    delay: u64,
+    events: VecDeque<(SimTime, u64, E)>,
+}
+
+impl<E> Lane<E> {
+    #[inline]
+    fn head(&self) -> Option<(SimTime, u64)> {
+        self.events.front().map(|&(t, k, _)| (t, k))
+    }
+
+    /// Places the entry where the lane stays sorted: at the tail, or by
+    /// binary search among the [`LANE_REACH`] entries before it. Gives the
+    /// event back when it belongs further down.
+    #[inline]
+    fn try_push(&mut self, time: SimTime, key: u64, event: E) -> Result<(), E> {
+        let below = |&(t, k, _): &(SimTime, u64, E)| (t, k) < (time, key);
+        if self.events.back().is_none_or(below) {
+            self.events.push_back((time, key, event));
+            return Ok(());
+        }
+        let len = self.events.len();
+        let floor = len.saturating_sub(LANE_REACH);
+        if floor > 0 && !below(&self.events[floor - 1]) {
+            return Err(event);
+        }
+        // First entry of `floor..len` above the new one (the tail is).
+        let (mut lo, mut hi) = (floor, len - 1);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if below(&self.events[mid]) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        self.events.insert(lo, (time, key, event));
+        Ok(())
+    }
+}
+
+/// The engine's scheduler: one FIFO lane per fixed delay in front of a
+/// [`BinaryHeapQueue`].
+///
+/// The scheduler's clock is the time of the last event it handed out, which
+/// is the engine's `now` whenever the engine schedules from a callback. A
+/// push whose time lies exactly one lane delay past the clock is appended to
+/// that lane; the clock never runs backwards, so such pushes arrive in time
+/// order and the lane stays sorted by construction. Everything else — first
+/// tick phases, churn transitions, timers, mailbox deposits, and any push
+/// made while the clock lags the caller's (after a barrier) — goes to the
+/// heap, as does a lane push that belongs far below the lane's tail.
+/// [`pop`](EventQueue::pop), [`peek_time`](EventQueue::peek_time) and
+/// [`drain_ready_before`](EventQueue::drain_ready_before) take the minimum
+/// over the lane heads and the heap, so the `(time, key)` order handed out
+/// never depends on which side an event went to.
+///
+/// ```
+/// use ta_sim::queue::{EventQueue, LaneScheduler};
+/// use ta_sim::time::SimTime;
+///
+/// let mut q = LaneScheduler::new();
+/// q.push(SimTime::from_secs(100), "b");
+/// q.push(SimTime::from_secs(1), "a");
+/// assert_eq!(q.pop().unwrap().event, "a");
+/// assert_eq!(q.pop().unwrap().event, "b");
+/// ```
+#[derive(Debug)]
+pub struct LaneScheduler<E> {
+    lanes: [Lane<E>; LANES],
+    fallback: BinaryHeapQueue<E>,
+    clock: SimTime,
+    next_seq: u64,
+}
+
+impl<E> LaneScheduler<E> {
+    /// Creates a scheduler with lanes for the paper's Δ and transfer time.
+    pub fn new() -> Self {
+        Self::with_delays([paper::DELTA, paper::TRANSFER_TIME])
+    }
+
+    /// Creates a scheduler with one lane per given delay (the engine passes
+    /// its configuration's Δ and transfer time).
+    pub fn with_delays(delays: [SimDuration; LANES]) -> Self {
+        LaneScheduler {
+            lanes: delays.map(|d| Lane {
+                delay: d.as_micros(),
+                events: VecDeque::new(),
+            }),
+            fallback: BinaryHeapQueue::new(),
+            clock: SimTime::ZERO,
+            next_seq: 0,
+        }
+    }
+
+    /// Number of pending events held by the fallback heap rather than a
+    /// lane (the engine's profile derives the lane share from it).
+    #[inline]
+    pub fn fallback_len(&self) -> usize {
+        self.fallback.len()
+    }
+
+    /// The merge source holding the earliest pending event, with its key.
+    #[inline]
+    fn earliest(&self) -> Option<(usize, (SimTime, u64))> {
+        let mut best = self.fallback.peek_key().map(|k| (FALLBACK, k));
+        for (i, lane) in self.lanes.iter().enumerate() {
+            if let Some(k) = lane.head() {
+                if best.is_none_or(|(_, b)| k < b) {
+                    best = Some((i, k));
+                }
+            }
+        }
+        best
+    }
+
+    /// Removes the head of source `src`, which [`earliest`](Self::earliest)
+    /// just named.
+    #[inline]
+    fn take(&mut self, src: usize) -> (SimTime, u64, E) {
+        let head = if src == FALLBACK {
+            self.fallback.pop().map(|s| (s.time, s.seq, s.event))
+        } else {
+            self.lanes[src].events.pop_front()
+        };
+        head.expect("earliest() named a non-empty source")
+    }
+}
+
+impl<E> Default for LaneScheduler<E> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<E> EventQueue<E> for LaneScheduler<E> {
+    fn push(&mut self, time: SimTime, event: E) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.push_keyed(time, seq, event);
+    }
+
+    #[inline]
+    fn push_keyed(&mut self, time: SimTime, key: u64, mut event: E) {
+        // A time below the clock wraps to a delay no lane has.
+        let delay = time.as_micros().wrapping_sub(self.clock.as_micros());
+        if let Some(lane) = self.lanes.iter_mut().find(|l| l.delay == delay) {
+            match lane.try_push(time, key, event) {
+                Ok(()) => return,
+                Err(back) => event = back,
+            }
+        }
+        self.fallback.push_keyed(time, key, event);
+    }
+
+    fn pop(&mut self) -> Option<Scheduled<E>> {
+        let (src, _) = self.earliest()?;
+        let (time, seq, event) = self.take(src);
+        self.clock = time;
+        Some(Scheduled { time, seq, event })
+    }
+
+    /// The trait's pop loop with one merge step per event instead of two
+    /// (its `pop` and its `peek_time` would each look for the minimum).
+    fn drain_ready_before(&mut self, bound: SimTime, into: &mut ReadyBatch<E>) {
+        debug_assert!(into.is_empty(), "drain_ready into a non-empty batch");
+        let Some((mut src, (t, _))) = self.earliest() else {
+            return;
+        };
+        if t > bound {
+            return;
+        }
+        self.clock = t;
+        loop {
+            let (time, seq, event) = self.take(src);
+            into.push(time, seq, event);
+            match self.earliest() {
+                Some((next, (t2, _))) if t2 == t => src = next,
+                _ => break,
+            }
+        }
+    }
+
+    fn peek_time(&mut self) -> Option<SimTime> {
+        self.earliest().map(|(_, (t, _))| t)
+    }
+
+    fn len(&self) -> usize {
+        self.fallback.len() + self.lanes.iter().map(|l| l.events.len()).sum::<usize>()
     }
 }
 
@@ -442,24 +584,6 @@ mod tests {
         q.push_keyed(SimTime::from_secs(2), order_key(0, 0), 'c');
         let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|s| s.event)).collect();
         assert_eq!(order, vec!['a', 'b', 'c']);
-    }
-
-    #[test]
-    fn keyed_run_matches_individual_pushes() {
-        let t = SimTime::from_secs(3);
-        let entries: Vec<(u64, u32)> = (0..50).map(|i| (order_key(7, 99 - i), i as u32)).collect();
-        let mut a = BinaryHeapQueue::new();
-        for &(k, e) in &entries {
-            a.push_keyed(t, k, e);
-        }
-        let mut b = BinaryHeapQueue::new();
-        b.push_keyed_run(t, entries.iter().copied());
-        loop {
-            match (a.pop(), b.pop()) {
-                (None, None) => break,
-                (x, y) => assert_eq!(x, y),
-            }
-        }
     }
 
     #[test]

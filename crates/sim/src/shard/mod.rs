@@ -99,7 +99,7 @@ use crate::engine::{AvailabilityModel, Driver, SimApi, SimStats};
 use crate::ids::NodeId;
 use crate::time::SimTime;
 
-use pipeline::{on_core, AnyCore};
+use pipeline::Core;
 
 #[cfg(doc)]
 use crate::engine::Simulation;
@@ -263,7 +263,7 @@ impl ShardOpts {
 ///
 /// See the [module docs](self) for semantics and the exactness argument.
 pub struct ShardedSimulation<D: ShardableDriver> {
-    core: AnyCore<D>,
+    core: Core<D>,
     opts: ShardOpts,
 }
 
@@ -306,7 +306,7 @@ impl<D: ShardableDriver> ShardedSimulation<D> {
         );
         let barriers: pipeline::Barriers<D> = (D::on_sample_blocks, D::on_inject_blocks);
         ShardedSimulation {
-            core: AnyCore::new(cfg, availability, plan, blocks, barriers),
+            core: Core::new(cfg, availability, plan, blocks, barriers),
             opts,
         }
     }
@@ -322,27 +322,27 @@ impl<D: ShardableDriver> ShardedSimulation<D> {
             0 => crate::affinity::available_cores(),
             t => t,
         };
-        on_core!(mut self.core, c => c.run_to_end(threads, self.opts.pin))
+        self.core.run_to_end(threads, self.opts.pin);
     }
 
     /// Current virtual time (the horizon once finished).
     pub fn now(&self) -> SimTime {
-        on_core!(self.core, c => c.now())
+        self.core.now()
     }
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        on_core!(self.core, c => c.plan.shards())
+        self.core.plan.shards()
     }
 
     /// Whether [`run_to_end`](Self::run_to_end) has completed.
     pub fn is_finished(&self) -> bool {
-        on_core!(self.core, c => c.finished)
+        self.core.finished
     }
 
     /// Statistics merged across shards (identical for every shard count).
     pub fn stats(&self) -> SimStats {
-        on_core!(self.core, c => c.merged_stats())
+        self.core.merged_stats()
     }
 
     /// Self-profiling totals merged across shards. Claim/steal/skip
@@ -351,7 +351,7 @@ impl<D: ShardableDriver> ShardedSimulation<D> {
     /// depths require profiling (`TA_PROFILE=1` or
     /// [`set_profiling`](Self::set_profiling)).
     pub fn profile(&self) -> ta_telemetry::ProfileData {
-        on_core!(self.core, c => c.merged_profile())
+        self.core.merged_profile()
     }
 
     /// Forces self-profiling on or off for every shard engine,
@@ -363,7 +363,7 @@ impl<D: ShardableDriver> ShardedSimulation<D> {
     /// Consumes the simulation, reassembling the driver and returning it
     /// with the merged statistics.
     pub fn into_parts(self) -> (D, SimStats) {
-        let plan = on_core!(self.core, c => std::sync::Arc::clone(&c.plan));
+        let plan = std::sync::Arc::clone(&self.core.plan);
         let (mut blocks, stats) = self.core.into_blocks();
         let driver = if blocks.len() == 1 {
             blocks.pop().expect("length checked")

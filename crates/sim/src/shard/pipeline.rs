@@ -28,11 +28,10 @@ use ta_telemetry::{Profile, ProfileData};
 use super::exchange::{GateStats, SegCtl, SegOutcome};
 use super::worker::{self, Work};
 use super::ShardPlan;
-use crate::config::{QueueKind, SimConfig};
-use crate::engine::{AvailabilityModel, Ctx, Driver, Engine, Ev, Kernel, SimApi, SimStats};
-use crate::queue::{order_key, BinaryHeapQueue, EventQueue, GLOBAL_ORIGIN};
+use crate::config::SimConfig;
+use crate::engine::{AvailabilityModel, Ctx, Driver, Engine, Kernel, SimApi, SimStats};
+use crate::queue::{order_key, GLOBAL_ORIGIN};
 use crate::time::{SimDuration, SimTime};
-use crate::wheel::TimingWheel;
 
 /// A barrier-time callback over every block of the run.
 pub(crate) type Barrier<B> = fn(&mut [&mut B], &mut SimApi<'_, <B as Driver>::Msg>);
@@ -98,12 +97,7 @@ impl<B: Driver> Trains<B> {
 
     /// Fires every pending global event scheduled exactly at `t`, in key
     /// order, with all blocks quiescent at `t`.
-    fn fire_at<Q: EventQueue<Ev<B::Msg>>>(
-        &mut self,
-        engines: &mut [&mut Engine<B, Q>],
-        plan: &ShardPlan,
-        t: SimTime,
-    ) {
+    fn fire_at(&mut self, engines: &mut [&mut Engine<B>], plan: &ShardPlan, t: SimTime) {
         let (mut kernels, mut blocks): (Vec<&mut Kernel<B::Msg>>, Vec<&mut B>) = engines
             .iter_mut()
             .map(|e| (&mut e.kernel, &mut e.driver))
@@ -172,12 +166,12 @@ impl Dispatch {
     }
 }
 
-pub(crate) struct Core<B: Driver, Q: EventQueue<Ev<B::Msg>>> {
+pub(crate) struct Core<B: Driver> {
     pub(crate) plan: Arc<ShardPlan>,
     end: SimTime,
     transfer: SimDuration,
     /// One engine per block, in shard order.
-    pub(crate) engines: Vec<Engine<B, Q>>,
+    pub(crate) engines: Vec<Engine<B>>,
     trains: Trains<B>,
     /// Gate work-distribution totals accumulated across dispatches (the
     /// gate itself lives only for one `run_to_end`).
@@ -185,23 +179,19 @@ pub(crate) struct Core<B: Driver, Q: EventQueue<Ev<B::Msg>>> {
     pub(crate) finished: bool,
 }
 
-impl<B: Driver, Q: EventQueue<Ev<B::Msg>>> Core<B, Q> {
-    fn new(
+impl<B: Driver> Core<B> {
+    pub(crate) fn new(
         cfg: SimConfig,
         availability: &dyn AvailabilityModel,
         plan: ShardPlan,
         blocks: Vec<B>,
         barriers: Barriers<B>,
-        mut make_queue: impl FnMut(usize) -> Q,
     ) -> Self {
         let plan = Arc::new(plan);
         let engines = blocks
             .into_iter()
             .enumerate()
-            .map(|(s, block)| {
-                let queue = make_queue(plan.range(s).len());
-                Engine::new(&plan, s, &cfg, availability, block, queue)
-            })
+            .map(|(s, block)| Engine::new(&plan, s, &cfg, availability, block))
             .collect();
         Core {
             plan,
@@ -267,9 +257,24 @@ impl<B: Driver, Q: EventQueue<Ev<B::Msg>>> Core<B, Q> {
         data.skipped_windows += self.gate_stats.skipped;
         data
     }
+
+    /// Forces batch/window/mailbox profiling on or off for every engine
+    /// (overrides the `TA_PROFILE` environment default).
+    pub(crate) fn set_profiling(&mut self, enabled: bool) {
+        for e in &mut self.engines {
+            e.profile = Profile::forced(enabled);
+        }
+    }
+
+    /// Consumes the run: the blocks in shard order, and the merged
+    /// statistics.
+    pub(crate) fn into_blocks(self) -> (Vec<B>, SimStats) {
+        let stats = self.merged_stats();
+        (self.engines.into_iter().map(|e| e.driver).collect(), stats)
+    }
 }
 
-impl<B: Driver + Send, Q: EventQueue<Ev<B::Msg>> + Send> Core<B, Q>
+impl<B: Driver + Send> Core<B>
 where
     B::Msg: Send,
 {
@@ -341,7 +346,7 @@ where
     /// worker threads execute the windows, `None` for inline execution.
     fn coordinate(
         &mut self,
-        engines: &[Mutex<Engine<B, Q>>],
+        engines: &[Mutex<Engine<B>>],
         ctl: &SegCtl<B::Msg>,
         end: SimTime,
         dispatch: Option<&Dispatch>,
@@ -393,7 +398,7 @@ where
 
     /// Runs every shard inclusively up to `t` and waits for quiescence.
     fn run_part(
-        engines: &[Mutex<Engine<B, Q>>],
+        engines: &[Mutex<Engine<B>>],
         ctl: &SegCtl<B::Msg>,
         dispatch: Option<&Dispatch>,
         scratch: &mut worker::Scratch<B::Msg>,
@@ -408,84 +413,6 @@ where
                 }
             }
             None => worker::run_part(engines, ctl, 0, t, scratch),
-        }
-    }
-}
-
-/// A [`Core`] over whichever event queue the configuration selects: the
-/// branch on [`QueueKind`] is taken once per public API call, never once
-/// per event.
-pub(crate) enum AnyCore<B: Driver> {
-    // Boxed so the public simulation types stay one pointer-sized move
-    // regardless of the queue's inline footprint (the wheel embeds its
-    // level tables). The indirection is touched once per API call.
-    Heap(Box<Core<B, BinaryHeapQueue<Ev<B::Msg>>>>),
-    Wheel(Box<Core<B, TimingWheel<Ev<B::Msg>>>>),
-}
-
-/// Dispatches an expression to whichever monomorphized core is active.
-macro_rules! on_core {
-    ($core:expr, $c:ident => $body:expr) => {
-        match &$core {
-            $crate::shard::pipeline::AnyCore::Heap($c) => $body,
-            $crate::shard::pipeline::AnyCore::Wheel($c) => $body,
-        }
-    };
-    (mut $core:expr, $c:ident => $body:expr) => {
-        match &mut $core {
-            $crate::shard::pipeline::AnyCore::Heap($c) => $body,
-            $crate::shard::pipeline::AnyCore::Wheel($c) => $body,
-        }
-    };
-}
-pub(crate) use on_core;
-
-impl<B: Driver> AnyCore<B> {
-    pub(crate) fn new(
-        cfg: SimConfig,
-        availability: &dyn AvailabilityModel,
-        plan: ShardPlan,
-        blocks: Vec<B>,
-        barriers: Barriers<B>,
-    ) -> Self {
-        match cfg.queue() {
-            QueueKind::Heap => AnyCore::Heap(Box::new(Core::new(
-                cfg,
-                availability,
-                plan,
-                blocks,
-                barriers,
-                |owned| BinaryHeapQueue::with_capacity(owned * 2),
-            ))),
-            QueueKind::Wheel => AnyCore::Wheel(Box::new(Core::new(
-                cfg,
-                availability,
-                plan,
-                blocks,
-                barriers,
-                |_| TimingWheel::new(),
-            ))),
-        }
-    }
-
-    /// Forces batch/window/mailbox profiling on or off for every engine
-    /// (overrides the `TA_PROFILE` environment default).
-    pub(crate) fn set_profiling(&mut self, enabled: bool) {
-        on_core!(mut *self, c => for e in &mut c.engines {
-            e.profile = Profile::forced(enabled);
-        })
-    }
-
-    /// Consumes the run: the blocks in shard order, and the merged
-    /// statistics.
-    pub(crate) fn into_blocks(self) -> (Vec<B>, SimStats) {
-        fn parts<B: Driver, Q: EventQueue<Ev<B::Msg>>>(core: Core<B, Q>) -> (Vec<B>, SimStats) {
-            let stats = core.merged_stats();
-            (core.engines.into_iter().map(|e| e.driver).collect(), stats)
-        }
-        match self {
-            AnyCore::Heap(c) => parts(*c),
-            AnyCore::Wheel(c) => parts(*c),
         }
     }
 }

@@ -63,9 +63,9 @@ impl<M> Scratch<M> {
 /// previous gate opened; anything deposited concurrently by an
 /// early-finishing peer is due beyond the bound and merely waits in the
 /// queue).
-fn drain_mailbox<D: Driver, Q: EventQueue<Ev<D::Msg>>>(
+fn drain_mailbox<D: Driver>(
     mailbox: &Mutex<Vec<OutMsg<D::Msg>>>,
-    engine: &mut Engine<D, Q>,
+    engine: &mut Engine<D>,
     scratch: &mut Scratch<D::Msg>,
 ) {
     {
@@ -73,25 +73,22 @@ fn drain_mailbox<D: Driver, Q: EventQueue<Ev<D::Msg>>>(
         std::mem::swap(&mut *mb, &mut scratch.drain);
     }
     engine.profile.mailbox(scratch.drain.len());
-    for m in scratch.drain.drain(..) {
-        engine.queue.push_keyed(
-            m.time,
-            m.key,
-            Ev::Deliver {
-                from: m.from,
-                to: m.to,
-                msg: m.msg,
-            },
-        );
-    }
+    engine.enqueue(scratch.drain.drain(..).map(|m| {
+        let ev = Ev::Deliver {
+            from: m.from,
+            to: m.to,
+            msg: m.msg,
+        };
+        (m.time, m.key, ev)
+    }));
 }
 
 /// Deposits the shard's outbox into the destination shards' mailboxes,
 /// bucketed so each destination lock is taken once. Returns the minimum
 /// due time deposited (the gate's skip logic must see mail that is not in
 /// any queue yet).
-fn deposit_outbox<D: Driver, Q: EventQueue<Ev<D::Msg>>>(
-    engine: &mut Engine<D, Q>,
+fn deposit_outbox<D: Driver>(
+    engine: &mut Engine<D>,
     ctl: &SegCtl<D::Msg>,
     scratch: &mut Scratch<D::Msg>,
 ) -> Option<SimTime> {
@@ -124,8 +121,8 @@ fn deposit_outbox<D: Driver, Q: EventQueue<Ev<D::Msg>>>(
 /// drain and claiming the next share one critical section — one gate pass
 /// per shard-window, and what lets [`next_claim`] read "lane started but
 /// not exhausted" as "home worker mid-drain".
-pub(super) fn run_segment<D: Driver, Q: EventQueue<Ev<D::Msg>>>(
-    engines: &[Mutex<Engine<D, Q>>],
+pub(super) fn run_segment<D: Driver>(
+    engines: &[Mutex<Engine<D>>],
     ctl: &SegCtl<D::Msg>,
     me: usize,
     global: Option<SimTime>,
@@ -191,8 +188,8 @@ pub(super) fn run_segment<D: Driver, Q: EventQueue<Ev<D::Msg>>>(
 /// dispatch and drains whatever nobody took off it. The caller's done
 /// message (sent after all its claims completed) tells the coordinator
 /// when the instant is fully processed.
-pub(super) fn run_part<D: Driver, Q: EventQueue<Ev<D::Msg>>>(
-    engines: &[Mutex<Engine<D, Q>>],
+pub(super) fn run_part<D: Driver>(
+    engines: &[Mutex<Engine<D>>],
     ctl: &SegCtl<D::Msg>,
     me: usize,
     t: SimTime,
@@ -217,11 +214,11 @@ pub(super) fn run_part<D: Driver, Q: EventQueue<Ev<D::Msg>>>(
 /// answered with exactly one message on `done`, panic or not — the
 /// coordinator counts them to know the fleet is quiescent.
 #[allow(clippy::too_many_arguments)]
-pub(super) fn worker_loop<D: Driver, Q: EventQueue<Ev<D::Msg>>>(
+pub(super) fn worker_loop<D: Driver>(
     index: usize,
     work: Receiver<Work>,
     done: Sender<()>,
-    engines: &[Mutex<Engine<D, Q>>],
+    engines: &[Mutex<Engine<D>>],
     ctl: &SegCtl<D::Msg>,
     transfer: SimDuration,
     pin: bool,

@@ -1,1397 +1,5 @@
-//! Hierarchical timing wheel over a slab of intrusively linked event nodes.
-//!
-//! A four-level, 64-slot-per-level timing wheel with an overflow map for
-//! events beyond the wheel horizon. Compared to [`crate::queue::BinaryHeapQueue`]
-//! it offers `O(1)` amortized insertion and is substantially faster when the
-//! pending set is dominated by a few fixed periods (round timers, transfer
-//! delays) — exactly the workload of the token account protocols. The
-//! `event_queue` bench in `ta-bench` quantifies the difference.
-//!
-//! **Storage.** All wheel-resident events live in one slab (`Vec` of nodes)
-//! threaded by intrusive `next` indices: each slot is the head of a singly
-//! linked chain, and freed nodes go on an intrusive free list for reuse.
-//! Pushing, cascading between levels, and draining a slot therefore relink
-//! indices instead of moving elements between per-slot vectors —
-//! steady-state operation performs **no allocation** (the slab, the ready
-//! heap, the spill pool, and the overflow map all reuse their capacity).
-//! The batch for the tick being drained is a small binary min-heap keyed by
-//! `(time, seq)`, so same-instant scheduling during a drain is `O(log k)`
-//! per event rather than the `O(k)` sorted insert a flat buffer would need
-//! (previously quadratic for the synchronized-tick-phase burst of `k`
-//! same-tick events).
-//!
-//! **Hybrid spill for dense slots.** Intrusive chains are ideal for the
-//! scattered steady state — cascading between levels relinks `u32`
-//! pointers without ever touching payloads — but chain walks lose to
-//! contiguous buffers when thousands of events share one tick
-//! (synchronized ticks, giant reactive cascades): every hop chases cold
-//! slab pointers node by node. So dense slots are hybrids at **every**
-//! level: the first [`SPILL_THRESHOLD`] events chain through the slab,
-//! and everything beyond *spills* into a contiguous per-slot run buffer
-//! (`Vec<(time, seq, event)>` drawn from a recycled pool). Level-0 slots
-//! maintain their occupancy on every insert (push or cascade); deeper
-//! levels maintain it **at cascade time only** — a push into a deep slot
-//! is the bare chain relink with zero added state, so the scattered fast
-//! path pays nothing (a naive always-on deep spill measured ~20% on
-//! uniform churn), while a dense mass turns contiguous on its first
-//! cascade hop and every later hop moves it buffer-to-buffer. Dense
-//! ticks therefore drain with one buffer *swap* into the ready batch +
-//! the shared sort — and [`EventQueue::drain_ready`] swaps that sorted
-//! run straight out to the caller, so the engine's batch loop consumes
-//! dense ticks with no per-event queue traffic at all. The
-//! `event_queue/periodic` and `batch/dense_wave` bench rows track
-//! exactly these cases.
-//!
-//! **Exact ordering guarantee.** Unlike classical kernel timer wheels, which
-//! fire at slot granularity, this wheel produces *exactly* the same pop order
-//! as the binary heap: events fire in increasing `(time, seq)` order with
-//! microsecond precision. Slots group events by tick (2^`shift` µs); a slot
-//! is ordered when its tick is reached. Property tests in
-//! `crates/sim/tests/queue_equivalence.rs` verify heap/wheel equivalence on
-//! random schedules and adversarial same-tick bursts.
-//!
-//! Placement uses the XOR rule: an event goes to the shallowest level whose
-//! window (relative to the cursor) contains its tick, so each slot holds at
-//! most one "lap" and no event can fire early or late.
-
-use std::cmp::Reverse;
-use std::collections::BTreeMap;
-use std::collections::BinaryHeap;
-
-use crate::queue::{EventQueue, Scheduled};
-use crate::time::SimTime;
-
-const SLOT_BITS: u32 = 6;
-const SLOTS: usize = 1 << SLOT_BITS; // 64
-const SLOT_MASK: u64 = (SLOTS as u64) - 1;
-const LEVELS: usize = 4;
-
-/// Sentinel index terminating slot chains and the free list.
-const NIL: u32 = u32::MAX;
-
-/// Chain length at which a slot spills into a contiguous run buffer.
-///
-/// Below it, events thread through the slab (no per-slot allocation to
-/// own, cheap single-event turnover); at or above it the slot is dense
-/// enough that contiguous storage wins on the drain/cascade walk. 32
-/// keeps the chain short enough to stay cache-resident while letting
-/// genuinely dense slots (hundreds+) run almost entirely contiguous.
-///
-/// Level 0 counts every chain insertion (pushes maintain the state);
-/// deeper levels count **cascade placements only** — the scattered push
-/// fast path never reads or writes deep slot state, so dense same-tick
-/// masses still turn contiguous one cascade hop down while uniform
-/// pushes pay nothing.
-const SPILL_THRESHOLD: u32 = 32;
-
-/// High bit of a slot's packed state: set when the slot has spilled into
-/// a contiguous run buffer (the low bits are then the buffer's pool
-/// index); clear while the state is a plain chain length.
-const SPILLED: u32 = 1 << 31;
-
-/// Default tick resolution: 2^10 µs ≈ 1.024 ms.
-pub const DEFAULT_TICK_SHIFT: u32 = 10;
-
-/// One slab cell: an event with its key, threaded on a slot chain or the
-/// free list. `event` is `None` exactly while the node is free.
-#[derive(Debug)]
-struct Node<E> {
-    time: SimTime,
-    seq: u64,
-    next: u32,
-    event: Option<E>,
-}
-
-/// Hierarchical timing wheel implementing [`EventQueue`] with exact
-/// `(time, seq)` ordering.
-///
-/// ```
-/// use ta_sim::queue::EventQueue;
-/// use ta_sim::time::SimTime;
-/// use ta_sim::wheel::TimingWheel;
-///
-/// let mut q = TimingWheel::new();
-/// q.push(SimTime::from_secs(100), "b");
-/// q.push(SimTime::from_secs(1), "a");
-/// assert_eq!(q.pop().unwrap().event, "a");
-/// assert_eq!(q.pop().unwrap().event, "b");
-/// ```
-#[derive(Debug)]
-pub struct TimingWheel<E> {
-    /// Slab of event nodes; chains thread through `Node::next`.
-    nodes: Vec<Node<E>>,
-    /// Head of the intrusive free list (`NIL` when the slab is full).
-    free_head: u32,
-    /// Chain head per `[level][slot]`.
-    heads: [[u32; SLOTS]; LEVELS],
-    /// Packed hybrid state per `[level][slot]`: a chain-occupancy count
-    /// while the slot is sparse (`< SPILL_THRESHOLD`), or
-    /// [`SPILLED`]` | pool index` once it is dense — one load decides the
-    /// insert path. Level 0 counts every insertion (pushes maintain it);
-    /// deeper levels count **cascade placements only**, so the scattered
-    /// push fast path ([`Self::link_deep`]) stays state-free.
-    slot_state: [[u32; SLOTS]; LEVELS],
-    /// Recycled contiguous run buffers for dense slots; `spill_free`
-    /// lists the pool entries currently unassigned (emptied but keeping
-    /// their capacity).
-    spill_pool: Vec<Vec<(SimTime, u64, E)>>,
-    spill_free: Vec<u32>,
-    /// Bitmap of non-empty slots per level (bit i ⇔ slot i has a chain
-    /// or a spill buffer).
-    occupied: [u64; LEVELS],
-    /// Events beyond the wheel horizon, keyed by `(tick, time, seq)`.
-    overflow: BTreeMap<(u64, SimTime, u64), E>,
-    /// The tick currently being drained: events moved out of the slab,
-    /// sorted by `(time, seq)` **descending** and popped from the back —
-    /// one sort per slot, `O(1)` per pop, contiguous memory, capacity
-    /// reused across ticks.
-    ready: Vec<(SimTime, u64, E)>,
-    /// Same-tick events scheduled *during* the drain: a small min-heap
-    /// merged on the fly (`O(log k)` per such event). This replaces the
-    /// `O(k)` sorted `VecDeque` insert that made same-tick bursts
-    /// quadratic, without paying heap costs for the common
-    /// batch-sorted-once case.
-    ready_late: BinaryHeap<LateEntry<E>>,
-    /// Scratch for `drain_ready_before`'s batch merge: the late entries
-    /// due at the drained instant, popped out ascending (capacity
-    /// reused).
-    late_scratch: Vec<(SimTime, u64, E)>,
-    /// Tick index of the `ready` batch (valid while `ready` is non-empty or
-    /// the cursor sits on it).
-    ready_tick: u64,
-    /// All events strictly before this tick have been fired.
-    current_tick: u64,
-    /// Number of nodes linked into `heads` (excludes `ready` and
-    /// `overflow`).
-    wheel_len: usize,
-    len: usize,
-    next_seq: u64,
-    shift: u32,
-}
-
-impl<E> TimingWheel<E> {
-    /// Creates a wheel with the default ~1 ms tick resolution.
-    pub fn new() -> Self {
-        Self::with_tick_shift(DEFAULT_TICK_SHIFT)
-    }
-
-    /// Creates a wheel whose tick lasts `2^shift` microseconds.
-    ///
-    /// Smaller shifts give finer slots (fewer same-slot sorts, more cursor
-    /// movement); larger shifts the reverse. The total wheel horizon is
-    /// `2^(shift + 24)` µs; events beyond it go to the overflow map.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shift > 32` (horizon arithmetic would overflow).
-    pub fn with_tick_shift(shift: u32) -> Self {
-        assert!(shift <= 32, "tick shift too large: {shift}");
-        TimingWheel {
-            nodes: Vec::new(),
-            free_head: NIL,
-            heads: [[NIL; SLOTS]; LEVELS],
-            slot_state: [[0; SLOTS]; LEVELS],
-            spill_pool: Vec::new(),
-            spill_free: Vec::new(),
-            occupied: [0; LEVELS],
-            overflow: BTreeMap::new(),
-            ready: Vec::new(),
-            ready_late: BinaryHeap::new(),
-            late_scratch: Vec::new(),
-            ready_tick: 0,
-            current_tick: 0,
-            wheel_len: 0,
-            len: 0,
-            next_seq: 0,
-            shift,
-        }
-    }
-
-    #[inline]
-    fn tick_of(&self, time: SimTime) -> u64 {
-        time.as_micros() >> self.shift
-    }
-
-    /// Takes a node off the free list (or grows the slab) and fills it.
-    #[inline]
-    fn alloc(&mut self, time: SimTime, seq: u64, event: E) -> u32 {
-        if self.free_head != NIL {
-            let idx = self.free_head;
-            let node = &mut self.nodes[idx as usize];
-            debug_assert!(
-                node.event.is_none(),
-                "free-list node still carries an event"
-            );
-            self.free_head = node.next;
-            node.time = time;
-            node.seq = seq;
-            node.next = NIL;
-            node.event = Some(event);
-            idx
-        } else {
-            let idx = self.nodes.len();
-            assert!(
-                idx < NIL as usize,
-                "timing wheel slab exhausted u32 indices"
-            );
-            self.nodes.push(Node {
-                time,
-                seq,
-                next: NIL,
-                event: Some(event),
-            });
-            idx as u32
-        }
-    }
-
-    /// Returns a node's event and links the node onto the free list.
-    #[inline]
-    fn release(&mut self, idx: u32) -> E {
-        let free_head = self.free_head;
-        let node = &mut self.nodes[idx as usize];
-        let event = node.event.take().expect("released a free node");
-        node.next = free_head;
-        self.free_head = idx;
-        event
-    }
-
-    /// Picks the destination for `tick` relative to the cursor: a wheel
-    /// level, the ready heap (`None` + `true`), or overflow (`None` +
-    /// `false`).
-    #[inline]
-    fn classify(&self, tick: u64) -> Placement {
-        if tick == self.ready_tick && tick == self.current_tick {
-            return Placement::Ready;
-        }
-        let diff = tick ^ self.current_tick;
-        if diff >> SLOT_BITS == 0 {
-            Placement::Level(0)
-        } else if diff >> (2 * SLOT_BITS) == 0 {
-            Placement::Level(1)
-        } else if diff >> (3 * SLOT_BITS) == 0 {
-            Placement::Level(2)
-        } else if diff >> (4 * SLOT_BITS) == 0 {
-            Placement::Level(3)
-        } else {
-            Placement::Overflow
-        }
-    }
-
-    /// The slot of `tick` at `level`.
-    #[inline]
-    fn slot_of(tick: u64, level: usize) -> usize {
-        ((tick >> (SLOT_BITS * level as u32)) & SLOT_MASK) as usize
-    }
-
-    /// Links slab node `idx` (already filled) onto the chain of its slot
-    /// for `tick` at `level >= 1` (levels without hybrid state).
-    #[inline]
-    fn link_deep(&mut self, idx: u32, tick: u64, level: usize) {
-        debug_assert!(level >= 1);
-        let slot = Self::slot_of(tick, level);
-        self.nodes[idx as usize].next = self.heads[level][slot];
-        self.heads[level][slot] = idx;
-        self.occupied[level] |= 1 << slot;
-        self.wheel_len += 1;
-    }
-
-    /// Attaches a spill buffer (recycled if possible) to `slot` at
-    /// `level`, whose chain occupancy just hit the threshold; returns the
-    /// pool index. Cold path: runs once per slot per lap at most.
-    #[cold]
-    fn attach_spill(&mut self, level: usize, slot: usize) -> usize {
-        let s = match self.spill_free.pop() {
-            Some(free) => free,
-            None => {
-                let created = self.spill_pool.len() as u32;
-                assert!(created < SPILLED, "spill pool index overflow");
-                self.spill_pool.push(Vec::new());
-                created
-            }
-        };
-        self.slot_state[level][slot] = SPILLED | s;
-        s as usize
-    }
-
-    /// Places a tuple-form event into `slot` at `level`, maintaining the
-    /// slot's hybrid occupancy: the slab chain while it is sparse, the
-    /// contiguous spill run once it is dense. Level-0 callers are the
-    /// push/cascade/drain paths; deeper levels reach here **from
-    /// cascades only** (pushes keep the bare state-free
-    /// [`Self::link_deep`] relink), so only cascade placements pay the
-    /// state load.
-    #[inline]
-    fn place_hybrid(&mut self, time: SimTime, seq: u64, event: E, level: usize, slot: usize) {
-        let st = self.slot_state[level][slot];
-        if st < SPILL_THRESHOLD {
-            let idx = self.alloc(time, seq, event);
-            self.nodes[idx as usize].next = self.heads[level][slot];
-            self.heads[level][slot] = idx;
-            self.slot_state[level][slot] = st + 1;
-        } else {
-            let s = if st & SPILLED != 0 {
-                (st & !SPILLED) as usize
-            } else {
-                self.attach_spill(level, slot)
-            };
-            self.spill_pool[s].push((time, seq, event));
-        }
-        self.occupied[level] |= 1 << slot;
-        self.wheel_len += 1;
-    }
-
-    /// Places a fresh `(time, seq, event)`, allocating a slab node unless
-    /// the event belongs in a spill run or the overflow map.
-    fn insert_raw(&mut self, time: SimTime, seq: u64, event: E) {
-        let mut tick = self.tick_of(time);
-        if tick < self.current_tick {
-            // Scheduling into the tick being drained (or an earlier, already
-            // empty one): the event belongs to the ready batch. The push
-            // contract guarantees its `(time, seq)` is above everything
-            // already popped — `push` keeps `seq` fresh, `push_keyed`
-            // callers never schedule at or below the current event — so
-            // merging it into the batch at its heap position is exact.
-            tick = self.current_tick;
-        }
-        match self.classify(tick) {
-            Placement::Ready => {
-                // Straight into the drain batch: no slab traffic at all.
-                self.ready_late.push(LateEntry { time, seq, event });
-            }
-            Placement::Level(0) => {
-                self.place_hybrid(time, seq, event, 0, Self::slot_of(tick, 0));
-            }
-            Placement::Level(level) => {
-                let idx = self.alloc(time, seq, event);
-                self.link_deep(idx, tick, level);
-            }
-            Placement::Overflow => {
-                self.overflow.insert((tick, time, seq), event);
-            }
-        }
-    }
-
-    /// True when the drained-tick batch (sorted run + late heap) is empty.
-    #[inline]
-    fn ready_is_empty(&self) -> bool {
-        self.ready.is_empty() && self.ready_late.is_empty()
-    }
-
-    /// Key of the earliest entry of the batch without removing it.
-    #[inline]
-    fn ready_peek_key(&self) -> Option<(SimTime, u64)> {
-        let sorted = self.ready.last().map(|&(t, s, _)| (t, s));
-        let late = self.ready_late.peek().map(|e| (e.time, e.seq));
-        match (sorted, late) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// Removes and returns the earliest entry of the batch.
-    #[inline]
-    fn ready_pop(&mut self) -> (SimTime, u64, E) {
-        let take_late = match (self.ready.last(), self.ready_late.peek()) {
-            (Some(&(t, s, _)), Some(late)) => (late.time, late.seq) < (t, s),
-            (None, Some(_)) => true,
-            (Some(_), None) => false,
-            (None, None) => unreachable!("ready_pop on an empty batch"),
-        };
-        if take_late {
-            let e = self.ready_late.pop().expect("peeked entry exists");
-            (e.time, e.seq, e.event)
-        } else {
-            self.ready.pop().expect("checked entry exists")
-        }
-    }
-
-    /// Detaches a slot's chain head and (if attached) spill buffer,
-    /// clearing its occupied bit and packed state.
-    #[inline]
-    fn take_slot(&mut self, level: usize, slot: usize) -> (u32, Option<u32>) {
-        let head = self.heads[level][slot];
-        self.heads[level][slot] = NIL;
-        self.occupied[level] &= !(1 << slot);
-        let st = self.slot_state[level][slot];
-        self.slot_state[level][slot] = 0;
-        (head, (st & SPILLED != 0).then_some(st & !SPILLED))
-    }
-
-    /// Returns an emptied spill buffer to the recycled pool (capacity
-    /// kept).
-    #[inline]
-    fn release_spill(&mut self, s: u32) {
-        debug_assert!(self.spill_pool[s as usize].is_empty());
-        self.spill_free.push(s);
-    }
-
-    /// Re-places every event of level `level`'s slot at the cursor
-    /// position (they land at a strictly shallower level or the ready
-    /// heap). Landings take the hybrid path at every level: chain (a
-    /// pointer relink, or a slab alloc for buffer-borne events) while the
-    /// destination is sparse, payload moved into the destination's
-    /// contiguous run once it is dense — which frees the slab node and
-    /// makes the next hop (and the eventual level-0 drain) a contiguous
-    /// walk instead of a cold pointer chase. Deep destination state is
-    /// maintained here, at cascade time only; pushes never touch it.
-    fn cascade(&mut self, level: usize) {
-        let slot = ((self.current_tick >> (SLOT_BITS * level as u32)) & SLOT_MASK) as usize;
-        let (mut cur, spill) = self.take_slot(level, slot);
-        while cur != NIL {
-            let node = &self.nodes[cur as usize];
-            let (time, seq, next) = (node.time, node.seq, node.next);
-            self.wheel_len -= 1;
-            let mut tick = self.tick_of(time);
-            if tick < self.current_tick {
-                tick = self.current_tick;
-            }
-            match self.classify(tick) {
-                Placement::Ready => {
-                    let event = self.release(cur);
-                    self.ready_late.push(LateEntry { time, seq, event });
-                }
-                Placement::Level(0) => {
-                    let dslot = Self::slot_of(tick, 0);
-                    let st = self.slot_state[0][dslot];
-                    if st < SPILL_THRESHOLD {
-                        // Sparse destination: pure pointer relink.
-                        self.nodes[cur as usize].next = self.heads[0][dslot];
-                        self.heads[0][dslot] = cur;
-                        self.slot_state[0][dslot] = st + 1;
-                        self.occupied[0] |= 1 << dslot;
-                        self.wheel_len += 1;
-                    } else {
-                        // Dense destination: move the payload into its
-                        // contiguous run, freeing the slab node.
-                        let event = self.release(cur);
-                        self.place_hybrid(time, seq, event, 0, dslot);
-                    }
-                }
-                Placement::Level(l) => {
-                    debug_assert!(l < level, "cascade must move events shallower");
-                    let dslot = Self::slot_of(tick, l);
-                    let st = self.slot_state[l][dslot];
-                    if st < SPILL_THRESHOLD {
-                        // Sparse destination: pure pointer relink, with
-                        // the cascade occupancy counted.
-                        self.link_deep(cur, tick, l);
-                        self.slot_state[l][dslot] = st + 1;
-                    } else {
-                        // Dense destination: payload joins the slot's
-                        // contiguous run; the next cascade of that slot
-                        // walks a buffer, not a chain.
-                        let event = self.release(cur);
-                        self.place_hybrid(time, seq, event, l, dslot);
-                    }
-                }
-                Placement::Overflow => unreachable!("cascade cannot move events deeper"),
-            }
-            cur = next;
-        }
-        // The contiguous half of the source slot: already payload-form, so
-        // every event moves buffer-to-buffer (or into the ready heap)
-        // without ever touching the slab.
-        if let Some(s) = spill {
-            let mut buf = std::mem::take(&mut self.spill_pool[s as usize]);
-            self.wheel_len -= buf.len();
-            for (time, seq, event) in buf.drain(..) {
-                let mut tick = self.tick_of(time);
-                if tick < self.current_tick {
-                    tick = self.current_tick;
-                }
-                match self.classify(tick) {
-                    Placement::Ready => {
-                        self.ready_late.push(LateEntry { time, seq, event });
-                    }
-                    Placement::Level(0) => {
-                        self.place_hybrid(time, seq, event, 0, Self::slot_of(tick, 0));
-                    }
-                    Placement::Level(l) => {
-                        debug_assert!(l < level, "cascade must move events shallower");
-                        self.place_hybrid(time, seq, event, l, Self::slot_of(tick, l));
-                    }
-                    Placement::Overflow => unreachable!("cascade cannot move events deeper"),
-                }
-            }
-            self.spill_pool[s as usize] = buf;
-            self.release_spill(s);
-        }
-    }
-
-    /// Pulls overflow events belonging to the cursor's level-3 window.
-    fn refill_overflow(&mut self) {
-        let window_bits = SLOT_BITS * LEVELS as u32; // 24
-        let window_end = ((self.current_tick >> window_bits) + 1).saturating_mul(1 << window_bits);
-        // BTreeMap is keyed by (tick, time, seq); split off what stays.
-        let keep = self.overflow.split_off(&(window_end, SimTime::ZERO, 0));
-        let pulled = std::mem::replace(&mut self.overflow, keep);
-        for ((_, time, seq), event) in pulled {
-            self.insert_raw(time, seq, event);
-        }
-    }
-
-    /// Moves the cursor to `target_tick` (a tick index), performing the
-    /// cascades for every level boundary crossed.
-    fn advance_to(&mut self, target_tick: u64) {
-        debug_assert!(target_tick > self.current_tick);
-        let old = self.current_tick;
-        self.current_tick = target_tick;
-        let crossed = |bits: u32| (old >> bits) != (target_tick >> bits);
-        if crossed(SLOT_BITS * 4) {
-            self.refill_overflow();
-        }
-        if crossed(SLOT_BITS * 3) {
-            self.cascade(3);
-        }
-        if crossed(SLOT_BITS * 2) {
-            self.cascade(2);
-        }
-        if crossed(SLOT_BITS) {
-            self.cascade(1);
-        }
-    }
-
-    /// Lowest occupied slot of `level` with index `>= from`, if any.
-    #[inline]
-    fn next_occupied(&self, level: usize, from: u64) -> Option<u64> {
-        if from >= 64 {
-            return None;
-        }
-        let masked = self.occupied[level] & ((!0u64) << from);
-        if masked == 0 {
-            None
-        } else {
-            Some(masked.trailing_zeros() as u64)
-        }
-    }
-
-    /// Earliest tick at which the wheel levels or overflow hold an event,
-    /// assuming the level-0 window at the cursor is exhausted.
-    fn next_target(&self) -> Option<u64> {
-        // Check deeper levels for the next occupied slot strictly after the
-        // cursor position at that level.
-        for level in 1..LEVELS {
-            let bits = SLOT_BITS * level as u32;
-            let pos = (self.current_tick >> bits) & SLOT_MASK;
-            if let Some(slot) = self.next_occupied(level, pos + 1) {
-                let base = (self.current_tick >> (bits + SLOT_BITS)) << (bits + SLOT_BITS);
-                return Some(base + (slot << bits));
-            }
-        }
-        self.overflow.keys().next().map(|&(tick, _, _)| tick)
-    }
-
-    /// Ensures `ready` holds the globally earliest batch, advancing the
-    /// cursor as needed. Returns `false` if the queue is empty.
-    fn ensure_ready(&mut self) -> bool {
-        if !self.ready_is_empty() {
-            return true;
-        }
-        if self.len == 0 {
-            return false;
-        }
-        loop {
-            let pos = self.current_tick & SLOT_MASK;
-            if let Some(slot) = self.next_occupied(0, pos) {
-                let base = (self.current_tick >> SLOT_BITS) << SLOT_BITS;
-                let tick = base + slot;
-                debug_assert!(tick >= self.current_tick);
-                self.current_tick = tick;
-                self.ready_tick = tick;
-                // Move the slot's events out of the slab (and its spill
-                // run, contiguously) into the batch (capacity reused) and
-                // sort once, descending so pops come off the back in
-                // `(time, seq)` order. The late heap is empty here by the
-                // check above.
-                debug_assert!(self.ready.is_empty());
-                let (mut cur, spill) = self.take_slot(0, slot as usize);
-                if let Some(s) = spill {
-                    // Zero-copy drain of the dense part: the contiguous
-                    // run *becomes* the ready batch (the emptied previous
-                    // batch buffer goes back to the pool in its place).
-                    // The run arrives in descending `(time, seq)` order
-                    // whenever it was filled by a single cascade walk —
-                    // the dense common case — which the sort below
-                    // detects in O(n). The short chain prefix merges
-                    // through the late heap instead of being appended,
-                    // so it cannot spoil that already-sorted pattern.
-                    std::mem::swap(&mut self.ready, &mut self.spill_pool[s as usize]);
-                    self.wheel_len -= self.ready.len();
-                    self.release_spill(s);
-                    while cur != NIL {
-                        let next = self.nodes[cur as usize].next;
-                        let (time, seq) = {
-                            let node = &self.nodes[cur as usize];
-                            (node.time, node.seq)
-                        };
-                        let event = self.release(cur);
-                        self.ready_late.push(LateEntry { time, seq, event });
-                        self.wheel_len -= 1;
-                        cur = next;
-                    }
-                } else {
-                    while cur != NIL {
-                        let next = self.nodes[cur as usize].next;
-                        let (time, seq) = {
-                            let node = &self.nodes[cur as usize];
-                            (node.time, node.seq)
-                        };
-                        let event = self.release(cur);
-                        self.ready.push((time, seq, event));
-                        self.wheel_len -= 1;
-                        cur = next;
-                    }
-                }
-                self.ready
-                    .sort_unstable_by_key(|&(t, s, _)| Reverse((t, s)));
-                return true;
-            }
-            // Level-0 window exhausted: jump to the next occupied window.
-            match self.next_target() {
-                Some(target) => {
-                    let window_start = (target >> SLOT_BITS) << SLOT_BITS;
-                    // Move at least one full window forward.
-                    let next_window = ((self.current_tick >> SLOT_BITS) + 1) << SLOT_BITS;
-                    self.advance_to(window_start.max(next_window));
-                }
-                None => {
-                    debug_assert_eq!(self.wheel_len, 0);
-                    return false;
-                }
-            }
-        }
-    }
-}
-
-/// A same-tick event scheduled while its tick was being drained; ordered
-/// as a min-heap entry by `(time, seq)`.
-#[derive(Debug)]
-struct LateEntry<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for LateEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl<E> Eq for LateEntry<E> {}
-
-impl<E> PartialOrd for LateEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for LateEntry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest first.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
-
-/// Destination of an event relative to the cursor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Placement {
-    /// Merge into the batch currently being drained.
-    Ready,
-    /// Link into this wheel level's slot.
-    Level(usize),
-    /// Beyond the horizon: store in the overflow map.
-    Overflow,
-}
-
-impl<E> Default for TimingWheel<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> EventQueue<E> for TimingWheel<E> {
-    fn push(&mut self, time: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.insert_raw(time, seq, event);
-        self.len += 1;
-    }
-
-    fn push_keyed(&mut self, time: SimTime, key: u64, event: E) {
-        self.insert_raw(time, key, event);
-        self.len += 1;
-    }
-
-    /// Same-deadline batch insertion: one event classification for the
-    /// whole run. All entries share `time`, hence one tick and one
-    /// placement; level placements skip the per-push tick/classify/slot
-    /// arithmetic, fill the slot's chain up to the spill threshold, and
-    /// append the remainder to its contiguous spill run in one go.
-    fn push_keyed_run<I>(&mut self, time: SimTime, run: I)
-    where
-        I: Iterator<Item = (u64, E)>,
-    {
-        let mut tick = self.tick_of(time);
-        if tick < self.current_tick {
-            tick = self.current_tick;
-        }
-        match self.classify(tick) {
-            Placement::Ready => {
-                for (seq, event) in run {
-                    self.ready_late.push(LateEntry { time, seq, event });
-                    self.len += 1;
-                }
-            }
-            Placement::Level(0) => {
-                let slot = Self::slot_of(tick, 0);
-                let mut run = run.peekable();
-                let mut count = 0usize;
-                while self.slot_state[0][slot] < SPILL_THRESHOLD {
-                    let Some((seq, event)) = run.next() else {
-                        break;
-                    };
-                    let idx = self.alloc(time, seq, event);
-                    self.nodes[idx as usize].next = self.heads[0][slot];
-                    self.heads[0][slot] = idx;
-                    self.slot_state[0][slot] += 1;
-                    count += 1;
-                }
-                if run.peek().is_some() {
-                    let st = self.slot_state[0][slot];
-                    let s = if st & SPILLED != 0 {
-                        (st & !SPILLED) as usize
-                    } else {
-                        self.attach_spill(0, slot)
-                    };
-                    // Move the pool entry out so the borrow checker lets
-                    // the iterator run; put it back afterwards.
-                    let mut buf = std::mem::take(&mut self.spill_pool[s]);
-                    for (seq, event) in run {
-                        buf.push((time, seq, event));
-                        count += 1;
-                    }
-                    self.spill_pool[s] = buf;
-                }
-                if count > 0 {
-                    self.occupied[0] |= 1 << slot;
-                    self.wheel_len += count;
-                    self.len += count;
-                }
-            }
-            Placement::Level(level) => {
-                let slot = Self::slot_of(tick, level);
-                let mut count = 0usize;
-                for (seq, event) in run {
-                    let idx = self.alloc(time, seq, event);
-                    self.nodes[idx as usize].next = self.heads[level][slot];
-                    self.heads[level][slot] = idx;
-                    count += 1;
-                }
-                if count > 0 {
-                    self.occupied[level] |= 1 << slot;
-                    self.wheel_len += count;
-                    self.len += count;
-                }
-            }
-            Placement::Overflow => {
-                for (seq, event) in run {
-                    self.overflow.insert((tick, time, seq), event);
-                    self.len += 1;
-                }
-            }
-        }
-    }
-
-    fn pop(&mut self) -> Option<Scheduled<E>> {
-        if !self.ensure_ready() {
-            return None;
-        }
-        let (time, seq, event) = self.ready_pop();
-        self.len -= 1;
-        Some(Scheduled { time, seq, event })
-    }
-
-    /// Bounded same-time batch drain. The dense fast path fires when the
-    /// whole sorted run shares the batch instant — the usual shape of a
-    /// drained dense tick, whose spilled slot always also carries its
-    /// short (≤ [`SPILL_THRESHOLD`]) chain prefix in the late heap: the
-    /// prefix entries due at the instant are popped out first (bounded,
-    /// tiny), and the contiguous run is then handed over by **buffer
-    /// swap** when the heap contributed nothing, or by one sequential
-    /// merge pass otherwise — never by per-event heap-compare pops. The
-    /// emptied caller buffer becomes the next ready run, so capacities
-    /// circulate and steady state allocates nothing. Mixed-instant
-    /// ticks fall back to per-event pops.
-    fn drain_ready_before(&mut self, bound: SimTime, into: &mut crate::queue::ReadyBatch<E>) {
-        debug_assert!(into.is_empty(), "drain_ready into a non-empty batch");
-        if !self.ensure_ready() {
-            return;
-        }
-        let (t, _) = self
-            .ready_peek_key()
-            .expect("ensure_ready promised a batch");
-        if t > bound {
-            return;
-        }
-        // `ready` is sorted descending, so its first entry is the
-        // maximum: one equality check decides whether the whole run
-        // shares the batch instant.
-        if self.ready.first().is_some_and(|&(t_max, ..)| t_max == t) {
-            // Pull the late entries due at the instant (the spilled
-            // slot's chain prefix, plus any mid-drain same-time pushes)
-            // into a sorted scratch, ascending.
-            debug_assert!(self.late_scratch.is_empty());
-            while self.ready_late.peek().is_some_and(|le| le.time == t) {
-                let le = self.ready_late.pop().expect("peeked entry exists");
-                self.late_scratch.push((le.time, le.seq, le.event));
-            }
-            if self.late_scratch.is_empty() {
-                // Nothing merged in late: zero-copy buffer swap.
-                std::mem::swap(&mut self.ready, &mut into.entries);
-                into.entries.reverse();
-            } else {
-                // One sequential merge pass: the run ascending (drained
-                // from the back) against the scratch ascending.
-                let mut late = self.late_scratch.drain(..).peekable();
-                while let Some(&(_, run_seq, _)) = self.ready.last() {
-                    while late.peek().is_some_and(|&(_, s, _)| s < run_seq) {
-                        let (lt, ls, le) = late.next().expect("peeked entry exists");
-                        into.push(lt, ls, le);
-                    }
-                    let (rt, rs, re) = self.ready.pop().expect("checked entry exists");
-                    into.push(rt, rs, re);
-                }
-                for (lt, ls, le) in late {
-                    into.push(lt, ls, le);
-                }
-            }
-            self.len -= into.entries.len();
-            return;
-        }
-        loop {
-            let (time, seq, event) = self.ready_pop();
-            into.push(time, seq, event);
-            self.len -= 1;
-            match self.ready_peek_key() {
-                Some((t2, _)) if t2 == t => {}
-                _ => break,
-            }
-        }
-    }
-
-    fn peek_time(&mut self) -> Option<SimTime> {
-        if !self.ensure_ready() {
-            return None;
-        }
-        self.ready_peek_key().map(|(time, _)| time)
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::queue::BinaryHeapQueue;
-    use crate::rng::Xoshiro256pp;
-
-    #[test]
-    fn basic_ordering() {
-        let mut q = TimingWheel::new();
-        q.push(SimTime::from_secs(3), 'c');
-        q.push(SimTime::from_secs(1), 'a');
-        q.push(SimTime::from_secs(2), 'b');
-        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|s| s.event)).collect();
-        assert_eq!(order, vec!['a', 'b', 'c']);
-    }
-
-    #[test]
-    fn fifo_on_equal_times() {
-        let mut q = TimingWheel::new();
-        let t = SimTime::from_secs(10);
-        for i in 0..500 {
-            q.push(t, i);
-        }
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|s| s.event)).collect();
-        assert_eq!(order, (0..500).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sub_tick_times_are_ordered_exactly() {
-        // Two events within the same ~1 ms tick but different microseconds.
-        let mut q = TimingWheel::new();
-        q.push(SimTime::from_micros(1_000_500), 'b');
-        q.push(SimTime::from_micros(1_000_100), 'a');
-        assert_eq!(q.pop().unwrap().event, 'a');
-        assert_eq!(q.pop().unwrap().event, 'b');
-    }
-
-    #[test]
-    fn far_future_events_go_through_overflow() {
-        let mut q = TimingWheel::new();
-        // Horizon is 2^(10+24) µs ≈ 4.8 h; push an event 3 days out.
-        let far = SimTime::from_secs(3 * 24 * 3600);
-        q.push(far, "far");
-        q.push(SimTime::from_secs(1), "near");
-        assert_eq!(q.pop().unwrap().event, "near");
-        let s = q.pop().unwrap();
-        assert_eq!(s.event, "far");
-        assert_eq!(s.time, far);
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn same_time_insert_during_drain_preserves_order() {
-        let mut q = TimingWheel::new();
-        let t = SimTime::from_secs(1);
-        q.push(t, 0);
-        q.push(t, 1);
-        assert_eq!(q.pop().unwrap().event, 0);
-        // Insert at the same instant while the batch is being drained.
-        q.push(t, 2);
-        assert_eq!(q.pop().unwrap().event, 1);
-        assert_eq!(q.pop().unwrap().event, 2);
-    }
-
-    #[test]
-    fn matches_binary_heap_on_random_workload() {
-        let mut rng = Xoshiro256pp::stream(2024, 7);
-        let mut heap = BinaryHeapQueue::new();
-        let mut wheel = TimingWheel::new();
-        let mut now = 0u64;
-        for i in 0..20_000u64 {
-            if rng.chance(0.6) || heap.is_empty() {
-                // Mix of near, periodic, and far offsets.
-                let offset = match rng.below(4) {
-                    0 => rng.below(2_000),
-                    1 => 172_800_000,
-                    2 => 1_728_000,
-                    _ => rng.below(40_000_000_000),
-                };
-                let t = SimTime::from_micros(now + offset);
-                heap.push(t, i);
-                wheel.push(t, i);
-            } else {
-                let a = heap.pop().unwrap();
-                let b = wheel.pop().unwrap();
-                assert_eq!(a.key(), b.key(), "diverged at op {i}");
-                assert_eq!(a.event, b.event);
-                now = a.time.as_micros();
-            }
-        }
-        loop {
-            match (heap.pop(), wheel.pop()) {
-                (None, None) => break,
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.key(), b.key());
-                    assert_eq!(a.event, b.event);
-                }
-                (a, b) => panic!(
-                    "length mismatch: heap={:?} wheel={:?}",
-                    a.is_some(),
-                    b.is_some()
-                ),
-            }
-        }
-    }
-
-    #[test]
-    fn keyed_run_matches_individual_keyed_pushes() {
-        use crate::queue::order_key;
-        // Runs landing in every placement: ready tick (after a pop), a
-        // wheel level, and overflow — batched and per-item insertion must
-        // produce identical pop sequences.
-        let run_at = |t: u64| -> Vec<(u64, u32)> {
-            (0..40)
-                .map(|i| (order_key((i % 5) as u32, 1000 + t + i), i as u32))
-                .collect()
-        };
-        let deadlines = [
-            SimTime::from_micros(500),         // near (level 0)
-            SimTime::from_secs(120),           // deeper level
-            SimTime::from_secs(3 * 24 * 3600), // overflow
-        ];
-        let mut a = TimingWheel::new();
-        let mut b = TimingWheel::new();
-        for (j, &t) in deadlines.iter().enumerate() {
-            let entries = run_at(j as u64 * 100);
-            for &(k, e) in &entries {
-                a.push_keyed(t, k, e);
-            }
-            b.push_keyed_run(t, entries.iter().copied());
-        }
-        // Pop one event, then push a run into the now-draining tick.
-        let pa = a.pop().unwrap();
-        let pb = b.pop().unwrap();
-        assert_eq!(pa.key(), pb.key());
-        let late: Vec<(u64, u32)> = (0..10)
-            .map(|i| (order_key(9, 5000 + i as u64), 99 + i as u32))
-            .collect();
-        for &(k, e) in &late {
-            a.push_keyed(pa.time, k, e);
-        }
-        b.push_keyed_run(pb.time, late.iter().copied());
-        loop {
-            match (a.pop(), b.pop()) {
-                (None, None) => break,
-                (Some(x), Some(y)) => {
-                    assert_eq!(x.key(), y.key());
-                    assert_eq!(x.event, y.event);
-                }
-                (x, y) => panic!("length mismatch: {:?} vs {:?}", x.is_some(), y.is_some()),
-            }
-        }
-    }
-
-    #[test]
-    fn out_of_key_order_pushes_within_a_tick_sort_exactly() {
-        use crate::queue::order_key;
-        let mut wheel = TimingWheel::new();
-        let mut heap = crate::queue::BinaryHeapQueue::new();
-        // Same ~1 ms tick, keys pushed in descending order (the pattern a
-        // later-origin event scheduling an earlier-origin deadline makes).
-        let t = SimTime::from_micros(2_000_100);
-        for i in (0..100u64).rev() {
-            wheel.push_keyed(t, order_key((i % 7) as u32, i), i);
-            heap.push_keyed(t, order_key((i % 7) as u32, i), i);
-        }
-        loop {
-            match (heap.pop(), wheel.pop()) {
-                (None, None) => break,
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.key(), b.key());
-                    assert_eq!(a.event, b.event);
-                }
-                _ => panic!("length mismatch"),
-            }
-        }
-    }
-
-    #[test]
-    fn dense_same_tick_batches_spill_and_match_heap() {
-        // Thousands of events on a handful of identical deadlines — the
-        // workload where slots spill into contiguous runs. Keys arrive
-        // scrambled; pops must still match the heap exactly, across the
-        // chain/spill boundary and through cascades from deep levels.
-        use crate::queue::order_key;
-        let mut heap = BinaryHeapQueue::new();
-        let mut wheel = TimingWheel::new();
-        let deadlines = [
-            SimTime::from_micros(1_728_000),   // level 1 from tick 0
-            SimTime::from_micros(1_728_400),   // same tick as above
-            SimTime::from_micros(172_800_000), // deep level
-            SimTime::from_micros(172_800_019),
-        ];
-        let mut rng = Xoshiro256pp::stream(77, 0);
-        for i in 0..8_000u64 {
-            let t = deadlines[rng.below(4) as usize];
-            let key = order_key((i % 97) as u32, i);
-            heap.push_keyed(t, key, i);
-            wheel.push_keyed(t, key, i);
-        }
-        // A fraction of the events land mid-drain at the ready tick too.
-        for step in 0u64.. {
-            let (a, b) = (heap.pop(), wheel.pop());
-            match (a, b) {
-                (None, None) => break,
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.key(), b.key(), "diverged at pop {step}");
-                    assert_eq!(a.event, b.event);
-                    if step % 1000 == 0 {
-                        let key = order_key(98, step);
-                        heap.push_keyed(a.time, key, u64::MAX - step);
-                        wheel.push_keyed(b.time, key, u64::MAX - step);
-                    }
-                }
-                (a, b) => panic!("length mismatch: {:?} vs {:?}", a.is_some(), b.is_some()),
-            }
-        }
-    }
-
-    #[test]
-    fn level0_spill_attaches_exactly_at_threshold() {
-        // 32 entries chain through the slab; the 33rd attaches a spill
-        // buffer and lands in it. Draining empties the buffer back onto
-        // the free list, and the next dense wave reuses it.
-        let mut q = TimingWheel::new();
-        let t = SimTime::from_micros(2_000);
-        for i in 0..u64::from(SPILL_THRESHOLD) {
-            q.push(t, i);
-        }
-        assert!(q.spill_pool.is_empty(), "32 entries must not spill");
-        q.push(t, u64::from(SPILL_THRESHOLD));
-        assert_eq!(q.spill_pool.len(), 1, "the 33rd entry must spill");
-        assert_eq!(q.spill_pool[0].len(), 1);
-        for i in 0..=u64::from(SPILL_THRESHOLD) {
-            assert_eq!(q.pop().unwrap().event, i);
-        }
-        assert!(q.pop().is_none());
-        assert_eq!(
-            q.spill_free.len(),
-            q.spill_pool.len(),
-            "drained spill buffer must return to the pool"
-        );
-        // Second dense wave at a later tick: the pool must be reused, not
-        // grown.
-        let t2 = SimTime::from_micros(6_000);
-        for i in 0..200u64 {
-            q.push(t2, 100 + i);
-        }
-        assert_eq!(q.spill_pool.len(), 1, "pool must be recycled, not grown");
-        while q.pop().is_some() {}
-        assert_eq!(q.spill_free.len(), q.spill_pool.len());
-    }
-
-    #[test]
-    fn deep_cascade_spill_matches_heap_and_recycles() {
-        // One level-3 slot holding dense masses spread across many
-        // level-2 and level-1 destination windows: the level-3 cascade
-        // must spill every dense destination into a contiguous run (the
-        // cascade-only deep hybrid), later hops walk those runs
-        // buffer-to-buffer, and the pop order still matches the heap
-        // exactly. Afterwards every run buffer is back on the free list.
-        use crate::queue::order_key;
-        let mut heap = BinaryHeapQueue::new();
-        let mut wheel = TimingWheel::new();
-        let base_tick = 1u64 << 18; // a level-3 slot as seen from tick 0
-        let mut i = 0u64;
-        let mut push_group = |heap: &mut BinaryHeapQueue<u64>,
-                              wheel: &mut TimingWheel<u64>,
-                              tick: u64,
-                              count: u64| {
-            for _ in 0..count {
-                // Two sub-tick instants per group so batches mix times.
-                let t = SimTime::from_micros((tick << DEFAULT_TICK_SHIFT) + (i % 2) * 37);
-                let key = order_key((i % 97) as u32, i);
-                heap.push_keyed(t, key, i);
-                wheel.push_keyed(t, key, i);
-                i += 1;
-            }
-        };
-        // Dense level-2 destinations (distinct 2^12-tick blocks) and
-        // dense level-1 destinations (distinct 2^6-tick blocks within the
-        // first level-2 block), all in the same level-3 slot.
-        for b in 1..8u64 {
-            push_group(&mut heap, &mut wheel, base_tick + (b << 12) + 5, 300);
-        }
-        for b in 1..8u64 {
-            push_group(&mut heap, &mut wheel, base_tick + (b << 6) + 3, 300);
-        }
-        push_group(&mut heap, &mut wheel, base_tick, 300);
-        // First pop advances the cursor into the window, firing the
-        // level-3 cascade: its dense destinations must have spilled into
-        // contiguous runs at deep levels (the state the naive per-push
-        // design paid 20% on uniform for, now cascade-only).
-        let (a, b) = (heap.pop().unwrap(), wheel.pop().unwrap());
-        assert_eq!(a.key(), b.key());
-        let deep_spilled =
-            (1..LEVELS).any(|l| (0..SLOTS).any(|s| wheel.slot_state[l][s] & SPILLED != 0));
-        assert!(
-            deep_spilled,
-            "dense deep destinations must spill at cascade time"
-        );
-        loop {
-            match (heap.pop(), wheel.pop()) {
-                (None, None) => break,
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.key(), b.key());
-                    assert_eq!(a.event, b.event);
-                }
-                (a, b) => panic!("length mismatch: {:?} vs {:?}", a.is_some(), b.is_some()),
-            }
-        }
-        assert_eq!(
-            wheel.spill_free.len(),
-            wheel.spill_pool.len(),
-            "every cascade spill buffer must return to the pool"
-        );
-        assert!(
-            wheel.nodes.iter().all(|n| n.event.is_none()),
-            "slab must be fully drained"
-        );
-    }
-
-    #[test]
-    fn drain_ready_batches_recycle_buffers() {
-        // Steady-state dense waves drained through `drain_ready`: the
-        // wheel and the caller's batch swap one contiguous buffer back
-        // and forth, so neither the spill pool nor the batch capacity
-        // grows after warmup — the batch path allocates nothing.
-        use crate::queue::ReadyBatch;
-        let mut q = TimingWheel::new();
-        let mut batch = ReadyBatch::new();
-        let mut now = 0u64;
-        let mut warm_caps: Vec<usize> = Vec::new();
-        for round in 0..50u64 {
-            let t = SimTime::from_micros(now + 1_728_000);
-            for i in 0..500u64 {
-                q.push(t, round * 10_000 + i);
-            }
-            q.drain_ready(&mut batch);
-            assert_eq!(batch.len(), 500, "the whole same-time wave drains at once");
-            assert_eq!(batch.time(), Some(t));
-            for (expect, (_, _, e)) in (round * 10_000..).zip(batch.drain()) {
-                assert_eq!(e, expect);
-            }
-            now = t.as_micros();
-            if round >= 2 {
-                warm_caps.push(batch.entries.capacity());
-            }
-            assert!(
-                q.spill_pool.len() <= 2,
-                "spill pool grew to {} buffers under drain_ready reuse",
-                q.spill_pool.len()
-            );
-        }
-        // Capacities circulate between the wheel and the batch (the
-        // swap can alternate two distinct buffers), so after warmup no
-        // round may exceed the larger of the first two warm capacities —
-        // any growth means a buffer was reallocated instead of reused.
-        let cap_bound = warm_caps[0].max(warm_caps[1]);
-        assert!(
-            warm_caps.iter().all(|&c| c <= cap_bound),
-            "batch capacity must stabilize at {cap_bound}, got {warm_caps:?}"
-        );
-        assert!(
-            q.nodes.len() <= 512,
-            "slab grew past one wave under drain_ready reuse: {} nodes",
-            q.nodes.len()
-        );
-    }
-
-    #[test]
-    fn bounded_drain_respects_the_bound() {
-        use crate::queue::ReadyBatch;
-        let mut q = TimingWheel::new();
-        q.push(SimTime::from_secs(5), 'a');
-        q.push(SimTime::from_secs(9), 'b');
-        let mut batch = ReadyBatch::new();
-        q.drain_ready_before(SimTime::from_secs(4), &mut batch);
-        assert!(batch.is_empty(), "nothing is due at or before 4 s");
-        q.drain_ready_before(SimTime::from_secs(5), &mut batch);
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch.time(), Some(SimTime::from_secs(5)));
-        batch.clear();
-        q.drain_ready_before(SimTime::MAX, &mut batch);
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch.drain().next().unwrap().2, 'b');
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn spill_buffers_are_recycled_across_batches() {
-        // Steady-state dense batches must reuse the spill pool, not grow
-        // it: one buffer per simultaneously dense slot, returned on drain.
-        let mut q = TimingWheel::new();
-        let mut now = 0u64;
-        for round in 0..50u64 {
-            // One dense slot per round, well beyond the threshold.
-            let t = SimTime::from_micros(now + 1_728_000);
-            for i in 0..500u64 {
-                q.push(t, round * 10_000 + i);
-            }
-            while let Some(s) = q.pop() {
-                now = now.max(s.time.as_micros());
-            }
-            assert!(
-                q.spill_pool.len() <= 2,
-                "spill pool grew to {} buffers under steady-state reuse",
-                q.spill_pool.len()
-            );
-            assert_eq!(
-                q.spill_free.len(),
-                q.spill_pool.len(),
-                "drained wheel must have every spill buffer back on the free list"
-            );
-        }
-        // And the slab stayed bounded by one batch (deep levels chain in
-        // full; only level-0 density is capped by the spill threshold).
-        assert!(
-            q.nodes.len() <= 512,
-            "slab grew past one batch under steady-state reuse: {} nodes",
-            q.nodes.len()
-        );
-    }
-
-    #[test]
-    fn len_is_consistent() {
-        let mut q = TimingWheel::new();
-        for i in 0..100u64 {
-            q.push(SimTime::from_micros(i * 1_000_000), i);
-        }
-        assert_eq!(q.len(), 100);
-        for expect in (0..100).rev() {
-            q.pop();
-            assert_eq!(q.len(), expect);
-        }
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn peek_time_does_not_disturb_order() {
-        let mut q = TimingWheel::new();
-        q.push(SimTime::from_secs(5), 1);
-        q.push(SimTime::from_secs(2), 2);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
-        assert_eq!(q.pop().unwrap().event, 2);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(5)));
-    }
-
-    #[test]
-    fn empty_wheel_jump_is_exact() {
-        // One event in a far L3 slot: ensure_ready must jump, not crawl.
-        let mut q = TimingWheel::new();
-        let t = SimTime::from_micros((1u64 << 33) + 123);
-        q.push(t, ());
-        let s = q.pop().unwrap();
-        assert_eq!(s.time, t);
-    }
-
-    #[test]
-    fn slab_reuses_freed_nodes() {
-        // Steady-state push/pop churn must not grow the slab beyond the
-        // peak pending count: every drain frees nodes that later pushes
-        // reclaim through the intrusive free list.
-        const PENDING: u64 = 64;
-        let mut q = TimingWheel::new();
-        for i in 0..PENDING {
-            q.push(SimTime::from_micros(i * 1_000), i);
-        }
-        let mut now = 64_000u64;
-        for i in 0..10_000u64 {
-            let popped = q.pop().expect("queue stays non-empty");
-            now = now.max(popped.time.as_micros());
-            q.push(SimTime::from_micros(now + 1_000 + (i % 7) * 500), i);
-        }
-        assert!(
-            q.nodes.len() as u64 <= PENDING,
-            "slab grew past the pending peak under steady-state churn: {}",
-            q.nodes.len()
-        );
-    }
-
-    #[test]
-    fn free_list_survives_cascades_and_overflow() {
-        let mut rng = Xoshiro256pp::stream(99, 1);
-        let mut q = TimingWheel::with_tick_shift(4);
-        let mut now = 0u64;
-        // Force heavy cascade + overflow traffic with a tiny horizon.
-        for i in 0..5_000u64 {
-            if rng.chance(0.55) || q.is_empty() {
-                q.push(SimTime::from_micros(now + rng.below(1 << 30)), i);
-            } else {
-                now = q.pop().unwrap().time.as_micros();
-            }
-        }
-        let mut last = (SimTime::ZERO, 0);
-        while let Some(s) = q.pop() {
-            assert!(s.key() >= last, "order violated after cascades");
-            last = s.key();
-        }
-        // Slab fully drained: every node is back on the free list.
-        assert!(q.nodes.iter().all(|n| n.event.is_none()));
-    }
-}
+//! The name the engine's scheduler used to go by, kept for callers outside
+//! the workspace.
+
+/// Alias of [`crate::queue::LaneScheduler`].
+pub type TimingWheel<E> = crate::queue::LaneScheduler<E>;

@@ -38,6 +38,15 @@ fn serial_profile_counts_every_processed_event() {
     assert!(data.mean_batch() >= 1.0);
     // One block has no windows, claims, or mailboxes.
     assert_eq!((data.windows, data.claims, data.mailbox_drains), (0, 0, 0));
+    // Profiling was forced on after construction, so the first ticks
+    // (random phases, on the heap) are not in the count: what remains is
+    // every later tick, one Δ after the last, and every send, one transfer
+    // time out — all lane traffic.
+    assert_eq!(data.fallback_pushes, 0);
+    assert_eq!(
+        data.lane_pushes,
+        sim.stats().ticks_fired + sim.stats().messages_sent
+    );
 }
 
 #[test]
@@ -118,6 +127,13 @@ fn sharded_profile_merges_engines_and_gate() {
     assert!(on.mailbox_drains > 0);
     assert!(on.mailbox_messages > 0, "ring traffic crosses shards");
     assert!(on.mailbox_depth_max >= 1);
+    // A mailbox deposit enters the queue a window after it was sent: by
+    // design the heap takes it. Ticks and in-shard sends ride the lanes.
+    assert_eq!(on.fallback_pushes, on.mailbox_messages);
+    assert_eq!(
+        on.lane_pushes + on.fallback_pushes,
+        stats.ticks_fired + stats.messages_sent
+    );
 }
 
 /// Replicated churn events are processed by every shard but merged stats

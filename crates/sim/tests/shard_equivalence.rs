@@ -2,13 +2,12 @@
 //! protocol that touches every event type: ticks, deliveries, reactive
 //! replies, timers, churn, sampling, injection, and fault drops. The same
 //! driver cut into S blocks must be **byte-identical** to its S = 1 run
-//! for every shard count, thread count, pin setting, and queue
-//! implementation — including when tail-stealing between home lanes is
-//! doing the load balancing (the imbalanced-topology test below) — and a
-//! shard must never leave its home worker when there are as many workers
-//! as shards.
+//! for every shard count, thread count and pin setting — including when
+//! tail-stealing between home lanes is doing the load balancing (the
+//! imbalanced-topology test below) — and a shard must never leave its home
+//! worker when there are as many workers as shards.
 
-use ta_sim::config::{QueueKind, SimConfig};
+use ta_sim::config::SimConfig;
 use ta_sim::engine::{AvailabilityModel, Driver, SimApi, Simulation};
 use ta_sim::shard::{ShardOpts, ShardPlan, ShardableDriver, ShardedSimulation};
 use ta_sim::{NodeId, SimDuration, SimStats, SimTime};
@@ -176,22 +175,21 @@ impl AvailabilityModel for Bouncy {
     }
 }
 
-fn cfg(n: usize, queue: QueueKind, seed: u64, drop: f64) -> SimConfig {
+fn cfg(n: usize, seed: u64, drop: f64) -> SimConfig {
     SimConfig::builder(n)
         .delta(SimDuration::from_secs(10))
         .transfer_time(SimDuration::from_secs(1))
         .duration(SimDuration::from_secs(600))
         .sample_period(SimDuration::from_secs(25))
         .injection_period(SimDuration::from_secs(7))
-        .queue(queue)
         .seed(seed)
         .drop_probability(drop)
         .build()
         .unwrap()
 }
 
-fn run_serial(n: usize, queue: QueueKind, seed: u64, drop: f64, churn: bool) -> (Toy, SimStats) {
-    let config = cfg(n, queue, seed, drop);
+fn run_serial(n: usize, seed: u64, drop: f64, churn: bool) -> (Toy, SimStats) {
+    let config = cfg(n, seed, drop);
     let mut sim = if churn {
         Simulation::new(config, &Bouncy { n }, Toy::new(n))
     } else {
@@ -201,17 +199,15 @@ fn run_serial(n: usize, queue: QueueKind, seed: u64, drop: f64, churn: bool) -> 
     sim.into_parts()
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_sharded(
     n: usize,
-    queue: QueueKind,
     seed: u64,
     drop: f64,
     churn: bool,
     shards: usize,
     threads: usize,
 ) -> (Toy, SimStats) {
-    let config = cfg(n, queue, seed, drop);
+    let config = cfg(n, seed, drop);
     let mut sim = if churn {
         ShardedSimulation::new(config, &Bouncy { n }, Toy::new(n), shards, threads)
     } else {
@@ -222,27 +218,19 @@ fn run_sharded(
 }
 
 #[test]
-fn sharded_matches_serial_across_shards_queues_and_churn() {
+fn sharded_matches_serial_across_shards_and_churn() {
     let n = 48;
-    for queue in [QueueKind::Heap, QueueKind::Wheel] {
-        for churn in [false, true] {
-            let (toy, stats) = run_serial(n, queue, 42, 0.0, churn);
-            assert!(stats.messages_delivered > 0);
-            assert!(stats.samples > 0 && stats.injections > 0);
-            if churn {
-                assert!(stats.ticks_stale > 0 || stats.messages_lost_offline > 0);
-            }
-            for shards in [1, 2, 3, 4] {
-                let (stoy, sstats) = run_sharded(n, queue, 42, 0.0, churn, shards, 1);
-                assert_eq!(
-                    toy, stoy,
-                    "{queue:?} churn={churn} S={shards} state diverged"
-                );
-                assert_eq!(
-                    stats, sstats,
-                    "{queue:?} churn={churn} S={shards} stats diverged"
-                );
-            }
+    for churn in [false, true] {
+        let (toy, stats) = run_serial(n, 42, 0.0, churn);
+        assert!(stats.messages_delivered > 0);
+        assert!(stats.samples > 0 && stats.injections > 0);
+        if churn {
+            assert!(stats.ticks_stale > 0 || stats.messages_lost_offline > 0);
+        }
+        for shards in [1, 2, 3, 4] {
+            let (stoy, sstats) = run_sharded(n, 42, 0.0, churn, shards, 1);
+            assert_eq!(toy, stoy, "churn={churn} S={shards} state diverged");
+            assert_eq!(stats, sstats, "churn={churn} S={shards} stats diverged");
         }
     }
 }
@@ -250,9 +238,9 @@ fn sharded_matches_serial_across_shards_queues_and_churn() {
 #[test]
 fn thread_count_never_changes_results() {
     let n = 40;
-    let (toy, stats) = run_serial(n, QueueKind::Wheel, 7, 0.0, true);
+    let (toy, stats) = run_serial(n, 7, 0.0, true);
     for threads in [1, 2, 4, 8] {
-        let (stoy, sstats) = run_sharded(n, QueueKind::Wheel, 7, 0.0, true, 4, threads);
+        let (stoy, sstats) = run_sharded(n, 7, 0.0, true, 4, threads);
         assert_eq!(toy, stoy, "threads={threads} state diverged");
         assert_eq!(stats, sstats, "threads={threads} stats diverged");
     }
@@ -267,11 +255,11 @@ fn full_shards_threads_pin_matrix_matches_serial() {
     // shard-window drain is claimed exactly once, and with one lane per
     // shard (or a single participant) no shard ever changes threads.
     let n = 40;
-    let (toy, stats) = run_serial(n, QueueKind::Wheel, 7, 0.0, true);
+    let (toy, stats) = run_serial(n, 7, 0.0, true);
     for shards in [1, 2, 3, 4] {
         for threads in [1, 2, 4] {
             for pin in [false, true] {
-                let config = cfg(n, QueueKind::Wheel, 7, 0.0);
+                let config = cfg(n, 7, 0.0);
                 let opts = ShardOpts {
                     shards,
                     threads,
@@ -326,38 +314,33 @@ fn work_stealing_on_imbalanced_shards_is_exact() {
     let n = 48;
     let hot = 12; // exactly shard 0 when S = 4
     let avail = HotBlock { hot };
-    for queue in [QueueKind::Heap, QueueKind::Wheel] {
-        let config = cfg(n, queue, 23, 0.0);
-        let mut serial = Simulation::new(config, &avail, Toy::new(n));
-        serial.run_to_end();
-        let (toy, stats) = serial.into_parts();
-        assert!(stats.messages_delivered > 0);
-        assert!(
-            stats.messages_lost_offline > 0,
-            "hot nodes must be sending into the cold blocks"
-        );
-        for shards in [2, 4] {
-            for threads in [2, 4] {
-                for pin in [false, true] {
-                    let config = cfg(n, queue, 23, 0.0);
-                    let opts = ShardOpts {
-                        shards,
-                        threads,
-                        pin,
-                    };
-                    let mut sim = ShardedSimulation::with_opts(config, &avail, Toy::new(n), opts);
-                    sim.run_to_end();
-                    // How many claims migrate depends on timing; that they
-                    // are a subset of the claims does not.
-                    let profile = sim.profile();
-                    assert!(profile.claims > 0 && profile.steals <= profile.claims);
-                    let (stoy, sstats) = sim.into_parts();
-                    assert_eq!(
-                        toy, stoy,
-                        "{queue:?} S={shards} T={threads} pin={pin} diverged"
-                    );
-                    assert_eq!(stats, sstats, "{queue:?} S={shards} T={threads} pin={pin}");
-                }
+    let config = cfg(n, 23, 0.0);
+    let mut serial = Simulation::new(config, &avail, Toy::new(n));
+    serial.run_to_end();
+    let (toy, stats) = serial.into_parts();
+    assert!(stats.messages_delivered > 0);
+    assert!(
+        stats.messages_lost_offline > 0,
+        "hot nodes must be sending into the cold blocks"
+    );
+    for shards in [2, 4] {
+        for threads in [2, 4] {
+            for pin in [false, true] {
+                let config = cfg(n, 23, 0.0);
+                let opts = ShardOpts {
+                    shards,
+                    threads,
+                    pin,
+                };
+                let mut sim = ShardedSimulation::with_opts(config, &avail, Toy::new(n), opts);
+                sim.run_to_end();
+                // How many claims migrate depends on timing; that they
+                // are a subset of the claims does not.
+                let profile = sim.profile();
+                assert!(profile.claims > 0 && profile.steals <= profile.claims);
+                let (stoy, sstats) = sim.into_parts();
+                assert_eq!(toy, stoy, "S={shards} T={threads} pin={pin} diverged");
+                assert_eq!(stats, sstats, "S={shards} T={threads} pin={pin}");
             }
         }
     }
@@ -366,10 +349,10 @@ fn work_stealing_on_imbalanced_shards_is_exact() {
 #[test]
 fn fault_injection_drops_identically() {
     let n = 32;
-    let (toy, stats) = run_serial(n, QueueKind::Heap, 11, 0.3, false);
+    let (toy, stats) = run_serial(n, 11, 0.3, false);
     assert!(stats.messages_dropped_fault > 0);
     for shards in [2, 4] {
-        let (stoy, sstats) = run_sharded(n, QueueKind::Heap, 11, 0.3, false, shards, 2);
+        let (stoy, sstats) = run_sharded(n, 11, 0.3, false, shards, 2);
         assert_eq!(toy, stoy);
         assert_eq!(stats, sstats);
     }
@@ -413,7 +396,7 @@ fn worker_panics_propagate_instead_of_deadlocking() {
     // microsecond of every window opening, and is inside its spin budget
     // when the few-event drain of shard 0 blows up.
     for (idle_peer, shards, pin) in [(false, 4, false), (false, 4, true), (true, 2, false)] {
-        let config = cfg(24, QueueKind::Heap, 3, 0.0);
+        let config = cfg(24, 3, 0.0);
         // Run under a watchdog: a waiter the poison failed to release
         // would otherwise hang the test binary instead of failing it.
         let (tx, rx) = std::sync::mpsc::channel::<()>();
@@ -452,8 +435,8 @@ fn worker_panics_propagate_instead_of_deadlocking() {
 
 #[test]
 fn seeds_still_differentiate_sharded_runs() {
-    let a = run_sharded(30, QueueKind::Wheel, 1, 0.0, false, 3, 2);
-    let b = run_sharded(30, QueueKind::Wheel, 2, 0.0, false, 3, 2);
+    let a = run_sharded(30, 1, 0.0, false, 3, 2);
+    let b = run_sharded(30, 2, 0.0, false, 3, 2);
     assert_ne!(a.0, b.0);
 }
 

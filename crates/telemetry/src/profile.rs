@@ -1,5 +1,6 @@
-//! Engine self-profiling: batch-size histograms, window wall time,
-//! shard-window claims and steals, empty-window skips, mailbox depths.
+//! Engine self-profiling: batch-size histograms, scheduler lane share,
+//! window wall time, shard-window claims and steals, empty-window skips,
+//! mailbox depths.
 //!
 //! A [`Profile`] is owned by one engine (or worker) and mutated with
 //! plain stores — no atomics, because the sim engines are single-writer
@@ -25,6 +26,10 @@ pub struct ProfileData {
     pub batch_events: u64,
     /// Log₂ histogram of batch sizes.
     pub batch_hist: [u64; BATCH_BUCKETS],
+    /// Events the scheduler appended to a fixed-delay lane.
+    pub lane_pushes: u64,
+    /// Events the scheduler handed to its fallback heap.
+    pub fallback_pushes: u64,
     /// Windows processed by sharded workers (shard-window drains).
     pub windows: u64,
     /// Wall time spent inside window drains, nanoseconds.
@@ -53,6 +58,8 @@ impl ProfileData {
         for (a, b) in self.batch_hist.iter_mut().zip(other.batch_hist.iter()) {
             *a += b;
         }
+        self.lane_pushes += other.lane_pushes;
+        self.fallback_pushes += other.fallback_pushes;
         self.windows += other.windows;
         self.window_ns += other.window_ns;
         self.claims += other.claims;
@@ -88,6 +95,15 @@ impl ProfileData {
             self.batch_events,
             self.mean_batch()
         ));
+        let pushes = self.lane_pushes + self.fallback_pushes;
+        if pushes > 0 {
+            out.push_str(&format!(
+                "event=profile_pushes lane_pushes={} fallback_pushes={} lane_share={:.4}\n",
+                self.lane_pushes,
+                self.fallback_pushes,
+                self.lane_pushes as f64 / pushes as f64
+            ));
+        }
         if self.windows > 0 || self.skipped_windows > 0 {
             out.push_str(&format!(
                 "event=profile_windows windows={} skipped={} window_ms={:.3} claims={} steals={}\n",
@@ -156,6 +172,16 @@ impl Profile {
         }
     }
 
+    /// Records `total` scheduler pushes of which `fallback` missed every
+    /// lane.
+    #[inline]
+    pub fn pushes(&mut self, total: usize, fallback: usize) {
+        if self.enabled {
+            self.data.lane_pushes += (total - fallback) as u64;
+            self.data.fallback_pushes += fallback as u64;
+        }
+    }
+
     /// Records one shard-window drain taking `ns` wall nanoseconds.
     #[inline]
     pub fn window(&mut self, ns: u64) {
@@ -212,6 +238,7 @@ mod tests {
     fn disabled_profile_records_nothing() {
         let mut p = Profile::forced(false);
         p.batch(8);
+        p.pushes(5, 2);
         p.window(100);
         p.claim(true);
         p.skip(3);
@@ -241,7 +268,9 @@ mod tests {
         a.window(10);
         a.claim(false);
         a.mailbox(3);
+        a.pushes(10, 1);
         let mut b = Profile::forced(true);
+        b.pushes(4, 4);
         b.window(20);
         b.claim(true);
         b.mailbox(9);
@@ -253,17 +282,20 @@ mod tests {
         assert_eq!((d.claims, d.steals), (2, 1));
         assert_eq!(d.mailbox_depth_max, 9);
         assert_eq!(d.skipped_windows, 2);
+        assert_eq!((d.lane_pushes, d.fallback_pushes), (9, 5));
     }
 
     #[test]
     fn render_mentions_each_populated_family() {
         let mut p = Profile::forced(true);
         p.batch(4);
+        p.pushes(4, 1);
         p.window(1_000_000);
         p.mailbox(2);
         p.skip(1);
         let text = p.data().render();
         assert!(text.contains("event=profile "));
+        assert!(text.contains("lane_pushes=3 fallback_pushes=1 lane_share=0.7500"));
         assert!(text.contains("event=profile_windows"));
         assert!(text.contains("event=profile_mailboxes"));
         assert!(text.contains("b4=1"));

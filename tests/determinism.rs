@@ -1,6 +1,8 @@
 //! Cross-crate determinism: a full experiment is a pure function of its
-//! spec, regardless of queue implementation or thread scheduling.
+//! spec, regardless of thread scheduling, and the scheduler it runs on hands
+//! events out in the order a plain binary heap would.
 
+use ta::apps::protocol::ProtocolStats;
 use ta::prelude::*;
 
 fn spec(app: AppKind, seed: u64) -> ExperimentSpec {
@@ -44,34 +46,57 @@ fn churn_scenario_is_deterministic_too() {
 }
 
 #[test]
-fn heap_and_wheel_engines_agree_end_to_end() {
-    // The queue choice is engine-internal and must not change any result.
+fn scheduler_engine_reproduces_the_heap_engine_end_to_end() {
+    // Which side of the scheduler an event lands on is engine-internal and
+    // must not change any result: the expectations are those of the same
+    // run on `BinaryHeapQueue` alone (commit a7d080a).
     use std::sync::Arc;
 
     let n = 80;
-    let run = |queue: QueueKind| {
-        let mut rng = Xoshiro256pp::stream(3, 1);
-        let topo = Arc::new(k_out_random(n, 10, &mut rng).unwrap());
-        let cfg = SimConfig::builder(n)
-            .duration(SimDuration::from_secs(172_800 / 4))
-            .sample_period(SimDuration::from_secs_f64(172.8))
-            .injection_period(SimDuration::from_secs_f64(17.28))
-            .queue(queue)
-            .seed(11)
-            .build()
-            .unwrap();
-        let app = PushGossip::new(n, &vec![true; n]);
-        let strategy: Box<dyn Strategy> = Box::new(GeneralizedTokenAccount::new(5, 10).unwrap());
-        let proto = TokenProtocol::new(topo, strategy, app, vec![true; n]);
-        let mut sim = Simulation::new(cfg, &AlwaysOn, proto);
-        sim.run_to_end();
-        let (proto, stats) = sim.into_parts();
-        let results = proto.into_results();
-        (results.metric, results.stats, stats)
-    };
-    let (m1, p1, s1) = run(QueueKind::Heap);
-    let (m2, p2, s2) = run(QueueKind::Wheel);
-    assert_eq!(m1, m2);
-    assert_eq!(p1, p2);
-    assert_eq!(s1, s2);
+    let mut rng = Xoshiro256pp::stream(3, 1);
+    let topo = Arc::new(k_out_random(n, 10, &mut rng).unwrap());
+    let cfg = SimConfig::builder(n)
+        .duration(SimDuration::from_secs(172_800 / 4))
+        .sample_period(SimDuration::from_secs_f64(172.8))
+        .injection_period(SimDuration::from_secs_f64(17.28))
+        .seed(11)
+        .build()
+        .unwrap();
+    let app = PushGossip::new(n, &vec![true; n]);
+    let strategy: Box<dyn Strategy> = Box::new(GeneralizedTokenAccount::new(5, 10).unwrap());
+    let proto = TokenProtocol::new(topo, strategy, app, vec![true; n]);
+    let mut sim = Simulation::new(cfg, &AlwaysOn, proto);
+    sim.run_to_end();
+    let (proto, stats) = sim.into_parts();
+    let results = proto.into_results();
+    assert_eq!(
+        results.stats,
+        ProtocolStats {
+            proactive_sent: 715,
+            reactive_sent: 18881,
+            tokens_banked: 19285,
+            ..ProtocolStats::default()
+        }
+    );
+    assert_eq!(
+        stats,
+        SimStats {
+            messages_sent: 19596,
+            messages_delivered: 19596,
+            ticks_fired: 20000,
+            samples: 250,
+            injections: 2500,
+            events_processed: 42346,
+            ..SimStats::default()
+        }
+    );
+    let metric_bits = results
+        .metric
+        .values()
+        .iter()
+        .fold(0u64, |acc, v| acc.rotate_left(7) ^ v.to_bits());
+    assert_eq!(
+        (results.metric.len(), metric_bits),
+        (250, 2009206687318180746)
+    );
 }

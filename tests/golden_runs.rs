@@ -1,7 +1,7 @@
 //! Absolute pins of the engine's behaviour.
 //!
-//! Every other equivalence test in the workspace compares two executions
-//! with each other (heap against wheel, S shards against one). This one
+//! Most equivalence tests in the workspace compare two executions with
+//! each other (scheduler against heap, S shards against one). This one
 //! holds constants: an FNV-1a digest over `SimStats`, `ProtocolStats`, the
 //! bit patterns of the metric and token series, `sends_per_slot` and
 //! `balances_sum`, for every cell of
@@ -11,14 +11,14 @@
 //! × {proactive, simple, generalized, randomized}
 //! × {failure-free, smartphone churn} × `drop_probability` ∈ {0, 0.3},
 //!
-//! which `QueueKind::Heap` and `QueueKind::Wheel` must both reproduce at
-//! S = 1, and which every shardable cell must reproduce at
-//! S ∈ {2, 3, 4} × T ∈ {1, 2} × pin on/off. A second table pins the
+//! which the engine must reproduce at S = 1, and which every shardable
+//! cell must reproduce at S ∈ {2, 3, 4} × T ∈ {1, 2} × pin on/off. A second table pins the
 //! experiment runner end to end, so the `TA_SHARDS`/`TA_PIN` CI legs are
 //! held to the same numbers.
 //!
 //! The constants were generated by the serial `Simulation` event loop of
-//! commit 23bb7fb, the last one that had a serial loop of its own. They
+//! commit 23bb7fb, the last one that had a serial loop of its own, on
+//! `BinaryHeapQueue` alone. They
 //! are never regenerated: a mismatch means the engine's observable
 //! behaviour moved.
 
@@ -35,7 +35,7 @@ use ta_experiments::{run_experiment, AppKind, ExperimentSpec, TopologyKind};
 use ta_metrics::TimeSeries;
 use ta_overlay::generators::k_out_random;
 use ta_overlay::Topology;
-use ta_sim::config::{QueueKind, SimConfig};
+use ta_sim::config::SimConfig;
 use ta_sim::engine::{SimStats, Simulation};
 use ta_sim::rng::Xoshiro256pp;
 use ta_sim::shard::{ShardOpts, ShardedSimulation};
@@ -204,14 +204,13 @@ where
     }
 }
 
-fn config(queue: QueueKind, drop: f64, inject: bool) -> SimConfig {
+fn config(drop: f64, inject: bool) -> SimConfig {
     let mut b = SimConfig::builder(N)
         .delta(DELTA)
         .transfer_time(TRANSFER)
         .duration(DELTA * ROUNDS)
         .sample_period(DELTA)
         .drop_probability(drop)
-        .queue(queue)
         .seed(0x601d);
     if inject {
         b = b.injection_period(DELTA / 10);
@@ -257,14 +256,14 @@ fn layouts() -> impl Iterator<Item = ShardOpts> {
 /// listing the whole measured table on any mismatch (that is also how the
 /// table was first produced).
 ///
-/// `run(strategy, churn, drop, queue, opts)` executes one cell; `opts` is
+/// `run(strategy, variant, churn, drop, opts)` executes one cell; `opts` is
 /// `None` for the S = 1 engine and never `Some` for unshardable families.
 fn check_family(
     family: &str,
     variants: &[VariantCells],
     shardable: bool,
     golden: &[u64],
-    run: impl Fn(StrategySpec, Variant, bool, f64, QueueKind, Option<ShardOpts>) -> u64,
+    run: impl Fn(StrategySpec, Variant, bool, f64, Option<ShardOpts>) -> u64,
 ) {
     let mut measured = Vec::new();
     let mut failures = Vec::new();
@@ -274,25 +273,19 @@ fn check_family(
                 {
                     let label = format!("{family}{vname}/{sname}/churn={churn}/drop={drop}");
                     let want = golden.get(measured.len()).copied();
-                    let heap = run(strategy, variant, churn, drop, QueueKind::Heap, None);
-                    measured.push((label.clone(), heap));
-                    if want != Some(heap) {
-                        failures.push(format!("{label}: S=1 heap {heap:#018x}, want {want:x?}"));
+                    let whole = run(strategy, variant, churn, drop, None);
+                    measured.push((label.clone(), whole));
+                    if want != Some(whole) {
+                        failures.push(format!("{label}: S=1 {whole:#018x}, want {want:x?}"));
                         continue;
-                    }
-                    let wheel = run(strategy, variant, churn, drop, QueueKind::Wheel, None);
-                    if wheel != heap {
-                        failures.push(format!("{label}: S=1 wheel {wheel:#018x}"));
                     }
                     if !shardable {
                         continue;
                     }
-                    for queue in [QueueKind::Heap, QueueKind::Wheel] {
-                        for opts in layouts() {
-                            let got = run(strategy, variant, churn, drop, queue, Some(opts));
-                            if got != heap {
-                                failures.push(format!("{label}: {queue:?} {opts:?} {got:#018x}"));
-                            }
+                    for opts in layouts() {
+                        let got = run(strategy, variant, churn, drop, Some(opts));
+                        if got != whole {
+                            failures.push(format!("{label}: {opts:?} {got:#018x}"));
                         }
                     }
                 }
@@ -341,11 +334,11 @@ fn gossip_learning_cells() {
         &PLAIN,
         true,
         &GOSSIP_LEARNING,
-        |strategy, variant, churn, drop, queue, opts| {
+        |strategy, variant, churn, drop, opts| {
             let schedule = schedule(churn);
             let app = GossipLearning::new(N, TRANSFER, &initial_online(&schedule));
             let cell = Cell {
-                cfg: config(queue, drop, false),
+                cfg: config(drop, false),
                 schedule: &schedule,
                 topo: &topo,
                 app,
@@ -374,11 +367,11 @@ fn push_gossip_cells() {
         ],
         true,
         &PUSH_GOSSIP,
-        |strategy, variant, churn, drop, queue, opts| {
+        |strategy, variant, churn, drop, opts| {
             let schedule = schedule(churn);
             let app = PushGossip::new(N, &initial_online(&schedule));
             let cell = Cell {
-                cfg: config(queue, drop, true),
+                cfg: config(drop, true),
                 schedule: &schedule,
                 topo: &topo,
                 app,
@@ -399,11 +392,11 @@ fn sgd_gossip_learning_cells() {
         &PLAIN,
         true,
         &SGD,
-        |strategy, variant, churn, drop, queue, opts| {
+        |strategy, variant, churn, drop, opts| {
             let schedule = schedule(churn);
             let app = SgdGossipLearning::new(data.clone(), 0.15);
             let cell = Cell {
-                cfg: config(queue, drop, false),
+                cfg: config(drop, false),
                 schedule: &schedule,
                 topo: &topo,
                 app,
@@ -423,12 +416,12 @@ fn chaotic_iteration_cells() {
         &PLAIN,
         false,
         &CHAOTIC,
-        |strategy, variant, churn, drop, queue, opts| {
+        |strategy, variant, churn, drop, opts| {
             let schedule = schedule(churn);
             let mut app = ChaoticIteration::new(Arc::clone(&topo)).expect("k-out is stochastic");
             app.randomize_buffers(&mut Xoshiro256pp::stream(0x601d, 2));
             let cell = Cell {
-                cfg: config(queue, drop, false),
+                cfg: config(drop, false),
                 schedule: &schedule,
                 topo: &topo,
                 app,

@@ -7,8 +7,7 @@ use rand::SeedableRng;
 use ta::core::rounding::rand_round;
 use ta::core::validate::check_strategy_contract;
 use ta::prelude::*;
-use ta::sim::queue::{BinaryHeapQueue, EventQueue};
-use ta::sim::wheel::TimingWheel;
+use ta::sim::queue::{BinaryHeapQueue, EventQueue, LaneScheduler};
 
 proptest! {
     /// Every valid (A, C) pair yields contract-satisfying generalized and
@@ -66,32 +65,32 @@ proptest! {
         }
     }
 
-    /// The timing wheel pops in exactly the binary heap's order on random
-    /// schedules (times up to several wheel horizons, interleaved pops).
+    /// The engine's scheduler pops in exactly the binary heap's order on
+    /// random schedules (interleaved pops).
     #[test]
     fn queue_implementations_are_equivalent(
         ops in proptest::collection::vec((0u64..50_000_000_000u64, any::<bool>()), 1..300)
     ) {
         let mut heap = BinaryHeapQueue::new();
-        let mut wheel = TimingWheel::new();
+        let mut sched = LaneScheduler::new();
         let mut now = 0u64;
         let mut next_id = 0u64;
         for (offset, do_pop) in ops {
             if do_pop && !heap.is_empty() {
                 let a = heap.pop().unwrap();
-                let b = wheel.pop().unwrap();
+                let b = sched.pop().unwrap();
                 prop_assert_eq!(a.key(), b.key());
                 prop_assert_eq!(a.event, b.event);
                 now = a.time.as_micros();
             } else {
                 let t = SimTime::from_micros(now + offset);
                 heap.push(t, next_id);
-                wheel.push(t, next_id);
+                sched.push(t, next_id);
                 next_id += 1;
             }
         }
         loop {
-            match (heap.pop(), wheel.pop()) {
+            match (heap.pop(), sched.pop()) {
                 (None, None) => break,
                 (Some(a), Some(b)) => {
                     prop_assert_eq!(a.key(), b.key());
