@@ -736,8 +736,12 @@ fn main() -> ExitCode {
         report.wall.as_secs_f64(),
     );
     let h = &report.histogram;
+    // The open loop times every decision, the closed loop one in 64.
     println!(
-        "decision latency: p50 {}ns  p90 {}ns  p99 {}ns  p99.9 {}ns  max {}ns  mean {:.0}ns",
+        "decision latency ({} of {} decisions timed): p50 {}ns  p90 {}ns  p99 {}ns  \
+         p99.9 {}ns  max {}ns  mean {:.0}ns",
+        h.count(),
+        c.requests,
         h.percentile(0.5),
         h.percentile(0.9),
         h.percentile(0.99),

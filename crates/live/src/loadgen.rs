@@ -5,15 +5,26 @@
 //! against the shared [`LiveRuntime`]:
 //!
 //! * **Closed loop** — back-to-back decisions as fast as the runtime
-//!   admits them: the throughput mode (`BENCH_live.json`'s ops/sec
-//!   numbers come from here).
+//!   admits them: the throughput mode. The loop is a thin client: the
+//!   deadline, the health board, the journal's epoch and the telemetry
+//!   flush are visited once per chunk of `CHUNK` (256) arrivals, so a run
+//!   overshoots its deadline, or a closed board, by one chunk (~10 µs) at
+//!   most; and the clock pair around `admit` is taken on one decision in
+//!   64, since a decision is ~20 ns and a clock read more than that.
 //! * **Open loop** — Poisson arrivals at a configured per-client rate
 //!   (the worker samples exponential gaps for the merged process of its
 //!   whole block, which is distributionally identical to independent
 //!   per-client processes), optionally mixed with bursts: with
 //!   probability `burst.probability` an arrival brings `burst.size`
 //!   back-to-back requests to the same client — the adversarial pattern
-//!   token accounts exist to absorb.
+//!   token accounts exist to absorb. Pacing reads the clock per arrival
+//!   anyway and this is the latency mode, so **every** decision is timed,
+//!   deadline and board are checked per arrival, and the epoch is left
+//!   around every wait; only the flush goes by the chunk.
+//!
+//! Both modes run one request step, so [`LoadGenReport::histogram`] holds
+//! `Σ_workers ⌈requests_w / 64⌉` samples after a closed run and `requests`
+//! after an open one.
 //!
 //! A granter thread applies the per-round Δ grant in contiguous batches
 //! per shard ([`LiveRuntime::round_sweep`]). Decision latencies go into
@@ -113,7 +124,8 @@ pub struct LoadGenReport {
     pub workers: usize,
     /// Wall-clock time actually spent.
     pub wall: Duration,
-    /// Merged decision-latency histogram (nanoseconds).
+    /// Merged decision-latency histogram (nanoseconds): every decision
+    /// of an open loop, one in 64 of a closed loop's.
     pub histogram: LatencyHistogram,
     /// Sum of the final account balances.
     pub balances_sum: i64,
@@ -358,15 +370,26 @@ fn run_on_runtime<S: Strategy>(
         let block = cfg.clients.div_ceil(cfg.workers);
         let handles: Vec<_> = (0..cfg.workers)
             .map(|w| {
-                let runtime = &runtime;
-                let journal = persistence.map(Persistence::handle);
-                let wt = telem.map(|t| t.worker(w));
                 let lo = (w * block).min(cfg.clients);
-                let hi = ((w + 1) * block).min(cfg.clients);
-                scope.spawn(move || worker_loop(runtime, cfg, w as u64, lo, hi, journal, wt, board))
+                let client = Client {
+                    runtime,
+                    cfg,
+                    lo,
+                    block: (((w + 1) * block).min(cfg.clients) - lo) as u64,
+                    rng: Xoshiro256pp::stream(cfg.seed, 1 + w as u64),
+                    counters: LiveCounters::default(),
+                    histogram: LatencyHistogram::new(),
+                    journal: persistence.map(Persistence::handle),
+                    telem: telem.map(|t| t.worker(w)),
+                    in_epoch: false,
+                    untimed: 0,
+                };
+                scope.spawn(move || client.run(board))
             })
             .collect();
-        let outcomes: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        // A worker that panicked must not strand the helper threads: they
+        // only end on `stop`, so it is set before any panic travels on.
+        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
         stop.store(true, Ordering::Release);
         if let Some(g) = granter {
             g.join().unwrap();
@@ -375,6 +398,10 @@ fn run_on_runtime<S: Strategy>(
             s.join().unwrap();
         }
         let durable = snapper.map(|s| s.join().unwrap()).unwrap_or_default();
+        let outcomes: Vec<_> = joined
+            .into_iter()
+            .map(|w| w.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .collect();
         (outcomes, durable)
     });
     let wall = start.elapsed();
@@ -594,115 +621,144 @@ fn supervisor_loop<'scope, S: Strategy>(
     }
 }
 
-/// One worker: drives its client block until the deadline.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop<S: Strategy>(
-    runtime: &LiveRuntime<S>,
-    cfg: &LoadGenConfig,
-    w: u64,
+/// Arrivals per chunk — the worker's one stride. Per chunk: the deadline
+/// and [`HealthBoard::admission_open`] check (closed loop), one step out
+/// of the journal's epoch, one telemetry flush. Per decision: the draws,
+/// the admit call, the trace-sample hook.
+const CHUNK: u32 = 256;
+/// The closed loop reads the clock around one decision in this many: at
+/// ~20 ns a decision, timing each one measures the clock.
+const CLOSED_TIMED_1_IN: u32 = 64;
+
+/// One worker: a contiguous client block `lo..lo + block` with its own
+/// stream, books and handles.
+struct Client<'a, S: Strategy> {
+    runtime: &'a LiveRuntime<S>,
+    cfg: &'a LoadGenConfig,
     lo: usize,
-    hi: usize,
-    mut journal: Option<JournalHandle>,
-    mut telem: Option<WorkerTelem>,
-    board: Option<&HealthBoard>,
-) -> (LiveCounters, LatencyHistogram) {
-    let mut rng = Xoshiro256pp::stream(cfg.seed, 1 + w);
-    let mut counters = LiveCounters::default();
-    let mut histogram = LatencyHistogram::new();
-    let block = (hi - lo).max(1) as u64;
-    let deadline = cfg.duration;
-    let start = Instant::now();
-    // Open loop: exponential gaps for the merged Poisson process of the
-    // whole block.
-    let rate = match cfg.mode {
-        ArrivalMode::Closed => 0.0,
-        ArrivalMode::Open { rate_per_client } => rate_per_client * block as f64,
-    };
-    let mut next_arrival = Duration::ZERO;
-    // Durable runs hold the producer's epoch across a chunk of
-    // admissions (re-opened every `ADMIT_FENCE_CHUNK` decisions, and
-    // released around open-loop waits) so the two seq-cst fence
-    // operations amortize over the chunk instead of taxing every
-    // decision.
-    const ADMIT_FENCE_CHUNK: u32 = 256;
-    let mut chunk_left = 0u32;
-    loop {
-        let now = start.elapsed();
-        if now >= deadline {
-            break;
-        }
-        if let Some(b) = board {
-            if !b.admission_open() {
-                break; // halt/exit policy fired: refuse new admissions
-            }
-        }
-        if let ArrivalMode::Open { .. } = cfg.mode {
-            if rate <= 0.0 {
-                break; // nothing will ever arrive
-            }
-            let gap = -(1.0 - rng.next_f64()).ln() / rate;
-            next_arrival += Duration::from_secs_f64(gap);
-            if next_arrival > now {
-                let wait = next_arrival - now;
-                if start.elapsed() + wait >= deadline {
-                    break;
-                }
-                if let Some(j) = journal.as_mut() {
-                    if chunk_left > 0 {
-                        chunk_left = 0;
-                        j.exit(); // never sleep inside the epoch
-                    }
-                }
-                if wait > Duration::from_millis(2) {
-                    std::thread::sleep(wait - Duration::from_millis(1));
-                }
-                while start.elapsed() < next_arrival {
-                    std::hint::spin_loop();
-                }
-            }
-        }
-        if let Some(j) = journal.as_mut() {
-            if chunk_left == 0 {
-                j.enter_bulk();
-                chunk_left = ADMIT_FENCE_CHUNK;
-            } else if chunk_left == 1 {
-                // Step out and straight back in: one idle window per
-                // chunk for a waiting snapshotter to slip through.
-                j.exit();
-                j.enter_bulk();
-                chunk_left = ADMIT_FENCE_CHUNK;
-            }
-            chunk_left -= 1;
-        }
-        let client = lo + rng.below(block) as usize;
-        let requests = match cfg.burst {
-            Some(b) if rng.chance(b.probability) => b.size.max(1),
+    block: u64,
+    rng: Xoshiro256pp,
+    counters: LiveCounters,
+    histogram: LatencyHistogram,
+    journal: Option<JournalHandle>,
+    telem: Option<WorkerTelem>,
+    in_epoch: bool,
+    /// Decisions left before the next timed one.
+    untimed: u32,
+}
+
+impl<S: Strategy> Client<'_, S> {
+    /// One arrival — the step both arrival modes share: picks a client,
+    /// draws the burst and each request's usefulness, admits, offers the
+    /// decision to the trace sampler. Decisions `0, n, 2n, …` of the
+    /// worker are timed, `n = timed_1_in`.
+    #[inline]
+    fn request(&mut self, timed_1_in: u32) {
+        let runtime = self.runtime;
+        let client = self.lo + self.rng.below(self.block) as usize;
+        let requests = match self.cfg.burst {
+            Some(b) if self.rng.chance(b.probability) => b.size.max(1),
             _ => 1,
         };
         for _ in 0..requests {
-            let usefulness = Usefulness::from_bool(rng.chance(cfg.useful_probability));
-            let t0 = Instant::now();
-            let decision = match journal.as_mut() {
-                Some(j) => runtime.admit_journaled(client, usefulness, &mut rng, &mut counters, j),
-                None => runtime.admit(client, usefulness, &mut rng, &mut counters),
+            let usefulness = Usefulness::from_bool(self.rng.chance(self.cfg.useful_probability));
+            let t0 = (self.untimed == 0).then(Instant::now);
+            let (rng, counters) = (&mut self.rng, &mut self.counters);
+            let decision = match self.journal.as_mut() {
+                Some(j) => runtime.admit_journaled(client, usefulness, rng, counters, j),
+                None => runtime.admit(client, usefulness, rng, counters),
             };
-            histogram.record(t0.elapsed().as_nanos() as u64);
-            if let Some(t) = telem.as_mut() {
-                t.decision(&counters, &histogram, client, decision, || {
+            if let Some(t0) = t0 {
+                self.histogram.record(t0.elapsed().as_nanos() as u64);
+                self.untimed = timed_1_in;
+            }
+            self.untimed -= 1;
+            if let Some(t) = self.telem.as_mut() {
+                t.trace(client, decision, || {
                     runtime.accounts().account(client).balance()
                 });
             }
         }
     }
-    if let Some(j) = journal.as_mut() {
-        if chunk_left > 0 {
-            j.exit();
+
+    /// Durable runs hold the producer's epoch across a run of admissions
+    /// (`hold`), so the two seq-cst fence operations amortize over it, and
+    /// leave it before any wait.
+    #[inline]
+    fn epoch(&mut self, hold: bool) {
+        if let (Some(j), true) = (self.journal.as_mut(), hold != self.in_epoch) {
+            if hold {
+                j.enter_bulk();
+            } else {
+                j.exit();
+            }
+            self.in_epoch = hold;
         }
     }
-    if let Some(t) = telem {
-        t.finish(&counters, &histogram);
+
+    /// Chunk boundary: one idle window for a waiting snapshotter to slip
+    /// through, and the counter/histogram deltas go to the registry.
+    fn end_chunk(&mut self) {
+        self.epoch(false);
+        if let Some(t) = self.telem.as_mut() {
+            t.flush(&self.counters, &self.histogram);
+        }
     }
-    (counters, histogram)
+
+    /// Drives the block until the deadline, or until the board closes
+    /// admissions (halt/exit policy).
+    fn run(mut self, board: Option<&HealthBoard>) -> (LiveCounters, LatencyHistogram) {
+        if self.block == 0 {
+            return (self.counters, self.histogram); // more workers than clients
+        }
+        let (cfg, start) = (self.cfg, Instant::now());
+        let live = |now| now < cfg.duration && board.is_none_or(HealthBoard::admission_open);
+        match cfg.mode {
+            ArrivalMode::Closed => {
+                while live(start.elapsed()) {
+                    self.epoch(true);
+                    for _ in 0..CHUNK {
+                        self.request(CLOSED_TIMED_1_IN);
+                    }
+                    self.end_chunk();
+                }
+            }
+            // Exponential gaps for the merged Poisson process of the block.
+            // Per arrival here: the clock, the deadline, the board.
+            ArrivalMode::Open { rate_per_client } => {
+                let rate = rate_per_client * self.block as f64;
+                let mut next_arrival = Duration::ZERO;
+                'run: loop {
+                    for _ in 0..CHUNK {
+                        let now = start.elapsed();
+                        if !live(now) || rate <= 0.0 {
+                            break 'run; // over, or nothing will ever arrive
+                        }
+                        let gap = -(1.0 - self.rng.next_f64()).ln() / rate;
+                        next_arrival += Duration::from_secs_f64(gap);
+                        if next_arrival > now {
+                            let wait = next_arrival - now;
+                            if start.elapsed() + wait >= cfg.duration {
+                                break 'run;
+                            }
+                            self.epoch(false); // never sleep inside the epoch
+                            if wait > Duration::from_millis(2) {
+                                std::thread::sleep(wait - Duration::from_millis(1));
+                            }
+                            while start.elapsed() < next_arrival {
+                                std::hint::spin_loop();
+                            }
+                        }
+                        self.epoch(true);
+                        self.request(1);
+                    }
+                    self.end_chunk();
+                }
+            }
+        }
+        self.end_chunk();
+        (self.counters, self.histogram)
+    }
 }
 
 /// Monomorphizing bridge: builds the concrete strategy named by `spec`
@@ -908,7 +964,14 @@ mod tests {
         );
         assert!(report.counters.requests > 0);
         assert!(report.counters.rounds > 0, "granter must have swept");
-        assert_eq!(report.histogram.count(), report.counters.requests);
+        // The sampling law: each worker times its decisions 0, 64, 128, …,
+        // so count = Σ_w ⌈requests_w / 64⌉, bounded from the merged total.
+        let (timed, requests) = (report.histogram.count(), report.counters.requests);
+        let n = u64::from(CLOSED_TIMED_1_IN);
+        assert!(
+            requests.div_ceil(n) <= timed && timed <= requests / n + report.workers as u64,
+            "{timed} timed decisions of {requests}"
+        );
         assert!(report.decisions_per_sec() > 0.0);
         assert!(report.decisions_per_sec_per_worker() <= report.decisions_per_sec());
     }
@@ -929,6 +992,138 @@ mod tests {
             "open loop too slow: {} requests",
             report.counters.requests
         );
+        // The latency mode times every arrival.
+        assert_eq!(report.histogram.count(), report.counters.requests);
+    }
+
+    #[test]
+    fn zero_duration_makes_no_decisions() {
+        for mode in [
+            ArrivalMode::Closed,
+            ArrivalMode::Open {
+                rate_per_client: 200.0,
+            },
+        ] {
+            let mut cfg = tiny(mode);
+            cfg.duration = Duration::ZERO;
+            let report = run_loadgen(SimpleTokenAccount::new(10), &cfg);
+            assert_eq!(report.counters.requests, 0, "{mode:?}");
+            assert_eq!(report.histogram.count(), 0, "{mode:?}");
+            assert!(report.conserves());
+        }
+    }
+
+    #[test]
+    fn closed_loop_overshoots_its_deadline_by_at_most_a_chunk() {
+        let mut cfg = tiny(ArrivalMode::Closed);
+        cfg.duration = Duration::from_millis(50);
+        // No granter: the wall is the workers alone. A chunk is ~10 µs; the
+        // slack is for thread start and a busy host, and the best of three
+        // runs discards a descheduled worker.
+        cfg.round_period = None;
+        let wall = (0..3)
+            .map(|_| run_loadgen(SimpleTokenAccount::new(10), &cfg).wall)
+            .min()
+            .unwrap();
+        assert!(wall >= cfg.duration, "stopped early: {wall:?}");
+        assert!(
+            wall < cfg.duration + Duration::from_millis(10),
+            "overshot: {wall:?}"
+        );
+    }
+
+    #[test]
+    fn more_workers_than_clients_conserves_and_stays_on_real_clients() {
+        // Blocks of ⌈5/4⌉ = 2: workers 0–2 own 0..2, 2..4, 4..5; worker 3
+        // owns the empty block 5..5 and must sit the run out.
+        let mut cfg = tiny(ArrivalMode::Closed);
+        cfg.clients = 5;
+        cfg.workers = 4;
+        cfg.duration = Duration::from_millis(40);
+        let telem = LiveTelemetry::new(cfg.workers, 1, 1 << 12);
+        let report = run_loadgen_observed(SimpleTokenAccount::new(10), &cfg, &telem);
+        assert!(report.conserves(), "{:?}", report.counters);
+        assert!(report.counters.requests > 0);
+        let mut out = Vec::new();
+        for mut cons in telem.take_consumers() {
+            cons.drain(&mut out);
+        }
+        assert!(!out.is_empty());
+        assert!(out.iter().all(|r| (r.client as usize) < cfg.clients));
+    }
+
+    /// A strategy whose first reactive evaluation panics.
+    #[derive(Debug, Clone)]
+    struct PanickingStrategy;
+
+    impl Strategy for PanickingStrategy {
+        fn proactive(&self, _balance: i64) -> f64 {
+            0.0
+        }
+        fn reactive(&self, _balance: i64, _usefulness: Usefulness) -> f64 {
+            panic!("reactive blew up")
+        }
+        fn capacity(&self) -> token_account::Capacity {
+            token_account::Capacity::Finite(1)
+        }
+        fn name(&self) -> &'static str {
+            "panicking"
+        }
+    }
+
+    #[test]
+    fn a_panicking_worker_ends_the_run_with_its_own_panic() {
+        // Granter and supervisor only end on `stop`: a worker panic that
+        // unwinds past it would leave the scope waiting on them forever.
+        let mut cfg = tiny(ArrivalMode::Closed);
+        cfg.duration = Duration::from_secs(30);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let board = HealthBoard::new(crate::health::OnJournalFail::Degrade);
+            let run = std::panic::AssertUnwindSafe(|| {
+                let runtime = LiveRuntime::new(PanickingStrategy, cfg.clients, cfg.account_shards);
+                run_on_runtime(&runtime, &cfg, None, None, None, Some(&board))
+            });
+            let _ = tx.send(std::panic::catch_unwind(run).map(|_| ()));
+        });
+        let payload = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the run must return, not block on its helper threads")
+            .expect_err("the worker's panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"reactive blew up"));
+    }
+
+    #[test]
+    fn closing_admissions_stops_a_closed_run_at_once_and_conserves() {
+        use crate::health::OnJournalFail;
+        let mut cfg = tiny(ArrivalMode::Closed);
+        cfg.duration = Duration::from_secs(30);
+        let telem = LiveTelemetry::new(cfg.workers, 0, 0);
+        let board = HealthBoard::new(OnJournalFail::Halt);
+        let (report, closed_at) = std::thread::scope(|s| {
+            let run = s.spawn(|| {
+                let spec = StrategySpec::Randomized { a: 2, c: 6 };
+                run_loadgen_supervised_spec(spec, &cfg, Some(&telem), &board).unwrap()
+            });
+            while telem.snapshot().counter(c::ADMIT_REQUESTS) == 0 {
+                std::thread::yield_now();
+            }
+            board.journal_failed(); // the halt policy closes admissions
+            let closed_at = Instant::now();
+            (run.join().unwrap(), closed_at)
+        });
+        // Workers leave within a chunk; the supervisor wakes every 25 ms.
+        assert!(closed_at.elapsed() < Duration::from_secs(2));
+        assert!(report.wall < cfg.duration);
+        assert!(
+            report.conserves(),
+            "books must close: {:?}",
+            report.counters
+        );
+        assert_eq!(
+            telem.snapshot().counter(c::ADMIT_REQUESTS),
+            report.counters.requests
+        );
     }
 
     #[test]
@@ -946,6 +1141,11 @@ mod tests {
         assert_eq!(snap.counter(c::ROUND_PROACTIVE_SENT), m.proactive_sent);
         assert_eq!(snap.counter(c::ROUND_TOKENS_BANKED), m.tokens_banked);
         assert_eq!(snap.counter(c::GRANTER_ACCOUNTS), m.rounds);
+        let (admit, own) = (snap.hist(h::ADMIT_NS), &report.histogram);
+        assert_eq!(
+            (admit.count(), admit.sum(), admit.max()),
+            (own.count(), own.sum(), own.max())
+        );
         // Sample interval 1: every decision sampled; ring accounting
         // closes against the sampled total.
         assert_eq!(snap.counter(c::TRACE_SAMPLED), m.requests);

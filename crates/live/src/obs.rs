@@ -701,7 +701,7 @@ mod tests {
             counters.requests += 1;
             counters.reactive_held += 1;
             hist.record(50);
-            wt.decision(&counters, &hist, i as usize, Decision::Hold, || 0);
+            wt.trace(i as usize, Decision::Hold, || 0);
         }
         // A late subscriber misses everything already drained.
         std::thread::sleep(Duration::from_millis(30));
@@ -710,9 +710,9 @@ mod tests {
             counters.requests += 1;
             counters.reactive_held += 1;
             hist.record(50);
-            wt.decision(&counters, &hist, i as usize, Decision::Hold, || 0);
+            wt.trace(i as usize, Decision::Hold, || 0);
         }
-        wt.finish(&counters, &hist);
+        wt.flush(&counters, &hist);
         // Let the bus drain the rings dry before closing the books.
         std::thread::sleep(Duration::from_millis(50));
         let snap = telem.snapshot();
@@ -822,9 +822,9 @@ mod tests {
             counters.requests += 1;
             counters.reactive_held += 1;
             hist.record(10);
-            wt.decision(&counters, &hist, i as usize, Decision::Hold, || 0);
+            wt.trace(i as usize, Decision::Hold, || 0);
         }
-        wt.finish(&counters, &hist);
+        wt.flush(&counters, &hist);
         std::thread::sleep(Duration::from_millis(50));
         pump.finalize();
         let snap = telem.snapshot();

@@ -9,9 +9,9 @@
 //!
 //! * Workers accumulate into their existing thread-local
 //!   [`LiveCounters`] exactly as before and publish *deltas* to their
-//!   registry lane once per [`WorkerTelem::FLUSH_CHUNK`] decisions, so
-//!   the hot path gains one decrement, one branch, and one sampler
-//!   check per decision.
+//!   registry lane once per load-generator chunk
+//!   ([`WorkerTelem::flush`]), so the hot path gains one sampler check
+//!   per decision ([`WorkerTelem::trace`]).
 //! * Decision tracing is gated by a [`SampleGate`]: at `N = 0` the
 //!   per-decision cost is a single relaxed load and a branch; at
 //!   `N = k` every `k`-th decision reads the post-decision balance and
@@ -318,7 +318,6 @@ impl LiveTelemetry {
             sampled_held: 0,
             last_dropped: 0,
             hist_last: LatencyHistogram::new(),
-            left: WorkerTelem::FLUSH_CHUNK,
         }
     }
 }
@@ -383,35 +382,21 @@ pub(crate) struct WorkerTelem {
     sampled_held: u64,
     last_dropped: u64,
     hist_last: LatencyHistogram,
-    left: u32,
 }
 
 impl WorkerTelem {
-    /// Decisions between counter-delta flushes. Matches the journal's
-    /// epoch-fence chunk so both amortizations stride together.
-    pub(crate) const FLUSH_CHUNK: u32 = 256;
-
-    /// Per-decision hook: sample-maybe, then flush counter and
-    /// latency-histogram deltas once per chunk. `hist` is the worker's
-    /// own running admit-latency histogram (published as bucket deltas,
-    /// so the per-decision record stays a plain array increment);
-    /// `balance_after` is only evaluated for sampled decisions.
+    /// Per-decision hook: one sampler check; a hit reads the
+    /// post-decision balance (`balance_after` is evaluated only then) and
+    /// pushes one record into the worker's ring.
     #[inline]
-    pub(crate) fn decision(
+    pub(crate) fn trace(
         &mut self,
-        counters: &LiveCounters,
-        hist: &LatencyHistogram,
         client: usize,
         decision: Decision,
         balance_after: impl FnOnce() -> i64,
     ) {
         if self.sampler.hit() {
             self.sample(client, decision, balance_after());
-        }
-        self.left -= 1;
-        if self.left == 0 {
-            self.flush_now(counters, hist);
-            self.left = Self::FLUSH_CHUNK;
         }
     }
 
@@ -438,7 +423,10 @@ impl WorkerTelem {
         }
     }
 
-    fn flush_now(&mut self, counters: &LiveCounters, hist: &LatencyHistogram) {
+    /// Per-chunk (and worker-exit) publish: everything `counters` and
+    /// `hist` — the worker's own running books — gained since the last
+    /// call, the histogram as bucket deltas, plus the sampling tallies.
+    pub(crate) fn flush(&mut self, counters: &LiveCounters, hist: &LatencyHistogram) {
         self.flush.flush(counters);
         let h = self.flush.handle();
         h.add(c::TRACE_SAMPLED, std::mem::take(&mut self.sampled));
@@ -456,11 +444,6 @@ impl WorkerTelem {
             h.add(c::TRACE_DROPPED, dropped - self.last_dropped);
             self.last_dropped = dropped;
         }
-    }
-
-    /// Final flush at worker exit: everything the chunk stride missed.
-    pub(crate) fn finish(mut self, counters: &LiveCounters, hist: &LatencyHistogram) {
-        self.flush_now(counters, hist);
     }
 }
 
@@ -570,9 +553,12 @@ mod tests {
                 counters.reactive_held += 1;
                 Decision::Hold
             };
-            wt.decision(&counters, &hist, i as usize, d, || 42 - i as i64);
+            wt.trace(i as usize, d, || 42 - i as i64);
+            if i % 256 == 255 {
+                wt.flush(&counters, &hist);
+            }
         }
-        wt.finish(&counters, &hist);
+        wt.flush(&counters, &hist);
         let snap = t.snapshot();
         assert_eq!(snap.counter(c::ADMIT_REQUESTS), 600);
         let admit = snap.hist(h::ADMIT_NS);

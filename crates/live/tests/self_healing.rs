@@ -201,6 +201,10 @@ fn halt_policy_closes_admissions_and_finishes_cleanly() {
     // run still finished cleanly and conserves.
     assert!(report.conserves(), "halted run broke conservation");
     assert!(!board.admission_open(), "halt must close admissions");
+    assert!(
+        report.wall < cfg.duration,
+        "workers must leave at the halt (4 kB in), not at the deadline"
+    );
     assert!(!board.abort_requested(), "halt is not exit");
     assert_eq!(
         counter(&telem, "journal_writer_restarts"),
