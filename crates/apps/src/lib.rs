@@ -30,8 +30,8 @@
 //!     .seed(7)
 //!     .build()?;
 //! let app = PushGossip::new(n, &vec![true; n]);
-//! // The strategy type is fixed here, so the per-event hot path carries
-//! // no virtual dispatch (pass a `Box<dyn Strategy>` to pick at run time).
+//! // Compiled into a decision table here; a `Box<dyn Strategy>` picked at
+//! // run time compiles to the same table.
 //! let strategy = RandomizedTokenAccount::new(10, 20)?;
 //! let proto = TokenProtocol::new(topo, strategy, app, vec![true; n]);
 //! let mut sim = Simulation::new(cfg, &AlwaysOn, proto);

@@ -4,7 +4,9 @@
 //! the [`ta_sim`] engine (clock, transfer, churn), an overlay
 //! [`Topology`] with online-aware peer sampling, a token
 //! [`Strategy`], and an [`Application`]. It is the
-//! executable form of Algorithm 4:
+//! executable form of Algorithm 4, with the strategy compiled once, at
+//! construction, into a [`DecisionTable`] that every event decides
+//! through:
 //!
 //! * round tick → `PROACTIVE(a)` decides between sending a fresh state
 //!   copy to a random online neighbour and banking the token;
@@ -21,7 +23,7 @@
 //!
 //! # One body for every shard count
 //!
-//! A `TokenProtocol` value is a **node block**: the strategy, the
+//! A `TokenProtocol` value is a **node block**: the decision table, the
 //! application block, the [`TokenNode`] accounts and counters of a
 //! contiguous node range starting at `base`, plus a full copy-on-churn
 //! replica of the online-neighbour mirror. As constructed it is the block
@@ -44,7 +46,7 @@ use ta_overlay::Topology;
 use ta_sim::engine::{Driver, MsgBatch, SimApi};
 use ta_sim::NodeId;
 use token_account::node::{RoundAction, TokenNode};
-use token_account::{Strategy, Usefulness};
+use token_account::{DecisionTable, Strategy, Usefulness};
 
 use crate::app::Application;
 
@@ -152,15 +154,11 @@ pub struct ProtocolResults<A> {
 
 /// The Algorithm-4 driver. See the [module docs](self).
 ///
-/// Generic over the [`Strategy`] so the per-event `PROACTIVE`/`REACTIVE`
-/// evaluations are direct, inlinable calls — the strategy type is selected
-/// once at construction, the same way the engine selects its event queue.
-/// `S` defaults to `Box<dyn Strategy>` as the type-erased escape hatch for
-/// callers that pick strategies at run time and don't care about the
-/// virtual-call tax; hot paths should pass a concrete strategy (the
-/// experiments runner dispatches via [`token_account::StrategyVisitor`]).
-pub struct TokenProtocol<A: Application, S: Strategy = Box<dyn Strategy>> {
-    strategy: S,
+/// Any [`Strategy`], concrete or boxed, is compiled into a
+/// [`DecisionTable`] at construction, so the per-event decisions are table
+/// lookups whatever type the strategy arrived as.
+pub struct TokenProtocol<A: Application> {
+    table: DecisionTable,
     app: A,
     topo: Arc<Topology>,
     /// First node of the block (0 for the whole network).
@@ -191,7 +189,7 @@ pub struct TokenProtocol<A: Application, S: Strategy = Box<dyn Strategy>> {
     slot_len_us: u64,
 }
 
-impl<A: Application, S: Strategy> TokenProtocol<A, S> {
+impl<A: Application> TokenProtocol<A> {
     /// Builds the driver.
     ///
     /// `initial_online` must reflect the availability model's state at time
@@ -201,7 +199,12 @@ impl<A: Application, S: Strategy> TokenProtocol<A, S> {
     /// # Panics
     ///
     /// Panics if `initial_online.len()` differs from the topology size.
-    pub fn new(topo: Arc<Topology>, strategy: S, app: A, initial_online: Vec<bool>) -> Self {
+    pub fn new(
+        topo: Arc<Topology>,
+        strategy: impl Strategy + 'static,
+        app: A,
+        initial_online: Vec<bool>,
+    ) -> Self {
         let peers = Arc::new(OnlineNeighbors::new(&topo, &initial_online));
         Self::with_shared_peers(topo, strategy, app, initial_online, peers)
     }
@@ -219,7 +222,7 @@ impl<A: Application, S: Strategy> TokenProtocol<A, S> {
     /// mirror's flags.
     pub fn with_shared_peers(
         topo: Arc<Topology>,
-        strategy: S,
+        strategy: impl Strategy + 'static,
         app: A,
         initial_online: Vec<bool>,
         peers: Arc<OnlineNeighbors>,
@@ -236,7 +239,7 @@ impl<A: Application, S: Strategy> TokenProtocol<A, S> {
         );
         let n = topo.n();
         TokenProtocol {
-            strategy,
+            table: DecisionTable::new(strategy),
             app,
             topo,
             base: 0,
@@ -396,7 +399,7 @@ impl<A: Application, S: Strategy> TokenProtocol<A, S> {
             }
             ProtocolMsg::App(payload) => {
                 let usefulness = self.app.update_state(to, from, &payload, api.now());
-                let burst = self.nodes[local].on_message(&self.strategy, usefulness, api.rng());
+                let burst = self.nodes[local].on_message(&self.table, usefulness, api.rng());
                 for i in 0..burst {
                     // Push–pull extension: the first reactive message may
                     // answer the sender directly instead of a random peer.
@@ -478,7 +481,7 @@ impl<A: Application, S: Strategy> TokenProtocol<A, S> {
         b.app.inject(target, now);
         if b.react_to_injections {
             let local = b.local(target);
-            let burst = b.nodes[local].on_message(&b.strategy, Usefulness::Useful, api.rng());
+            let burst = b.nodes[local].on_message(&b.table, Usefulness::Useful, api.rng());
             let mut sent = 0;
             for _ in 0..burst {
                 if b.send_state(api, target) {
@@ -494,12 +497,12 @@ impl<A: Application, S: Strategy> TokenProtocol<A, S> {
     }
 }
 
-impl<A: Application, S: Strategy> Driver for TokenProtocol<A, S> {
+impl<A: Application> Driver for TokenProtocol<A> {
     type Msg = ProtocolMsg<A::Msg>;
 
     fn on_round_tick(&mut self, api: &mut SimApi<'_, Self::Msg>, node: NodeId) {
         let local = self.local(node);
-        match self.nodes[local].on_round(&self.strategy, api.rng()) {
+        match self.nodes[local].on_round(&self.table, api.rng()) {
             RoundAction::SendProactive => {
                 if self.send_state(api, node) {
                     self.stats.proactive_sent += 1;
@@ -577,10 +580,10 @@ impl<A: Application, S: Strategy> Driver for TokenProtocol<A, S> {
     }
 }
 
-impl<A: Application + std::fmt::Debug, S: Strategy> std::fmt::Debug for TokenProtocol<A, S> {
+impl<A: Application + std::fmt::Debug> std::fmt::Debug for TokenProtocol<A> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TokenProtocol")
-            .field("strategy", &self.strategy.label())
+            .field("strategy", &self.table.strategy().label())
             .field("app", &self.app)
             .field("block", &(self.base..self.base + self.nodes.len()))
             .field("stats", &self.stats)
@@ -767,10 +770,10 @@ mod tests {
     }
 
     #[test]
-    fn boxed_and_monomorphized_strategies_are_bit_identical() {
-        // The strategy type parameter is a pure dispatch optimization: a
-        // concrete strategy and its boxed erasure must consume identical
-        // randomness and produce identical runs.
+    fn boxed_and_concrete_strategies_are_bit_identical() {
+        // Both compile to the same table: a concrete strategy and its
+        // boxed erasure must consume identical randomness and produce
+        // identical runs.
         let n = 25;
         let run = |boxed: bool| {
             let cfg = SimConfig::builder(n)

@@ -21,12 +21,11 @@ use std::sync::Arc;
 
 use ta_sim::engine::SimApi;
 use ta_sim::shard::{ShardPlan, ShardableDriver};
-use token_account::Strategy;
 
 use super::TokenProtocol;
 use crate::app::ShardableApplication;
 
-impl<A: ShardableApplication, S: Strategy + Clone> ShardableDriver for TokenProtocol<A, S> {
+impl<A: ShardableApplication> ShardableDriver for TokenProtocol<A> {
     fn split(self, plan: &ShardPlan) -> Vec<Self> {
         let apps = self.app.split(plan);
         assert_eq!(apps.len(), plan.shards(), "application split arity");
@@ -40,7 +39,7 @@ impl<A: ShardableApplication, S: Strategy + Clone> ShardableDriver for TokenProt
             .map(|(s, (app, nodes))| {
                 let (metric, tokens, stats, sends_per_slot) = recorded.take().unwrap_or_default();
                 TokenProtocol {
-                    strategy: self.strategy.clone(),
+                    table: self.table.clone(),
                     app,
                     topo: Arc::clone(&self.topo),
                     base: plan.range(s).start,

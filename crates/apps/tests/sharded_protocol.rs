@@ -99,7 +99,7 @@ fn build_gossip(
     seed: u64,
     topo: &Arc<Topology>,
     churn: bool,
-) -> TokenProtocol<GossipLearning, RandomizedTokenAccount> {
+) -> TokenProtocol<GossipLearning> {
     let initial: Vec<bool> = (0..n)
         .map(|i| {
             if churn {

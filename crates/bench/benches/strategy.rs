@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the strategy kernels: the `PROACTIVE`/`REACTIVE`
-//! evaluations, probabilistic rounding, and the Algorithm-4 node steps.
-//! These are the per-event costs every simulated message pays.
+//! evaluations and probabilistic rounding a decision table is compiled
+//! from, and the Algorithm-4 node steps that decide through the table —
+//! the per-event cost every simulated message pays.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
@@ -60,48 +61,18 @@ fn bench_node_steps(c: &mut Criterion) {
         if strategy.allows_debt() {
             continue; // the debt path is not the hot loop
         }
+        let table = DecisionTable::new(strategy);
         group.bench_function(format!("round_and_message/{name}"), |b| {
             let mut node = TokenNode::new(0);
             let mut rng = Xoshiro256pp::seed_from_u64(7);
             b.iter(|| {
-                node.on_round(&strategy, &mut rng);
-                black_box(node.on_message(&strategy, Usefulness::Useful, &mut rng))
+                node.on_round(&table, &mut rng);
+                black_box(node.on_message(&table, Usefulness::Useful, &mut rng))
             });
         });
     }
     group.finish();
 }
 
-/// Boxed vs. monomorphized strategy dispatch on the Algorithm-4 node
-/// steps — the virtual-call tax the protocol hot path no longer pays.
-fn bench_dispatch_modes(c: &mut Criterion) {
-    let mut group = c.benchmark_group("strategy_dispatch");
-    let concrete = RandomizedTokenAccount::new(10, 20).unwrap();
-    let boxed: Box<dyn Strategy> = Box::new(concrete);
-    group.bench_function("round_and_message/monomorphized", |b| {
-        let mut node = TokenNode::new(0);
-        let mut rng = Xoshiro256pp::seed_from_u64(11);
-        b.iter(|| {
-            node.on_round(&concrete, &mut rng);
-            black_box(node.on_message(&concrete, Usefulness::Useful, &mut rng))
-        });
-    });
-    group.bench_function("round_and_message/boxed", |b| {
-        let mut node = TokenNode::new(0);
-        let mut rng = Xoshiro256pp::seed_from_u64(11);
-        b.iter(|| {
-            node.on_round(&boxed, &mut rng);
-            black_box(node.on_message(&boxed, Usefulness::Useful, &mut rng))
-        });
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_kernels,
-    bench_rand_round,
-    bench_node_steps,
-    bench_dispatch_modes
-);
+criterion_group!(benches, bench_kernels, bench_rand_round, bench_node_steps);
 criterion_main!(benches);

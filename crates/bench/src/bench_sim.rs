@@ -10,8 +10,8 @@
 //!   event or drained as one batch;
 //! * **engine** — end-to-end engine throughput (processed events/sec) for a
 //!   lean echo driver (engine-bound) and a real push gossip protocol run;
-//! * **protocol** — the protocol-layer hot path: strategy dispatch
-//!   (boxed vs. monomorphized node steps), online peer sampling under
+//! * **protocol** — the protocol-layer hot path: node steps decided by
+//!   the boxed formulas vs. the compiled decision table, online peer sampling under
 //!   churn (two-pass scan vs. rejection fallback vs. packed mirror), and
 //!   the end-to-end SGD gossip-learning workload against the
 //!   [`crate::legacy_proto`] baseline;
@@ -58,7 +58,9 @@ use ta_sim::NodeId;
 use token_account::node::TokenNode;
 use token_account::prelude::*;
 
-use crate::legacy_proto::{two_pass_select_online, CloningSgd, LegacyTokenProtocol};
+use crate::legacy_proto::{
+    formula_message, formula_round, two_pass_select_online, CloningSgd, LegacyTokenProtocol,
+};
 use crate::report::{find, json_section, measure_events_per_sec, Sample};
 
 /// Pending events kept in flight during queue churn.
@@ -277,26 +279,31 @@ fn bench_engine(smoke: bool) -> Vec<Sample> {
     ]
 }
 
-/// Algorithm-4 node steps (one round tick + one message reaction) through
-/// a `&dyn Strategy`, the pre-PR dispatch mode.
+/// Algorithm-4 node steps (one round tick + one message reaction)
+/// evaluated from the formulas through a `&dyn Strategy`: the decision
+/// path before decision tables.
 fn node_steps_boxed(strategy: &dyn Strategy, iters: u64) -> u64 {
-    let mut node = TokenNode::new(0);
+    let mut balance = 0;
     let mut rng = Xoshiro256pp::stream(17, 0);
     for _ in 0..iters {
-        black_box(node.on_round(&strategy, &mut rng));
-        black_box(node.on_message(&strategy, Usefulness::Useful, &mut rng));
+        black_box(formula_round(strategy, &mut balance, &mut rng));
+        black_box(formula_message(
+            strategy,
+            &mut balance,
+            Usefulness::Useful,
+            &mut rng,
+        ));
     }
     2 * iters
 }
 
-/// The same node steps with the strategy type known statically (the
-/// monomorphized protocol path).
-fn node_steps_monomorphized<S: Strategy>(strategy: &S, iters: u64) -> u64 {
+/// The same node steps through the strategy's compiled decision table.
+fn node_steps_monomorphized(table: &DecisionTable, iters: u64) -> u64 {
     let mut node = TokenNode::new(0);
     let mut rng = Xoshiro256pp::stream(17, 0);
     for _ in 0..iters {
-        black_box(node.on_round(strategy, &mut rng));
-        black_box(node.on_message(strategy, Usefulness::Useful, &mut rng));
+        black_box(node.on_round(table, &mut rng));
+        black_box(node.on_message(table, Usefulness::Useful, &mut rng));
     }
     2 * iters
 }
@@ -340,7 +347,7 @@ fn sampling_churn_run(
 }
 
 /// End-to-end SGD gossip learning through the modern allocation-free,
-/// monomorphized protocol path.
+/// decision-table protocol path.
 fn sgd_run_modern(topo: &Arc<ta_overlay::Topology>, data: &RegressionData, rounds: u64) -> u64 {
     let n = topo.n();
     let cfg = SimConfig::builder(n)
@@ -383,17 +390,19 @@ fn sgd_run_legacy(topo: &Arc<ta_overlay::Topology>, data: &RegressionData, round
 fn bench_protocol(smoke: bool) -> Vec<Sample> {
     let mut samples = Vec::new();
 
-    // Strategy dispatch micro: identical work, only the dispatch differs.
+    // Decision micro: identical decisions, from the boxed formulas or
+    // from the compiled table.
     let iters = if smoke { 20_000 } else { 2_000_000 };
     let concrete = RandomizedTokenAccount::new(10, 20).expect("valid strategy");
     let boxed: Box<dyn Strategy> = Box::new(concrete);
+    let table = DecisionTable::new(concrete);
     samples.push(Sample {
         id: "node_step/boxed".into(),
         value: measure_events_per_sec(|| node_steps_boxed(boxed.as_ref(), iters), smoke),
     });
     samples.push(Sample {
         id: "node_step/monomorphized".into(),
-        value: measure_events_per_sec(|| node_steps_monomorphized(&concrete, iters), smoke),
+        value: measure_events_per_sec(|| node_steps_monomorphized(&table, iters), smoke),
     });
 
     // Peer sampling under churn, with a minority of neighbours online (the

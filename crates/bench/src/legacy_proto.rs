@@ -1,12 +1,14 @@
-//! The pre-monomorphization protocol hot path, kept as a benchmark
+//! The old protocol hot path, kept as a benchmark
 //! baseline (the same role [`crate::legacy_wheel`] plays for the slab
 //! wheel rewrite).
 //!
 //! [`LegacyTokenProtocol`] reproduces the three per-event taxes the
 //! protocol layer used to pay:
 //!
-//! 1. **boxed dispatch** — the strategy lives behind `Box<dyn Strategy>`,
-//!    so every `PROACTIVE`/`REACTIVE` evaluation is a virtual call;
+//! 1. **boxed formulas** — the strategy lives behind `Box<dyn Strategy>`,
+//!    and every decision evaluates `PROACTIVE`/`REACTIVE` through a
+//!    virtual call and rounds in `f64` ([`formula_round`],
+//!    [`formula_message`]) instead of looking a compiled decision table up;
 //! 2. **two-pass peer selection** — every send scans the sender's
 //!    neighbour list twice (count online, then `nth`), O(degree) per send;
 //! 3. **per-send payload allocation** — [`CloningSgd`] clones the full
@@ -25,8 +27,31 @@ use ta_overlay::Topology;
 use ta_sim::engine::{Driver, SimApi};
 use ta_sim::rng::Xoshiro256pp;
 use ta_sim::NodeId;
-use token_account::node::{RoundAction, TokenNode};
+use token_account::rounding::rand_round;
 use token_account::{Strategy, Usefulness};
+
+/// One round tick evaluated from the formulas: returns whether the round
+/// sends proactively, banking the token otherwise.
+pub fn formula_round(strategy: &dyn Strategy, balance: &mut i64, rng: &mut Xoshiro256pp) -> bool {
+    let send = rng.next_f64() < strategy.proactive(*balance);
+    if !send {
+        *balance += 1;
+    }
+    send
+}
+
+/// One message reaction evaluated from the formulas: returns the tokens
+/// burned (non-debt strategies).
+pub fn formula_message(
+    strategy: &dyn Strategy,
+    balance: &mut i64,
+    usefulness: Usefulness,
+    rng: &mut Xoshiro256pp,
+) -> u64 {
+    let x = rand_round(strategy.reactive(*balance, usefulness), rng).min((*balance).max(0) as u64);
+    *balance -= x as i64;
+    x
+}
 
 /// The old exact two-pass online selection: count, then `nth` (no
 /// rejection sampling, no packed mirror).
@@ -93,14 +118,14 @@ impl CloningSgd {
     }
 }
 
-/// The pre-PR Algorithm-4 driver: boxed strategy, two-pass selection,
+/// The old Algorithm-4 driver: boxed formulas, two-pass selection,
 /// cloning payloads, per-send transfer-time lookups.
 #[derive(Debug)]
 pub struct LegacyTokenProtocol {
     strategy: Box<dyn Strategy>,
     app: CloningSgd,
     topo: Arc<Topology>,
-    nodes: Vec<TokenNode>,
+    balances: Vec<i64>,
     online: Vec<bool>,
     sends_per_slot: Vec<u64>,
     /// Sends performed (sanity checks against the modern driver).
@@ -115,7 +140,7 @@ impl LegacyTokenProtocol {
             strategy,
             app,
             topo,
-            nodes: vec![TokenNode::new(0); n],
+            balances: vec![0; n],
             online: vec![true; n],
             sends_per_slot: Vec::new(),
             sent: 0,
@@ -155,14 +180,11 @@ impl Driver for LegacyTokenProtocol {
     type Msg = LinearModel;
 
     fn on_round_tick(&mut self, api: &mut SimApi<'_, Self::Msg>, node: NodeId) {
-        let action = self.nodes[node.index()].on_round(&self.strategy, api.rng());
-        match action {
-            RoundAction::SendProactive => {
-                if !self.send_state(api, node) {
-                    self.nodes[node.index()].bank_token();
-                }
-            }
-            RoundAction::SaveToken => {}
+        let i = node.index();
+        if formula_round(&*self.strategy, &mut self.balances[i], api.rng())
+            && !self.send_state(api, node)
+        {
+            self.balances[i] += 1;
         }
     }
 
@@ -174,10 +196,16 @@ impl Driver for LegacyTokenProtocol {
         msg: Self::Msg,
     ) {
         let usefulness = self.app.update_state(to, &msg);
-        let burst = self.nodes[to.index()].on_message(&self.strategy, usefulness, api.rng());
+        let i = to.index();
+        let burst = formula_message(
+            &*self.strategy,
+            &mut self.balances[i],
+            usefulness,
+            api.rng(),
+        );
         for _ in 0..burst {
             if !self.send_state(api, to) {
-                self.nodes[to.index()].bank_token();
+                self.balances[i] += 1;
             }
         }
     }

@@ -21,8 +21,8 @@
 //!   tracking: `cargo run --release -p ta-bench --bin bench_sim` (add
 //!   `--test` for the CI smoke mode, `--diff PATH` for a non-failing
 //!   comparison against a committed baseline);
-//! * [`legacy_proto`] — the pre-monomorphization protocol driver (boxed
-//!   strategy dispatch, two-pass peer selection, cloning payloads), kept
+//! * [`legacy_proto`] — the old protocol driver (boxed strategy formulas,
+//!   two-pass peer selection, cloning payloads), kept
 //!   as the baseline the allocation-free protocol path is measured
 //!   against.
 

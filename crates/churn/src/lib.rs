@@ -8,7 +8,8 @@
 //!   pluggable into the simulator via
 //!   [`ta_sim::engine::AvailabilityModel`].
 //! * [`synthetic::SmartphoneTraceModel`] — a diurnal two-state Markov model
-//!   calibrated to the paper's Figure 1 (see DESIGN.md, "Substitutions").
+//!   calibrated to the paper's Figure 1, standing in for the proprietary
+//!   trace (the module docs of `synthetic.rs` say why that is sound).
 //! * [`trace_io`] — a text format for loading real traces.
 //! * [`stats::figure1_series`] — the Figure-1 statistics of any schedule.
 //!

@@ -24,7 +24,7 @@
 //!
 //! The token account protocols only observe *who is online when*, which is
 //! exactly the process reproduced here; per-user identity of the original
-//! trace is irrelevant to the algorithms (see DESIGN.md, "Substitutions").
+//! trace is irrelevant to the algorithms.
 
 use serde::{Deserialize, Serialize};
 use ta_sim::rng::Xoshiro256pp;

@@ -14,7 +14,9 @@
 //! * `REACTIVE(a, u)` — messages to send in reaction to a message of
 //!   usefulness `u`.
 //!
-//! [`node::TokenNode`] executes Algorithm 4 of the paper over any strategy;
+//! [`table::DecisionTable`] compiles a strategy into per-balance
+//! thresholds and runs Algorithm 4 over them, for the simulator's
+//! [`node::TokenNode`] and the live runtime's atomic accounts alike;
 //! [`strategies`] provides the paper's implementations (simple,
 //! generalized, randomized, plus both pure extremes); [`meanfield`] carries
 //! the Section 4.3 analysis; [`validate`] checks the Section 3.1 contract.
@@ -30,15 +32,16 @@
 //! use token_account::prelude::*;
 //!
 //! let strategy = RandomizedTokenAccount::new(10, 20)?;
+//! let table = DecisionTable::new(strategy);
 //! let mut node = TokenNode::new(0);
 //! let mut rng = StdRng::seed_from_u64(7);
 //!
 //! // Round tick: with an empty account the node always banks the token
 //! // (proactive probability is 0 below A − 1 = 9 tokens).
-//! assert_eq!(node.on_round(&strategy, &mut rng), RoundAction::SaveToken);
+//! assert_eq!(node.on_round(&table, &mut rng), RoundAction::SaveToken);
 //!
 //! // Useful message: spends Bernoulli-rounded balance/A tokens.
-//! let sends = node.on_message(&strategy, Usefulness::Useful, &mut rng);
+//! let sends = node.on_message(&table, Usefulness::Useful, &mut rng);
 //! assert!(sends <= 1);
 //!
 //! // The burst bound of Section 3.4 holds by construction.
@@ -59,6 +62,7 @@ pub mod rounding;
 pub mod spec;
 pub mod strategies;
 pub mod strategy;
+pub mod table;
 pub mod usefulness;
 pub mod validate;
 
@@ -67,8 +71,9 @@ pub use atomic::AtomicTokenAccount;
 pub use error::InvalidStrategyError;
 pub use live::{Decision, LiveStrategy};
 pub use node::{RoundAction, TokenNode};
-pub use spec::{StrategySpec, StrategyVisitor};
+pub use spec::StrategySpec;
 pub use strategy::{Capacity, Strategy};
+pub use table::DecisionTable;
 pub use usefulness::Usefulness;
 
 /// Convenient glob import for framework users.
@@ -79,11 +84,12 @@ pub mod prelude {
     pub use crate::meanfield::{randomized_equilibrium, MeanFieldModel};
     pub use crate::node::{RoundAction, TokenNode};
     pub use crate::rounding::rand_round;
-    pub use crate::spec::{StrategySpec, StrategyVisitor};
+    pub use crate::spec::StrategySpec;
     pub use crate::strategies::{
         GeneralizedTokenAccount, PurelyProactive, PurelyReactive, RandomizedTokenAccount,
         SimpleTokenAccount,
     };
     pub use crate::strategy::{Capacity, Strategy};
+    pub use crate::table::DecisionTable;
     pub use crate::usefulness::Usefulness;
 }

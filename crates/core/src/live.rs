@@ -1,68 +1,33 @@
 //! Thread-safe admission decisions: Algorithm 4 over atomic accounts.
 //!
-//! The simulator executes Algorithm 4 through
-//! [`TokenNode`](crate::node::TokenNode), a `&mut self` state machine. A
-//! live runtime serving concurrent traffic cannot hand out `&mut`
-//! accounts; [`LiveStrategy`] re-expresses the same two decisions —
-//! round tick and message reaction — against an
+//! A live runtime serving concurrent traffic cannot hand out `&mut`
+//! accounts, so it decides against an
 //! [`AtomicTokenAccount`](crate::atomic::AtomicTokenAccount) through
-//! `&self`, so any number of worker threads can decide admissions for
-//! disjoint (or even shared) accounts without locks.
+//! `&self`: any number of worker threads can decide admissions for
+//! disjoint (or even shared) accounts without locks. [`LiveStrategy`] is
+//! the name the live runtime knows a [`DecisionTable`] by; its
+//! `decide_round` and `decide_message` take the atomic account as their
+//! [`Account`](crate::table::Account).
 //!
-//! **Equivalence contract.** Driven sequentially with the same RNG and
-//! the same starting balance, [`decide_round`](LiveStrategy::decide_round)
-//! and [`decide_message`](LiveStrategy::decide_message) consume exactly
-//! the randomness [`TokenNode::on_round`](crate::node::TokenNode::on_round)
-//! and [`TokenNode::on_message`](crate::node::TokenNode::on_message)
-//! consume and leave the account at exactly the same balance. The
-//! `ta-live` crate's live-vs-sim harness pins this down end to end: a
+//! **Equivalence contract.** There is one Algorithm 4:
+//! [`DecisionTable::decide_round`] and [`DecisionTable::decide_message`].
+//! The simulator's [`TokenNode`](crate::node::TokenNode) runs it over a
+//! plain [`TokenAccount`](crate::account::TokenAccount), the live runtime
+//! over an atomic one, and the two accounts differ only in how a burn is
+//! applied (a subtraction, or a CAS loop that clamps to what a concurrent
+//! spender left). Driven sequentially with the same RNG and the same
+//! starting balance, the two therefore consume the same draws and leave
+//! the same balance by construction. The `ta-live` crate's live-vs-sim
+//! harness tests the runtimes around it end to end: a
 //! discrete-event-engine run and a live replay of the same trace must
 //! produce *equal* send/burn/grant counters.
-//!
-//! The adapter is generic over the concrete [`Strategy`] — construct it
-//! through [`StrategySpec::dispatch`](crate::spec::StrategySpec::dispatch)
-//! and the whole decision path monomorphizes: no boxing, no virtual
-//! calls, one branch per decision.
 
-use rand::Rng;
+pub use crate::table::Decision;
+use crate::table::DecisionTable;
 
-use crate::atomic::AtomicTokenAccount;
-use crate::rounding::rand_round;
-use crate::strategy::Strategy;
-use crate::usefulness::Usefulness;
-
-/// What an admission decision resolved to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Decision {
-    /// Send one proactive message; the round's token is consumed by it
-    /// (the balance is left unchanged, exactly as in Algorithm 4 lines
-    /// 4–7).
-    ProactiveSend,
-    /// Send this many reactive messages, with the same number of tokens
-    /// already burned from the account. Always ≥ 1 — a zero burst is
-    /// reported as [`Decision::Hold`].
-    ReactiveSend(u64),
-    /// Do nothing observable: a round that banked its token, or a message
-    /// the strategy declined to amplify.
-    Hold,
-}
-
-impl Decision {
-    /// Tokens burned by this decision (0 except for reactive sends).
-    #[inline]
-    pub fn burned(self) -> u64 {
-        match self {
-            Decision::ReactiveSend(x) => x,
-            _ => 0,
-        }
-    }
-}
-
-/// A [`Strategy`] adapted to concurrent, atomic-account decisions.
-///
-/// Wraps the concrete strategy by value (every paper strategy is a small
-/// `Copy` type); all methods take `&self`, and the adapter is `Sync`
-/// whenever `S` is — one instance serves every worker thread.
+/// Algorithm 4 for concurrent, atomic-account decisions: a
+/// [`DecisionTable`]. It is `Sync`, so one instance serves every worker
+/// thread.
 ///
 /// ```
 /// use rand::SeedableRng;
@@ -85,110 +50,25 @@ impl Decision {
 /// assert_eq!(d, Decision::ReactiveSend(1));
 /// assert_eq!(acct.balance(), 0);
 /// ```
-#[derive(Debug, Clone, Copy)]
-pub struct LiveStrategy<S: Strategy> {
-    strategy: S,
-}
-
-impl<S: Strategy> LiveStrategy<S> {
-    /// Wraps a concrete strategy.
-    #[inline]
-    pub const fn new(strategy: S) -> Self {
-        LiveStrategy { strategy }
-    }
-
-    /// The wrapped strategy.
-    #[inline]
-    pub fn strategy(&self) -> &S {
-        &self.strategy
-    }
-
-    /// One round tick (Algorithm 4 lines 3–10): with probability
-    /// `PROACTIVE(a)` the decision is [`Decision::ProactiveSend`] (balance
-    /// unchanged — the granted token funds the send), otherwise the token
-    /// is banked and the decision is [`Decision::Hold`].
-    ///
-    /// Consumes one `f64` draw, the same draw
-    /// [`TokenNode::on_round`](crate::node::TokenNode::on_round) makes.
-    #[inline]
-    pub fn decide_round<R: Rng + ?Sized>(
-        &self,
-        account: &AtomicTokenAccount,
-        rng: &mut R,
-    ) -> Decision {
-        let p = self.strategy.proactive(account.balance());
-        debug_assert!(
-            (0.0..=1.0).contains(&p),
-            "proactive() = {p} outside [0, 1] for {}",
-            self.strategy.label()
-        );
-        if rng.gen::<f64>() < p {
-            Decision::ProactiveSend
-        } else {
-            account.grant();
-            Decision::Hold
-        }
-    }
-
-    /// Reaction to an incoming message of the given usefulness (Algorithm
-    /// 4 lines 11–18): evaluates `REACTIVE(a, u)`, probabilistically
-    /// rounds it, and burns that many tokens from the account.
-    ///
-    /// Under contention the account may have been drained between the
-    /// balance read and the spend; the burn is then clamped to what is
-    /// actually available (never overdrawing), and the decision reports
-    /// the tokens *really* burned — conservation counters stay exact.
-    /// Debt-allowing strategies spend unconditionally, as in the
-    /// sequential node.
-    #[inline]
-    pub fn decide_message<R: Rng + ?Sized>(
-        &self,
-        account: &AtomicTokenAccount,
-        usefulness: Usefulness,
-        rng: &mut R,
-    ) -> Decision {
-        let balance = account.balance();
-        let r = self.strategy.reactive(balance, usefulness);
-        debug_assert!(
-            r >= 0.0 && r.is_finite(),
-            "reactive({balance}, {usefulness}) = {r} invalid for {}",
-            self.strategy.label()
-        );
-        let x = rand_round(r, rng);
-        let burned = if self.strategy.allows_debt() {
-            account.force_spend(x);
-            x
-        } else {
-            debug_assert!(
-                r <= balance.max(0) as f64,
-                "reactive({balance}, {usefulness}) = {r} overspends for {}",
-                self.strategy.label()
-            );
-            account.spend_up_to(x)
-        };
-        if burned == 0 {
-            Decision::Hold
-        } else {
-            Decision::ReactiveSend(burned)
-        }
-    }
-}
+pub type LiveStrategy = DecisionTable;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::atomic::AtomicTokenAccount;
     use crate::node::{RoundAction, TokenNode};
     use crate::strategies::{
         GeneralizedTokenAccount, PurelyProactive, PurelyReactive, RandomizedTokenAccount,
         SimpleTokenAccount,
     };
+    use crate::strategy::Strategy;
+    use crate::usefulness::Usefulness;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
-    /// The load-bearing contract: sequentially, with the same RNG, the
-    /// live adapter and the sequential node make identical decisions and
-    /// leave identical balances — for every strategy family, including
-    /// the debt-allowing reactive reference.
+    /// Sequentially, with the same RNG, the atomic and the plain account
+    /// make identical decisions and leave identical balances — for every
+    /// strategy family, including the debt-allowing reactive reference.
     #[test]
     fn live_decisions_match_token_node_bitwise() {
         let strategies: Vec<Box<dyn Strategy>> = vec![
@@ -198,7 +78,8 @@ mod tests {
             Box::new(GeneralizedTokenAccount::new(2, 7).unwrap()),
             Box::new(RandomizedTokenAccount::new(3, 9).unwrap()),
         ];
-        for s in &strategies {
+        for s in strategies {
+            let label = s.label();
             let live = LiveStrategy::new(s);
             let acct = AtomicTokenAccount::new(0);
             let mut node = TokenNode::new(0);
@@ -207,28 +88,22 @@ mod tests {
             let mut step_rng = StdRng::seed_from_u64(7);
             for step in 0..3_000 {
                 if step % 3 == 0 {
-                    let u = if step_rng.gen::<f64>() < 0.6 {
-                        Usefulness::Useful
-                    } else {
-                        Usefulness::NotUseful
-                    };
+                    let u = Usefulness::from_bool(step_rng.gen::<f64>() < 0.6);
                     let d = live.decide_message(&acct, u, &mut rng_live);
-                    let burst = node.on_message(s, u, &mut rng_node);
-                    assert_eq!(d.burned(), burst, "burn diverged for {}", s.label());
+                    let burst = node.on_message(&live, u, &mut rng_node);
+                    assert_eq!(d.burned(), burst, "burn diverged for {label}");
                 } else {
                     let d = live.decide_round(&acct, &mut rng_live);
-                    let action = node.on_round(s, &mut rng_node);
-                    let expect = match action {
+                    let expect = match node.on_round(&live, &mut rng_node) {
                         RoundAction::SendProactive => Decision::ProactiveSend,
                         RoundAction::SaveToken => Decision::Hold,
                     };
-                    assert_eq!(d, expect, "round diverged for {}", s.label());
+                    assert_eq!(d, expect, "round diverged for {label}");
                 }
                 assert_eq!(
                     acct.balance(),
                     node.balance(),
-                    "balance diverged for {}",
-                    s.label()
+                    "balance diverged for {label}"
                 );
             }
         }
@@ -251,7 +126,7 @@ mod tests {
     #[test]
     fn adapter_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<LiveStrategy<RandomizedTokenAccount>>();
+        assert_send_sync::<LiveStrategy>();
         assert_send_sync::<AtomicTokenAccount>();
     }
 }

@@ -1,9 +1,10 @@
 //! Per-node framework logic: Algorithm 4 of the paper.
 //!
 //! [`TokenNode`] is deliberately substrate-agnostic: it owns only the token
-//! account and encodes the *decisions* of Algorithm 4 — whether a round
-//! sends a proactive message or banks the token, and how many reactive
-//! messages an incoming message triggers. Scheduling, peer selection, and
+//! account and applies the *decisions* of Algorithm 4, as a compiled
+//! [`DecisionTable`] makes them — whether a round sends a proactive message
+//! or banks the token, and how many reactive messages an incoming message
+//! triggers. Scheduling, peer selection, and
 //! message construction belong to the integration layer (`ta-apps` in this
 //! workspace, or a real network stack in a deployment).
 
@@ -11,8 +12,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::account::TokenAccount;
-use crate::rounding::rand_round;
-use crate::strategy::Strategy;
+use crate::table::{Decision, DecisionTable};
 use crate::usefulness::Usefulness;
 
 /// What a round tick resolves to (lines 4–10 of Algorithm 4).
@@ -31,9 +31,10 @@ pub enum RoundAction {
 /// use rand::rngs::StdRng;
 /// use token_account::node::{RoundAction, TokenNode};
 /// use token_account::strategies::SimpleTokenAccount;
+/// use token_account::table::DecisionTable;
 /// use token_account::usefulness::Usefulness;
 ///
-/// let strategy = SimpleTokenAccount::new(10);
+/// let strategy = DecisionTable::new(SimpleTokenAccount::new(10));
 /// let mut node = TokenNode::new(0);
 /// let mut rng = StdRng::seed_from_u64(1);
 ///
@@ -74,24 +75,11 @@ impl TokenNode {
     /// One round tick (lines 3–10 of Algorithm 4): with probability
     /// `PROACTIVE(a)` the node sends a proactive message, otherwise it
     /// banks the token.
-    pub fn on_round<S, R>(&mut self, strategy: &S, rng: &mut R) -> RoundAction
-    where
-        S: Strategy + ?Sized,
-        R: Rng + ?Sized,
-    {
-        let p = strategy.proactive(self.account.balance());
-        debug_assert!(
-            (0.0..=1.0).contains(&p),
-            "proactive({}) = {p} outside [0, 1] for {}",
-            self.account.balance(),
-            strategy.label()
-        );
-        // gen::<f64>() is uniform in [0, 1): p = 1 always sends, p = 0 never.
-        if rng.gen::<f64>() < p {
-            RoundAction::SendProactive
-        } else {
-            self.account.grant();
-            RoundAction::SaveToken
+    #[inline]
+    pub fn on_round<R: Rng + ?Sized>(&mut self, table: &DecisionTable, rng: &mut R) -> RoundAction {
+        match table.decide_round(&mut self.account, rng) {
+            Decision::ProactiveSend => RoundAction::SendProactive,
+            _ => RoundAction::SaveToken,
         }
     }
 
@@ -99,32 +87,16 @@ impl TokenNode {
     /// the application's `updateState` determined `usefulness`): returns
     /// the number of reactive messages to send, with the same number of
     /// tokens already removed from the account.
-    pub fn on_message<S, R>(&mut self, strategy: &S, usefulness: Usefulness, rng: &mut R) -> u64
-    where
-        S: Strategy + ?Sized,
-        R: Rng + ?Sized,
-    {
-        let balance = self.account.balance();
-        let r = strategy.reactive(balance, usefulness);
-        debug_assert!(
-            r >= 0.0 && r.is_finite(),
-            "reactive({balance}, {usefulness}) = {r} invalid for {}",
-            strategy.label()
-        );
-        let x = rand_round(r, rng);
-        if strategy.allows_debt() {
-            self.account.force_spend(x);
-            x
-        } else {
-            debug_assert!(
-                r <= balance.max(0) as f64,
-                "reactive({balance}, {usefulness}) = {r} overspends for {}",
-                strategy.label()
-            );
-            let spent = self.account.spend_up_to(x);
-            debug_assert_eq!(spent, x, "probabilistic rounding overspent");
-            spent
-        }
+    #[inline]
+    pub fn on_message<R: Rng + ?Sized>(
+        &mut self,
+        table: &DecisionTable,
+        usefulness: Usefulness,
+        rng: &mut R,
+    ) -> u64 {
+        table
+            .decide_message(&mut self.account, usefulness, rng)
+            .burned()
     }
 
     /// Spends one token if available (used by the push gossip pull-request
@@ -152,12 +124,13 @@ mod tests {
         GeneralizedTokenAccount, PurelyProactive, PurelyReactive, RandomizedTokenAccount,
         SimpleTokenAccount,
     };
+    use crate::strategy::Strategy;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
     fn purely_proactive_always_sends_and_never_accumulates() {
-        let s = PurelyProactive;
+        let s = DecisionTable::new(PurelyProactive);
         let mut node = TokenNode::new(0);
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..100 {
@@ -169,7 +142,7 @@ mod tests {
 
     #[test]
     fn purely_reactive_goes_into_debt() {
-        let s = PurelyReactive::if_useful(2).unwrap();
+        let s = DecisionTable::new(PurelyReactive::if_useful(2).unwrap());
         let mut node = TokenNode::new(0);
         let mut rng = StdRng::seed_from_u64(2);
         // Rounds only bank tokens.
@@ -182,7 +155,7 @@ mod tests {
 
     #[test]
     fn simple_account_fills_to_capacity_then_sends() {
-        let s = SimpleTokenAccount::new(3);
+        let s = DecisionTable::new(SimpleTokenAccount::new(3));
         let mut node = TokenNode::new(0);
         let mut rng = StdRng::seed_from_u64(3);
         for expected in 1..=3i64 {
@@ -205,18 +178,19 @@ mod tests {
             Box::new(RandomizedTokenAccount::new(2, 5).unwrap()),
         ];
         let mut rng = StdRng::seed_from_u64(4);
-        for s in &strategies {
+        for s in strategies {
+            let label = s.label();
+            let s = DecisionTable::new(s);
             let mut node = TokenNode::new(0);
             for step in 0..1000 {
                 if step % 3 == 0 {
-                    node.on_message(s, Usefulness::Useful, &mut rng);
+                    node.on_message(&s, Usefulness::Useful, &mut rng);
                 } else {
-                    node.on_round(s, &mut rng);
+                    node.on_round(&s, &mut rng);
                 }
                 assert!(
                     node.balance() <= 5,
-                    "{} exceeded capacity: {}",
-                    s.label(),
+                    "{label} exceeded capacity: {}",
                     node.balance()
                 );
                 assert!(node.balance() >= 0);
@@ -226,7 +200,7 @@ mod tests {
 
     #[test]
     fn reactive_spend_reduces_balance_by_messages_sent() {
-        let s = GeneralizedTokenAccount::new(1, 40).unwrap();
+        let s = DecisionTable::new(GeneralizedTokenAccount::new(1, 40).unwrap());
         let mut node = TokenNode::new(0);
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..7 {
@@ -242,7 +216,7 @@ mod tests {
 
     #[test]
     fn randomized_expected_spend_is_balance_over_a() {
-        let s = RandomizedTokenAccount::new(10, 1000).unwrap();
+        let s = DecisionTable::new(RandomizedTokenAccount::new(10, 1000).unwrap());
         let mut rng = StdRng::seed_from_u64(6);
         let trials = 20_000;
         let mut total = 0u64;
@@ -266,7 +240,7 @@ mod tests {
     fn proactive_probability_is_respected_statistically() {
         // Randomized with A=1, C=9: ramp over [0, 9], so
         // proactive(5) = (5 − 1 + 1)/(9 − 1 + 1) = 5/9.
-        let s = RandomizedTokenAccount::new(1, 9).unwrap();
+        let s = DecisionTable::new(RandomizedTokenAccount::new(1, 9).unwrap());
         let mut rng = StdRng::seed_from_u64(7);
         let trials = 40_000;
         let mut sends = 0;

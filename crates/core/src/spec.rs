@@ -3,7 +3,9 @@
 //! Experiment configurations need to name strategies in data (sweeps over
 //! the `(A, C)` grid, JSON reports); [`StrategySpec`] is the serde-friendly
 //! mirror of the concrete strategy types, buildable into a boxed
-//! [`Strategy`].
+//! [`Strategy`] — which a [`DecisionTable`](crate::table::DecisionTable)
+//! then compiles, so decisions call through the box only for balances the
+//! table has no row for.
 
 use serde::{Deserialize, Serialize};
 
@@ -13,24 +15,6 @@ use crate::strategies::{
     SimpleTokenAccount,
 };
 use crate::strategy::Strategy;
-
-/// Receiver of a *concrete* strategy instance from
-/// [`StrategySpec::dispatch`].
-///
-/// Implementors get monomorphized once per strategy family: the `visit`
-/// body compiles with `S` known statically, so every
-/// `proactive`/`reactive` evaluation inside is a direct (inlinable) call
-/// rather than a `dyn Strategy` virtual call. This is the serializable-spec
-/// counterpart of selecting the event queue once at `Simulation::new`.
-pub trait StrategyVisitor {
-    /// The result produced from the concrete strategy.
-    type Output;
-
-    /// Called with the strategy built from the spec. The `Clone` bound
-    /// lets visitors hand one copy per shard to the sharded engine; every
-    /// concrete strategy is a small `Copy` value.
-    fn visit<S: Strategy + Clone + 'static>(self, strategy: S) -> Self::Output;
-}
 
 /// A declarative strategy description.
 ///
@@ -88,34 +72,6 @@ impl StrategySpec {
         })
     }
 
-    /// Builds the concrete strategy and hands it to `visitor` without
-    /// boxing.
-    ///
-    /// Where [`build`](Self::build) erases the type behind
-    /// `Box<dyn Strategy>` (one virtual call per `PROACTIVE`/`REACTIVE`
-    /// evaluation), `dispatch` branches on the spec exactly once and runs
-    /// the visitor monomorphized over the concrete strategy — the protocol
-    /// hot path pays zero dispatch per event.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`InvalidStrategyError`] from the constructors; the
-    /// visitor is not invoked on error.
-    pub fn dispatch<V: StrategyVisitor>(
-        self,
-        visitor: V,
-    ) -> Result<V::Output, InvalidStrategyError> {
-        Ok(match self {
-            StrategySpec::Proactive => visitor.visit(PurelyProactive),
-            StrategySpec::Reactive { k } => visitor.visit(PurelyReactive::if_useful(k)?),
-            StrategySpec::Simple { c } => visitor.visit(SimpleTokenAccount::new(c)),
-            StrategySpec::Generalized { a, c } => {
-                visitor.visit(GeneralizedTokenAccount::new(a, c)?)
-            }
-            StrategySpec::Randomized { a, c } => visitor.visit(RandomizedTokenAccount::new(a, c)?),
-        })
-    }
-
     /// Label of the strategy this spec builds (stable even without
     /// building).
     pub fn label(self) -> String {
@@ -164,48 +120,6 @@ mod tests {
         assert!(StrategySpec::Generalized { a: 0, c: 10 }.build().is_err());
         assert!(StrategySpec::Randomized { a: 11, c: 10 }.build().is_err());
         assert!(StrategySpec::Reactive { k: 0 }.build().is_err());
-    }
-
-    /// A visitor that records the concrete strategy's label and a sample
-    /// evaluation, proving dispatch hands over the same strategy `build`
-    /// boxes.
-    struct Probe;
-
-    impl StrategyVisitor for Probe {
-        type Output = (String, f64, f64);
-        fn visit<S: Strategy + 'static>(self, s: S) -> Self::Output {
-            (
-                s.label(),
-                s.proactive(10),
-                s.reactive(10, crate::usefulness::Usefulness::Useful),
-            )
-        }
-    }
-
-    #[test]
-    fn dispatch_matches_boxed_build() {
-        let specs = [
-            StrategySpec::Proactive,
-            StrategySpec::Reactive { k: 2 },
-            StrategySpec::Simple { c: 10 },
-            StrategySpec::Generalized { a: 5, c: 10 },
-            StrategySpec::Randomized { a: 5, c: 10 },
-        ];
-        for spec in specs {
-            let (label, p, r) = spec.dispatch(Probe).unwrap();
-            let boxed = spec.build().unwrap();
-            assert_eq!(label, boxed.label());
-            assert_eq!(p, boxed.proactive(10));
-            assert_eq!(r, boxed.reactive(10, crate::usefulness::Usefulness::Useful));
-        }
-    }
-
-    #[test]
-    fn dispatch_propagates_constructor_errors() {
-        assert!(StrategySpec::Reactive { k: 0 }.dispatch(Probe).is_err());
-        assert!(StrategySpec::Generalized { a: 0, c: 1 }
-            .dispatch(Probe)
-            .is_err());
     }
 
     #[test]

@@ -19,9 +19,7 @@ use crate::usefulness::Usefulness;
 /// (`a <= A` ⇒ the halved value floors to 0) — "when the tokens are scarce,
 /// we do not waste them for reacting to messages that are not useful".
 ///
-/// Graded usefulness (our extension) interpolates linearly between the
-/// halved and full responses: `⌊(A − 1 + a)(1 + u)/(2A)⌋`, which matches the
-/// paper exactly at `u ∈ {0, 1}`.
+/// Both cases are `⌊(A − 1 + a)(1 + u)/(2A)⌋` for `u ∈ {0, 1}`.
 ///
 /// ```
 /// use token_account::strategies::GeneralizedTokenAccount;
@@ -193,18 +191,6 @@ mod tests {
             assert_eq!(s.reactive(balance, Usefulness::NotUseful), 0.0);
         }
         assert!(s.reactive(12, Usefulness::NotUseful) >= 1.0);
-    }
-
-    #[test]
-    fn graded_interpolates_between_halved_and_full() {
-        let s = GeneralizedTokenAccount::new(5, 100).unwrap();
-        let a = 26i64;
-        let low = s.reactive(a, Usefulness::NotUseful);
-        let mid = s.reactive(a, Usefulness::graded(0.5));
-        let high = s.reactive(a, Usefulness::Useful);
-        assert!(low <= mid && mid <= high);
-        // ⌊30·1.5/10⌋ = 4.
-        assert_eq!(mid, 4.0);
     }
 
     #[test]

@@ -178,13 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn graded_usefulness_scales_linearly() {
-        let s = RandomizedTokenAccount::new(10, 20).unwrap();
-        assert_eq!(s.reactive(10, Usefulness::graded(0.5)), 0.5);
-        assert_eq!(s.reactive(10, Usefulness::Useful), 1.0);
-    }
-
-    #[test]
     fn a_equals_one_floods() {
         // A = 1: spend the entire balance on every useful message.
         let s = RandomizedTokenAccount::new(1, 10).unwrap();

@@ -33,7 +33,7 @@ pub struct PurelyReactive {
 
 impl PurelyReactive {
     /// The `REACTIVE(a, u) ≡ u·k` variant: only useful messages trigger
-    /// responses (graded usefulness scales the burst).
+    /// responses.
     ///
     /// # Errors
     ///
@@ -121,7 +121,6 @@ mod tests {
         let s = PurelyReactive::if_useful(3).unwrap();
         assert_eq!(s.reactive(0, Usefulness::Useful), 3.0);
         assert_eq!(s.reactive(0, Usefulness::NotUseful), 0.0);
-        assert_eq!(s.reactive(0, Usefulness::graded(0.5)), 1.5);
         // Balance-independent.
         assert_eq!(s.reactive(-10, Usefulness::Useful), 3.0);
     }

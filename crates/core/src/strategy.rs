@@ -68,7 +68,9 @@ impl fmt::Display for Capacity {
 /// * `0 <= proactive(a) <= 1` and `proactive(a) <= proactive(b)`;
 /// * `reactive(a, u) >= 0`, `reactive(a, u) <= reactive(b, u)`, and
 ///   `reactive(a, u) <= reactive(a, v)`;
-/// * `reactive(a, u) <= max(a, 0)` unless [`allows_debt`](Self::allows_debt);
+/// * `reactive(a, u) <= max(a, 0)` unless [`allows_debt`](Self::allows_debt),
+///   in which case neither function depends on the balance (a
+///   [`DecisionTable`](crate::table::DecisionTable) compiles it to one row);
 /// * if `capacity()` is [`Capacity::Finite`]`(c)`, then `proactive(c) = 1`
 ///   and `c` is the smallest such balance.
 ///
@@ -114,60 +116,6 @@ pub trait Strategy: fmt::Debug + Send + Sync {
     }
 }
 
-impl<S: Strategy + ?Sized> Strategy for &S {
-    fn proactive(&self, balance: i64) -> f64 {
-        (**self).proactive(balance)
-    }
-    fn reactive(&self, balance: i64, usefulness: Usefulness) -> f64 {
-        (**self).reactive(balance, usefulness)
-    }
-    fn capacity(&self) -> Capacity {
-        (**self).capacity()
-    }
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn label(&self) -> String {
-        (**self).label()
-    }
-    fn allows_debt(&self) -> bool {
-        (**self).allows_debt()
-    }
-    fn proactive_smooth(&self, balance: f64) -> f64 {
-        (**self).proactive_smooth(balance)
-    }
-    fn reactive_smooth(&self, balance: f64, usefulness: Usefulness) -> f64 {
-        (**self).reactive_smooth(balance, usefulness)
-    }
-}
-
-impl<S: Strategy + ?Sized> Strategy for std::sync::Arc<S> {
-    fn proactive(&self, balance: i64) -> f64 {
-        (**self).proactive(balance)
-    }
-    fn reactive(&self, balance: i64, usefulness: Usefulness) -> f64 {
-        (**self).reactive(balance, usefulness)
-    }
-    fn capacity(&self) -> Capacity {
-        (**self).capacity()
-    }
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn label(&self) -> String {
-        (**self).label()
-    }
-    fn allows_debt(&self) -> bool {
-        (**self).allows_debt()
-    }
-    fn proactive_smooth(&self, balance: f64) -> f64 {
-        (**self).proactive_smooth(balance)
-    }
-    fn reactive_smooth(&self, balance: f64, usefulness: Usefulness) -> f64 {
-        (**self).reactive_smooth(balance, usefulness)
-    }
-}
-
 impl<S: Strategy + ?Sized> Strategy for Box<S> {
     fn proactive(&self, balance: i64) -> f64 {
         (**self).proactive(balance)
@@ -201,7 +149,7 @@ mod tests {
     use crate::strategies::RandomizedTokenAccount;
 
     #[test]
-    fn reference_and_box_delegate_all_methods() {
+    fn box_delegates_all_methods() {
         let concrete = RandomizedTokenAccount::new(5, 10).unwrap();
         let by_ref: &dyn Strategy = &concrete;
         let boxed: Box<dyn Strategy> = Box::new(concrete);
@@ -226,7 +174,7 @@ mod tests {
         assert_eq!(by_ref.name(), concrete.name());
         assert_eq!(boxed.label(), concrete.label());
         assert_eq!(boxed.allows_debt(), concrete.allows_debt());
-        // A double indirection also works (Box<&S>, &Box<S>).
+        // A double indirection also works (&Box<S>).
         let double: &dyn Strategy = &boxed;
         assert_eq!(double.label(), concrete.label());
     }

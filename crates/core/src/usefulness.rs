@@ -2,31 +2,26 @@
 //!
 //! The reactive function `REACTIVE(a, u)` takes the *usefulness* `u` of the
 //! received message: "some messages are more important than others in most
-//! applications" (Section 3.1). The paper treats `u` as Boolean and notes
-//! that "finer grading is possible in the future" — [`Usefulness::Graded`]
-//! implements that extension.
+//! applications" (Section 3.1). The paper treats `u` as Boolean, and so
+//! does this crate: a [`DecisionTable`](crate::table::DecisionTable) holds
+//! one entry per value.
 
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-/// How useful a received message was to the application.
-///
-/// Ordered: `NotUseful < Graded(x) < Useful` by [`value`](Usefulness::value)
-/// (reactive functions must be monotone non-decreasing in it).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// How useful a received message was to the application. The
+/// discriminants index a [`Row`](crate::table::Row)'s reactive entries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Usefulness {
     /// The message carried no new information (`u = 0`).
-    NotUseful,
+    NotUseful = 0,
     /// The message was useful (`u = 1`).
-    Useful,
-    /// Graded usefulness in `(0, 1)` — the paper's "finer grading" future
-    /// extension. Construct via [`Usefulness::graded`].
-    Graded(f64),
+    Useful = 1,
 }
 
 impl Usefulness {
-    /// Converts a Boolean usefulness (the paper's model).
+    /// Converts a Boolean usefulness.
     #[inline]
     pub fn from_bool(useful: bool) -> Self {
         if useful {
@@ -36,46 +31,13 @@ impl Usefulness {
         }
     }
 
-    /// Creates a graded usefulness, snapping the endpoints to the Boolean
-    /// variants.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `value` is NaN or outside `[0, 1]`.
-    pub fn graded(value: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&value),
-            "usefulness grade {value} outside [0, 1]"
-        );
-        if value == 0.0 {
-            Usefulness::NotUseful
-        } else if value == 1.0 {
-            Usefulness::Useful
-        } else {
-            Usefulness::Graded(value)
-        }
-    }
-
-    /// The numeric value `u ∈ [0, 1]`.
+    /// The numeric value `u ∈ {0, 1}`.
     #[inline]
     pub fn value(self) -> f64 {
         match self {
             Usefulness::NotUseful => 0.0,
             Usefulness::Useful => 1.0,
-            Usefulness::Graded(x) => x,
         }
-    }
-
-    /// Boolean view: anything with positive value counts as useful.
-    #[inline]
-    pub fn is_useful(self) -> bool {
-        self.value() > 0.0
-    }
-}
-
-impl From<bool> for Usefulness {
-    fn from(useful: bool) -> Self {
-        Usefulness::from_bool(useful)
     }
 }
 
@@ -84,7 +46,6 @@ impl fmt::Display for Usefulness {
         match self {
             Usefulness::NotUseful => write!(f, "not-useful"),
             Usefulness::Useful => write!(f, "useful"),
-            Usefulness::Graded(x) => write!(f, "graded({x})"),
         }
     }
 }
@@ -96,40 +57,14 @@ mod tests {
     #[test]
     fn boolean_conversions() {
         assert_eq!(Usefulness::from_bool(true), Usefulness::Useful);
-        assert_eq!(Usefulness::from(false), Usefulness::NotUseful);
+        assert_eq!(Usefulness::from_bool(false), Usefulness::NotUseful);
         assert_eq!(Usefulness::Useful.value(), 1.0);
         assert_eq!(Usefulness::NotUseful.value(), 0.0);
     }
 
     #[test]
-    fn graded_snaps_endpoints() {
-        assert_eq!(Usefulness::graded(0.0), Usefulness::NotUseful);
-        assert_eq!(Usefulness::graded(1.0), Usefulness::Useful);
-        assert_eq!(Usefulness::graded(0.5), Usefulness::Graded(0.5));
-    }
-
-    #[test]
-    fn is_useful_threshold() {
-        assert!(Usefulness::Useful.is_useful());
-        assert!(Usefulness::Graded(0.1).is_useful());
-        assert!(!Usefulness::NotUseful.is_useful());
-    }
-
-    #[test]
-    #[should_panic(expected = "outside [0, 1]")]
-    fn graded_rejects_out_of_range() {
-        let _ = Usefulness::graded(1.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside [0, 1]")]
-    fn graded_rejects_nan() {
-        let _ = Usefulness::graded(f64::NAN);
-    }
-
-    #[test]
     fn display_formats() {
         assert_eq!(Usefulness::Useful.to_string(), "useful");
-        assert_eq!(Usefulness::Graded(0.25).to_string(), "graded(0.25)");
+        assert_eq!(Usefulness::NotUseful.to_string(), "not-useful");
     }
 }

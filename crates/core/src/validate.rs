@@ -124,16 +124,10 @@ pub fn check_strategy_contract<S: Strategy + ?Sized>(
     strategy: &S,
     max_balance: i64,
 ) -> Result<(), ContractViolation> {
-    let usefulness_grid = [
-        Usefulness::NotUseful,
-        Usefulness::graded(0.25),
-        Usefulness::graded(0.5),
-        Usefulness::graded(0.75),
-        Usefulness::Useful,
-    ];
+    let usefulness_grid = [Usefulness::NotUseful, Usefulness::Useful];
 
     let mut prev_proactive = f64::NEG_INFINITY;
-    let mut prev_reactive = vec![f64::NEG_INFINITY; usefulness_grid.len()];
+    let mut prev_reactive = [f64::NEG_INFINITY; 2];
 
     for balance in -2..=max_balance {
         let p = strategy.proactive(balance);
@@ -146,7 +140,7 @@ pub fn check_strategy_contract<S: Strategy + ?Sized>(
         prev_proactive = p;
 
         let mut prev_u = f64::NEG_INFINITY;
-        for (i, &u) in usefulness_grid.iter().enumerate() {
+        for (i, u) in usefulness_grid.into_iter().enumerate() {
             let r = strategy.reactive(balance, u);
             if r < 0.0 || !r.is_finite() {
                 return Err(ContractViolation::ReactiveInvalid { balance, value: r });

@@ -13,8 +13,9 @@
 //! --full            paper-scale defaults (N, rounds, runs as in the paper)
 //! ```
 //!
-//! Parsing is hand-rolled to keep the dependency set to the offline crates
-//! justified in DESIGN.md.
+//! Parsing is hand-rolled to keep the dependency set to the offline
+//! stand-ins under `vendor/` (the workspace builds with no crates.io
+//! access; see the root `Cargo.toml`).
 
 use std::fmt;
 use std::path::PathBuf;

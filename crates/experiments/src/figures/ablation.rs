@@ -1,4 +1,4 @@
-//! Design-choice ablations (DESIGN.md: "Design decisions & ablations").
+//! Design-choice ablations.
 //!
 //! Two protocol-level knobs the paper fixes are made measurable here:
 //!

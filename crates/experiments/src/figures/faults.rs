@@ -6,8 +6,7 @@
 //! implementation": lost messages stop triggering reactions, but the
 //! accounts fill up and the proactive path revives traffic.
 //!
-//! This experiment (not a figure in the paper; flagged in DESIGN.md as an
-//! extension) runs push gossip under increasing drop probabilities and
+//! This experiment (not a figure in the paper; an extension) runs push gossip under increasing drop probabilities and
 //! reports the per-round message rate and the steady lag. The expected
 //! shape: token-account strategies keep a send rate close to one message
 //! per node per round at any drop rate, while the purely reactive

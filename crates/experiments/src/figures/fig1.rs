@@ -4,8 +4,8 @@
 //! online, as a function of time. The bars indicate the proportion of the
 //! simulated users that log in and log out ... in the given period."
 //!
-//! Regenerated from the synthetic STUNner-calibrated model (see DESIGN.md,
-//! "Substitutions"). The quick default simulates 5,000 two-day segments;
+//! Regenerated from the synthetic STUNner-calibrated model (see
+//! `crates/churn/src/synthetic.rs` for the substitution). The quick default simulates 5,000 two-day segments;
 //! `--full` uses the paper's 40,658.
 
 use ta_churn::stats::figure1_series;

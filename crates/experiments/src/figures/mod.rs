@@ -17,7 +17,9 @@
 //!
 //! Quick defaults finish in minutes on a laptop; `--full` switches to the
 //! paper's scale. The *shape* of every comparison (who wins, by what
-//! factor) is preserved at quick scale; EXPERIMENTS.md records both.
+//! factor) is preserved at quick scale; each module's docs state the
+//! expected shape, and README.md ("Regenerating the paper's figures")
+//! gives the commands for both scales.
 
 pub mod ablation;
 pub mod burstiness;

@@ -47,7 +47,7 @@ use ta_sim::rng::{SplitMix64, Xoshiro256pp};
 use ta_sim::shard::{ShardOpts, ShardedSimulation};
 use ta_sim::NodeId;
 use ta_telemetry::ProfileData;
-use token_account::{InvalidStrategyError, Strategy, StrategyVisitor};
+use token_account::{InvalidStrategyError, Strategy};
 
 use crate::spec::{AppKind, ChurnKind, ExperimentSpec, TopologyKind};
 
@@ -234,24 +234,24 @@ fn build_config(spec: &ExperimentSpec, run: usize) -> Result<SimConfig, InvalidC
 /// Which face of the engine a replica runs on, as a type: `A`'s
 /// [`TokenProtocol`] in, the finished protocol and the engine's books out.
 trait Face<A: Application> {
-    fn run<S: Strategy + Clone + 'static>(
+    fn run(
         self,
         cfg: SimConfig,
         schedule: &AvailabilitySchedule,
-        proto: TokenProtocol<A, S>,
-    ) -> (TokenProtocol<A, S>, SimStats, ProfileData);
+        proto: TokenProtocol<A>,
+    ) -> (TokenProtocol<A>, SimStats, ProfileData);
 }
 
 /// The whole network as one block on the calling thread: any application.
 struct Whole;
 
 impl<A: Application> Face<A> for Whole {
-    fn run<S: Strategy + Clone + 'static>(
+    fn run(
         self,
         cfg: SimConfig,
         schedule: &AvailabilitySchedule,
-        proto: TokenProtocol<A, S>,
-    ) -> (TokenProtocol<A, S>, SimStats, ProfileData) {
+        proto: TokenProtocol<A>,
+    ) -> (TokenProtocol<A>, SimStats, ProfileData) {
         let mut sim = Simulation::new(cfg, schedule, proto);
         sim.run_to_end();
         let profile = *sim.profile().data();
@@ -272,12 +272,12 @@ where
     A: ShardableApplication + Send,
     A::Msg: Send,
 {
-    fn run<S: Strategy + Clone + 'static>(
+    fn run(
         self,
         cfg: SimConfig,
         schedule: &AvailabilitySchedule,
-        proto: TokenProtocol<A, S>,
-    ) -> (TokenProtocol<A, S>, SimStats, ProfileData) {
+        proto: TokenProtocol<A>,
+    ) -> (TokenProtocol<A>, SimStats, ProfileData) {
         let mut sim = ShardedSimulation::with_opts(cfg, schedule, proto, self);
         sim.run_to_end();
         let profile = sim.profile();
@@ -286,76 +286,53 @@ where
     }
 }
 
-/// One replica. A monomorphizing bridge from the serializable
-/// [`StrategySpec`](token_account::StrategySpec): `visit` compiles once per
-/// concrete strategy family, so the whole simulation loop below it runs
-/// with direct strategy calls.
-struct SingleRun<'a, F, E> {
-    spec: &'a ExperimentSpec,
+/// One replica: the strategy is built from the serializable
+/// [`StrategySpec`](token_account::StrategySpec) and compiled by the
+/// protocol into its decision table.
+fn single_run<A: Application>(
+    spec: &ExperimentSpec,
     run: usize,
-    topo: &'a Arc<Topology>,
-    mirror: Option<&'a Arc<OnlineNeighbors>>,
-    make_app: F,
-    face: E,
-}
-
-impl<A, F, E> StrategyVisitor for SingleRun<'_, F, E>
-where
-    A: Application,
-    F: FnOnce(&[bool]) -> A,
-    E: Face<A>,
-{
-    type Output = Result<RunOutcome, RunError>;
-
-    fn visit<S: Strategy + Clone + 'static>(self, strategy: S) -> Self::Output {
-        let cfg = build_config(self.spec, self.run)?;
-        let schedule = build_schedule(self.spec, self.run);
-        let proto = build_protocol(
-            self.spec,
-            self.topo,
-            self.mirror,
-            &schedule,
-            self.make_app,
-            strategy,
-        );
-        let (proto, sim, profile) = self.face.run(cfg, &schedule, proto);
-        // The gate's claim counts are collected regardless; they are only
-        // reported when profiling was asked for.
-        let profile = if profiling_enabled() {
-            note_profile(&profile);
-            profile
-        } else {
-            ProfileData::default()
-        };
-        let results = proto.into_results();
-        Ok(RunOutcome {
-            metric: results.metric,
-            tokens: results.tokens,
-            protocol: results.stats,
-            sim,
-            sends_per_slot: results.sends_per_slot,
-            profile,
-        })
-    }
+    topo: &Arc<Topology>,
+    mirror: Option<&Arc<OnlineNeighbors>>,
+    make_app: impl FnOnce(&[bool]) -> A,
+    face: impl Face<A>,
+) -> Result<RunOutcome, RunError> {
+    let strategy = spec.strategy.build().map_err(RunError::Strategy)?;
+    let cfg = build_config(spec, run)?;
+    let schedule = build_schedule(spec, run);
+    let proto = build_protocol(spec, topo, mirror, &schedule, make_app, strategy);
+    let (proto, sim, profile) = face.run(cfg, &schedule, proto);
+    // The gate's claim counts are collected regardless; they are only
+    // reported when profiling was asked for.
+    let profile = if profiling_enabled() {
+        note_profile(&profile);
+        profile
+    } else {
+        ProfileData::default()
+    };
+    let results = proto.into_results();
+    Ok(RunOutcome {
+        metric: results.metric,
+        tokens: results.tokens,
+        protocol: results.stats,
+        sim,
+        sends_per_slot: results.sends_per_slot,
+        profile,
+    })
 }
 
 /// Construction of the Algorithm-4 driver. Failure-free specs reuse the
 /// prepared grid's frozen online-neighbour `mirror` (an O(E) build
 /// otherwise); the first churn transition of a run copies it, so sharing
 /// is always sound.
-fn build_protocol<A, S, F>(
+fn build_protocol<A: Application>(
     spec: &ExperimentSpec,
     topo: &Arc<Topology>,
     mirror: Option<&Arc<OnlineNeighbors>>,
     schedule: &AvailabilitySchedule,
-    make_app: F,
-    strategy: S,
-) -> TokenProtocol<A, S>
-where
-    A: Application,
-    S: Strategy,
-    F: FnOnce(&[bool]) -> A,
-{
+    make_app: impl FnOnce(&[bool]) -> A,
+    strategy: impl Strategy + 'static,
+) -> TokenProtocol<A> {
     let initial_online: Vec<bool> = (0..spec.n)
         .map(|i| schedule.segment(NodeId::from_index(i)).initial_online)
         .collect();
@@ -393,33 +370,14 @@ fn dispatch_run(
     mirror: Option<&Arc<OnlineNeighbors>>,
     opts: ShardOpts,
 ) -> Result<RunOutcome, RunError> {
-    fn replica<A: Application>(
-        spec: &ExperimentSpec,
-        run: usize,
-        topo: &Arc<Topology>,
-        mirror: Option<&Arc<OnlineNeighbors>>,
-        make_app: impl FnOnce(&[bool]) -> A,
-        face: impl Face<A>,
-    ) -> Result<RunOutcome, RunError> {
-        spec.strategy
-            .dispatch(SingleRun {
-                spec,
-                run,
-                topo,
-                mirror,
-                make_app,
-                face,
-            })
-            .map_err(RunError::Strategy)?
-    }
     match spec.app {
         AppKind::GossipLearning => {
             let make = |online: &[bool]| GossipLearning::new(spec.n, spec.transfer, online);
-            replica(spec, run, topo, mirror, make, opts)
+            single_run(spec, run, topo, mirror, make, opts)
         }
         AppKind::PushGossip => {
             let make = |online: &[bool]| PushGossip::new(spec.n, online);
-            replica(spec, run, topo, mirror, make, opts)
+            single_run(spec, run, topo, mirror, make, opts)
         }
         AppKind::ChaoticIteration => {
             let reference = reference
@@ -435,7 +393,7 @@ fn dispatch_run(
                 app.randomize_buffers(&mut rng);
                 app
             };
-            replica(spec, run, topo, mirror, make, Whole)
+            single_run(spec, run, topo, mirror, make, Whole)
         }
     }
 }

@@ -1,40 +1,71 @@
-//! Token accounts packed into cache-line-aware shards.
+//! Token accounts in one contiguous allocation, partitioned into shards.
 //!
 //! [`ShardedAccounts`] holds one [`AtomicTokenAccount`] per virtual
-//! client, partitioned into contiguous shards. The partitioning serves
-//! two masters:
+//! client, all of them in one flat slice; a shard is a contiguous range of
+//! it. The layout serves two masters:
 //!
-//! * **The decision hot path** maps a client id to its account with two
-//!   integer ops (divide by the shard block, index into the shard's
-//!   slice) and then operates purely on that one `AtomicI64` — wait-free
-//!   grants, lock-free conditional spends, no shared metadata touched.
-//! * **The granter** applies the per-round Δ grant shard by shard: each
-//!   shard is one contiguous allocation, so a sweep is a linear walk
-//!   over packed 8-byte cells — the prefetcher's favourite food — and
-//!   independent shards can be swept by different threads without ever
-//!   writing to the same cache line (each shard header is 64-byte
-//!   aligned and each shard's cells live in their own allocation).
+//! * **The decision hot path** finds a client's account by indexing the
+//!   flat slice, `&flat[client]` (no division, no pointer to follow), and
+//!   then operates purely on that one `AtomicI64`: wait-free grants,
+//!   lock-free conditional spends, no shared metadata touched.
+//! * **The granter** applies the per-round Δ grant shard by shard; a
+//!   shard's sweep is a linear walk over packed 8-byte cells, and
+//!   independent shards can be swept by different threads.
 //!
-//! The layout is the live-runtime mirror of the sharded simulator's
+//! The partition is the live-runtime mirror of the sharded simulator's
 //! contiguous node blocks (`ta_sim::shard::ShardPlan`): client `i` of a
 //! run maps to the same block in both worlds, which keeps the
-//! live-vs-sim cross-validation a pure index translation.
+//! live-vs-sim cross-validation a pure index translation, and journal
+//! shard ids stable across recovery.
 
 use std::ops::Range;
 
 use token_account::atomic::AtomicTokenAccount;
 
-/// One shard's accounts. The 64-byte alignment keeps neighbouring shard
-/// *headers* (pointer + length) on distinct cache lines, so per-shard
-/// sweeps never false-share metadata.
-#[repr(align(64))]
-#[derive(Debug)]
-struct AccountShard {
-    accounts: Box<[AtomicTokenAccount]>,
+/// The partition rule: `n` clients in `shards` contiguous blocks of
+/// `⌈n / shards⌉` (the last blocks may be shorter, or empty). Recovery
+/// rebuilds it from `(clients, shards)` alone, without a live map.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShardLayout {
+    n: usize,
+    block: usize,
+    shards: usize,
 }
 
-/// All client accounts, partitioned into contiguous cache-line-aware
-/// shards.
+impl ShardLayout {
+    /// The layout of `n` clients; `shards` is clamped to `[1, n]` (an
+    /// empty map keeps one empty shard).
+    pub fn new(n: usize, shards: usize) -> Self {
+        let shards = shards.clamp(1, n.max(1));
+        ShardLayout {
+            n,
+            // `max(1)` keeps `shard_of` total on the empty map.
+            block: n.div_ceil(shards).max(1),
+            shards,
+        }
+    }
+
+    /// Number of shards.
+    #[inline]
+    pub fn shard_count(&self) -> usize {
+        self.shards
+    }
+
+    /// The shard owning `client`.
+    #[inline]
+    pub fn shard_of(&self, client: usize) -> usize {
+        client / self.block
+    }
+
+    /// Client-id range of shard `s` (empty past the last shard).
+    #[inline]
+    pub fn shard_range(&self, s: usize) -> Range<usize> {
+        debug_assert!(s < self.shards, "shard {s} out of range");
+        (s * self.block).min(self.n)..((s + 1) * self.block).min(self.n)
+    }
+}
+
+/// All client accounts in one slice, partitioned by a [`ShardLayout`].
 ///
 /// ```
 /// use ta_live::accounts::ShardedAccounts;
@@ -46,79 +77,61 @@ struct AccountShard {
 /// ```
 #[derive(Debug)]
 pub struct ShardedAccounts {
-    shards: Vec<AccountShard>,
-    /// Clients per shard (the last shard may be shorter).
-    block: usize,
-    n: usize,
+    flat: Box<[AtomicTokenAccount]>,
+    layout: ShardLayout,
 }
 
 impl ShardedAccounts {
-    /// Creates `n` zero-balance accounts in `shards` contiguous blocks.
-    ///
-    /// `shards` is clamped to `[1, n]` (an empty map keeps one empty
-    /// shard so indexing arithmetic stays total).
+    /// Creates `n` zero-balance accounts in `shards` contiguous blocks
+    /// (see [`ShardLayout::new`]).
     pub fn new(n: usize, shards: usize) -> Self {
-        let shards = shards.clamp(1, n.max(1));
-        // `max(1)` keeps the indexing arithmetic total for the empty map
-        // (shard_of/account then take the out-of-bounds panic path
-        // instead of dividing by zero).
-        let block = n.div_ceil(shards).max(1);
-        let shards = (0..shards)
-            .map(|s| {
-                let lo = s * block;
-                let hi = ((s + 1) * block).min(n);
-                AccountShard {
-                    accounts: (lo..hi).map(|_| AtomicTokenAccount::new(0)).collect(),
-                }
-            })
-            .collect();
-        ShardedAccounts { shards, block, n }
+        ShardedAccounts {
+            flat: (0..n).map(|_| AtomicTokenAccount::new(0)).collect(),
+            layout: ShardLayout::new(n, shards),
+        }
     }
 
-    /// Rebuilds a map from recovered balances, preserving the layout
-    /// rule of [`new`](Self::new) (same `n` and `shards` → identical
-    /// client→shard partition, so journal shard ids stay valid).
+    /// Rebuilds a map from recovered balances with the layout of
+    /// [`new`](Self::new) (same `n` and `shards` → identical client→shard
+    /// partition, so journal shard ids stay valid).
     pub fn from_balances(balances: &[i64], shards: usize) -> Self {
-        let n = balances.len();
-        let shards = shards.clamp(1, n.max(1));
-        let block = n.div_ceil(shards).max(1);
-        let shards = (0..shards)
-            .map(|s| {
-                let lo = s * block;
-                let hi = ((s + 1) * block).min(n);
-                AccountShard {
-                    accounts: balances[lo..hi]
-                        .iter()
-                        .map(|&b| AtomicTokenAccount::new(b))
-                        .collect(),
-                }
-            })
-            .collect();
-        ShardedAccounts { shards, block, n }
+        ShardedAccounts {
+            flat: balances
+                .iter()
+                .map(|&b| AtomicTokenAccount::new(b))
+                .collect(),
+            layout: ShardLayout::new(balances.len(), shards),
+        }
     }
 
     /// Number of accounts.
     #[inline]
     pub fn len(&self) -> usize {
-        self.n
+        self.flat.len()
     }
 
     /// Whether the map is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.flat.is_empty()
     }
 
     /// Number of shards.
     #[inline]
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.layout.shard_count()
     }
 
     /// The shard owning `client`.
     #[inline]
     pub fn shard_of(&self, client: usize) -> usize {
-        client / self.block
+        self.layout.shard_of(client)
+    }
+
+    /// Client-id range of shard `s`.
+    #[inline]
+    pub fn shard_range(&self, s: usize) -> Range<usize> {
+        self.layout.shard_range(s)
     }
 
     /// The account of `client` — the decision hot path.
@@ -128,31 +141,20 @@ impl ShardedAccounts {
     /// Panics if `client >= len()`.
     #[inline]
     pub fn account(&self, client: usize) -> &AtomicTokenAccount {
-        &self.shards[client / self.block].accounts[client % self.block]
+        &self.flat[client]
     }
 
     /// The contiguous accounts of shard `s` (granter sweeps).
     #[inline]
     pub fn shard_accounts(&self, s: usize) -> &[AtomicTokenAccount] {
-        &self.shards[s].accounts
-    }
-
-    /// Client-id range of shard `s`.
-    #[inline]
-    pub fn shard_range(&self, s: usize) -> Range<usize> {
-        let lo = s * self.block;
-        lo..(lo + self.shards[s].accounts.len())
+        &self.flat[self.shard_range(s)]
     }
 
     /// Sum of all balances — one side of the token-conservation books
     /// (`tokens_banked − tokens_burned == balances_sum` when accounts
     /// start at zero).
     pub fn balances_sum(&self) -> i64 {
-        self.shards
-            .iter()
-            .flat_map(|s| s.accounts.iter())
-            .map(AtomicTokenAccount::balance)
-            .sum()
+        self.flat.iter().map(AtomicTokenAccount::balance).sum()
     }
 }
 
@@ -197,7 +199,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "index out of bounds")]
-    fn empty_map_account_lookup_panics_on_index_not_division() {
+    fn empty_map_account_lookup_panics_on_index() {
         let _ = ShardedAccounts::new(0, 4).account(0);
     }
 
@@ -217,7 +219,13 @@ mod tests {
     }
 
     #[test]
-    fn shard_headers_are_cache_line_aligned() {
-        assert_eq!(std::mem::align_of::<AccountShard>(), 64);
+    fn shards_are_ranges_of_one_allocation() {
+        // ⌈10/7⌉ = 2 per shard: shards 5 and 6 start past the end, empty.
+        let a = ShardedAccounts::new(10, 7);
+        assert_eq!(a.shard_count(), 7);
+        assert_eq!(a.shard_range(4), 8..10);
+        assert!(a.shard_accounts(5).is_empty() && a.shard_accounts(6).is_empty());
+        let whole = a.shard_accounts(0).as_ptr_range().start;
+        assert!(std::ptr::eq(a.account(9), whole.wrapping_add(9)));
     }
 }

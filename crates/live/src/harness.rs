@@ -36,8 +36,8 @@ use ta_sim::engine::{AlwaysOn, Driver, SimApi, Simulation};
 use ta_sim::rng::Xoshiro256pp;
 use ta_sim::{NodeId, SimDuration};
 use token_account::node::{RoundAction, TokenNode};
-use token_account::spec::{StrategySpec, StrategyVisitor};
-use token_account::{InvalidStrategyError, Strategy, Usefulness};
+use token_account::spec::StrategySpec;
+use token_account::{DecisionTable, InvalidStrategyError, Strategy, Usefulness};
 
 use crate::counters::LiveCounters;
 use crate::runtime::LiveRuntime;
@@ -100,8 +100,8 @@ pub struct SideOutcome {
 
 /// The sim-side driver: sequential Algorithm 4 over engine events, with
 /// trace recording (see the [module docs](self)).
-pub struct AdmissionDriver<S: Strategy> {
-    strategy: S,
+pub struct AdmissionDriver {
+    table: DecisionTable,
     nodes: Vec<TokenNode>,
     rngs: Vec<Xoshiro256pp>,
     useful_probability: f64,
@@ -109,11 +109,16 @@ pub struct AdmissionDriver<S: Strategy> {
     trace: Vec<TraceEvent>,
 }
 
-impl<S: Strategy> AdmissionDriver<S> {
+impl AdmissionDriver {
     /// Builds the driver for `clients` zero-balance nodes.
-    pub fn new(strategy: S, clients: usize, decision_seed: u64, useful_probability: f64) -> Self {
+    pub fn new(
+        strategy: impl Strategy + 'static,
+        clients: usize,
+        decision_seed: u64,
+        useful_probability: f64,
+    ) -> Self {
         AdmissionDriver {
-            strategy,
+            table: DecisionTable::new(strategy),
             nodes: vec![TokenNode::new(0); clients],
             rngs: (0..clients)
                 .map(|c| decision_stream(decision_seed, c))
@@ -133,10 +138,10 @@ impl<S: Strategy> AdmissionDriver<S> {
     }
 }
 
-impl<S: Strategy> std::fmt::Debug for AdmissionDriver<S> {
+impl std::fmt::Debug for AdmissionDriver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AdmissionDriver")
-            .field("strategy", &self.strategy.label())
+            .field("strategy", &self.table.strategy().label())
             .field("clients", &self.nodes.len())
             .field("counters", &self.counters)
             .field("trace_events", &self.trace.len())
@@ -144,7 +149,7 @@ impl<S: Strategy> std::fmt::Debug for AdmissionDriver<S> {
     }
 }
 
-impl<S: Strategy> Driver for AdmissionDriver<S> {
+impl Driver for AdmissionDriver {
     /// Request usefulness rides the message payload.
     type Msg = bool;
 
@@ -156,7 +161,7 @@ impl<S: Strategy> Driver for AdmissionDriver<S> {
             kind: TraceKind::Round,
         });
         self.counters.rounds += 1;
-        match self.nodes[i].on_round(&self.strategy, &mut self.rngs[i]) {
+        match self.nodes[i].on_round(&self.table, &mut self.rngs[i]) {
             RoundAction::SendProactive => self.counters.proactive_sent += 1,
             RoundAction::SaveToken => self.counters.tokens_banked += 1,
         }
@@ -171,7 +176,7 @@ impl<S: Strategy> Driver for AdmissionDriver<S> {
         });
         self.counters.requests += 1;
         let burst = self.nodes[i].on_message(
-            &self.strategy,
+            &self.table,
             Usefulness::from_bool(useful),
             &mut self.rngs[i],
         );
@@ -232,7 +237,10 @@ impl OracleWorkload {
 /// # Panics
 ///
 /// Panics if the workload parameters fail [`SimConfig`] validation.
-pub fn run_sim_oracle<S: Strategy>(strategy: S, w: &OracleWorkload) -> (SideOutcome, ArrivalTrace) {
+pub fn run_sim_oracle(
+    strategy: impl Strategy + 'static,
+    w: &OracleWorkload,
+) -> (SideOutcome, ArrivalTrace) {
     let cfg = SimConfig::builder(w.clients)
         .delta(w.delta)
         .transfer_time(SimDuration::from_micros((w.delta.as_micros() / 100).max(1)))
@@ -260,8 +268,8 @@ pub fn run_sim_oracle<S: Strategy>(strategy: S, w: &OracleWorkload) -> (SideOutc
 /// virtual clock: `workers` threads each own a contiguous client block
 /// and process their clients' events in trace order. Deterministic and
 /// *exactly* equal to the sim side for every worker and shard count.
-pub fn replay_trace<S: Strategy>(
-    strategy: S,
+pub fn replay_trace(
+    strategy: impl Strategy + 'static,
     trace: &ArrivalTrace,
     workers: usize,
     account_shards: usize,
@@ -349,8 +357,8 @@ impl RealtimeOutcome {
 /// wall-clock time, so only distributional agreement with the sim is
 /// expected — plus exact token conservation, which holds under any
 /// interleaving.
-pub fn replay_realtime<S: Strategy>(
-    strategy: S,
+pub fn replay_realtime(
+    strategy: impl Strategy + 'static,
     trace: &ArrivalTrace,
     workers: usize,
     account_shards: usize,
@@ -470,7 +478,7 @@ impl CrossValidation {
 
 /// Runs the full cross-validation for one strategy: sim oracle, then a
 /// virtual-clock replay with the given parallelism.
-pub fn live_vs_sim<S: Strategy + Clone>(
+pub fn live_vs_sim<S: Strategy + Clone + 'static>(
     strategy: S,
     workload: &OracleWorkload,
     workers: usize,
@@ -481,22 +489,7 @@ pub fn live_vs_sim<S: Strategy + Clone>(
     CrossValidation { sim, live }
 }
 
-/// Monomorphizing bridge for serializable specs.
-struct CrossValidationVisitor<'a> {
-    workload: &'a OracleWorkload,
-    workers: usize,
-    account_shards: usize,
-}
-
-impl StrategyVisitor for CrossValidationVisitor<'_> {
-    type Output = CrossValidation;
-    fn visit<S: Strategy + Clone + 'static>(self, strategy: S) -> CrossValidation {
-        live_vs_sim(strategy, self.workload, self.workers, self.account_shards)
-    }
-}
-
-/// [`live_vs_sim`] for a serializable [`StrategySpec`], monomorphized via
-/// the visitor.
+/// [`live_vs_sim`] for a serializable [`StrategySpec`].
 ///
 /// # Errors
 ///
@@ -507,11 +500,9 @@ pub fn live_vs_sim_spec(
     workers: usize,
     account_shards: usize,
 ) -> Result<CrossValidation, InvalidStrategyError> {
-    spec.dispatch(CrossValidationVisitor {
-        workload,
-        workers,
-        account_shards,
-    })
+    let (sim, trace) = run_sim_oracle(spec.build()?, workload);
+    let live = replay_trace(spec.build()?, &trace, workers, account_shards);
+    Ok(CrossValidation { sim, live })
 }
 
 #[cfg(test)]

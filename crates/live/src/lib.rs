@@ -8,8 +8,8 @@
 //!
 //! | Module | Contents |
 //! |--------|----------|
-//! | [`accounts`] | [`ShardedAccounts`]: cache-line-aware shards of lock-free atomic accounts |
-//! | [`runtime`] | [`LiveRuntime`]: the monomorphized admission hot path + granter sweeps |
+//! | [`accounts`] | [`ShardedAccounts`]: lock-free atomic accounts in one allocation, partitioned into shards |
+//! | [`runtime`] | [`LiveRuntime`]: the compiled-table admission hot path + granter sweeps |
 //! | [`loadgen`] | closed/open-loop load generation, Poisson & bursty mixes, latency histograms |
 //! | [`histogram`] | allocation-free HDR-style log-linear [`LatencyHistogram`] |
 //! | [`counters`] | [`LiveCounters`] and the exact token-conservation books |
@@ -21,8 +21,9 @@
 //!
 //! The decision hot path is wait-free for grants (`fetch_add`) and
 //! lock-free for spends (a CAS loop that can never overdraw), performs
-//! no allocation, and is monomorphized over the concrete strategy via
-//! [`token_account::StrategyVisitor`] — no boxing, no virtual calls.
+//! no allocation, and decides by integer comparisons against the
+//! strategy's [`DecisionTable`](token_account::DecisionTable), compiled
+//! once per run — no float math, no virtual calls.
 //!
 //! **Validation.** The [`harness`] runs the same *(strategy × arrival
 //! trace)* through the discrete-event engine and the live runtime:

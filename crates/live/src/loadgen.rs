@@ -37,7 +37,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use token_account::spec::{StrategySpec, StrategyVisitor};
+use token_account::spec::StrategySpec;
 use token_account::{InvalidStrategyError, Strategy, Usefulness};
 
 use ta_sim::rng::Xoshiro256pp;
@@ -156,8 +156,8 @@ impl LoadGenReport {
     }
 }
 
-/// Runs the load generator with a concrete (monomorphized) strategy.
-pub fn run_loadgen<S: Strategy>(strategy: S, cfg: &LoadGenConfig) -> LoadGenReport {
+/// Runs the load generator with `strategy`, compiled once.
+pub fn run_loadgen(strategy: impl Strategy + 'static, cfg: &LoadGenConfig) -> LoadGenReport {
     let runtime = LiveRuntime::new(strategy, cfg.clients, cfg.account_shards);
     run_on_runtime(&runtime, cfg, None, None, None, None).0
 }
@@ -165,8 +165,8 @@ pub fn run_loadgen<S: Strategy>(strategy: S, cfg: &LoadGenConfig) -> LoadGenRepo
 /// [`run_loadgen`] with telemetry attached: workers publish counter
 /// deltas to `telem`'s registry and sampled decisions to its trace
 /// rings while the run is in flight.
-pub fn run_loadgen_observed<S: Strategy>(
-    strategy: S,
+pub fn run_loadgen_observed(
+    strategy: impl Strategy + 'static,
     cfg: &LoadGenConfig,
     telem: &LiveTelemetry,
 ) -> LoadGenReport {
@@ -193,8 +193,8 @@ pub struct DurableStats {
 /// starts from zero balances. The caller keeps ownership of
 /// `persistence` — call [`Persistence::shutdown`] (or
 /// [`Persistence::sync`]) afterwards to make the tail durable.
-pub fn run_loadgen_durable<S: Strategy>(
-    strategy: S,
+pub fn run_loadgen_durable(
+    strategy: impl Strategy + 'static,
     cfg: &LoadGenConfig,
     persistence: &Persistence,
     snapshot_every: Option<Duration>,
@@ -214,8 +214,8 @@ pub fn run_loadgen_durable<S: Strategy>(
 /// [`run_loadgen_durable`] with telemetry attached: additionally
 /// instruments the journal writer, snapshot freezes, and (for resumed
 /// runs) recovery replay progress.
-pub fn run_loadgen_durable_observed<S: Strategy>(
-    strategy: S,
+pub fn run_loadgen_durable_observed(
+    strategy: impl Strategy + 'static,
     cfg: &LoadGenConfig,
     persistence: &Persistence,
     snapshot_every: Option<Duration>,
@@ -234,8 +234,8 @@ pub fn run_loadgen_durable_observed<S: Strategy>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn run_loadgen_durable_inner<S: Strategy>(
-    strategy: S,
+fn run_loadgen_durable_inner(
+    strategy: impl Strategy + 'static,
     cfg: &LoadGenConfig,
     persistence: &Persistence,
     snapshot_every: Option<Duration>,
@@ -280,8 +280,8 @@ fn run_loadgen_durable_inner<S: Strategy>(
 /// The shared run loop: spawns the granter, the workers, (durable runs
 /// only) the snapshotter, and (supervised runs only) the health
 /// supervisor over a caller-built runtime.
-fn run_on_runtime<S: Strategy>(
-    runtime: &LiveRuntime<S>,
+fn run_on_runtime(
+    runtime: &LiveRuntime,
     cfg: &LoadGenConfig,
     persistence: Option<&Persistence>,
     snapshot_every: Option<Duration>,
@@ -461,9 +461,9 @@ struct GranterShared {
 
 /// Spawns one granter generation onto the run's scope.
 #[allow(clippy::too_many_arguments)]
-fn spawn_granter<'scope, S: Strategy>(
+fn spawn_granter<'scope>(
     scope: &'scope std::thread::Scope<'scope, '_>,
-    runtime: &'scope LiveRuntime<S>,
+    runtime: &'scope LiveRuntime,
     cfg: &'scope LoadGenConfig,
     period: Duration,
     start: Instant,
@@ -486,8 +486,8 @@ fn spawn_granter<'scope, S: Strategy>(
 /// One granter generation: claims rounds off the shared counter and
 /// sweeps them until stopped or superseded.
 #[allow(clippy::too_many_arguments)]
-fn granter_loop<S: Strategy>(
-    runtime: &LiveRuntime<S>,
+fn granter_loop(
+    runtime: &LiveRuntime,
     cfg: &LoadGenConfig,
     period: Duration,
     start: Instant,
@@ -566,9 +566,9 @@ fn granter_loop<S: Strategy>(
 /// The health supervisor: sweeps the board a few times per heartbeat
 /// deadline, and restarts the granter when its beat goes stale.
 #[allow(clippy::too_many_arguments)]
-fn supervisor_loop<'scope, S: Strategy>(
+fn supervisor_loop<'scope>(
     scope: &'scope std::thread::Scope<'scope, '_>,
-    runtime: &'scope LiveRuntime<S>,
+    runtime: &'scope LiveRuntime,
     cfg: &'scope LoadGenConfig,
     start: Instant,
     stop: &'scope AtomicBool,
@@ -632,8 +632,8 @@ const CLOSED_TIMED_1_IN: u32 = 64;
 
 /// One worker: a contiguous client block `lo..lo + block` with its own
 /// stream, books and handles.
-struct Client<'a, S: Strategy> {
-    runtime: &'a LiveRuntime<S>,
+struct Client<'a> {
+    runtime: &'a LiveRuntime,
     cfg: &'a LoadGenConfig,
     lo: usize,
     block: u64,
@@ -647,7 +647,7 @@ struct Client<'a, S: Strategy> {
     untimed: u32,
 }
 
-impl<S: Strategy> Client<'_, S> {
+impl Client<'_> {
     /// One arrival — the step both arrival modes share: picks a client,
     /// draws the burst and each request's usefulness, admits, offers the
     /// decision to the trace sampler. Decisions `0, n, 2n, …` of the
@@ -669,7 +669,11 @@ impl<S: Strategy> Client<'_, S> {
                 None => runtime.admit(client, usefulness, rng, counters),
             };
             if let Some(t0) = t0 {
-                self.histogram.record(t0.elapsed().as_nanos() as u64);
+                let ns = t0.elapsed().as_nanos() as u64;
+                self.histogram.record(ns);
+                if let Some(t) = self.telem.as_mut() {
+                    t.record_admit(ns);
+                }
                 self.untimed = timed_1_in;
             }
             self.untimed -= 1;
@@ -697,11 +701,11 @@ impl<S: Strategy> Client<'_, S> {
     }
 
     /// Chunk boundary: one idle window for a waiting snapshotter to slip
-    /// through, and the counter/histogram deltas go to the registry.
+    /// through, and the counter deltas go to the registry.
     fn end_chunk(&mut self) {
         self.epoch(false);
         if let Some(t) = self.telem.as_mut() {
-            t.flush(&self.counters, &self.histogram);
+            t.flush(&self.counters);
         }
     }
 
@@ -761,23 +765,6 @@ impl<S: Strategy> Client<'_, S> {
     }
 }
 
-/// Monomorphizing bridge: builds the concrete strategy named by `spec`
-/// and runs the load generator with it — the whole decision path compiles
-/// with the strategy type known statically.
-struct LoadGenVisitor<'a> {
-    cfg: &'a LoadGenConfig,
-    telem: Option<&'a LiveTelemetry>,
-    board: Option<&'a Arc<HealthBoard>>,
-}
-
-impl StrategyVisitor for LoadGenVisitor<'_> {
-    type Output = LoadGenReport;
-    fn visit<S: Strategy + Clone + 'static>(self, strategy: S) -> LoadGenReport {
-        let runtime = LiveRuntime::new(strategy, self.cfg.clients, self.cfg.account_shards);
-        run_on_runtime(&runtime, self.cfg, None, None, self.telem, self.board).0
-    }
-}
-
 /// Runs the load generator for a serializable [`StrategySpec`].
 ///
 /// # Errors
@@ -787,11 +774,7 @@ pub fn run_loadgen_spec(
     spec: StrategySpec,
     cfg: &LoadGenConfig,
 ) -> Result<LoadGenReport, InvalidStrategyError> {
-    spec.dispatch(LoadGenVisitor {
-        cfg,
-        telem: None,
-        board: None,
-    })
+    Ok(run_loadgen(spec.build()?, cfg))
 }
 
 /// [`run_loadgen_observed`] for a serializable [`StrategySpec`].
@@ -804,11 +787,7 @@ pub fn run_loadgen_observed_spec(
     cfg: &LoadGenConfig,
     telem: &LiveTelemetry,
 ) -> Result<LoadGenReport, InvalidStrategyError> {
-    spec.dispatch(LoadGenVisitor {
-        cfg,
-        telem: Some(telem),
-        board: None,
-    })
+    Ok(run_loadgen_observed(spec.build()?, cfg, telem))
 }
 
 /// [`run_loadgen_spec`] under supervision: spawns the health supervisor
@@ -825,36 +804,8 @@ pub fn run_loadgen_supervised_spec(
     telem: Option<&LiveTelemetry>,
     board: &Arc<HealthBoard>,
 ) -> Result<LoadGenReport, InvalidStrategyError> {
-    spec.dispatch(LoadGenVisitor {
-        cfg,
-        telem,
-        board: Some(board),
-    })
-}
-
-/// Monomorphizing bridge for [`run_loadgen_durable`].
-struct DurableVisitor<'a> {
-    cfg: &'a LoadGenConfig,
-    persistence: &'a Persistence,
-    snapshot_every: Option<Duration>,
-    recovered: Option<&'a RecoveredState>,
-    telem: Option<&'a LiveTelemetry>,
-    board: Option<&'a Arc<HealthBoard>>,
-}
-
-impl StrategyVisitor for DurableVisitor<'_> {
-    type Output = (LoadGenReport, DurableStats);
-    fn visit<S: Strategy + Clone + 'static>(self, strategy: S) -> Self::Output {
-        run_loadgen_durable_inner(
-            strategy,
-            self.cfg,
-            self.persistence,
-            self.snapshot_every,
-            self.recovered,
-            self.telem,
-            self.board,
-        )
-    }
+    let runtime = LiveRuntime::new(spec.build()?, cfg.clients, cfg.account_shards);
+    Ok(run_on_runtime(&runtime, cfg, None, None, telem, Some(board)).0)
 }
 
 /// [`run_loadgen_durable`] for a serializable [`StrategySpec`].
@@ -869,14 +820,14 @@ pub fn run_loadgen_durable_spec(
     snapshot_every: Option<Duration>,
     recovered: Option<&RecoveredState>,
 ) -> Result<(LoadGenReport, DurableStats), InvalidStrategyError> {
-    spec.dispatch(DurableVisitor {
+    let strategy = spec.build()?;
+    Ok(run_loadgen_durable(
+        strategy,
         cfg,
         persistence,
         snapshot_every,
         recovered,
-        telem: None,
-        board: None,
-    })
+    ))
 }
 
 /// [`run_loadgen_durable_observed`] for a serializable [`StrategySpec`].
@@ -892,14 +843,15 @@ pub fn run_loadgen_durable_observed_spec(
     recovered: Option<&RecoveredState>,
     telem: &LiveTelemetry,
 ) -> Result<(LoadGenReport, DurableStats), InvalidStrategyError> {
-    spec.dispatch(DurableVisitor {
+    let strategy = spec.build()?;
+    Ok(run_loadgen_durable_observed(
+        strategy,
         cfg,
         persistence,
         snapshot_every,
         recovered,
-        telem: Some(telem),
-        board: None,
-    })
+        telem,
+    ))
 }
 
 /// [`run_loadgen_durable_spec`] under supervision: additionally attaches
@@ -919,14 +871,15 @@ pub fn run_loadgen_durable_supervised_spec(
     telem: Option<&LiveTelemetry>,
     board: &Arc<HealthBoard>,
 ) -> Result<(LoadGenReport, DurableStats), InvalidStrategyError> {
-    spec.dispatch(DurableVisitor {
+    Ok(run_loadgen_durable_inner(
+        spec.build()?,
         cfg,
         persistence,
         snapshot_every,
         recovered,
         telem,
-        board: Some(board),
-    })
+        Some(board),
+    ))
 }
 
 #[cfg(test)]
@@ -1052,7 +1005,9 @@ mod tests {
         assert!(out.iter().all(|r| (r.client as usize) < cfg.clients));
     }
 
-    /// A strategy whose first reactive evaluation panics.
+    /// A strategy whose first reactive evaluation panics. It is unbounded
+    /// and allows no debt, so its table has no rows: the formulas decide
+    /// every balance, inside the worker.
     #[derive(Debug, Clone)]
     struct PanickingStrategy;
 
@@ -1064,7 +1019,7 @@ mod tests {
             panic!("reactive blew up")
         }
         fn capacity(&self) -> token_account::Capacity {
-            token_account::Capacity::Finite(1)
+            token_account::Capacity::Unbounded
         }
         fn name(&self) -> &'static str {
             "panicking"
@@ -1141,11 +1096,14 @@ mod tests {
         assert_eq!(snap.counter(c::ROUND_PROACTIVE_SENT), m.proactive_sent);
         assert_eq!(snap.counter(c::ROUND_TOKENS_BANKED), m.tokens_banked);
         assert_eq!(snap.counter(c::GRANTER_ACCOUNTS), m.rounds);
+        // The registry's `admit_ns` is the merge of the workers' own
+        // histograms, bucket for bucket: each timed sample goes to both.
         let (admit, own) = (snap.hist(h::ADMIT_NS), &report.histogram);
         assert_eq!(
             (admit.count(), admit.sum(), admit.max()),
             (own.count(), own.sum(), own.max())
         );
+        assert_eq!(admit.buckets(), own.buckets());
         // Sample interval 1: every decision sampled; ring accounting
         // closes against the sampled total.
         assert_eq!(snap.counter(c::TRACE_SAMPLED), m.requests);

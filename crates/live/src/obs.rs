@@ -694,13 +694,12 @@ mod tests {
         let early = bus.subscribe();
         let mut wt = telem.worker(0);
         let mut counters = LiveCounters::default();
-        let mut hist = ta_telemetry::LatencyHistogram::new();
         // Totals stay under TRACE_QUEUE so the unread test subscribers
         // can still take the EOS trailer after the fact.
         for i in 0..600u64 {
             counters.requests += 1;
             counters.reactive_held += 1;
-            hist.record(50);
+            wt.record_admit(50);
             wt.trace(i as usize, Decision::Hold, || 0);
         }
         // A late subscriber misses everything already drained.
@@ -709,10 +708,10 @@ mod tests {
         for i in 0..400u64 {
             counters.requests += 1;
             counters.reactive_held += 1;
-            hist.record(50);
+            wt.record_admit(50);
             wt.trace(i as usize, Decision::Hold, || 0);
         }
-        wt.flush(&counters, &hist);
+        wt.flush(&counters);
         // Let the bus drain the rings dry before closing the books.
         std::thread::sleep(Duration::from_millis(50));
         let snap = telem.snapshot();
@@ -817,14 +816,13 @@ mod tests {
         }
         let mut wt = telem.worker(0);
         let mut counters = LiveCounters::default();
-        let mut hist = ta_telemetry::LatencyHistogram::new();
         for i in 0..1_000u64 {
             counters.requests += 1;
             counters.reactive_held += 1;
-            hist.record(10);
+            wt.record_admit(10);
             wt.trace(i as usize, Decision::Hold, || 0);
         }
-        wt.flush(&counters, &hist);
+        wt.flush(&counters);
         std::thread::sleep(Duration::from_millis(50));
         pump.finalize();
         let snap = telem.snapshot();

@@ -35,6 +35,7 @@ use std::path::{Path, PathBuf};
 
 use super::journal::{self, FrameError, FrameView};
 use super::{read_into, read_manifest, snapshot, Manifest};
+use crate::accounts::ShardLayout;
 
 /// One event where recovery discarded data it could not trust.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -326,7 +327,7 @@ fn pick_base(
 
 /// The replay accumulator: the base plus every record folded so far.
 struct Fold {
-    geometry: ShardGeometry,
+    geometry: ShardLayout,
     watermarks: Vec<u64>,
     balances: Vec<i64>,
     granted: Vec<u64>,
@@ -338,7 +339,7 @@ struct Fold {
 impl Fold {
     fn new(manifest: &Manifest, base: Base) -> Self {
         Fold {
-            geometry: ShardGeometry::new(manifest.clients, manifest.shards),
+            geometry: ShardLayout::new(manifest.clients, manifest.shards),
             next_seq: base.watermarks.clone(),
             watermarks: base.watermarks,
             balances: base.balances,
@@ -406,67 +407,10 @@ impl Fold {
     }
 }
 
-/// The client→shard partition rule of
-/// [`ShardedAccounts`](crate::accounts::ShardedAccounts), reproduced
-/// from `(clients, shards)` alone so recovery needs no live map.
-struct ShardGeometry {
-    block: usize,
-    n: usize,
-    shards: usize,
-}
-
-impl ShardGeometry {
-    fn new(n: usize, shards: usize) -> Self {
-        let shards = shards.clamp(1, n.max(1));
-        ShardGeometry {
-            block: n.div_ceil(shards).max(1),
-            n,
-            shards,
-        }
-    }
-
-    fn shard_range(&self, s: usize) -> std::ops::Range<usize> {
-        let lo = (s * self.block).min(self.n);
-        let hi = ((s + 1) * self.block).min(self.n);
-        debug_assert!(s < self.shards);
-        lo..hi
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::{write_manifest, Manifest};
     use super::*;
-    use crate::accounts::ShardedAccounts;
-
-    #[test]
-    fn geometry_matches_sharded_accounts() {
-        for (n, shards) in [
-            (10usize, 4usize),
-            (10, 1),
-            (1, 8),
-            (7, 7),
-            (64, 3),
-            (100, 16),
-        ] {
-            let a = ShardedAccounts::new(n, shards);
-            let g = ShardGeometry::new(n, shards);
-            assert_eq!(g.shards, a.shard_count());
-            for s in 0..a.shard_count() {
-                // Trailing over-partitioned shards are empty in both
-                // views but anchor at different (irrelevant) offsets.
-                let (got, want) = (g.shard_range(s), a.shard_range(s));
-                if want.is_empty() {
-                    assert!(got.is_empty(), "({n},{shards}) shard {s}");
-                } else {
-                    assert_eq!(got, want, "({n},{shards}) shard {s}");
-                }
-            }
-            for c in 0..n {
-                assert!(g.shard_range(a.shard_of(c)).contains(&c));
-            }
-        }
-    }
 
     #[test]
     fn empty_domain_recovers_to_zero() {

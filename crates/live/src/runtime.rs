@@ -1,16 +1,19 @@
 //! The concurrent admission runtime: strategy + sharded accounts.
 //!
-//! [`LiveRuntime`] is the shared, immutable heart of the live system: a
-//! monomorphized [`LiveStrategy`] plus the [`ShardedAccounts`] map. All
+//! [`LiveRuntime`] is the shared, immutable heart of the live system: the
+//! strategy compiled into a [`LiveStrategy`] (a
+//! [`DecisionTable`](token_account::table::DecisionTable)) plus the
+//! [`ShardedAccounts`] map. All
 //! methods take `&self`; worker threads and the granter share one
 //! instance behind a plain reference (scoped threads) or an `Arc`.
 //!
 //! Two entry points mirror Algorithm 4's two events:
 //!
 //! * [`admit`](LiveRuntime::admit) — a request arrived for a client;
-//!   evaluate `REACTIVE` and burn tokens. This is the worker hot path:
-//!   one RNG draw, one atomic load, at most one CAS loop, a few counter
-//!   increments — no allocation, no locks, no dispatch.
+//!   look `REACTIVE` up and burn tokens. This is the worker hot path:
+//!   one slice index, one atomic load, one table row, at most one RNG
+//!   draw and one CAS loop, a few counter increments — no float math, no
+//!   division, no allocation, no locks, no dispatch.
 //! * [`round`](LiveRuntime::round) / [`round_sweep`](LiveRuntime::round_sweep)
 //!   — one client's round tick, or a whole shard's. The granter thread
 //!   calls `round_sweep` once per shard per Δ, walking the shard's
@@ -39,15 +42,15 @@ const SWEEP_FENCE_CHUNK: usize = 1024;
 
 /// The shared admission runtime (see the [module docs](self)).
 #[derive(Debug)]
-pub struct LiveRuntime<S: Strategy> {
-    strategy: LiveStrategy<S>,
+pub struct LiveRuntime {
+    strategy: LiveStrategy,
     accounts: ShardedAccounts,
 }
 
-impl<S: Strategy> LiveRuntime<S> {
-    /// Builds the runtime for `clients` zero-balance accounts in `shards`
-    /// blocks.
-    pub fn new(strategy: S, clients: usize, shards: usize) -> Self {
+impl LiveRuntime {
+    /// Compiles `strategy` and builds the runtime for `clients`
+    /// zero-balance accounts in `shards` blocks.
+    pub fn new(strategy: impl Strategy + 'static, clients: usize, shards: usize) -> Self {
         LiveRuntime {
             strategy: LiveStrategy::new(strategy),
             accounts: ShardedAccounts::new(clients, shards),
@@ -60,9 +63,9 @@ impl<S: Strategy> LiveRuntime<S> {
         &self.accounts
     }
 
-    /// The strategy adapter.
+    /// The compiled strategy.
     #[inline]
-    pub fn strategy(&self) -> &LiveStrategy<S> {
+    pub fn strategy(&self) -> &LiveStrategy {
         &self.strategy
     }
 
@@ -217,7 +220,7 @@ impl<S: Strategy> LiveRuntime<S> {
 
     /// Rebuilds a runtime from a verified [`RecoveredState`]: same
     /// client→shard layout, balances restored exactly.
-    pub fn from_recovered(strategy: S, state: &RecoveredState) -> Self {
+    pub fn from_recovered(strategy: impl Strategy + 'static, state: &RecoveredState) -> Self {
         LiveRuntime {
             strategy: LiveStrategy::new(strategy),
             accounts: ShardedAccounts::from_balances(&state.balances, state.shards),

@@ -11,7 +11,10 @@
 //!   [`LiveCounters`] exactly as before and publish *deltas* to their
 //!   registry lane once per load-generator chunk
 //!   ([`WorkerTelem::flush`]), so the hot path gains one sampler check
-//!   per decision ([`WorkerTelem::trace`]).
+//!   per decision ([`WorkerTelem::trace`]). A timed decision's latency
+//!   goes straight into the lane's `admit_ns` buckets
+//!   ([`WorkerTelem::record_admit`]): publishing costs O(samples), not
+//!   O(buckets).
 //! * Decision tracing is gated by a [`SampleGate`]: at `N = 0` the
 //!   per-decision cost is a single relaxed load and a branch; at
 //!   `N = k` every `k`-th decision reads the post-decision balance and
@@ -27,8 +30,8 @@
 use std::sync::{Arc, Mutex};
 
 use ta_telemetry::{
-    mono_ns, trace_ring, Handle, LatencyHistogram, Registry, SampleGate, Sampler, Snapshot,
-    TraceConsumer, TraceProducer, TraceRecord,
+    mono_ns, trace_ring, Handle, Registry, SampleGate, Sampler, Snapshot, TraceConsumer,
+    TraceProducer, TraceRecord,
 };
 use token_account::live::Decision;
 
@@ -317,7 +320,6 @@ impl LiveTelemetry {
             sampled_sent: 0,
             sampled_held: 0,
             last_dropped: 0,
-            hist_last: LatencyHistogram::new(),
         }
     }
 }
@@ -370,8 +372,7 @@ impl LaneFlush {
 }
 
 /// One worker thread's telemetry state: its lane flusher, its sampler,
-/// its last-published latency histogram copy, and (when tracing) its
-/// ring producer.
+/// and (when tracing) its ring producer.
 #[derive(Debug)]
 pub(crate) struct WorkerTelem {
     flush: LaneFlush,
@@ -381,7 +382,6 @@ pub(crate) struct WorkerTelem {
     sampled_sent: u64,
     sampled_held: u64,
     last_dropped: u64,
-    hist_last: LatencyHistogram,
 }
 
 impl WorkerTelem {
@@ -423,10 +423,16 @@ impl WorkerTelem {
         }
     }
 
-    /// Per-chunk (and worker-exit) publish: everything `counters` and
-    /// `hist` — the worker's own running books — gained since the last
-    /// call, the histogram as bucket deltas, plus the sampling tallies.
-    pub(crate) fn flush(&mut self, counters: &LiveCounters, hist: &LatencyHistogram) {
+    /// One timed decision's latency, into the lane's `admit_ns`.
+    #[inline]
+    pub(crate) fn record_admit(&self, ns: u64) {
+        self.flush.handle().hist_record(h::ADMIT_NS, ns);
+    }
+
+    /// Per-chunk (and worker-exit) publish: everything `counters` — the
+    /// worker's own running books — gained since the last call, plus the
+    /// sampling tallies.
+    pub(crate) fn flush(&mut self, counters: &LiveCounters) {
         self.flush.flush(counters);
         let h = self.flush.handle();
         h.add(c::TRACE_SAMPLED, std::mem::take(&mut self.sampled));
@@ -438,7 +444,6 @@ impl WorkerTelem {
             c::TRACE_SAMPLED_HELD,
             std::mem::take(&mut self.sampled_held),
         );
-        h.hist_flush_delta(h::ADMIT_NS, hist, &mut self.hist_last);
         if let Some(p) = self.producer.as_ref() {
             let dropped = p.ring().dropped();
             h.add(c::TRACE_DROPPED, dropped - self.last_dropped);
@@ -542,10 +547,11 @@ mod tests {
         let t = LiveTelemetry::new(1, 1, 1024);
         let mut wt = t.worker(0);
         let mut counters = LiveCounters::default();
-        let mut hist = LatencyHistogram::new();
+        let mut hist = ta_telemetry::LatencyHistogram::new();
         for i in 0..600u64 {
             counters.requests += 1;
             hist.record(100 + i);
+            wt.record_admit(100 + i);
             let d = if i % 3 == 0 {
                 counters.reactive_sent += 2;
                 Decision::ReactiveSend(2)
@@ -555,16 +561,17 @@ mod tests {
             };
             wt.trace(i as usize, d, || 42 - i as i64);
             if i % 256 == 255 {
-                wt.flush(&counters, &hist);
+                wt.flush(&counters);
             }
         }
-        wt.flush(&counters, &hist);
+        wt.flush(&counters);
         let snap = t.snapshot();
         assert_eq!(snap.counter(c::ADMIT_REQUESTS), 600);
-        let admit = snap.hist(h::ADMIT_NS);
-        assert_eq!(admit.count(), 600);
-        assert_eq!(admit.sum(), hist.sum());
-        assert_eq!(admit.max(), hist.max());
+        assert_eq!(
+            snap.hist(h::ADMIT_NS),
+            &hist,
+            "admit_ns is the worker's histogram"
+        );
         assert_eq!(snap.counter(c::TRACE_SAMPLED), 600);
         assert_eq!(snap.counter(c::TRACE_SAMPLED_SENT), 200);
         assert_eq!(snap.counter(c::TRACE_SAMPLED_HELD), 400);

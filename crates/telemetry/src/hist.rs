@@ -5,8 +5,8 @@
 //! so relative precision is bounded at ~3% across the whole `u64` range
 //! while the record path is a handful of integer ops and one array
 //! increment. [`LatencyHistogram`] is the owned, single-thread form (no
-//! atomics: each worker owns one and merges after the run, or publishes
-//! deltas into a registered histogram instrument — see
+//! atomics: each worker owns one and merges after the run, and may record
+//! each sample into a registered histogram instrument too — see
 //! [`Registry::with_hists`](crate::Registry::with_hists)); the shared
 //! bucket math ([`bucket_index`] / [`bucket_value`]) is also what the
 //! registry's per-lane atomic bucket blocks use, so owned and registered

@@ -262,10 +262,9 @@ impl Handle {
     }
 
     /// Records one sample into histogram slot `h` on this lane: one
-    /// relaxed bucket increment, one relaxed sum add, one `fetch_max`.
-    /// Cheap enough for cold sites (fsyncs, sweeps); hot paths should
-    /// accumulate into an owned [`LatencyHistogram`] and publish deltas
-    /// with [`hist_merge`](Self::hist_merge) instead.
+    /// relaxed bucket increment, one relaxed sum add, one `fetch_max`, all
+    /// on the lane's own cache lines. Cheap enough for cold sites (fsyncs,
+    /// sweeps) and for sampled hot-path timings (one decision in 64).
     #[inline]
     pub fn hist_record(&self, h: usize, value: u64) {
         let block = self.hist_block(h);
@@ -284,28 +283,6 @@ impl Handle {
         }
         block.sum.fetch_add(delta.sum(), Ordering::Relaxed);
         block.max.fetch_max(delta.max(), Ordering::Relaxed);
-    }
-
-    /// Publishes the difference between a running total `now` and the
-    /// previously published copy `last` into histogram slot `h`, then
-    /// advances `last` — the delta-flush idiom hot paths use so the
-    /// per-sample cost stays a plain non-atomic array increment.
-    pub fn hist_flush_delta(&self, h: usize, now: &LatencyHistogram, last: &mut LatencyHistogram) {
-        if now.count() == last.count() {
-            return;
-        }
-        let block = self.hist_block(h);
-        for ((idx, cur), prev) in now.buckets().iter().enumerate().zip(last.buckets()) {
-            let diff = cur - prev;
-            if diff > 0 {
-                block.counts[idx].fetch_add(diff, Ordering::Relaxed);
-            }
-        }
-        block
-            .sum
-            .fetch_add(now.sum() - last.sum(), Ordering::Relaxed);
-        block.max.fetch_max(now.max(), Ordering::Relaxed);
-        last.clone_from(now);
     }
 
     #[inline]
@@ -487,31 +464,5 @@ mod tests {
         assert_eq!(snap.hists().count(), 2);
         assert_eq!(reg.hist_index("sweep_ns"), Some(1));
         assert_eq!(reg.hist_names(), HISTS);
-    }
-
-    #[test]
-    fn hist_flush_delta_publishes_exact_differences() {
-        let reg = Registry::with_hists(COUNTERS, GAUGES, HISTS, 1);
-        let h = reg.handle(0);
-        let mut now = LatencyHistogram::new();
-        let mut last = LatencyHistogram::new();
-        now.record(50);
-        now.record(60);
-        h.hist_flush_delta(0, &now, &mut last);
-        assert_eq!(reg.snapshot().hist(0).count(), 2);
-        // Unchanged running total: flush publishes nothing.
-        h.hist_flush_delta(0, &now, &mut last);
-        assert_eq!(reg.snapshot().hist(0).count(), 2);
-        now.record(50);
-        now.record(1 << 20);
-        h.hist_flush_delta(0, &now, &mut last);
-        let snap = reg.snapshot();
-        assert_eq!(snap.hist(0).count(), 4);
-        assert_eq!(snap.hist(0).sum(), now.sum());
-        assert_eq!(snap.hist(0).max(), now.max());
-        // Registered totals equal the owned running histogram exactly.
-        for q in [0.5, 0.99] {
-            assert_eq!(snap.hist(0).percentile(q), now.percentile(q));
-        }
     }
 }

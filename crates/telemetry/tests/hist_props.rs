@@ -1,17 +1,15 @@
 //! Property coverage: registered histograms bin, merge, and report
 //! percentiles exactly like an oracle computed from the raw samples.
 //!
-//! The registered instrument has three publication paths — per-sample
-//! [`Handle::hist_record`], owned-delta [`Handle::hist_merge`], and the
-//! hot path's bucket-diff [`Handle::hist_flush_delta`] — and a snapshot
-//! merges every lane. Whatever mix of paths and lanes the samples take,
-//! the merged result must be byte-identical to one owned
+//! The registered instrument has two publication paths — per-sample
+//! [`Handle::hist_record`] and owned-delta [`Handle::hist_merge`] — and a
+//! snapshot merges every lane. Whatever mix of paths and lanes the samples
+//! take, the merged result must be byte-identical to one owned
 //! [`LatencyHistogram`] that recorded everything, and its percentiles
 //! must equal the bucket lower bound of the true rank-selected sample.
 //!
 //! [`Handle::hist_record`]: ta_telemetry::Handle::hist_record
 //! [`Handle::hist_merge`]: ta_telemetry::Handle::hist_merge
-//! [`Handle::hist_flush_delta`]: ta_telemetry::Handle::hist_flush_delta
 
 use proptest::prelude::*;
 
@@ -39,36 +37,29 @@ proptest! {
     fn registered_hist_matches_raw_sample_oracle(
         samples in proptest::collection::vec(0u64..50_000_000, 1..400),
         lanes in 1usize..5,
-        flush_every in 1usize..9,
+        merge_every in 1usize..9,
     ) {
         let reg = Registry::with_hists(&[], &[], HISTS, lanes);
-        // Path B state: owned per-lane deltas merged once at the end.
+        // Path B state: owned per-lane deltas, merged every few samples
+        // and once at the end.
         let mut owned: Vec<LatencyHistogram> =
-            (0..lanes).map(|_| LatencyHistogram::new()).collect();
-        // Path C state: a live histogram plus its last-published copy.
-        let mut live: Vec<LatencyHistogram> =
-            (0..lanes).map(|_| LatencyHistogram::new()).collect();
-        let mut last: Vec<LatencyHistogram> =
             (0..lanes).map(|_| LatencyHistogram::new()).collect();
         let mut whole = LatencyHistogram::new();
 
         for (i, &v) in samples.iter().enumerate() {
             whole.record(v);
             let lane = i % lanes;
-            match i % 3 {
-                0 => reg.handle(lane).hist_record(0, v),
-                1 => owned[lane].record(v),
-                _ => {
-                    live[lane].record(v);
-                    if i % flush_every == 0 {
-                        reg.handle(lane).hist_flush_delta(0, &live[lane], &mut last[lane]);
-                    }
+            if i % 2 == 0 {
+                reg.handle(lane).hist_record(0, v);
+            } else {
+                owned[lane].record(v);
+                if i % merge_every == 0 {
+                    reg.handle(lane).hist_merge(0, &std::mem::take(&mut owned[lane]));
                 }
             }
         }
-        for lane in 0..lanes {
-            reg.handle(lane).hist_merge(0, &owned[lane]);
-            reg.handle(lane).hist_flush_delta(0, &live[lane], &mut last[lane]);
+        for (lane, rest) in owned.iter().enumerate() {
+            reg.handle(lane).hist_merge(0, rest);
         }
 
         let snap = reg.snapshot();

@@ -15,7 +15,9 @@
 //! | [`experiments`] (`ta-experiments`) | figure-regeneration harness |
 //!
 //! See the repository README for a quickstart and `examples/` for runnable
-//! scenarios; `DESIGN.md` maps every paper artifact to its module.
+//! scenarios; the README's "Layout" table maps every paper artifact to
+//! its crate, and `crates/experiments/src/figures/mod.rs` every figure to
+//! its module.
 //!
 //! ```
 //! use ta::prelude::*;

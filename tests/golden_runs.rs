@@ -40,7 +40,7 @@ use ta_sim::engine::{SimStats, Simulation};
 use ta_sim::rng::Xoshiro256pp;
 use ta_sim::shard::{ShardOpts, ShardedSimulation};
 use ta_sim::{NodeId, SimDuration};
-use token_account::{Strategy, StrategySpec, StrategyVisitor};
+use token_account::StrategySpec;
 
 const N: usize = 40;
 const DELTA: SimDuration = SimDuration::from_micros(172_800_000);
@@ -116,7 +116,7 @@ impl Fnv {
     }
 }
 
-fn digest_of<A: Application, S: Strategy>(proto: TokenProtocol<A, S>, sim: SimStats) -> u64 {
+fn digest_of<A: Application>(proto: TokenProtocol<A>, sim: SimStats) -> u64 {
     let r = proto.into_results();
     let mut h = Fnv::new();
     h.sim(&sim);
@@ -136,8 +136,7 @@ enum Variant {
     InjectionReaction,
 }
 
-/// One run of one cell; the strategy arrives through [`StrategyVisitor`].
-/// `opts` is `None` for the S = 1 `Simulation`.
+/// One run of one cell. `opts` is `None` for the S = 1 `Simulation`.
 struct Cell<'a, A> {
     cfg: SimConfig,
     schedule: &'a AvailabilitySchedule,
@@ -148,8 +147,9 @@ struct Cell<'a, A> {
 }
 
 impl<A: Application> Cell<'_, A> {
-    fn protocol<S: Strategy>(self, strategy: S) -> (SimConfig, TokenProtocol<A, S>) {
+    fn protocol(self, strategy: StrategySpec) -> (SimConfig, TokenProtocol<A>) {
         let initial = initial_online(self.schedule);
+        let strategy = strategy.build().expect("golden strategies are valid");
         let proto = TokenProtocol::new(Arc::clone(self.topo), strategy, self.app, initial)
             .with_token_recording();
         let proto = match self.variant {
@@ -168,40 +168,31 @@ fn initial_online(schedule: &AvailabilitySchedule) -> Vec<bool> {
 }
 
 /// S = 1 through `Simulation`: any application.
-struct Whole<'a, A>(Cell<'a, A>);
-
-impl<A: Application> StrategyVisitor for Whole<'_, A> {
-    type Output = u64;
-
-    fn visit<S: Strategy + Clone + 'static>(self, strategy: S) -> u64 {
-        let schedule = self.0.schedule;
-        let (cfg, proto) = self.0.protocol(strategy);
-        let mut sim = Simulation::new(cfg, schedule, proto);
-        sim.run_to_end();
-        let (proto, stats) = sim.into_parts();
-        digest_of(proto, stats)
-    }
+fn whole<A: Application>(strategy: StrategySpec, cell: Cell<'_, A>) -> u64 {
+    let schedule = cell.schedule;
+    let (cfg, proto) = cell.protocol(strategy);
+    let mut sim = Simulation::new(cfg, schedule, proto);
+    sim.run_to_end();
+    let (proto, stats) = sim.into_parts();
+    digest_of(proto, stats)
 }
 
-/// S ≥ 1 through `ShardedSimulation`: shardable applications.
-struct Sharded<'a, A>(Cell<'a, A>);
-
-impl<A> StrategyVisitor for Sharded<'_, A>
+/// S ≥ 1 through `ShardedSimulation` when the cell carries shard options:
+/// shardable applications.
+fn dispatch<A>(strategy: StrategySpec, cell: Cell<'_, A>) -> u64
 where
     A: ShardableApplication + Send,
     A::Msg: Send,
 {
-    type Output = u64;
-
-    fn visit<S: Strategy + Clone + 'static>(self, strategy: S) -> u64 {
-        let schedule = self.0.schedule;
-        let opts = self.0.opts.expect("sharded cells carry their options");
-        let (cfg, proto) = self.0.protocol(strategy);
-        let mut sim = ShardedSimulation::with_opts(cfg, schedule, proto, opts);
-        sim.run_to_end();
-        let (proto, stats) = sim.into_parts();
-        digest_of(proto, stats)
-    }
+    let Some(opts) = cell.opts else {
+        return whole(strategy, cell);
+    };
+    let schedule = cell.schedule;
+    let (cfg, proto) = cell.protocol(strategy);
+    let mut sim = ShardedSimulation::with_opts(cfg, schedule, proto, opts);
+    sim.run_to_end();
+    let (proto, stats) = sim.into_parts();
+    digest_of(proto, stats)
 }
 
 fn config(drop: f64, inject: bool) -> SimConfig {
@@ -304,18 +295,6 @@ fn check_family(
             table.join("\n")
         );
     }
-}
-
-fn dispatch<A>(strategy: StrategySpec, cell: Cell<'_, A>) -> u64
-where
-    A: ShardableApplication + Send,
-    A::Msg: Send,
-{
-    match cell.opts {
-        None => strategy.dispatch(Whole(cell)),
-        Some(_) => strategy.dispatch(Sharded(cell)),
-    }
-    .expect("golden strategies are valid")
 }
 
 /// `(smartphone churn, drop_probability)` pairs.
@@ -429,9 +408,7 @@ fn chaotic_iteration_cells() {
                 opts,
             };
             assert!(cell.opts.is_none(), "chaotic iteration is not shardable");
-            strategy
-                .dispatch(Whole(cell))
-                .expect("golden strategies are valid")
+            whole(strategy, cell)
         },
     );
 }

@@ -111,7 +111,7 @@ proptest! {
         seed in 0u64..100
     ) {
         let c = a + extra;
-        let strategy = RandomizedTokenAccount::new(a, c).unwrap();
+        let strategy = DecisionTable::new(RandomizedTokenAccount::new(a, c).unwrap());
         let mut node = TokenNode::new(0);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         for is_message in ops {
