@@ -41,7 +41,11 @@ pub fn formula_round(strategy: &dyn Strategy, balance: &mut i64, rng: &mut Xoshi
 }
 
 /// One message reaction evaluated from the formulas: returns the tokens
-/// burned (non-debt strategies).
+/// burned.
+///
+/// Debt-allowing strategies are not modelled: the burn is clamped to the
+/// balance, where the real decision path lets such a strategy overdraw.
+/// The baselines only drive non-debt strategies through it.
 pub fn formula_message(
     strategy: &dyn Strategy,
     balance: &mut i64,
