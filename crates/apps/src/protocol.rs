@@ -25,9 +25,10 @@
 //!
 //! A `TokenProtocol` value is a **node block**: the decision table, the
 //! application block, the [`TokenNode`] accounts and counters of a
-//! contiguous node range starting at `base`, plus a full copy-on-churn
-//! replica of the online-neighbour mirror. As constructed it is the block
-//! `0..n`, which [`ta_sim::engine::Simulation`] runs whole;
+//! contiguous node range starting at `base`, plus the online-neighbour
+//! mirror of that range (or of all nodes, if frozen and shared). As
+//! constructed it is the block `0..n`, which
+//! [`ta_sim::engine::Simulation`] runs whole;
 //! [`ShardableDriver::split`](ta_sim::shard::ShardableDriver::split) (in
 //! [`sharded`]) cuts it into S blocks of the same type, which run the same
 //! [`Driver`] callbacks below. The two barrier-time bodies — recording a
@@ -168,11 +169,9 @@ pub struct TokenProtocol<A: Application> {
     /// Driver-side packed mirror of the online set (kept by up/down
     /// callbacks): O(1) uniform online-neighbour selection per send.
     ///
-    /// Held behind an [`Arc`] with copy-on-churn semantics
-    /// ([`Arc::make_mut`] on the first transition): failure-free runs of
-    /// one prepared grid can share a single frozen mirror — an O(E) build
-    /// per (spec × run) job otherwise — and every block of a split
-    /// protocol holds a handle to the same frozen replica.
+    /// Behind an [`Arc`] so failure-free runs of one grid can share one
+    /// frozen mirror, which every block of a split protocol then holds; a
+    /// mirror owned alone is cut into per-block pieces instead.
     peers: Arc<OnlineNeighbors>,
     pull_on_rejoin: bool,
     record_tokens: bool,
@@ -213,8 +212,8 @@ impl<A: Application> TokenProtocol<A> {
     ///
     /// The mirror must have been built for this topology and online set;
     /// failure-free experiment grids build it once per topology and share
-    /// the frozen copy across every run (the first churn transition of a
-    /// run copies it, so sharing is always sound).
+    /// the frozen copy across every run (a churn transition would copy a
+    /// shared mirror first, so sharing is always sound).
     ///
     /// # Panics
     ///
@@ -293,11 +292,6 @@ impl<A: Application> TokenProtocol<A> {
     /// The application (for inspection mid-run).
     pub fn app(&self) -> &A {
         &self.app
-    }
-
-    /// The overlay topology this protocol runs over.
-    pub fn topology(&self) -> &Arc<Topology> {
-        &self.topo
     }
 
     /// Message counters so far.
@@ -551,7 +545,7 @@ impl<A: Application> Driver for TokenProtocol<A> {
     }
 
     fn on_node_up(&mut self, api: &mut SimApi<'_, Self::Msg>, node: NodeId) {
-        Arc::make_mut(&mut self.peers).set_online(node, true);
+        Arc::make_mut(&mut self.peers).set_online(&self.topo, node, true);
         if api.owns(node) {
             self.app.on_node_up(node, api.now());
             if self.pull_on_rejoin {
@@ -564,7 +558,7 @@ impl<A: Application> Driver for TokenProtocol<A> {
     }
 
     fn on_node_down(&mut self, api: &mut SimApi<'_, Self::Msg>, node: NodeId) {
-        Arc::make_mut(&mut self.peers).set_online(node, false);
+        Arc::make_mut(&mut self.peers).set_online(&self.topo, node, false);
         if api.owns(node) {
             self.app.on_node_down(node, api.now());
         }

@@ -329,7 +329,7 @@ fn sampling_churn_run(
             let v = rng.below(n as u64) as usize;
             let up = !online[v];
             online[v] = up;
-            mirror.set_online(NodeId::from_index(v), up);
+            mirror.set_online(topo, NodeId::from_index(v), up);
         }
         let node = NodeId::from_index((i % n as u64) as usize);
         let picked = match mode {

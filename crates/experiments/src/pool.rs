@@ -47,7 +47,7 @@ pub fn shard_override() -> Option<usize> {
 /// Tells glibc's allocator to keep freed memory mapped for the rest of the
 /// process (once; a no-op elsewhere).
 ///
-/// A replica builds and frees its whole state — ~140 MB at n = 100 000 —
+/// A replica builds and frees its whole state — ~60 MB at n = 100 000 —
 /// and the next one asks for the same again. By default glibc hands every
 /// large free back to the kernel (`brk` shrink, `munmap`), so each replica
 /// re-faults its working set page by page, and whether a caller's own

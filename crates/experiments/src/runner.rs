@@ -20,9 +20,10 @@
 //! *concurrent replicas × threads per replica* never exceeds the pool size
 //! (an explicit shard count keeps its S blocks, multiplexed onto fewer
 //! threads). The shard count never changes a result; failure-free specs
-//! additionally share one frozen copy-on-churn `OnlineNeighbors` mirror
-//! across all their runs (built once per prepared topology instead of once
-//! per job).
+//! additionally share one frozen `OnlineNeighbors` mirror across all their
+//! runs (built once per prepared topology instead of once per job). A run
+//! under churn builds its own mirror, and a sharded one cuts it into
+//! per-shard pieces rather than copying it.
 
 use std::error::Error;
 use std::fmt;
@@ -323,8 +324,7 @@ fn single_run<A: Application>(
 
 /// Construction of the Algorithm-4 driver. Failure-free specs reuse the
 /// prepared grid's frozen online-neighbour `mirror` (an O(E) build
-/// otherwise); the first churn transition of a run copies it, so sharing
-/// is always sound.
+/// otherwise), which no transition ever mutates.
 fn build_protocol<A: Application>(
     spec: &ExperimentSpec,
     topo: &Arc<Topology>,
@@ -407,10 +407,10 @@ pub struct PreparedTopology {
     /// Reference dominant eigenvector (chaotic iteration only).
     pub reference: Option<Arc<Vec<f64>>>,
     /// Frozen all-online neighbour mirror, shared by every run of a
-    /// failure-free spec (the O(E) build — five passes over the edge set —
-    /// used to repeat once per (spec × run) job). Copy-on-churn: runs
-    /// under churn copy it on their first transition, so sharing is
-    /// unconditionally sound.
+    /// failure-free spec (the O(E) build — one pass over the edge set —
+    /// would otherwise repeat once per (spec × run) job). Only failure-free
+    /// specs get one, so no transition ever mutates it; runs under churn
+    /// build their own.
     pub frozen_mirror: Option<Arc<OnlineNeighbors>>,
 }
 

@@ -68,9 +68,9 @@ impl Error for InvalidGraphError {}
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     n: usize,
-    out_offsets: Vec<usize>,
+    out_offsets: Vec<u32>,
     out_targets: Vec<NodeId>,
-    in_offsets: Vec<usize>,
+    in_offsets: Vec<u32>,
     /// Sorted by source id within each destination's slice.
     in_sources: Vec<NodeId>,
 }
@@ -82,6 +82,10 @@ impl Topology {
     ///
     /// Rejects empty graphs, out-of-range targets, self-loops, and duplicate
     /// directed edges.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph has more than `u32::MAX` edges.
     pub fn from_out_lists(lists: Vec<Vec<NodeId>>) -> Result<Self, InvalidGraphError> {
         let n = lists.len();
         if n == 0 {
@@ -111,33 +115,31 @@ impl Topology {
             }
             edge_count += targets.len();
         }
+        assert!(edge_count <= u32::MAX as usize, "more than u32::MAX edges");
 
         let mut out_offsets = Vec::with_capacity(n + 1);
         let mut out_targets = Vec::with_capacity(edge_count);
         out_offsets.push(0);
         for targets in &lists {
             out_targets.extend_from_slice(targets);
-            out_offsets.push(out_targets.len());
+            out_offsets.push(out_targets.len() as u32);
         }
 
         // Build in-adjacency by counting sort over destinations; visiting
         // sources in increasing order leaves each slice sorted by source.
-        let mut in_degrees = vec![0usize; n];
+        let mut in_offsets = vec![0u32; n + 1];
         for &t in &out_targets {
-            in_degrees[t.index()] += 1;
+            in_offsets[t.index() + 1] += 1;
         }
-        let mut in_offsets = Vec::with_capacity(n + 1);
-        in_offsets.push(0);
-        for d in &in_degrees {
-            let last = *in_offsets.last().expect("offsets never empty");
-            in_offsets.push(last + d);
+        for v in 0..n {
+            in_offsets[v + 1] += in_offsets[v];
         }
         let mut cursor = in_offsets[..n].to_vec();
         let mut in_sources = vec![NodeId::new(0); edge_count];
         for (src, targets) in lists.iter().enumerate() {
             let src_id = NodeId::from_index(src);
             for &t in targets {
-                in_sources[cursor[t.index()]] = src_id;
+                in_sources[cursor[t.index()] as usize] = src_id;
                 cursor[t.index()] += 1;
             }
         }
@@ -189,25 +191,27 @@ impl Topology {
     /// Nodes reachable from `node` in one hop (message targets).
     #[inline]
     pub fn out_neighbors(&self, node: NodeId) -> &[NodeId] {
-        &self.out_targets[self.out_offsets[node.index()]..self.out_offsets[node.index() + 1]]
+        let i = node.index();
+        &self.out_targets[self.out_offsets[i] as usize..self.out_offsets[i + 1] as usize]
     }
 
     /// Nodes with an edge into `node`, sorted by id.
     #[inline]
     pub fn in_neighbors(&self, node: NodeId) -> &[NodeId] {
-        &self.in_sources[self.in_offsets[node.index()]..self.in_offsets[node.index() + 1]]
+        let i = node.index();
+        &self.in_sources[self.in_offsets[i] as usize..self.in_offsets[i + 1] as usize]
     }
 
     /// Out-degree of `node`.
     #[inline]
     pub fn out_degree(&self, node: NodeId) -> usize {
-        self.out_offsets[node.index() + 1] - self.out_offsets[node.index()]
+        (self.out_offsets[node.index() + 1] - self.out_offsets[node.index()]) as usize
     }
 
     /// In-degree of `node`.
     #[inline]
     pub fn in_degree(&self, node: NodeId) -> usize {
-        self.in_offsets[node.index() + 1] - self.in_offsets[node.index()]
+        (self.in_offsets[node.index() + 1] - self.in_offsets[node.index()]) as usize
     }
 
     /// Whether the directed edge `from -> to` exists.

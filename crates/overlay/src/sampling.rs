@@ -11,14 +11,21 @@
 //!   online set, keeping every node's out-neighbour list packed into an
 //!   online prefix and an offline suffix. Selection is a single RNG draw
 //!   plus one array read — **O(1)** regardless of degree or online
-//!   fraction — and a churn transition costs O(in-degree) swap-updates.
-//!   This is what the protocol hot path uses: token-account workloads are
-//!   dominated by sends, and each send needs one online peer.
+//!   fraction. The mirror stores 4 B per edge (the permuted targets) and
+//!   nothing per in-edge: a churn transition of `v` walks the topology's
+//!   sorted in-list of `v` and finds `v` in each in-neighbour's slice by a
+//!   linear scan, O(out-degree) per in-edge. A mirror covers a contiguous
+//!   node block, so a sharded run cuts it into per-shard pieces instead of
+//!   copying it. This is what the protocol hot path uses: token-account
+//!   workloads are dominated by sends, and each send needs one online
+//!   peer.
 //! * [`PeerSampler::select_online`] — a stateless fallback for callers
 //!   that do not maintain the mirror: bounded rejection sampling over the
 //!   full neighbour list, degrading to an exact two-pass scan when the
 //!   online fraction is too small to hit quickly. Uniform over the online
 //!   subset in both phases.
+
+use std::ops::Range;
 
 use ta_sim::rng::Xoshiro256pp;
 use ta_sim::NodeId;
@@ -56,11 +63,6 @@ impl<'a> PeerSampler<'a> {
     /// Creates a sampler over `topo`.
     pub fn new(topo: &'a Topology) -> Self {
         PeerSampler { topo }
-    }
-
-    /// The underlying topology.
-    pub fn topology(&self) -> &'a Topology {
-        self.topo
     }
 
     /// Selects a uniformly random out-neighbour of `node`, or `None` if it
@@ -110,21 +112,17 @@ impl<'a> PeerSampler<'a> {
     }
 }
 
-/// A packed, incrementally maintained view of each node's *online*
-/// out-neighbours, giving O(1) uniform selection under churn.
+/// A packed, incrementally maintained view of the *online* out-neighbours
+/// of a contiguous node block, giving O(1) uniform selection under churn.
 ///
-/// The out-adjacency of the topology is copied once into a CSR layout
-/// whose per-node slices are kept partitioned: the first
-/// [`online_degree`](Self::online_degree) entries of a node's slice are its
-/// currently online out-neighbours, the rest are offline. A churn
-/// transition of node `v` swap-updates `v`'s position in each in-neighbour's
-/// slice — O(in-degree(v)) with O(1) per edge — driven by
-/// [`set_online`](Self::set_online) from the driver's up/down callbacks.
-///
-/// Selection order within each region is an artifact of the transition
-/// history, which is deterministic per seed; uniformity over the online
-/// subset is what matters (and is property-tested against the stateless
-/// [`PeerSampler::select_online`]).
+/// Each block node's out-neighbour slice keeps its currently online
+/// targets in a prefix of [`online_degree`](Self::online_degree) entries;
+/// [`set_online`](Self::set_online), driven by the driver's up/down
+/// callbacks, moves one target across that boundary per slice. Only the
+/// prefix is observable, and its order — an artifact of the transition
+/// history, deterministic per seed — is the same for every cut of the
+/// network into blocks. Uniformity over the online subset is
+/// property-tested against the stateless [`PeerSampler::select_online`].
 ///
 /// ```
 /// use ta_overlay::generators::complete;
@@ -134,7 +132,7 @@ impl<'a> PeerSampler<'a> {
 ///
 /// let topo = complete(4)?;
 /// let mut peers = OnlineNeighbors::new(&topo, &[true, true, true, true]);
-/// peers.set_online(NodeId::new(2), false);
+/// peers.set_online(&topo, NodeId::new(2), false);
 /// assert_eq!(peers.online_degree(NodeId::new(0)), 2);
 /// let mut rng = Xoshiro256pp::stream(1, 0);
 /// let peer = peers.select(NodeId::new(0), &mut rng).unwrap();
@@ -143,180 +141,159 @@ impl<'a> PeerSampler<'a> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct OnlineNeighbors {
-    /// CSR offsets into `targets` (out-adjacency, copied from the
-    /// topology).
+    /// First node of the block.
+    lo: usize,
+    /// CSR offsets into `targets`, one per block node plus one.
     offsets: Vec<u32>,
     /// Out-neighbour lists, permuted so each node's slice keeps online
-    /// targets in the prefix `[offsets[v], offsets[v] + online_len[v])`.
+    /// targets in the prefix `[offsets[i], offsets[i] + online_len[i])`.
     targets: Vec<NodeId>,
-    /// Number of online out-neighbours per node (the online prefix
-    /// length).
+    /// Online prefix length per block node.
     online_len: Vec<u32>,
-    /// Destination-major CSR offsets of in-edges: the edges pointing *at*
-    /// node `v` carry ids `in_offsets[v] .. in_offsets[v + 1]`.
-    in_offsets: Vec<u32>,
-    /// Current slot in `targets` of each in-edge id.
-    slot_of_edge: Vec<u32>,
-    /// Inverse of `slot_of_edge`: the in-edge id held by each slot.
-    edge_of_slot: Vec<u32>,
-    /// The node owning each slot (invariant: swaps stay within one node's
-    /// slice).
-    slot_owner: Vec<NodeId>,
-    /// Node online flags (transition idempotence and cheap queries).
+    /// Online flags of every node of the network (any node's transition
+    /// may touch the block).
     online: Vec<bool>,
 }
 
 impl OnlineNeighbors {
-    /// Builds the mirror for `topo` with the given initial online set.
+    /// Builds the mirror of the whole network for `topo` with the given
+    /// initial online set, in one sequential pass: each node's online
+    /// out-neighbours in ascending id (the order that bringing the online
+    /// nodes up one by one, in id order, would leave), then the offline
+    /// ones.
     ///
     /// # Panics
     ///
-    /// Panics if `initial_online.len() != topo.n()` or the graph has more
-    /// than `u32::MAX` edges.
+    /// Panics if `initial_online.len() != topo.n()`.
     pub fn new(topo: &Topology, initial_online: &[bool]) -> Self {
         let n = topo.n();
         assert_eq!(initial_online.len(), n, "initial_online length mismatch");
-        let m = topo.edge_count();
-        assert!(m <= u32::MAX as usize, "edge count exceeds u32 indexing");
-
         let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(m);
-        let mut slot_owner = Vec::with_capacity(m);
+        let mut targets = Vec::with_capacity(topo.edge_count());
+        let mut online_len = Vec::with_capacity(n);
         offsets.push(0u32);
         for v in 0..n {
-            let id = NodeId::from_index(v);
-            let out = topo.out_neighbors(id);
-            targets.extend_from_slice(out);
-            slot_owner.extend(std::iter::repeat_n(id, out.len()));
+            let out = topo.out_neighbors(NodeId::from_index(v));
+            let start = targets.len();
+            targets.extend(out.iter().filter(|t| initial_online[t.index()]));
+            targets[start..].sort_unstable();
+            online_len.push((targets.len() - start) as u32);
+            targets.extend(out.iter().filter(|t| !initial_online[t.index()]));
             offsets.push(targets.len() as u32);
         }
-
-        let mut in_offsets = Vec::with_capacity(n + 1);
-        in_offsets.push(0u32);
-        for v in 0..n {
-            let last = *in_offsets.last().expect("offsets never empty");
-            in_offsets.push(last + topo.in_degree(NodeId::from_index(v)) as u32);
-        }
-        // Assign each slot its in-edge id by walking destinations with a
-        // per-destination cursor (the same counting pass graph.rs uses).
-        let mut cursor: Vec<u32> = in_offsets[..n].to_vec();
-        let mut slot_of_edge = vec![0u32; m];
-        let mut edge_of_slot = vec![0u32; m];
-        for (slot, t) in targets.iter().enumerate() {
-            let e = cursor[t.index()];
-            cursor[t.index()] += 1;
-            slot_of_edge[e as usize] = slot as u32;
-            edge_of_slot[slot] = e;
-        }
-
-        let mut mirror = OnlineNeighbors {
+        OnlineNeighbors {
+            lo: 0,
             offsets,
             targets,
-            online_len: vec![0; n],
-            in_offsets,
-            slot_of_edge,
-            edge_of_slot,
-            slot_owner,
-            online: vec![false; n],
-        };
-        // Partition by replaying "came online" transitions; reuses the
-        // swap logic instead of a second partitioning algorithm.
-        for (v, &up) in initial_online.iter().enumerate() {
-            if up {
-                mirror.set_online(NodeId::from_index(v), true);
-            }
+            online_len,
+            online: initial_online.to_vec(),
         }
-        mirror
     }
 
-    /// Number of nodes.
+    /// The node block whose out-neighbours this mirror holds.
     #[inline]
-    pub fn n(&self) -> usize {
-        self.online.len()
+    pub fn range(&self) -> Range<usize> {
+        self.lo..self.lo + self.online_len.len()
     }
 
-    /// Whether `node` is currently marked online.
+    /// Whether `node` (any node of the network) is currently marked online.
     #[inline]
     pub fn is_online(&self, node: NodeId) -> bool {
         self.online[node.index()]
     }
 
-    /// The online flags, indexed by [`NodeId::index`].
+    /// The online flags of the network, indexed by [`NodeId::index`].
     #[inline]
     pub fn online_flags(&self) -> &[bool] {
         &self.online
     }
 
-    /// Number of currently online out-neighbours of `node`.
+    /// Number of currently online out-neighbours of block node `node`.
     #[inline]
     pub fn online_degree(&self, node: NodeId) -> usize {
-        self.online_len[node.index()] as usize
+        self.online_len[node.index() - self.lo] as usize
     }
 
-    /// The currently online out-neighbours of `node` (unspecified order).
+    /// The currently online out-neighbours of block node `node`, in the
+    /// order [`select`](Self::select) indexes.
     #[inline]
     pub fn online_neighbors(&self, node: NodeId) -> &[NodeId] {
-        let start = self.offsets[node.index()] as usize;
-        &self.targets[start..start + self.online_len[node.index()] as usize]
+        let i = node.index() - self.lo;
+        let start = self.offsets[i] as usize;
+        &self.targets[start..start + self.online_len[i] as usize]
     }
 
-    /// Selects a uniformly random online out-neighbour of `node` in O(1),
-    /// or `None` if none is online.
+    /// Selects a uniformly random online out-neighbour of block node
+    /// `node` in O(1), or `None` if none is online.
     ///
     /// Consumes exactly one RNG draw when a peer exists and none otherwise
     /// (the same draw discipline as the stateless sampler's happy path).
     #[inline]
     pub fn select(&self, node: NodeId, rng: &mut Xoshiro256pp) -> Option<NodeId> {
-        let len = self.online_len[node.index()];
+        let i = node.index() - self.lo;
+        let len = self.online_len[i];
         if len == 0 {
             return None;
         }
         let pick = rng.below(len as u64) as usize;
-        Some(self.targets[self.offsets[node.index()] as usize + pick])
+        Some(self.targets[self.offsets[i] as usize + pick])
     }
 
-    /// Records a churn transition of `node`, swap-updating its position in
-    /// every in-neighbour's packed slice. Idempotent: repeating the current
-    /// state is a no-op.
-    pub fn set_online(&mut self, node: NodeId, up: bool) {
-        let v = node.index();
-        if self.online[v] == up {
+    /// Records a churn transition of `node` (any node of the network) and
+    /// moves it across the prefix boundary of every slice in the block
+    /// that lists it. `topo` must be the topology the mirror was built
+    /// from. Idempotent: repeating the current state is a no-op.
+    pub fn set_online(&mut self, topo: &Topology, node: NodeId, up: bool) {
+        if self.online[node.index()] == up {
             return;
         }
-        self.online[v] = up;
-        let (lo, hi) = (self.in_offsets[v], self.in_offsets[v + 1]);
-        for e in lo..hi {
-            let slot = self.slot_of_edge[e as usize] as usize;
-            let u = self.slot_owner[slot].index();
-            let start = self.offsets[u] as usize;
-            if up {
-                // `node` sits in `u`'s offline suffix; swap it with the
-                // first offline slot and grow the online prefix over it.
-                let boundary = start + self.online_len[u] as usize;
-                self.swap_slots(slot, boundary);
-                self.online_len[u] += 1;
-            } else {
-                // Shrink the prefix and swap `node` with the last online
-                // slot (which may be itself).
-                self.online_len[u] -= 1;
-                let boundary = start + self.online_len[u] as usize;
-                self.swap_slots(slot, boundary);
+        self.online[node.index()] = up;
+        let sources = topo.in_neighbors(node);
+        let first = sources.partition_point(|u| u.index() < self.lo);
+        let last = sources.partition_point(|u| u.index() < self.lo + self.online_len.len());
+        for u in &sources[first..last] {
+            let i = u.index() - self.lo;
+            let slice = &mut self.targets[self.offsets[i] as usize..self.offsets[i + 1] as usize];
+            let at = slice.iter().position(|&t| t == node).expect("edge listed");
+            // Up: `node` swaps into the first offline slot, which joins the
+            // prefix. Down: the prefix's last slot (perhaps `node`'s own)
+            // leaves it, and `node` swaps into it.
+            let k = self.online_len[i];
+            let boundary = if up { k } else { k - 1 };
+            slice.swap(at, boundary as usize);
+            self.online_len[i] = if up { k + 1 } else { k - 1 };
+        }
+    }
+
+    /// Cuts the mirror into one piece per range of `ranges`, which must
+    /// tile [`range`](Self::range) in order.
+    pub fn split(self, ranges: impl IntoIterator<Item = Range<usize>>) -> Vec<Self> {
+        let piece = |r: Range<usize>| {
+            let (a, b) = (r.start - self.lo, r.end - self.lo);
+            let base = self.offsets[a];
+            OnlineNeighbors {
+                lo: r.start,
+                offsets: self.offsets[a..=b].iter().map(|o| o - base).collect(),
+                targets: self.targets[base as usize..self.offsets[b] as usize].to_vec(),
+                online_len: self.online_len[a..b].to_vec(),
+                online: self.online.clone(),
             }
-        }
+        };
+        ranges.into_iter().map(piece).collect()
     }
 
-    /// Swaps two slots of the same node's slice, keeping the edge<->slot
-    /// maps consistent.
-    #[inline]
-    fn swap_slots(&mut self, a: usize, b: usize) {
-        if a == b {
-            return;
+    /// Joins the pieces of [`split`](Self::split), in order, back into one
+    /// mirror. Every piece must have seen the same transitions.
+    pub fn join(pieces: impl IntoIterator<Item = Self>) -> Self {
+        let mut pieces = pieces.into_iter();
+        let mut whole = pieces.next().expect("at least one piece");
+        for p in pieces {
+            let base = whole.offsets.pop().expect("offsets never empty");
+            whole.offsets.extend(p.offsets.iter().map(|o| o + base));
+            whole.targets.extend_from_slice(&p.targets);
+            whole.online_len.extend_from_slice(&p.online_len);
         }
-        debug_assert_eq!(self.slot_owner[a], self.slot_owner[b]);
-        self.targets.swap(a, b);
-        self.edge_of_slot.swap(a, b);
-        self.slot_of_edge[self.edge_of_slot[a] as usize] = a as u32;
-        self.slot_of_edge[self.edge_of_slot[b] as usize] = b as u32;
+        whole
     }
 }
 
@@ -430,7 +407,7 @@ mod tests {
             let v = rng.below(40) as usize;
             let up = rng.chance(0.5);
             online[v] = up;
-            mirror.set_online(NodeId::from_index(v), up);
+            mirror.set_online(&topo, NodeId::from_index(v), up);
             if step % 97 == 0 {
                 for node in 0..40 {
                     let id = NodeId::from_index(node);
@@ -449,11 +426,11 @@ mod tests {
     fn set_online_is_idempotent() {
         let topo = complete(4).unwrap();
         let mut mirror = OnlineNeighbors::new(&topo, &[true; 4]);
-        mirror.set_online(NodeId::new(1), false);
-        mirror.set_online(NodeId::new(1), false);
+        mirror.set_online(&topo, NodeId::new(1), false);
+        mirror.set_online(&topo, NodeId::new(1), false);
         assert_eq!(mirror.online_degree(NodeId::new(0)), 2);
-        mirror.set_online(NodeId::new(1), true);
-        mirror.set_online(NodeId::new(1), true);
+        mirror.set_online(&topo, NodeId::new(1), true);
+        mirror.set_online(&topo, NodeId::new(1), true);
         assert_eq!(mirror.online_degree(NodeId::new(0)), 3);
     }
 
@@ -461,8 +438,8 @@ mod tests {
     fn mirror_select_none_when_all_neighbors_offline() {
         let topo = complete(3).unwrap();
         let mut mirror = OnlineNeighbors::new(&topo, &[true; 3]);
-        mirror.set_online(NodeId::new(1), false);
-        mirror.set_online(NodeId::new(2), false);
+        mirror.set_online(&topo, NodeId::new(1), false);
+        mirror.set_online(&topo, NodeId::new(2), false);
         let mut rng = Xoshiro256pp::stream(3, 0);
         assert_eq!(mirror.select(NodeId::new(0), &mut rng), None);
         assert_eq!(mirror.online_degree(NodeId::new(0)), 0);
@@ -480,6 +457,6 @@ mod tests {
             assert_eq!(mirror.is_online(id), online[node]);
         }
         assert_eq!(mirror.online_flags(), &online[..]);
-        assert_eq!(mirror.n(), 30);
+        assert_eq!(mirror.range(), 0..30);
     }
 }

@@ -1,12 +1,15 @@
 //! Property tests for online peer sampling: the packed O(1) mirror must be
 //! statistically indistinguishable from the stateless exact sampler, over
-//! arbitrary overlays and arbitrary churn histories.
+//! arbitrary overlays and arbitrary churn histories; its direct build must
+//! equal a replay of transitions from all-offline; and its cut blocks must
+//! draw exactly what the whole mirror draws.
 
 use proptest::prelude::*;
 use ta_overlay::generators::k_out_random;
 use ta_overlay::sampling::{OnlineNeighbors, PeerSampler};
 use ta_overlay::Topology;
 use ta_sim::rng::Xoshiro256pp;
+use ta_sim::shard::ShardPlan;
 use ta_sim::NodeId;
 
 /// Builds the mirror and the plain flag vector from one online bitmask.
@@ -25,6 +28,51 @@ fn ground_truth(topo: &Topology, online: &[bool], node: NodeId) -> Vec<u32> {
         .collect();
     v.sort_unstable();
     v
+}
+
+/// Reference model of the mirror, one `Vec` per node: every out-list in
+/// topology order, all nodes offline, moved one transition at a time with
+/// the mirror's swap (up: into the first offline slot, then grow the
+/// prefix; down: shrink the prefix, then into its old last slot).
+struct Replay {
+    slices: Vec<Vec<NodeId>>,
+    len: Vec<usize>,
+    online: Vec<bool>,
+}
+
+impl Replay {
+    fn new(topo: &Topology) -> Self {
+        let n = topo.n();
+        let slices = (0..n)
+            .map(|u| topo.out_neighbors(NodeId::from_index(u)).to_vec())
+            .collect();
+        Replay {
+            slices,
+            len: vec![0; n],
+            online: vec![false; n],
+        }
+    }
+
+    fn set(&mut self, v: NodeId, up: bool) {
+        if std::mem::replace(&mut self.online[v.index()], up) == up {
+            return;
+        }
+        for (slice, k) in self.slices.iter_mut().zip(&mut self.len) {
+            if let Some(at) = slice.iter().position(|&t| t == v) {
+                if up {
+                    slice.swap(at, *k);
+                    *k += 1;
+                } else {
+                    *k -= 1;
+                    slice.swap(at, *k);
+                }
+            }
+        }
+    }
+
+    fn prefix(&self, u: usize) -> &[NodeId] {
+        &self.slices[u][..self.len[u]]
+    }
 }
 
 /// Draws `trials` selections and returns per-peer counts.
@@ -113,14 +161,14 @@ fn churn_edge_cases_all_offline_single_online_flapping() {
 
     // All offline: no selection, no RNG draw side effects to worry about.
     for i in 0..12 {
-        mirror.set_online(NodeId::from_index(i), false);
+        mirror.set_online(&topo, NodeId::from_index(i), false);
     }
     assert_eq!(mirror.select(probe, &mut rng), None);
     assert_eq!(mirror.online_degree(probe), 0);
 
     // Single online: the one live neighbour is always chosen.
     let lone = topo.out_neighbors(probe)[0];
-    mirror.set_online(lone, true);
+    mirror.set_online(&topo, lone, true);
     for _ in 0..50 {
         assert_eq!(mirror.select(probe, &mut rng), Some(lone));
     }
@@ -132,7 +180,7 @@ fn churn_edge_cases_all_offline_single_online_flapping() {
     let flapper = topo.out_neighbors(probe)[1];
     for round in 0..100 {
         let up = round % 2 == 0;
-        mirror.set_online(flapper, up);
+        mirror.set_online(&topo, flapper, up);
         online[flapper.index()] = up;
         for node in 0..12 {
             let id = NodeId::from_index(node);
@@ -166,7 +214,7 @@ proptest! {
         for (raw, up) in script {
             let v = raw % n;
             online[v] = up;
-            mirror.set_online(NodeId::from_index(v), up);
+            mirror.set_online(&topo, NodeId::from_index(v), up);
         }
         for node in 0..n {
             let id = NodeId::from_index(node);
@@ -175,6 +223,87 @@ proptest! {
             got.sort_unstable();
             prop_assert_eq!(got, ground_truth(&topo, &online, id));
             prop_assert_eq!(mirror.is_online(id), online[node]);
+        }
+    }
+
+    /// The direct build leaves every prefix exactly as replaying "came
+    /// online" from all-offline, in id order, does (order included), with
+    /// the rest of each out-list behind it; and the two stay equal under
+    /// any later transition script.
+    #[test]
+    fn direct_build_equals_replay_from_all_offline(
+        seed in 0u64..1_000,
+        n in 2usize..40,
+        mask in any::<u64>(),
+        script in proptest::collection::vec((0usize..40, any::<bool>()), 0..80),
+    ) {
+        let k = 5.min(n - 1);
+        let topo = k_out_random(n, k, &mut Xoshiro256pp::stream(seed, 0)).unwrap();
+        let online: Vec<bool> = (0..n).map(|i| mask >> (i % 64) & 1 == 1).collect();
+        let mut mirror = OnlineNeighbors::new(&topo, &online);
+        let mut replay = Replay::new(&topo);
+        for (v, &up) in online.iter().enumerate() {
+            replay.set(NodeId::from_index(v), up);
+        }
+        for u in 0..n {
+            let id = NodeId::from_index(u);
+            prop_assert_eq!(mirror.online_neighbors(id), replay.prefix(u));
+            prop_assert_eq!(ground_truth(&topo, &online, id).len(), mirror.online_degree(id));
+        }
+        for (raw, up) in script {
+            let v = NodeId::from_index(raw % n);
+            mirror.set_online(&topo, v, up);
+            replay.set(v, up);
+        }
+        for u in 0..n {
+            prop_assert_eq!(mirror.online_neighbors(NodeId::from_index(u)), replay.prefix(u));
+        }
+    }
+
+    /// Cutting the mirror into S blocks and driving every block with the
+    /// whole network's transitions gives, for every node, the same online
+    /// prefix (order included) and the same peer for the same draw as the
+    /// whole mirror; joining the blocks gives the whole mirror back.
+    #[test]
+    fn cut_blocks_draw_what_the_whole_mirror_draws(
+        seed in 0u64..1_000,
+        n in 7usize..40,
+        which in 0usize..4,
+        mask in any::<u64>(),
+        script in proptest::collection::vec((0usize..40, any::<bool>()), 0..120),
+    ) {
+        let topo = k_out_random(n, 4, &mut Xoshiro256pp::stream(seed, 0)).unwrap();
+        let online: Vec<bool> = (0..n).map(|i| mask >> (i % 64) & 1 == 1).collect();
+        let mut whole = OnlineNeighbors::new(&topo, &online);
+        let plan = ShardPlan::new(n, [1, 2, 3, 7][which]);
+        let ranges: Vec<_> = (0..plan.shards()).map(|s| plan.range(s)).collect();
+        let mut pieces = whole.clone().split(ranges.iter().cloned());
+        for (piece, range) in pieces.iter().zip(&ranges) {
+            prop_assert_eq!(piece.range(), range.clone());
+        }
+        for (raw, up) in script {
+            let v = NodeId::from_index(raw % n);
+            whole.set_online(&topo, v, up);
+            for piece in &mut pieces {
+                piece.set_online(&topo, v, up);
+            }
+        }
+        for u in 0..n {
+            let id = NodeId::from_index(u);
+            let piece = pieces.iter().find(|p| p.range().contains(&u)).unwrap();
+            prop_assert_eq!(piece.online_neighbors(id), whole.online_neighbors(id));
+            prop_assert_eq!(piece.online_flags(), whole.online_flags());
+            let mut a = Xoshiro256pp::stream(seed, u as u64);
+            let mut b = Xoshiro256pp::stream(seed, u as u64);
+            for _ in 0..4 {
+                prop_assert_eq!(piece.select(id, &mut a), whole.select(id, &mut b));
+            }
+        }
+        let joined = OnlineNeighbors::join(pieces);
+        prop_assert_eq!(joined.range(), 0..n);
+        for u in 0..n {
+            let id = NodeId::from_index(u);
+            prop_assert_eq!(joined.online_neighbors(id), whole.online_neighbors(id));
         }
     }
 

@@ -289,8 +289,8 @@ fn proto_global_stream(seed: u64) -> Xoshiro256pp {
 struct OnlineSet {
     flags: Vec<bool>,
     list: Vec<NodeId>,
-    /// Position of each node in `list` (`usize::MAX` when offline).
-    pos: Vec<usize>,
+    /// Position of each node in `list` (`u32::MAX` when offline).
+    pos: Vec<u32>,
 }
 
 impl OnlineSet {
@@ -298,7 +298,7 @@ impl OnlineSet {
         OnlineSet {
             flags: vec![false; n],
             list: Vec::with_capacity(n),
-            pos: vec![usize::MAX; n],
+            pos: vec![u32::MAX; n],
         }
     }
 
@@ -324,16 +324,16 @@ impl OnlineSet {
         }
         self.flags[idx] = up;
         if up {
-            self.pos[idx] = self.list.len();
+            self.pos[idx] = self.list.len() as u32;
             self.list.push(node);
         } else {
             let pos = self.pos[idx];
             let last = *self.list.last().expect("online list underflow");
-            self.list.swap_remove(pos);
-            if pos < self.list.len() {
+            self.list.swap_remove(pos as usize);
+            if (pos as usize) < self.list.len() {
                 self.pos[last.index()] = pos;
             }
-            self.pos[idx] = usize::MAX;
+            self.pos[idx] = u32::MAX;
         }
     }
 }
