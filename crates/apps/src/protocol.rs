@@ -37,14 +37,12 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 #[path = "protocol_sharded.rs"]
 pub mod sharded;
 use ta_metrics::TimeSeries;
 use ta_overlay::sampling::OnlineNeighbors;
 use ta_overlay::Topology;
-use ta_sim::engine::{Driver, MsgBatch, SimApi};
+use ta_sim::engine::{Driver, SimApi};
 use ta_sim::NodeId;
 use token_account::node::{RoundAction, TokenNode};
 use token_account::{DecisionTable, Strategy, Usefulness};
@@ -76,7 +74,7 @@ pub enum ProtocolMsg<M> {
 /// broadcast relies on — lag grows by an order of magnitude. A real
 /// push–pull design needs a *separate* reply budget, which is exactly the
 /// pull-request/one-token mechanism the paper adds for churn rejoins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReplyPolicy {
     /// Algorithm 4 as published: all sends to `selectPeer()`.
     #[default]
@@ -87,7 +85,7 @@ pub enum ReplyPolicy {
 }
 
 /// Message counters of one protocol run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProtocolStats {
     /// Proactive sends (round ticks that spent their token on a message).
     pub proactive_sent: u64,
@@ -329,10 +327,10 @@ impl<A: Application> TokenProtocol<A> {
     }
 
     /// Accounts `count` sends made at the current instant in the traffic
-    /// histogram — every send of one delivery (or one same-time batch)
-    /// lands in the same transfer-time slot, so one bucket add covers them
-    /// all. The histograms of the blocks of a split protocol sum
-    /// elementwise to the whole one.
+    /// histogram — every send of one delivery lands in the same
+    /// transfer-time slot, so one bucket add covers them all. The
+    /// histograms of the blocks of a split protocol sum elementwise to the
+    /// whole one.
     fn record_sends(&mut self, api: &SimApi<'_, ProtocolMsg<A::Msg>>, count: u64) {
         if count == 0 {
             return;
@@ -361,68 +359,6 @@ impl<A: Application> TokenProtocol<A> {
             }
             None => false,
         }
-    }
-
-    /// Handles one delivered protocol message at online node `to` — the
-    /// single body behind [`Driver::on_message`] and
-    /// [`Driver::on_message_batch`], so the two entry points cannot
-    /// drift. Returns the number of sends performed; the caller accounts
-    /// them in the traffic histogram (all at one instant, hence one
-    /// bucket).
-    fn handle_message(
-        &mut self,
-        api: &mut SimApi<'_, ProtocolMsg<A::Msg>>,
-        from: NodeId,
-        to: NodeId,
-        local: usize,
-        msg: ProtocolMsg<A::Msg>,
-    ) -> u64 {
-        let mut sent = 0u64;
-        match msg {
-            ProtocolMsg::PullRequest => {
-                // Section 4.1.2: answer with the latest state iff a token
-                // is available; otherwise stay silent.
-                if self.nodes[local].try_spend_one() {
-                    let reply = self.app.create_message(to);
-                    api.send(to, from, ProtocolMsg::App(reply));
-                    sent += 1;
-                    self.stats.pull_replies += 1;
-                } else {
-                    self.stats.pull_ignored += 1;
-                }
-            }
-            ProtocolMsg::App(payload) => {
-                let usefulness = self.app.update_state(to, from, &payload, api.now());
-                let burst = self.nodes[local].on_message(&self.table, usefulness, api.rng());
-                for i in 0..burst {
-                    // Push–pull extension: the first reactive message may
-                    // answer the sender directly instead of a random peer.
-                    let answered_sender = i == 0
-                        && self.reply_policy == ReplyPolicy::SenderFirst
-                        && self.peers.is_online(from);
-                    let peer = if answered_sender {
-                        Some(from)
-                    } else {
-                        self.peers.select(to, api.rng())
-                    };
-                    match peer {
-                        Some(peer) => {
-                            let m = self.app.create_message(to);
-                            api.send(to, peer, ProtocolMsg::App(m));
-                            sent += 1;
-                            self.stats.reactive_sent += 1;
-                        }
-                        None => {
-                            // Token already burned for a send that cannot
-                            // happen: refund it.
-                            self.nodes[local].bank_token();
-                            self.stats.reactive_refunded += 1;
-                        }
-                    }
-                }
-            }
-        }
-        sent
     }
 
     /// Records one sample over the blocks of a protocol: the application
@@ -513,6 +449,9 @@ impl<A: Application> Driver for TokenProtocol<A> {
         }
     }
 
+    /// Handles one delivered protocol message at online node `to`. Every
+    /// send it makes happens at this instant, so one histogram add covers
+    /// them all.
     fn on_message(
         &mut self,
         api: &mut SimApi<'_, Self::Msg>,
@@ -520,26 +459,51 @@ impl<A: Application> Driver for TokenProtocol<A> {
         to: NodeId,
         msg: Self::Msg,
     ) {
-        let sent = self.handle_message(api, from, to, self.local(to), msg);
-        self.record_sends(api, sent);
-    }
-
-    /// The batched delivery hot path: one call per destination node per
-    /// same-instant run, with the destination lookup and the histogram
-    /// slot hoisted out of the loop. The per-message body is shared with
-    /// [`Driver::on_message`] (`handle_message`), so the two entry points
-    /// cannot drift — where a run is split depends on the shard count, and
-    /// any divergence would break the byte-identical-results guarantee.
-    fn on_message_batch(
-        &mut self,
-        api: &mut SimApi<'_, Self::Msg>,
-        to: NodeId,
-        msgs: &mut MsgBatch<'_, Self::Msg>,
-    ) {
         let local = self.local(to);
         let mut sent = 0u64;
-        for (from, msg) in msgs.by_ref() {
-            sent += self.handle_message(api, from, to, local, msg);
+        match msg {
+            ProtocolMsg::PullRequest => {
+                // Section 4.1.2: answer with the latest state iff a token
+                // is available; otherwise stay silent.
+                if self.nodes[local].try_spend_one() {
+                    let reply = self.app.create_message(to);
+                    api.send(to, from, ProtocolMsg::App(reply));
+                    sent += 1;
+                    self.stats.pull_replies += 1;
+                } else {
+                    self.stats.pull_ignored += 1;
+                }
+            }
+            ProtocolMsg::App(payload) => {
+                let usefulness = self.app.update_state(to, from, &payload, api.now());
+                let burst = self.nodes[local].on_message(&self.table, usefulness, api.rng());
+                for i in 0..burst {
+                    // Push–pull extension: the first reactive message may
+                    // answer the sender directly instead of a random peer.
+                    let answered_sender = i == 0
+                        && self.reply_policy == ReplyPolicy::SenderFirst
+                        && self.peers.is_online(from);
+                    let peer = if answered_sender {
+                        Some(from)
+                    } else {
+                        self.peers.select(to, api.rng())
+                    };
+                    match peer {
+                        Some(peer) => {
+                            let m = self.app.create_message(to);
+                            api.send(to, peer, ProtocolMsg::App(m));
+                            sent += 1;
+                            self.stats.reactive_sent += 1;
+                        }
+                        None => {
+                            // Token already burned for a send that cannot
+                            // happen: refund it.
+                            self.nodes[local].bank_token();
+                            self.stats.reactive_refunded += 1;
+                        }
+                    }
+                }
+            }
         }
         self.record_sends(api, sent);
     }

@@ -43,7 +43,7 @@
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use criterion::black_box;
+use std::hint::black_box;
 use ta_live::harness::{replay_trace, run_sim_oracle, OracleWorkload};
 use ta_live::histogram::LatencyHistogram;
 use ta_live::loadgen::{

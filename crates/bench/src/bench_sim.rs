@@ -40,7 +40,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-use criterion::black_box;
+use std::hint::black_box;
 use ta_apps::protocol::TokenProtocol;
 use ta_apps::push_gossip::PushGossip;
 use ta_apps::sgd::{RegressionData, SgdGossipLearning};

@@ -9,7 +9,7 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use criterion::black_box;
+use std::hint::black_box;
 
 /// One measured number, in the unit its section implies.
 #[derive(Debug, Clone)]

@@ -9,12 +9,11 @@
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use ta_sim::engine::AvailabilityModel;
 use ta_sim::{NodeId, SimTime};
 
 /// One node's availability over the simulated horizon.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Segment {
     /// Online at time zero?
     pub initial_online: bool,
@@ -144,7 +143,7 @@ impl Error for InvalidScheduleError {}
 /// assert_eq!(sched.online_count_at(SimTime::from_secs(120)), 2);
 /// # Ok::<(), ta_churn::schedule::InvalidScheduleError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AvailabilitySchedule {
     segments: Vec<Segment>,
 }

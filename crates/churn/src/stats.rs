@@ -7,13 +7,12 @@
 //! [`AvailabilitySchedule`], so the plot can be regenerated from either the
 //! synthetic model or a real trace loaded from disk.
 
-use serde::{Deserialize, Serialize};
 use ta_sim::time::{SimDuration, SimTime};
 
 use crate::schedule::AvailabilitySchedule;
 
 /// One sampling bucket of the Figure-1 statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnBucket {
     /// Bucket start, in hours from the window start.
     pub hour: f64,

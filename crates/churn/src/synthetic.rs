@@ -26,7 +26,6 @@
 //! exactly the process reproduced here; per-user identity of the original
 //! trace is irrelevant to the algorithms.
 
-use serde::{Deserialize, Serialize};
 use ta_sim::rng::Xoshiro256pp;
 use ta_sim::time::{SimDuration, SimTime};
 
@@ -36,7 +35,7 @@ use crate::schedule::{AvailabilitySchedule, Segment};
 ///
 /// The defaults reproduce the shape of the paper's Figure 1. All rates are
 /// per hour; phases are hours into the (GMT) day.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SmartphoneTraceModel {
     /// Fraction of users that never come online in the window (paper: ~30 %).
     pub permanently_offline: f64,

@@ -20,13 +20,11 @@
 //! monotone left-hand side of eq. 10) and a fixed-step RK4 integrator for
 //! the transient dynamics.
 
-use serde::{Deserialize, Serialize};
-
 use crate::strategy::{Capacity, Strategy};
 use crate::usefulness::Usefulness;
 
 /// One sample of the integrated mean-field trajectory.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeanFieldState {
     /// Time in seconds.
     pub time: f64,

@@ -9,14 +9,13 @@
 //! workspace, or a real network stack in a deployment).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::account::TokenAccount;
 use crate::table::{Decision, DecisionTable};
 use crate::usefulness::Usefulness;
 
 /// What a round tick resolves to (lines 4–10 of Algorithm 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RoundAction {
     /// Send one proactive message (the granted token is consumed by it).
     SendProactive,
@@ -47,7 +46,7 @@ pub enum RoundAction {
 /// assert_eq!(sends, 1);
 /// assert_eq!(node.balance(), 0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct TokenNode {
     account: TokenAccount,
 }

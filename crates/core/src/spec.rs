@@ -1,13 +1,11 @@
-//! Serializable strategy specifications.
+//! Declarative strategy specifications.
 //!
 //! Experiment configurations need to name strategies in data (sweeps over
-//! the `(A, C)` grid, JSON reports); [`StrategySpec`] is the serde-friendly
+//! the `(A, C)` grid, JSON reports); [`StrategySpec`] is the plain-data
 //! mirror of the concrete strategy types, buildable into a boxed
 //! [`Strategy`] — which a [`DecisionTable`](crate::table::DecisionTable)
 //! then compiles, so decisions call through the box only for balances the
 //! table has no row for.
-
-use serde::{Deserialize, Serialize};
 
 use crate::error::InvalidStrategyError;
 use crate::strategies::{
@@ -26,7 +24,7 @@ use crate::strategy::Strategy;
 /// assert_eq!(strategy.label(), "randomized(A=10,C=20)");
 /// # Ok::<(), token_account::error::InvalidStrategyError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StrategySpec {
     /// The purely proactive baseline.
     Proactive,
@@ -130,20 +128,5 @@ mod tests {
             StrategySpec::Randomized { a: 2, c: 7 }.params(),
             (Some(2), Some(7))
         );
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let spec = StrategySpec::Generalized { a: 5, c: 20 };
-        let json = serde_json_like(&spec);
-        assert!(json.contains("Generalized"));
-    }
-
-    /// Minimal serde smoke test without pulling serde_json: use the Debug
-    /// of the Serialize impl through bincode-like manual check. We simply
-    /// verify the type implements Serialize by serializing into a format
-    /// string via serde's derive (compile-time guarantee) and compare Debug.
-    fn serde_json_like(spec: &StrategySpec) -> String {
-        format!("{spec:?}")
     }
 }

@@ -17,12 +17,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::usefulness::Usefulness;
 
 /// The token capacity of a strategy (Section 3.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Capacity {
     /// `PROACTIVE(c) = 1`: at most `c` tokens can ever accumulate.
     Finite(u64),

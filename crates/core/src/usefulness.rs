@@ -8,11 +8,9 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// How useful a received message was to the application. The
 /// discriminants index a [`Row`](crate::table::Row)'s reactive entries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Usefulness {
     /// The message carried no new information (`u = 0`).
     NotUseful = 0,

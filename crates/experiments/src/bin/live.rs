@@ -180,6 +180,23 @@ fn parse_strategy(s: &str) -> Result<StrategySpec, String> {
     }
 }
 
+/// Parses `flag`'s value as seconds: finite, not negative, and small
+/// enough for a [`Duration`].
+fn parse_secs(flag: &str, v: &str) -> Result<Duration, String> {
+    let secs: f64 = v.parse().map_err(|_| format!("bad {flag} `{v}`"))?;
+    Duration::try_from_secs_f64(secs)
+        .map_err(|_| format!("{flag} `{v}` must be a finite number of seconds >= 0"))
+}
+
+/// Parses `what`'s value as a probability in `[0, 1]`.
+fn parse_prob(what: &str, v: &str) -> Result<f64, String> {
+    let p: f64 = v.trim().parse().map_err(|_| format!("bad {what} `{v}`"))?;
+    if !(0.0..=1.0).contains(&p) {
+        return Err(format!("{what} `{v}` must lie in [0, 1]"));
+    }
+    Ok(p)
+}
+
 /// Parses options; `Ok(None)` means `--help` was requested.
 fn parse_opts<I: IntoIterator<Item = String>>(args: I) -> Result<Option<Opts>, String> {
     let mut cfg = LoadGenConfig {
@@ -227,11 +244,7 @@ fn parse_opts<I: IntoIterator<Item = String>>(args: I) -> Result<Option<Opts>, S
                 }
             }
             "--duration-secs" => {
-                let v = value("--duration-secs")?;
-                let secs: f64 = v
-                    .parse()
-                    .map_err(|_| format!("bad --duration-secs `{v}`"))?;
-                cfg.duration = Duration::from_secs_f64(secs.max(0.0));
+                cfg.duration = parse_secs("--duration-secs", &value("--duration-secs")?)?;
             }
             "--strategy" => strategy = parse_strategy(&value("--strategy")?)?,
             "--mode" => match value("--mode")?.as_str() {
@@ -242,6 +255,9 @@ fn parse_opts<I: IntoIterator<Item = String>>(args: I) -> Result<Option<Opts>, S
             "--rate" => {
                 let v = value("--rate")?;
                 rate = v.parse().map_err(|_| format!("bad --rate `{v}`"))?;
+                if !rate.is_finite() || rate < 0.0 {
+                    return Err(format!("--rate `{v}` must be a finite rate >= 0"));
+                }
             }
             "--burst" => {
                 let v = value("--burst")?;
@@ -249,14 +265,12 @@ fn parse_opts<I: IntoIterator<Item = String>>(args: I) -> Result<Option<Opts>, S
                     .split_once(',')
                     .ok_or_else(|| format!("bad --burst `{v}` (want p,k)"))?;
                 cfg.burst = Some(BurstMix {
-                    probability: p.trim().parse().map_err(|_| format!("bad burst p `{p}`"))?,
+                    probability: parse_prob("--burst p", p)?,
                     size: k.trim().parse().map_err(|_| format!("bad burst k `{k}`"))?,
                 });
             }
             "--useful-prob" => {
-                let v = value("--useful-prob")?;
-                cfg.useful_probability =
-                    v.parse().map_err(|_| format!("bad --useful-prob `{v}`"))?;
+                cfg.useful_probability = parse_prob("--useful-prob", &value("--useful-prob")?)?;
             }
             "--shards" => {
                 let v = value("--shards")?;
@@ -277,14 +291,11 @@ fn parse_opts<I: IntoIterator<Item = String>>(args: I) -> Result<Option<Opts>, S
             "--crosscheck" => crosscheck = true,
             "--journal-dir" => journal_dir = Some(PathBuf::from(value("--journal-dir")?)),
             "--snapshot-every" => {
-                let v = value("--snapshot-every")?;
-                let secs: f64 = v
-                    .parse()
-                    .map_err(|_| format!("bad --snapshot-every `{v}`"))?;
-                if !secs.is_finite() || secs <= 0.0 {
+                let every = parse_secs("--snapshot-every", &value("--snapshot-every")?)?;
+                if every.is_zero() {
                     return Err("--snapshot-every must be positive".into());
                 }
-                snapshot_every = Some(Duration::from_secs_f64(secs));
+                snapshot_every = Some(every);
             }
             "--commit-ms" => {
                 let v = value("--commit-ms")?;
@@ -989,6 +1000,10 @@ mod tests {
         assert!(parse(&["--snapshot-every", "nope"]).is_err());
         assert!(parse(&["--fault", "bogus_mode"]).is_err());
         assert!(parse(&["--commit-ms", "-1"]).is_err());
+        for bad in ["inf", "nan", "-1", "1e300"] {
+            let err = parse(&["--snapshot-every", bad]).unwrap_err();
+            assert!(err.contains("--snapshot-every"), "{err}");
+        }
     }
 
     #[test]
@@ -1021,6 +1036,28 @@ mod tests {
         assert!(parse(&["--workers", "0"]).is_err());
         assert!(parse(&["--mode", "sideways"]).is_err());
         assert!(parse(&["--bogus"]).is_err());
+        // Out-of-range floats are errors naming the flag, not panics.
+        for (flag, bad) in [
+            ("--duration-secs", "inf"),
+            ("--duration-secs", "nan"),
+            ("--duration-secs", "-1"),
+            ("--duration-secs", "1e300"),
+            ("--rate", "nan"),
+            ("--rate", "inf"),
+            ("--rate", "-1"),
+            ("--useful-prob", "7"),
+            ("--useful-prob", "-0.1"),
+            ("--useful-prob", "nan"),
+            ("--burst", "1.5,4"),
+            ("--burst", "nan,4"),
+        ] {
+            let err = parse(&["--mode", "open", flag, bad]).unwrap_err();
+            assert!(err.contains(flag), "{flag} {bad}: {err}");
+        }
+        // The edges stay valid: a zero-length run, zero rate, certainty.
+        let opts = parse(&["--duration-secs", "0", "--rate", "0", "--useful-prob", "1"]).unwrap();
+        assert_eq!(opts.cfg.duration, Duration::ZERO);
+        assert!(parse(&["--burst", "0,4", "--useful-prob", "0"]).is_ok());
         // --help is not an error: the binary prints usage and exits 0.
         assert_eq!(
             parse_opts(["--help".to_string()]).map(|o| o.is_none()),

@@ -29,7 +29,6 @@ use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 use ta_apps::app::{Application, ShardableApplication};
 use ta_apps::chaotic::ChaoticIteration;
 use ta_apps::gossip_learning::GossipLearning;
@@ -154,7 +153,7 @@ pub fn take_profile() -> ProfileData {
 }
 
 /// Aggregated counters over all runs of an experiment.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct AggregateStats {
     /// Mean messages sent per run (all kinds).
     pub mean_messages_sent: f64,
@@ -287,7 +286,7 @@ where
     }
 }
 
-/// One replica: the strategy is built from the serializable
+/// One replica: the strategy is built from the declarative
 /// [`StrategySpec`](token_account::StrategySpec) and compiled by the
 /// protocol into its decision table.
 fn single_run<A: Application>(

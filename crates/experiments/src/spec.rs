@@ -5,7 +5,6 @@
 //! network size, horizon, and replication. The [runner](crate::runner)
 //! turns it into an averaged time series.
 
-use serde::{Deserialize, Serialize};
 use ta_apps::protocol::ReplyPolicy;
 use ta_sim::config::TickPhase;
 use ta_sim::paper;
@@ -13,7 +12,7 @@ use ta_sim::time::SimDuration;
 use token_account::StrategySpec;
 
 /// Which of the paper's three applications to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AppKind {
     /// Gossip learning (Section 2.2, metric eq. 6 — higher is better).
     GossipLearning,
@@ -41,7 +40,7 @@ impl AppKind {
 }
 
 /// The overlay topology of the experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TopologyKind {
     /// Fixed random k-out digraph (paper: k = 20 for gossip learning and
     /// push gossip).
@@ -60,7 +59,7 @@ pub enum TopologyKind {
 }
 
 /// The availability scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ChurnKind {
     /// Failure-free: all nodes online throughout (Figure 2/4/5).
     None,
@@ -69,7 +68,7 @@ pub enum ChurnKind {
 }
 
 /// A full experiment description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentSpec {
     /// Application under test.
     pub app: AppKind,

@@ -765,7 +765,7 @@ impl Client<'_> {
     }
 }
 
-/// Runs the load generator for a serializable [`StrategySpec`].
+/// Runs the load generator for a declarative [`StrategySpec`].
 ///
 /// # Errors
 ///

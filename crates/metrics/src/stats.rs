@@ -1,7 +1,5 @@
 //! Streaming descriptive statistics (Welford's algorithm).
 
-use serde::{Deserialize, Serialize};
-
 /// Single-pass mean/variance/min/max accumulator.
 ///
 /// ```
@@ -15,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
 /// assert!((s.population_std_dev() - 2.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,

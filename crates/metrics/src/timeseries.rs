@@ -7,11 +7,9 @@
 //! panels are "smoothed based on averaging measurements over 15 minute
 //! periods").
 
-use serde::{Deserialize, Serialize};
-
 /// A sequence of `(time_seconds, value)` samples in non-decreasing time
 /// order.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TimeSeries {
     times: Vec<f64>,
     values: Vec<f64>,

@@ -1,7 +1,6 @@
 //! Structural analysis of overlay graphs: reachability, strong
 //! connectivity, degree statistics, and diameter estimation.
 
-use serde::{Deserialize, Serialize};
 use ta_sim::rng::Xoshiro256pp;
 use ta_sim::NodeId;
 
@@ -69,7 +68,7 @@ pub fn is_strongly_connected(topo: &Topology) -> bool {
 }
 
 /// Summary of a graph's degree distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegreeStats {
     /// Minimum out-degree.
     pub min_out: usize,

@@ -3,13 +3,11 @@
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::paper;
 use crate::time::SimDuration;
 
 /// How the first round tick of a node is phased.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TickPhase {
     /// Each node's first tick fires after a uniform random fraction of Δ
     /// (and again after each rejoin). This models unsynchronized rounds,
@@ -37,7 +35,7 @@ pub enum TickPhase {
 /// assert_eq!(cfg.n(), 1_000);
 /// # Ok::<(), ta_sim::config::InvalidConfigError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     n: usize,
     delta: SimDuration,

@@ -71,7 +71,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 use ta_telemetry::Profile;
 
 use crate::config::{SimConfig, TickPhase};
@@ -81,177 +80,6 @@ use crate::rng::Xoshiro256pp;
 use crate::shard::pipeline::Core;
 use crate::shard::ShardPlan;
 use crate::time::{SimDuration, SimTime};
-
-/// Sentinel terminating the per-destination delivery chains of a grouped
-/// run (see [`RunGrouper`]).
-const RUN_NIL: u32 = u32::MAX;
-
-/// One destination's slice of a same-instant delivery run, handed to
-/// [`Driver::on_message_batch`]. Yields
-/// `(from, msg)` pairs in exactly the order the per-event path would
-/// deliver them to this destination.
-pub struct MsgBatch<'a, M> {
-    /// The whole run, `(from, to, payload)`; payloads are taken as the
-    /// iterator walks this destination's chain.
-    run: &'a mut [(NodeId, NodeId, Option<M>)],
-    /// Chain links over `run` (index-threaded, [`RUN_NIL`]-terminated).
-    next: &'a [u32],
-    cur: u32,
-    remaining: u32,
-}
-
-impl<'a, M> MsgBatch<'a, M> {
-    #[inline]
-    fn new(
-        run: &'a mut [(NodeId, NodeId, Option<M>)],
-        next: &'a [u32],
-        head: u32,
-        count: u32,
-    ) -> Self {
-        MsgBatch {
-            run,
-            next,
-            cur: head,
-            remaining: count,
-        }
-    }
-
-    /// Deliveries not yet taken.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.remaining as usize
-    }
-
-    /// True when every delivery has been taken.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.remaining == 0
-    }
-}
-
-impl<M> Iterator for MsgBatch<'_, M> {
-    type Item = (NodeId, M);
-
-    #[inline]
-    fn next(&mut self) -> Option<(NodeId, M)> {
-        if self.cur == RUN_NIL {
-            return None;
-        }
-        let i = self.cur as usize;
-        self.cur = self.next[i];
-        self.remaining -= 1;
-        let (from, _, msg) = &mut self.run[i];
-        Some((*from, msg.take().expect("delivery consumed twice")))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining as usize, Some(self.remaining as usize))
-    }
-}
-
-impl<M> ExactSizeIterator for MsgBatch<'_, M> {}
-
-impl<M> std::fmt::Debug for MsgBatch<'_, M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MsgBatch")
-            .field("remaining", &self.remaining)
-            .finish()
-    }
-}
-
-/// Groups a contiguous same-instant delivery run by destination node:
-/// index-threaded chains (stable, so each destination keeps its key
-/// order) built incrementally as the run is collected — one array write
-/// per delivery, no comparison sort. Destinations are visited in
-/// first-occurrence order; the choice of cross-destination order is
-/// unobservable (per-destination effects are isolated, new events carry
-/// their own keys), so the cheapest deterministic order wins. All buffers
-/// are epoch-stamped and recycled; steady state allocates nothing.
-struct RunGrouper {
-    /// Per owned node (dense local index): chain head/tail into the run,
-    /// valid iff `mark` carries the current epoch.
-    head: Vec<u32>,
-    tail: Vec<u32>,
-    count: Vec<u32>,
-    mark: Vec<u32>,
-    /// Per run entry: next entry of the same destination.
-    next: Vec<u32>,
-    /// Distinct destinations of the current run, in first-occurrence
-    /// order.
-    touched: Vec<NodeId>,
-    epoch: u32,
-    /// First owned node index.
-    base: usize,
-}
-
-impl RunGrouper {
-    fn new(base: usize, owned: usize) -> Self {
-        RunGrouper {
-            head: vec![RUN_NIL; owned],
-            tail: vec![RUN_NIL; owned],
-            count: vec![0; owned],
-            mark: vec![0; owned],
-            next: Vec::new(),
-            touched: Vec::new(),
-            epoch: 0,
-            base,
-        }
-    }
-
-    /// Starts a new run (invalidates every previous chain in O(1)).
-    fn begin(&mut self) {
-        self.next.clear();
-        self.touched.clear();
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // Stamp wraparound: invalidate every stale mark once per 2^32
-            // runs instead of clearing per run.
-            self.mark.fill(0);
-            self.epoch = 1;
-        }
-    }
-
-    /// Appends run entry `i` (the next index, in order) addressed to
-    /// destination `to`.
-    #[inline]
-    fn add(&mut self, to: NodeId) {
-        let i = self.next.len() as u32;
-        self.next.push(RUN_NIL);
-        let l = to.index() - self.base;
-        if self.mark[l] != self.epoch {
-            self.mark[l] = self.epoch;
-            self.head[l] = i;
-            self.tail[l] = i;
-            self.count[l] = 1;
-            self.touched.push(to);
-        } else {
-            self.next[self.tail[l] as usize] = i;
-            self.tail[l] = i;
-            self.count[l] += 1;
-        }
-    }
-
-    /// Number of distinct destinations in the grouped run.
-    #[inline]
-    fn groups(&self) -> usize {
-        self.touched.len()
-    }
-
-    /// The `gi`-th destination (first-occurrence order) with its chain
-    /// head and length.
-    #[inline]
-    fn group(&self, gi: usize) -> (NodeId, u32, u32) {
-        let to = self.touched[gi];
-        let l = to.index() - self.base;
-        (to, self.head[l], self.count[l])
-    }
-
-    /// The chain links, for constructing [`MsgBatch`]es.
-    #[inline]
-    fn links(&self) -> &[u32] {
-        &self.next
-    }
-}
 
 /// Stream-id namespace of per-node engine randomness (tick phases, drop
 /// decisions attributed to the sending node).
@@ -405,30 +233,6 @@ pub trait Driver {
         msg: Self::Msg,
     );
 
-    /// A same-instant batch of messages, all addressed to online node
-    /// `to`, in exactly the order the per-event path would deliver them.
-    ///
-    /// The engine groups each contiguous run of same-time deliveries by
-    /// destination and hands every destination's slice through one call,
-    /// so implementations can hoist per-delivery state lookups out of the
-    /// loop (see `TokenProtocol` in `ta-apps`). The default loops over
-    /// [`on_message`](Self::on_message).
-    ///
-    /// Overrides must consume every entry and be observably equivalent to
-    /// calling `on_message` once per entry in order: where a run is split
-    /// depends on the shard count, so a batch hook that drifts from its
-    /// per-event hook forfeits the byte-identical results guarantee.
-    fn on_message_batch(
-        &mut self,
-        api: &mut SimApi<'_, Self::Msg>,
-        to: NodeId,
-        msgs: &mut MsgBatch<'_, Self::Msg>,
-    ) {
-        for (from, msg) in msgs.by_ref() {
-            self.on_message(api, from, to, msg);
-        }
-    }
-
     /// `node` came online. Fired on every block for every node: update
     /// full-network mirrors unconditionally, and run node-scoped reactions
     /// (which may draw randomness and send) only when
@@ -468,9 +272,8 @@ pub trait Driver {
 
 /// Counters accumulated over a run.
 ///
-/// A passive data record: all fields are public and the struct is
-/// serializable for experiment reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// A passive data record: all fields are public.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Messages passed to [`SimApi::send`].
     pub messages_sent: u64,
@@ -829,10 +632,6 @@ pub(crate) struct Engine<D: Driver> {
     /// The same-time run currently being dispatched, drained from the
     /// queue in one [`EventQueue::drain_ready_before`] call.
     batch: ReadyBatch<Ev<D::Msg>>,
-    /// Contiguous delivery run scratch: `(from, to, payload)`, grouped by
-    /// destination through `grouper` (capacity reused).
-    run_scratch: Vec<(NodeId, NodeId, Option<D::Msg>)>,
-    grouper: RunGrouper,
     /// Batch/window/mailbox self-profiling (no-op unless `TA_PROFILE=1`
     /// or forced on).
     pub(crate) profile: Profile,
@@ -905,8 +704,6 @@ impl<D: Driver> Engine<D> {
             queue: LaneScheduler::with_delays([cfg.delta(), cfg.transfer_time()]),
             driver,
             batch: ReadyBatch::new(),
-            run_scratch: Vec::new(),
-            grouper: RunGrouper::new(range.start, range.len()),
             profile: Profile::from_env(),
         };
         engine.flush_pending();
@@ -967,79 +764,13 @@ impl<D: Driver> Engine<D> {
         }
     }
 
-    /// Dispatches the drained batch in key order, routing each contiguous
-    /// run of deliveries through the grouped
-    /// [`Driver::on_message_batch`] path (runs cannot contain churn
-    /// events, so the online set — and therefore the offline-loss
-    /// filter — is constant across a run; filtering and chain-building
-    /// happen in the collection pass itself).
+    /// Dispatches the drained batch, one event at a time in key order.
     fn consume_batch(&mut self) {
         let mut entries = std::mem::take(&mut self.batch.entries);
-        if entries.len() == 1 {
-            // Sparse traffic: skip the run machinery entirely.
-            let (_, _, ev) = entries.pop().expect("length checked");
+        for (_, _, ev) in entries.drain(..) {
             self.dispatch(ev);
-            self.batch.entries = entries;
-            return;
         }
-        let mut it = entries.drain(..).peekable();
-        while let Some((_, _, ev)) = it.next() {
-            match ev {
-                Ev::Deliver { from, to, msg }
-                    if matches!(it.peek(), Some((.., Ev::Deliver { .. }))) =>
-                {
-                    debug_assert!(self.run_scratch.is_empty());
-                    self.grouper.begin();
-                    self.collect_delivery(from, to, msg);
-                    while matches!(it.peek(), Some((.., Ev::Deliver { .. }))) {
-                        let Some((.., Ev::Deliver { from, to, msg })) = it.next() else {
-                            unreachable!("peek promised a delivery");
-                        };
-                        self.collect_delivery(from, to, msg);
-                    }
-                    self.dispatch_deliver_run();
-                }
-                other => self.dispatch(other),
-            }
-        }
-        drop(it);
         self.batch.entries = entries;
-    }
-
-    /// Adds one delivery of the current contiguous run: offline
-    /// destinations are dropped here (the online set is constant across
-    /// the run), online ones are appended to the scratch and chained
-    /// onto their destination group — one pass does it all.
-    #[inline]
-    fn collect_delivery(&mut self, from: NodeId, to: NodeId, msg: D::Msg) {
-        if !self.kernel.online.is_online(to) {
-            self.kernel.stats.messages_lost_offline += 1;
-            return;
-        }
-        self.run_scratch.push((from, to, Some(msg)));
-        self.grouper.add(to);
-    }
-
-    /// Grouped dispatch of one collected same-instant delivery run: each
-    /// destination's deliveries (key order preserved) go to the driver
-    /// through one [`Driver::on_message_batch`] call — node state loaded
-    /// once per destination instead of once per message.
-    fn dispatch_deliver_run(&mut self) {
-        self.kernel.stats.messages_delivered += self.run_scratch.len() as u64;
-        for gi in 0..self.grouper.groups() {
-            let (to, head, count) = self.grouper.group(gi);
-            self.kernel.ctx = Ctx::Node(to);
-            let mut api = SimApi {
-                kernel: &mut self.kernel,
-            };
-            let mut msgs = MsgBatch::new(&mut self.run_scratch, self.grouper.links(), head, count);
-            self.driver.on_message_batch(&mut api, to, &mut msgs);
-            debug_assert!(
-                msgs.is_empty(),
-                "on_message_batch must consume every delivery"
-            );
-        }
-        self.run_scratch.clear();
     }
 
     fn dispatch(&mut self, ev: Ev<D::Msg>) {
@@ -1676,40 +1407,24 @@ mod tests {
     }
 
     #[test]
-    fn same_instant_deliveries_are_grouped_per_destination() {
-        // Synchronized ticks: every node sends to node 0 and node 1 at the
-        // same instant, so all deliveries share one deadline. The engine
-        // must hand each destination its whole slice through ONE
-        // `on_message_batch` call, destinations in ascending node order,
-        // senders within a batch in `(origin, counter)` key order.
+    fn same_instant_deliveries_fire_in_key_order() {
+        // Synchronized ticks: every node sends to node 0, then to node 1, at
+        // the same instant, so all deliveries share one deadline. They fire
+        // one `on_message` at a time in `(origin, counter)` key order:
+        // sender by sender, each sender's message to node 0 before its
+        // message to node 1.
         #[derive(Default)]
-        struct BatchSpy {
-            batches: Vec<(NodeId, Vec<NodeId>)>,
+        struct Spy {
+            deliveries: Vec<(NodeId, NodeId)>,
         }
-        impl Driver for BatchSpy {
+        impl Driver for Spy {
             type Msg = ();
             fn on_round_tick(&mut self, api: &mut SimApi<'_, ()>, node: NodeId) {
                 api.send(node, NodeId::new(0), ());
                 api.send(node, NodeId::new(1), ());
             }
             fn on_message(&mut self, _: &mut SimApi<'_, ()>, from: NodeId, to: NodeId, _: ()) {
-                self.batches
-                    .last_mut()
-                    .expect("batch hook records first")
-                    .1
-                    .push(from);
-                let _ = to;
-            }
-            fn on_message_batch(
-                &mut self,
-                api: &mut SimApi<'_, ()>,
-                to: NodeId,
-                msgs: &mut MsgBatch<'_, ()>,
-            ) {
-                self.batches.push((to, Vec::new()));
-                for (from, msg) in msgs.by_ref() {
-                    self.on_message(api, from, to, msg);
-                }
+                self.deliveries.push((to, from));
             }
         }
         let n = 6;
@@ -1720,22 +1435,15 @@ mod tests {
             .tick_phase(TickPhase::Synchronized)
             .build()
             .unwrap();
-        let mut sim = Simulation::new(cfg, &AlwaysOn, BatchSpy::default());
+        let mut sim = Simulation::new(cfg, &AlwaysOn, Spy::default());
         sim.run_to_end();
-        let batches = &sim.driver().batches;
         // Two delivery instants (ticks at 10 s and 20 s, arrivals at 11 s
-        // and 21 s), two destinations each.
-        assert_eq!(batches.len(), 4);
-        for pair in batches.chunks(2) {
-            assert_eq!(pair[0].0, NodeId::new(0));
-            assert_eq!(pair[1].0, NodeId::new(1));
-            for (_, froms) in pair {
-                // One message per sender, in ascending origin order (the
-                // per-destination key order).
-                let expect: Vec<NodeId> = node_ids(n).collect();
-                assert_eq!(froms, &expect);
-            }
-        }
+        // and 21 s), two messages per sender at each.
+        let expect: Vec<(NodeId, NodeId)> = (0..2)
+            .flat_map(|_| node_ids(n))
+            .flat_map(|from| [(NodeId::new(0), from), (NodeId::new(1), from)])
+            .collect();
+        assert_eq!(sim.driver().deliveries, expect);
         assert_eq!(sim.stats().messages_delivered, 4 * n as u64);
     }
 

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a simulated node: a dense index in `[0, n)`.
 ///
 /// Newtype over `u32` ([C-NEWTYPE]) so node ids cannot be confused with
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(node.index(), 7);
 /// assert_eq!(node.to_string(), "n7");
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(u32);
 
 impl NodeId {

@@ -25,8 +25,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// Number of microseconds in one second.
 pub const MICROS_PER_SEC: u64 = 1_000_000;
 
@@ -35,7 +33,7 @@ pub const MICROS_PER_SEC: u64 = 1_000_000;
 ///
 /// `SimTime` is totally ordered; the simulator processes events in
 /// non-decreasing `SimTime` order.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of virtual time, in microseconds.
@@ -43,7 +41,7 @@ pub struct SimTime(u64);
 /// Durations are non-negative; subtracting a later time from an earlier one
 /// panics in debug builds (see [`SimTime::checked_duration_since`] for the
 /// fallible variant).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {
