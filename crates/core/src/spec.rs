@@ -129,4 +129,10 @@ mod tests {
             (Some(2), Some(7))
         );
     }
+
+    #[test]
+    fn debug_names_the_variant() {
+        let spec = StrategySpec::Generalized { a: 5, c: 20 };
+        assert!(format!("{spec:?}").contains("Generalized"));
+    }
 }

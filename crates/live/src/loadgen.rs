@@ -739,7 +739,14 @@ impl Client<'_> {
                             break 'run; // over, or nothing will ever arrive
                         }
                         let gap = -(1.0 - self.rng.next_f64()).ln() / rate;
-                        next_arrival += Duration::from_secs_f64(gap);
+                        // A gap past `Duration::MAX` lands after any deadline.
+                        let Some(next) = Duration::try_from_secs_f64(gap)
+                            .ok()
+                            .and_then(|gap| next_arrival.checked_add(gap))
+                        else {
+                            break 'run;
+                        };
+                        next_arrival = next;
                         if next_arrival > now {
                             let wait = next_arrival - now;
                             if start.elapsed() + wait >= cfg.duration {
@@ -777,7 +784,7 @@ pub fn run_loadgen_spec(
     Ok(run_loadgen(spec.build()?, cfg))
 }
 
-/// [`run_loadgen_observed`] for a serializable [`StrategySpec`].
+/// [`run_loadgen_observed`] for a declarative [`StrategySpec`].
 ///
 /// # Errors
 ///
@@ -808,7 +815,7 @@ pub fn run_loadgen_supervised_spec(
     Ok(run_on_runtime(&runtime, cfg, None, None, telem, Some(board)).0)
 }
 
-/// [`run_loadgen_durable`] for a serializable [`StrategySpec`].
+/// [`run_loadgen_durable`] for a declarative [`StrategySpec`].
 ///
 /// # Errors
 ///
@@ -830,7 +837,7 @@ pub fn run_loadgen_durable_spec(
     ))
 }
 
-/// [`run_loadgen_durable_observed`] for a serializable [`StrategySpec`].
+/// [`run_loadgen_durable_observed`] for a declarative [`StrategySpec`].
 ///
 /// # Errors
 ///
@@ -962,6 +969,18 @@ mod tests {
             let report = run_loadgen(SimpleTokenAccount::new(10), &cfg);
             assert_eq!(report.counters.requests, 0, "{mode:?}");
             assert_eq!(report.histogram.count(), 0, "{mode:?}");
+            assert!(report.conserves());
+        }
+    }
+
+    #[test]
+    fn tiny_open_loop_rate_makes_no_decisions() {
+        // Every gap overflows a `Duration` (or the deadline): no arrival.
+        for rate_per_client in [1e-300, 1e-12, f64::MIN_POSITIVE] {
+            let mut cfg = tiny(ArrivalMode::Open { rate_per_client });
+            cfg.duration = Duration::from_millis(20);
+            let report = run_loadgen(SimpleTokenAccount::new(10), &cfg);
+            assert_eq!(report.counters.requests, 0, "{rate_per_client}");
             assert!(report.conserves());
         }
     }
