@@ -46,9 +46,7 @@ use std::time::Duration;
 use std::hint::black_box;
 use ta_live::harness::{replay_trace, run_sim_oracle, OracleWorkload};
 use ta_live::histogram::LatencyHistogram;
-use ta_live::loadgen::{
-    run_loadgen, run_loadgen_durable, run_loadgen_observed, ArrivalMode, BurstMix, LoadGenConfig,
-};
+use ta_live::loadgen::{run_loadgen, ArrivalMode, Attach, BurstMix, LoadGenConfig, LoadGenReport};
 use ta_live::obs::{ObsServer, StatsPump, TraceBus};
 use ta_live::persist::{recover, PersistConfig, Persistence};
 use ta_live::runtime::LiveRuntime;
@@ -70,12 +68,10 @@ fn scales(smoke: bool) -> (usize, Duration, usize) {
     }
 }
 
-fn loadgen_cfg(smoke: bool, workers: usize, clients: usize, shards: usize) -> LoadGenConfig {
+fn loadgen_cfg(smoke: bool, workers: usize) -> LoadGenConfig {
     let (_, duration, _) = scales(smoke);
     LoadGenConfig {
-        clients,
         workers,
-        account_shards: shards,
         duration,
         mode: ArrivalMode::Closed,
         useful_probability: 0.8,
@@ -88,12 +84,28 @@ fn loadgen_cfg(smoke: bool, workers: usize, clients: usize, shards: usize) -> Lo
     }
 }
 
+/// [`run_loadgen`] over `clients` accounts in 64 shards, with `telem`
+/// attached.
+fn closed_run(
+    strategy: impl Strategy + 'static,
+    cfg: &LoadGenConfig,
+    clients: usize,
+    telem: Option<&LiveTelemetry>,
+) -> LoadGenReport {
+    let with = Attach {
+        telem,
+        ..Attach::default()
+    };
+    run_loadgen(&LiveRuntime::new(strategy, clients, 64), cfg, with)
+}
+
 fn bench_loadgen(smoke: bool) -> Vec<Sample> {
     let (clients, _, _) = scales(smoke);
     let strategy = RandomizedTokenAccount::new(5, 10).expect("valid strategy");
     let mut samples = Vec::new();
     for workers in [1usize, 2, 4] {
-        let report = run_loadgen(strategy, &loadgen_cfg(smoke, workers, clients, 64));
+        let runtime = LiveRuntime::new(strategy, clients, 64);
+        let report = run_loadgen(&runtime, &loadgen_cfg(smoke, workers), Attach::default());
         assert!(report.conserves(), "loadgen books must close");
         samples.push(Sample {
             id: format!("loadgen/closed_w{workers}"),
@@ -110,7 +122,8 @@ fn bench_loadgen(smoke: bool) -> Vec<Sample> {
         ("contended/single_shard_w4", 1),
         ("contended/sharded_w4", 64),
     ] {
-        let report = run_loadgen(strategy, &loadgen_cfg(smoke, 4, 64, shards));
+        let runtime = LiveRuntime::new(strategy, 64, shards);
+        let report = run_loadgen(&runtime, &loadgen_cfg(smoke, 4), Attach::default());
         assert!(report.conserves(), "contended books must close");
         samples.push(Sample {
             id: id.into(),
@@ -196,7 +209,7 @@ fn bench_replay(smoke: bool) -> Sample {
 fn bench_persist(smoke: bool) -> Vec<Sample> {
     let (clients, _, _) = scales(smoke);
     let strategy = RandomizedTokenAccount::new(5, 10).expect("valid strategy");
-    let cfg = loadgen_cfg(smoke, 2, clients, 64);
+    let cfg = loadgen_cfg(smoke, 2);
     let scratch = std::env::temp_dir().join(format!("ta-bench-persist-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
     let mut samples = Vec::new();
@@ -204,7 +217,7 @@ fn bench_persist(smoke: bool) -> Vec<Sample> {
     // The same closed loop, journal off vs. on: the admit path adds one
     // epoch-cell toggle + a buffered record per decision; everything
     // else (framing, CRC, fsync) rides the async writer thread.
-    let off = run_loadgen(strategy, &cfg);
+    let off = closed_run(strategy, &cfg, clients, None);
     assert!(off.conserves(), "journal-off books must close");
     samples.push(Sample {
         id: "closed_w2_journal_off".into(),
@@ -213,7 +226,11 @@ fn bench_persist(smoke: bool) -> Vec<Sample> {
 
     let dir = scratch.join("overhead");
     let p = Persistence::open(&PersistConfig::new(&dir), clients, 64).expect("open journal");
-    let (on, _) = run_loadgen_durable(strategy, &cfg, &p, None, None);
+    let with = Attach {
+        persistence: Some(&p),
+        ..Attach::default()
+    };
+    let on = run_loadgen(&LiveRuntime::new(strategy, clients, 64), &cfg, with);
     assert!(on.conserves(), "journal-on books must close");
     p.shutdown().expect("clean journal shutdown");
     samples.push(Sample {
@@ -270,11 +287,11 @@ fn bench_persist(smoke: bool) -> Vec<Sample> {
 fn bench_telemetry(smoke: bool) -> Vec<Sample> {
     let (clients, _, _) = scales(smoke);
     let strategy = RandomizedTokenAccount::new(5, 10).expect("valid strategy");
-    let cfg = loadgen_cfg(smoke, 2, clients, 64);
+    let cfg = loadgen_cfg(smoke, 2);
     let mut samples = Vec::new();
 
     // The closed-loop reference with no registry at all.
-    let off = run_loadgen(strategy, &cfg);
+    let off = closed_run(strategy, &cfg, clients, None);
     assert!(off.conserves(), "telemetry-off books must close");
     samples.push(Sample {
         id: "closed_w2_telemetry_off".into(),
@@ -285,7 +302,7 @@ fn bench_telemetry(smoke: bool) -> Vec<Sample> {
     // one relaxed load + two branches; deltas are published every 256
     // decisions. The acceptance bar is ≥ 0.95× of the row above.
     let telem = LiveTelemetry::new(cfg.workers, 0, LiveTelemetry::DEFAULT_RING_CAPACITY);
-    let counters_only = run_loadgen_observed(strategy, &cfg, &telem);
+    let counters_only = closed_run(strategy, &cfg, clients, Some(&telem));
     assert!(counters_only.conserves(), "counters-only books must close");
     let snap = telem.snapshot();
     assert_eq!(
@@ -300,7 +317,7 @@ fn bench_telemetry(smoke: bool) -> Vec<Sample> {
 
     // Tracing at the CI smoke sample rate (1-in-64) on top.
     let telem = LiveTelemetry::new(cfg.workers, 64, LiveTelemetry::DEFAULT_RING_CAPACITY);
-    let traced = run_loadgen_observed(strategy, &cfg, &telem);
+    let traced = closed_run(strategy, &cfg, clients, Some(&telem));
     assert!(traced.conserves(), "traced books must close");
     samples.push(Sample {
         id: "closed_w2_traced_s64".into(),
@@ -329,7 +346,7 @@ fn bench_telemetry(smoke: bool) -> Vec<Sample> {
     let addr = server.addr();
     let watch = std::thread::spawn(move || drain_obs_stream(addr, "WATCH 200\n"));
     let trace = std::thread::spawn(move || drain_obs_stream(addr, "TRACE 64\n"));
-    let scraped = run_loadgen_observed(strategy, &cfg, &telem);
+    let scraped = closed_run(strategy, &cfg, clients, Some(&telem));
     assert!(scraped.conserves(), "scraped books must close");
     pump.finalize();
     bus.finish(&telem.snapshot()).expect("trace bus finish");

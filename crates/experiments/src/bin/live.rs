@@ -42,20 +42,17 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ta_live::harness::{live_vs_sim_spec, OracleWorkload};
+use ta_live::harness::{live_vs_sim, OracleWorkload};
 use ta_live::health::{HealthBoard, OnJournalFail};
-use ta_live::loadgen::{
-    run_loadgen_durable_supervised_spec, run_loadgen_supervised_spec, ArrivalMode, BurstMix,
-    LoadGenConfig, LoadGenReport,
-};
+use ta_live::loadgen::{run_loadgen, ArrivalMode, Attach, BurstMix, LoadGenConfig, LoadGenReport};
 use ta_live::obs::{ObsServer, StatsPump, TraceBus};
 use ta_live::persist::{
-    recover, FaultPlan, PersistConfig, Persistence, RecoveredState, RecoveryError, MANIFEST_FILE,
+    recover, FaultPlan, PersistConfig, Persistence, RecoveryError, MANIFEST_FILE,
 };
 use ta_live::telem::c as tc;
-use ta_live::LiveTelemetry;
+use ta_live::{LiveRuntime, LiveTelemetry};
 use ta_telemetry::EventLine;
-use token_account::StrategySpec;
+use token_account::{Strategy, StrategySpec};
 
 /// Exit code: recovery found books that do not conserve.
 const EXIT_CONSERVATION: u8 = 3;
@@ -113,6 +110,8 @@ const USAGE: &str = "options:
 #[derive(Debug)]
 struct Opts {
     cfg: LoadGenConfig,
+    clients: usize,
+    shards: usize,
     strategy: StrategySpec,
     crosscheck: bool,
     journal_dir: Option<PathBuf>,
@@ -200,9 +199,7 @@ fn parse_prob(what: &str, v: &str) -> Result<f64, String> {
 /// Parses options; `Ok(None)` means `--help` was requested.
 fn parse_opts<I: IntoIterator<Item = String>>(args: I) -> Result<Option<Opts>, String> {
     let mut cfg = LoadGenConfig {
-        clients: 100_000,
         workers: 2,
-        account_shards: 64,
         duration: Duration::from_secs(10),
         mode: ArrivalMode::Closed,
         useful_probability: 0.8,
@@ -210,6 +207,8 @@ fn parse_opts<I: IntoIterator<Item = String>>(args: I) -> Result<Option<Opts>, S
         round_period: Some(Duration::from_millis(1000)),
         seed: 1,
     };
+    let mut clients = 100_000;
+    let mut shards = 64;
     let mut strategy = StrategySpec::Randomized { a: 5, c: 10 };
     let mut crosscheck = false;
     let mut rate = 10.0f64;
@@ -238,8 +237,8 @@ fn parse_opts<I: IntoIterator<Item = String>>(args: I) -> Result<Option<Opts>, S
             }
             "--clients" => {
                 let v = value("--clients")?;
-                cfg.clients = v.parse().map_err(|_| format!("bad --clients `{v}`"))?;
-                if cfg.clients == 0 {
+                clients = v.parse().map_err(|_| format!("bad --clients `{v}`"))?;
+                if clients == 0 {
                     return Err("--clients must be at least 1".into());
                 }
             }
@@ -274,8 +273,8 @@ fn parse_opts<I: IntoIterator<Item = String>>(args: I) -> Result<Option<Opts>, S
             }
             "--shards" => {
                 let v = value("--shards")?;
-                cfg.account_shards = v.parse().map_err(|_| format!("bad --shards `{v}`"))?;
-                if cfg.account_shards == 0 {
+                shards = v.parse().map_err(|_| format!("bad --shards `{v}`"))?;
+                if shards == 0 {
                     return Err("--shards must be at least 1".into());
                 }
             }
@@ -342,6 +341,8 @@ fn parse_opts<I: IntoIterator<Item = String>>(args: I) -> Result<Option<Opts>, S
     }
     Ok(Some(Opts {
         cfg,
+        clients,
+        shards,
         strategy,
         crosscheck,
         journal_dir,
@@ -405,24 +406,37 @@ fn report_recovery(dir: &std::path::Path) -> ExitCode {
                 ExitCode::from(EXIT_TRUNCATION)
             }
         }
-        Err(RecoveryError::Conservation { detail }) => {
-            fail_line(
-                EventLine::new("recovery")
-                    .kv("ok", false)
-                    .kv("reason", "conservation")
-                    .kv("detail", detail),
-            );
-            ExitCode::from(EXIT_CONSERVATION)
-        }
-        Err(e) => {
-            fail_line(
-                EventLine::new("recovery")
-                    .kv("ok", false)
-                    .kv("reason", "error")
-                    .kv("detail", e),
-            );
-            ExitCode::FAILURE
-        }
+        Err(e) => recovery_failed(e),
+    }
+}
+
+/// Prints the diagnosis of a failed recovery and maps it onto its exit
+/// code (`3` conservation, `1` anything else).
+fn recovery_failed(e: RecoveryError) -> ExitCode {
+    let (reason, detail, code) = match e {
+        RecoveryError::Conservation { detail } => ("conservation", detail, EXIT_CONSERVATION),
+        e => ("error", e.to_string(), 1),
+    };
+    fail_line(
+        EventLine::new("recovery")
+            .kv("ok", false)
+            .kv("reason", reason)
+            .kv("detail", detail),
+    );
+    ExitCode::from(code)
+}
+
+/// Prints why the journal could not be opened (`reason` `open`) or
+/// resumed (`resume`) and maps it onto exit code 1.
+fn journal_failed(reason: &'static str) -> impl Fn(std::io::Error) -> ExitCode {
+    move |e| {
+        fail_line(
+            EventLine::new("journal")
+                .kv("ok", false)
+                .kv("reason", reason)
+                .kv("detail", e),
+        );
+        ExitCode::FAILURE
     }
 }
 
@@ -432,100 +446,56 @@ fn run_durable(
     opts: &Opts,
     dir: &std::path::Path,
     faults: FaultPlan,
+    strategy: Box<dyn Strategy>,
     telem: Option<&LiveTelemetry>,
     board: &Arc<HealthBoard>,
 ) -> Result<LoadGenReport, ExitCode> {
     let mut pcfg = PersistConfig::new(dir);
     pcfg.group_commit = opts.commit;
+    pcfg.snapshot_every = opts.snapshot_every;
     pcfg.fsync = opts.fsync;
     pcfg.faults = faults;
 
-    let mut cfg = opts.cfg.clone();
-    let recovered: Option<RecoveredState>;
-    let persistence = if dir.join(MANIFEST_FILE).exists() {
-        let state = match recover(dir) {
-            Ok(s) => s,
-            Err(RecoveryError::Conservation { detail }) => {
-                fail_line(
-                    EventLine::new("recovery")
-                        .kv("ok", false)
-                        .kv("reason", "conservation")
-                        .kv("detail", detail),
-                );
-                return Err(ExitCode::from(EXIT_CONSERVATION));
-            }
-            Err(e) => {
-                fail_line(
-                    EventLine::new("recovery")
-                        .kv("ok", false)
-                        .kv("reason", "error")
-                        .kv("detail", e),
-                );
-                return Err(ExitCode::FAILURE);
-            }
-        };
+    let (runtime, persistence) = if dir.join(MANIFEST_FILE).exists() {
+        let state = recover(dir).map_err(recovery_failed)?;
         for t in &state.truncations {
             fail_line(EventLine::new("recovery_truncation").kv("detail", t));
         }
-        if state.clients != cfg.clients {
+        if state.clients != opts.clients {
             fail_line(
                 EventLine::new("recovery")
                     .kv("ok", false)
                     .kv("reason", "geometry")
-                    .kv("flag_clients", cfg.clients)
+                    .kv("flag_clients", opts.clients)
                     .kv("manifest_clients", state.clients),
             );
             return Err(ExitCode::FAILURE);
         }
-        cfg.account_shards = state.shards;
         EventLine::new("resumed")
             .kv("balances_sum", state.balances_sum())
             .kv("replayed", state.replayed)
             .kv("truncations", state.truncations.len())
             .emit();
-        let p = Persistence::resume(&pcfg, &state).map_err(|e| {
-            fail_line(
-                EventLine::new("journal")
-                    .kv("ok", false)
-                    .kv("reason", "resume")
-                    .kv("detail", e),
-            );
-            ExitCode::FAILURE
-        })?;
-        recovered = Some(state);
-        p
+        let p = Persistence::resume(&pcfg, &state).map_err(journal_failed("resume"))?;
+        if let Some(t) = telem {
+            t.note_recovery_replayed(state.replayed);
+        }
+        (LiveRuntime::from_recovered(strategy, &state), p)
     } else {
-        // The manifest records the *effective* geometry, so mirror the
-        // runtime's shard clamp before writing it.
-        cfg.account_shards = cfg.account_shards.clamp(1, cfg.clients);
-        recovered = None;
-        Persistence::open(&pcfg, cfg.clients, cfg.account_shards).map_err(|e| {
-            fail_line(
-                EventLine::new("journal")
-                    .kv("ok", false)
-                    .kv("reason", "open")
-                    .kv("detail", e),
-            );
-            ExitCode::FAILURE
-        })?
+        let p =
+            Persistence::open(&pcfg, opts.clients, opts.shards).map_err(journal_failed("open"))?;
+        (LiveRuntime::new(strategy, opts.clients, opts.shards), p)
     };
 
-    let run = run_loadgen_durable_supervised_spec(
-        opts.strategy,
-        &cfg,
-        &persistence,
-        opts.snapshot_every,
-        recovered.as_ref(),
+    let with = Attach {
+        persistence: Some(&persistence),
         telem,
-        board,
-    );
-    let (report, d) = run.map_err(|e| {
-        eprintln!("invalid strategy: {e}");
-        ExitCode::FAILURE
-    })?;
+        board: Some(board),
+    };
+    let report = run_loadgen(&runtime, &opts.cfg, with);
     EventLine::new("durable")
-        .kv("snapshots", d.snapshots)
-        .kv("snapshot_failures", d.snapshot_failures)
+        .kv("snapshots", report.snapshots)
+        .kv("snapshot_failures", report.snapshot_failures)
         .emit();
     match persistence.shutdown() {
         Ok(s) => EventLine::new("journal")
@@ -595,7 +565,7 @@ fn main() -> ExitCode {
         // path must reproduce the discrete-event engine bit for bit under
         // the virtual clock.
         let workload = OracleWorkload::quick(50, opts.cfg.seed);
-        match live_vs_sim_spec(opts.strategy, &workload, opts.cfg.workers.max(1), 8) {
+        match live_vs_sim(opts.strategy, &workload, opts.cfg.workers.max(1), 8) {
             Ok(cv) if cv.exact_match() => {
                 EventLine::new("crosscheck")
                     .kv("ok", true)
@@ -622,9 +592,9 @@ fn main() -> ExitCode {
     println!(
         "live: strategy {}, {} clients, {} workers, {} account shards, {:?} for {:.1}s",
         opts.strategy.label(),
-        opts.cfg.clients,
+        opts.clients,
         opts.cfg.workers,
-        opts.cfg.account_shards,
+        opts.shards,
         opts.cfg.mode,
         opts.cfg.duration.as_secs_f64(),
     );
@@ -692,19 +662,29 @@ fn main() -> ExitCode {
         _ => None,
     };
 
-    let report = if let Some(dir) = opts.journal_dir.clone() {
-        match run_durable(&opts, &dir, faults, telem.as_deref(), &board) {
+    let strategy = match opts.strategy.build() {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("invalid strategy: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let report = if let Some(dir) = opts.journal_dir.as_deref() {
+        match run_durable(&opts, dir, faults, strategy, telem.as_deref(), &board) {
             Ok(r) => r,
             Err(code) => return code,
         }
     } else {
-        match run_loadgen_supervised_spec(opts.strategy, &opts.cfg, telem.as_deref(), &board) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("invalid strategy: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let with = Attach {
+            telem: telem.as_deref(),
+            board: Some(&board),
+            ..Attach::default()
+        };
+        run_loadgen(
+            &LiveRuntime::new(strategy, opts.clients, opts.shards),
+            &opts.cfg,
+            with,
+        )
     };
 
     // The run has returned (workers joined, all telemetry flushed):
@@ -858,7 +838,7 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(o.cfg.workers, 4);
-        assert_eq!(o.cfg.clients, 500);
+        assert_eq!(o.clients, 500);
         assert_eq!(
             o.cfg.mode,
             ArrivalMode::Open {
@@ -872,7 +852,7 @@ mod tests {
                 size: 8
             })
         );
-        assert_eq!(o.cfg.account_shards, 16);
+        assert_eq!(o.shards, 16);
         assert_eq!(o.cfg.round_period, None);
         assert_eq!(o.cfg.seed, 9);
         assert!(o.crosscheck);

@@ -212,16 +212,35 @@ fn check_crash_recovery(workers: usize, shards: usize, snapshots: bool) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Pulls one `key=value` integer out of an `event=` line.
-fn event_field(stdout: &str, event: &str, key: &str) -> u64 {
+/// Pulls one `key=value` field out of the first `event=` line.
+fn event_field<T: std::str::FromStr>(stdout: &str, event: &str, key: &str) -> T {
     let line = stdout
         .lines()
-        .find(|l| l.starts_with(&format!("event={event}")))
+        .find(|l| l.starts_with(&format!("event={event} ")))
         .unwrap_or_else(|| panic!("no event={event} line in:\n{stdout}"));
     line.split_whitespace()
         .find_map(|kv| kv.strip_prefix(&format!("{key}=")))
         .and_then(|v| v.parse().ok())
         .unwrap_or_else(|| panic!("no {key}= field in: {line}"))
+}
+
+/// Runs the binary with the whitespace-separated `args` on the journal
+/// `dir` and returns its stdout, asserting exit 0.
+fn live_ok(args: &str, dir: &Path) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_live"))
+        .args(args.split_whitespace())
+        .arg("--journal-dir")
+        .arg(dir)
+        .stderr(Stdio::inherit())
+        .output()
+        .expect("run live binary");
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(
+        out.status.success(),
+        "{args:?} exited {}:\n{stdout}",
+        out.status
+    );
+    stdout
 }
 
 /// The degraded-mode leg of the matrix: the binary runs **to
@@ -235,44 +254,17 @@ fn degraded_run_survives_disk_full_and_reconciles() {
     let dir = std::env::temp_dir().join(format!("ta-crash-degrade-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let out = Command::new(env!("CARGO_BIN_EXE_live"))
-        .args([
-            "--clients",
-            "3000",
-            "--workers",
-            "4",
-            "--shards",
-            "4",
-            "--round-ms",
-            "20",
-            "--duration-secs",
-            "4",
-            "--commit-ms",
-            "1",
-            "--stats-every",
-            "200",
-            "--fault",
-            "enospc_after:30000",
-            "--on-journal-fail",
-            "degrade",
-            "--journal-dir",
-        ])
-        .arg(&dir)
-        .stderr(Stdio::inherit())
-        .output()
-        .expect("run live binary");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "degrade policy must keep the run green, got {}:\n{stdout}",
-        out.status
+    let stdout = live_ok(
+        "--clients 3000 --workers 4 --shards 4 --round-ms 20 --duration-secs 4 \
+         --commit-ms 1 --stats-every 200 --fault enospc_after:30000 --on-journal-fail degrade",
+        &dir,
     );
 
     // The health ledger closes the self-healing books: durability was
     // suspended (records dropped) and the writer came back.
-    assert!(event_field(&stdout, "health", "dropped_records") > 0);
+    assert!(event_field::<u64>(&stdout, "health", "dropped_records") > 0);
     assert!(
-        event_field(&stdout, "health", "writer_restarts") >= 1,
+        event_field::<u64>(&stdout, "health", "writer_restarts") >= 1,
         "the writer never restarted:\n{stdout}"
     );
     assert!(
@@ -301,15 +293,42 @@ fn degraded_run_survives_disk_full_and_reconciles() {
     }
 
     // And the recover-only mode of the binary agrees too (exit 0).
-    let rec = Command::new(env!("CARGO_BIN_EXE_live"))
-        .args(["--recover", "--journal-dir"])
-        .arg(&dir)
-        .stdout(Stdio::null())
-        .stderr(Stdio::inherit())
-        .status()
-        .expect("run live --recover");
-    assert!(rec.success(), "live --recover rejected the directory");
+    live_ok("--recover", &dir);
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two runs on one journal directory: the second recovers the first's
+/// books and continues them. 64 shards over 10 clients exercises the
+/// shard clamp the manifest must record; open-loop arrivals at a low
+/// rate leave tokens in the accounts, so the books carried over are not
+/// empty.
+#[test]
+fn second_run_resumes_the_first_runs_books() {
+    let dir = std::env::temp_dir().join(format!("ta-crash-resume-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let run = "--clients 10 --shards 64 --duration-secs 0.5 --round-ms 20 --mode open --rate 10 \
+               --snapshot-every 0.1";
+
+    let first = live_ok(run, &dir);
+    assert!(event_field::<bool>(&first, "conservation", "ok"));
+    let first_sum: i64 = event_field(&first, "conservation", "balances_sum");
+    assert!(first_sum > 0, "the first run banked nothing:\n{first}");
+
+    let second = live_ok(run, &dir);
+    assert_eq!(
+        event_field::<i64>(&second, "resumed", "balances_sum"),
+        first_sum,
+        "the resumed books differ from where the first run ended:\n{second}"
+    );
+    assert!(event_field::<u64>(&second, "durable", "snapshots") >= 1);
+    assert!(event_field::<bool>(&second, "conservation", "ok"));
+    assert_eq!(
+        event_field::<i64>(&second, "conservation", "initial"),
+        first_sum
+    );
+
+    live_ok("--recover", &dir);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -478,23 +478,11 @@ impl CrossValidation {
 
 /// Runs the full cross-validation for one strategy: sim oracle, then a
 /// virtual-clock replay with the given parallelism.
-pub fn live_vs_sim<S: Strategy + Clone + 'static>(
-    strategy: S,
-    workload: &OracleWorkload,
-    workers: usize,
-    account_shards: usize,
-) -> CrossValidation {
-    let (sim, trace) = run_sim_oracle(strategy.clone(), workload);
-    let live = replay_trace(strategy, &trace, workers, account_shards);
-    CrossValidation { sim, live }
-}
-
-/// [`live_vs_sim`] for a serializable [`StrategySpec`].
 ///
 /// # Errors
 ///
 /// Propagates [`InvalidStrategyError`] from the strategy constructor.
-pub fn live_vs_sim_spec(
+pub fn live_vs_sim(
     spec: StrategySpec,
     workload: &OracleWorkload,
     workers: usize,
@@ -538,8 +526,7 @@ mod tests {
     #[test]
     fn replay_is_exact_for_single_worker() {
         let w = OracleWorkload::quick(20, 11);
-        let strategy = RandomizedTokenAccount::new(2, 6).unwrap();
-        let cv = live_vs_sim(strategy, &w, 1, 1);
+        let cv = live_vs_sim(StrategySpec::Randomized { a: 2, c: 6 }, &w, 1, 1).unwrap();
         assert!(cv.exact_match(), "sim {:?} != live {:?}", cv.sim, cv.live);
     }
 }

@@ -10,7 +10,7 @@
 //! |--------|----------|
 //! | [`accounts`] | [`ShardedAccounts`]: lock-free atomic accounts in one allocation, partitioned into shards |
 //! | [`runtime`] | [`LiveRuntime`]: the compiled-table admission hot path + granter sweeps |
-//! | [`loadgen`] | closed/open-loop load generation, Poisson & bursty mixes, latency histograms |
+//! | [`loadgen`] | [`run_loadgen`], the one way to run load: closed/open-loop arrivals, Poisson & bursty mixes, latency histograms, and whatever the run's [`Attach`] names — journal + snapshotter, telemetry, health supervisor |
 //! | [`histogram`] | allocation-free HDR-style log-linear [`LatencyHistogram`] |
 //! | [`counters`] | [`LiveCounters`] and the exact token-conservation books |
 //! | [`harness`] | live-vs-sim cross-validation: trace recording, exact virtual-clock replay, wall-clock distributional replay |
@@ -50,18 +50,12 @@ pub mod telem;
 pub use accounts::ShardedAccounts;
 pub use counters::LiveCounters;
 pub use harness::{
-    live_vs_sim, live_vs_sim_spec, replay_realtime, replay_trace, run_sim_oracle, ArrivalTrace,
-    CrossValidation, OracleWorkload, TraceEvent, TraceKind,
+    live_vs_sim, replay_realtime, replay_trace, run_sim_oracle, ArrivalTrace, CrossValidation,
+    OracleWorkload, TraceEvent, TraceKind,
 };
 pub use health::{Component, HealthBoard, HealthState, OnJournalFail};
 pub use histogram::LatencyHistogram;
-pub use loadgen::{
-    run_loadgen, run_loadgen_durable, run_loadgen_durable_observed,
-    run_loadgen_durable_observed_spec, run_loadgen_durable_spec,
-    run_loadgen_durable_supervised_spec, run_loadgen_observed, run_loadgen_observed_spec,
-    run_loadgen_spec, run_loadgen_supervised_spec, ArrivalMode, BurstMix, DurableStats,
-    LoadGenConfig, LoadGenReport,
-};
+pub use loadgen::{run_loadgen, ArrivalMode, Attach, BurstMix, LoadGenConfig, LoadGenReport};
 pub use obs::{ObsServer, StatsPump, TraceBus, TraceSub};
 pub use persist::{
     recover, FaultPlan, JournalHandle, JournalStats, PersistConfig, Persistence, RecoveredState,

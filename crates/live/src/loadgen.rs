@@ -37,8 +37,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use token_account::spec::StrategySpec;
-use token_account::{InvalidStrategyError, Strategy, Usefulness};
+use token_account::Usefulness;
 
 use ta_sim::rng::Xoshiro256pp;
 use ta_telemetry::mono_ns;
@@ -46,7 +45,7 @@ use ta_telemetry::mono_ns;
 use crate::counters::LiveCounters;
 use crate::health::{Component, HealthBoard, COMPONENTS};
 use crate::histogram::LatencyHistogram;
-use crate::persist::{JournalHandle, Persistence, RecoveredState};
+use crate::persist::{JournalHandle, Persistence};
 use crate::runtime::LiveRuntime;
 use crate::telem::{c, h, LaneFlush, LiveTelemetry, WorkerTelem};
 
@@ -72,16 +71,12 @@ pub struct BurstMix {
     pub size: u32,
 }
 
-/// Load-generator configuration.
+/// Load-generator configuration. The client count and the shard layout
+/// are the runtime's own ([`LiveRuntime::accounts`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadGenConfig {
-    /// Virtual clients (accounts). Tested up to 10M.
-    pub clients: usize,
     /// Worker threads (each owns a contiguous client block).
     pub workers: usize,
-    /// Account shards (granter batch granularity; see
-    /// [`crate::accounts::ShardedAccounts`]).
-    pub account_shards: usize,
     /// Wall-clock run length.
     pub duration: Duration,
     /// Arrival pacing.
@@ -95,24 +90,6 @@ pub struct LoadGenConfig {
     pub round_period: Option<Duration>,
     /// Master seed for every worker/granter stream.
     pub seed: u64,
-}
-
-impl LoadGenConfig {
-    /// A small closed-loop default: 2 workers × 10k clients for one
-    /// second, Δ = 100 ms.
-    pub fn quick() -> Self {
-        LoadGenConfig {
-            clients: 10_000,
-            workers: 2,
-            account_shards: 64,
-            duration: Duration::from_secs(1),
-            mode: ArrivalMode::Closed,
-            useful_probability: 0.8,
-            burst: None,
-            round_period: Some(Duration::from_millis(100)),
-            seed: 1,
-        }
-    }
 }
 
 /// The merged outcome of a load-generator run.
@@ -132,6 +109,11 @@ pub struct LoadGenReport {
     /// Sum of the balances the run *started* from (non-zero only for
     /// runs resumed from a recovered state).
     pub initial_balances_sum: i64,
+    /// Snapshots completed (zero without a journal).
+    pub snapshots: u64,
+    /// Snapshot attempts that failed: I/O errors or injected faults
+    /// (zero without a journal).
+    pub snapshot_failures: u64,
 }
 
 impl LoadGenReport {
@@ -156,142 +138,56 @@ impl LoadGenReport {
     }
 }
 
-/// Runs the load generator with `strategy`, compiled once.
-pub fn run_loadgen(strategy: impl Strategy + 'static, cfg: &LoadGenConfig) -> LoadGenReport {
-    let runtime = LiveRuntime::new(strategy, cfg.clients, cfg.account_shards);
-    run_on_runtime(&runtime, cfg, None, None, None, None).0
+/// What a [`run_loadgen`] run attaches besides the runtime; every part
+/// is optional, and `Attach::default()` runs bare load.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Attach<'a> {
+    /// The journal: every worker and the granter publish their balance
+    /// deltas through per-thread [`JournalHandle`]s, and a snapshotter
+    /// checkpoints the accounts every
+    /// [`PersistConfig::snapshot_every`](crate::persist::PersistConfig::snapshot_every).
+    /// Its manifest must describe the runtime's geometry. The caller
+    /// keeps ownership: call [`Persistence::shutdown`] (or
+    /// [`Persistence::sync`]) afterwards to make the tail durable.
+    pub persistence: Option<&'a Persistence>,
+    /// Telemetry: workers publish counter deltas to its registry and
+    /// sampled decisions to its trace rings while the run is in flight;
+    /// the journal writer and snapshot freezes are instrumented too.
+    pub telem: Option<&'a LiveTelemetry>,
+    /// Supervision: a health supervisor runs alongside, granter and
+    /// worker heartbeats and admission gating go through the board, the
+    /// granter watchdog is armed, and the journal writer gets IO
+    /// retry/backoff and the `--on-journal-fail` policy.
+    pub board: Option<&'a Arc<HealthBoard>>,
 }
 
-/// [`run_loadgen`] with telemetry attached: workers publish counter
-/// deltas to `telem`'s registry and sampled decisions to its trace
-/// rings while the run is in flight.
-pub fn run_loadgen_observed(
-    strategy: impl Strategy + 'static,
-    cfg: &LoadGenConfig,
-    telem: &LiveTelemetry,
-) -> LoadGenReport {
-    let runtime = LiveRuntime::new(strategy, cfg.clients, cfg.account_shards);
-    run_on_runtime(&runtime, cfg, None, None, Some(telem), None).0
-}
-
-/// Outcome of the durability side of a [`run_loadgen_durable`] run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DurableStats {
-    /// Snapshots completed.
-    pub snapshots: u64,
-    /// Snapshot attempts that failed (I/O errors or injected faults).
-    pub snapshot_failures: u64,
-}
-
-/// Runs the load generator with the journal attached: every worker and
-/// the granter publish their balance deltas through per-thread
-/// [`JournalHandle`]s, and (optionally) a snapshotter thread checkpoints
-/// the accounts every `snapshot_every`.
+/// Runs load against `runtime` for `cfg.duration`: spawns the granter,
+/// the workers, the snapshotter (journal with a snapshot cadence only)
+/// and the health supervisor (board only). Build the runtime with
+/// [`LiveRuntime::new`] for a fresh start, or
+/// [`LiveRuntime::from_recovered`] to resume a recovered journal.
 ///
-/// `recovered` resumes from a verified [`RecoveredState`] (whose
-/// geometry must match `cfg` and the `persistence` manifest); `None`
-/// starts from zero balances. The caller keeps ownership of
-/// `persistence` — call [`Persistence::shutdown`] (or
-/// [`Persistence::sync`]) afterwards to make the tail durable.
-pub fn run_loadgen_durable(
-    strategy: impl Strategy + 'static,
-    cfg: &LoadGenConfig,
-    persistence: &Persistence,
-    snapshot_every: Option<Duration>,
-    recovered: Option<&RecoveredState>,
-) -> (LoadGenReport, DurableStats) {
-    run_loadgen_durable_inner(
-        strategy,
-        cfg,
+/// # Panics
+///
+/// If `cfg.workers` is zero, if the attached journal's manifest does not
+/// describe `runtime`'s geometry, or with a worker's own panic.
+pub fn run_loadgen(runtime: &LiveRuntime, cfg: &LoadGenConfig, with: Attach<'_>) -> LoadGenReport {
+    assert!(cfg.workers >= 1, "need at least one worker");
+    let Attach {
         persistence,
-        snapshot_every,
-        recovered,
-        None,
-        None,
-    )
-}
-
-/// [`run_loadgen_durable`] with telemetry attached: additionally
-/// instruments the journal writer, snapshot freezes, and (for resumed
-/// runs) recovery replay progress.
-pub fn run_loadgen_durable_observed(
-    strategy: impl Strategy + 'static,
-    cfg: &LoadGenConfig,
-    persistence: &Persistence,
-    snapshot_every: Option<Duration>,
-    recovered: Option<&RecoveredState>,
-    telem: &LiveTelemetry,
-) -> (LoadGenReport, DurableStats) {
-    run_loadgen_durable_inner(
-        strategy,
-        cfg,
-        persistence,
-        snapshot_every,
-        recovered,
-        Some(telem),
-        None,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_loadgen_durable_inner(
-    strategy: impl Strategy + 'static,
-    cfg: &LoadGenConfig,
-    persistence: &Persistence,
-    snapshot_every: Option<Duration>,
-    recovered: Option<&RecoveredState>,
-    telem: Option<&LiveTelemetry>,
-    board: Option<&Arc<HealthBoard>>,
-) -> (LoadGenReport, DurableStats) {
-    let runtime = match recovered {
-        Some(state) => {
-            assert_eq!(
-                state.clients, cfg.clients,
-                "recovered client count mismatch"
-            );
-            LiveRuntime::from_recovered(strategy, state)
-        }
-        None => LiveRuntime::new(strategy, cfg.clients, cfg.account_shards),
-    };
-    let manifest = persistence.manifest();
-    assert_eq!(
-        manifest.clients,
-        runtime.accounts().len(),
-        "manifest client count mismatch"
-    );
-    assert_eq!(
-        manifest.shards,
-        runtime.accounts().shard_count(),
-        "manifest shard count mismatch"
-    );
-    if let (Some(t), Some(state)) = (telem, recovered) {
-        t.note_recovery_replayed(state.replayed);
-    }
-    run_on_runtime(
-        &runtime,
-        cfg,
-        Some(persistence),
-        snapshot_every,
         telem,
         board,
-    )
-}
-
-/// The shared run loop: spawns the granter, the workers, (durable runs
-/// only) the snapshotter, and (supervised runs only) the health
-/// supervisor over a caller-built runtime.
-fn run_on_runtime(
-    runtime: &LiveRuntime,
-    cfg: &LoadGenConfig,
-    persistence: Option<&Persistence>,
-    snapshot_every: Option<Duration>,
-    telem: Option<&LiveTelemetry>,
-    board: Option<&Arc<HealthBoard>>,
-) -> (LoadGenReport, DurableStats) {
-    assert!(cfg.workers >= 1, "need at least one worker");
-    assert!(cfg.clients >= 1, "need at least one client");
-    if let (Some(p), Some(t)) = (persistence, telem) {
-        p.attach_telemetry(t.persist_handle());
+    } = with;
+    if let Some(p) = persistence {
+        let (m, accounts) = (p.manifest(), runtime.accounts());
+        assert_eq!(
+            (m.clients, m.shards),
+            (accounts.len(), accounts.shard_count()),
+            "the journal's manifest does not match the runtime's geometry"
+        );
+        if let Some(t) = telem {
+            p.attach_telemetry(t.persist_handle());
+        }
     }
     if let Some(b) = board {
         if let Some(p) = persistence {
@@ -307,7 +203,7 @@ fn run_on_runtime(
     let granter_shared = GranterShared::default();
     let start = Instant::now();
 
-    let (worker_outcomes, durable) = std::thread::scope(|scope| {
+    let (worker_outcomes, (snapshots, snapshot_failures)) = std::thread::scope(|scope| {
         let granter = cfg.round_period.map(|period| {
             spawn_granter(
                 scope,
@@ -342,40 +238,38 @@ fn run_on_runtime(
             })
         });
 
-        let snapper = match (persistence, snapshot_every) {
-            (Some(p), Some(every)) => {
-                let runtime = &runtime;
-                let stop = &stop;
-                Some(scope.spawn(move || {
-                    let mut stats = DurableStats::default();
-                    let mut next = every;
-                    while !stop.load(Ordering::Acquire) {
-                        let now = start.elapsed();
-                        if now < next {
-                            std::thread::sleep((next - now).min(Duration::from_millis(5)));
-                            continue;
-                        }
-                        match p.snapshot(runtime.accounts()) {
-                            Ok(_) => stats.snapshots += 1,
-                            Err(_) => stats.snapshot_failures += 1,
-                        }
-                        next += every;
+        let snapper = persistence.and_then(|p| {
+            let every = p.cfg().snapshot_every?;
+            let stop = &stop;
+            Some(scope.spawn(move || {
+                let (mut done, mut failed) = (0, 0);
+                let mut next = every;
+                while !stop.load(Ordering::Acquire) {
+                    let now = start.elapsed();
+                    if now < next {
+                        std::thread::sleep((next - now).min(Duration::from_millis(5)));
+                        continue;
                     }
-                    stats
-                }))
-            }
-            _ => None,
-        };
+                    match p.snapshot(runtime.accounts()) {
+                        Ok(_) => done += 1,
+                        Err(_) => failed += 1,
+                    }
+                    next += every;
+                }
+                (done, failed)
+            }))
+        });
 
-        let block = cfg.clients.div_ceil(cfg.workers);
+        let clients = runtime.accounts().len();
+        let block = clients.div_ceil(cfg.workers);
         let handles: Vec<_> = (0..cfg.workers)
             .map(|w| {
-                let lo = (w * block).min(cfg.clients);
+                let lo = (w * block).min(clients);
                 let client = Client {
                     runtime,
                     cfg,
                     lo,
-                    block: (((w + 1) * block).min(cfg.clients) - lo) as u64,
+                    block: (((w + 1) * block).min(clients) - lo) as u64,
                     rng: Xoshiro256pp::stream(cfg.seed, 1 + w as u64),
                     counters: LiveCounters::default(),
                     histogram: LatencyHistogram::new(),
@@ -397,12 +291,12 @@ fn run_on_runtime(
         if let Some(s) = supervisor {
             s.join().unwrap();
         }
-        let durable = snapper.map(|s| s.join().unwrap()).unwrap_or_default();
+        let snapshots = snapper.map_or((0, 0), |s| s.join().unwrap());
         let outcomes: Vec<_> = joined
             .into_iter()
             .map(|w| w.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
             .collect();
-        (outcomes, durable)
+        (outcomes, snapshots)
     });
     let wall = start.elapsed();
 
@@ -412,17 +306,16 @@ fn run_on_runtime(
         counters.merge(c);
         histogram.merge(h);
     }
-    (
-        LoadGenReport {
-            counters,
-            workers: cfg.workers,
-            wall,
-            histogram,
-            balances_sum: runtime.balances_sum(),
-            initial_balances_sum,
-        },
-        durable,
-    )
+    LoadGenReport {
+        counters,
+        workers: cfg.workers,
+        wall,
+        histogram,
+        balances_sum: runtime.balances_sum(),
+        initial_balances_sum,
+        snapshots,
+        snapshot_failures,
+    }
 }
 
 /// Stream id of generation-0 of the granter (distinct from every
@@ -772,133 +665,24 @@ impl Client<'_> {
     }
 }
 
-/// Runs the load generator for a declarative [`StrategySpec`].
-///
-/// # Errors
-///
-/// Propagates [`InvalidStrategyError`] from the strategy constructor.
-pub fn run_loadgen_spec(
-    spec: StrategySpec,
-    cfg: &LoadGenConfig,
-) -> Result<LoadGenReport, InvalidStrategyError> {
-    Ok(run_loadgen(spec.build()?, cfg))
-}
-
-/// [`run_loadgen_observed`] for a declarative [`StrategySpec`].
-///
-/// # Errors
-///
-/// Propagates [`InvalidStrategyError`] from the strategy constructor.
-pub fn run_loadgen_observed_spec(
-    spec: StrategySpec,
-    cfg: &LoadGenConfig,
-    telem: &LiveTelemetry,
-) -> Result<LoadGenReport, InvalidStrategyError> {
-    Ok(run_loadgen_observed(spec.build()?, cfg, telem))
-}
-
-/// [`run_loadgen_spec`] under supervision: spawns the health supervisor
-/// alongside the run, wires granter/worker heartbeats and admission
-/// gating through `board`, and (with `telem`) shadows health transitions
-/// into the registry.
-///
-/// # Errors
-///
-/// Propagates [`InvalidStrategyError`] from the strategy constructor.
-pub fn run_loadgen_supervised_spec(
-    spec: StrategySpec,
-    cfg: &LoadGenConfig,
-    telem: Option<&LiveTelemetry>,
-    board: &Arc<HealthBoard>,
-) -> Result<LoadGenReport, InvalidStrategyError> {
-    let runtime = LiveRuntime::new(spec.build()?, cfg.clients, cfg.account_shards);
-    Ok(run_on_runtime(&runtime, cfg, None, None, telem, Some(board)).0)
-}
-
-/// [`run_loadgen_durable`] for a declarative [`StrategySpec`].
-///
-/// # Errors
-///
-/// Propagates [`InvalidStrategyError`] from the strategy constructor.
-pub fn run_loadgen_durable_spec(
-    spec: StrategySpec,
-    cfg: &LoadGenConfig,
-    persistence: &Persistence,
-    snapshot_every: Option<Duration>,
-    recovered: Option<&RecoveredState>,
-) -> Result<(LoadGenReport, DurableStats), InvalidStrategyError> {
-    let strategy = spec.build()?;
-    Ok(run_loadgen_durable(
-        strategy,
-        cfg,
-        persistence,
-        snapshot_every,
-        recovered,
-    ))
-}
-
-/// [`run_loadgen_durable_observed`] for a declarative [`StrategySpec`].
-///
-/// # Errors
-///
-/// Propagates [`InvalidStrategyError`] from the strategy constructor.
-pub fn run_loadgen_durable_observed_spec(
-    spec: StrategySpec,
-    cfg: &LoadGenConfig,
-    persistence: &Persistence,
-    snapshot_every: Option<Duration>,
-    recovered: Option<&RecoveredState>,
-    telem: &LiveTelemetry,
-) -> Result<(LoadGenReport, DurableStats), InvalidStrategyError> {
-    let strategy = spec.build()?;
-    Ok(run_loadgen_durable_observed(
-        strategy,
-        cfg,
-        persistence,
-        snapshot_every,
-        recovered,
-        telem,
-    ))
-}
-
-/// [`run_loadgen_durable_spec`] under supervision: additionally attaches
-/// the board to the journal writer — IO retry/backoff and the
-/// `--on-journal-fail` policy activate — and arms the granter watchdog.
-///
-/// # Errors
-///
-/// Propagates [`InvalidStrategyError`] from the strategy constructor.
-#[allow(clippy::too_many_arguments)]
-pub fn run_loadgen_durable_supervised_spec(
-    spec: StrategySpec,
-    cfg: &LoadGenConfig,
-    persistence: &Persistence,
-    snapshot_every: Option<Duration>,
-    recovered: Option<&RecoveredState>,
-    telem: Option<&LiveTelemetry>,
-    board: &Arc<HealthBoard>,
-) -> Result<(LoadGenReport, DurableStats), InvalidStrategyError> {
-    Ok(run_loadgen_durable_inner(
-        spec.build()?,
-        cfg,
-        persistence,
-        snapshot_every,
-        recovered,
-        telem,
-        Some(board),
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use token_account::prelude::*;
 
+    /// 500 clients in 8 shards.
+    fn runtime(strategy: impl Strategy + 'static) -> LiveRuntime {
+        LiveRuntime::new(strategy, 500, 8)
+    }
+
+    /// A run with nothing attached.
+    fn bare(strategy: impl Strategy + 'static, cfg: &LoadGenConfig) -> LoadGenReport {
+        run_loadgen(&runtime(strategy), cfg, Attach::default())
+    }
+
     fn tiny(mode: ArrivalMode) -> LoadGenConfig {
         LoadGenConfig {
-            clients: 500,
             workers: 2,
-            account_shards: 8,
             duration: Duration::from_millis(150),
             mode,
             useful_probability: 0.8,
@@ -913,7 +697,7 @@ mod tests {
 
     #[test]
     fn closed_loop_conserves_and_reports() {
-        let report = run_loadgen(
+        let report = bare(
             RandomizedTokenAccount::new(2, 6).unwrap(),
             &tiny(ArrivalMode::Closed),
         );
@@ -924,6 +708,7 @@ mod tests {
         );
         assert!(report.counters.requests > 0);
         assert!(report.counters.rounds > 0, "granter must have swept");
+        assert_eq!((report.snapshots, report.snapshot_failures), (0, 0));
         // The sampling law: each worker times its decisions 0, 64, 128, …,
         // so count = Σ_w ⌈requests_w / 64⌉, bounded from the merged total.
         let (timed, requests) = (report.histogram.count(), report.counters.requests);
@@ -943,7 +728,7 @@ mod tests {
         });
         cfg.burst = None;
         cfg.duration = Duration::from_millis(300);
-        let report = run_loadgen(SimpleTokenAccount::new(10), &cfg);
+        let report = bare(SimpleTokenAccount::new(10), &cfg);
         assert!(report.conserves());
         // 500 clients × 200/s × 0.3 s = 30k expected arrivals; the loop
         // may lag on a loaded machine but must be in the right decade.
@@ -966,7 +751,7 @@ mod tests {
         ] {
             let mut cfg = tiny(mode);
             cfg.duration = Duration::ZERO;
-            let report = run_loadgen(SimpleTokenAccount::new(10), &cfg);
+            let report = bare(SimpleTokenAccount::new(10), &cfg);
             assert_eq!(report.counters.requests, 0, "{mode:?}");
             assert_eq!(report.histogram.count(), 0, "{mode:?}");
             assert!(report.conserves());
@@ -979,7 +764,7 @@ mod tests {
         for rate_per_client in [1e-300, 1e-12, f64::MIN_POSITIVE] {
             let mut cfg = tiny(ArrivalMode::Open { rate_per_client });
             cfg.duration = Duration::from_millis(20);
-            let report = run_loadgen(SimpleTokenAccount::new(10), &cfg);
+            let report = bare(SimpleTokenAccount::new(10), &cfg);
             assert_eq!(report.counters.requests, 0, "{rate_per_client}");
             assert!(report.conserves());
         }
@@ -994,7 +779,7 @@ mod tests {
         // runs discards a descheduled worker.
         cfg.round_period = None;
         let wall = (0..3)
-            .map(|_| run_loadgen(SimpleTokenAccount::new(10), &cfg).wall)
+            .map(|_| bare(SimpleTokenAccount::new(10), &cfg).wall)
             .min()
             .unwrap();
         assert!(wall >= cfg.duration, "stopped early: {wall:?}");
@@ -1009,11 +794,15 @@ mod tests {
         // Blocks of ⌈5/4⌉ = 2: workers 0–2 own 0..2, 2..4, 4..5; worker 3
         // owns the empty block 5..5 and must sit the run out.
         let mut cfg = tiny(ArrivalMode::Closed);
-        cfg.clients = 5;
         cfg.workers = 4;
         cfg.duration = Duration::from_millis(40);
         let telem = LiveTelemetry::new(cfg.workers, 1, 1 << 12);
-        let report = run_loadgen_observed(SimpleTokenAccount::new(10), &cfg, &telem);
+        let with = Attach {
+            telem: Some(&telem),
+            ..Attach::default()
+        };
+        let rt = LiveRuntime::new(SimpleTokenAccount::new(10), 5, 8);
+        let report = run_loadgen(&rt, &cfg, with);
         assert!(report.conserves(), "{:?}", report.counters);
         assert!(report.counters.requests > 0);
         let mut out = Vec::new();
@@ -1021,7 +810,7 @@ mod tests {
             cons.drain(&mut out);
         }
         assert!(!out.is_empty());
-        assert!(out.iter().all(|r| (r.client as usize) < cfg.clients));
+        assert!(out.iter().all(|r| r.client < 5));
     }
 
     /// A strategy whose first reactive evaluation panics. It is unbounded
@@ -1055,8 +844,11 @@ mod tests {
         std::thread::spawn(move || {
             let board = HealthBoard::new(crate::health::OnJournalFail::Degrade);
             let run = std::panic::AssertUnwindSafe(|| {
-                let runtime = LiveRuntime::new(PanickingStrategy, cfg.clients, cfg.account_shards);
-                run_on_runtime(&runtime, &cfg, None, None, None, Some(&board))
+                let with = Attach {
+                    board: Some(&board),
+                    ..Attach::default()
+                };
+                run_loadgen(&runtime(PanickingStrategy), &cfg, with)
             });
             let _ = tx.send(std::panic::catch_unwind(run).map(|_| ()));
         });
@@ -1076,8 +868,13 @@ mod tests {
         let board = HealthBoard::new(OnJournalFail::Halt);
         let (report, closed_at) = std::thread::scope(|s| {
             let run = s.spawn(|| {
-                let spec = StrategySpec::Randomized { a: 2, c: 6 };
-                run_loadgen_supervised_spec(spec, &cfg, Some(&telem), &board).unwrap()
+                let with = Attach {
+                    telem: Some(&telem),
+                    board: Some(&board),
+                    ..Attach::default()
+                };
+                let rt = runtime(RandomizedTokenAccount::new(2, 6).unwrap());
+                run_loadgen(&rt, &cfg, with)
             });
             while telem.snapshot().counter(c::ADMIT_REQUESTS) == 0 {
                 std::thread::yield_now();
@@ -1104,7 +901,12 @@ mod tests {
     fn observed_run_registry_matches_merged_counters_exactly() {
         let cfg = tiny(ArrivalMode::Closed);
         let telem = LiveTelemetry::new(cfg.workers, 1, 1 << 16);
-        let report = run_loadgen_observed(RandomizedTokenAccount::new(2, 6).unwrap(), &cfg, &telem);
+        let with = Attach {
+            telem: Some(&telem),
+            ..Attach::default()
+        };
+        let rt = runtime(RandomizedTokenAccount::new(2, 6).unwrap());
+        let report = run_loadgen(&rt, &cfg, with);
         assert!(report.conserves());
         let snap = telem.snapshot();
         let m = &report.counters;
@@ -1143,17 +945,16 @@ mod tests {
         // Long enough for: first sweep (~20ms) → injected 900ms stall →
         // watchdog restart (~450ms in) → replacement sweeps more rounds.
         cfg.duration = Duration::from_millis(1500);
-        cfg.clients = 200;
         let telem = LiveTelemetry::new(cfg.workers, 0, 0);
         let board = HealthBoard::new(OnJournalFail::Degrade);
         board.arm_granter_stall();
-        let report = run_loadgen_supervised_spec(
-            StrategySpec::Randomized { a: 2, c: 6 },
-            &cfg,
-            Some(&telem),
-            &board,
-        )
-        .unwrap();
+        let with = Attach {
+            telem: Some(&telem),
+            board: Some(&board),
+            ..Attach::default()
+        };
+        let rt = LiveRuntime::new(RandomizedTokenAccount::new(2, 6).unwrap(), 200, 8);
+        let report = run_loadgen(&rt, &cfg, with);
         assert!(
             report.conserves(),
             "books must close across a granter restart: {:?}",
@@ -1191,9 +992,9 @@ mod tests {
             StrategySpec::Generalized { a: 5, c: 10 },
             StrategySpec::Randomized { a: 5, c: 10 },
         ] {
-            let report = run_loadgen_spec(spec, &cfg).unwrap();
+            let report = bare(spec.build().unwrap(), &cfg);
             assert!(report.conserves(), "{spec:?} failed conservation");
         }
-        assert!(run_loadgen_spec(StrategySpec::Reactive { k: 0 }, &cfg).is_err());
+        assert!(StrategySpec::Reactive { k: 0 }.build().is_err());
     }
 }

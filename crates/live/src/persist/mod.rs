@@ -61,6 +61,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use crate::accounts::ShardLayout;
 use journal::WriterMsg;
 use ta_telemetry::Handle as TelemetryHandle;
 
@@ -72,6 +73,10 @@ pub struct PersistConfig {
     /// Group-commit interval: the writer batches frames and issues one
     /// write + fsync per interval (and on shutdown/rotation).
     pub group_commit: Duration,
+    /// Snapshot cadence of a [`run_loadgen`](crate::loadgen::run_loadgen)
+    /// run: a snapshotter checkpoints the accounts this often; `None`
+    /// takes no snapshots.
+    pub snapshot_every: Option<Duration>,
     /// Whether the writer fsyncs at commit points. Disabling trades
     /// durability of the tail for speed; recovery semantics are
     /// unchanged (the surviving prefix is still recovered exactly).
@@ -84,11 +89,13 @@ pub struct PersistConfig {
 }
 
 impl PersistConfig {
-    /// Defaults: 20 ms group commit, fsync on, 4096-record buffers.
+    /// Defaults: 20 ms group commit, no snapshots, fsync on, 4096-record
+    /// buffers.
     pub fn new<P: Into<PathBuf>>(dir: P) -> Self {
         PersistConfig {
             dir: dir.into(),
             group_commit: Duration::from_millis(20),
+            snapshot_every: None,
             fsync: true,
             buffer_cap: 4096,
             faults: FaultPlan::default(),
@@ -386,7 +393,9 @@ pub struct Persistence {
 
 impl Persistence {
     /// Opens a *fresh* durability domain: creates the directory, writes
-    /// the manifest, and starts the writer on segment 0.
+    /// the manifest, and starts the writer on segment 0. The manifest
+    /// records the layout a runtime of `clients` builds: `shards` clamped
+    /// to `[1, clients]` ([`ShardLayout::new`]).
     ///
     /// # Errors
     ///
@@ -401,11 +410,10 @@ impl Persistence {
                 "journal directory already holds a domain: recover + resume instead",
             ));
         }
+        let shards = ShardLayout::new(clients, shards).shard_count();
         let manifest = Manifest { clients, shards };
         write_manifest(&cfg.dir, &manifest)?;
-        let states = (0..shards.max(1))
-            .map(|_| ShardState::new(0, 0, 0))
-            .collect();
+        let states = (0..shards).map(|_| ShardState::new(0, 0, 0)).collect();
         Self::build(cfg, manifest, states, 0, 0, Vec::new())
     }
 

@@ -8,7 +8,7 @@
 //! tolerance while token conservation stays exact.
 
 use ta_live::harness::{
-    live_vs_sim_spec, replay_realtime, replay_trace, run_sim_oracle, OracleWorkload,
+    live_vs_sim, replay_realtime, replay_trace, run_sim_oracle, OracleWorkload,
 };
 use ta_sim::SimDuration;
 use token_account::prelude::*;
@@ -28,7 +28,7 @@ fn all_specs() -> [StrategySpec; 5] {
 fn exact_counter_equality_for_every_strategy_variant() {
     let workload = OracleWorkload::quick(30, 42);
     for spec in all_specs() {
-        let cv = live_vs_sim_spec(spec, &workload, 1, 4).unwrap();
+        let cv = live_vs_sim(spec, &workload, 1, 4).unwrap();
         assert!(
             cv.exact_match(),
             "{spec:?}: sim {:?} != live {:?}",
@@ -63,7 +63,7 @@ fn exact_equality_under_debt_strategy() {
     // The purely reactive reference overdraws (force_spend): the live
     // atomic path must reproduce negative balance sums exactly too.
     let workload = OracleWorkload::quick(15, 5);
-    let cv = live_vs_sim_spec(StrategySpec::Reactive { k: 3 }, &workload, 4, 4).unwrap();
+    let cv = live_vs_sim(StrategySpec::Reactive { k: 3 }, &workload, 4, 4).unwrap();
     assert!(cv.exact_match());
     assert!(
         cv.live.balances_sum < 0,

@@ -52,8 +52,7 @@ fn drive(
     cfg.buffer_cap = 32;
     cfg.faults = faults;
     let rt = LiveRuntime::new(RandomizedTokenAccount::new(2, 6).unwrap(), clients, shards);
-    let shard_count = rt.accounts().shard_count();
-    let p = Persistence::open(&cfg, clients, shard_count).unwrap();
+    let p = Persistence::open(&cfg, clients, shards).unwrap();
 
     let counters = std::thread::scope(|scope| {
         let mut handles = Vec::new();
@@ -433,32 +432,41 @@ fn falling_back_a_snapshot_lowers_the_segment_bound_with_it() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-#[test]
-fn durable_loadgen_runs_and_recovers() {
-    use ta_live::{run_loadgen_durable, ArrivalMode, LoadGenConfig};
-
-    let dir = temp_dir("loadgen");
-    let cfg = LoadGenConfig {
-        clients: 2_000,
+fn loadgen_cfg() -> ta_live::LoadGenConfig {
+    ta_live::LoadGenConfig {
         workers: 2,
-        account_shards: 8,
         duration: Duration::from_millis(150),
-        mode: ArrivalMode::Closed,
+        mode: ta_live::ArrivalMode::Closed,
         useful_probability: 0.8,
         burst: None,
         round_period: Some(Duration::from_millis(20)),
         seed: 11,
+    }
+}
+
+/// `run_loadgen` over `runtime` with `p`'s journal attached.
+fn journaled_run(
+    runtime: &LiveRuntime,
+    cfg: &ta_live::LoadGenConfig,
+    p: &Persistence,
+) -> ta_live::LoadGenReport {
+    let with = ta_live::Attach {
+        persistence: Some(p),
+        ..ta_live::Attach::default()
     };
+    ta_live::run_loadgen(runtime, cfg, with)
+}
+
+#[test]
+fn durable_loadgen_runs_and_recovers() {
+    let dir = temp_dir("loadgen");
+    let cfg = loadgen_cfg();
     let mut pcfg = PersistConfig::new(&dir);
     pcfg.group_commit = Duration::from_millis(5);
-    let p = Persistence::open(&pcfg, cfg.clients, 8).unwrap();
-    let (report, durable) = run_loadgen_durable(
-        RandomizedTokenAccount::new(2, 6).unwrap(),
-        &cfg,
-        &p,
-        Some(Duration::from_millis(30)),
-        None,
-    );
+    pcfg.snapshot_every = Some(Duration::from_millis(30));
+    let p = Persistence::open(&pcfg, 2_000, 8).unwrap();
+    let runtime = LiveRuntime::new(RandomizedTokenAccount::new(2, 6).unwrap(), 2_000, 8);
+    let report = journaled_run(&runtime, &cfg, &p);
     let stats = p.shutdown().unwrap();
     assert!(
         report.conserves(),
@@ -471,8 +479,10 @@ fn durable_loadgen_runs_and_recovers() {
     // loop steps out of its epoch once per chunk; if it did not, exactly
     // one snapshot would get through, when the workers leave at the end.
     assert!(
-        durable.snapshots >= 2,
-        "snapshots waited for the end of the run: {durable:?}"
+        report.snapshots >= 2,
+        "snapshots waited for the end of the run: {} done, {} failed",
+        report.snapshots,
+        report.snapshot_failures
     );
 
     let state = recover(&dir).unwrap();
@@ -483,18 +493,44 @@ fn durable_loadgen_runs_and_recovers() {
 
     // Resume the same domain and keep going: conservation must hold
     // across the generation boundary.
+    pcfg.snapshot_every = None;
     let p2 = Persistence::resume(&pcfg, &state).unwrap();
-    let (report2, _) = run_loadgen_durable(
-        RandomizedTokenAccount::new(2, 6).unwrap(),
-        &cfg,
-        &p2,
-        None,
-        Some(&state),
-    );
+    let runtime2 = LiveRuntime::from_recovered(RandomizedTokenAccount::new(2, 6).unwrap(), &state);
+    let report2 = journaled_run(&runtime2, &cfg, &p2);
     p2.shutdown().unwrap();
     assert_eq!(report2.initial_balances_sum, state.balances_sum());
+    assert_eq!((report2.snapshots, report2.snapshot_failures), (0, 0));
     assert!(report2.conserves(), "resumed run broke conservation");
     let state2 = recover(&dir).unwrap();
     assert_eq!(state2.balances_sum(), report2.balances_sum);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn more_shards_than_clients_runs_and_recovers() {
+    // The runtime clamps 64 shards to one per client; the manifest must
+    // record the same layout, or the run refuses the journal.
+    let dir = temp_dir("clamp");
+    let mut pcfg = PersistConfig::new(&dir);
+    pcfg.group_commit = Duration::from_millis(5);
+    pcfg.snapshot_every = Some(Duration::from_millis(30));
+    let p = Persistence::open(&pcfg, 10, 64).unwrap();
+    assert_eq!(p.manifest().shards, 10);
+    let runtime = LiveRuntime::new(RandomizedTokenAccount::new(2, 6).unwrap(), 10, 64);
+    let report = journaled_run(&runtime, &loadgen_cfg(), &p);
+    p.shutdown().unwrap();
+    assert!(report.conserves(), "{:?}", report.counters);
+    assert!(report.counters.requests > 0);
+
+    let state = recover(&dir).unwrap();
+    assert!(state.truncations.is_empty());
+    assert_eq!((state.clients, state.shards), (10, 10));
+    let balances: Vec<i64> = (0..10)
+        .map(|c| runtime.accounts().account(c).balance())
+        .collect();
+    assert_eq!(state.balances, balances);
+    assert_eq!(state.balances_sum(), report.balances_sum);
+    assert_eq!(state.granted_total(), report.counters.tokens_banked);
+    assert_eq!(state.burned_total(), report.counters.reactive_sent);
     std::fs::remove_dir_all(&dir).unwrap();
 }

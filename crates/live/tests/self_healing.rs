@@ -18,8 +18,8 @@ use std::time::Duration;
 
 use ta_live::persist::{recover, FaultPlan, PersistConfig, Persistence};
 use ta_live::{
-    run_loadgen_durable_supervised_spec, ArrivalMode, HealthBoard, HealthState, LiveTelemetry,
-    LoadGenConfig, OnJournalFail,
+    run_loadgen, ArrivalMode, Attach, HealthBoard, HealthState, LiveRuntime, LiveTelemetry,
+    LoadGenConfig, LoadGenReport, OnJournalFail,
 };
 use token_account::prelude::*;
 
@@ -35,11 +35,12 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+const CLIENTS: usize = 400;
+const SHARDS: usize = 4;
+
 fn loadgen_cfg(duration_ms: u64, seed: u64) -> LoadGenConfig {
     LoadGenConfig {
-        clients: 400,
         workers: 2,
-        account_shards: 4,
         duration: Duration::from_millis(duration_ms),
         mode: ArrivalMode::Closed,
         useful_probability: 0.8,
@@ -47,6 +48,33 @@ fn loadgen_cfg(duration_ms: u64, seed: u64) -> LoadGenConfig {
         round_period: Some(Duration::from_millis(20)),
         seed,
     }
+}
+
+/// A fresh `CLIENTS` × `SHARDS` runtime under `p`'s journal, `telem` and
+/// `board`.
+fn supervised_run(
+    strategy: impl Strategy + 'static,
+    cfg: &LoadGenConfig,
+    p: &Persistence,
+    telem: &LiveTelemetry,
+    board: &std::sync::Arc<HealthBoard>,
+) -> LoadGenReport {
+    let with = Attach {
+        persistence: Some(p),
+        telem: Some(telem),
+        board: Some(board),
+    };
+    run_loadgen(&LiveRuntime::new(strategy, CLIENTS, SHARDS), cfg, with)
+}
+
+/// A fresh `CLIENTS` × `SHARDS` journal under `dir` with `faults`
+/// injected: 2 ms group commit, 32-record buffers.
+fn open_journal(dir: &std::path::Path, faults: &str) -> Persistence {
+    let mut pcfg = PersistConfig::new(dir);
+    pcfg.group_commit = Duration::from_millis(2);
+    pcfg.buffer_cap = 32;
+    pcfg.faults = FaultPlan::parse(faults).unwrap();
+    Persistence::open(&pcfg, CLIENTS, SHARDS).unwrap()
 }
 
 fn counter(telem: &LiveTelemetry, name: &str) -> u64 {
@@ -57,25 +85,11 @@ fn counter(telem: &LiveTelemetry, name: &str) -> u64 {
 fn io_error_faults_are_fully_absorbed_by_retry() {
     const K: u32 = 4;
     let dir = temp_dir("ioerr");
-    let mut pcfg = PersistConfig::new(&dir);
-    pcfg.group_commit = Duration::from_millis(2);
-    pcfg.buffer_cap = 32;
-    pcfg.faults = FaultPlan::parse(&format!("io_error_n:{K}")).unwrap();
-
+    let p = open_journal(&dir, &format!("io_error_n:{K}"));
     let telem = LiveTelemetry::new(2, 0, 16);
     let board = HealthBoard::new(OnJournalFail::Degrade);
-    let cfg = loadgen_cfg(250, 17);
-    let p = Persistence::open(&pcfg, cfg.clients, 4).unwrap();
-    let (report, _) = run_loadgen_durable_supervised_spec(
-        StrategySpec::Randomized { a: 2, c: 6 },
-        &cfg,
-        &p,
-        None,
-        None,
-        Some(&telem),
-        &board,
-    )
-    .unwrap();
+    let strategy = RandomizedTokenAccount::new(2, 6).unwrap();
+    let report = supervised_run(strategy, &loadgen_cfg(250, 17), &p, &telem, &board);
     let stats = p.shutdown().expect("retries must absorb every error");
 
     assert!(report.conserves(), "live run broke conservation");
@@ -105,27 +119,13 @@ fn io_error_faults_are_fully_absorbed_by_retry() {
 #[test]
 fn enospc_degrade_keeps_admitting_and_restarts_the_writer() {
     let dir = temp_dir("enospc");
-    let mut pcfg = PersistConfig::new(&dir);
-    pcfg.group_commit = Duration::from_millis(2);
-    pcfg.buffer_cap = 32;
     // Trip the outage early so the probe ladder (5 failed probes on
     // capped backoff, then space returns) fits inside the run.
-    pcfg.faults = FaultPlan::parse("enospc_after:4000").unwrap();
-
+    let p = open_journal(&dir, "enospc_after:4000");
     let telem = LiveTelemetry::new(2, 0, 16);
     let board = HealthBoard::new(OnJournalFail::Degrade);
     let cfg = loadgen_cfg(2_600, 29);
-    let p = Persistence::open(&pcfg, cfg.clients, 4).unwrap();
-    let (report, _) = run_loadgen_durable_supervised_spec(
-        StrategySpec::Simple { c: 6 },
-        &cfg,
-        &p,
-        None,
-        None,
-        Some(&telem),
-        &board,
-    )
-    .unwrap();
+    let report = supervised_run(SimpleTokenAccount::new(6), &cfg, &p, &telem, &board);
     let stats = p.shutdown().unwrap();
 
     // The runtime kept admitting straight through the outage.
@@ -176,25 +176,11 @@ fn enospc_degrade_keeps_admitting_and_restarts_the_writer() {
 #[test]
 fn halt_policy_closes_admissions_and_finishes_cleanly() {
     let dir = temp_dir("halt");
-    let mut pcfg = PersistConfig::new(&dir);
-    pcfg.group_commit = Duration::from_millis(2);
-    pcfg.buffer_cap = 32;
-    pcfg.faults = FaultPlan::parse("enospc_after:4000").unwrap();
-
+    let p = open_journal(&dir, "enospc_after:4000");
     let telem = LiveTelemetry::new(2, 0, 16);
     let board = HealthBoard::new(OnJournalFail::Halt);
     let cfg = loadgen_cfg(1_200, 31);
-    let p = Persistence::open(&pcfg, cfg.clients, 4).unwrap();
-    let (report, _) = run_loadgen_durable_supervised_spec(
-        StrategySpec::Simple { c: 6 },
-        &cfg,
-        &p,
-        None,
-        None,
-        Some(&telem),
-        &board,
-    )
-    .unwrap();
+    let report = supervised_run(SimpleTokenAccount::new(6), &cfg, &p, &telem, &board);
     let _ = p.shutdown();
 
     // Admissions closed at the failure point and never reopened; the

@@ -14,15 +14,15 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use ta_live::telem::c;
-use ta_live::{run_loadgen_observed_spec, ArrivalMode, LiveTelemetry, LoadGenConfig};
+use ta_live::{
+    run_loadgen, ArrivalMode, Attach, LiveRuntime, LiveTelemetry, LoadGenConfig, LoadGenReport,
+};
 use ta_telemetry::TraceRecord;
 use token_account::StrategySpec;
 
-fn cfg(clients: usize, workers: usize, shards: usize, seed: u64) -> LoadGenConfig {
+fn cfg(workers: usize, seed: u64) -> LoadGenConfig {
     LoadGenConfig {
-        clients,
         workers,
-        account_shards: shards,
         duration: Duration::from_millis(30),
         mode: ArrivalMode::Closed,
         useful_probability: 0.8,
@@ -30,6 +30,23 @@ fn cfg(clients: usize, workers: usize, shards: usize, seed: u64) -> LoadGenConfi
         round_period: Some(Duration::from_millis(5)),
         seed,
     }
+}
+
+/// A run of `spec` over `clients` accounts in `shards` shards, with
+/// `telem` attached.
+fn observed(
+    spec: StrategySpec,
+    clients: usize,
+    shards: usize,
+    cfg: &LoadGenConfig,
+    telem: &LiveTelemetry,
+) -> LoadGenReport {
+    let runtime = LiveRuntime::new(spec.build().unwrap(), clients, shards);
+    let with = Attach {
+        telem: Some(telem),
+        ..Attach::default()
+    };
+    run_loadgen(&runtime, cfg, with)
 }
 
 proptest! {
@@ -46,11 +63,11 @@ proptest! {
         k in 1u64..5,
         seed in any::<u64>(),
     ) {
-        let cfg = cfg(clients, workers, 1 << shards_pow, seed);
+        let cfg = cfg(workers, seed);
         // Large enough that a 30 ms closed-loop run can never wrap.
         let telem = LiveTelemetry::new(cfg.workers, 1, 1 << 20);
         let report =
-            run_loadgen_observed_spec(StrategySpec::Reactive { k }, &cfg, &telem).unwrap();
+            observed(StrategySpec::Reactive { k }, clients, 1 << shards_pow, &cfg, &telem);
         prop_assert!(report.conserves());
 
         let mut records: Vec<TraceRecord> = Vec::new();
@@ -84,7 +101,7 @@ proptest! {
 
         // Each record's client id is in range.
         for r in &records {
-            prop_assert!((r.client as usize) < cfg.clients);
+            prop_assert!((r.client as usize) < clients);
         }
     }
 
@@ -96,10 +113,9 @@ proptest! {
         n in prop_oneof![Just(2u32), Just(7), Just(64)],
         seed in any::<u64>(),
     ) {
-        let cfg = cfg(256, 2, 8, seed);
+        let cfg = cfg(2, seed);
         let telem = LiveTelemetry::new(cfg.workers, n, 1 << 12);
-        let report =
-            run_loadgen_observed_spec(StrategySpec::Simple { c: 8 }, &cfg, &telem).unwrap();
+        let report = observed(StrategySpec::Simple { c: 8 }, 256, 8, &cfg, &telem);
         prop_assert!(report.conserves());
 
         let mut records: Vec<TraceRecord> = Vec::new();
