@@ -51,7 +51,7 @@ use ta_live::persist::{
 };
 use ta_live::telem::c as tc;
 use ta_live::{LiveRuntime, LiveTelemetry};
-use ta_telemetry::EventLine;
+use ta_telemetry::{print_line, EventLine};
 use token_account::{Strategy, StrategySpec};
 
 /// Exit code: recovery found books that do not conserve.
@@ -534,7 +534,7 @@ fn main() -> ExitCode {
     let opts = match parse_opts(std::env::args().skip(1)) {
         Ok(Some(o)) => o,
         Ok(None) => {
-            println!("{USAGE}");
+            print_line(USAGE);
             return ExitCode::SUCCESS;
         }
         Err(msg) => {
@@ -589,7 +589,7 @@ fn main() -> ExitCode {
         }
     }
 
-    println!(
+    print_line(format_args!(
         "live: strategy {}, {} clients, {} workers, {} account shards, {:?} for {:.1}s",
         opts.strategy.label(),
         opts.clients,
@@ -597,7 +597,7 @@ fn main() -> ExitCode {
         opts.shards,
         opts.cfg.mode,
         opts.cfg.duration.as_secs_f64(),
-    );
+    ));
     // Optional introspection: counters + stats lines + trace collector.
     let telem = opts.telemetry_on().then(|| {
         LiveTelemetry::new(
@@ -719,16 +719,16 @@ fn main() -> ExitCode {
     }
 
     let c = &report.counters;
-    println!(
+    print_line(format_args!(
         "throughput: {:.0} decisions/sec total, {:.0}/sec/worker ({} decisions in {:.2}s)",
         report.decisions_per_sec(),
         report.decisions_per_sec_per_worker(),
         c.requests,
         report.wall.as_secs_f64(),
-    );
+    ));
     let h = &report.histogram;
     // The open loop times every decision, the closed loop one in 64.
-    println!(
+    print_line(format_args!(
         "decision latency ({} of {} decisions timed): p50 {}ns  p90 {}ns  p99 {}ns  \
          p99.9 {}ns  max {}ns  mean {:.0}ns",
         h.count(),
@@ -739,8 +739,8 @@ fn main() -> ExitCode {
         h.percentile(0.999),
         h.max(),
         h.mean(),
-    );
-    println!(
+    ));
+    print_line(format_args!(
         "counters: rounds {} (proactive {}, banked {}), requests {} \
          (reactive {}, held {}), balances_sum {}",
         c.rounds,
@@ -750,7 +750,7 @@ fn main() -> ExitCode {
         c.reactive_sent,
         c.reactive_held,
         report.balances_sum,
-    );
+    ));
 
     // The health ledger: one machine-greppable line closing the
     // self-healing books (CI asserts these against the fault plan).

@@ -39,7 +39,9 @@ use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ta_telemetry::{stats_line, stats_line_with, Handle, Snapshot, TraceConsumer, TraceRecord};
+use ta_telemetry::{
+    print_line, stats_line, stats_line_with, Handle, Snapshot, TraceConsumer, TraceRecord,
+};
 
 use crate::health::{Component, HealthBoard};
 use crate::telem::{c, LiveTelemetry};
@@ -148,7 +150,7 @@ impl StatsPump {
         }
         let line = Arc::new(render(&self.shared));
         if self.shared.stdout_every.is_some() {
-            println!("{line}");
+            print_line(&line);
         }
         let sinks = std::mem::take(&mut *self.shared.sinks.lock().expect("watch sinks"));
         for sink in &sinks {
@@ -189,7 +191,7 @@ fn pump_loop(shared: &PumpShared) {
         // the exact bytes (and therefore the `seq`).
         let line = Arc::new(render(shared));
         if stdout_due {
-            println!("{line}");
+            print_line(&line);
             stdout_next = Some(now + shared.stdout_every.expect("stdout interval"));
         }
         sinks.retain_mut(|s| {

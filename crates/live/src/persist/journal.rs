@@ -408,12 +408,11 @@ pub(crate) enum WriterMsg {
         recs: Vec<RangeRec>,
         sent_ns: u64,
     },
-    /// Commit, close the current segment, open the next one, and delete
-    /// segments with id below `delete_below`.
-    Rotate {
-        delete_below: u64,
-        ack: Sender<io::Result<()>>,
-    },
+    /// Commit, close the current segment, open the next one, publish its
+    /// id in `active_segment`, then ack. A snapshot sends this before it
+    /// freezes any shard, so everything in the closed segments precedes
+    /// its watermarks; retiring old segments is the snapshotter's job.
+    Rotate(Sender<io::Result<()>>),
     /// Commit + fsync everything received so far, then ack.
     Sync(Sender<io::Result<()>>),
     /// Final commit + fsync, then exit with stats.
@@ -797,18 +796,13 @@ impl Writer {
         Ok(self.stats)
     }
 
-    fn rotate(&mut self, delete_below: u64) -> io::Result<()> {
+    fn rotate(&mut self) -> io::Result<()> {
         self.commit_guarded()?;
         if self.draining {
             return Err(io::Error::other("journal degraded: durability suspended"));
         }
         self.segment += 1;
         self.file = open_segment(&self.cfg.dir, self.segment)?;
-        for (id, path) in list_segments(&self.cfg.dir)? {
-            if id < delete_below {
-                fs::remove_file(path)?;
-            }
-        }
         super::sync_dir(&self.cfg.dir)
     }
 }
@@ -918,18 +912,20 @@ fn writer_loop(
                         w.committed_frames += 1;
                     }
                 }
-                WriterMsg::Rotate { delete_below, ack } => {
+                WriterMsg::Rotate(ack) => {
                     if w.draining {
                         let _ =
                             ack.send(Err(io::Error::other("journal degraded: rotation refused")));
                     } else {
-                        let res = w.rotate(delete_below);
+                        let res = w.rotate();
                         let ok = res.is_ok();
                         match (ok, w.shared.health.get()) {
                             (true, _) => {
-                                let _ = ack.send(res);
+                                // Publish before the ack: the snapshotter
+                                // reads the new id as its bound.
                                 w.stats.segments += 1;
                                 active_segment.store(w.segment, Ordering::SeqCst);
+                                let _ = ack.send(res);
                                 deadline = Instant::now() + group;
                             }
                             (false, Some(_)) => {

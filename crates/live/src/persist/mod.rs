@@ -31,9 +31,13 @@
 //!
 //! **Cost of a restart.** Recovery reads the base snapshot plus the
 //! segments from that snapshot's `first_segment` on — the tail, not the
-//! history — through one reused buffer, and every byte of it is
-//! checksummed: [`crc32`] (slice-by-8) is the floor under time-to-serve,
-//! which is why it is not the textbook byte-at-a-time loop.
+//! history — through one reused buffer. A snapshot rotates the journal
+//! *before* it freezes the first shard and names the fresh segment as
+//! its bound, so that tail holds only records stamped after the freeze
+//! began, never the segment written between two snapshots. Every byte
+//! read is checksummed; [`crc32`] folds by carry-less multiply where
+//! the CPU has it (several GB/s, near the speed of reading the bytes at
+//! all), so the checksum is no longer the floor under time-to-serve.
 //!
 //! After a kill, records still sitting in producer-local buffers or in
 //! the writer's un-synced batch are lost; the recovered state is the
@@ -42,11 +46,13 @@
 //!
 //! [`AtomicTokenAccount`]: token_account::atomic::AtomicTokenAccount
 
+mod crc;
 pub mod faults;
 pub mod journal;
 pub mod recovery;
 pub mod snapshot;
 
+pub use crc::crc32;
 pub use faults::FaultPlan;
 pub use journal::{DeltaRec, JournalHandle, JournalStats};
 pub use recovery::{recover, RecoveredState, RecoveryError, Truncation, TruncationReason};
@@ -101,66 +107,6 @@ impl PersistConfig {
             faults: FaultPlan::default(),
         }
     }
-}
-
-/// Slice-by-8 lookup tables: `CRC_TABLES[0]` is the classic byte-wise
-/// table, `CRC_TABLES[k][b]` the CRC of byte `b` followed by `k` zero
-/// bytes — eight lookups then advance the CRC over eight input bytes.
-const CRC_TABLES: [[u32; 256]; 8] = {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        tables[0][i] = c;
-        i += 1;
-    }
-    let mut t = 1;
-    while t < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[t - 1][i];
-            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
-            i += 1;
-        }
-        t += 1;
-    }
-    tables
-};
-
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — frames,
-/// snapshots, and the manifest all carry one. Slice-by-8: recovery is
-/// bounded by how fast this walks the journal, and a byte-at-a-time
-/// table loop is one dependent load per byte (under 300 MB/s on the
-/// hosts this was measured on, against > 1 GB/s for eight at a time).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut crc = !0u32;
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in words.remainder() {
-        crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
 }
 
 /// Per-shard persistence state, one cache line each: the monotonic
@@ -366,9 +312,9 @@ pub fn read_manifest(dir: &Path) -> io::Result<Manifest> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SnapMeta {
     pub(crate) id: u64,
-    /// Journal segment that was active when this snapshot started; every
-    /// record the snapshot does *not* cover lives in this segment or a
-    /// later one.
+    /// Journal segment this snapshot rotated onto before its first
+    /// freeze; every record the snapshot does *not* cover lives in this
+    /// segment or a later one.
     pub(crate) first_segment: u64,
 }
 
@@ -519,15 +465,19 @@ impl Persistence {
     }
 
     /// Takes one copy-on-write snapshot of `accounts` (which must be the
-    /// account map the journal records describe): shards are frozen one
-    /// at a time, the file is written via atomic rename, old snapshots
-    /// beyond the newest two are deleted, and journal segments covered
-    /// by *both* retained snapshots are retired.
+    /// account map the journal records describe): the journal rotates
+    /// onto a fresh segment (the snapshot's replay bound), shards are
+    /// frozen one at a time, the file is written via atomic rename, old
+    /// snapshots beyond the newest two are deleted, and journal segments
+    /// covered by *both* retained snapshots are retired.
     ///
     /// # Errors
     ///
     /// Any I/O error; also an injected `crash_mid_snapshot` fault, which
-    /// leaves a partial tmp file behind (recovery must fall back).
+    /// leaves a partial tmp file behind (recovery must fall back). A
+    /// writer that refuses the rotation (degraded or gone) still gets
+    /// the snapshot written, bounded by the segment it is on, and the
+    /// rotation's error is returned after.
     ///
     /// # Panics
     ///
@@ -639,44 +589,6 @@ impl Drop for Persistence {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The byte-at-a-time loop `crc32` replaced, kept as the reference.
-    fn crc32_bytewise(bytes: &[u8]) -> u32 {
-        let mut crc = !0u32;
-        for &b in bytes {
-            crc = CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
-        }
-        !crc
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // IEEE CRC-32 of "123456789" is the classic check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
-    }
-
-    #[test]
-    fn crc32_slice_by_8_equals_bytewise_reference() {
-        // Every split of the input between the 8-byte body and the
-        // byte-wise remainder, at every alignment of the first byte.
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let buf: Vec<u8> = (0..80)
-            .map(|_| {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (x >> 56) as u8
-            })
-            .collect();
-        for start in 0..8 {
-            for len in 0..=64 {
-                let s = &buf[start..start + len];
-                assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");
-            }
-        }
-    }
 
     fn unhex(s: &str) -> Vec<u8> {
         (0..s.len())

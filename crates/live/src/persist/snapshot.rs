@@ -15,10 +15,13 @@
 //! crc32 u32   (over everything before it)
 //! ```
 //!
-//! `first_segment` is the journal segment that was active when the
-//! snapshot *started*: every record the snapshot does not already
-//! contain lives in that segment or a later one, which is what makes
-//! segment retirement safe.
+//! `first_segment` is the fresh journal segment the snapshot rotated the
+//! writer onto before freezing its first shard: every record in an
+//! earlier segment was stamped before the freeze and is already in the
+//! copy, and every record the copy does not contain lives in that
+//! segment or a later one. That makes recovery read only the tail and
+//! makes segment retirement safe. (If the writer refused the rotation,
+//! it is the segment that was active instead — looser, still safe.)
 //!
 //! ## Consistency
 //!
@@ -93,7 +96,8 @@ pub struct ShardSnap {
 pub struct SnapshotData {
     /// Snapshot id (monotonic per domain).
     pub id: u64,
-    /// Journal segment active when the snapshot started.
+    /// Journal segment the snapshot rotated onto before its first freeze:
+    /// replay from this snapshot starts here.
     pub first_segment: u64,
     /// Total client count (must match the manifest).
     pub clients: u64,
@@ -285,7 +289,11 @@ pub(crate) fn list_metas(dir: &Path) -> Vec<SnapMeta> {
     out
 }
 
-/// Takes one snapshot (see [`Persistence::snapshot`]).
+/// Takes one snapshot (see [`Persistence::snapshot`]): rotates the
+/// journal, reads the fresh segment's id as the snapshot's
+/// `first_segment`, freezes and copies the shards one at a time, writes
+/// the file atomically, then deletes snapshots beyond the newest two and
+/// the segments only older ones needed.
 pub(crate) fn take(p: &Persistence, accounts: &ShardedAccounts) -> io::Result<SnapshotInfo> {
     let manifest = p.manifest();
     assert_eq!(
@@ -305,8 +313,14 @@ pub(crate) fn take(p: &Persistence, accounts: &ShardedAccounts) -> io::Result<Sn
     }
 
     let id = p.next_snapshot_id().fetch_add(1, Ordering::SeqCst);
-    // Read *before* freezing anything: every record not yet covered by
-    // the copies below is in this segment or a later one.
+    // Rotate *before* freezing anything: every record in the segments
+    // the writer closes was sent before the rotation, so it was stamped
+    // before any freeze below and lies under its shard's watermark. The
+    // fresh segment is then a tight bound: recovery from this snapshot
+    // reads only records it does not already contain. A refused
+    // rotation (a degraded or dead writer) still yields a snapshot,
+    // bounded by the un-rotated segment; its error is returned after.
+    let rotated = rotate(p);
     let first_segment = p.active_segment().load(Ordering::SeqCst);
 
     let mut shards = Vec::with_capacity(manifest.shards);
@@ -341,7 +355,8 @@ pub(crate) fn take(p: &Persistence, accounts: &ShardedAccounts) -> io::Result<Sn
         &shards,
         p.cfg().faults.poison_books,
     );
-    let path = snapshot_path(&p.cfg().dir, id);
+    let dir = &p.cfg().dir;
+    let path = snapshot_path(dir, id);
 
     if p.cfg().faults.crash_mid_snapshot {
         // Die half-way through the tmp write: no rename, and no further
@@ -362,7 +377,9 @@ pub(crate) fn take(p: &Persistence, accounts: &ShardedAccounts) -> io::Result<Sn
     // Retention: keep the newest two snapshots; retire segments older
     // than the *older* retained snapshot's first segment, so even if the
     // newest snapshot file is later corrupted, the previous snapshot
-    // plus the surviving segments still reconstruct the full state.
+    // plus the surviving segments still reconstruct the full state. That
+    // bound is never above this snapshot's, so the writer's active
+    // segment is never among them.
     let (delete_below, drop_snaps) = {
         let mut snaps = p.snapshots().lock().expect("snapshot registry");
         snaps.push(SnapMeta { id, first_segment });
@@ -377,32 +394,36 @@ pub(crate) fn take(p: &Persistence, accounts: &ShardedAccounts) -> io::Result<Sn
         (delete_below, dropped)
     };
     for m in &drop_snaps {
-        let _ = fs::remove_file(snapshot_path(&p.cfg().dir, m.id));
+        let _ = fs::remove_file(snapshot_path(dir, m.id));
     }
-    if !drop_snaps.is_empty() {
-        sync_dir(&p.cfg().dir)?;
+    let mut retired_segments = 0;
+    for (seg, seg_path) in super::journal::list_segments(dir)? {
+        if seg < delete_below {
+            fs::remove_file(seg_path)?;
+            retired_segments += 1;
+        }
     }
-
-    // Rotate the journal onto a fresh segment and retire fully-covered
-    // ones. Counting retired segments from the listing delta keeps the
-    // writer protocol simple.
-    let before = super::journal::list_segments(&p.cfg().dir)?.len() as u64;
-    let (ack, done) = channel();
-    p.writer_tx()
-        .send(WriterMsg::Rotate { delete_below, ack })
-        .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "journal writer is gone"))?;
-    done.recv()
-        .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "journal writer died"))??;
-    let after = super::journal::list_segments(&p.cfg().dir)?.len() as u64;
-    // The rotate added one segment; anything else that vanished was
-    // retirement.
-    let retired_segments = (before + 1).saturating_sub(after);
+    if !drop_snaps.is_empty() || retired_segments > 0 {
+        sync_dir(dir)?;
+    }
+    rotated?;
 
     Ok(SnapshotInfo {
         id,
         bytes: bytes.len() as u64,
         retired_segments,
     })
+}
+
+/// Asks the journal writer to commit and move onto a fresh segment,
+/// waiting for its answer.
+fn rotate(p: &Persistence) -> io::Result<()> {
+    let (ack, done) = channel();
+    p.writer_tx()
+        .send(WriterMsg::Rotate(ack))
+        .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "journal writer is gone"))?;
+    done.recv()
+        .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "journal writer died"))?
 }
 
 #[cfg(test)]

@@ -33,6 +33,7 @@ static COUNTER: AtomicU64 = AtomicU64::new(0);
 struct DriveOutcome {
     balances: Vec<i64>,
     counters: LiveCounters,
+    runtime: LiveRuntime,
     persistence: Option<Persistence>,
 }
 
@@ -109,6 +110,7 @@ fn drive(
             .map(|c| rt.accounts().account(c).balance())
             .collect(),
         counters,
+        runtime: rt,
         persistence: Some(p),
     }
 }
@@ -429,6 +431,126 @@ fn falling_back_a_snapshot_lowers_the_segment_bound_with_it() {
         state.granted_total() as i64 - state.burned_total() as i64,
         state.balances_sum()
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn snapshot_bound_is_tight_once_producers_stop() {
+    use ta_live::persist::journal::{self, FramePayload};
+    use ta_live::persist::snapshot;
+
+    let dir = temp_dir("tight");
+    let mut out = drive(&dir, 200, 4, 2, 3_000, FaultPlan::default(), 2);
+    let p = out.persistence.take().unwrap();
+    // More traffic after the run's last snapshot, so the segment the
+    // writer is on holds records when the next snapshot starts.
+    let rt = &out.runtime;
+    let mut j = p.handle();
+    let mut rng = Xoshiro256pp::stream(3, 1);
+    for s in 0..rt.accounts().shard_count() {
+        rt.round_sweep_journaled(s, &mut rng, &mut out.counters, |_| {}, &mut j);
+    }
+    for i in 0..1_000 {
+        let useful = Usefulness::from_bool(i % 3 != 0);
+        rt.admit_journaled(i % 200, useful, &mut rng, &mut out.counters, &mut j);
+    }
+    drop(j);
+    let balances: Vec<i64> = (0..200)
+        .map(|c| rt.accounts().account(c).balance())
+        .collect();
+
+    // Every producer has flushed and left: the snapshot covers every
+    // record there is, so nothing at or above its bound may predate it.
+    let info = p.snapshot(rt.accounts()).unwrap();
+    p.shutdown().unwrap();
+    let snap = snapshot::load(&snapshot::snapshot_path(&dir, info.id)).unwrap();
+
+    let segments = journal::list_segments(&dir).unwrap();
+    assert!(segments.iter().any(|&(id, _)| id < snap.first_segment));
+    for (id, path) in segments.iter().filter(|&&(id, _)| id >= snap.first_segment) {
+        let scan = journal::scan_segment(&std::fs::read(path).unwrap());
+        assert_eq!(scan.error, None, "segment {id}");
+        for frame in &scan.frames {
+            let watermark = snap.shards[frame.shard as usize].watermark;
+            let seqs: Vec<u64> = match &frame.payload {
+                FramePayload::Deltas(recs) => recs.iter().map(|r| r.seq).collect(),
+                FramePayload::Ranges(recs) => recs.iter().map(|r| r.seq).collect(),
+            };
+            assert!(
+                seqs.iter().all(|&seq| seq >= watermark),
+                "segment {id} (bound {}) holds shard {} records below its watermark \
+                 {watermark}: the snapshot already contains them",
+                snap.first_segment,
+                frame.shard
+            );
+        }
+    }
+
+    // So the segments below the bound are dead weight: without them
+    // recovery is still exact, and has nothing to replay.
+    for (id, path) in &segments {
+        if *id < snap.first_segment {
+            std::fs::remove_file(path).unwrap();
+        }
+    }
+    let state = recover(&dir).unwrap();
+    assert_eq!(state.snapshot_id, Some(info.id));
+    assert_eq!(state.balances, balances);
+    assert!(state.truncations.is_empty(), "{:?}", state.truncations);
+    assert_eq!(state.replayed, 0);
+    assert_eq!(state.granted_total(), out.counters.tokens_banked);
+    assert_eq!(state.burned_total(), out.counters.reactive_sent);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn degraded_writer_still_gets_its_snapshot_written() {
+    use ta_live::{HealthBoard, OnJournalFail};
+
+    let dir = temp_dir("degraded-snap");
+    let mut cfg = PersistConfig::new(&dir);
+    cfg.group_commit = Duration::from_millis(2);
+    cfg.buffer_cap = 32;
+    // The disk fills after 1000 bytes and stays full for six attempts:
+    // the writer drains (drops batches) for over a second of probes.
+    cfg.faults = FaultPlan::parse("enospc_after:1000").unwrap();
+    let p = Persistence::open(&cfg, 200, 4).unwrap();
+    p.attach_health(HealthBoard::new(OnJournalFail::Degrade));
+    let rt = LiveRuntime::new(RandomizedTokenAccount::new(2, 6).unwrap(), 200, 4);
+
+    let mut j = p.handle();
+    let mut rng = Xoshiro256pp::stream(5, 1);
+    let mut c = LiveCounters::default();
+    for round in 0..4 {
+        for s in 0..rt.accounts().shard_count() {
+            rt.round_sweep_journaled(s, &mut rng, &mut c, |_| {}, &mut j);
+        }
+        for i in 0..500 {
+            let useful = Usefulness::from_bool((i + round) % 3 != 0);
+            rt.admit_journaled(i % 200, useful, &mut rng, &mut c, &mut j);
+        }
+    }
+    drop(j);
+    assert!(p.sync().is_err(), "the writer must be draining by now");
+
+    // The draining writer refuses the rotation; the snapshot is still
+    // written (bounded by the segment the writer is on) and the refusal
+    // is reported.
+    assert!(p.snapshot(rt.accounts()).is_err());
+    let snaps = ta_live::persist::snapshot::list_snapshot_files(&dir).unwrap();
+    assert_eq!(snaps.len(), 1, "the snapshot file must be written");
+    let balances: Vec<i64> = (0..200)
+        .map(|cl| rt.accounts().account(cl).balance())
+        .collect();
+    let _ = p.shutdown();
+
+    // The journal lost the drained batches, but the snapshot holds the
+    // exact live state and nothing was stamped after it.
+    let state = recover(&dir).unwrap();
+    assert_eq!(state.snapshot_id, Some(snaps[0].0));
+    assert_eq!(state.balances, balances);
+    assert_eq!(state.granted_total(), c.tokens_banked);
+    assert_eq!(state.burned_total(), c.reactive_sent);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

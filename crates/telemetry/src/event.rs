@@ -60,10 +60,19 @@ impl EventLine {
         self.buf
     }
 
-    /// Prints the line to stdout.
+    /// Prints the line to stdout (see [`print_line`]).
     pub fn emit(self) {
-        println!("{}", self.finish());
+        print_line(self.finish());
     }
+}
+
+/// Prints `line` and a newline to stdout. Where `println!` panics on a
+/// closed stdout (a reader that went away, as in `live … | head -1`),
+/// this drops the line: output ends quietly, and the process runs on to
+/// the exit code it computes.
+pub fn print_line(line: impl std::fmt::Display) {
+    use std::io::Write;
+    let _ = writeln!(std::io::stdout().lock(), "{line}");
 }
 
 /// Renders one self-describing stats line from a registry [`Snapshot`]:

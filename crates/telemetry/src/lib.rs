@@ -39,7 +39,7 @@ mod profile;
 mod registry;
 mod ring;
 
-pub use event::{stats_line, stats_line_with, EventLine, STATS_SCHEMA};
+pub use event::{print_line, stats_line, stats_line_with, EventLine, STATS_SCHEMA};
 pub use hist::LatencyHistogram;
 pub use profile::{Profile, ProfileData, BATCH_BUCKETS};
 pub use registry::{Handle, Registry, Snapshot};

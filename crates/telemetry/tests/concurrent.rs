@@ -3,7 +3,7 @@
 //! live producer/consumer pair.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use ta_telemetry::{trace_ring, LatencyHistogram, Registry, TraceRecord};
 
@@ -19,12 +19,16 @@ fn snapshots_never_tear_or_decrease_under_8_writers() {
     const PER_WRITER: u64 = 400_000;
     let reg = Registry::new(COUNTERS, GAUGES, WRITERS);
     let stop = Arc::new(AtomicBool::new(false));
+    // The writers start after the reader's first sweep: otherwise they
+    // can all finish before the reader first runs.
+    let start = &Barrier::new(WRITERS + 1);
 
     let sweeps = std::thread::scope(|s| {
         let writers: Vec<_> = (0..WRITERS)
             .map(|lane| {
                 let h = reg.handle(lane);
                 s.spawn(move || {
+                    start.wait();
                     for i in 0..PER_WRITER {
                         h.incr(0);
                         h.add(1, 3);
@@ -43,7 +47,7 @@ fn snapshots_never_tear_or_decrease_under_8_writers() {
         let reader = s.spawn(move || {
             let mut sweeps = 0u64;
             let mut last = [0u64; 3];
-            while !stop_reader.load(Ordering::Relaxed) {
+            loop {
                 let snap = reg_reader.snapshot();
                 let now = [snap.counter(0), snap.counter(1), snap.counter(2)];
                 for (i, (&prev, &cur)) in last.iter().zip(now.iter()).enumerate() {
@@ -54,6 +58,12 @@ fn snapshots_never_tear_or_decrease_under_8_writers() {
                 }
                 last = now;
                 sweeps += 1;
+                if sweeps == 1 {
+                    start.wait();
+                }
+                if stop_reader.load(Ordering::Relaxed) {
+                    break;
+                }
             }
             sweeps
         });
@@ -103,6 +113,8 @@ fn hist_snapshots_stay_consistent_under_8_writers() {
     const PER_WRITER: u64 = 200_000;
     let reg = Registry::with_hists(COUNTERS, GAUGES, HISTS, WRITERS);
     let stop = Arc::new(AtomicBool::new(false));
+    // As above: the writers wait for the reader's first sweep.
+    let start = &Barrier::new(WRITERS + 1);
 
     // Deterministic per-writer sample: spreads across several octaves.
     let sample = |i: u64| (i % 1024) + 1;
@@ -112,6 +124,7 @@ fn hist_snapshots_stay_consistent_under_8_writers() {
             .map(|lane| {
                 let h = reg.handle(lane);
                 s.spawn(move || {
+                    start.wait();
                     for i in 0..PER_WRITER {
                         h.hist_record(0, sample(i));
                     }
@@ -123,7 +136,7 @@ fn hist_snapshots_stay_consistent_under_8_writers() {
         let reader = s.spawn(move || {
             let mut sweeps = 0u64;
             let (mut last_count, mut last_sum, mut last_max) = (0u64, 0u64, 0u64);
-            while !stop_reader.load(Ordering::Relaxed) {
+            loop {
                 let snap = reg_reader.snapshot();
                 let hist = snap.hist(0);
                 assert!(hist.count() >= last_count, "count decreased");
@@ -135,6 +148,12 @@ fn hist_snapshots_stay_consistent_under_8_writers() {
                 assert!(hist.percentile(0.99) <= hist.percentile(0.999));
                 (last_count, last_sum, last_max) = (hist.count(), hist.sum(), hist.max());
                 sweeps += 1;
+                if sweeps == 1 {
+                    start.wait();
+                }
+                if stop_reader.load(Ordering::Relaxed) {
+                    break;
+                }
             }
             sweeps
         });
