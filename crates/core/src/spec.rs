@@ -94,9 +94,59 @@ impl StrategySpec {
     }
 }
 
+/// Parses the command-line syntax of a spec: `proactive`,
+/// `reactive:<k>`, `simple:<C>`, `generalized:<A>,<C>` or
+/// `randomized:<A>,<C>`.
+impl std::str::FromStr for StrategySpec {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        let (name, params) = match s.split_once(':') {
+            Some((n, p)) => (n, Some(p)),
+            None => (s, None),
+        };
+        let nums = |want: usize| -> Result<Vec<u64>, String> {
+            let p = params.ok_or_else(|| format!("strategy `{name}` needs {want} parameter(s)"))?;
+            let vals: Result<Vec<u64>, _> = p.split(',').map(|v| v.trim().parse()).collect();
+            let vals = vals.map_err(|_| format!("bad strategy parameters `{p}`"))?;
+            if vals.len() != want {
+                return Err(format!("strategy `{name}` needs {want} parameter(s)"));
+            }
+            Ok(vals)
+        };
+        match name {
+            "proactive" => Ok(StrategySpec::Proactive),
+            "reactive" => Ok(StrategySpec::Reactive { k: nums(1)?[0] }),
+            "simple" => Ok(StrategySpec::Simple { c: nums(1)?[0] }),
+            "generalized" => nums(2).map(|v| StrategySpec::Generalized { a: v[0], c: v[1] }),
+            "randomized" => nums(2).map(|v| StrategySpec::Randomized { a: v[0], c: v[1] }),
+            other => Err(format!("unknown strategy `{other}`")),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn specs_parse() {
+        let parse = |s: &str| s.parse::<StrategySpec>();
+        assert_eq!(parse("proactive"), Ok(StrategySpec::Proactive));
+        assert_eq!(parse("reactive:2"), Ok(StrategySpec::Reactive { k: 2 }));
+        assert_eq!(parse("simple:10"), Ok(StrategySpec::Simple { c: 10 }));
+        assert_eq!(
+            parse("generalized:5,10"),
+            Ok(StrategySpec::Generalized { a: 5, c: 10 })
+        );
+        assert_eq!(
+            parse("randomized:5,10"),
+            Ok(StrategySpec::Randomized { a: 5, c: 10 })
+        );
+        assert!(parse("bogus").is_err());
+        assert!(parse("simple").is_err());
+        assert!(parse("generalized:5").is_err());
+    }
 
     #[test]
     fn builds_every_variant() {

@@ -1,31 +1,7 @@
 //! Runs the protocol design-choice ablations. See `--help` for options.
 
-use std::process::ExitCode;
+use ta_experiments::{cli::figure_main, figures::ablation};
 
-use ta_experiments::cli::{self, FigureOpts};
-use ta_experiments::figures::ablation;
-
-fn main() -> ExitCode {
-    let opts = match FigureOpts::parse(std::env::args().skip(1)) {
-        Ok(opts) => opts,
-        Err(e) if e.is_help() => {
-            println!("{}", cli::USAGE);
-            return ExitCode::SUCCESS;
-        }
-        Err(e) => {
-            cli::fail_event("ablation", e);
-            return ExitCode::FAILURE;
-        }
-    };
-    opts.export_parallelism();
-    match ablation::run(&opts) {
-        Ok(report) => {
-            report.print();
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            cli::fail_event("ablation", e);
-            ExitCode::FAILURE
-        }
-    }
+fn main() -> std::process::ExitCode {
+    figure_main("ablation", &[("ablation", ablation::run)])
 }

@@ -3,56 +3,8 @@
 //! extension, and the design-choice ablations. See `--help` for shared
 //! options.
 
-use std::process::ExitCode;
+use ta_experiments::{cli::figure_main, figures};
 
-use ta_experiments::cli::{self, FigureOpts};
-use ta_experiments::figures;
-
-fn main() -> ExitCode {
-    let opts = match FigureOpts::parse(std::env::args().skip(1)) {
-        Ok(opts) => opts,
-        Err(e) if e.is_help() => {
-            println!("{}", cli::USAGE);
-            return ExitCode::SUCCESS;
-        }
-        Err(e) => {
-            cli::fail_event("all", e);
-            return ExitCode::FAILURE;
-        }
-    };
-    opts.export_parallelism();
-    type Step = fn(&FigureOpts) -> Result<ta_experiments::Report, figures::FigureError>;
-    let mut failed = false;
-    match figures::fig1::run(&opts) {
-        Ok(report) => report.print(),
-        Err(e) => {
-            cli::fail_event("fig1", e);
-            failed = true;
-        }
-    }
-    let steps: [(&str, Step); 8] = [
-        ("fig2", figures::fig2::run),
-        ("fig3", figures::fig3::run),
-        ("fig4", figures::fig4::run),
-        ("fig5", figures::fig5::run),
-        ("sweep", figures::sweep::run),
-        ("faults", figures::faults::run),
-        ("ablation", figures::ablation::run),
-        ("burstiness", figures::burstiness::run),
-    ];
-    for (name, step) in steps {
-        println!();
-        match step(&opts) {
-            Ok(report) => report.print(),
-            Err(e) => {
-                cli::fail_event(name, e);
-                failed = true;
-            }
-        }
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+fn main() -> std::process::ExitCode {
+    figure_main("all", &figures::ALL)
 }

@@ -2,32 +2,8 @@
 //! purely reactive flood (the Section 3.4 burstiness guarantee). See
 //! `--help` for options.
 
-use std::process::ExitCode;
+use ta_experiments::{cli::figure_main, figures::burstiness};
 
-use ta_experiments::cli::{self, FigureOpts};
-use ta_experiments::figures::burstiness;
-
-fn main() -> ExitCode {
-    let opts = match FigureOpts::parse(std::env::args().skip(1)) {
-        Ok(opts) => opts,
-        Err(e) if e.is_help() => {
-            println!("{}", cli::USAGE);
-            return ExitCode::SUCCESS;
-        }
-        Err(e) => {
-            cli::fail_event("burstiness", e);
-            return ExitCode::FAILURE;
-        }
-    };
-    opts.export_parallelism();
-    match burstiness::run(&opts) {
-        Ok(report) => {
-            report.print();
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            cli::fail_event("burstiness", e);
-            ExitCode::FAILURE
-        }
-    }
+fn main() -> std::process::ExitCode {
+    figure_main("burstiness", &[("burstiness", burstiness::run)])
 }

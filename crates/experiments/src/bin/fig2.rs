@@ -1,31 +1,7 @@
 //! Regenerates the paper's `fig2` artifact. See `--help` for options.
 
-use std::process::ExitCode;
+use ta_experiments::{cli::figure_main, figures::fig2};
 
-use ta_experiments::cli::{self, FigureOpts};
-use ta_experiments::figures::fig2;
-
-fn main() -> ExitCode {
-    let opts = match FigureOpts::parse(std::env::args().skip(1)) {
-        Ok(opts) => opts,
-        Err(e) if e.is_help() => {
-            println!("{}", cli::USAGE);
-            return ExitCode::SUCCESS;
-        }
-        Err(e) => {
-            cli::fail_event("fig2", e);
-            return ExitCode::FAILURE;
-        }
-    };
-    opts.export_parallelism();
-    match fig2::run(&opts) {
-        Ok(report) => {
-            report.print();
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            cli::fail_event("fig2", e);
-            ExitCode::FAILURE
-        }
-    }
+fn main() -> std::process::ExitCode {
+    figure_main("fig2", &[("fig2", fig2::run)])
 }

@@ -1,31 +1,7 @@
 //! Regenerates the paper's `fig4` artifact. See `--help` for options.
 
-use std::process::ExitCode;
+use ta_experiments::{cli::figure_main, figures::fig4};
 
-use ta_experiments::cli::{self, FigureOpts};
-use ta_experiments::figures::fig4;
-
-fn main() -> ExitCode {
-    let opts = match FigureOpts::parse(std::env::args().skip(1)) {
-        Ok(opts) => opts,
-        Err(e) if e.is_help() => {
-            println!("{}", cli::USAGE);
-            return ExitCode::SUCCESS;
-        }
-        Err(e) => {
-            cli::fail_event("fig4", e);
-            return ExitCode::FAILURE;
-        }
-    };
-    opts.export_parallelism();
-    match fig4::run(&opts) {
-        Ok(report) => {
-            report.print();
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            cli::fail_event("fig4", e);
-            ExitCode::FAILURE
-        }
-    }
+fn main() -> std::process::ExitCode {
+    figure_main("fig4", &[("fig4", fig4::run)])
 }

@@ -21,47 +21,9 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
+use ta_experiments::cli::{self, TopOpts};
 use ta_experiments::scope::{render_header, render_row, Rates, ScopeClient, Stats};
-
-const USAGE: &str = "options:
-  --addr <host:port>  observability server to connect to (required)
-  --every <ms>        watch interval in milliseconds (default 500)
-  --once              print one header + one rate row, then exit
-  --help              this text";
-
-#[derive(Debug, PartialEq)]
-struct Opts {
-    addr: String,
-    every: Duration,
-    once: bool,
-}
-
-/// Parses options; `Ok(None)` means `--help` was requested.
-fn parse_opts<I: IntoIterator<Item = String>>(args: I) -> Result<Option<Opts>, String> {
-    let mut addr: Option<String> = None;
-    let mut every = Duration::from_millis(500);
-    let mut once = false;
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
-        match arg.as_str() {
-            "--addr" => addr = Some(value("--addr")?),
-            "--every" => {
-                let v = value("--every")?;
-                let ms: u64 = v.parse().map_err(|_| format!("bad --every `{v}`"))?;
-                if ms == 0 {
-                    return Err("--every must be at least 1 ms".into());
-                }
-                every = Duration::from_millis(ms);
-            }
-            "--once" => once = true,
-            "--help" | "-h" => return Ok(None),
-            other => return Err(format!("unknown option `{other}` (see --help)")),
-        }
-    }
-    let addr = addr.ok_or("--addr is required (see --help)")?;
-    Ok(Some(Opts { addr, every, once }))
-}
+use ta_telemetry::print_line;
 
 /// First reconnect delay; doubles per failed session up to
 /// [`BACKOFF_CAP`].
@@ -80,14 +42,14 @@ fn next_backoff(d: Duration) -> Duration {
 /// ends. Returns how many rate rows were rendered alongside the outcome
 /// (`Ok` = the stream ended cleanly, `Err` = connect/stream/parse
 /// failure).
-fn run_session(opts: &Opts) -> (u64, Result<(), String>) {
+fn run_session(opts: &TopOpts) -> (u64, Result<(), String>) {
     let mut rows = 0u64;
     let outcome = (|| {
         let mut client =
             ScopeClient::connect(&opts.addr).map_err(|e| format!("connect {}: {e}", opts.addr))?;
         client.watch(opts.every)?;
         let mut prev: Option<Stats> = None;
-        println!("{}", render_header());
+        print_line(render_header());
         loop {
             let line = client.next_line()?;
             if line.is_empty() {
@@ -97,7 +59,7 @@ fn run_session(opts: &Opts) -> (u64, Result<(), String>) {
             let cur = Stats::parse(&line)?;
             if let Some(p) = prev.as_ref() {
                 if let Some(rates) = Rates::between(p, &cur) {
-                    println!("{}", render_row(&cur, &rates));
+                    print_line(render_row(&cur, &rates));
                     rows += 1;
                     if opts.once {
                         return Ok(());
@@ -110,10 +72,11 @@ fn run_session(opts: &Opts) -> (u64, Result<(), String>) {
     (rows, outcome)
 }
 
-/// The resilient watch: retries failed sessions with capped exponential
-/// backoff, forgiving the spent budget after every session that
-/// rendered at least one row.
-fn run_resilient(opts: &Opts) -> Result<(), String> {
+/// Runs watch sessions until one ends cleanly after rendering a row.
+/// `--once` stays fail-fast (the CI probe mode); the interactive watch
+/// retries failed sessions with capped exponential backoff, forgiving
+/// the spent budget after every session that rendered at least one row.
+fn watch(opts: &TopOpts) -> Result<(), String> {
     let mut backoff = BACKOFF_INITIAL;
     let mut failures = 0u32;
     loop {
@@ -128,6 +91,9 @@ fn run_resilient(opts: &Opts) -> Result<(), String> {
             Ok(()) => "stream ended before two snapshots arrived".to_string(),
             Err(e) => e,
         };
+        if opts.once {
+            return Err(err);
+        }
         failures += 1;
         if failures >= MAX_ATTEMPTS {
             return Err(format!("giving up after {failures} attempts: {err}"));
@@ -139,29 +105,11 @@ fn run_resilient(opts: &Opts) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_opts(std::env::args().skip(1)) {
-        Ok(Some(o)) => o,
-        Ok(None) => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
+    let opts = match cli::from_args::<TopOpts>(|msg| eprintln!("{msg}")) {
+        Ok(opts) => opts,
+        Err(code) => return code,
     };
-    // --once stays fail-fast (the CI probe mode); the interactive watch
-    // reconnects through server restarts.
-    let outcome = if opts.once {
-        match run_session(&opts) {
-            (rows, Ok(())) if rows > 0 => Ok(()),
-            (_, Ok(())) => Err("stream ended before two snapshots arrived".to_string()),
-            (_, Err(e)) => Err(e),
-        }
-    } else {
-        run_resilient(&opts)
-    };
-    match outcome {
+    match watch(&opts) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("live-top: {msg}");
@@ -173,29 +121,6 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn parse(args: &[&str]) -> Result<Opts, String> {
-        parse_opts(args.iter().map(|s| s.to_string())).map(|o| o.expect("not a --help parse"))
-    }
-
-    #[test]
-    fn flags_parse_and_validate() {
-        let o = parse(&["--addr", "127.0.0.1:9900"]).unwrap();
-        assert_eq!(o.addr, "127.0.0.1:9900");
-        assert_eq!(o.every, Duration::from_millis(500));
-        assert!(!o.once);
-        let o = parse(&["--addr", "h:1", "--every", "200", "--once"]).unwrap();
-        assert_eq!(o.every, Duration::from_millis(200));
-        assert!(o.once);
-        assert!(parse(&[]).is_err());
-        assert!(parse(&["--addr", "h:1", "--every", "0"]).is_err());
-        assert!(parse(&["--bogus"]).is_err());
-        assert!(USAGE.contains("--once"));
-        assert_eq!(
-            parse_opts(["--help".to_string()]).map(|o| o.is_none()),
-            Ok(true)
-        );
-    }
 
     #[test]
     fn backoff_doubles_and_caps() {

@@ -15,14 +15,15 @@ use ta_sim::paper;
 use ta_sim::time::SimDuration;
 
 use crate::cli::FigureOpts;
+use crate::figures::FigureError;
 use crate::report::Report;
 
 /// Runs the Figure 1 regeneration.
 ///
 /// # Errors
 ///
-/// Returns an I/O error if the data file cannot be written.
-pub fn run(opts: &FigureOpts) -> std::io::Result<Report> {
+/// Returns [`FigureError::Io`] if the data file cannot be written.
+pub fn run(opts: &FigureOpts) -> Result<Report, FigureError> {
     let n = opts.effective_n(5_000, 40_658);
     let schedule = SmartphoneTraceModel::default().generate(n, paper::TWO_DAYS, opts.seed);
     let buckets = figure1_series(&schedule, paper::TWO_DAYS, SimDuration::from_hours(1));

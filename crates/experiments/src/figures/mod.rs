@@ -36,6 +36,7 @@ use std::io;
 use ta_metrics::{Table, TimeSeries};
 use token_account::StrategySpec;
 
+use crate::cli::Step;
 use crate::runner::{ExperimentResult, RunError};
 use crate::spec::AppKind;
 
@@ -77,6 +78,19 @@ impl From<io::Error> for FigureError {
         FigureError::Io(e)
     }
 }
+
+/// Every figure, in the order the `all` binary runs them.
+pub const ALL: [Step; 9] = [
+    ("fig1", fig1::run),
+    ("fig2", fig2::run),
+    ("fig3", fig3::run),
+    ("fig4", fig4::run),
+    ("fig5", fig5::run),
+    ("sweep", sweep::run),
+    ("faults", faults::run),
+    ("ablation", ablation::run),
+    ("burstiness", burstiness::run),
+];
 
 /// The representative `(A, C)` selection shown in Figures 2–4 (the text
 /// names A=10/C=10, A=10/C=20, A=1/C=5, A=1/C=10, A=5/C=10, C=20, C=40).

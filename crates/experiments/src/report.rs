@@ -1,5 +1,6 @@
 //! Figure reports: tables plus the data files that regenerate the plot.
 
+use std::io::Write;
 use std::path::PathBuf;
 
 use ta_metrics::Table;
@@ -58,13 +59,15 @@ impl Report {
 
     /// Prints the report to stdout, followed by the `profile` block of
     /// every run executed since the last print (present only under
-    /// `TA_PROFILE=1`; see [`crate::runner::take_profile`]).
+    /// `TA_PROFILE=1`; see [`crate::runner::take_profile`]). A closed
+    /// stdout drops the text quietly, as [`ta_telemetry::print_line`] does.
     pub fn print(&self) {
-        print!("{}", self.render());
+        let mut text = self.render();
         let profile = crate::runner::take_profile();
         if !profile.is_empty() {
-            print!("\n-- profile\n{}", profile.render());
+            text.push_str(&format!("\n-- profile\n{}", profile.render()));
         }
+        let _ = std::io::stdout().lock().write_all(text.as_bytes());
     }
 }
 
