@@ -368,7 +368,7 @@ pub struct Rates {
     pub decisions_per_sec: f64,
     /// Fraction of decisions held (no token available).
     pub held_ratio: f64,
-    /// Journal bytes (delta + range frames) per second.
+    /// Journal bytes (delta + grant frames) per second.
     pub journal_bytes_per_sec: f64,
     /// fsync p99 at the later snapshot, nanoseconds.
     pub fsync_p99_ns: u64,

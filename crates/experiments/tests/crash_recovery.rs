@@ -87,21 +87,27 @@ fn reference_fold(dir: &Path) -> Reference {
                         }
                     }
                 }
-                FramePayload::Ranges(recs) => {
+                FramePayload::Grants(recs) => {
                     for r in recs {
                         if r.seq < watermark[s] {
                             continue;
                         }
-                        let (lo, hi) = (r.lo as usize, r.lo as usize + r.len as usize);
-                        assert!(
-                            shard_of(lo, m.clients, m.shards) == s
-                                && shard_of(hi - 1, m.clients, m.shards) == s,
-                            "range grant crosses a shard boundary"
-                        );
-                        for b in &mut balances[lo..hi] {
-                            *b += 1;
+                        // Bit i of the 1024-bit map: +1 to client lo + i.
+                        assert!(r.len <= 1024, "grant record wider than 1024 accounts");
+                        for i in 0..1024usize {
+                            if r.bits[i / 64] >> (i % 64) & 1 == 0 {
+                                continue;
+                            }
+                            assert!(i < r.len as usize, "grant bit past the record's len");
+                            let client = r.lo as usize + i;
+                            assert_eq!(
+                                shard_of(client, m.clients, m.shards),
+                                s,
+                                "grant landed in the wrong shard"
+                            );
+                            balances[client] += 1;
+                            granted[s] += 1;
                         }
-                        granted[s] += u64::from(r.len);
                     }
                 }
             }

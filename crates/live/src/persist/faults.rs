@@ -22,9 +22,10 @@
 //!   so CI can assert health-counter/injection agreement.
 //! * **Post-mortem mutilations** applied to the directory after the
 //!   process is gone, simulating sector loss the page cache hid:
-//!   `torn_tail` (cut bytes off the newest segment), `corrupt_crc`
-//!   (flip a byte inside it), `corrupt_snapshot` (flip a byte in the
-//!   newest snapshot).
+//!   `torn_tail` (cut bytes off the newest non-empty segment recovery
+//!   reads, i.e. at or above the newest valid snapshot's bound),
+//!   `corrupt_crc` (flip a byte inside it), `corrupt_snapshot` (flip a
+//!   byte in the newest snapshot).
 //!
 //! Every mode must leave recovery either exact (fold of the surviving
 //! records) or loudly failing — the fault sweep in CI checks both.
@@ -49,9 +50,11 @@ pub struct FaultPlan {
     pub crash_mid_snapshot: bool,
     /// Snapshots are written with grant books off by one (CRC-valid).
     pub poison_books: bool,
-    /// Post-mortem: cut bytes off the newest journal segment.
+    /// Post-mortem: cut bytes off the newest non-empty journal segment
+    /// recovery reads.
     pub torn_tail: bool,
-    /// Post-mortem: flip a byte inside the newest journal segment.
+    /// Post-mortem: flip a byte inside the newest non-empty journal
+    /// segment recovery reads.
     pub corrupt_crc: bool,
     /// Post-mortem: flip a byte inside the newest snapshot file.
     pub corrupt_snapshot: bool,
@@ -167,7 +170,7 @@ impl FaultPlan {
     pub fn apply_post_mortem(&self, dir: &Path) -> io::Result<Vec<String>> {
         let mut wounds = Vec::new();
         if self.torn_tail {
-            if let Some((id, path, len)) = newest_nonempty_segment(dir)? {
+            if let Some((id, path, len)) = newest_replayed_segment(dir)? {
                 // Frames are ≥ 16 bytes, so shaving 5 always tears the
                 // final frame rather than landing on a boundary.
                 let cut = len.saturating_sub(5);
@@ -180,7 +183,7 @@ impl FaultPlan {
             }
         }
         if self.corrupt_crc {
-            if let Some((id, path, len)) = newest_nonempty_segment(dir)? {
+            if let Some((id, path, len)) = newest_replayed_segment(dir)? {
                 flip_byte(&path, len / 2)?;
                 wounds.push(format!(
                     "corrupt_crc: segment {id:08x} byte {} flipped",
@@ -257,8 +260,19 @@ impl fmt::Display for FaultPlan {
     }
 }
 
-fn newest_nonempty_segment(dir: &Path) -> io::Result<Option<(u64, std::path::PathBuf, u64)>> {
+/// The newest non-empty segment recovery reads: one at or above the
+/// newest valid snapshot's `first_segment`. Recovery never opens a
+/// segment below that bound, so a wound there would go unnoticed.
+fn newest_replayed_segment(dir: &Path) -> io::Result<Option<(u64, std::path::PathBuf, u64)>> {
+    let bound = snapshot::list_snapshot_files(dir)?
+        .into_iter()
+        .rev()
+        .find_map(|(_, path)| snapshot::load(&path).ok())
+        .map_or(0, |snap| snap.first_segment);
     for (id, path) in journal::list_segments(dir)?.into_iter().rev() {
+        if id < bound {
+            break;
+        }
         let len = std::fs::metadata(&path)?.len();
         if len > 0 {
             return Ok(Some((id, path, len)));
@@ -302,6 +316,49 @@ mod tests {
                 ..FaultPlan::default()
             }
         );
+    }
+
+    /// The tail-damaging modes aim at a segment recovery opens: never
+    /// one below the newest valid snapshot's `first_segment`, even when
+    /// every segment from that bound on is still empty.
+    #[test]
+    fn tail_wounds_land_at_or_above_the_snapshot_bound() {
+        let dir = std::env::temp_dir().join(format!("ta-faults-bound-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let shard = snapshot::ShardSnap {
+            watermark: 0,
+            granted: 0,
+            burned: 0,
+            balances: vec![0; 4],
+        };
+        let snap = snapshot::encode(0, 2, 4, &[shard], false);
+        std::fs::write(snapshot::snapshot_path(&dir, 0), snap).unwrap();
+        let frame = [0xAB; 64];
+        for (id, bytes) in [(0, &frame[..]), (1, &frame[..]), (2, &[][..])] {
+            std::fs::write(journal::segment_path(&dir, id), bytes).unwrap();
+        }
+        let plan = FaultPlan::parse("torn_tail,corrupt_crc").unwrap();
+        // Segment 1 holds bytes but lies below the bound: nothing to aim at.
+        assert_eq!(plan.apply_post_mortem(&dir).unwrap(), Vec::<String>::new());
+        assert_eq!(
+            std::fs::read(journal::segment_path(&dir, 1)).unwrap(),
+            frame
+        );
+
+        std::fs::write(journal::segment_path(&dir, 2), frame).unwrap();
+        std::fs::write(journal::segment_path(&dir, 3), b"").unwrap();
+        let wounds = plan.apply_post_mortem(&dir).unwrap();
+        assert_eq!(wounds.len(), 2);
+        assert!(
+            wounds.iter().all(|w| w.contains("segment 00000002")),
+            "{wounds:?}"
+        );
+        assert_eq!(
+            std::fs::read(journal::segment_path(&dir, 1)).unwrap(),
+            frame
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

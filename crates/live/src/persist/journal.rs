@@ -14,21 +14,27 @@
 //! +--------+--------+--------+----------+==================+--------+
 //!                             | seq_off u16 | delta i16 | client u32 |
 //!
-//! range frame ("TAJR") — run-length granter sweeps, 16 B records:
+//! grant frame ("TAJG") — granter sweeps, 144 B records:
 //! +--------+--------+--------+=================+--------+
 //! | magic  | shard  | count  | count × record  |  crc32 |
 //! |  u32   |  u32   |  u32   |                 |  u32   |
 //! +--------+--------+--------+=================+--------+
-//!                            | seq u64 | lo u32 | len u32 |
+//!                | seq u64 | lo u32 | len u32 | 16 × u64 bitmap |
 //! ```
 //!
-//! A delta record's sequence is `base_seq + seq_off`; a range record
-//! means `+1` token to every client in `[lo, lo + len)` under one
-//! sequence number. The CRC covers `shard..payload` (everything
-//! between the magic and the CRC itself). A torn write — a frame cut
-//! off mid-record or a frame whose CRC fails — marks the end of the
-//! usable journal: readers keep everything before it and drop
-//! everything after.
+//! A delta record's sequence is `base_seq + seq_off`. A grant record
+//! covers the `len ≤ 1024` accounts from `lo` on under one sequence
+//! number: bit `i` of the bitmap (bit `i % 64` of word `i / 64`) means
+//! `+1` token to client `lo + i`, and no bit at or past `len` is set. A
+//! sweep writes one per 1024 accounts of a shard, whatever share of them
+//! banked a token. The CRC covers `shard..payload` (everything between
+//! the magic and the CRC itself). A torn write — a frame cut off
+//! mid-record or a frame whose CRC fails — marks the end of the usable
+//! journal: readers keep everything before it and drop everything after.
+//!
+//! The format is version 2 of the domain manifest
+//! ([`read_manifest`](super::read_manifest)); version 1 journalled sweeps
+//! as run-length ranges and is refused.
 //!
 //! ## Read path
 //!
@@ -39,15 +45,20 @@
 //! [`scan_segment`] is a small collector over the same walk for callers
 //! that want owned records. A second parser is a second place for the
 //! format to drift: add readers as visitors, not as loops over bytes.
+//! The grammar is magic, length and CRC only: whether a grant record's
+//! `len` and bits fit its shard is the visitor's question
+//! ([`GrantRec::is_well_formed`], and recovery's geometry check).
 //!
 //! ## Write path
 //!
-//! Producers buffer [`DeltaRec`]s locally per shard (no lock, no
-//! syscall) and hand full buffers to a dedicated writer thread over a
-//! channel. The writer encodes frames into a pending byte buffer and
-//! commits (one `write` + optional `fsync`) once per group-commit
-//! interval. Records in producer buffers or in an uncommitted batch at
-//! kill time are lost; recovery restores the exact surviving prefix.
+//! Producers buffer [`DeltaRec`]s and [`GrantRec`]s locally per shard
+//! (no lock, no syscall) and hand full buffers to a dedicated writer
+//! thread over a channel; the granter hands over each shard's grant
+//! records at the end of its sweep. The writer encodes frames into a
+//! pending byte buffer and commits (one `write` + optional `fsync`) once
+//! per group-commit interval. Records in producer buffers or in an
+//! uncommitted batch at kill time are lost; recovery restores the exact
+//! surviving prefix.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
@@ -76,35 +87,59 @@ pub struct DeltaRec {
     pub delta: i32,
 }
 
-/// One journalled *range grant*: `+1` token to every client in
-/// `[lo, lo + len)`, as one record. The granter's round sweep banks a
-/// token into almost every account of a shard each round; run-length
-/// encoding that dense stream keeps the journal ~3 orders of magnitude
-/// smaller than per-client `+1` deltas (and the writer thread idle
-/// instead of saturating a core).
+/// Accounts one grant record covers, one bitmap bit each.
+pub const GRANT_SPAN: usize = 1024;
+/// `u64` words in a grant record's bitmap.
+pub const GRANT_WORDS: usize = GRANT_SPAN / 64;
+
+/// One journalled *grant record*: `+1` token to client `lo + i` for
+/// every bit `i` set in `bits`, under one sequence number. A granter
+/// sweep publishes one per [`GRANT_SPAN`] accounts of a shard, so its
+/// journal cost is at most one bit per account-round however its
+/// accounts split between banking and sending.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RangeRec {
-    /// Per-shard monotonic sequence (one per range record).
+pub struct GrantRec {
+    /// Per-shard monotonic sequence (one per grant record).
     pub seq: u64,
-    /// First client of the granted run.
+    /// First client the record covers.
     pub lo: u32,
-    /// Number of consecutive clients granted `+1`.
+    /// Clients covered, `lo..lo + len`.
     pub len: u32,
+    /// Bit `i % 64` of word `i / 64` set: client `lo + i` gets `+1`.
+    pub bits: [u64; GRANT_WORDS],
+}
+
+impl GrantRec {
+    /// Tokens the record grants: its set bits.
+    pub fn grants(&self) -> u64 {
+        self.bits.iter().map(|w| u64::from(w.count_ones())).sum()
+    }
+
+    /// True if `len ≤ GRANT_SPAN` and no bit at or past `len` is set —
+    /// the shape every record a producer publishes has.
+    pub fn is_well_formed(&self) -> bool {
+        let len = self.len as usize;
+        len <= GRANT_SPAN
+            && self.bits.iter().enumerate().all(|(k, &word)| {
+                let valid = len.saturating_sub(k * 64);
+                valid >= 64 || word >> valid == 0
+            })
+    }
 }
 
 /// Delta-frame magic: "TAJF".
 pub const FRAME_MAGIC: u32 = 0x5441_4A46;
-/// Range-frame magic: "TAJR".
-pub const RANGE_MAGIC: u32 = 0x5441_4A52;
+/// Grant-frame magic: "TAJG".
+pub const GRANT_MAGIC: u32 = 0x5441_4A47;
 /// Bytes per compact delta record (`seq_off u16 | delta i16 | client
 /// u32`; the full `u64` base sequence lives once in the frame header).
 pub const DELTA_REC_BYTES: usize = 8;
-/// Bytes per range record (`seq u64 | lo u32 | len u32`).
-pub const RANGE_REC_BYTES: usize = 16;
+/// Bytes per grant record (`seq u64 | lo u32 | len u32 | 16 × u64`).
+pub const GRANT_REC_BYTES: usize = 16 + 8 * GRANT_WORDS;
 /// Delta-frame overhead (magic + shard + count + base_seq + crc).
 pub const DELTA_FRAME_OVERHEAD: usize = 24;
-/// Range-frame overhead (magic + shard + count + crc).
-pub const RANGE_FRAME_OVERHEAD: usize = 16;
+/// Grant-frame overhead (magic + shard + count + crc).
+pub const GRANT_FRAME_OVERHEAD: usize = 16;
 
 /// Appends encoded delta frames for `shard` to `out`, returning how
 /// many frames were written (≥ 1). Records are packed to 8 bytes: the
@@ -159,18 +194,20 @@ pub fn encode_frame(shard: u32, recs: &[DeltaRec], out: &mut Vec<u8>) -> usize {
     }
 }
 
-/// Appends one encoded range frame for `shard` to `out`. Range records
-/// keep the full 16-byte layout: there are ~3 orders of magnitude fewer
-/// of them than delta records, so compacting them buys nothing.
-pub fn encode_range_frame(shard: u32, recs: &[RangeRec], out: &mut Vec<u8>) {
+/// Appends one encoded grant frame for `shard` to `out`.
+pub fn encode_grant_frame(shard: u32, recs: &[GrantRec], out: &mut Vec<u8>) {
     let start = out.len();
-    out.extend_from_slice(&RANGE_MAGIC.to_le_bytes());
+    out.reserve(GRANT_FRAME_OVERHEAD + recs.len() * GRANT_REC_BYTES);
+    out.extend_from_slice(&GRANT_MAGIC.to_le_bytes());
     out.extend_from_slice(&shard.to_le_bytes());
     out.extend_from_slice(&(recs.len() as u32).to_le_bytes());
     for r in recs {
         out.extend_from_slice(&r.seq.to_le_bytes());
         out.extend_from_slice(&r.lo.to_le_bytes());
         out.extend_from_slice(&r.len.to_le_bytes());
+        for word in &r.bits {
+            out.extend_from_slice(&word.to_le_bytes());
+        }
     }
     let crc = crc32(&out[start + 4..]);
     out.extend_from_slice(&crc.to_le_bytes());
@@ -178,7 +215,7 @@ pub fn encode_range_frame(shard: u32, recs: &[RangeRec], out: &mut Vec<u8>) {
 
 /// One CRC-verified frame as [`fold_segment`] hands it out: the header
 /// fields plus the raw record bytes, borrowed from the segment buffer
-/// (decode them with [`delta_records`] / [`range_records`]).
+/// (decode them with [`delta_records`] / [`grant_records`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameView<'a> {
     /// Per-client signed deltas ("TAJF").
@@ -189,9 +226,9 @@ pub enum FrameView<'a> {
         /// `count × DELTA_REC_BYTES` record bytes.
         recs: &'a [u8],
     },
-    /// Run-length `+1` grants ("TAJR").
-    Ranges {
-        /// `count × RANGE_REC_BYTES` record bytes.
+    /// Bitmap `+1` grants ("TAJG").
+    Grants {
+        /// `count × GRANT_REC_BYTES` record bytes.
         recs: &'a [u8],
     },
 }
@@ -242,7 +279,7 @@ pub fn fold_segment<'a>(
         let magic = word(0);
         let (header, rec_bytes) = match magic {
             FRAME_MAGIC => (DELTA_FRAME_OVERHEAD - 4, DELTA_REC_BYTES),
-            RANGE_MAGIC => (RANGE_FRAME_OVERHEAD - 4, RANGE_REC_BYTES),
+            GRANT_MAGIC => (GRANT_FRAME_OVERHEAD - 4, GRANT_REC_BYTES),
             _ => break Some(FrameError::BadMagic),
         };
         let shard = word(4);
@@ -261,7 +298,7 @@ pub fn fold_segment<'a>(
             let base = u64::from_le_bytes(rest[12..20].try_into().expect("8 bytes"));
             FrameView::Deltas { base, recs }
         } else {
-            FrameView::Ranges { recs }
+            FrameView::Grants { recs }
         };
         if !visit(shard, view) {
             break Some(FrameError::Rejected);
@@ -287,12 +324,18 @@ pub fn delta_records(base: u64, recs: &[u8]) -> impl Iterator<Item = DeltaRec> +
     })
 }
 
-/// Decodes the record bytes of a range frame.
-pub fn range_records(recs: &[u8]) -> impl Iterator<Item = RangeRec> + '_ {
-    recs.chunks_exact(RANGE_REC_BYTES).map(|r| RangeRec {
-        seq: u64::from_le_bytes(r[0..8].try_into().expect("8 bytes")),
-        lo: u32::from_le_bytes(r[8..12].try_into().expect("4 bytes")),
-        len: u32::from_le_bytes(r[12..16].try_into().expect("4 bytes")),
+/// Decodes the record bytes of a grant frame, as written: `len` and the
+/// bits are disk values, unchecked (see [`GrantRec::is_well_formed`]).
+pub fn grant_records(recs: &[u8]) -> impl Iterator<Item = GrantRec> + '_ {
+    let u64_at = |r: &[u8], at: usize| u64::from_le_bytes(r[at..at + 8].try_into().expect("8 B"));
+    recs.chunks_exact(GRANT_REC_BYTES).map(move |r| {
+        let head = u64_at(r, 8);
+        GrantRec {
+            seq: u64_at(r, 0),
+            lo: head as u32,
+            len: (head >> 32) as u32,
+            bits: std::array::from_fn(|k| u64_at(r, 16 + 8 * k)),
+        }
     })
 }
 
@@ -301,8 +344,8 @@ pub fn range_records(recs: &[u8]) -> impl Iterator<Item = RangeRec> + '_ {
 pub enum FramePayload {
     /// Per-client signed deltas ("TAJF").
     Deltas(Vec<DeltaRec>),
-    /// Run-length `+1` grants ("TAJR").
-    Ranges(Vec<RangeRec>),
+    /// Bitmap `+1` grants ("TAJG").
+    Grants(Vec<GrantRec>),
 }
 
 /// One decoded frame.
@@ -338,7 +381,7 @@ pub fn scan_segment(bytes: &[u8]) -> SegmentScan {
             FrameView::Deltas { base, recs } => {
                 FramePayload::Deltas(delta_records(base, recs).collect())
             }
-            FrameView::Ranges { recs } => FramePayload::Ranges(range_records(recs).collect()),
+            FrameView::Grants { recs } => FramePayload::Grants(grant_records(recs).collect()),
         };
         frames.push(ParsedFrame { shard, payload });
         true
@@ -390,22 +433,45 @@ pub struct JournalStats {
     pub segments: u64,
 }
 
+/// One producer buffer of a shard's records, by frame kind.
+#[derive(Debug)]
+pub(crate) enum Records {
+    /// Per-client signed deltas.
+    Deltas(Vec<DeltaRec>),
+    /// Bitmap grants.
+    Grants(Vec<GrantRec>),
+}
+
+impl Records {
+    fn len(&self) -> usize {
+        match self {
+            Records::Deltas(r) => r.len(),
+            Records::Grants(r) => r.len(),
+        }
+    }
+
+    /// Appends the records to `out` as frames of their kind, returning
+    /// how many frames were written.
+    fn encode(&self, shard: u32, out: &mut Vec<u8>) -> usize {
+        match self {
+            Records::Deltas(r) => encode_frame(shard, r, out),
+            Records::Grants(r) => {
+                encode_grant_frame(shard, r, out);
+                1
+            }
+        }
+    }
+}
+
 /// Messages from producers / the snapshotter to the writer thread.
 #[derive(Debug)]
 pub(crate) enum WriterMsg {
-    /// A producer's shard buffer of per-client deltas. `sent_ns` is the
-    /// enqueue timestamp ([`ta_telemetry::mono_ns`]); the writer turns it
-    /// into the enqueue→commit wait histogram at group-commit time.
+    /// A producer's shard buffer. `sent_ns` is the enqueue timestamp
+    /// ([`ta_telemetry::mono_ns`]); the writer turns it into the
+    /// enqueue→commit wait histogram at group-commit time.
     Batch {
         shard: u32,
-        recs: Vec<DeltaRec>,
-        sent_ns: u64,
-    },
-    /// A producer's shard buffer of run-length grants (same `sent_ns`
-    /// contract as [`WriterMsg::Batch`]).
-    BatchRange {
-        shard: u32,
-        recs: Vec<RangeRec>,
+        recs: Records,
         sent_ns: u64,
     },
     /// Commit, close the current segment, open the next one, publish its
@@ -772,9 +838,9 @@ impl Writer {
 
     /// Frame-level accounting after encoding one batch (`frames` frames
     /// — more than one when the encoder had to split) into `pending`.
-    fn note_frame(&mut self, range: bool, encoded: usize, frames: u64) {
+    fn note_frame(&mut self, grants: bool, encoded: usize, frames: u64) {
         if let Some(h) = self.shared.telem.get() {
-            if range {
+            if grants {
                 h.add(c::JOURNAL_FRAMES_RANGE, frames);
                 h.add(c::JOURNAL_BYTES_RANGE, encoded as u64);
             } else {
@@ -876,40 +942,18 @@ fn writer_loop(
                     } else {
                         if w.cfg.faults.kill_writer_mid_frame && w.committed_frames >= 2 {
                             let mut frame = Vec::new();
-                            encode_frame(shard, &recs, &mut frame);
+                            recs.encode(shard, &mut frame);
                             return w.die_mid_frame(&frame);
                         }
                         let before = w.pending.len();
-                        let frames = encode_frame(shard, &recs, &mut w.pending) as u64;
-                        w.note_frame(false, w.pending.len() - before, frames);
+                        let frames = recs.encode(shard, &mut w.pending) as u64;
+                        let grants = matches!(recs, Records::Grants(_));
+                        w.note_frame(grants, w.pending.len() - before, frames);
                         w.pending_sent.push(sent_ns);
                         w.pending_records += recs.len() as u64;
                         w.stats.frames += frames;
                         w.stats.records += recs.len() as u64;
                         w.committed_frames += frames;
-                    }
-                }
-                WriterMsg::BatchRange {
-                    shard,
-                    recs,
-                    sent_ns,
-                } => {
-                    if w.draining {
-                        w.drop_batch(recs.len() as u64);
-                    } else {
-                        if w.cfg.faults.kill_writer_mid_frame && w.committed_frames >= 2 {
-                            let mut frame = Vec::new();
-                            encode_range_frame(shard, &recs, &mut frame);
-                            return w.die_mid_frame(&frame);
-                        }
-                        let before = w.pending.len();
-                        encode_range_frame(shard, &recs, &mut w.pending);
-                        w.note_frame(true, w.pending.len() - before, 1);
-                        w.pending_sent.push(sent_ns);
-                        w.pending_records += recs.len() as u64;
-                        w.stats.frames += 1;
-                        w.stats.records += recs.len() as u64;
-                        w.committed_frames += 1;
                     }
                 }
                 WriterMsg::Rotate(ack) => {
@@ -1008,7 +1052,7 @@ pub struct JournalHandle {
     tx: Sender<WriterMsg>,
     cell: Arc<EpochCell>,
     bufs: Vec<Vec<DeltaRec>>,
-    range_bufs: Vec<Vec<RangeRec>>,
+    grant_bufs: Vec<Vec<GrantRec>>,
     cap: usize,
     records: u64,
     depth: u32,
@@ -1029,7 +1073,7 @@ impl JournalHandle {
             tx,
             cell,
             bufs: (0..shards).map(|_| Vec::with_capacity(cap)).collect(),
-            range_bufs: (0..shards).map(|_| Vec::new()).collect(),
+            grant_bufs: (0..shards).map(|_| Vec::new()).collect(),
             cap,
             records: 0,
             depth: 0,
@@ -1097,10 +1141,15 @@ impl JournalHandle {
         }
     }
 
-    /// Queue accounting for one batch handed to the writer (per ~cap
-    /// records, not per record — the telemetry check is one cold load).
-    #[inline]
-    fn note_batch(&self) {
+    /// Hands one buffer of `shard`'s records to the writer, with its
+    /// queue accounting (per buffer, not per record — the telemetry
+    /// check is one cold load).
+    fn hand_off(&self, shard: usize, recs: Records) {
+        let _ = self.tx.send(WriterMsg::Batch {
+            shard: shard as u32,
+            recs,
+            sent_ns: ta_telemetry::mono_ns(),
+        });
         if let Some(h) = self.shared.telem.get() {
             h.incr(c::JOURNAL_BATCHES);
             h.gauge_add(g::JOURNAL_QUEUE_DEPTH, 1);
@@ -1147,91 +1196,97 @@ impl JournalHandle {
             st.burned
                 .fetch_add(delta.unsigned_abs() as u64, Ordering::Relaxed);
         }
-        let buf = &mut self.bufs[shard];
         // Flush early if this record cannot share the buffered frame's
         // base sequence (the wire offset is a u16; other producers on
         // the shard may have consumed the window in between).
-        if buf
+        if self.bufs[shard]
             .first()
             .is_some_and(|f| seq - f.seq > u64::from(u16::MAX))
         {
-            let recs = std::mem::replace(buf, Vec::with_capacity(self.cap));
-            let _ = self.tx.send(WriterMsg::Batch {
-                shard: shard as u32,
-                recs,
-                sent_ns: ta_telemetry::mono_ns(),
-            });
-            self.note_batch();
+            self.flush_deltas(shard);
         }
         let buf = &mut self.bufs[shard];
         buf.push(DeltaRec { seq, client, delta });
         self.records += 1;
         if buf.len() >= self.cap {
-            let recs = std::mem::replace(buf, Vec::with_capacity(self.cap));
-            let _ = self.tx.send(WriterMsg::Batch {
-                shard: shard as u32,
-                recs,
-                sent_ns: ta_telemetry::mono_ns(),
-            });
-            self.note_batch();
+            self.flush_deltas(shard);
         }
     }
 
-    /// Publishes one applied run-length grant: `+1` to every client in
-    /// `[lo, lo + len)`. Same fencing contract as
-    /// [`record`](Self::record); one sequence number per range.
+    /// Publishes one applied grant record: `+1` to client `lo + i` for
+    /// every bit `i` set in `bits`, under one sequence number. Same
+    /// fencing contract as [`record`](Self::record): one `seq` and one
+    /// `granted` update per record, however many bits are set. A record
+    /// with no bit set publishes nothing.
+    ///
+    /// # Panics
+    ///
+    /// If `len > GRANT_SPAN` or a bit at or past `len` is set: recovery
+    /// would refuse the frame, and every record after it.
     #[inline]
-    pub fn record_range(&mut self, shard: usize, lo: u32, len: u32) {
-        if len == 0 {
+    pub fn record_grants(&mut self, shard: usize, lo: u32, len: u32, bits: &[u64; GRANT_WORDS]) {
+        let mut rec = GrantRec {
+            seq: 0,
+            lo,
+            len,
+            bits: *bits,
+        };
+        assert!(
+            rec.is_well_formed(),
+            "grant record over {len} accounts sets a bit at or past len, or len > {GRANT_SPAN}"
+        );
+        let grants = rec.grants();
+        if grants == 0 {
             return;
         }
         let st = &self.shared.shards[shard];
-        let seq = st.seq.fetch_add(1, Ordering::Relaxed);
-        st.granted.fetch_add(u64::from(len), Ordering::Relaxed);
-        let buf = &mut self.range_bufs[shard];
-        buf.push(RangeRec { seq, lo, len });
+        rec.seq = st.seq.fetch_add(1, Ordering::Relaxed);
+        st.granted.fetch_add(grants, Ordering::Relaxed);
+        let buf = &mut self.grant_bufs[shard];
+        buf.push(rec);
         self.records += 1;
         if buf.len() >= self.cap {
-            let recs = std::mem::replace(buf, Vec::with_capacity(self.cap));
-            let _ = self.tx.send(WriterMsg::BatchRange {
-                shard: shard as u32,
-                recs,
-                sent_ns: ta_telemetry::mono_ns(),
+            self.flush_grants(shard);
+        }
+    }
+
+    /// Publishes `+1` to every client in `[lo, lo + len)`: grant records
+    /// of up to [`GRANT_SPAN`] set bits each.
+    pub fn record_range(&mut self, shard: usize, lo: u32, len: u32) {
+        for start in (0..len).step_by(GRANT_SPAN) {
+            let n = (len - start).min(GRANT_SPAN as u32) as usize;
+            let bits = std::array::from_fn(|k| match n.saturating_sub(k * 64) {
+                0 => 0,
+                v if v >= 64 => u64::MAX,
+                v => (1u64 << v) - 1,
             });
-            self.note_batch();
+            self.record_grants(shard, lo + start, n as u32, &bits);
+        }
+    }
+
+    /// Hands `shard`'s buffered delta records to the writer.
+    fn flush_deltas(&mut self, shard: usize) {
+        if !self.bufs[shard].is_empty() {
+            let recs = std::mem::replace(&mut self.bufs[shard], Vec::with_capacity(self.cap));
+            self.hand_off(shard, Records::Deltas(recs));
+        }
+    }
+
+    /// Hands `shard`'s buffered grant records to the writer: the granter
+    /// does this at the end of each shard sweep, so a round's grants
+    /// reach the next group commit instead of waiting for `cap` records.
+    pub(crate) fn flush_grants(&mut self, shard: usize) {
+        if !self.grant_bufs[shard].is_empty() {
+            let recs = std::mem::take(&mut self.grant_bufs[shard]);
+            self.hand_off(shard, Records::Grants(recs));
         }
     }
 
     /// Hands every non-empty buffer to the writer.
     pub fn flush(&mut self) {
-        let mut sent = 0u64;
-        for (shard, buf) in self.bufs.iter_mut().enumerate() {
-            if !buf.is_empty() {
-                let recs = std::mem::replace(buf, Vec::with_capacity(self.cap));
-                let _ = self.tx.send(WriterMsg::Batch {
-                    shard: shard as u32,
-                    recs,
-                    sent_ns: ta_telemetry::mono_ns(),
-                });
-                sent += 1;
-            }
-        }
-        for (shard, buf) in self.range_bufs.iter_mut().enumerate() {
-            if !buf.is_empty() {
-                let recs = std::mem::take(buf);
-                let _ = self.tx.send(WriterMsg::BatchRange {
-                    shard: shard as u32,
-                    recs,
-                    sent_ns: ta_telemetry::mono_ns(),
-                });
-                sent += 1;
-            }
-        }
-        if sent > 0 {
-            if let Some(h) = self.shared.telem.get() {
-                h.add(c::JOURNAL_BATCHES, sent);
-                h.gauge_add(g::JOURNAL_QUEUE_DEPTH, sent as i64);
-            }
+        for shard in 0..self.bufs.len() {
+            self.flush_deltas(shard);
+            self.flush_grants(shard);
         }
     }
 
@@ -1273,29 +1328,60 @@ mod tests {
         encode_frame(3, &recs(10), &mut bytes);
         encode_frame(0, &recs(1), &mut bytes);
         encode_frame(7, &[], &mut bytes);
-        let ranges = vec![
-            RangeRec {
+        let grants = vec![
+            GrantRec {
                 seq: 41,
                 lo: 128,
                 len: 1000,
+                bits: std::array::from_fn(|k| 0x8000_0000_0000_0001 >> (k % 2)),
             },
-            RangeRec {
+            GrantRec {
                 seq: 42,
                 lo: 1200,
                 len: 1,
+                bits: std::array::from_fn(|k| u64::from(k == 0)),
             },
         ];
-        encode_range_frame(5, &ranges, &mut bytes);
+        encode_grant_frame(5, &grants, &mut bytes);
+        encode_grant_frame(6, &[], &mut bytes);
         let scan = scan_segment(&bytes);
         assert_eq!(scan.error, None);
         assert_eq!(scan.valid_len, bytes.len());
-        assert_eq!(scan.frames.len(), 4);
+        assert_eq!(scan.frames.len(), 5);
         assert_eq!(scan.frames[0].shard, 3);
         assert_eq!(scan.frames[0].payload, FramePayload::Deltas(recs(10)));
         assert_eq!(scan.frames[1].payload, FramePayload::Deltas(recs(1)));
         assert_eq!(scan.frames[2].payload, FramePayload::Deltas(Vec::new()));
         assert_eq!(scan.frames[3].shard, 5);
-        assert_eq!(scan.frames[3].payload, FramePayload::Ranges(ranges));
+        assert_eq!(scan.frames[3].payload, FramePayload::Grants(grants));
+        assert_eq!(scan.frames[4].payload, FramePayload::Grants(Vec::new()));
+        let grant_frame = GRANT_FRAME_OVERHEAD + 2 * GRANT_REC_BYTES;
+        assert_eq!(GRANT_REC_BYTES, 144);
+        assert_eq!(
+            bytes.len(),
+            3 * DELTA_FRAME_OVERHEAD + 11 * DELTA_REC_BYTES + grant_frame + GRANT_FRAME_OVERHEAD
+        );
+    }
+
+    #[test]
+    fn well_formed_grant_records_keep_their_bits_under_len() {
+        let rec = |len: u32, bits: [u64; GRANT_WORDS]| GrantRec {
+            seq: 0,
+            lo: 0,
+            len,
+            bits,
+        };
+        let full = [u64::MAX; GRANT_WORDS];
+        assert!(rec(1024, full).is_well_formed());
+        assert_eq!(rec(1024, full).grants(), 1024);
+        assert!(!rec(1025, [0; GRANT_WORDS]).is_well_formed());
+        assert!(!rec(1023, full).is_well_formed());
+        let mut edge = [0; GRANT_WORDS];
+        edge[1] = 1 << 36; // bit 100
+        assert!(rec(101, edge).is_well_formed());
+        assert!(!rec(100, edge).is_well_formed());
+        assert!(rec(0, [0; GRANT_WORDS]).is_well_formed());
+        assert!(!rec(0, std::array::from_fn(|k| u64::from(k == 15))).is_well_formed());
     }
 
     #[test]
@@ -1328,7 +1414,7 @@ mod tests {
             .iter()
             .flat_map(|f| match &f.payload {
                 FramePayload::Deltas(r) => r.clone(),
-                FramePayload::Ranges(_) => unreachable!(),
+                FramePayload::Grants(_) => unreachable!(),
             })
             .collect();
         assert_eq!(all, wide);
@@ -1350,7 +1436,7 @@ mod tests {
                 assert!(r.iter().all(|x| x.seq == 9 && x.client == 5));
                 assert_eq!(r.iter().map(|x| i64::from(x.delta)).sum::<i64>(), 100_000);
             }
-            FramePayload::Ranges(_) => unreachable!(),
+            FramePayload::Grants(_) => unreachable!(),
         }
         let neg = vec![DeltaRec {
             seq: 0,
@@ -1363,7 +1449,7 @@ mod tests {
             FramePayload::Deltas(r) => {
                 assert_eq!(r.iter().map(|x| i64::from(x.delta)).sum::<i64>(), -40_000);
             }
-            FramePayload::Ranges(_) => unreachable!(),
+            FramePayload::Grants(_) => unreachable!(),
         }
     }
 

@@ -12,9 +12,11 @@
 //! | [`recovery`] | restart path: latest valid snapshot + per-shard journal-tail replay + exact conservation verification |
 //! | [`faults`] | fault-injection plan (`TA_FAULT`): torn tails, CRC corruption, dropped fsyncs, writer/snapshot crashes, poisoned books |
 //!
-//! **Shape of the guarantee.** Every balance-changing decision publishes
-//! one signed delta record `(client, delta, seq)` tagged with a
-//! per-shard monotonic sequence number. The admit hot path never takes a
+//! **Shape of the guarantee.** Every balance-changing decision is
+//! published under a per-shard monotonic sequence number: a reactive
+//! burn as one signed delta record `(client, delta, seq)`, a granter
+//! sweep as one grant record per 1024 accounts (a bitmap of the
+//! accounts that banked a token). The admit hot path never takes a
 //! lock or a syscall: records go into producer-local bounded buffers
 //! that are handed to the writer thread over a channel, and the
 //! sequence stamp is one `fetch_add`. A snapshot walks shards one at a
@@ -38,6 +40,12 @@
 //! read is checksummed; [`crc32`] folds by carry-less multiply where
 //! the CPU has it (several GB/s, near the speed of reading the bytes at
 //! all), so the checksum is no longer the floor under time-to-serve.
+//! The tail is small because a granter round costs at most one bit per
+//! account: 144 bytes per 1024 accounts of a sweep, whether the accounts
+//! that banked are contiguous or scattered among proactive senders (a
+//! run-length encoding paid 16 bytes per run, up to one run per two
+//! accounts at the paper's operating point). What remains is mostly the
+//! reactive burns' 8-byte delta records.
 //!
 //! After a kill, records still sitting in producer-local buffers or in
 //! the writer's un-synced batch are lost; the recovered state is the
@@ -54,7 +62,7 @@ pub mod snapshot;
 
 pub use crc::crc32;
 pub use faults::FaultPlan;
-pub use journal::{DeltaRec, JournalHandle, JournalStats};
+pub use journal::{DeltaRec, GrantRec, JournalHandle, JournalStats};
 pub use recovery::{recover, RecoveredState, RecoveryError, Truncation, TruncationReason};
 pub use snapshot::SnapshotInfo;
 
@@ -213,7 +221,11 @@ impl PersistShared {
 }
 
 const MANIFEST_MAGIC: u32 = 0x5441_4D46; // "TAMF"
-const MANIFEST_VERSION: u32 = 1;
+/// Version 2: granter sweeps are journalled as bitmap grant frames
+/// ("TAJG"). Version 1 directories hold run-length range frames, which
+/// no reader decodes any more; they are refused, not misread as
+/// corruption.
+const MANIFEST_VERSION: u32 = 2;
 
 /// The manifest file name inside a journal directory.
 pub const MANIFEST_FILE: &str = "manifest.tam";
@@ -597,21 +609,30 @@ mod tests {
             .collect()
     }
 
-    /// Bytes written by the commit *before* the read side was rebuilt
-    /// (byte-wise CRC, two-pass scan): a 5-client / 2-shard domain with
-    /// snapshot 7 (`first_segment` 3), one delta frame and one range
-    /// frame. They must decode, re-encode identically, and recover to
-    /// the state that commit recovered them to.
+    /// A 5-client / 2-shard domain with snapshot 7 (`first_segment` 3),
+    /// one delta frame and one grant frame. The delta frame and the
+    /// snapshot are bytes written before the read side was rebuilt
+    /// (byte-wise CRC, two-pass scan); the grant frame and the version-2
+    /// manifest were written from the layout in `journal.rs` by an
+    /// independent encoder. They must decode, re-encode identically, and
+    /// recover to the state the delta + range-frame domain of version 1
+    /// recovered to (the grant records carry the same `+1`s).
     #[test]
-    fn golden_bytes_from_before_the_rewrite_still_recover() {
+    fn golden_bytes_decode_reencode_and_recover() {
         let delta = unhex(
             "464a4154010000000300000026000000000000000000fbff03000000\
              02000300040000000300ffff0300000027f5dac6",
         );
-        let range = unhex(
-            "524a4154000000000200000063000000000000000000000003000000\
-             64000000000000000100000002000000ccb8ceba",
-        );
+        // Header, two records (`seq | lo | len | bitmap`: 0b111 from
+        // client 0, 0b11 from client 1; the bitmap's last 127 bytes are
+        // zero), CRC.
+        let grant = unhex(&format!(
+            "474a41540000000002000000\
+             6300000000000000000000000300000007{zeros}\
+             6400000000000000010000000200000003{zeros}\
+             976f9126",
+            zeros = "0".repeat(254),
+        ));
         let snap = unhex(
             "4e534154010000000700000000000000030000000000000005000000\
              00000000020000000000000064000000000000007800000000000000\
@@ -620,7 +641,7 @@ mod tests {
              070000000000000002000000000000000300000000000000ffffffff\
              ffffffffbb6cbc84",
         );
-        let manifest = unhex("464d41540100000005000000000000000200000094e92f34");
+        let manifest = unhex("464d415402000000050000000000000002000000665de71d");
 
         let delta_recs = [
             DeltaRec {
@@ -639,16 +660,19 @@ mod tests {
                 delta: -1,
             },
         ];
-        let range_recs = [
-            journal::RangeRec {
+        let bitmap = |low: u64| std::array::from_fn(|k| if k == 0 { low } else { 0 });
+        let grant_recs = [
+            GrantRec {
                 seq: 99,
                 lo: 0,
                 len: 3,
+                bits: bitmap(0b111),
             },
-            journal::RangeRec {
+            GrantRec {
                 seq: 100,
                 lo: 1,
                 len: 2,
+                bits: bitmap(0b11),
             },
         ];
         let shards = [
@@ -666,12 +690,12 @@ mod tests {
             },
         ];
 
-        // The writer side is untouched: today's encoders emit these bytes.
+        // Today's encoders emit these bytes.
         let mut segment = Vec::new();
         journal::encode_frame(1, &delta_recs, &mut segment);
         assert_eq!(segment, delta);
-        journal::encode_range_frame(0, &range_recs, &mut segment);
-        assert_eq!(segment[delta.len()..], range[..]);
+        journal::encode_grant_frame(0, &grant_recs, &mut segment);
+        assert_eq!(segment[delta.len()..], grant[..]);
         assert_eq!(snapshot::encode(7, 3, 5, &shards, false), snap);
 
         // The reader decodes them.
@@ -686,7 +710,7 @@ mod tests {
         assert_eq!(scan.frames[1].shard, 0);
         assert_eq!(
             scan.frames[1].payload,
-            journal::FramePayload::Ranges(range_recs.to_vec())
+            journal::FramePayload::Grants(grant_recs.to_vec())
         );
 
         let dir = std::env::temp_dir().join(format!("ta-persist-golden-{}", std::process::id()));
@@ -720,6 +744,26 @@ mod tests {
         assert_eq!(state.next_seq, vec![101, 42]);
         assert_eq!((state.snapshot_id, state.replayed), (Some(7), 3));
         assert!(state.truncations.is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A version-1 directory journals sweeps as range frames, which
+    /// this reader no longer decodes: its manifest is refused by name.
+    #[test]
+    fn read_manifest_refuses_version_1() {
+        let dir = std::env::temp_dir().join(format!("ta-persist-v1-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // A 5-client / 2-shard manifest as version 1 wrote it.
+        let v1 = unhex("464d41540100000005000000000000000200000094e92f34");
+        std::fs::write(dir.join(MANIFEST_FILE), v1).unwrap();
+        let err = read_manifest(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "manifest: unsupported version");
+        match recover(&dir) {
+            Err(RecoveryError::Io(e)) => assert_eq!(e.to_string(), err.to_string()),
+            other => panic!("recovery must refuse a version-1 domain: {other:?}"),
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

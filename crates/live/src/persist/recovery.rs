@@ -352,7 +352,9 @@ impl Fold {
     /// Folds one CRC-verified frame straight from its bytes, applying
     /// each record at or above the shard's watermark. Returns `false`,
     /// with nothing applied, for a frame that contradicts the manifest:
-    /// an unknown shard, or such a record reaching outside its shard.
+    /// an unknown shard, a delta record at or above the watermark for a
+    /// client outside the shard, or any grant record that is not
+    /// well-formed or whose `lo..lo + len` leaves the shard.
     fn frame(&mut self, shard: u32, view: FrameView<'_>) -> bool {
         let s = shard as usize;
         if s >= self.watermarks.len() {
@@ -383,17 +385,21 @@ impl Fold {
                     replayed += 1;
                 }
             }
-            FrameView::Ranges { recs } => {
-                let recs = || journal::range_records(recs).filter(|r| r.seq >= w);
-                if !recs().all(|r| in_shard(r.lo as usize, r.len as usize)) {
+            FrameView::Grants { recs } => {
+                let recs = || journal::grant_records(recs);
+                if !recs().all(|r| r.is_well_formed() && in_shard(r.lo as usize, r.len as usize)) {
                     return false;
                 }
-                for r in recs() {
+                for r in recs().filter(|r| r.seq >= w) {
                     let lo = r.lo as usize - first;
-                    for b in &mut accounts[lo..lo + r.len as usize] {
-                        *b += 1;
+                    for (k, &word) in r.bits.iter().enumerate() {
+                        let mut word = word;
+                        while word != 0 {
+                            accounts[lo + k * 64 + word.trailing_zeros() as usize] += 1;
+                            word &= word - 1;
+                        }
                     }
-                    granted += u64::from(r.len);
+                    granted += r.grants();
                     next_seq = next_seq.max(r.seq.saturating_add(1));
                     replayed += 1;
                 }
@@ -439,32 +445,37 @@ mod tests {
     #[test]
     fn crc_valid_garbage_is_a_corrupt_frame_not_a_panic() {
         use super::super::journal::{
-            encode_frame, encode_range_frame, segment_path, DeltaRec, RangeRec,
+            encode_frame, encode_grant_frame, segment_path, DeltaRec, GrantRec,
         };
         fn delta(seq: u64, client: u32, delta: i32) -> DeltaRec {
             DeltaRec { seq, client, delta }
         }
+        /// A grant record setting bits `set` of `lo..lo + len`.
+        fn grant(seq: u64, lo: u32, len: u32, set: &[usize]) -> GrantRec {
+            let mut bits = [0; 16];
+            for &i in set {
+                bits[i / 64] |= 1 << (i % 64);
+            }
+            GrantRec { seq, lo, len, bits }
+        }
         // 10 clients over 2 shards: shard 0 owns 0..5, shard 1 owns 5..10.
+        // In-shard records come first: a rejected frame applies nothing.
         type EncodeBad = fn(&mut Vec<u8>);
-        let cases: [(&str, EncodeBad); 3] = [
+        let cases: [(&str, EncodeBad); 5] = [
             ("client", |out| {
-                // In-shard record first: a rejected frame applies nothing.
                 encode_frame(0, &[delta(1, 2, 9), delta(2, 7, 1)], out);
             }),
-            ("range", |out| {
-                let recs = [
-                    RangeRec {
-                        seq: 1,
-                        lo: 0,
-                        len: 2,
-                    },
-                    RangeRec {
-                        seq: 2,
-                        lo: 3,
-                        len: 4,
-                    },
-                ];
-                encode_range_frame(0, &recs, out);
+            ("grant-past-shard", |out| {
+                let recs = [grant(1, 0, 2, &[0, 1]), grant(2, 3, 4, &[0])];
+                encode_grant_frame(0, &recs, out);
+            }),
+            ("grant-bit-at-len", |out| {
+                let recs = [grant(1, 0, 5, &[0, 4]), grant(2, 0, 2, &[0, 2])];
+                encode_grant_frame(0, &recs, out);
+            }),
+            ("grant-too-long", |out| {
+                let recs = [grant(1, 5, 5, &[3]), grant(2, 5, 1025, &[0])];
+                encode_grant_frame(1, &recs, out);
             }),
             ("shard", |out| {
                 encode_frame(9, &[], out);

@@ -32,13 +32,15 @@ use token_account::{Strategy, Usefulness};
 
 use crate::accounts::ShardedAccounts;
 use crate::counters::LiveCounters;
+use crate::persist::journal::{GRANT_SPAN, GRANT_WORDS};
 use crate::persist::{JournalHandle, RecoveredState};
 
 /// Accounts swept per epoch-fence window in
 /// [`LiveRuntime::round_sweep_journaled`]: between windows the sweep
 /// steps out of its epoch so a concurrent snapshotter can freeze the
-/// shard without waiting for the whole sweep.
-const SWEEP_FENCE_CHUNK: usize = 1024;
+/// shard without waiting for the whole sweep. One grant record covers
+/// one window.
+const SWEEP_FENCE_CHUNK: usize = GRANT_SPAN;
 
 /// The shared admission runtime (see the [module docs](self)).
 #[derive(Debug)]
@@ -163,15 +165,15 @@ impl LiveRuntime {
     }
 
     /// [`round_sweep`](Self::round_sweep) with durability: every banked
-    /// token is published as a `+1` delta, run-length encoded — one
-    /// range record per maximal run of consecutively banked accounts
-    /// (the sweep banks into almost every account each round, so this
-    /// is ~3 orders of magnitude fewer journal records than per-client
-    /// deltas). The sweep re-takes the epoch fence every
-    /// [`SWEEP_FENCE_CHUNK`] accounts so a snapshotter never waits for
-    /// a whole multi-million-account shard walk; runs are flushed at
-    /// the fence boundary so each range record is published inside the
-    /// epoch that applied its grants.
+    /// token is published as one bit of a grant record, one record per
+    /// [`SWEEP_FENCE_CHUNK`] accounts however the chunk's rounds split
+    /// between banking and proactive sends (at the paper's operating
+    /// point both are common, so the banked accounts are scattered). The
+    /// sweep re-takes the epoch fence every chunk so a snapshotter never
+    /// waits for a whole multi-million-account shard walk, and stamps
+    /// each chunk's record inside the epoch that applied its grants. The
+    /// shard's records go to the journal writer before the sweep
+    /// returns.
     pub fn round_sweep_journaled<R, F>(
         &self,
         s: usize,
@@ -186,35 +188,27 @@ impl LiveRuntime {
     {
         let base = self.accounts.shard_range(s).start;
         let accounts = self.accounts.shard_accounts(s);
-        let mut run_start: Option<usize> = None;
-        journal.enter(s);
-        for (i, account) in accounts.iter().enumerate() {
-            if i != 0 && i % SWEEP_FENCE_CHUNK == 0 {
-                if let Some(start) = run_start.take() {
-                    journal.record_range(s, (base + start) as u32, (i - start) as u32);
-                }
-                journal.exit();
-                journal.enter(s);
-            }
-            counters.rounds += 1;
-            match self.strategy.decide_round(account, rng) {
-                Decision::ProactiveSend => {
-                    counters.proactive_sent += 1;
-                    if let Some(start) = run_start.take() {
-                        journal.record_range(s, (base + start) as u32, (i - start) as u32);
+        for (c, chunk) in accounts.chunks(SWEEP_FENCE_CHUNK).enumerate() {
+            let lo = base + c * SWEEP_FENCE_CHUNK;
+            let mut bits = [0u64; GRANT_WORDS];
+            journal.enter(s);
+            for (i, account) in chunk.iter().enumerate() {
+                counters.rounds += 1;
+                match self.strategy.decide_round(account, rng) {
+                    Decision::ProactiveSend => {
+                        counters.proactive_sent += 1;
+                        on_proactive(lo + i);
                     }
-                    on_proactive(base + i);
-                }
-                _ => {
-                    counters.tokens_banked += 1;
-                    run_start.get_or_insert(i);
+                    _ => {
+                        counters.tokens_banked += 1;
+                        bits[i / 64] |= 1 << (i % 64);
+                    }
                 }
             }
+            journal.record_grants(s, lo as u32, chunk.len() as u32, &bits);
+            journal.exit();
         }
-        if let Some(start) = run_start.take() {
-            journal.record_range(s, (base + start) as u32, (accounts.len() - start) as u32);
-        }
-        journal.exit();
+        journal.flush_grants(s);
         accounts.len() as u64
     }
 

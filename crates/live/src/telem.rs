@@ -59,11 +59,15 @@ pub mod c {
     pub const JOURNAL_BATCHES: usize = 8;
     /// Delta frames encoded by the writer.
     pub const JOURNAL_FRAMES_DELTA: usize = 9;
-    /// Range frames encoded by the writer.
+    /// Grant frames ("TAJG") encoded by the writer. The name
+    /// (`journal_frames_range`) predates the grant frame, which replaced
+    /// the run-length range frame; it stays because stats readers key
+    /// on it.
     pub const JOURNAL_FRAMES_RANGE: usize = 10;
     /// Bytes of encoded delta frames.
     pub const JOURNAL_BYTES_DELTA: usize = 11;
-    /// Bytes of encoded range frames.
+    /// Bytes of encoded grant frames (named `journal_bytes_range`, like
+    /// [`JOURNAL_FRAMES_RANGE`]).
     pub const JOURNAL_BYTES_RANGE: usize = 12;
     /// Group commits that wrote pending bytes.
     pub const JOURNAL_FLUSHES: usize = 13;

@@ -2,13 +2,14 @@
 //! in `fold_segment` alone, so the owning collector (`scan_segment`) and
 //! a direct `fold_segment` walk that decodes record bytes by hand from
 //! the documented layout must agree — on frames, `valid_len` and `error`
-//! — for every prefix of a random segment and for every damaged copy.
+//! — for every prefix of a random segment and for every damaged copy,
+//! and no input at all may panic either.
 
 use proptest::prelude::*;
 
 use ta_live::persist::journal::{
-    encode_frame, encode_range_frame, fold_segment, scan_segment, DeltaRec, FrameError,
-    FramePayload, FrameView, ParsedFrame, RangeRec,
+    encode_frame, encode_grant_frame, fold_segment, grant_records, scan_segment, DeltaRec,
+    FrameError, FramePayload, FrameView, GrantRec, ParsedFrame, GRANT_MAGIC,
 };
 
 /// A frame before encoding.
@@ -16,8 +17,8 @@ use ta_live::persist::journal::{
 enum Fr {
     /// `(shard, base seq, records as (seq gap, client, delta))`
     Deltas(u32, u64, Vec<(u16, u32, i16)>),
-    /// `(shard, records as (seq, lo, len))`
-    Ranges(u32, Vec<(u64, u32, u32)>),
+    /// `(shard, records as (seq, lo, len, 16 bitmap words))`
+    Grants(u32, Vec<(u64, u32, u32, Vec<u64>)>),
 }
 
 fn frame_strategy() -> impl Strategy<Value = Fr> {
@@ -30,9 +31,17 @@ fn frame_strategy() -> impl Strategy<Value = Fr> {
             .prop_map(|(shard, base, recs)| Fr::Deltas(shard, base, recs)),
         (
             0u32..64,
-            proptest::collection::vec((any::<u64>(), any::<u32>(), any::<u32>()), 0..6),
+            proptest::collection::vec(
+                (
+                    any::<u64>(),
+                    any::<u32>(),
+                    0u32..1100,
+                    proptest::collection::vec(any::<u64>(), 16),
+                ),
+                0..4,
+            ),
         )
-            .prop_map(|(shard, recs)| Fr::Ranges(shard, recs)),
+            .prop_map(|(shard, recs)| Fr::Grants(shard, recs)),
     ]
 }
 
@@ -64,15 +73,20 @@ fn encode(frames: &[Fr]) -> (Vec<u8>, Vec<ParsedFrame>, Vec<usize>) {
                     payload: FramePayload::Deltas(recs),
                 });
             }
-            Fr::Ranges(shard, recs) => {
-                let recs: Vec<RangeRec> = recs
+            Fr::Grants(shard, recs) => {
+                let recs: Vec<GrantRec> = recs
                     .iter()
-                    .map(|&(seq, lo, len)| RangeRec { seq, lo, len })
+                    .map(|(seq, lo, len, words)| GrantRec {
+                        seq: *seq,
+                        lo: *lo,
+                        len: *len,
+                        bits: words.as_slice().try_into().unwrap(),
+                    })
                     .collect();
-                encode_range_frame(*shard, &recs, &mut bytes);
+                encode_grant_frame(*shard, &recs, &mut bytes);
                 want.push(ParsedFrame {
                     shard: *shard,
-                    payload: FramePayload::Ranges(recs),
+                    payload: FramePayload::Grants(recs),
                 });
             }
         }
@@ -102,14 +116,15 @@ fn direct_walk(bytes: &[u8]) -> (Vec<ParsedFrame>, usize, Option<FrameError>) {
                         .collect(),
                 )
             }
-            FrameView::Ranges { recs } => {
-                assert_eq!(recs.len() % 16, 0);
-                FramePayload::Ranges(
-                    recs.chunks(16)
-                        .map(|r| RangeRec {
+            FrameView::Grants { recs } => {
+                assert_eq!(recs.len() % 144, 0);
+                FramePayload::Grants(
+                    recs.chunks(144)
+                        .map(|r| GrantRec {
                             seq: u64_at(r, 0),
                             lo: u32_at(r, 8),
                             len: u32_at(r, 12),
+                            bits: std::array::from_fn(|k| u64_at(r, 16 + 8 * k)),
                         })
                         .collect(),
                 )
@@ -178,6 +193,37 @@ proptest! {
                 "flip {}: {:?}", at, error
             );
         }
+    }
+
+    /// Arbitrary bytes — bare, or behind a grant-frame header whose count
+    /// is small enough for the CRC check to be reached — never panic a
+    /// reader: the walk ends inside the input with some verdict, and any
+    /// frame it lends decodes (shape checks included) without panicking.
+    #[test]
+    fn arbitrary_bytes_never_panic_a_reader(
+        garbage in proptest::collection::vec(any::<u8>(), 0..700),
+        count in 0u32..6,
+        headed in any::<bool>(),
+    ) {
+        let mut bytes = Vec::new();
+        if headed {
+            bytes.extend_from_slice(&GRANT_MAGIC.to_le_bytes());
+            bytes.extend_from_slice(&0u32.to_le_bytes());
+            bytes.extend_from_slice(&count.to_le_bytes());
+        }
+        bytes.extend_from_slice(&garbage);
+        let scan = scan_segment(&bytes);
+        prop_assert!(scan.valid_len <= bytes.len());
+        prop_assert_eq!(scan.error.is_none(), scan.valid_len == bytes.len());
+        let end = fold_segment(&bytes, |_, view| {
+            if let FrameView::Grants { recs } = view {
+                for r in grant_records(recs) {
+                    let _ = (r.is_well_formed(), r.grants());
+                }
+            }
+            true
+        });
+        prop_assert_eq!((end.valid_len, end.error), (scan.valid_len, scan.error));
     }
 
     /// A visitor that refuses frame `k` stops the walk *before* it.

@@ -115,6 +115,27 @@ fn drive(
     }
 }
 
+/// Drives one more granter round and `admits` reactive requests over
+/// `out`'s runtime after its run ended — traffic no snapshot of the run
+/// covers — and returns the live balances.
+fn drive_past_last_snapshot(out: &mut DriveOutcome, p: &Persistence, admits: usize) -> Vec<i64> {
+    let rt = &out.runtime;
+    let clients = rt.accounts().len();
+    let mut j = p.handle();
+    let mut rng = Xoshiro256pp::stream(3, 1);
+    for s in 0..rt.accounts().shard_count() {
+        rt.round_sweep_journaled(s, &mut rng, &mut out.counters, |_| {}, &mut j);
+    }
+    for i in 0..admits {
+        let useful = Usefulness::from_bool(i % 3 != 0);
+        rt.admit_journaled(i % clients, useful, &mut rng, &mut out.counters, &mut j);
+    }
+    drop(j);
+    (0..clients)
+        .map(|c| rt.accounts().account(c).balance())
+        .collect()
+}
+
 #[test]
 fn clean_shutdown_recovers_every_balance_exactly() {
     for (workers, shards) in [(1, 1), (1, 4), (4, 4), (4, 16)] {
@@ -138,6 +159,69 @@ fn clean_shutdown_recovers_every_balance_exactly() {
         assert_eq!(state.burned_total(), out.counters.reactive_sent);
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// A journaled sweep's cost does not depend on the bank/send mix. Over
+/// a 5,000-account shard whose sweep banks every other account (the
+/// scattered pattern of the paper's operating point, where run-length
+/// ranges cost one record per banked account), it publishes one record
+/// per 1024 accounts in one frame of 144-byte records, and hands them
+/// to the writer before the sweep returns — not when `buffer_cap`
+/// records have piled up.
+#[test]
+fn a_sweeps_journal_cost_does_not_depend_on_the_bank_send_mix() {
+    use ta_live::persist::{journal, RecoveredState};
+
+    let n = 5_000;
+    let dir = temp_dir("mix");
+    let p = Persistence::open(&PersistConfig::new(&dir), n, 1).unwrap();
+    // Balances 1, 0, 1, 0, …: `SimpleTokenAccount(1)` sends from a
+    // balance of 1 and banks at 0, so the sweep banks every odd client.
+    let start = RecoveredState {
+        clients: n,
+        shards: 1,
+        balances: (0..n).map(|c| ((c + 1) % 2) as i64).collect(),
+        granted: vec![0],
+        burned: vec![0],
+        next_seq: vec![0],
+        snapshot_id: None,
+        replayed: 0,
+        truncations: Vec::new(),
+    };
+    let rt = LiveRuntime::from_recovered(SimpleTokenAccount::new(1), &start);
+    let mut j = p.handle();
+    let mut c = LiveCounters::default();
+    let mut rng = Xoshiro256pp::stream(1, 1);
+    rt.round_sweep_journaled(0, &mut rng, &mut c, |_| {}, &mut j);
+    assert_eq!((c.tokens_banked, c.proactive_sent), (2_500, 2_500));
+
+    let chunks = n.div_ceil(1024) as u64;
+    assert_eq!(
+        j.records_published(),
+        chunks,
+        "one record per 1024 accounts"
+    );
+    // The handle is still alive, so nothing was flushed on drop: what
+    // the sync finds on disk the sweep itself handed to the writer.
+    p.sync().unwrap();
+    let bytes: u64 = journal::list_segments(&dir)
+        .unwrap()
+        .iter()
+        .map(|(_, path)| std::fs::metadata(path).unwrap().len())
+        .sum();
+    assert!(
+        bytes > 0 && bytes <= chunks * 144 + 16,
+        "{bytes} journal bytes for {chunks} grant records"
+    );
+    drop(j);
+    p.shutdown().unwrap();
+
+    // The journal alone folds to exactly the granted bits.
+    let state = recover(&dir).unwrap();
+    let granted: Vec<i64> = (0..n).map(|c| (c % 2) as i64).collect();
+    assert_eq!(state.balances, granted);
+    assert_eq!((state.granted_total(), state.replayed), (2_500, chunks));
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -291,13 +375,17 @@ fn poisoned_books_fail_loudly() {
 
 #[test]
 fn post_mortem_mutilations_recover_or_fall_back() {
-    // torn_tail and corrupt_crc on the newest segment: the prefix
-    // survives and conserves. corrupt_snapshot: recovery falls back to
-    // an older snapshot (or zero) and still conserves.
+    // torn_tail and corrupt_crc on the newest segment recovery reads:
+    // the prefix survives and conserves. corrupt_snapshot: recovery
+    // falls back to an older snapshot (or zero) and still conserves.
+    // Traffic after the run's last snapshot guarantees a non-empty
+    // segment at or above its bound for the tail modes to damage.
     for mode in ["torn_tail", "corrupt_crc", "corrupt_snapshot"] {
         let dir = temp_dir(mode);
         let mut out = drive(&dir, 120, 4, 2, 3_000, FaultPlan::default(), 2);
-        out.persistence.take().unwrap().shutdown().unwrap();
+        let p = out.persistence.take().unwrap();
+        drive_past_last_snapshot(&mut out, &p, 500);
+        p.shutdown().unwrap();
 
         let plan = FaultPlan::parse(mode).unwrap();
         let wounds = plan.apply_post_mortem(&dir).unwrap();
@@ -444,24 +532,11 @@ fn snapshot_bound_is_tight_once_producers_stop() {
     let p = out.persistence.take().unwrap();
     // More traffic after the run's last snapshot, so the segment the
     // writer is on holds records when the next snapshot starts.
-    let rt = &out.runtime;
-    let mut j = p.handle();
-    let mut rng = Xoshiro256pp::stream(3, 1);
-    for s in 0..rt.accounts().shard_count() {
-        rt.round_sweep_journaled(s, &mut rng, &mut out.counters, |_| {}, &mut j);
-    }
-    for i in 0..1_000 {
-        let useful = Usefulness::from_bool(i % 3 != 0);
-        rt.admit_journaled(i % 200, useful, &mut rng, &mut out.counters, &mut j);
-    }
-    drop(j);
-    let balances: Vec<i64> = (0..200)
-        .map(|c| rt.accounts().account(c).balance())
-        .collect();
+    let balances = drive_past_last_snapshot(&mut out, &p, 1_000);
 
     // Every producer has flushed and left: the snapshot covers every
     // record there is, so nothing at or above its bound may predate it.
-    let info = p.snapshot(rt.accounts()).unwrap();
+    let info = p.snapshot(out.runtime.accounts()).unwrap();
     p.shutdown().unwrap();
     let snap = snapshot::load(&snapshot::snapshot_path(&dir, info.id)).unwrap();
 
@@ -474,7 +549,7 @@ fn snapshot_bound_is_tight_once_producers_stop() {
             let watermark = snap.shards[frame.shard as usize].watermark;
             let seqs: Vec<u64> = match &frame.payload {
                 FramePayload::Deltas(recs) => recs.iter().map(|r| r.seq).collect(),
-                FramePayload::Ranges(recs) => recs.iter().map(|r| r.seq).collect(),
+                FramePayload::Grants(recs) => recs.iter().map(|r| r.seq).collect(),
             };
             assert!(
                 seqs.iter().all(|&seq| seq >= watermark),
