@@ -48,16 +48,23 @@ const CRC_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
-/// CRC-32 of `bytes`: the carry-less-multiply kernel where the CPU has
-/// one and the input is long enough to fold, slice-by-8 otherwise. Both
-/// give the same value.
+/// CRC-32 of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    !update(!0, bytes)
+}
+
+/// Advances the raw (pre-inversion) CRC state over `bytes`, so a reader
+/// can checksum a file piece by piece as it streams past: start from
+/// `!0`, invert at the end. Runs the carry-less-multiply kernel where
+/// the CPU has one and the piece is long enough to fold, slice-by-8
+/// otherwise; both give the same value.
+pub(crate) fn update(crc: u32, bytes: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
     if bytes.len() >= clmul::MIN_LEN && clmul::available() {
         // SAFETY: `available` just confirmed the CPU has `pclmulqdq`.
-        return !unsafe { clmul::update(!0, bytes) };
+        return unsafe { clmul::update(crc, bytes) };
     }
-    !update_table(!0, bytes)
+    update_table(crc, bytes)
 }
 
 /// Advances the raw (pre-inversion) CRC state over `bytes`, slice-by-8.
@@ -222,7 +229,7 @@ mod tests {
     }
 
     /// Holds every kernel this CPU has to the byte-wise reference, and
-    /// `crc32` to whichever it dispatches to.
+    /// `crc32` and a piecewise `update` to whichever it dispatches to.
     fn check(s: &[u8], what: &str) {
         let want = crc32_bytewise(s);
         assert_eq!(crc32_table(s), want, "slice-by-8, {what}");
@@ -230,6 +237,11 @@ mod tests {
             assert_eq!(got, want, "carry-less multiply, {what}");
         }
         assert_eq!(crc32(s), want, "crc32, {what}");
+        // Streamed in three unequal pieces, which may each take a
+        // different kernel.
+        let (a, rest) = s.split_at(s.len() / 3);
+        let (b, c) = rest.split_at(rest.len() / 4);
+        assert_eq!(!update(update(update(!0, a), b), c), want, "pieces, {what}");
     }
 
     #[test]

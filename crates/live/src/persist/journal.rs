@@ -41,7 +41,9 @@
 //! The frame grammar above is checked in exactly one function,
 //! [`fold_segment`], which walks a segment's bytes and lends each
 //! verified frame to a visitor as a [`FrameView`] — no copy, no
-//! allocation. Recovery folds those views straight into balances;
+//! allocation. Recovery streams each segment through one fixed window
+//! (`fold_file`, which runs `fold_segment` over each window's whole
+//! frames) and folds the views straight into balances;
 //! [`scan_segment`] is a small collector over the same walk for callers
 //! that want owned records. A second parser is a second place for the
 //! format to drift: add readers as visitors, not as loops over bytes.
@@ -61,7 +63,7 @@
 //! surviving prefix.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
@@ -257,6 +259,29 @@ pub struct SegmentEnd {
     pub error: Option<FrameError>,
 }
 
+/// The first 12 bytes of every frame: magic, shard, count.
+const FRAME_HEAD: usize = 12;
+
+/// Sizes the frame at the start of `rest` from its head: `(header bytes
+/// before the records, bytes up to the CRC)`, or why it has none.
+fn frame_shape(rest: &[u8]) -> Result<(usize, u64), FrameError> {
+    if rest.len() < FRAME_HEAD {
+        return Err(FrameError::Torn);
+    }
+    let word = |at: usize| u32::from_le_bytes(rest[at..at + 4].try_into().expect("4 bytes"));
+    let (header, rec_bytes) = match word(0) {
+        FRAME_MAGIC => (DELTA_FRAME_OVERHEAD - 4, DELTA_REC_BYTES),
+        GRANT_MAGIC => (GRANT_FRAME_OVERHEAD - 4, GRANT_REC_BYTES),
+        _ => return Err(FrameError::BadMagic),
+    };
+    // `count` comes from disk: size the frame in u64 so a hostile value
+    // cannot wrap the length check on any target.
+    Ok((
+        header,
+        header as u64 + u64::from(word(8)) * rec_bytes as u64,
+    ))
+}
+
 /// Walks raw segment bytes frame by frame — the one place the frame
 /// grammar (magic, length, CRC) is checked. Each verified frame goes to
 /// `visit(shard, view)` without being copied; the walk stops at the
@@ -272,24 +297,16 @@ pub fn fold_segment<'a>(
         if rest.is_empty() {
             break None;
         }
-        if rest.len() < 12 {
-            break Some(FrameError::Torn);
-        }
-        let word = |at: usize| u32::from_le_bytes(rest[at..at + 4].try_into().expect("4 bytes"));
-        let magic = word(0);
-        let (header, rec_bytes) = match magic {
-            FRAME_MAGIC => (DELTA_FRAME_OVERHEAD - 4, DELTA_REC_BYTES),
-            GRANT_MAGIC => (GRANT_FRAME_OVERHEAD - 4, GRANT_REC_BYTES),
-            _ => break Some(FrameError::BadMagic),
+        let (header, payload_end) = match frame_shape(rest) {
+            Ok(shape) => shape,
+            Err(e) => break Some(e),
         };
-        let shard = word(4);
-        // `count` comes from disk: size the frame in u64 so a hostile
-        // value cannot wrap the length check on any target.
-        let payload_end = header as u64 + u64::from(word(8)) * rec_bytes as u64;
         if (rest.len() as u64) < payload_end + 4 {
             break Some(FrameError::Torn);
         }
         let payload_end = payload_end as usize;
+        let word = |at: usize| u32::from_le_bytes(rest[at..at + 4].try_into().expect("4 bytes"));
+        let (magic, shard) = (word(0), word(4));
         if word(payload_end) != crc32(&rest[4..payload_end]) {
             break Some(FrameError::BadCrc);
         }
@@ -308,6 +325,61 @@ pub fn fold_segment<'a>(
     SegmentEnd {
         valid_len: pos,
         error,
+    }
+}
+
+/// Segment bytes [`fold_file`] holds at once. Recovery reads a segment
+/// through this one window instead of into a buffer as large as the
+/// file: the window stays in cache, and its pages fault in once.
+pub(crate) const WINDOW: usize = 1 << 20;
+
+/// [`fold_segment`] over a segment of `len` bytes streamed from `r`
+/// through `window`, whose length is the window size. It refills the
+/// window and moves the unfinished frame to its front, so
+/// `fold_segment` stays the only frame grammar; the visitor sees the
+/// same frames and the walk ends the same way as over the whole file.
+/// The window grows only for a frame longer than it, and never past
+/// `len`: a frame that claims to run past the segment's end is torn
+/// without being read. `valid_len` is an offset into the segment. The
+/// input is read until it ends, whatever `len` says, so a name that
+/// points at an endless device still meets the grammar.
+pub(crate) fn fold_file(
+    r: &mut impl Read,
+    len: u64,
+    window: &mut Vec<u8>,
+    mut visit: impl FnMut(u32, FrameView<'_>) -> bool,
+) -> io::Result<SegmentEnd> {
+    debug_assert!(window.len() >= FRAME_HEAD, "a window holds a frame head");
+    // Segment offset of `window[0]`, and the window bytes holding data.
+    let (mut base, mut filled) = (0u64, 0usize);
+    loop {
+        let want = window.len() - filled;
+        let got = super::read_full(r, &mut window[filled..])?;
+        filled += got;
+        let end = fold_segment(&window[..filled], &mut visit);
+        let valid_len = (base + end.valid_len as u64) as usize;
+        let at_eof = got < want;
+        match end.error {
+            None | Some(FrameError::Torn) if !at_eof => {}
+            error => return Ok(SegmentEnd { valid_len, error }),
+        }
+        // `end.valid_len..filled` is the unfinished frame (or nothing).
+        let unfinished = end.valid_len..filled;
+        if let Ok((_, payload_end)) = frame_shape(&window[unfinished.clone()]) {
+            let frame = payload_end + 4;
+            if frame > len.saturating_sub(valid_len as u64) {
+                return Ok(SegmentEnd {
+                    valid_len,
+                    error: Some(FrameError::Torn),
+                });
+            }
+            if frame > window.len() as u64 {
+                window.resize(frame as usize, 0);
+            }
+        }
+        filled = unfinished.len();
+        window.copy_within(unfinished, 0);
+        base = valid_len as u64;
     }
 }
 
@@ -377,13 +449,7 @@ pub struct SegmentScan {
 pub fn scan_segment(bytes: &[u8]) -> SegmentScan {
     let mut frames = Vec::new();
     let end = fold_segment(bytes, |shard, view| {
-        let payload = match view {
-            FrameView::Deltas { base, recs } => {
-                FramePayload::Deltas(delta_records(base, recs).collect())
-            }
-            FrameView::Grants { recs } => FramePayload::Grants(grant_records(recs).collect()),
-        };
-        frames.push(ParsedFrame { shard, payload });
+        frames.push(parsed(shard, view));
         true
     });
     SegmentScan {
@@ -391,6 +457,17 @@ pub fn scan_segment(bytes: &[u8]) -> SegmentScan {
         valid_len: end.valid_len,
         error: end.error,
     }
+}
+
+/// A lent frame, decoded into owned records.
+fn parsed(shard: u32, view: FrameView<'_>) -> ParsedFrame {
+    let payload = match view {
+        FrameView::Deltas { base, recs } => {
+            FramePayload::Deltas(delta_records(base, recs).collect())
+        }
+        FrameView::Grants { recs } => FramePayload::Grants(grant_records(recs).collect()),
+    };
+    ParsedFrame { shard, payload }
 }
 
 /// Path of journal segment `id` inside `dir`.
@@ -1307,6 +1384,7 @@ impl Drop for JournalHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn recs(n: u64) -> Vec<DeltaRec> {
         (0..n)
@@ -1522,6 +1600,152 @@ mod tests {
         encode_frame(2, &recs(6), &mut bytes2);
         bytes2[prefix_len] ^= 0xFF;
         assert_eq!(scan_segment(&bytes2).error, Some(FrameError::BadMagic));
+    }
+
+    /// [`fold_file`] at window size `window`, over `bytes` served by a
+    /// reader that returns at most `step` bytes a call: the frames it
+    /// lends, where it ends, and how large the window was at the end.
+    fn fold_windowed(bytes: &[u8], window: usize, step: usize) -> (SegmentScan, usize) {
+        struct Dribble<'a>(&'a [u8], usize);
+        impl Read for Dribble<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                let n = self.1.min(buf.len());
+                self.0.read(&mut buf[..n])
+            }
+        }
+        let mut frames = Vec::new();
+        let mut buf = vec![0; window];
+        let end = fold_file(
+            &mut Dribble(bytes, step),
+            bytes.len() as u64,
+            &mut buf,
+            |shard, view| {
+                frames.push(parsed(shard, view));
+                true
+            },
+        )
+        .expect("reading a slice cannot fail");
+        let scan = SegmentScan {
+            frames,
+            valid_len: end.valid_len,
+            error: end.error,
+        };
+        (scan, buf.len())
+    }
+
+    /// Random frames of both kinds, some longer than the smallest windows
+    /// (a grant frame is 16 + 144 B a record), encoded back to back.
+    fn segment_strategy(max_frames: usize) -> impl Strategy<Value = Vec<u8>> {
+        use proptest::collection::vec;
+        let frame = prop_oneof![
+            (
+                0u32..8,
+                0u64..1 << 40,
+                vec((0u16..400, 0u32..1 << 20, any::<i16>()), 0..40)
+            )
+                .prop_map(|(shard, base, recs)| {
+                    let mut seq = base;
+                    let recs: Vec<DeltaRec> = recs
+                        .into_iter()
+                        .map(|(gap, client, delta)| {
+                            seq += u64::from(gap);
+                            DeltaRec {
+                                seq,
+                                client,
+                                delta: i32::from(delta),
+                            }
+                        })
+                        .collect();
+                    let mut out = Vec::new();
+                    encode_frame(shard, &recs, &mut out);
+                    out
+                }),
+            (
+                0u32..8,
+                vec((any::<u64>(), any::<u32>(), any::<u64>()), 0..6)
+            )
+                .prop_map(|(shard, recs)| {
+                    let recs: Vec<GrantRec> = recs
+                        .into_iter()
+                        .map(|(seq, lo, word)| GrantRec {
+                            seq,
+                            lo,
+                            len: GRANT_SPAN as u32,
+                            bits: std::array::from_fn(|k| word.rotate_left(k as u32)),
+                        })
+                        .collect();
+                    let mut out = Vec::new();
+                    encode_grant_frame(shard, &recs, &mut out);
+                    out
+                }),
+        ];
+        vec(frame, 0..max_frames).prop_map(|frames| frames.concat())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Every truncation point, the whole segment included: the
+        /// windowed walk lends the same frames and ends the same way as
+        /// the walk over the whole buffer, and its window never grows
+        /// past the segment.
+        #[test]
+        fn windowed_fold_equals_whole_fold_at_every_truncation(
+            bytes in segment_strategy(6),
+            window in 16usize..=4096,
+            step in 1usize..64,
+        ) {
+            for cut in 0..=bytes.len() {
+                let whole = scan_segment(&bytes[..cut]);
+                for w in [16, window] {
+                    let (scan, grown) = fold_windowed(&bytes[..cut], w, step);
+                    prop_assert_eq!(&scan, &whole, "cut {} window {}", cut, w);
+                    prop_assert!(grown <= w.max(cut), "cut {} window {} grew to {}", cut, w, grown);
+                }
+            }
+        }
+
+        /// One bit of every byte flipped: the same frames before the
+        /// damage, and the same verdict on it.
+        #[test]
+        fn windowed_fold_equals_whole_fold_on_every_bit_flip(
+            bytes in segment_strategy(5),
+            window in 16usize..=4096,
+            bit in 0u32..8,
+        ) {
+            let mut bytes = bytes;
+            for at in 0..bytes.len() {
+                bytes[at] ^= 1 << bit;
+                let whole = scan_segment(&bytes);
+                let (scan, _) = fold_windowed(&bytes, window, usize::MAX);
+                bytes[at] ^= 1 << bit;
+                prop_assert_eq!(&scan, &whole, "flip {} window {}", at, window);
+            }
+        }
+
+        /// A frame whose hostile `count` runs past the segment's end is
+        /// torn where it starts, and the window is never sized by it.
+        #[test]
+        fn windowed_fold_tears_a_frame_running_past_the_segment_unread(
+            prefix in segment_strategy(3),
+            grant in any::<bool>(),
+            count in 1u32..=u32::MAX,
+            tail in proptest::collection::vec(any::<u8>(), 0..300),
+            window in 16usize..=4096,
+        ) {
+            let mut bytes = prefix.clone();
+            let magic = if grant { GRANT_MAGIC } else { FRAME_MAGIC };
+            bytes.extend_from_slice(&magic.to_le_bytes());
+            bytes.extend_from_slice(&0u32.to_le_bytes());
+            bytes.extend_from_slice(&count.to_le_bytes());
+            // Too few bytes for even the smallest such frame.
+            let rec = if grant { GRANT_REC_BYTES } else { DELTA_REC_BYTES };
+            bytes.extend_from_slice(&tail[..tail.len().min(rec * count as usize)]);
+            let (scan, grown) = fold_windowed(&bytes, window, usize::MAX);
+            prop_assert_eq!(&scan, &scan_segment(&bytes));
+            prop_assert_eq!((scan.valid_len, scan.error), (prefix.len(), Some(FrameError::Torn)));
+            prop_assert!(grown <= window.max(bytes.len()), "window grew to {}", grown);
+        }
     }
 
     #[test]

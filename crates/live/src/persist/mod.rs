@@ -33,13 +33,22 @@
 //!
 //! **Cost of a restart.** Recovery reads the base snapshot plus the
 //! segments from that snapshot's `first_segment` on — the tail, not the
-//! history — through one reused buffer. A snapshot rotates the journal
-//! *before* it freezes the first shard and names the fresh segment as
-//! its bound, so that tail holds only records stamped after the freeze
-//! began, never the segment written between two snapshots. Every byte
-//! read is checksummed; [`crc32`] folds by carry-less multiply where
-//! the CPU has it (several GB/s, near the speed of reading the bytes at
-//! all), so the checksum is no longer the floor under time-to-serve.
+//! history. Its memory is the balance array it returns plus one 1 MiB
+//! window: the snapshot streams straight into the array, shard by shard,
+//! checksummed as it passes, and every segment streams through the
+//! window. Faults are why: each fresh 4 KiB page costs a first-touch
+//! fault (~2.4 µs measured), so a file-sized buffer is ~2,000 faults per
+//! 8 MB — reading a 1M-client snapshot into one buffer and copying it
+//! into a second once cost more than folding the tail. On Linux the
+//! array is advised onto transparent huge pages before its first write,
+//! which turns most of its faults into a few 2 MiB ones. A snapshot
+//! rotates the journal *before* it freezes the first shard and names
+//! the fresh segment as its bound, so that tail holds only records
+//! stamped after the freeze began, never the segment written between
+//! two snapshots. Every byte read is checksummed; [`crc32`] folds by
+//! carry-less multiply where the CPU has it (several GB/s, near the
+//! speed of reading the bytes at all), so the checksum is no longer the
+//! floor under time-to-serve.
 //! The tail is small because a granter round costs at most one bit per
 //! account: 144 bytes per 1024 accounts of a sweep, whether the accounts
 //! that banked are contiguous or scattered among proactive senders (a
@@ -275,13 +284,21 @@ pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
     }
 }
 
-/// Reads the whole of `path` into `buf`, replacing its contents but
-/// keeping its allocation: recovery walks every file of a domain
-/// through one buffer instead of faulting in a fresh one per file.
-pub(crate) fn read_into(path: &Path, buf: &mut Vec<u8>) -> io::Result<()> {
-    buf.clear();
-    File::open(path)?.read_to_end(buf)?;
-    Ok(())
+/// Reads from `r` until `buf` is full or the input ends, returning the
+/// bytes read: every read on the recovery path is bounded by the buffer
+/// it lands in, whatever the file (or the device a file name points at)
+/// holds.
+pub(crate) fn read_full(r: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
+    let mut n = 0;
+    while n < buf.len() {
+        match r.read(&mut buf[n..]) {
+            Ok(0) => break,
+            Ok(k) => n += k,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(n)
 }
 
 /// Writes the domain manifest.
@@ -296,12 +313,14 @@ pub(crate) fn write_manifest(dir: &Path, m: &Manifest) -> io::Result<()> {
     atomic_write(&dir.join(MANIFEST_FILE), &bytes)
 }
 
-/// Reads and validates the domain manifest.
+/// Reads and validates the domain manifest. Reads at most one byte past
+/// its 24: a longer (or endless) file is the wrong length, not a reason
+/// to read on.
 pub fn read_manifest(dir: &Path) -> io::Result<Manifest> {
-    let mut bytes = Vec::new();
-    File::open(dir.join(MANIFEST_FILE))?.read_to_end(&mut bytes)?;
+    let mut bytes = [0u8; 25];
+    let len = read_full(&mut File::open(dir.join(MANIFEST_FILE))?, &mut bytes)?;
     let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, format!("manifest: {what}"));
-    if bytes.len() != 24 {
+    if len != 24 {
         return Err(bad("wrong length"));
     }
     let crc = u32::from_le_bytes(bytes[20..24].try_into().unwrap());
@@ -399,7 +418,7 @@ impl Persistence {
             .last()
             .map(|&(id, _)| id + 1)
             .unwrap_or(0);
-        let snaps = snapshot::list_metas(&cfg.dir);
+        let snaps = snapshot::list_metas(&cfg.dir, &manifest);
         let next_snapshot = snaps.last().map(|m| m.id + 1).unwrap_or(0);
         Self::build(cfg, manifest, states, next_segment, next_snapshot, snaps)
     }
@@ -730,7 +749,7 @@ mod tests {
         assert_eq!((loaded.id, loaded.first_segment, loaded.clients), (7, 3, 5));
         assert_eq!(loaded.shards, shards);
         assert_eq!(
-            snapshot::list_metas(&dir),
+            snapshot::list_metas(&dir, &read_manifest(&dir).unwrap()),
             vec![SnapMeta {
                 id: 7,
                 first_segment: 3
@@ -744,6 +763,103 @@ mod tests {
         assert_eq!(state.next_seq, vec![101, 42]);
         assert_eq!((state.snapshot_id, state.replayed), (Some(7), 3));
         assert!(state.truncations.is_empty());
+
+        // The snapshot reader streams balances straight into the array
+        // recovery returns, so a file it rejects late has already written
+        // some. Snapshot 6 replays the same segment from zero watermarks.
+        // Every cut of snapshot 7, a flipped bit at sampled offsets, and a
+        // CRC-valid copy whose shards split the clients 2 + 3 instead of
+        // the layout's 3 + 2 must each be a bad snapshot that leaves
+        // exactly the state snapshot 6 alone recovers to.
+        let older = [
+            snapshot::ShardSnap {
+                watermark: 0,
+                granted: 3,
+                burned: 0,
+                balances: vec![1, 1, 1],
+            },
+            snapshot::ShardSnap {
+                watermark: 0,
+                granted: 0,
+                burned: 0,
+                balances: vec![0, 0],
+            },
+        ];
+        let (path6, path7) = (
+            snapshot::snapshot_path(&dir, 6),
+            snapshot::snapshot_path(&dir, 7),
+        );
+        std::fs::write(&path6, snapshot::encode(6, 3, 5, &older, false)).unwrap();
+        std::fs::remove_file(&path7).unwrap();
+        let alone = recover(&dir).unwrap();
+        assert_eq!(alone.balances, vec![2, 3, 3, -6, 3]);
+        assert_eq!((alone.snapshot_id, alone.replayed), (Some(6), 5));
+        // Recovers `dir` with `bytes` as snapshot 7: the state must be
+        // `want`, and snapshot 7 the one truncation. Returns its error.
+        let with_bad_7 = |bytes: &[u8], want: &RecoveredState, what: &str| -> String {
+            std::fs::write(&path7, bytes).unwrap();
+            let got = recover(&dir).unwrap_or_else(|e| panic!("{what}: {e}"));
+            let error = match &got.truncations[..] {
+                [Truncation {
+                    file,
+                    reason: TruncationReason::BadSnapshot { error },
+                }] if *file == path7 => error.clone(),
+                other => panic!("{what}: {other:?}"),
+            };
+            let got = RecoveredState {
+                truncations: Vec::new(),
+                ..got
+            };
+            assert_eq!(&got, want, "{what}");
+            error
+        };
+        for cut in 0..snap.len() {
+            with_bad_7(&snap[..cut], &alone, &format!("cut at {cut}"));
+        }
+        for at in (0..snap.len()).step_by(7) {
+            let mut flipped = snap.clone();
+            flipped[at] ^= 1 << (at % 8);
+            with_bad_7(&flipped, &alone, &format!("flip at {at}"));
+        }
+        let mut split = shards.clone();
+        let moved = split[0].balances.pop().unwrap();
+        split[1].balances.insert(0, moved);
+        let swapped = snapshot::encode(7, 3, 5, &split, false);
+        assert_eq!(swapped.len(), snap.len());
+        let error = with_bad_7(&swapped, &alone, "shards split 2 + 3");
+        assert!(
+            error.contains("geometry disagrees with manifest"),
+            "{error}"
+        );
+        // With no older snapshot to overwrite them, the zero state must
+        // clear what a file rejected at its CRC wrote.
+        std::fs::remove_file(&path6).unwrap();
+        std::fs::remove_file(&path7).unwrap();
+        let zero = recover(&dir).unwrap();
+        assert_eq!(zero.snapshot_id, None);
+        let mut bad_crc = snap.clone();
+        *bad_crc.last_mut().unwrap() ^= 1;
+        let error = with_bad_7(&bad_crc, &zero, "bad crc, no older snapshot");
+        assert!(error.contains("bad crc"), "{error}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The manifest is read no further than one byte past its length,
+    /// even when its name points at a device that never ends.
+    #[cfg(unix)]
+    #[test]
+    fn read_manifest_of_an_endless_file_is_the_wrong_length() {
+        let dir = std::env::temp_dir().join(format!("ta-persist-zero-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::os::unix::fs::symlink("/dev/zero", dir.join(MANIFEST_FILE)).unwrap();
+        let (tx, rx) = channel();
+        let reader = dir.clone();
+        std::thread::spawn(move || tx.send(read_manifest(&reader).map_err(|e| e.to_string())));
+        let got = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("read_manifest must return within 5 s");
+        assert_eq!(got, Err("manifest: wrong length".to_string()));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -779,9 +895,10 @@ mod tests {
         assert_eq!(read_manifest(&dir).unwrap(), m);
         // Flip one byte: the CRC must catch it.
         let path = dir.join(MANIFEST_FILE);
-        let mut bytes = std::fs::read(&path).unwrap();
+        let mut bytes = [0u8; 24];
+        File::open(&path).unwrap().read_exact(&mut bytes).unwrap();
         bytes[9] ^= 0x40;
-        std::fs::write(&path, &bytes).unwrap();
+        std::fs::write(&path, bytes).unwrap();
         assert!(read_manifest(&dir).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -36,14 +36,14 @@
 //! writer-side batches.
 
 use std::fs::{self, File};
-use std::io::{self, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::channel;
 
 use super::journal::WriterMsg;
-use super::{atomic_write, crc32, read_into, sync_dir, tmp_path, Persistence, SnapMeta};
-use crate::accounts::ShardedAccounts;
+use super::{atomic_write, crc, crc32, sync_dir, tmp_path, Manifest, Persistence, SnapMeta};
+use crate::accounts::{ShardLayout, ShardedAccounts};
 
 /// Snapshot magic: "TASN".
 pub const SNAPSHOT_MAGIC: u32 = 0x5441_534E;
@@ -154,137 +154,232 @@ pub(crate) fn encode(
     out
 }
 
-/// A validated snapshot, borrowed from the file's bytes: the header and,
-/// per shard, the books plus the still-encoded balances. [`parse`] has
-/// checked the CRC, magic, version and geometry, so readers pick what
-/// they need — the header alone, per-shard vectors, or one flat decode —
-/// without a second grammar.
-pub(crate) struct SnapshotView<'a> {
-    pub(crate) id: u64,
-    pub(crate) first_segment: u64,
-    pub(crate) clients: u64,
-    pub(crate) shards: Vec<ShardView<'a>>,
+/// Bytes of one shard's books (`watermark .. count` in the layout above).
+const SHARD_HEADER_BYTES: usize = 32;
+
+/// Balances read (and checksummed) per piece: one journal window, so
+/// each piece is still in cache when the CRC walks it.
+const PIECE: usize = super::journal::WINDOW / 8;
+
+/// The file length a snapshot of `geometry` has (`u64::MAX` if that does
+/// not fit in a `u64`, which no file has).
+fn implied_len(geometry: &Manifest) -> u64 {
+    (geometry.clients as u64)
+        .checked_mul(8)
+        .and_then(|b| b.checked_add(geometry.shards as u64 * SHARD_HEADER_BYTES as u64))
+        .and_then(|b| b.checked_add(HEADER_BYTES as u64 + 4))
+        .unwrap_or(u64::MAX)
 }
 
-/// One shard of a [`SnapshotView`].
-pub(crate) struct ShardView<'a> {
+fn bad(what: impl std::fmt::Display) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, format!("snapshot: {what}"))
+}
+
+/// One shard's books, as [`Reader::shard`] returns them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Books {
     pub(crate) watermark: u64,
     pub(crate) granted: u64,
     pub(crate) burned: u64,
-    /// `count × 8` bytes of little-endian `i64` balances.
-    balances: &'a [u8],
 }
 
-impl ShardView<'_> {
-    /// The shard's balances, in client order.
-    pub(crate) fn balances(&self) -> impl Iterator<Item = i64> + '_ {
-        self.balances
-            .chunks_exact(8)
-            .map(|b| i64::from_le_bytes(b.try_into().expect("chunks_exact")))
+/// The snapshot decoder: streams one file straight into the caller's
+/// balance slices, checksumming as it goes. [`open`](Self::open) checks
+/// the file's length and header against a geometry,
+/// [`shard`](Self::shard) reads the next shard's books and balances, and
+/// [`finish`](Self::finish) checks the CRC. Until `finish` succeeds,
+/// everything the reader produced — books and balances alike — is
+/// untrusted, and a caller that gives up on the file must discard it.
+pub(crate) struct Reader {
+    file: BufReader<File>,
+    /// Raw CRC state over every byte read so far.
+    crc: u32,
+    layout: ShardLayout,
+    /// The next shard [`shard`](Self::shard) reads.
+    next: usize,
+    /// What a shard `count` the layout contradicts is called.
+    mismatch: &'static str,
+    /// Snapshot id.
+    pub(crate) id: u64,
+    /// See [`SnapshotData::first_segment`].
+    pub(crate) first_segment: u64,
+}
+
+impl Reader {
+    /// Opens snapshot `path` and checks its header. Given the manifest
+    /// (`expect`), a file whose length differs from the one its geometry
+    /// implies is refused before a byte of it is read, and the header
+    /// must state that geometry; without it, the header's own geometry
+    /// must imply the file's length.
+    pub(crate) fn open(path: &Path, expect: Option<&Manifest>) -> io::Result<Self> {
+        let file = File::open(path)?;
+        let len = file.metadata()?.len();
+        match expect {
+            Some(m) if len != implied_len(m) => {
+                return Err(bad(format_args!(
+                    "{len} bytes, but the manifest's geometry implies {}",
+                    implied_len(m)
+                )))
+            }
+            None if len < HEADER_BYTES as u64 + 4 => return Err(bad("truncated header")),
+            _ => {}
+        }
+        let mut file = BufReader::new(file);
+        let mut head = [0u8; HEADER_BYTES];
+        file.read_exact(&mut head)?;
+        let u32_at = |at: usize| u32::from_le_bytes(head[at..at + 4].try_into().expect("4 B"));
+        let u64_at = |at: usize| u64::from_le_bytes(head[at..at + 8].try_into().expect("8 B"));
+        if u32_at(0) != SNAPSHOT_MAGIC {
+            return Err(bad("bad magic"));
+        }
+        if u32_at(4) != SNAPSHOT_VERSION {
+            return Err(bad("unsupported version"));
+        }
+        let geometry = Manifest {
+            clients: usize::try_from(u64_at(24)).unwrap_or(usize::MAX),
+            shards: u32_at(32) as usize,
+        };
+        let mismatch = match expect {
+            Some(m) if *m != geometry => return Err(bad("geometry disagrees with manifest")),
+            Some(_) => "geometry disagrees with manifest",
+            None if len != implied_len(&geometry) => {
+                return Err(bad("length disagrees with header"))
+            }
+            None => "inconsistent geometry",
+        };
+        let layout = ShardLayout::new(geometry.clients, geometry.shards);
+        if layout.shard_count() != geometry.shards {
+            return Err(bad(mismatch));
+        }
+        Ok(Reader {
+            file,
+            crc: crc::update(!0, &head),
+            layout,
+            next: 0,
+            mismatch,
+            id: u64_at(8),
+            first_segment: u64_at(16),
+        })
+    }
+
+    /// The partition the file's shards follow.
+    pub(crate) fn layout(&self) -> ShardLayout {
+        self.layout
+    }
+
+    /// Reads the next shard's books, and its balances into `balances`,
+    /// which must be exactly as long as that shard's range in
+    /// [`layout`](Self::layout).
+    ///
+    /// # Panics
+    ///
+    /// If every shard has been read, or `balances` has the wrong length.
+    pub(crate) fn shard(&mut self, balances: &mut [i64]) -> io::Result<Books> {
+        let range = self.layout.shard_range(self.next);
+        assert_eq!(balances.len(), range.len(), "the shard's own slice");
+        let mut head = [0u8; SHARD_HEADER_BYTES];
+        self.read(&mut head)?;
+        let u64_at = |at: usize| u64::from_le_bytes(head[at..at + 8].try_into().expect("8 B"));
+        if u64_at(24) != range.len() as u64 {
+            return Err(bad(self.mismatch));
+        }
+        for piece in balances.chunks_mut(PIECE) {
+            self.read(as_bytes_mut(piece))?;
+            for b in piece {
+                *b = i64::from_le(*b);
+            }
+        }
+        self.next += 1;
+        Ok(Books {
+            watermark: u64_at(0),
+            granted: u64_at(8),
+            burned: u64_at(16),
+        })
+    }
+
+    /// Checks the CRC over everything read, once every shard has been.
+    pub(crate) fn finish(mut self) -> io::Result<()> {
+        debug_assert_eq!(self.next, self.layout.shard_count(), "unread shards");
+        let mut crc = [0u8; 4];
+        self.file.read_exact(&mut crc)?;
+        if u32::from_le_bytes(crc) != !self.crc {
+            return Err(bad("bad crc"));
+        }
+        Ok(())
+    }
+
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<()> {
+        self.file.read_exact(buf)?;
+        self.crc = crc::update(self.crc, buf);
+        Ok(())
     }
 }
 
-/// Validates the bytes of one snapshot file.
+/// `v`'s memory as bytes, to read little-endian balances straight into.
+fn as_bytes_mut(v: &mut [i64]) -> &mut [u8] {
+    // SAFETY: the byte slice covers exactly `v`'s memory and holds its
+    // unique borrow for as long; `u8` needs no alignment, and every byte
+    // pattern is a valid `i64`.
+    unsafe { std::slice::from_raw_parts_mut(v.as_mut_ptr().cast(), std::mem::size_of_val(v)) }
+}
+
+/// Loads and validates one snapshot file, its geometry taken from its
+/// own header.
 ///
 /// # Errors
 ///
-/// `InvalidData` for truncation, bad magic, version, CRC, or internal
-/// inconsistencies — the recovery path treats all of these as "fall
-/// back to an older snapshot".
-pub(crate) fn parse(bytes: &[u8]) -> io::Result<SnapshotView<'_>> {
-    let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, format!("snapshot: {what}"));
-    if bytes.len() < HEADER_BYTES + 4 {
-        return Err(bad("truncated header"));
-    }
-    let (body, crc) = bytes.split_at(bytes.len() - 4);
-    if u32::from_le_bytes(crc.try_into().expect("4 bytes")) != crc32(body) {
-        return Err(bad("bad crc"));
-    }
-    let u32_at = |at: usize| u32::from_le_bytes(body[at..at + 4].try_into().expect("4 bytes"));
-    let u64_at = |at: usize| u64::from_le_bytes(body[at..at + 8].try_into().expect("8 bytes"));
-    if u32_at(0) != SNAPSHOT_MAGIC {
-        return Err(bad("bad magic"));
-    }
-    if u32_at(4) != SNAPSHOT_VERSION {
-        return Err(bad("unsupported version"));
-    }
-    let clients = u64_at(24);
-    let shard_count = u32_at(32) as usize;
-    let mut pos = HEADER_BYTES;
-    // Each shard needs a 32-byte header: bound the allocation by what
-    // the file can actually hold, not by the count it claims.
-    let mut shards = Vec::with_capacity(shard_count.min(body.len() / 32));
-    let mut total = 0u64;
-    for _ in 0..shard_count {
-        if body.len() - pos < 32 {
-            return Err(bad("truncated shard header"));
-        }
-        let count = u64_at(pos + 24);
-        let start = pos + 32;
-        if ((body.len() - start) as u64) / 8 < count {
-            return Err(bad("truncated balances"));
-        }
-        let end = start + 8 * count as usize;
-        shards.push(ShardView {
-            watermark: u64_at(pos),
-            granted: u64_at(pos + 8),
-            burned: u64_at(pos + 16),
-            balances: &body[start..end],
+/// Any I/O error, plus `InvalidData` for truncation, bad magic, version,
+/// CRC, or a geometry the file's length or shards contradict.
+pub fn load(path: &Path) -> io::Result<SnapshotData> {
+    let mut r = Reader::open(path, None)?;
+    let layout = r.layout();
+    let mut shards = Vec::with_capacity(layout.shard_count());
+    for s in 0..layout.shard_count() {
+        let mut balances = vec![0; layout.shard_range(s).len()];
+        let books = r.shard(&mut balances)?;
+        shards.push(ShardSnap {
+            watermark: books.watermark,
+            granted: books.granted,
+            burned: books.burned,
+            balances,
         });
-        pos = end;
-        total += count;
     }
-    if pos != body.len() || total != clients {
-        return Err(bad("inconsistent geometry"));
-    }
-    Ok(SnapshotView {
-        id: u64_at(8),
-        first_segment: u64_at(16),
-        clients,
+    let (id, first_segment) = (r.id, r.first_segment);
+    r.finish()?;
+    Ok(SnapshotData {
+        id,
+        first_segment,
+        clients: shards.iter().map(|s| s.balances.len() as u64).sum(),
         shards,
     })
 }
 
-/// Loads and validates one snapshot file.
-///
-/// # Errors
-///
-/// Any I/O error, plus `InvalidData` for everything [`parse`] rejects.
-pub fn load(path: &Path) -> io::Result<SnapshotData> {
-    let bytes = fs::read(path)?;
-    let view = parse(&bytes)?;
-    Ok(SnapshotData {
-        id: view.id,
-        first_segment: view.first_segment,
-        clients: view.clients,
-        shards: view
-            .shards
-            .iter()
-            .map(|sh| ShardSnap {
-                watermark: sh.watermark,
-                granted: sh.granted,
-                burned: sh.burned,
-                balances: sh.balances().collect(),
-            })
-            .collect(),
-    })
-}
-
-/// Metadata of every *valid* snapshot in `dir` (invalid files are
-/// skipped — recovery decides what invalidity means). Validates each
-/// file in full but decodes only its header: `resume` runs right after
-/// `recover` already built the balances from the same files.
-pub(crate) fn list_metas(dir: &Path) -> Vec<SnapMeta> {
-    let mut out = Vec::new();
-    let mut bytes = Vec::new();
-    for (_, path) in list_snapshot_files(dir).unwrap_or_default() {
-        if let Ok(view) = read_into(&path, &mut bytes).and_then(|()| parse(&bytes)) {
-            out.push(SnapMeta {
-                id: view.id,
-                first_segment: view.first_segment,
-            });
+/// Metadata of every snapshot in `dir` that recovery could base a
+/// `manifest` domain on (others are skipped — recovery decides what
+/// invalidity means). Validates each file in full through one shard's
+/// worth of scratch: `resume` runs right after `recover` already built
+/// the balances from the same files.
+pub(crate) fn list_metas(dir: &Path, manifest: &Manifest) -> Vec<SnapMeta> {
+    let mut scratch = Vec::new();
+    let mut meta = |path: &Path| -> io::Result<SnapMeta> {
+        let mut r = Reader::open(path, Some(manifest))?;
+        let layout = r.layout();
+        for s in 0..layout.shard_count() {
+            scratch.resize(layout.shard_range(s).len(), 0);
+            r.shard(&mut scratch)?;
         }
-    }
+        let meta = SnapMeta {
+            id: r.id,
+            first_segment: r.first_segment,
+        };
+        r.finish()?;
+        Ok(meta)
+    };
+    let mut out: Vec<SnapMeta> = list_snapshot_files(dir)
+        .unwrap_or_default()
+        .iter()
+        .filter_map(|(_, path)| meta(path).ok())
+        .collect();
     out.sort_unstable_by_key(|m| m.id);
     out
 }

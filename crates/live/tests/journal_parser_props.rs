@@ -3,7 +3,10 @@
 //! a direct `fold_segment` walk that decodes record bytes by hand from
 //! the documented layout must agree — on frames, `valid_len` and `error`
 //! — for every prefix of a random segment and for every damaged copy,
-//! and no input at all may panic either.
+//! and no input at all may panic either. Recovery's windowed reader
+//! (`fold_file`, whose window size is crate-private) is held to the
+//! whole-buffer walk, prefix by prefix and flip by flip, by the
+//! `windowed_*` properties in `journal.rs`'s unit tests.
 
 use proptest::prelude::*;
 
