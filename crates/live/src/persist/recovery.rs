@@ -18,19 +18,26 @@
 //!    neither noticed nor reported: it cannot change the result.
 //!    (Falling back to an older snapshot lowers the bound with it;
 //!    retention keeps every segment the older retained snapshot needs.)
-//!    Each segment streams through one fixed window (`fold_file`), and
-//!    each CRC-verified frame is folded straight from it: a record
+//!    The replay runs as one fold per contiguous group of shards, one
+//!    group per core, each on its own slice of the balance array. Every
+//!    group streams every segment through its own window (`fold_file`)
+//!    and checks every frame — grammar, CRC, and the geometry of every
+//!    record at or above its shard's watermark — but applies only the
+//!    frames of its own shards, straight from the window: a record
 //!    applies iff its `seq` is at or above its shard's snapshot
 //!    watermark (deltas on distinct sequence numbers commute,
 //!    so order within a shard is irrelevant; duplicates cannot exist
 //!    because the sequence is stamped once per record). The first torn,
 //!    corrupt, or geometry-contradicting frame ends the usable journal:
 //!    later frames — even valid ones — are dropped and reported,
-//!    because the gap makes their prefix unknowable.
+//!    because the gap makes their prefix unknowable. Because every group
+//!    sees every frame, all groups stop at the same one, and the result
+//!    does not depend on how many groups there are.
 //! 3. **Verify conservation.** For every shard the recovered books must
-//!    balance exactly: `granted − burned == Σ balances`, and the same
-//!    globally. A mismatch is [`RecoveryError::Conservation`] — the
-//!    caller must refuse to serve.
+//!    balance exactly: `granted − burned == Σ balances` (which makes it
+//!    hold globally too). Each group checks its own shards; a mismatch
+//!    is [`RecoveryError::Conservation`], naming the lowest failing
+//!    shard — the caller must refuse to serve.
 //!
 //! The recovered state is exactly the fold of the surviving record
 //! prefix — the acceptance oracle the crash tests check against.
@@ -38,7 +45,9 @@
 use std::fmt;
 use std::fs::File;
 use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::thread;
 
 use super::journal::{self, FrameError, FrameView};
 use super::{read_manifest, snapshot, Manifest};
@@ -175,16 +184,27 @@ impl From<io::Error> for RecoveryError {
     }
 }
 
-/// Recovers the durability domain in `dir`.
+/// Recovers the durability domain in `dir`, folding the journal tail in
+/// one shard group per core ([`recover_in`] with
+/// `available_parallelism()` groups, which honours the affinity mask).
 ///
 /// # Errors
 ///
 /// [`RecoveryError::Conservation`] if the recovered books do not
 /// balance (the caller must not serve); [`RecoveryError::Io`] if the
-/// manifest is missing/corrupt or the filesystem fails. Torn tails and
-/// corrupt files are *not* errors — they are truncations, reported in
+/// manifest is missing/corrupt, the balance array does not fit in
+/// memory, or the filesystem fails. Torn tails and corrupt files are
+/// *not* errors — they are truncations, reported in
 /// [`RecoveredState::truncations`].
 pub fn recover(dir: &Path) -> Result<RecoveredState, RecoveryError> {
+    recover_in(dir, thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// [`recover`] with the tail folded in `groups` contiguous shard groups,
+/// clamped to `1..=shards`. Group 0 runs on the calling thread and each
+/// other group on its own, so one group spawns nothing. The result does
+/// not depend on `groups`.
+pub(crate) fn recover_in(dir: &Path, groups: usize) -> Result<RecoveredState, RecoveryError> {
     let manifest = read_manifest(dir)?;
     let mut truncations = Vec::new();
 
@@ -200,83 +220,115 @@ pub fn recover(dir: &Path) -> Result<RecoveredState, RecoveryError> {
         }
     }
 
-    // Recovery touches two buffers: the balance array it returns, which
-    // the base snapshot is read straight into, and one window every
-    // segment streams through.
-    let mut balances = vec![0; manifest.clients];
-    advise_huge_pages(&mut balances);
+    // Recovery touches the balance array it returns, which the base
+    // snapshot is read straight into, and one window per group that
+    // every segment streams through.
+    let mut balances = zeroed_balances(manifest.clients)?;
     let base = pick_base(dir, &manifest, &mut balances, &mut truncations)?;
-    let (snapshot_id, first_segment) = (base.snapshot_id, base.first_segment);
-    let mut fold = Fold::new(&manifest, base, balances);
-    let mut window = vec![0; journal::WINDOW];
+    // Segments below the base's `first_segment` hold no record at or
+    // above a watermark (see `snapshot.rs`) and are not opened.
+    let mut segments = journal::list_segments(dir)?;
+    segments.retain(|&(id, _)| id >= base.first_segment);
 
-    // Replay every surviving record with seq >= its shard's watermark.
-    // Segments below the base's `first_segment` hold none (see
-    // `snapshot.rs`) and are not opened.
-    let mut dead = false;
-    for (id, path) in journal::list_segments(dir)? {
-        if id < first_segment {
-            continue;
-        }
-        if dead {
-            truncations.push(Truncation {
-                file: path,
-                reason: TruncationReason::UnreachableSegment,
-            });
-            continue;
-        }
-        let mut file = File::open(&path)?;
-        let len = file.metadata()?.len();
-        let end = journal::fold_file(&mut file, len, &mut window, |shard, view| {
-            fold.frame(shard, view)
-        })?;
-        if let Some(err) = end.error {
-            let kept = end.valid_len as u64;
-            truncations.push(Truncation {
-                file: path,
-                reason: match err {
-                    FrameError::Torn => TruncationReason::TornTail { kept },
-                    // A frame the fold rejects (unknown shard, record
-                    // outside its shard) cannot be applied: CRC-valid
-                    // or not, it is corruption.
-                    FrameError::BadMagic | FrameError::BadCrc | FrameError::Rejected => {
-                        TruncationReason::CorruptFrame { kept }
-                    }
-                },
-            });
-            dead = true;
-        }
+    // Replay every surviving record with seq >= its shard's watermark,
+    // one contiguous shard group per thread: a frame belongs to one
+    // shard and the shards' balances are disjoint slices, so the groups
+    // share nothing but what they read.
+    let geometry = ShardLayout::new(manifest.clients, manifest.shards);
+    let cuts = group_cuts(&geometry, groups);
+    // The groups share the one window's bytes (a page each at least,
+    // which only a host of hundreds of cores would reach).
+    let window = (journal::WINDOW / (cuts.len() - 1)).max(4096);
+    let ends = thread::scope(|scope| {
+        let mut rest = &mut balances[..];
+        let mut folds = cuts.windows(2).map(|cut| {
+            let (first, end) = (client_at(&geometry, cut[0]), client_at(&geometry, cut[1]));
+            let (mine, later) = std::mem::take(&mut rest).split_at_mut(end - first);
+            rest = later;
+            Fold::new(geometry, &base, cut[0]..cut[1], first, mine)
+        });
+        let own = folds.next().expect("at least one group");
+        let spawned: Vec<_> = folds
+            .enumerate()
+            .map(|(g, fold)| {
+                thread::Builder::new()
+                    .name(format!("ta-recover-{}", g + 1))
+                    .spawn_scoped(scope, || fold.walk(&segments, window))
+            })
+            .collect();
+        let mut ends = vec![own.walk(&segments, window)];
+        ends.extend(spawned.into_iter().map(|handle| {
+            handle?
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        }));
+        ends
+    });
+
+    // An I/O failure anywhere ends recovery, as it would have stopped a
+    // walk of every shard; then the lowest shard that does not conserve
+    // is the one reported.
+    let ends = ends.into_iter().collect::<io::Result<Vec<_>>>()?;
+    if let Some(detail) = ends.iter().find_map(|end| end.imbalance.clone()) {
+        return Err(RecoveryError::Conservation { detail });
     }
-
-    // Conservation: per shard and globally, granted − burned must equal
-    // the sum of balances. This must hold by construction of the fold —
-    // if it doesn't, the files lied (bit rot, poisoned books) and the
-    // state must not be served.
-    for s in 0..manifest.shards {
-        let range = fold.geometry.shard_range(s);
-        let sum: i64 = fold.balances[range].iter().sum();
-        let books = fold.granted[s] as i64 - fold.burned[s] as i64;
-        if books != sum {
-            return Err(RecoveryError::Conservation {
-                detail: format!(
-                    "shard {s}: granted {} − burned {} = {books} but balances sum to {sum}",
-                    fold.granted[s], fold.burned[s]
-                ),
-            });
-        }
-    }
-
-    Ok(RecoveredState {
+    debug_assert!(
+        ends.iter()
+            .all(|end| end.truncations == ends[0].truncations),
+        "every group checks every frame, so all see the journal end alike"
+    );
+    let mut state = RecoveredState {
         clients: manifest.clients,
         shards: manifest.shards,
-        balances: fold.balances,
-        granted: fold.granted,
-        burned: fold.burned,
-        next_seq: fold.next_seq,
-        snapshot_id,
-        replayed: fold.replayed,
+        balances,
+        granted: Vec::with_capacity(manifest.shards),
+        burned: Vec::with_capacity(manifest.shards),
+        next_seq: Vec::with_capacity(manifest.shards),
+        snapshot_id: base.snapshot_id,
+        replayed: 0,
         truncations,
-    })
+    };
+    for (g, end) in ends.into_iter().enumerate() {
+        if g == 0 {
+            state.truncations.extend(end.truncations);
+        }
+        state.granted.extend(end.granted);
+        state.burned.extend(end.burned);
+        state.next_seq.extend(end.next_seq);
+        state.replayed += end.replayed;
+    }
+    Ok(state)
+}
+
+/// Cuts the shards of `geometry` into `groups` (clamped to
+/// `1..=shards`) contiguous runs of near-equal client counts: returns
+/// the runs' shard boundaries, `0` first and the shard count last. Each
+/// inner cut is the shard boundary nearest its share of the clients,
+/// moved only as far as it takes to leave every group a shard.
+fn group_cuts(geometry: &ShardLayout, groups: usize) -> Vec<usize> {
+    let shards = geometry.shard_count();
+    let clients = client_at(geometry, shards);
+    let t = groups.clamp(1, shards);
+    let mut cuts = vec![0];
+    for g in 1..t {
+        let target = (clients as u64 * g as u64 / t as u64) as usize;
+        let s = geometry.shard_of(target);
+        let range = geometry.shard_range(s);
+        let nearest = if target - range.start <= range.end - target {
+            s
+        } else {
+            s + 1
+        };
+        cuts.push(nearest.clamp(cuts[g - 1] + 1, shards - (t - g)));
+    }
+    cuts.push(shards);
+    cuts
+}
+
+/// The first client of shard `s`, or the client count at `s == shards`.
+fn client_at(geometry: &ShardLayout, s: usize) -> usize {
+    s.checked_sub(1)
+        .map_or(0, |last| geometry.shard_range(last).end)
 }
 
 /// The state replay starts from, besides the balances: a snapshot's
@@ -344,13 +396,30 @@ fn pick_base(
     })
 }
 
-/// Asks the kernel to back `balances` with transparent huge pages
-/// before anything is written to it: the array is the one large thing
+/// Allocates `clients` zero balances, advised onto huge pages before the
+/// first write. A manifest the reader accepts may still state an array
+/// this host cannot hold: that is an [`io::ErrorKind::OutOfMemory`]
+/// error, which recovery reports, not an abort.
+fn zeroed_balances(clients: usize) -> io::Result<Vec<i64>> {
+    let mut balances = Vec::new();
+    balances.try_reserve_exact(clients).map_err(|e| {
+        io::Error::new(
+            io::ErrorKind::OutOfMemory,
+            format!("balance array of {clients} clients: {e}"),
+        )
+    })?;
+    advise_huge_pages(balances.spare_capacity_mut());
+    balances.resize(clients, 0);
+    Ok(balances)
+}
+
+/// Asks the kernel to back `memory` with transparent huge pages before
+/// anything is written to it: the balance array is the one large thing
 /// recovery touches, and at 4 KiB a page its first-touch faults are a
 /// visible share of time-to-serve (an 8 MB array is ~2,000 of them,
-/// against a handful of 2 MiB ones). Only whole 2 MiB pages inside the
-/// array are advised. A no-op off Linux, and where huge pages are off.
-fn advise_huge_pages(balances: &mut [i64]) {
+/// against a handful of 2 MiB ones). Only whole 2 MiB pages inside
+/// `memory` are advised. A no-op off Linux, and where huge pages are off.
+fn advise_huge_pages<T>(memory: &mut [T]) {
     #[cfg(target_os = "linux")]
     {
         extern "C" {
@@ -359,11 +428,11 @@ fn advise_huge_pages(balances: &mut [i64]) {
         }
         const MADV_HUGEPAGE: i32 = 14;
         const HUGE: usize = 2 << 20;
-        let start = balances.as_mut_ptr() as usize;
+        let start = memory.as_mut_ptr() as usize;
         let lo = start.next_multiple_of(HUGE);
-        let hi = (start + std::mem::size_of_val(balances)) / HUGE * HUGE;
+        let hi = (start + std::mem::size_of_val(memory)) / HUGE * HUGE;
         if lo < hi {
-            // SAFETY: `lo..hi` lies inside `balances`, which this call
+            // SAFETY: `lo..hi` lies inside `memory`, which this call
             // borrows mutably; the advice changes how the kernel backs
             // those pages, never their contents. A refusal (no THP
             // support) leaves them as they were.
@@ -373,39 +442,135 @@ fn advise_huge_pages(balances: &mut [i64]) {
         }
     }
     #[cfg(not(target_os = "linux"))]
-    let _ = balances;
+    let _ = memory;
 }
 
-/// The replay accumulator: the base plus every record folded so far.
-struct Fold {
+/// One shard group's replay accumulator: the base plus every record of
+/// the group's shards folded so far.
+struct Fold<'a> {
     geometry: ShardLayout,
-    watermarks: Vec<u64>,
-    balances: Vec<i64>,
+    /// Every shard's watermark: the group checks every frame.
+    watermarks: &'a [u64],
+    /// The shards the group applies, and their clients' balances, which
+    /// start at client `first`.
+    shards: Range<usize>,
+    first: usize,
+    balances: &'a mut [i64],
+    /// The group's books, indexed from `shards.start`.
     granted: Vec<u64>,
     burned: Vec<u64>,
     next_seq: Vec<u64>,
     replayed: u64,
 }
 
-impl Fold {
-    fn new(manifest: &Manifest, base: Base, balances: Vec<i64>) -> Self {
+/// What one group's walk of the tail found.
+struct GroupEnd {
+    granted: Vec<u64>,
+    burned: Vec<u64>,
+    next_seq: Vec<u64>,
+    replayed: u64,
+    /// Where the journal ended; the same in every group.
+    truncations: Vec<Truncation>,
+    /// The diagnosis of the group's lowest shard whose books do not
+    /// balance.
+    imbalance: Option<String>,
+}
+
+impl<'a> Fold<'a> {
+    fn new(
+        geometry: ShardLayout,
+        base: &'a Base,
+        shards: Range<usize>,
+        first: usize,
+        balances: &'a mut [i64],
+    ) -> Self {
         Fold {
-            geometry: ShardLayout::new(manifest.clients, manifest.shards),
-            next_seq: base.watermarks.clone(),
-            watermarks: base.watermarks,
+            geometry,
+            watermarks: &base.watermarks,
+            next_seq: base.watermarks[shards.clone()].to_vec(),
+            granted: base.granted[shards.clone()].to_vec(),
+            burned: base.burned[shards.clone()].to_vec(),
+            shards,
+            first,
             balances,
-            granted: base.granted,
-            burned: base.burned,
             replayed: 0,
         }
     }
 
-    /// Folds one CRC-verified frame straight from its bytes, applying
-    /// each record at or above the shard's watermark. Returns `false`,
-    /// with nothing applied, for a frame that contradicts the manifest:
-    /// an unknown shard, a delta record at or above the watermark for a
-    /// client outside the shard, or any grant record that is not
-    /// well-formed or whose `lo..lo + len` leaves the shard.
+    /// Walks the tail `segments` in id order through a window of
+    /// `window` bytes, folding the group's frames, then checks the
+    /// group's conservation. The first torn, corrupt, or
+    /// geometry-contradicting frame — in any shard — ends the usable
+    /// journal.
+    fn walk(mut self, segments: &[(u64, PathBuf)], window: usize) -> io::Result<GroupEnd> {
+        let mut window = vec![0; window];
+        let mut truncations = Vec::new();
+        for (_, path) in segments {
+            if !truncations.is_empty() {
+                truncations.push(Truncation {
+                    file: path.clone(),
+                    reason: TruncationReason::UnreachableSegment,
+                });
+                continue;
+            }
+            let mut file = File::open(path)?;
+            let len = file.metadata()?.len();
+            let end = journal::fold_file(&mut file, len, &mut window, |shard, view| {
+                self.frame(shard, view)
+            })?;
+            if let Some(err) = end.error {
+                let kept = end.valid_len as u64;
+                truncations.push(Truncation {
+                    file: path.clone(),
+                    reason: match err {
+                        FrameError::Torn => TruncationReason::TornTail { kept },
+                        // A frame the fold rejects (unknown shard, record
+                        // outside its shard) cannot be applied: CRC-valid
+                        // or not, it is corruption.
+                        FrameError::BadMagic | FrameError::BadCrc | FrameError::Rejected => {
+                            TruncationReason::CorruptFrame { kept }
+                        }
+                    },
+                });
+            }
+        }
+
+        // Conservation: per shard, granted − burned must equal the sum
+        // of balances. This must hold by construction of the fold — if
+        // it doesn't, the files lied (bit rot, poisoned books) and the
+        // state must not be served.
+        let imbalance = self.shards.clone().find_map(|s| {
+            let i = s - self.shards.start;
+            let range = self.geometry.shard_range(s);
+            let sum: i64 = self.balances[range.start - self.first..range.end - self.first]
+                .iter()
+                .sum();
+            let books = self.granted[i] as i64 - self.burned[i] as i64;
+            (books != sum).then(|| {
+                format!(
+                    "shard {s}: granted {} − burned {} = {books} but balances sum to {sum}",
+                    self.granted[i], self.burned[i]
+                )
+            })
+        });
+        Ok(GroupEnd {
+            granted: self.granted,
+            burned: self.burned,
+            next_seq: self.next_seq,
+            replayed: self.replayed,
+            truncations,
+            imbalance,
+        })
+    }
+
+    /// Checks one CRC-verified frame straight from its bytes and, if its
+    /// shard is the group's, folds it, applying each record at or above
+    /// the shard's watermark. Returns `false`, with nothing applied, for
+    /// a frame that contradicts the manifest: an unknown shard, a delta
+    /// record at or above the watermark for a client outside the shard,
+    /// or any grant record that is not well-formed or whose
+    /// `lo..lo + len` leaves the shard. Every group makes that check on
+    /// every frame, so all groups stop at the same frame.
     fn frame(&mut self, shard: u32, view: FrameView<'_>) -> bool {
         let s = shard as usize;
         if s >= self.watermarks.len() {
@@ -414,18 +579,25 @@ impl Fold {
         let w = self.watermarks[s];
         let range = self.geometry.shard_range(s);
         let (first, n) = (range.start, range.len());
-        let accounts = &mut self.balances[range];
         let in_shard = |lo: usize, len: usize| lo >= first && len <= n && lo - first <= n - len;
+        let valid = match view {
+            FrameView::Deltas { base, recs } => journal::delta_records(base, recs)
+                .filter(|r| r.seq >= w)
+                .all(|r| in_shard(r.client as usize, 1)),
+            FrameView::Grants { recs } => journal::grant_records(recs)
+                .all(|r| r.is_well_formed() && in_shard(r.lo as usize, r.len as usize)),
+        };
+        if !valid || !self.shards.contains(&s) {
+            return valid;
+        }
+        let i = s - self.shards.start;
+        let accounts = &mut self.balances[first - self.first..range.end - self.first];
         // The books stay in registers for the frame and land once.
         let (mut granted, mut burned, mut replayed) = (0u64, 0u64, 0u64);
-        let mut next_seq = self.next_seq[s];
+        let mut next_seq = self.next_seq[i];
         match view {
             FrameView::Deltas { base, recs } => {
-                let recs = || journal::delta_records(base, recs).filter(|r| r.seq >= w);
-                if !recs().all(|r| in_shard(r.client as usize, 1)) {
-                    return false;
-                }
-                for r in recs() {
+                for r in journal::delta_records(base, recs).filter(|r| r.seq >= w) {
                     accounts[r.client as usize - first] += i64::from(r.delta);
                     if r.delta >= 0 {
                         granted += u64::from(r.delta.unsigned_abs());
@@ -437,11 +609,7 @@ impl Fold {
                 }
             }
             FrameView::Grants { recs } => {
-                let recs = || journal::grant_records(recs);
-                if !recs().all(|r| r.is_well_formed() && in_shard(r.lo as usize, r.len as usize)) {
-                    return false;
-                }
-                for r in recs().filter(|r| r.seq >= w) {
+                for r in journal::grant_records(recs).filter(|r| r.seq >= w) {
                     let lo = r.lo as usize - first;
                     for (k, &word) in r.bits.iter().enumerate() {
                         let mut word = word;
@@ -456,9 +624,9 @@ impl Fold {
                 }
             }
         }
-        self.granted[s] += granted;
-        self.burned[s] += burned;
-        self.next_seq[s] = next_seq;
+        self.granted[i] += granted;
+        self.burned[i] += burned;
+        self.next_seq[i] = next_seq;
         self.replayed += replayed;
         true
     }
@@ -574,6 +742,280 @@ mod tests {
             assert_eq!(state.balances, want, "{tag}");
             assert_eq!((state.granted_total(), state.replayed), (4, 1), "{tag}");
             assert_eq!(state.next_seq, vec![1, 0], "{tag}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// A request past what any allocator can grant is an I/O error the
+    /// caller reports, not an abort.
+    #[test]
+    fn zeroed_balances_reports_an_impossible_array_as_out_of_memory() {
+        let err = zeroed_balances(usize::MAX / 4).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::OutOfMemory);
+        assert_eq!(zeroed_balances(3).unwrap(), vec![0; 3]);
+    }
+
+    /// The groups of `clients` over `shards` for every `groups`: contiguous,
+    /// covering, a shard at least each, and never more than the shards.
+    #[test]
+    fn group_cuts_cover_every_shard_once() {
+        for (clients, shards) in [(0, 1), (1, 1), (10, 8), (10, 4), (200, 8), (1_000_000, 64)] {
+            let geometry = ShardLayout::new(clients, shards);
+            for groups in 0..=shards + 2 {
+                let cuts = group_cuts(&geometry, groups);
+                let t = groups.clamp(1, geometry.shard_count());
+                assert_eq!(cuts.len(), t + 1, "{clients}/{shards}/{groups}");
+                assert_eq!((cuts[0], cuts[t]), (0, geometry.shard_count()));
+                assert!(cuts.windows(2).all(|c| c[0] < c[1]), "{cuts:?}");
+            }
+        }
+        // Equal blocks split evenly; 3 groups over 8 shards split 3 + 2 + 3.
+        assert_eq!(group_cuts(&ShardLayout::new(1_000_000, 64), 2), [0, 32, 64]);
+        assert_eq!(group_cuts(&ShardLayout::new(800, 8), 3), [0, 3, 5, 8]);
+        // Over 10 clients, shards 5..8 are empty: the cut follows clients.
+        assert_eq!(client_at(&ShardLayout::new(10, 8), 8), 10);
+        assert_eq!(group_cuts(&ShardLayout::new(10, 8), 2), [0, 2, 8]);
+    }
+
+    /// A deterministic stream of test choices (splitmix64).
+    struct Draw(u64);
+
+    impl Draw {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n.max(1) as u64) as usize
+        }
+    }
+
+    /// A segment's bytes and the offsets its frames start and end at.
+    type Segment = (Vec<u8>, Vec<usize>);
+
+    /// Writes a random small domain to `dir`: delta and grant traffic
+    /// over a random number of segments, and up to `snapshots`
+    /// snapshots, each taken a few frames after the rotation that bounds
+    /// it (so its first segment opens with records it already holds).
+    /// Returns the balances the whole journal folds to, and the segments.
+    fn random_domain(
+        dir: &Path,
+        draw: &mut Draw,
+        clients: usize,
+        shards: usize,
+        snapshots: usize,
+    ) -> (Vec<i64>, Vec<Segment>) {
+        use super::super::journal::{encode_frame, encode_grant_frame, segment_path};
+        use super::super::journal::{DeltaRec, GrantRec, GRANT_SPAN};
+        let geometry = ShardLayout::new(clients, shards);
+        let shards = geometry.shard_count();
+        write_manifest(dir, &Manifest { clients, shards }).unwrap();
+        let mut balances = vec![0i64; clients];
+        let (mut granted, mut burned) = (vec![0u64; shards], vec![0u64; shards]);
+        let mut seq = vec![0u64; shards];
+        let mut segments: Vec<Segment> = vec![(Vec::new(), vec![0])];
+        // Frame counts after which a snapshot rotates, and freezes.
+        let frames = 4 + draw.below(16);
+        let mut plan: Vec<(usize, usize)> = (0..snapshots)
+            .map(|_| {
+                let at = draw.below(frames);
+                (at, at + draw.below(3))
+            })
+            .collect();
+        plan.sort_unstable();
+        let mut pending = None;
+        for f in 0..=frames + 3 {
+            if plan.first().is_some_and(|&(at, _)| at == f) {
+                let (_, freeze) = plan.remove(0);
+                segments.push((Vec::new(), vec![0]));
+                pending = Some((segments.len() as u64 - 1, freeze.max(f)));
+            } else if draw.below(6) == 0 {
+                segments.push((Vec::new(), vec![0]));
+            }
+            if let Some((first_segment, _)) = pending.filter(|&(_, freeze)| freeze <= f) {
+                let shard_snaps: Vec<_> = (0..shards)
+                    .map(|s| snapshot::ShardSnap {
+                        watermark: seq[s],
+                        granted: granted[s],
+                        burned: burned[s],
+                        balances: balances[geometry.shard_range(s)].to_vec(),
+                    })
+                    .collect();
+                let id = f as u64;
+                let bytes =
+                    snapshot::encode(id, first_segment, clients as u64, &shard_snaps, false);
+                std::fs::write(snapshot::snapshot_path(dir, id), bytes).unwrap();
+                pending = None;
+            }
+            if f >= frames {
+                continue;
+            }
+            let s = draw.below(shards);
+            let range = geometry.shard_range(s);
+            let (out, bounds) = segments.last_mut().unwrap();
+            if range.is_empty() || draw.below(3) > 0 {
+                let recs: Vec<DeltaRec> = (0..draw.below(7))
+                    .filter(|_| !range.is_empty())
+                    .map(|_| {
+                        let client = range.start + draw.below(range.len());
+                        let delta = draw.below(11) as i32 - 5;
+                        balances[client] += i64::from(delta);
+                        if delta >= 0 {
+                            granted[s] += delta as u64;
+                        } else {
+                            burned[s] += delta.unsigned_abs() as u64;
+                        }
+                        seq[s] += 1;
+                        DeltaRec {
+                            seq: seq[s] - 1,
+                            client: client as u32,
+                            delta,
+                        }
+                    })
+                    .collect();
+                encode_frame(s as u32, &recs, out);
+            } else {
+                let recs: Vec<GrantRec> = (0..1 + draw.below(3))
+                    .map(|_| {
+                        let lo = range.start + draw.below(range.len());
+                        let len = 1 + draw.below((range.end - lo).min(GRANT_SPAN));
+                        let mut bits = [0u64; 16];
+                        for i in (0..len).filter(|_| draw.below(2) == 0) {
+                            bits[i / 64] |= 1 << (i % 64);
+                            balances[lo + i] += 1;
+                            granted[s] += 1;
+                        }
+                        seq[s] += 1;
+                        GrantRec {
+                            seq: seq[s] - 1,
+                            lo: lo as u32,
+                            len: len as u32,
+                            bits,
+                        }
+                    })
+                    .collect();
+                encode_grant_frame(s as u32, &recs, out);
+            }
+            bounds.push(out.len());
+        }
+        for (id, (bytes, _)) in segments.iter().enumerate() {
+            std::fs::write(segment_path(dir, id as u64), bytes).unwrap();
+        }
+        (balances, segments)
+    }
+
+    /// What recovery in `groups` groups returns, errors as their text.
+    fn recover_text(dir: &Path, groups: usize) -> Result<RecoveredState, String> {
+        recover_in(dir, groups).map_err(|e| e.to_string())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// Whatever the directory holds, every group count recovers
+        /// exactly what one group does: the same state and truncations,
+        /// or the same error. Each case mutilates a random domain once:
+        /// a cut at a random byte, a flipped bit in any file, a CRC-valid
+        /// frame that contradicts the geometry of a random shard, or a
+        /// bad newest snapshot (corrupt, or CRC-valid with books that do
+        /// not balance).
+        #[test]
+        fn grouped_recovery_equals_one_group(
+            seed in proptest::prelude::any::<u64>(),
+            clients in 1usize..=200,
+            shards in 1usize..=8,
+            snapshots in 0usize..=2,
+            mutilation in 0usize..4,
+        ) {
+            use super::super::journal::{encode_frame, encode_grant_frame, segment_path};
+            use super::super::journal::{DeltaRec, GrantRec};
+            let dir = std::env::temp_dir()
+                .join(format!("ta-rec-groups-{}-{seed:x}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            let draw = &mut Draw(seed);
+            let (want, mut segments) = random_domain(&dir, draw, clients, shards, snapshots);
+            let geometry = ShardLayout::new(clients, shards);
+            let shards = geometry.shard_count();
+
+            // Intact, every group count folds the whole journal.
+            let one = recover_text(&dir, 1).unwrap();
+            proptest::prop_assert_eq!(&one.balances, &want);
+            proptest::prop_assert!(one.truncations.is_empty());
+            for t in 2..=shards + 1 {
+                proptest::prop_assert_eq!(recover_text(&dir, t), Ok(one.clone()), "intact, {} groups", t);
+            }
+
+            let seg = draw.below(segments.len());
+            let snaps = snapshot::list_snapshot_files(&dir).unwrap();
+            match mutilation {
+                0 => {
+                    let bytes = &segments[seg].0;
+                    let cut = draw.below(bytes.len() + 1);
+                    std::fs::write(segment_path(&dir, seg as u64), &bytes[..cut]).unwrap();
+                }
+                1 => {
+                    let mut files: Vec<PathBuf> = snaps.into_iter().map(|(_, p)| p).collect();
+                    files.extend((0..segments.len()).map(|id| segment_path(&dir, id as u64)));
+                    let path = &files[draw.below(files.len())];
+                    let mut bytes = std::fs::read(path).unwrap();
+                    if !bytes.is_empty() {
+                        let at = draw.below(bytes.len());
+                        bytes[at] ^= 1 << draw.below(8);
+                    }
+                    std::fs::write(path, bytes).unwrap();
+                }
+                2 => {
+                    // A shard past the last, or a record leaving its shard.
+                    let s = draw.below(shards + 1);
+                    let mut bad = Vec::new();
+                    if s == shards {
+                        encode_frame(s as u32, &[], &mut bad);
+                    } else if draw.below(2) == 0 {
+                        let range = geometry.shard_range(s);
+                        let outside = if range.end < clients { range.end } else { clients + draw.below(3) };
+                        let rec = DeltaRec { seq: u64::MAX / 2, client: outside as u32, delta: 1 };
+                        encode_frame(s as u32, &[rec], &mut bad);
+                    } else {
+                        let range = geometry.shard_range(s);
+                        let mut bits = [0u64; 16];
+                        bits[0] = 1;
+                        let rec = GrantRec { seq: 0, lo: range.start as u32, len: range.len() as u32 + 1, bits };
+                        encode_grant_frame(s as u32, &[rec], &mut bad);
+                    }
+                    let (bytes, bounds) = &mut segments[seg];
+                    let at = bounds[draw.below(bounds.len())];
+                    bytes.splice(at..at, bad);
+                    std::fs::write(segment_path(&dir, seg as u64), bytes).unwrap();
+                }
+                _ => match snaps.last() {
+                    Some((id, path)) if draw.below(2) == 0 => {
+                        // Books off by one in random shards: the lowest is
+                        // the one reported, whichever group holds it.
+                        let mut snap = snapshot::load(path).unwrap();
+                        let off = 1 + draw.below((1 << shards) - 1);
+                        for (s, shard) in snap.shards.iter_mut().enumerate() {
+                            shard.granted += (off >> s & 1) as u64;
+                        }
+                        let bytes = snapshot::encode(*id, snap.first_segment, clients as u64, &snap.shards, false);
+                        std::fs::write(path, bytes).unwrap();
+                    }
+                    Some((_, path)) => {
+                        let mut bytes = std::fs::read(path).unwrap();
+                        let at = draw.below(bytes.len());
+                        bytes[at] ^= 1 << draw.below(8);
+                        std::fs::write(path, bytes).unwrap();
+                    }
+                    None => {
+                        std::fs::write(snapshot::snapshot_path(&dir, 9), b"not a snapshot").unwrap();
+                    }
+                },
+            }
+
+            let one = recover_text(&dir, 1);
+            for t in 2..=shards + 1 {
+                proptest::prop_assert_eq!(&recover_text(&dir, t), &one, "mutilation {}, {} groups", mutilation, t);
+            }
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }
