@@ -59,12 +59,17 @@
 //! applying only its own shards'. Each group pays for reading and
 //! checksumming the whole tail (~2 ms on the 1M-client benchmark
 //! directory); the fold, most of the tail's cost, is what splits. That
-//! holds while the balance array outgrows the cache and the fold misses
-//! on every record: on a 100k-client directory (an 0.8 MB array, a
-//! 188 KB tail) each group's walk costs what the whole serial walk did,
-//! and a restart takes ~0.5 ms longer than on one core. The snapshot
-//! read stays serial. On one core recovery is one group on the calling
-//! thread.
+//! holds while the balance array outgrows a core's cache and the fold
+//! misses on every record. Below that the fold is cheap, and on a
+//! 100k-client directory (an 0.8 MB array) two groups took ~0.4 ms
+//! longer than one; measured on directories of 100k to 1M clients, the
+//! groups broke even at 250k–300k. So a domain under 2¹⁸ clients (a
+//! 2 MiB array) folds in one group whatever the core count. The
+//! snapshot read stays serial. One group runs on the calling thread
+//! and spawns nothing; a group whose thread the host refuses, or groups
+//! that find the journal ending in different places (files changed
+//! under a recovery, which expects a directory nobody writes), make
+//! recovery run again in one group.
 //! The tail is small because a granter round costs at most one bit per
 //! account: 144 bytes per 1024 accounts of a sweep, whether the accounts
 //! that banked are contiguous or scattered among proactive senders (a

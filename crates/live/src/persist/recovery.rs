@@ -18,9 +18,11 @@
 //!    neither noticed nor reported: it cannot change the result.
 //!    (Falling back to an older snapshot lowers the bound with it;
 //!    retention keeps every segment the older retained snapshot needs.)
-//!    The replay runs as one fold per contiguous group of shards, one
-//!    group per core, each on its own slice of the balance array. Every
-//!    group streams every segment through its own window (`fold_file`)
+//!    The replay runs as one fold per contiguous group of shards, each
+//!    on its own slice of the balance array: one group per core for a
+//!    domain of 2¹⁸ clients or more (`GROUPED_FROM_CLIENTS`), one group
+//!    below. Every group streams every segment through its own window
+//!    (`fold_file`)
 //!    and checks every frame — grammar, CRC, and the geometry of every
 //!    record at or above its shard's watermark — but applies only the
 //!    frames of its own shards, straight from the window: a record
@@ -32,7 +34,11 @@
 //!    later frames — even valid ones — are dropped and reported,
 //!    because the gap makes their prefix unknowable. Because every group
 //!    sees every frame, all groups stop at the same one, and the result
-//!    does not depend on how many groups there are.
+//!    does not depend on how many groups there are. Recovery expects a
+//!    directory nobody writes; if the files change between the groups'
+//!    reads, the groups see the journal end in different places, and
+//!    recovery runs again in one group, as it does when a group's
+//!    thread cannot start.
 //! 3. **Verify conservation.** For every shard the recovered books must
 //!    balance exactly: `granted − burned == Σ balances` (which makes it
 //!    hold globally too). Each group checks its own shards; a mismatch
@@ -184,9 +190,22 @@ impl From<io::Error> for RecoveryError {
     }
 }
 
-/// Recovers the durability domain in `dir`, folding the journal tail in
-/// one shard group per core ([`recover_in`] with
-/// `available_parallelism()` groups, which honours the affinity mask).
+/// The smallest domain whose tail [`recover`] folds in more than one
+/// group: 2¹⁸ clients, a 2 MiB balance array. The groups split the
+/// applies, which pay a cache miss a record once the array outgrows a
+/// core's cache; below that the applies are cheap, and the groups'
+/// fixed costs (a thread start, and every group reading, checksumming
+/// and checking the whole tail) outweigh them. Direct alternating A/Bs
+/// of `live --recover` on `live_recover`-shaped directories (64 shards,
+/// a 2-core VM) put the crossover there: two groups lost at 100k–200k
+/// clients (×0.84–0.95), broke even at 250k–300k (×0.99–1.07), and won
+/// from 400k (×1.07) to 1M (×1.25).
+const GROUPED_FROM_CLIENTS: usize = 1 << 18;
+
+/// Recovers the durability domain in `dir`. The tail of a domain of 2¹⁸
+/// clients or more (`GROUPED_FROM_CLIENTS`) is folded in one shard group
+/// per core (`available_parallelism()`, which honours the affinity
+/// mask); a smaller domain's in one.
 ///
 /// # Errors
 ///
@@ -197,15 +216,45 @@ impl From<io::Error> for RecoveryError {
 /// *not* errors — they are truncations, reported in
 /// [`RecoveredState::truncations`].
 pub fn recover(dir: &Path) -> Result<RecoveredState, RecoveryError> {
-    recover_in(dir, thread::available_parallelism().map_or(1, |n| n.get()))
+    recover_in(dir, host_groups)
 }
 
-/// [`recover`] with the tail folded in `groups` contiguous shard groups,
-/// clamped to `1..=shards`. Group 0 runs on the calling thread and each
-/// other group on its own, so one group spawns nothing. The result does
-/// not depend on `groups`.
-pub(crate) fn recover_in(dir: &Path, groups: usize) -> Result<RecoveredState, RecoveryError> {
+/// The group count [`recover`] folds a domain of `clients` in.
+fn host_groups(clients: usize) -> usize {
+    if clients < GROUPED_FROM_CLIENTS {
+        1
+    } else {
+        thread::available_parallelism().map_or(1, |n| n.get())
+    }
+}
+
+/// [`recover`] with the tail folded in `groups(clients)` contiguous
+/// shard groups, clamped to `1..=shards`. Group 0 runs on the calling
+/// thread and each other group on its own, so one group spawns nothing.
+/// The result does not depend on the group count: if a group's thread
+/// cannot start (the host is out of threads), or the groups saw the
+/// journal end in different places (the directory changed while they
+/// read it), the whole recovery runs again in one group, whose single
+/// walk folds one prefix of what is on disk.
+pub(crate) fn recover_in(
+    dir: &Path,
+    groups: impl FnOnce(usize) -> usize,
+) -> Result<RecoveredState, RecoveryError> {
     let manifest = read_manifest(dir)?;
+    match recover_grouped(dir, &manifest, groups(manifest.clients))? {
+        Some(state) => Ok(state),
+        None => Ok(recover_grouped(dir, &manifest, 1)?
+            .expect("one group starts no thread and agrees with itself")),
+    }
+}
+
+/// One recovery of `dir` in `groups` groups; `None` if a group's thread
+/// could not start or the groups disagree on where the journal ends.
+fn recover_grouped(
+    dir: &Path,
+    manifest: &Manifest,
+    groups: usize,
+) -> Result<Option<RecoveredState>, RecoveryError> {
     let mut truncations = Vec::new();
 
     // Leftover tmp files are evidence of an interrupted atomic write;
@@ -224,7 +273,7 @@ pub(crate) fn recover_in(dir: &Path, groups: usize) -> Result<RecoveredState, Re
     // snapshot is read straight into, and one window per group that
     // every segment streams through.
     let mut balances = zeroed_balances(manifest.clients)?;
-    let base = pick_base(dir, &manifest, &mut balances, &mut truncations)?;
+    let base = pick_base(dir, manifest, &mut balances, &mut truncations)?;
     // Segments below the base's `first_segment` hold no record at or
     // above a watermark (see `snapshot.rs`) and are not opened.
     let mut segments = journal::list_segments(dir)?;
@@ -250,33 +299,38 @@ pub(crate) fn recover_in(dir: &Path, groups: usize) -> Result<RecoveredState, Re
         let own = folds.next().expect("at least one group");
         let spawned: Vec<_> = folds
             .enumerate()
-            .map(|(g, fold)| {
-                thread::Builder::new()
-                    .name(format!("ta-recover-{}", g + 1))
-                    .spawn_scoped(scope, || fold.walk(&segments, window))
-            })
+            .map(|(g, fold)| spawn_group(scope, g + 1, || fold.walk(&segments, window)))
             .collect();
-        let mut ends = vec![own.walk(&segments, window)];
+        let mut ends = vec![Some(own.walk(&segments, window))];
+        // A thread that did not start took its group's fold with it.
         ends.extend(spawned.into_iter().map(|handle| {
-            handle?
-                .join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            let handle = handle.ok()?;
+            Some(
+                handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            )
         }));
         ends
     });
 
     // An I/O failure anywhere ends recovery, as it would have stopped a
-    // walk of every shard; then the lowest shard that does not conserve
-    // is the one reported.
+    // walk of every shard. Every group checks every frame, so on a
+    // directory nobody writes they stop at the same one; then the
+    // lowest shard that does not conserve is the one reported.
+    let Some(ends) = ends.into_iter().collect::<Option<Vec<_>>>() else {
+        return Ok(None);
+    };
     let ends = ends.into_iter().collect::<io::Result<Vec<_>>>()?;
+    if ends
+        .iter()
+        .any(|end| (&end.walked, &end.truncations) != (&ends[0].walked, &ends[0].truncations))
+    {
+        return Ok(None);
+    }
     if let Some(detail) = ends.iter().find_map(|end| end.imbalance.clone()) {
         return Err(RecoveryError::Conservation { detail });
     }
-    debug_assert!(
-        ends.iter()
-            .all(|end| end.truncations == ends[0].truncations),
-        "every group checks every frame, so all see the journal end alike"
-    );
     let mut state = RecoveredState {
         clients: manifest.clients,
         shards: manifest.shards,
@@ -297,7 +351,24 @@ pub(crate) fn recover_in(dir: &Path, groups: usize) -> Result<RecoveredState, Re
         state.next_seq.extend(end.next_seq);
         state.replayed += end.replayed;
     }
-    Ok(state)
+    Ok(Some(state))
+}
+
+/// Starts group `g`'s walk on a thread of `scope`. A host out of threads
+/// (`EAGAIN` under a pids cgroup or `RLIMIT_NPROC`) refuses with an
+/// error, and the walk is dropped unrun.
+fn spawn_group<'scope, T: Send + 'scope>(
+    scope: &'scope thread::Scope<'scope, '_>,
+    g: usize,
+    walk: impl FnOnce() -> T + Send + 'scope,
+) -> io::Result<thread::ScopedJoinHandle<'scope, T>> {
+    #[cfg(test)]
+    if tests::REFUSE_SPAWNS.with(|left| left.replace(left.get().saturating_sub(1))) > 0 {
+        return Err(io::ErrorKind::WouldBlock.into());
+    }
+    thread::Builder::new()
+        .name(format!("ta-recover-{g}"))
+        .spawn_scoped(scope, walk)
 }
 
 /// Cuts the shards of `geometry` into `groups` (clamped to
@@ -469,7 +540,10 @@ struct GroupEnd {
     burned: Vec<u64>,
     next_seq: Vec<u64>,
     replayed: u64,
-    /// Where the journal ended; the same in every group.
+    /// The usable length of every segment walked, and where the journal
+    /// ended: the same in every group, unless the files changed between
+    /// the groups' reads.
+    walked: Vec<u64>,
     truncations: Vec<Truncation>,
     /// The diagnosis of the group's lowest shard whose books do not
     /// balance.
@@ -504,7 +578,7 @@ impl<'a> Fold<'a> {
     /// journal.
     fn walk(mut self, segments: &[(u64, PathBuf)], window: usize) -> io::Result<GroupEnd> {
         let mut window = vec![0; window];
-        let mut truncations = Vec::new();
+        let (mut walked, mut truncations) = (Vec::new(), Vec::new());
         for (_, path) in segments {
             if !truncations.is_empty() {
                 truncations.push(Truncation {
@@ -518,6 +592,7 @@ impl<'a> Fold<'a> {
             let end = journal::fold_file(&mut file, len, &mut window, |shard, view| {
                 self.frame(shard, view)
             })?;
+            walked.push(end.valid_len as u64);
             if let Some(err) = end.error {
                 let kept = end.valid_len as u64;
                 truncations.push(Truncation {
@@ -558,6 +633,7 @@ impl<'a> Fold<'a> {
             burned: self.burned,
             next_seq: self.next_seq,
             replayed: self.replayed,
+            walked,
             truncations,
             imbalance,
         })
@@ -636,6 +712,13 @@ impl<'a> Fold<'a> {
 mod tests {
     use super::super::{write_manifest, Manifest};
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// How many more group threads `spawn_group` refuses to start on
+        /// this thread, as a host out of threads would.
+        pub(super) static REFUSE_SPAWNS: Cell<usize> = const { Cell::new(0) };
+    }
 
     #[test]
     fn empty_domain_recovers_to_zero() {
@@ -906,7 +989,7 @@ mod tests {
 
     /// What recovery in `groups` groups returns, errors as their text.
     fn recover_text(dir: &Path, groups: usize) -> Result<RecoveredState, String> {
-        recover_in(dir, groups).map_err(|e| e.to_string())
+        recover_in(dir, |_| groups).map_err(|e| e.to_string())
     }
 
     proptest::proptest! {
@@ -1018,6 +1101,36 @@ mod tests {
             }
             std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    /// A group whose thread cannot start does not fail recovery: it runs
+    /// again in one group, and returns what one group does.
+    #[test]
+    fn a_refused_thread_recovers_in_one_group() {
+        let dir = std::env::temp_dir().join(format!("ta-rec-nothread-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (want, _) = random_domain(&dir, &mut Draw(7), 200, 8, 1);
+        let one = recover_in(&dir, |_| 1).unwrap();
+        assert_eq!(one.balances, want);
+        for (groups, refused) in [(2, 1), (4, 1), (4, 3)] {
+            REFUSE_SPAWNS.set(refused);
+            let state = recover_in(&dir, |_| groups).unwrap();
+            assert_eq!(REFUSE_SPAWNS.get(), 0, "{groups} groups, {refused} refused");
+            assert_eq!(state, one, "{groups} groups, {refused} refused");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `recover` folds a domain below the crossover in one group, and a
+    /// larger one in a group per core.
+    #[test]
+    fn recover_groups_only_a_large_domain() {
+        let cores = thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(host_groups(10_000), 1);
+        assert_eq!(host_groups(GROUPED_FROM_CLIENTS - 1), 1);
+        assert_eq!(host_groups(GROUPED_FROM_CLIENTS), cores);
+        assert_eq!(host_groups(1_000_000), cores);
     }
 
     /// A snapshot or a segment whose name points at an endless device is
