@@ -72,6 +72,16 @@ pub trait Application {
         let _ = (node, now);
     }
 
+    /// A message for block node `node` is a few dozen events away: start
+    /// loading the state [`update_state`](Self::update_state) and
+    /// [`create_message`](Self::create_message) will read for it (see
+    /// [`ta_sim::engine::prefetch`]). Called only on large blocks. A hint,
+    /// never a read that changes results; the default does nothing.
+    #[inline]
+    fn prefetch(&self, node: NodeId) {
+        let _ = node;
+    }
+
     /// Short application name for reports.
     fn name(&self) -> &'static str;
 }

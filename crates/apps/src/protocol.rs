@@ -42,7 +42,7 @@ pub mod sharded;
 use ta_metrics::TimeSeries;
 use ta_overlay::sampling::OnlineNeighbors;
 use ta_overlay::Topology;
-use ta_sim::engine::{Driver, SimApi};
+use ta_sim::engine::{prefetch, Driver, SimApi};
 use ta_sim::NodeId;
 use token_account::node::{RoundAction, TokenNode};
 use token_account::{DecisionTable, Strategy, Usefulness};
@@ -506,6 +506,15 @@ impl<A: Application> Driver for TokenProtocol<A> {
             }
         }
         self.record_sends(api, sent);
+    }
+
+    /// Prefetches what a tick or a delivery at `node` reads first: its
+    /// account, its online-neighbour slice and its application state.
+    #[inline]
+    fn prefetch(&self, node: NodeId) {
+        prefetch(&self.nodes, node.index().wrapping_sub(self.base));
+        self.peers.prefetch(node);
+        self.app.prefetch(node);
     }
 
     fn on_node_up(&mut self, api: &mut SimApi<'_, Self::Msg>, node: NodeId) {

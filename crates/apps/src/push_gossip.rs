@@ -10,6 +10,7 @@
 //! stores. Multiplied by the injection period this is the average time lag
 //! in seconds; the figure harness reports both.
 
+use ta_sim::engine::prefetch;
 use ta_sim::shard::ShardPlan;
 use ta_sim::{NodeId, SimTime};
 use token_account::Usefulness;
@@ -117,6 +118,11 @@ impl Application for PushGossip {
 
     fn metric(&self, online_count: usize, now: SimTime) -> f64 {
         Self::metric_sharded(&[self], online_count, now)
+    }
+
+    #[inline]
+    fn prefetch(&self, node: NodeId) {
+        prefetch(&self.latest, node.index().wrapping_sub(self.base));
     }
 
     fn inject(&mut self, target: NodeId, _now: SimTime) {

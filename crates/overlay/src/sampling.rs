@@ -27,6 +27,7 @@
 
 use std::ops::Range;
 
+use ta_sim::engine::prefetch;
 use ta_sim::rng::Xoshiro256pp;
 use ta_sim::NodeId;
 
@@ -237,6 +238,20 @@ impl OnlineNeighbors {
         }
         let pick = rng.below(len as u64) as usize;
         Some(self.targets[self.offsets[i] as usize + pick])
+    }
+
+    /// Prefetches what [`select`](Self::select) reads for block node
+    /// `node`: its offset and online length, then the line of `targets`
+    /// they point at (the offset load is real; the rest are hints, see
+    /// [`ta_sim::engine::prefetch`]). Changes nothing.
+    #[inline]
+    pub fn prefetch(&self, node: NodeId) {
+        let i = node.index().wrapping_sub(self.lo);
+        prefetch(&self.offsets, i);
+        prefetch(&self.online_len, i);
+        if let Some(&start) = self.offsets.get(i) {
+            prefetch(&self.targets, start as usize);
+        }
     }
 
     /// Records a churn transition of `node` (any node of the network) and

@@ -18,8 +18,9 @@
 //!   with two fixed delays (a round Δ after each tick, a delivery one
 //!   transfer time after each send), so events pushed exactly that far past
 //!   the scheduler's clock are appended to one FIFO lane per delay, in
-//!   `O(1)`; everything else goes to a binary heap. Pops merge the lane
-//!   heads with the heap.
+//!   `O(1)`; cross-block deliveries are merged into the transfer lane a
+//!   sorted run at a time ([`LaneScheduler::merge_run`]); everything else
+//!   goes to a binary heap. Pops merge the lane heads with the heap.
 //! * [`BinaryHeapQueue`] — `O(log n)` push/pop on `std`'s binary heap: the
 //!   scheduler's fallback, and the ordering oracle of the tests.
 //!
@@ -323,6 +324,10 @@ const LANES: usize = 2;
 /// `0..LANES`).
 const FALLBACK: usize = LANES;
 
+/// Index of the transfer-time lane (the second delay of
+/// [`LaneScheduler::with_delays`]), which takes merged runs.
+const TRANSFER_LANE: usize = 1;
+
 /// How far below its tail a lane takes an out-of-order push. Same-instant
 /// pushes arrive in arbitrary key order, and a reactive burst makes runs of
 /// a few hundred; bounding the reach bounds the elements one insertion
@@ -381,10 +386,13 @@ impl<E> Lane<E> {
 /// is the engine's `now` whenever the engine schedules from a callback. A
 /// push whose time lies exactly one lane delay past the clock is appended to
 /// that lane; the clock never runs backwards, so such pushes arrive in time
-/// order and the lane stays sorted by construction. Everything else — first
-/// tick phases, churn transitions, timers, mailbox deposits, and any push
-/// made while the clock lags the caller's (after a barrier) — goes to the
-/// heap, as does a lane push that belongs far below the lane's tail.
+/// order and the lane stays sorted by construction. Mailbox deposits — the
+/// deliveries another block sent, a window late — arrive as whole runs:
+/// [`merge_run`](Self::merge_run) sorts each and merges it into the
+/// transfer lane, which stays sorted whatever the run's times. Everything
+/// else — first tick phases, churn transitions, timers, and any push made
+/// while the clock lags the caller's (after a barrier) — goes to the heap,
+/// as does a lane push that belongs far below the lane's tail.
 /// [`pop`](EventQueue::pop), [`peek_time`](EventQueue::peek_time) and
 /// [`drain_ready_before`](EventQueue::drain_ready_before) take the minimum
 /// over the lane heads and the heap, so the `(time, key)` order handed out
@@ -406,6 +414,10 @@ pub struct LaneScheduler<E> {
     fallback: BinaryHeapQueue<E>,
     clock: SimTime,
     next_seq: u64,
+    /// The transfer lane's tail above a merged run's first entry, parked
+    /// while [`merge_run`](Self::merge_run) interleaves the two (capacity
+    /// kept across merges).
+    spill: Vec<(SimTime, u64, E)>,
 }
 
 impl<E> LaneScheduler<E> {
@@ -425,6 +437,7 @@ impl<E> LaneScheduler<E> {
             fallback: BinaryHeapQueue::new(),
             clock: SimTime::ZERO,
             next_seq: 0,
+            spill: Vec::new(),
         }
     }
 
@@ -433,6 +446,43 @@ impl<E> LaneScheduler<E> {
     #[inline]
     pub fn fallback_len(&self) -> usize {
         self.fallback.len()
+    }
+
+    /// The entry `k` places behind the head of each lane (`k = 0` is the
+    /// head), or `None` where a lane is shorter: the events the engine will
+    /// reach soon, whose state it can start loading now. Heap entries are
+    /// not reachable this way.
+    #[inline]
+    pub fn lookahead(&self, k: usize) -> [Option<&(SimTime, u64, E)>; LANES] {
+        std::array::from_fn(|i| self.lanes[i].events.get(k))
+    }
+
+    /// Sorts `run` by `(time, key)` and merges it into the transfer lane,
+    /// leaving `run` empty (its capacity, like the lane's, is kept).
+    ///
+    /// Every entry must lie above the entry most recently handed out (the
+    /// [`push_keyed`](EventQueue::push_keyed) contract); keys must be
+    /// unique. The entries need not lie one transfer time past the clock:
+    /// the lane is merged, not appended to, so it stays sorted — a mail run
+    /// deposited a window early simply lands further down. Moves the lane's
+    /// entries above the run's first one twice and the rest not at all.
+    pub fn merge_run(&mut self, run: &mut Vec<(SimTime, u64, E)>) {
+        run.sort_unstable_by_key(|&(t, k, _)| (t, k));
+        let Some(&(t0, k0, _)) = run.first() else {
+            return;
+        };
+        debug_assert!(t0 >= self.clock, "merged run below the clock");
+        let lane = &mut self.lanes[TRANSFER_LANE].events;
+        let at = lane.partition_point(|&(t, k, _)| (t, k) < (t0, k0));
+        self.spill.extend(lane.drain(at..));
+        let mut spill = self.spill.drain(..).peekable();
+        for entry in run.drain(..) {
+            while let Some(below) = spill.next_if(|s| (s.0, s.1) < (entry.0, entry.1)) {
+                lane.push_back(below);
+            }
+            lane.push_back(entry);
+        }
+        lane.extend(spill);
     }
 
     /// The merge source holding the earliest pending event, with its key.
@@ -528,6 +578,7 @@ impl<E> EventQueue<E> for LaneScheduler<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn pops_in_time_order() {
@@ -591,6 +642,210 @@ mod tests {
         assert!(order_key(0, 5) < order_key(1, 0));
         assert!(order_key(3, 1) < order_key(3, 2));
         assert!(order_key(10, u32::MAX as u64) < order_key(GLOBAL_ORIGIN, 0));
+    }
+
+    const TRANSFER: u64 = 1_728_000;
+
+    fn at(micros: u64) -> SimTime {
+        SimTime::from_micros(micros)
+    }
+
+    /// Every lane sorted strictly by `(time, key)`, and `lookahead(k)`
+    /// naming exactly each lane's `k`-th entry, one past the end included.
+    fn check_lanes(q: &LaneScheduler<u64>) {
+        for lane in &q.lanes {
+            assert!(lane
+                .events
+                .iter()
+                .zip(lane.events.iter().skip(1))
+                .all(|(a, b)| (a.0, a.1) < (b.0, b.1)));
+        }
+        // Each lane walked front to back, independently of `get`.
+        let walked: Vec<Vec<_>> = q.lanes.iter().map(|l| l.events.iter().collect()).collect();
+        let longest = walked.iter().map(Vec::len).max().unwrap_or(0);
+        for k in 0..=longest {
+            for (i, seen) in q.lookahead(k).into_iter().enumerate() {
+                assert_eq!(seen, walked[i].get(k).copied(), "lane {i}, k = {k}");
+            }
+        }
+    }
+
+    /// The scheduler beside the heap oracle, mail pushed into the heap one
+    /// entry at a time and merged into the scheduler a run at a time.
+    struct MergePair {
+        heap: BinaryHeapQueue<u64>,
+        sched: LaneScheduler<u64>,
+        run: Vec<(SimTime, u64, u64)>,
+        now: u64,
+        id: u64,
+    }
+
+    impl MergePair {
+        fn new() -> Self {
+            MergePair {
+                heap: BinaryHeapQueue::new(),
+                sched: LaneScheduler::new(),
+                run: Vec::new(),
+                now: 0,
+                id: 0,
+            }
+        }
+
+        /// A key unique in the pair, from `origin`: keys arrive out of
+        /// order whenever origins do.
+        fn key(&mut self, origin: u32) -> (u64, u64) {
+            self.id += 1;
+            (order_key(origin, self.id), self.id)
+        }
+
+        /// A local push `offset` µs after the clock (the transfer time
+        /// lands in its lane).
+        fn push(&mut self, offset: u64, origin: u32) {
+            let (key, id) = self.key(origin);
+            let t = at(self.now + offset);
+            self.heap.push_keyed(t, key, id);
+            self.sched.push_keyed(t, key, id);
+        }
+
+        /// One mailbox run, in the given (any) order, `offsets` µs after
+        /// the clock.
+        fn merge(&mut self, mail: &[(u64, u32)]) {
+            for &(offset, origin) in mail {
+                let (key, id) = self.key(origin);
+                let t = at(self.now + offset);
+                self.heap.push_keyed(t, key, id);
+                self.run.push((t, key, id));
+            }
+            let pushed = self.sched.len() + self.run.len();
+            self.sched.merge_run(&mut self.run);
+            assert!(self.run.is_empty());
+            assert_eq!(self.sched.len(), pushed);
+            assert_eq!(self.sched.len(), self.heap.len());
+            check_lanes(&self.sched);
+        }
+
+        /// Pops `count` from both, which must agree.
+        fn pop(&mut self, count: usize) {
+            for _ in 0..count {
+                let (a, b) = (self.heap.pop(), self.sched.pop());
+                assert_eq!(a, b, "pop diverged");
+                let Some(s) = a else { break };
+                self.now = s.time.as_micros();
+            }
+            check_lanes(&self.sched);
+        }
+
+        fn pop_all(&mut self) {
+            self.pop(usize::MAX);
+            assert!(self.sched.is_empty() && self.heap.is_empty());
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum MergeOp {
+        /// Local push `(offset, origin)`.
+        Push(u64, u32),
+        /// A mailbox run of `(offset, origin)`, unsorted.
+        Merge(Vec<(u64, u32)>),
+        Pop(usize),
+    }
+
+    /// Offsets of mail: due within the next window, exactly one transfer
+    /// time out, or beyond the next window (an early peer's deposit).
+    fn mail_offset() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            3 => 1..TRANSFER,
+            1 => Just(TRANSFER),
+            2 => TRANSFER..3 * TRANSFER,
+        ]
+    }
+
+    fn merge_op() -> impl Strategy<Value = MergeOp> {
+        prop_oneof![
+            4 => (prop_oneof![Just(TRANSFER), 1..3 * TRANSFER], 0u32..8)
+                .prop_map(|(o, origin)| MergeOp::Push(o, origin)),
+            2 => proptest::collection::vec((mail_offset(), 0u32..8), 0..40).prop_map(MergeOp::Merge),
+            2 => (1usize..30).prop_map(MergeOp::Pop),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn merged_runs_pop_like_the_heap(ops in proptest::collection::vec(merge_op(), 1..60)) {
+            let mut pair = MergePair::new();
+            for op in ops {
+                match op {
+                    MergeOp::Push(offset, origin) => pair.push(offset, origin),
+                    MergeOp::Merge(mail) => pair.merge(&mail),
+                    MergeOp::Pop(count) => pair.pop(count),
+                }
+            }
+            pair.pop_all();
+        }
+    }
+
+    #[test]
+    fn a_run_merges_into_an_empty_lane() {
+        let mut pair = MergePair::new();
+        pair.merge(&[(30, 2), (10, 1), (20, 0), (10, 0)]);
+        assert_eq!(pair.sched.lanes[TRANSFER_LANE].events.len(), 4);
+        assert_eq!(pair.sched.fallback_len(), 0);
+        pair.pop_all();
+    }
+
+    #[test]
+    fn a_run_interleaves_with_later_local_pushes() {
+        // Local deliveries one transfer time out, then mail due both
+        // before, between and after them, and beyond the next window.
+        let mut pair = MergePair::new();
+        for origin in [5, 1, 3] {
+            pair.push(TRANSFER, origin);
+        }
+        pair.push(TRANSFER + 50, 0);
+        pair.merge(&[
+            (3 * TRANSFER, 0),
+            (TRANSFER, 4),
+            (TRANSFER + 10, 9),
+            (1, 7),
+            (TRANSFER, 0),
+        ]);
+        // The push 50 µs past a transfer time went to the heap.
+        assert_eq!(pair.sched.lanes[TRANSFER_LANE].events.len(), 8);
+        pair.pop(3);
+        // The clock moved: a later run lands below entries already queued.
+        pair.merge(&[(TRANSFER / 2, 1), (2 * TRANSFER, 2)]);
+        pair.pop_all();
+    }
+
+    #[test]
+    fn runs_merge_in_any_order() {
+        let mut pair = MergePair::new();
+        pair.merge(&[(2 * TRANSFER, 3), (2 * TRANSFER + 1, 0)]);
+        pair.merge(&[(TRANSFER, 1), (5, 2)]);
+        pair.merge(&[]);
+        pair.merge(&[(2 * TRANSFER, 1)]);
+        pair.pop_all();
+    }
+
+    #[test]
+    fn lookahead_names_the_kth_entry_of_each_lane() {
+        // Pushes exactly one delay past the clock, in FIFO key order.
+        let mut q = LaneScheduler::new();
+        for i in 0..40u64 {
+            q.push(at(paper::DELTA.as_micros()), i);
+        }
+        for i in 0..20u64 {
+            q.push(at(TRANSFER), 100 + i);
+        }
+        for k in 0..45 {
+            let [delta, transfer] = q.lookahead(k);
+            assert_eq!(delta.map(|e| e.2), (k < 40).then_some(k as u64));
+            assert_eq!(transfer.map(|e| e.2), (k < 20).then_some(100 + k as u64));
+        }
+        check_lanes(&q);
+        // Heap entries are out of its reach.
+        q.push(at(7), 999);
+        assert_eq!(q.lookahead(0).map(|e| e.map(|e| e.2)), [Some(0), Some(100)]);
     }
 
     #[test]

@@ -45,6 +45,9 @@ pub(super) enum Work {
 pub(super) struct Scratch<M> {
     /// Mailbox drain buffer (swap target, keeps capacity out of the lock).
     drain: Vec<OutMsg<M>>,
+    /// The drained mail as scheduler entries, the run merged into the
+    /// transfer lane.
+    run: Vec<(SimTime, u64, Ev<M>)>,
     /// Per-destination deposit buckets.
     buckets: Vec<Vec<OutMsg<M>>>,
 }
@@ -53,6 +56,7 @@ impl<M> Scratch<M> {
     pub(super) fn new(shards: usize) -> Self {
         Scratch {
             drain: Vec::new(),
+            run: Vec::new(),
             buckets: (0..shards).map(|_| Vec::new()).collect(),
         }
     }
@@ -62,7 +66,12 @@ impl<M> Scratch<M> {
 /// (part-)window: all mail due in this window was deposited before the
 /// previous gate opened; anything deposited concurrently by an
 /// early-finishing peer is due beyond the bound and merely waits in the
-/// queue).
+/// queue). The mail is one transfer time old, so its due times interleave
+/// with the block's own deliveries: the run is sorted by `(time, key)` and
+/// merged into the scheduler's transfer lane
+/// ([`LaneScheduler::merge_run`](crate::queue::LaneScheduler::merge_run)),
+/// where the engine's lookahead sees it, and counted as lane pushes. Both
+/// buffers keep their capacity across windows.
 fn drain_mailbox<D: Driver>(
     mailbox: &Mutex<Vec<OutMsg<D::Msg>>>,
     engine: &mut Engine<D>,
@@ -72,8 +81,10 @@ fn drain_mailbox<D: Driver>(
         let mut mb = mailbox.lock().expect("shard mailbox poisoned");
         std::mem::swap(&mut *mb, &mut scratch.drain);
     }
-    engine.profile.mailbox(scratch.drain.len());
-    engine.enqueue(scratch.drain.drain(..).map(|m| {
+    let mail = scratch.drain.len();
+    engine.profile.mailbox(mail);
+    engine.profile.pushes(mail, 0);
+    scratch.run.extend(scratch.drain.drain(..).map(|m| {
         let ev = Ev::Deliver {
             from: m.from,
             to: m.to,
@@ -81,6 +92,7 @@ fn drain_mailbox<D: Driver>(
         };
         (m.time, m.key, ev)
     }));
+    engine.queue.merge_run(&mut scratch.run);
 }
 
 /// Deposits the shard's outbox into the destination shards' mailboxes,
