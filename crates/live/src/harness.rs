@@ -26,7 +26,6 @@
 //! thread supplying rounds, where only distributional agreement (rates
 //! within a tolerance) plus exact token conservation can be promised.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use rand::Rng;
@@ -40,7 +39,9 @@ use token_account::spec::StrategySpec;
 use token_account::{DecisionTable, InvalidStrategyError, Strategy, Usefulness};
 
 use crate::counters::LiveCounters;
+use crate::loadgen::{Granter, GranterShared};
 use crate::runtime::LiveRuntime;
+use crate::signal::StopSignal;
 
 /// Stream namespace of per-client decision randomness, shared verbatim by
 /// the sim driver and the live replay (the whole point: both sides draw
@@ -352,11 +353,11 @@ impl RealtimeOutcome {
 }
 
 /// Replays the trace's *request* arrivals against the wall clock
-/// (virtual microseconds divided by `speedup`), while a granter thread
-/// generates rounds live every `delta / speedup`. Decisions race
-/// wall-clock time, so only distributional agreement with the sim is
-/// expected — plus exact token conservation, which holds under any
-/// interleaving.
+/// (virtual microseconds divided by `speedup`), while the load
+/// generator's granter sweeps a round live every `delta / speedup`.
+/// Decisions race wall-clock time, so only distributional agreement with
+/// the sim is expected — plus exact token conservation, which holds under
+/// any interleaving.
 pub fn replay_realtime(
     strategy: impl Strategy + 'static,
     trace: &ArrivalTrace,
@@ -380,31 +381,22 @@ pub fn replay_realtime(
     }
     let horizon_us = trace.events.last().map(|e| e.time_us).unwrap_or(0);
     let wall_of = |us: u64| Duration::from_secs_f64(us as f64 / 1e6 / speedup);
-    let stop = AtomicBool::new(false);
+    let stop = StopSignal::new();
+    let shared = GranterShared::default();
     let start = Instant::now();
-    let counters = std::thread::scope(|scope| {
-        let granter = {
-            let runtime = &runtime;
-            let stop = &stop;
-            let period = wall_of(delta.as_micros()).max(Duration::from_micros(100));
-            scope.spawn(move || {
-                let mut rng = Xoshiro256pp::stream(0x9e3779, 0);
-                let mut counters = LiveCounters::default();
-                let mut next = period;
-                while !stop.load(Ordering::Acquire) {
-                    let now = start.elapsed();
-                    if now < next {
-                        std::thread::sleep((next - now).min(Duration::from_millis(2)));
-                        continue;
-                    }
-                    for s in 0..runtime.accounts().shard_count() {
-                        runtime.round_sweep(s, &mut rng, &mut counters, |_| {});
-                    }
-                    next += period;
-                }
-                counters
-            })
-        };
+    let granter = Granter {
+        runtime: &runtime,
+        seed: trace.decision_seed,
+        period: wall_of(delta.as_micros()).max(Duration::from_micros(100)),
+        start,
+        stop: &stop,
+        shared: &shared,
+        persistence: None,
+        telem: None,
+        board: None,
+    };
+    let mut counters = std::thread::scope(|scope| {
+        let granter = granter.spawn(scope, 0);
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let runtime = &runtime;
@@ -444,15 +436,14 @@ pub fn replay_realtime(
         for h in handles {
             merged.merge(&h.join().unwrap());
         }
-        // Let the granter cover the full horizon before stopping it.
-        let full = wall_of(horizon_us);
-        while start.elapsed() < full {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        stop.store(true, Ordering::Release);
-        merged.merge(&granter.join().unwrap());
+        // Let the granter cover the full horizon before stopping it; nothing
+        // else raises the signal, so this wait ends on the horizon.
+        stop.wait_for(wall_of(horizon_us).saturating_sub(start.elapsed()));
+        stop.stop();
+        granter.join().unwrap();
         merged
     });
+    counters.merge(&shared.counters.into_inner().unwrap());
     RealtimeOutcome {
         counters,
         balances_sum: runtime.balances_sum(),

@@ -33,10 +33,17 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 use ta_telemetry::{mono_ns, Handle as TelemetryHandle};
 
 use crate::telem::{c, g};
+
+/// The longest a helper that heartbeats waits between two beats, whatever
+/// its next duty: the granter on long rounds, the stats pump between
+/// distant stdout and `WATCH` deadlines. Well inside the supervisor's
+/// 300 ms heartbeat deadline.
+pub(crate) const BEAT_EVERY: Duration = Duration::from_millis(50);
 
 /// A supervised runtime component.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

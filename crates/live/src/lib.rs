@@ -45,6 +45,7 @@ pub mod loadgen;
 pub mod obs;
 pub mod persist;
 pub mod runtime;
+mod signal;
 pub mod telem;
 
 pub use accounts::ShardedAccounts;

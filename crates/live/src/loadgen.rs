@@ -33,7 +33,7 @@
 //! closes the token-conservation books exactly — under any interleaving —
 //! via [`LiveCounters::conserves`].
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -43,10 +43,11 @@ use ta_sim::rng::Xoshiro256pp;
 use ta_telemetry::mono_ns;
 
 use crate::counters::LiveCounters;
-use crate::health::{Component, HealthBoard, COMPONENTS};
+use crate::health::{Component, HealthBoard, BEAT_EVERY, COMPONENTS};
 use crate::histogram::LatencyHistogram;
 use crate::persist::{JournalHandle, Persistence};
 use crate::runtime::LiveRuntime;
+use crate::signal::StopSignal;
 use crate::telem::{c, h, LaneFlush, LiveTelemetry, WorkerTelem};
 
 /// How request arrivals are paced.
@@ -199,43 +200,26 @@ pub fn run_loadgen(runtime: &LiveRuntime, cfg: &LoadGenConfig, with: Attach<'_>)
     }
     let board = board.map(Arc::as_ref);
     let initial_balances_sum = runtime.balances_sum();
-    let stop = AtomicBool::new(false);
+    let stop = StopSignal::new();
     let granter_shared = GranterShared::default();
     let start = Instant::now();
+    let granter = cfg.round_period.map(|period| Granter {
+        runtime,
+        seed: cfg.seed,
+        period,
+        start,
+        stop: &stop,
+        shared: &granter_shared,
+        persistence,
+        telem,
+        board,
+    });
 
     let (worker_outcomes, (snapshots, snapshot_failures)) = std::thread::scope(|scope| {
-        let granter = cfg.round_period.map(|period| {
-            spawn_granter(
-                scope,
-                runtime,
-                cfg,
-                period,
-                start,
-                &stop,
-                &granter_shared,
-                persistence,
-                telem,
-                board,
-                0,
-            )
-        });
-
+        let first_granter = granter.map(|g| g.spawn(scope, 0));
         let supervisor = board.map(|board| {
             let stop = &stop;
-            let shared = &granter_shared;
-            scope.spawn(move || {
-                supervisor_loop(
-                    scope,
-                    runtime,
-                    cfg,
-                    start,
-                    stop,
-                    shared,
-                    persistence,
-                    telem,
-                    board,
-                );
-            })
+            scope.spawn(move || supervisor_loop(scope, stop, board, granter))
         });
 
         let snapper = persistence.and_then(|p| {
@@ -244,10 +228,12 @@ pub fn run_loadgen(runtime: &LiveRuntime, cfg: &LoadGenConfig, with: Attach<'_>)
             Some(scope.spawn(move || {
                 let (mut done, mut failed) = (0, 0);
                 let mut next = every;
-                while !stop.load(Ordering::Acquire) {
+                loop {
                     let now = start.elapsed();
                     if now < next {
-                        std::thread::sleep((next - now).min(Duration::from_millis(5)));
+                        if stop.wait_for(next - now) {
+                            break;
+                        }
                         continue;
                     }
                     match p.snapshot(runtime.accounts()) {
@@ -282,10 +268,10 @@ pub fn run_loadgen(runtime: &LiveRuntime, cfg: &LoadGenConfig, with: Attach<'_>)
             })
             .collect();
         // A worker that panicked must not strand the helper threads: they
-        // only end on `stop`, so it is set before any panic travels on.
+        // only end on `stop`, so it is raised before any panic travels on.
         let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-        stop.store(true, Ordering::Release);
-        if let Some(g) = granter {
+        stop.stop();
+        if let Some(g) = first_granter {
             g.join().unwrap();
         }
         if let Some(s) = supervisor {
@@ -328,6 +314,9 @@ const GRANTER_STREAM: u64 = u64::MAX;
 const SUPERVISOR_SWEEP: Duration = Duration::from_millis(25);
 /// Heartbeat staleness past which an armed component is marked Degraded.
 const HEARTBEAT_DEADLINE_NS: u64 = 300_000_000;
+// A helper that heartbeats waits at most `BEAT_EVERY`: several beats per
+// deadline, whatever its next duty.
+const _: () = assert!(4 * BEAT_EVERY.as_nanos() <= HEARTBEAT_DEADLINE_NS as u128);
 /// Granter staleness past which the watchdog spawns a replacement.
 const GRANTER_RESTART_NS: u64 = 450_000_000;
 /// Restart budget and spacing: self-healing, not a restart storm.
@@ -339,7 +328,7 @@ const GRANTER_STALL: Duration = Duration::from_millis(900);
 
 /// State shared by every granter generation and the supervisor.
 #[derive(Debug, Default)]
-struct GranterShared {
+pub(crate) struct GranterShared {
     /// Next unswept round index. A granter claims round `r` with a CAS
     /// `r → r+1` *before* sweeping, so even while a stalled generation
     /// and its replacement overlap, no round's grants are ever applied
@@ -349,52 +338,59 @@ struct GranterShared {
     /// a stalled instance, which exits when it next observes the bump.
     generation: AtomicU64,
     /// Every generation merges its counters here on exit.
-    counters: Mutex<LiveCounters>,
+    pub(crate) counters: Mutex<LiveCounters>,
 }
 
-/// Spawns one granter generation onto the run's scope.
-#[allow(clippy::too_many_arguments)]
-fn spawn_granter<'scope>(
-    scope: &'scope std::thread::Scope<'scope, '_>,
-    runtime: &'scope LiveRuntime,
-    cfg: &'scope LoadGenConfig,
-    period: Duration,
-    start: Instant,
-    stop: &'scope AtomicBool,
-    shared: &'scope GranterShared,
-    persistence: Option<&'scope Persistence>,
-    telem: Option<&'scope LiveTelemetry>,
-    board: Option<&'scope HealthBoard>,
-    generation: u64,
-) -> std::thread::ScopedJoinHandle<'scope, ()> {
-    let journal = persistence.map(Persistence::handle);
-    let flush = telem.map(|t| LaneFlush::new(t.granter_handle()));
-    scope.spawn(move || {
-        granter_loop(
-            runtime, cfg, period, start, stop, shared, journal, flush, board, generation,
-        );
-    })
+/// The granter of one run: the Δ schedule and what every generation of
+/// it shares. Round `r` is due `period · (r + 1)` after `start`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Granter<'a> {
+    pub(crate) runtime: &'a LiveRuntime,
+    /// Generation `g` draws from stream `GRANTER_STREAM - g` of this seed.
+    pub(crate) seed: u64,
+    pub(crate) period: Duration,
+    pub(crate) start: Instant,
+    pub(crate) stop: &'a StopSignal,
+    pub(crate) shared: &'a GranterShared,
+    pub(crate) persistence: Option<&'a Persistence>,
+    pub(crate) telem: Option<&'a LiveTelemetry>,
+    pub(crate) board: Option<&'a HealthBoard>,
+}
+
+impl<'a> Granter<'a> {
+    /// Spawns one generation onto the run's scope.
+    pub(crate) fn spawn<'env>(
+        self,
+        scope: &'a std::thread::Scope<'a, 'env>,
+        generation: u64,
+    ) -> std::thread::ScopedJoinHandle<'a, ()> {
+        scope.spawn(move || granter_loop(self, generation))
+    }
 }
 
 /// One granter generation: claims rounds off the shared counter and
-/// sweeps them until stopped or superseded.
-#[allow(clippy::too_many_arguments)]
-fn granter_loop(
-    runtime: &LiveRuntime,
-    cfg: &LoadGenConfig,
-    period: Duration,
-    start: Instant,
-    stop: &AtomicBool,
-    shared: &GranterShared,
-    mut journal: Option<JournalHandle>,
-    mut flush: Option<LaneFlush>,
-    board: Option<&HealthBoard>,
-    generation: u64,
-) {
-    let mut rng = Xoshiro256pp::stream(cfg.seed, GRANTER_STREAM - generation);
+/// sweeps them until stopped or superseded. Between rounds it waits on
+/// the stop signal until the next round is due, or for one beat when a
+/// board watches it.
+fn granter_loop(granter: Granter<'_>, generation: u64) {
+    let Granter {
+        runtime,
+        seed,
+        period,
+        start,
+        stop,
+        shared,
+        persistence,
+        telem,
+        board,
+    } = granter;
+    let mut journal = persistence.map(Persistence::handle);
+    let mut flush = telem.map(|t| LaneFlush::new(t.granter_handle()));
+    let mut rng = Xoshiro256pp::stream(seed, GRANTER_STREAM - generation);
     let mut counters = LiveCounters::default();
     let period_ns = period.as_nanos().max(1) as u64;
-    while !stop.load(Ordering::Acquire) && shared.generation.load(Ordering::Acquire) == generation {
+    let beat = board.map_or(Duration::MAX, |_| BEAT_EVERY);
+    while !stop.is_stopped() && shared.generation.load(Ordering::Acquire) == generation {
         if let Some(b) = board {
             b.beat(Component::Granter);
         }
@@ -402,9 +398,7 @@ fn granter_loop(
         let due = Duration::from_nanos(period_ns.saturating_mul(round + 1));
         let now = start.elapsed();
         if now < due {
-            // Sleep in small slices so a stop request is seen promptly
-            // even with long rounds.
-            std::thread::sleep((due - now).min(Duration::from_millis(5)));
+            stop.wait_for((due - now).min(beat));
             continue;
         }
         if shared
@@ -443,10 +437,10 @@ fn granter_loop(
         }
         if let Some(b) = board {
             if b.take_granter_stall() {
-                // Injected fault: go dark past the watchdog deadline.
-                // The supervisor spawns a fresh generation; this one
-                // exits via the generation check on wake-up.
-                std::thread::sleep(GRANTER_STALL);
+                // Injected fault: go dark past the watchdog deadline (a
+                // stop still ends it). The supervisor spawns a fresh
+                // generation; this one exits via the generation check.
+                stop.wait_for(GRANTER_STALL);
             }
         }
     }
@@ -456,31 +450,24 @@ fn granter_loop(
     shared.counters.lock().unwrap().merge(&counters);
 }
 
-/// The health supervisor: sweeps the board a few times per heartbeat
-/// deadline, and restarts the granter when its beat goes stale.
-#[allow(clippy::too_many_arguments)]
+/// The health supervisor: sweeps the board every [`SUPERVISOR_SWEEP`]
+/// until stopped, and restarts the granter when its beat goes stale.
 fn supervisor_loop<'scope>(
     scope: &'scope std::thread::Scope<'scope, '_>,
-    runtime: &'scope LiveRuntime,
-    cfg: &'scope LoadGenConfig,
-    start: Instant,
-    stop: &'scope AtomicBool,
-    shared: &'scope GranterShared,
-    persistence: Option<&'scope Persistence>,
-    telem: Option<&'scope LiveTelemetry>,
-    board: &'scope HealthBoard,
+    stop: &StopSignal,
+    board: &HealthBoard,
+    granter: Option<Granter<'scope>>,
 ) {
     let mut replacements = Vec::new();
     let mut restarts = 0u32;
     let mut cooldown_until = Instant::now();
-    while !stop.load(Ordering::Acquire) {
-        std::thread::sleep(SUPERVISOR_SWEEP);
+    while !stop.wait_for(SUPERVISOR_SWEEP) {
         let now_ns = mono_ns();
         for component in COMPONENTS {
             board.supervise_beat(component, now_ns, HEARTBEAT_DEADLINE_NS);
         }
         let beat = board.last_beat_ns(Component::Granter);
-        if let Some(period) = cfg.round_period {
+        if let Some(granter) = granter {
             if beat != 0
                 && now_ns.saturating_sub(beat) > GRANTER_RESTART_NS
                 && restarts < GRANTER_RESTART_MAX
@@ -489,21 +476,9 @@ fn supervisor_loop<'scope>(
                 // Supersede the stalled generation: it exits (and merges
                 // its counters) when it next wakes; the shared round
                 // claim guarantees the overlap can't double-grant.
-                let generation = shared.generation.fetch_add(1, Ordering::AcqRel) + 1;
+                let generation = granter.shared.generation.fetch_add(1, Ordering::AcqRel) + 1;
                 board.count(c::GRANTER_RESTARTS);
-                replacements.push(spawn_granter(
-                    scope,
-                    runtime,
-                    cfg,
-                    period,
-                    start,
-                    stop,
-                    shared,
-                    persistence,
-                    telem,
-                    Some(board),
-                    generation,
-                ));
+                replacements.push(granter.spawn(scope, generation));
                 restarts += 1;
                 cooldown_until = Instant::now() + GRANTER_RESTART_COOLDOWN;
             }
@@ -883,7 +858,7 @@ mod tests {
             let closed_at = Instant::now();
             (run.join().unwrap(), closed_at)
         });
-        // Workers leave within a chunk; the supervisor wakes every 25 ms.
+        // Workers leave within a chunk; the stop wakes every helper at once.
         assert!(closed_at.elapsed() < Duration::from_secs(2));
         assert!(report.wall < cfg.duration);
         assert!(

@@ -31,9 +31,9 @@
 
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
@@ -43,7 +43,8 @@ use ta_telemetry::{
     print_line, stats_line, stats_line_with, Handle, Snapshot, TraceConsumer, TraceRecord,
 };
 
-use crate::health::{Component, HealthBoard};
+use crate::health::{Component, HealthBoard, BEAT_EVERY};
+use crate::signal::StopSignal;
 use crate::telem::{c, LiveTelemetry};
 
 /// Bounded stats lines queued per `WATCH` subscriber.
@@ -52,6 +53,12 @@ const WATCH_QUEUE: usize = 8;
 const TRACE_QUEUE: usize = 1024;
 /// How long finalize/EOS delivery retries before dropping the line.
 const FINAL_PATIENCE: Duration = Duration::from_millis(500);
+/// The pause between two of those retries.
+const PATIENT_RETRY: Duration = Duration::from_millis(5);
+/// How often the trace bus drains the rings: they do not signal.
+const RING_DRAIN: Duration = Duration::from_millis(2);
+/// How often the accept loop polls its non-blocking listener.
+const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
 /// The single producer of stats lines (see the [module docs](self)).
 #[derive(Debug)]
@@ -64,7 +71,8 @@ pub struct StatsPump {
 struct PumpShared {
     telem: Arc<LiveTelemetry>,
     start: Instant,
-    stop: AtomicBool,
+    /// Stops the pump; a wake makes it re-read its schedule.
+    stop: StopSignal,
     stdout_every: Option<Duration>,
     sinks: Mutex<Vec<WatchSink>>,
     control: Handle,
@@ -91,7 +99,7 @@ impl StatsPump {
         let shared = Arc::new(PumpShared {
             telem,
             start,
-            stop: AtomicBool::new(false),
+            stop: StopSignal::new(),
             stdout_every,
             sinks: Mutex::new(Vec::new()),
             control,
@@ -113,6 +121,7 @@ impl StatsPump {
     /// `health` section. First attach wins.
     pub fn attach_health(&self, board: Arc<HealthBoard>) {
         let _ = self.shared.health.set(board);
+        self.shared.stop.wake(); // beat from now on
     }
 
     /// Renders one stats line right now (the `STATS` one-shot). Shares
@@ -135,6 +144,9 @@ impl StatsPump {
                 every: every.max(Duration::from_millis(1)),
                 next: Instant::now(),
             });
+        // The new sink is due at once: the pump must not sleep out its
+        // old schedule.
+        self.shared.stop.wake();
         rx
     }
 
@@ -144,7 +156,7 @@ impl StatsPump {
     /// word on its counters, so a scraper's final received line must
     /// equal it.
     pub fn finalize(&self) -> String {
-        self.shared.stop.store(true, Ordering::Release);
+        self.shared.stop.stop();
         if let Some(t) = self.thread.lock().expect("pump thread").take() {
             let _ = t.join();
         }
@@ -174,17 +186,27 @@ fn render(shared: &PumpShared) -> String {
     }
 }
 
+/// Renders one line for every due sink; with none due, waits until the
+/// next one is (or for one beat once a board is attached), a new
+/// subscriber, or the stop.
 fn pump_loop(shared: &PumpShared) {
     let mut stdout_next = shared.stdout_every.map(|e| Instant::now() + e);
-    while !shared.stop.load(Ordering::Acquire) {
+    while !shared.stop.is_stopped() {
         if let Some(b) = shared.health.get() {
             b.beat(Component::StatsPump);
         }
-        std::thread::sleep(Duration::from_millis(1));
         let now = Instant::now();
         let stdout_due = stdout_next.is_some_and(|n| now >= n);
         let mut sinks = shared.sinks.lock().expect("watch sinks");
         if !stdout_due && !sinks.iter().any(|s| now >= s.next) {
+            let beat = shared.health.get().map(|_| now + BEAT_EVERY);
+            let sink_next = sinks.iter().map(|s| s.next).min();
+            let next = [sink_next, stdout_next, beat].into_iter().flatten().min();
+            drop(sinks);
+            match next {
+                Some(at) => shared.stop.wait_until(at),
+                None => shared.stop.wait_for(Duration::MAX),
+            };
             continue;
         }
         // One snapshot, one line, every due sink: the tick-group shares
@@ -228,7 +250,7 @@ fn send_patiently(tx: &SyncSender<Arc<String>>, line: Arc<String>, patience: Dur
                     return false;
                 }
                 line = l;
-                std::thread::sleep(Duration::from_millis(5));
+                std::thread::sleep(PATIENT_RETRY);
             }
         }
     }
@@ -254,7 +276,7 @@ pub struct TraceBus {
 
 #[derive(Debug)]
 struct BusShared {
-    stop: AtomicBool,
+    stop: StopSignal,
     /// Records drained from the rings so far. Written under the `subs`
     /// lock *before* the batch is broadcast, so `missed_at_start` and
     /// the delivered stream partition the drained records exactly.
@@ -279,7 +301,7 @@ impl TraceBus {
     pub fn start(telem: &LiveTelemetry, out: Option<PathBuf>) -> Arc<Self> {
         let consumers = telem.take_consumers();
         let shared = Arc::new(BusShared {
-            stop: AtomicBool::new(false),
+            stop: StopSignal::new(),
             drained: AtomicU64::new(0),
             subs: Mutex::new(Vec::new()),
             control: telem.control_handle(),
@@ -329,7 +351,7 @@ impl TraceBus {
     /// "ring_dropped":..,"sampled":..}` with the invariant
     /// `streamed + dropped + missed + ring_dropped == sampled`.
     pub fn finish(&self, snap: &Snapshot) -> io::Result<u64> {
-        self.shared.stop.store(true, Ordering::Release);
+        self.shared.stop.stop();
         let lines = match self.thread.lock().expect("bus thread").take() {
             Some(t) => t.join().expect("trace bus panicked")?,
             None => 0,
@@ -371,10 +393,10 @@ fn bus_loop(
         if drained == 0 {
             // Workers are joined before `stop` is raised, so an empty
             // sweep after it means the rings are dry for good.
-            if shared.stop.load(Ordering::Acquire) {
+            if shared.stop.is_stopped() {
                 break;
             }
-            std::thread::sleep(Duration::from_millis(2));
+            shared.stop.wait_for(RING_DRAIN);
             continue;
         }
         let mut subs = shared.subs.lock().expect("trace subs");
@@ -414,7 +436,7 @@ fn bus_loop(
 /// wire protocol).
 #[derive(Debug)]
 pub struct ObsServer {
-    stop: Arc<AtomicBool>,
+    stop: Arc<StopSignal>,
     thread: Option<JoinHandle<()>>,
     addr: SocketAddr,
 }
@@ -430,13 +452,13 @@ impl ObsServer {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(StopSignal::new());
         let loop_stop = Arc::clone(&stop);
         let gate = Arc::clone(telem.gate());
         let control = telem.control_handle();
         let thread = std::thread::Builder::new()
             .name("ta-obs".into())
-            .spawn(move || accept_loop(listener, loop_stop, pump, bus, gate, control))?;
+            .spawn(move || accept_loop(listener, &loop_stop, pump, bus, gate, control))?;
         Ok(ObsServer {
             stop,
             thread: Some(thread),
@@ -449,11 +471,12 @@ impl ObsServer {
         self.addr
     }
 
-    /// Stops accepting and joins every connection thread. Call after
-    /// [`StatsPump::finalize`] and [`TraceBus::finish`]: streaming
-    /// connections exit when their (disconnected) queues run dry.
+    /// Stops accepting, shuts the read side of every open connection (an
+    /// idle client sees EOF at once) and joins every connection thread.
+    /// Call after [`StatsPump::finalize`] and [`TraceBus::finish`]:
+    /// streaming connections exit when their (disconnected) queues run dry.
     pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Release);
+        self.stop.stop();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -463,67 +486,70 @@ impl ObsServer {
 #[allow(clippy::needless_pass_by_value)]
 fn accept_loop(
     listener: TcpListener,
-    stop: Arc<AtomicBool>,
+    stop: &Arc<StopSignal>,
     pump: Arc<StatsPump>,
     bus: Arc<TraceBus>,
     gate: Arc<ta_telemetry::SampleGate>,
     control: Handle,
 ) {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::Acquire) {
+    // Each open connection: a handle on its socket, to end its blocking
+    // read at shutdown, and its thread.
+    let mut conns: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
+    while !stop.is_stopped() {
         match listener.accept() {
             Ok((stream, _)) => {
                 control.incr(c::OBS_CONNECTIONS);
+                // A finished connection's socket handle would otherwise
+                // stay open for the server's life.
+                conns.retain(|(_, t)| !t.is_finished());
+                let Ok(socket) = stream.try_clone() else {
+                    continue; // no handle to end it by: refuse the connection
+                };
                 let pump = Arc::clone(&pump);
                 let bus = Arc::clone(&bus);
                 let gate = Arc::clone(&gate);
-                let stop = Arc::clone(&stop);
+                let stop = Arc::clone(stop);
                 let control = control.clone();
-                conns.push(std::thread::spawn(move || {
-                    let _ = serve_conn(stream, &stop, &pump, &bus, &gate, &control);
-                }));
+                let thread = std::thread::spawn(move || {
+                    let _ = serve_conn(&stream, &stop, &pump, &bus, &gate, &control);
+                    // The accept loop's handle keeps the socket open: end
+                    // it for the client here.
+                    let _ = stream.shutdown(Shutdown::Both);
+                });
+                conns.push((socket, thread));
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
+                stop.wait_for(ACCEPT_POLL);
             }
             Err(_) => break,
         }
     }
-    for conn in conns {
-        let _ = conn.join();
+    for (socket, thread) in conns {
+        let _ = socket.shutdown(Shutdown::Read);
+        let _ = thread.join();
     }
 }
 
+/// Serves one connection's commands until the client hangs up, a stream
+/// command takes it over, or the server shuts its read side.
 fn serve_conn(
-    stream: TcpStream,
-    stop: &AtomicBool,
+    stream: &TcpStream,
+    stop: &StopSignal,
     pump: &StatsPump,
     bus: &TraceBus,
     gate: &ta_telemetry::SampleGate,
     control: &Handle,
 ) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_millis(100)))?;
+    // Blocking reads: the server ends an idle one by shutting its socket.
+    stream.set_nonblocking(false)?;
     let _ = stream.set_nodelay(true);
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(stream);
     let mut out = stream;
     let mut line = String::new();
     loop {
-        if stop.load(Ordering::Acquire) {
-            return Ok(());
-        }
         line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()),
-            Ok(_) => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue;
-            }
-            Err(e) => return Err(e),
+        if reader.read_line(&mut line)? == 0 {
+            return Ok(());
         }
         let cmd = line.trim();
         if cmd.is_empty() {
@@ -566,8 +592,8 @@ fn serve_conn(
 /// (finalize/EOS already queued) — then drains what's left and returns.
 fn stream_lines(
     rx: &Receiver<Arc<String>>,
-    mut out: TcpStream,
-    stop: &AtomicBool,
+    mut out: &TcpStream,
+    stop: &StopSignal,
 ) -> io::Result<()> {
     loop {
         match rx.recv_timeout(Duration::from_millis(100)) {
@@ -576,7 +602,7 @@ fn stream_lines(
                 out.write_all(b"\n")?;
             }
             Err(RecvTimeoutError::Timeout) => {
-                if stop.load(Ordering::Acquire) {
+                if stop.is_stopped() {
                     break;
                 }
             }
@@ -798,6 +824,38 @@ mod tests {
         assert!(snap.counter(c::OBS_CONNECTIONS) >= 2);
         assert_eq!(snap.counter(c::OBS_STATS_REQUESTS), 2);
         assert!(snap.counter(c::OBS_WATCH_LINES) >= 2);
+    }
+
+    #[test]
+    fn shutdown_ends_an_idle_connection_at_once() {
+        // The connection thread blocks in its read; shutdown must end it
+        // by shutting the socket, not by waiting out a read timeout. A
+        // read timeout (100 ms, as the server once polled) would make every
+        // attempt slow, so one fast attempt of three shows the fix.
+        let telem = LiveTelemetry::new(1, 0, 16);
+        let pump = StatsPump::start(Arc::clone(&telem), Instant::now(), None);
+        let bus = TraceBus::start(&telem, None);
+        let mut fastest = Duration::MAX;
+        for _ in 0..3 {
+            let server =
+                ObsServer::spawn("127.0.0.1:0", &telem, Arc::clone(&pump), Arc::clone(&bus))
+                    .unwrap();
+            let mut conn = TcpStream::connect(server.addr()).unwrap();
+            conn.write_all(b"STATS\n").unwrap();
+            let mut reader = BufReader::new(conn.try_clone().unwrap());
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            assert!(line.starts_with("{\"schema\":\"ta-stats/v2\""), "{line}");
+            // The client now sits idle; the server is back in its read.
+            let t0 = Instant::now();
+            server.shutdown();
+            fastest = fastest.min(t0.elapsed());
+            line.clear();
+            assert_eq!(reader.read_line(&mut line).unwrap(), 0, "no EOF: {line}");
+        }
+        assert!(fastest < Duration::from_millis(50), "{fastest:?}");
+        pump.finalize();
+        bus.finish(&telem.snapshot()).unwrap();
     }
 
     #[test]

@@ -205,3 +205,51 @@ fn halt_policy_closes_admissions_and_finishes_cleanly() {
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn long_rounds_keep_the_granter_beating() {
+    // Rounds and snapshots a second apart, far past the supervisor's
+    // 300 ms heartbeat deadline: a granter that waited out its round
+    // without beating would be marked Degraded and then restarted.
+    let dir = temp_dir("long-rounds");
+    let mut pcfg = PersistConfig::new(&dir);
+    pcfg.snapshot_every = Some(Duration::from_secs(1));
+    let p = Persistence::open(&pcfg, CLIENTS, SHARDS).unwrap();
+    let telem = LiveTelemetry::new(2, 0, 16);
+    let board = HealthBoard::new(OnJournalFail::Degrade);
+    let mut cfg = loadgen_cfg(1_500, 37);
+    cfg.round_period = Some(Duration::from_secs(1));
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let (report, degraded) = std::thread::scope(|s| {
+        let watch = s.spawn(|| {
+            let mut degraded = false;
+            while !done.load(Ordering::Acquire) {
+                degraded |= board.state(ta_live::Component::Granter) != HealthState::Healthy;
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            degraded
+        });
+        let strategy = RandomizedTokenAccount::new(2, 6).unwrap();
+        let report = supervised_run(strategy, &cfg, &p, &telem, &board);
+        done.store(true, Ordering::Release);
+        (report, watch.join().unwrap())
+    });
+    p.shutdown().unwrap();
+
+    assert!(
+        report.conserves(),
+        "books must close: {:?}",
+        report.counters
+    );
+    assert_eq!(
+        report.counters.rounds, CLIENTS as u64,
+        "one round, swept once"
+    );
+    assert_eq!(report.snapshots, 1);
+    assert_eq!(counter(&telem, "granter_restarts"), 0);
+    assert!(!degraded, "the granter was marked degraded while healthy");
+    let state = recover(&dir).unwrap();
+    assert_eq!(state.balances_sum(), report.balances_sum);
+    assert_eq!(state.granted_total(), report.counters.tokens_banked);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

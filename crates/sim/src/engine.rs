@@ -1262,6 +1262,40 @@ mod tests {
     }
 
     #[test]
+    fn every_block_queues_every_nodes_churn_on_the_heap() {
+        // Where a sharded run's extra heap pushes come from: each block
+        // replays every node's churn transitions (its online mirror must
+        // stay exact), and transitions lie at no lane delay, so S blocks
+        // push them onto their heaps S times. The first ticks are per
+        // node and land on the same side under every cut, so they cancel.
+        let n = 40;
+        let at = |i: usize, k: usize| SimTime::from_micros(3_000_017 * (i + k + 1) as u64);
+        let avail = Scripted {
+            initial: (0..n).map(|i| i % 5 != 0).collect(),
+            trans: (0..n)
+                .map(|i| (0..i % 3).map(|k| (at(i, k), k % 2 == 1)).collect())
+                .collect(),
+        };
+        let transitions: usize = avail.trans.iter().map(Vec::len).sum();
+        let cfg = small_cfg(n);
+        let heap = |shards: usize| -> usize {
+            let plan = Arc::new(ShardPlan::new(n, shards));
+            (0..plan.shards())
+                .map(|b| {
+                    let engine = Engine::new(&plan, b, &cfg, &avail, Echo::default());
+                    engine.queue.fallback_len()
+                })
+                .sum()
+        };
+        let whole = heap(1);
+        assert!(whole >= transitions);
+        for shards in [2, 3] {
+            let extra = heap(shards) - whole;
+            assert_eq!(extra, (shards - 1) * transitions, "S = {shards}");
+        }
+    }
+
+    #[test]
     fn delivery_to_offline_node_is_lost() {
         struct SendToDead;
         impl Driver for SendToDead {
