@@ -13,7 +13,9 @@
 use crate::cli::FigureOpts;
 use crate::figures::{comparison_table, plot_series, Family, FigureError};
 use crate::report::Report;
-use crate::runner::{prepare_topology, run_grid_prepared, ExperimentResult, RunError};
+use crate::runner::{
+    prepare_topology, run_grid_prepared, ExperimentResult, PreparedTopology, RunError,
+};
 use crate::spec::{AppKind, ExperimentSpec};
 use token_account::StrategySpec;
 
@@ -24,15 +26,16 @@ pub const APPS: [AppKind; 3] = [
     AppKind::ChaoticIteration,
 ];
 
-/// Runs one panel (one app × one family): baseline first, then the
-/// family's representative strategies. Returns labelled results.
+/// Runs one panel (one app × one family) over `prepared`, the topology
+/// of `base_spec`: baseline first, then the family's representative
+/// strategies. Returns labelled results.
 pub fn run_panel(
     app: AppKind,
     family: Family,
     base_spec: &ExperimentSpec,
+    prepared: &PreparedTopology,
 ) -> Result<Vec<(String, ExperimentResult)>, RunError> {
     debug_assert_eq!(app, base_spec.app, "panel app must match the base spec");
-    let prepared = prepare_topology(base_spec)?;
     let mut strategies = vec![StrategySpec::Proactive];
     strategies.extend(family.representative());
     // One flattened (strategy × run) grid: the whole panel saturates the
@@ -44,7 +47,7 @@ pub fn run_panel(
             ..base_spec.clone()
         })
         .collect();
-    let results = run_grid_prepared(&specs, &prepared)?;
+    let results = run_grid_prepared(&specs, prepared)?;
     Ok(strategies.iter().map(|s| s.label()).zip(results).collect())
 }
 
@@ -62,12 +65,15 @@ pub fn run(opts: &FigureOpts) -> Result<Report, FigureError> {
     );
     for app in APPS {
         let n = opts.effective_n(1_000, 5_000);
+        let base = ExperimentSpec::paper_defaults(app, StrategySpec::Proactive, n)
+            .with_rounds(rounds)
+            .with_runs(runs)
+            .with_seed(opts.seed);
+        // The three families share the app's overlay and, for chaotic
+        // iteration, its reference eigenvector: prepare them once.
+        let prepared = prepare_topology(&base)?;
         for family in Family::ALL {
-            let base = ExperimentSpec::paper_defaults(app, StrategySpec::Proactive, n)
-                .with_rounds(rounds)
-                .with_runs(runs)
-                .with_seed(opts.seed);
-            let entries = run_panel(app, family, &base)?;
+            let entries = run_panel(app, family, &base, &prepared)?;
             report.table(
                 format!("{} / {}", app.name(), family.name()),
                 comparison_table(app, &entries),
@@ -107,7 +113,14 @@ mod tests {
                 .with_runs(1)
                 .with_seed(2);
         base.topology = TopologyKind::KOut { k: 8 };
-        let entries = run_panel(AppKind::GossipLearning, Family::Randomized, &base).unwrap();
+        let prepared = prepare_topology(&base).unwrap();
+        let entries = run_panel(
+            AppKind::GossipLearning,
+            Family::Randomized,
+            &base,
+            &prepared,
+        )
+        .unwrap();
         // Baseline + 6 representative combos.
         assert_eq!(entries.len(), 7);
         let baseline = entries[0].1.metric.last_value().unwrap();

@@ -13,7 +13,7 @@ use token_account::StrategySpec;
 use crate::cli::FigureOpts;
 use crate::figures::{summarize, Family, FigureError};
 use crate::report::Report;
-use crate::runner::{prepare_topology, run_grid_prepared};
+use crate::runner::{prepare_topology, run_grid_prepared, PreparedTopology};
 use crate::spec::{AppKind, ExperimentSpec};
 
 /// The `A` values of the paper's grid.
@@ -22,9 +22,10 @@ pub const A_VALUES: &[u64] = &[1, 2, 5, 10, 15, 20, 40];
 /// The `C − A` values of the paper's grid.
 pub const C_MINUS_A_VALUES: &[u64] = &[0, 1, 2, 5, 10, 15, 20, 40, 80];
 
-/// Runs the sweep for one application and family; returns the grid table
-/// (rows: `A`; columns: `C − A`) of steady metric values, with the
-/// proactive baseline in the caption row.
+/// Runs the sweep for one application and family over `prepared`, the
+/// topology of `base`; returns the grid table (rows: `A`; columns:
+/// `C − A`) of steady metric values, with the proactive baseline in the
+/// caption row.
 ///
 /// # Errors
 ///
@@ -33,9 +34,9 @@ pub fn run_grid(
     app: AppKind,
     family: Family,
     base: &ExperimentSpec,
+    prepared: &PreparedTopology,
 ) -> Result<(f64, Table), FigureError> {
     debug_assert_eq!(app, base.app, "grid app must match the base spec");
-    let prepared = prepare_topology(base)?;
     // The baseline and all 63 (A, C−A) cells flatten into one job grid, so
     // the bounded pool schedules every replica of every cell at once.
     let mut specs = vec![ExperimentSpec {
@@ -50,7 +51,7 @@ pub fn run_grid(
             });
         }
     }
-    let results = run_grid_prepared(&specs, &prepared)?;
+    let results = run_grid_prepared(&specs, prepared)?;
     let mut steady = results.iter().map(|r| summarize(r).steady_mean);
     let baseline_steady = steady.next().expect("baseline result present");
 
@@ -100,12 +101,15 @@ pub fn run(opts: &FigureOpts) -> Result<Report, FigureError> {
         ),
     );
     for &app in &apps {
+        let base = ExperimentSpec::paper_defaults(app, StrategySpec::Proactive, n)
+            .with_rounds(rounds)
+            .with_runs(runs)
+            .with_seed(opts.seed);
+        // Every family runs over the app's one overlay (and reference
+        // eigenvector): prepare it once.
+        let prepared = prepare_topology(&base)?;
         for &family in &families {
-            let base = ExperimentSpec::paper_defaults(app, StrategySpec::Proactive, n)
-                .with_rounds(rounds)
-                .with_runs(runs)
-                .with_seed(opts.seed);
-            let (baseline, table) = run_grid(app, family, &base)?;
+            let (baseline, table) = run_grid(app, family, &base, &prepared)?;
             report.table(
                 format!(
                     "{} / {} — proactive baseline steady metric: {baseline:.3}",
@@ -134,8 +138,14 @@ mod tests {
         base.topology = TopologyKind::KOut { k: 6 };
         // Shrink the grid through the public constants? The full grid is
         // 63 cells; at this scale that is still fast enough.
-        let (baseline, table) =
-            run_grid(AppKind::GossipLearning, Family::Randomized, &base).unwrap();
+        let prepared = prepare_topology(&base).unwrap();
+        let (baseline, table) = run_grid(
+            AppKind::GossipLearning,
+            Family::Randomized,
+            &base,
+            &prepared,
+        )
+        .unwrap();
         assert_eq!(table.len(), A_VALUES.len());
         assert!(baseline > 0.0);
         // Spot-check cells with A small enough to bootstrap within the 30

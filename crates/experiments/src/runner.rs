@@ -39,7 +39,9 @@ use ta_churn::synthetic::SmartphoneTraceModel;
 use ta_metrics::TimeSeries;
 use ta_overlay::generators::{k_out_random, watts_strogatz_strongly_connected, GenerateError};
 use ta_overlay::sampling::OnlineNeighbors;
-use ta_overlay::spectral::{dominant_eigenvector, NotStochasticError};
+use ta_overlay::spectral::{
+    dominant_eigenvector, NotStochasticError, REFERENCE_MAX_ITERS, REFERENCE_TOL,
+};
 use ta_overlay::Topology;
 use ta_sim::config::{InvalidConfigError, SimConfig};
 use ta_sim::engine::{SimStats, Simulation};
@@ -423,7 +425,11 @@ pub struct PreparedTopology {
 pub fn prepare_topology(spec: &ExperimentSpec) -> Result<PreparedTopology, RunError> {
     let topo = Arc::new(build_topology(spec)?);
     let reference = match spec.app {
-        AppKind::ChaoticIteration => Some(Arc::new(dominant_eigenvector(&topo, 200_000, 1e-13)?)),
+        AppKind::ChaoticIteration => Some(Arc::new(dominant_eigenvector(
+            &topo,
+            REFERENCE_MAX_ITERS,
+            REFERENCE_TOL,
+        )?)),
         _ => None,
     };
     let frozen_mirror = match spec.churn {

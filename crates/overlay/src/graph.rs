@@ -202,6 +202,18 @@ impl Topology {
         &self.in_sources[self.in_offsets[i] as usize..self.in_offsets[i + 1] as usize]
     }
 
+    /// The out-CSR offsets: `out_degree(k) == offsets[k + 1] - offsets[k]`.
+    #[inline]
+    pub(crate) fn out_offsets(&self) -> &[u32] {
+        &self.out_offsets
+    }
+
+    /// The in-CSR: `in_neighbors(k) == &sources[offsets[k]..offsets[k + 1]]`.
+    #[inline]
+    pub(crate) fn in_csr(&self) -> (&[u32], &[NodeId]) {
+        (&self.in_offsets, &self.in_sources)
+    }
+
     /// Out-degree of `node`.
     #[inline]
     pub fn out_degree(&self, node: NodeId) -> usize {

@@ -103,20 +103,38 @@ pub fn l2_norm(x: &[f64]) -> f64 {
     x.iter().map(|v| v * v).sum::<f64>().sqrt()
 }
 
-/// Angle in radians between two vectors (0 = parallel).
+/// Angle in radians between two vectors (0 = parallel), computed as
+/// `acos(dot / (|a| |b|))`.
 ///
 /// Degenerate inputs (zero vectors) yield `PI/2`, the "no information"
 /// angle, so convergence metrics start pessimistic rather than crash.
+///
+/// The angle has a floor: the cosine of any angle below `2^-26.5`
+/// (about 1.05e-8 rad) rounds to 1.0, so such angles read exactly 0, and
+/// the smallest non-zero reading is `acos` of the largest double below
+/// 1.0, about 1.49e-8 rad.
 pub fn angle_between(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "vector length mismatch");
-    let na = l2_norm(a);
-    let nb = l2_norm(b);
+    let dot: f64 = a.iter().zip(b).map(|(x, y)| x * y).sum();
+    angle_from(dot, l2_norm(a), l2_norm(b))
+}
+
+/// The angle whose dot product is `dot` between vectors of norms `na` and
+/// `nb`, with [`angle_between`]'s zero-vector convention.
+fn angle_from(dot: f64, na: f64, nb: f64) -> f64 {
     if na == 0.0 || nb == 0.0 {
         return std::f64::consts::FRAC_PI_2;
     }
-    let dot: f64 = a.iter().zip(b).map(|(x, y)| x * y).sum();
     (dot / (na * nb)).clamp(-1.0, 1.0).acos()
 }
+
+/// Iteration cap of the reference solve that chaotic iteration is scored
+/// against.
+pub const REFERENCE_MAX_ITERS: usize = 200_000;
+
+/// Stopping angle of the reference solve. Any value in `(0, 1.49e-8]`
+/// means the same test, "the angle reads 0" (see [`angle_between`]).
+pub const REFERENCE_TOL: f64 = 1e-13;
 
 /// Computes the dominant eigenvector of the column-stochastic matrix of
 /// `topo` by centralized power iteration.
@@ -126,6 +144,10 @@ pub fn angle_between(a: &[f64], b: &[f64]) -> f64 {
 /// L2-normalized final iterate. For a strongly connected aperiodic graph
 /// this converges to the unique dominant eigenvector.
 ///
+/// The angle is [`angle_between`]'s, which reads 0 below about 1.05e-8 rad
+/// and is never below 1.49e-8 otherwise; so any `tol` at or below 1.49e-8
+/// stops exactly when successive iterates read parallel.
+///
 /// # Errors
 ///
 /// Returns [`NotStochasticError`] if some node has out-degree zero.
@@ -134,39 +156,237 @@ pub fn dominant_eigenvector(
     max_iters: usize,
     tol: f64,
 ) -> Result<Vec<f64>, NotStochasticError> {
-    let a = ColumnStochastic::new(topo)?;
+    power_iteration(topo, max_iters, tol).map(|(v, _)| v)
+}
+
+/// [`dominant_eigenvector`] and the number of matrix products it took.
+///
+/// Bitwise the plain loop (`multiply`, `l2_norm`, divide by the norm,
+/// `angle_between`; the test oracle keeps it), restructured into two
+/// passes per iteration that do the same float operations in the same
+/// order:
+///
+/// * the normalising pass divides the product by its norm, and also
+///   stores each node's outgoing weight `w[k] = v[k] / outdeg(k)`, so the
+///   product divides once per node instead of once per edge;
+/// * the fused pass gathers the next product `Σ w[src]` over each in-CSR
+///   slice and accumulates its `Σ acc²` side by side with the current
+///   iterate's `Σ v²` and its dot product with the previous one; the
+///   three serial float reductions overlap instead of running one after
+///   another. The next product is speculative: it is dropped if the angle
+///   stops the loop.
+///
+/// The previous iterate's norm is carried over from the pass that summed
+/// its squares. Three n-length vectors: the iterate, the product (which
+/// the fused pass writes over the previous iterate) and the weights.
+fn power_iteration(
+    topo: &Topology,
+    max_iters: usize,
+    tol: f64,
+) -> Result<(Vec<f64>, usize), NotStochasticError> {
+    ColumnStochastic::new(topo)?;
+    let out_offsets = topo.out_offsets();
+    let (in_offsets, in_sources) = topo.in_csr();
     let n = topo.n();
     let mut x = vec![1.0; n];
-    let mut next = vec![0.0; n];
-    for _ in 0..max_iters {
-        a.multiply(&x, &mut next);
-        let norm = l2_norm(&next);
+    let mut weights = vec![0.0; n];
+    let mut product = vec![0.0; n];
+    // x_0 = 1 needs no normalising: dividing by 1.0 leaves it as it is.
+    normalise(&mut x, 1.0, out_offsets, &mut weights);
+    let mut sums = fused_pass(in_offsets, in_sources, &weights, &x, &mut product);
+    let mut norm_x = sums.vv.sqrt();
+    let mut iters = 0;
+    while iters < max_iters {
+        iters += 1;
+        let norm = sums.sq.sqrt();
         if norm == 0.0 {
             break; // all mass vanished (cannot happen when stochastic)
         }
-        for v in next.iter_mut() {
-            *v /= norm;
-        }
-        let delta = angle_between(&x, &next);
-        std::mem::swap(&mut x, &mut next);
+        normalise(&mut product, norm, out_offsets, &mut weights);
+        sums = fused_pass(in_offsets, in_sources, &weights, &product, &mut x);
+        std::mem::swap(&mut x, &mut product);
+        let norm_next = sums.vv.sqrt();
+        let delta = angle_from(sums.dot, norm_x, norm_next);
+        norm_x = norm_next;
         if delta < tol {
             break;
         }
     }
-    let norm = l2_norm(&x);
-    if norm > 0.0 {
+    if norm_x > 0.0 {
         for v in x.iter_mut() {
-            *v /= norm;
+            *v /= norm_x;
         }
     }
-    Ok(x)
+    Ok((x, iters))
+}
+
+/// `v /= norm` in place, and `weights[k] = v[k] / outdeg(k)`.
+fn normalise(v: &mut [f64], norm: f64, out_offsets: &[u32], weights: &mut [f64]) {
+    for ((vk, wk), bounds) in v.iter_mut().zip(weights).zip(out_offsets.windows(2)) {
+        *vk /= norm;
+        *wk = *vk / f64::from(bounds[1] - bounds[0]);
+    }
+}
+
+/// The three reductions of one [`fused_pass`].
+struct Sums {
+    /// `Σ acc²` over the gathered product.
+    sq: f64,
+    /// `Σ v²` over the current iterate.
+    vv: f64,
+    /// `Σ prev · v`.
+    dot: f64,
+}
+
+/// Gathers `acc[i] = Σ weights[src]` over `i`'s in-CSR slice into
+/// `prev_then_acc`, after reading `prev_then_acc[i]` as the previous
+/// iterate for the dot product with `v`.
+fn fused_pass(
+    in_offsets: &[u32],
+    in_sources: &[NodeId],
+    weights: &[f64],
+    v: &[f64],
+    prev_then_acc: &mut [f64],
+) -> Sums {
+    let mut sums = Sums {
+        sq: 0.0,
+        vv: 0.0,
+        dot: 0.0,
+    };
+    for ((bounds, &vi), slot) in in_offsets.windows(2).zip(v).zip(prev_then_acc) {
+        let mut acc = 0.0;
+        for &src in &in_sources[bounds[0] as usize..bounds[1] as usize] {
+            acc += weights[src.index()];
+        }
+        sums.sq += acc * acc;
+        sums.vv += vi * vi;
+        sums.dot += *slot * vi;
+        *slot = acc;
+    }
+    sums
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::{complete, ring, watts_strogatz_strongly_connected};
+    use crate::generators::{complete, k_out_random, ring, watts_strogatz_strongly_connected};
     use crate::graph::Topology;
+    use ta_sim::rng::{SplitMix64, Xoshiro256pp};
+
+    /// The power iteration as it was written before the fused kernel, kept
+    /// verbatim as its bit-identity oracle; it also counts its matrix
+    /// products.
+    fn oracle(topo: &Topology, max_iters: usize, tol: f64) -> (Vec<f64>, usize) {
+        let a = ColumnStochastic::new(topo).unwrap();
+        let n = topo.n();
+        let mut x = vec![1.0; n];
+        let mut next = vec![0.0; n];
+        let mut iters = 0;
+        for _ in 0..max_iters {
+            iters += 1;
+            a.multiply(&x, &mut next);
+            let norm = l2_norm(&next);
+            if norm == 0.0 {
+                break; // all mass vanished (cannot happen when stochastic)
+            }
+            for v in next.iter_mut() {
+                *v /= norm;
+            }
+            let delta = angle_between(&x, &next);
+            std::mem::swap(&mut x, &mut next);
+            if delta < tol {
+                break;
+            }
+        }
+        let norm = l2_norm(&x);
+        if norm > 0.0 {
+            for v in x.iter_mut() {
+                *v /= norm;
+            }
+        }
+        (x, iters)
+    }
+
+    /// Asserts the kernel returns the oracle's bits and iteration count;
+    /// returns the count.
+    fn assert_bit_identical(topo: &Topology, max_iters: usize, tol: f64) -> usize {
+        let (want, want_iters) = oracle(topo, max_iters, tol);
+        let (got, got_iters) = power_iteration(topo, max_iters, tol).unwrap();
+        assert_eq!(got_iters, want_iters, "iteration count");
+        assert_eq!(got.len(), want.len());
+        for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "component {k}: {g} vs {w}");
+        }
+        got_iters
+    }
+
+    fn reference_bits(topo: &Topology) -> usize {
+        assert_bit_identical(topo, REFERENCE_MAX_ITERS, REFERENCE_TOL)
+    }
+
+    #[test]
+    fn kernel_matches_oracle_on_small_world() {
+        // Every out-degree is 4: the power-of-two weights.
+        let t = watts_strogatz_strongly_connected(300, 4, 0.01, 11, 50).unwrap();
+        assert!((0..300).all(|i| t.out_degree(NodeId::from_index(i)) == 4));
+        assert!(reference_bits(&t) > 100);
+    }
+
+    #[test]
+    fn kernel_matches_oracle_on_k_out() {
+        // Out-degree 20: every weight is a true division.
+        let mut rng = Xoshiro256pp::stream(5, 0x70);
+        let t = k_out_random(400, 20, &mut rng).unwrap();
+        reference_bits(&t);
+    }
+
+    #[test]
+    fn kernel_matches_oracle_on_complete_graph() {
+        reference_bits(&complete(8).unwrap());
+    }
+
+    #[test]
+    fn kernel_matches_oracle_on_mixed_degrees() {
+        // Node i links to its next 1 + i % 7 successors: out-degrees 1..=7
+        // side by side, strongly connected and aperiodic.
+        let n = 50u32;
+        let edges = (0..n).flat_map(|i| (1..=1 + i % 7).map(move |j| (i, (i + j) % n)));
+        let t = Topology::from_edges(n as usize, edges).unwrap();
+        reference_bits(&t);
+    }
+
+    #[test]
+    fn kernel_matches_oracle_at_the_iteration_cap() {
+        // The directed ring is periodic, but x_0 = 1 is already its fixed
+        // point: one product, and the angle reads 0.
+        assert_eq!(
+            assert_bit_identical(&ring(6).unwrap(), 1_000, REFERENCE_TOL),
+            1
+        );
+        // The star 0 <-> {1, 2} is periodic with x_0 off its fixed point:
+        // the iterate swings between two directions for ever, so both loops
+        // leave through `max_iters`.
+        let star = Topology::from_edges(3, [(0, 1), (0, 2), (1, 0), (2, 0)]).unwrap();
+        assert_eq!(assert_bit_identical(&star, 1_000, REFERENCE_TOL), 1_000);
+        // A cap that cuts a converging solve short, and a cap of zero.
+        let ws = watts_strogatz_strongly_connected(300, 4, 0.01, 11, 50).unwrap();
+        assert_eq!(assert_bit_identical(&ws, 37, REFERENCE_TOL), 37);
+        assert_eq!(assert_bit_identical(&ws, 0, REFERENCE_TOL), 0);
+    }
+
+    /// The `sim_paper_grid` chaotic spec: Watts–Strogatz n = 2000, k = 4,
+    /// p = 0.01, with the topology seed the experiment runner derives from
+    /// the master seed. Too slow for a debug build; run it with
+    /// `cargo test --release -p ta-overlay -- --include-ignored`.
+    #[test]
+    #[ignore = "tens of seconds unoptimised; run with --release --include-ignored"]
+    fn kernel_matches_oracle_on_the_benchmark_grid() {
+        for (seed, iters) in [(17u64, 18_143), (29, 12_795)] {
+            let topo_seed = SplitMix64::new(seed ^ 0x7069_7065).next_u64();
+            let t = watts_strogatz_strongly_connected(2000, 4, 0.01, topo_seed, 50).unwrap();
+            assert_eq!(reference_bits(&t), iters, "seed {seed}");
+        }
+    }
 
     #[test]
     fn weights_are_inverse_out_degree() {
@@ -250,6 +470,19 @@ mod tests {
         assert!((angle_between(&a, &c) - std::f64::consts::PI).abs() < 1e-12);
         // Zero vector convention.
         assert!((angle_between(&a, &[0.0, 0.0]) - std::f64::consts::FRAC_PI_2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn angle_between_reads_zero_below_its_floor() {
+        let pair = |theta: f64| angle_between(&[1.0, 0.0], &[theta.cos(), theta.sin()]);
+        // cos(1e-9) rounds to 1.0.
+        assert_eq!(pair(1e-9), 0.0);
+        // cos(2e-8) rounds to 1 - 2^-52, two steps below 1.0, whose acos
+        // is 2^-25.5 ≈ 2.1e-8.
+        let a = pair(2e-8);
+        assert!((a - 2.1e-8).abs() < 0.1 * 2.1e-8, "angle = {a}");
+        // The smallest non-zero reading: acos of the largest double below 1.
+        assert!(((1.0 - f64::EPSILON / 2.0).acos() - 1.49e-8).abs() < 1e-10);
     }
 
     #[test]
