@@ -121,7 +121,7 @@ fn build_gossip(
     proto
 }
 
-fn gossip_digest(n: usize, seed: u64, churn: bool, shards: Option<(usize, usize, bool)>) -> Digest {
+fn gossip_digest(n: usize, seed: u64, churn: bool, shards: Option<ShardOpts>) -> Digest {
     let topo = topo(n, seed);
     let proto = build_gossip(n, seed, &topo, churn);
     let config = cfg(n, seed);
@@ -132,13 +132,8 @@ fn gossip_digest(n: usize, seed: u64, churn: bool, shards: Option<(usize, usize,
             sim.run_to_end();
             sim.into_parts()
         }
-        Some((shards, threads, pin)) => {
-            let opts = ShardOpts {
-                shards,
-                threads,
-                pin,
-            };
-            let mut sim = ShardedSimulation::with_opts(config, avail, proto, opts);
+        Some(opts) => {
+            let mut sim = ShardedSimulation::new(config, avail, proto, opts);
             sim.run_to_end();
             sim.into_parts()
         }
@@ -156,12 +151,9 @@ fn gossip_learning_sharded_is_byte_identical() {
         if churn {
             assert!(serial.stats.pull_requests > 0, "churn run must pull");
         }
-        for (shards, pin) in [(1, false), (2, false), (2, true), (4, true)] {
-            let sharded = gossip_digest(60, 9, churn, Some((shards, 2, pin)));
-            assert_eq!(
-                serial, sharded,
-                "gossip-learning churn={churn} S={shards} pin={pin}"
-            );
+        for shards in [1, 2, 4] {
+            let sharded = gossip_digest(60, 9, churn, Some(ShardOpts { shards, threads: 2 }));
+            assert_eq!(serial, sharded, "gossip-learning churn={churn} S={shards}");
         }
     }
 }
@@ -170,12 +162,7 @@ fn gossip_learning_sharded_is_byte_identical() {
 /// through the barrier-time inject hook, whose global counter each shard
 /// replicates via `on_remote_inject`. The digest covers the lag metric
 /// (f64 bits), counters, histograms, and the full per-node update state.
-fn push_gossip_digest(
-    n: usize,
-    seed: u64,
-    churn: bool,
-    shards: Option<(usize, usize, bool)>,
-) -> Digest {
+fn push_gossip_digest(n: usize, seed: u64, churn: bool, shards: Option<ShardOpts>) -> Digest {
     use ta_apps::push_gossip::PushGossip;
     let topo = topo(n, seed);
     let initial: Vec<bool> = (0..n)
@@ -202,13 +189,8 @@ fn push_gossip_digest(
             sim.run_to_end();
             sim.into_parts()
         }
-        Some((shards, threads, pin)) => {
-            let opts = ShardOpts {
-                shards,
-                threads,
-                pin,
-            };
-            let mut sim = ShardedSimulation::with_opts(config, avail, proto, opts);
+        Some(opts) => {
+            let mut sim = ShardedSimulation::new(config, avail, proto, opts);
             sim.run_to_end();
             sim.into_parts()
         }
@@ -227,12 +209,9 @@ fn push_gossip_sharded_is_byte_identical() {
         let serial = push_gossip_digest(60, 21, churn, None);
         assert!(serial.sim.injections > 0, "workload must inject updates");
         assert!(serial.sim.messages_delivered > 0);
-        for (shards, pin) in [(1, false), (2, false), (2, true), (4, true)] {
-            let sharded = push_gossip_digest(60, 21, churn, Some((shards, 2, pin)));
-            assert_eq!(
-                serial, sharded,
-                "push-gossip churn={churn} S={shards} pin={pin}"
-            );
+        for shards in [1, 2, 4] {
+            let sharded = push_gossip_digest(60, 21, churn, Some(ShardOpts { shards, threads: 2 }));
+            assert_eq!(serial, sharded, "push-gossip churn={churn} S={shards}");
         }
     }
 }
@@ -241,7 +220,7 @@ fn push_gossip_sharded_is_byte_identical() {
 fn sgd_sharded_is_byte_identical_including_f64_metric() {
     let n = 40;
     let data = RegressionData::generate(n, 6, 0.05, 17);
-    let run = |shards: Option<(usize, usize, bool)>| {
+    let run = |shards: Option<ShardOpts>| {
         let topo = topo(n, 3);
         let app = SgdGossipLearning::new(data.clone(), 0.15);
         let strategy = RandomizedTokenAccount::new(3, 8).unwrap();
@@ -253,13 +232,8 @@ fn sgd_sharded_is_byte_identical_including_f64_metric() {
                 s.run_to_end();
                 s.into_parts()
             }
-            Some((shards, threads, pin)) => {
-                let opts = ShardOpts {
-                    shards,
-                    threads,
-                    pin,
-                };
-                let mut sim = ShardedSimulation::with_opts(config, &ta_sim::AlwaysOn, proto, opts);
+            Some(opts) => {
+                let mut sim = ShardedSimulation::new(config, &ta_sim::AlwaysOn, proto, opts);
                 sim.run_to_end();
                 sim.into_parts()
             }
@@ -280,9 +254,9 @@ fn sgd_sharded_is_byte_identical_including_f64_metric() {
     };
     let serial = run(None);
     assert!(!serial.metric.is_empty());
-    for (shards, pin) in [(1, false), (2, true), (3, false), (4, true)] {
-        let sharded = run(Some((shards, 2, pin)));
-        assert_eq!(serial, sharded, "sgd S={shards} pin={pin}");
+    for shards in [1, 2, 3, 4] {
+        let sharded = run(Some(ShardOpts { shards, threads: 2 }));
+        assert_eq!(serial, sharded, "sgd S={shards}");
     }
 }
 

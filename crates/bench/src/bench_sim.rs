@@ -454,7 +454,7 @@ fn shard_gossip_run(
     mode: Option<(usize, usize)>,
 ) -> u64 {
     use ta_apps::gossip_learning::GossipLearning;
-    use ta_sim::shard::ShardedSimulation;
+    use ta_sim::shard::{ShardOpts, ShardedSimulation};
     let n = topo.n();
     let cfg = SimConfig::builder(n)
         .delta(paper::DELTA)
@@ -474,7 +474,8 @@ fn shard_gossip_run(
             sim.stats().events_processed
         }
         Some((shards, threads)) => {
-            let mut sim = ShardedSimulation::new(cfg, &AlwaysOn, proto, shards, threads);
+            let opts = ShardOpts { shards, threads };
+            let mut sim = ShardedSimulation::new(cfg, &AlwaysOn, proto, opts);
             sim.run_to_end();
             sim.stats().events_processed
         }
@@ -614,7 +615,7 @@ fn shard_gossip_profile(
     threads: usize,
 ) -> ta_telemetry::ProfileData {
     use ta_apps::gossip_learning::GossipLearning;
-    use ta_sim::shard::ShardedSimulation;
+    use ta_sim::shard::{ShardOpts, ShardedSimulation};
     let n = topo.n();
     let cfg = SimConfig::builder(n)
         .delta(paper::DELTA)
@@ -627,7 +628,8 @@ fn shard_gossip_profile(
     let app = GossipLearning::new(n, paper::TRANSFER_TIME, &vec![true; n]);
     let strategy = RandomizedTokenAccount::new(5, 10).expect("valid strategy");
     let proto = TokenProtocol::new(Arc::clone(topo), strategy, app, vec![true; n]);
-    let mut sim = ShardedSimulation::new(cfg, &AlwaysOn, proto, shards, threads);
+    let opts = ShardOpts { shards, threads };
+    let mut sim = ShardedSimulation::new(cfg, &AlwaysOn, proto, opts);
     sim.run_to_end();
     sim.profile()
 }

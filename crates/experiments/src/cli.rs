@@ -242,9 +242,8 @@ fn fail_event(bin: &str, detail: impl fmt::Display) {
 /// One figure step: the name its failure reports under, and its run.
 pub type Step = (&'static str, fn(&FigureOpts) -> Result<Report, FigureError>);
 
-/// The whole `main` of a figure binary: reads [`FigureOpts`], exports
-/// `--shards` and `--pin` as `TA_SHARDS` and `TA_PIN`, then runs each
-/// step and prints its report, with a blank line between two reports.
+/// The whole `main` of a figure binary: reads [`FigureOpts`], then runs
+/// each step and prints its report, with a blank line between two reports.
 /// A failed step prints `event=<name> ok=false` to stderr and turns the
 /// exit code to 1; the steps after it still run.
 pub fn figure_main(bin: &str, steps: &[Step]) -> ExitCode {
@@ -252,14 +251,6 @@ pub fn figure_main(bin: &str, steps: &[Step]) -> ExitCode {
         Ok(opts) => opts,
         Err(code) => return code,
     };
-    // The runner reads the parallelism knobs from the environment, so
-    // every spec a figure threads through `run_grid_prepared` sees them.
-    if let Some(s) = opts.shards {
-        std::env::set_var("TA_SHARDS", s.to_string());
-    }
-    if opts.pin {
-        std::env::set_var("TA_PIN", "1");
-    }
     let mut code = ExitCode::SUCCESS;
     for (i, (name, run)) in steps.iter().enumerate() {
         if i > 0 {
@@ -291,14 +282,6 @@ pub struct FigureOpts {
     pub out_dir: PathBuf,
     /// Use paper-scale defaults.
     pub full: bool,
-    /// Intra-run shard count override (`--shards`): cuts every replica
-    /// into this many shards. `None` lets the runner trade across-run vs.
-    /// intra-run parallelism itself. Never affects results — a run is
-    /// byte-identical for every shard count.
-    pub shards: Option<usize>,
-    /// Pin intra-run shard workers to cores (`--pin`, exported as
-    /// `TA_PIN=1`). Wall-clock only; results are identical either way.
-    pub pin: bool,
 }
 
 impl Default for FigureOpts {
@@ -310,8 +293,6 @@ impl Default for FigureOpts {
             seed: 1,
             out_dir: PathBuf::from("results"),
             full: false,
-            shards: None,
-            pin: false,
         }
     }
 }
@@ -327,10 +308,6 @@ impl Options for FigureOpts {
              Int(0, u64::MAX, |o, v| o.rounds = Some(v))),
         flag("--seed", "<s>", "1", "master seed", Int(0, u64::MAX, |o, v| o.seed = v)),
         flag("--out", "<dir>", "results", "output directory", Path(|o, v| o.out_dir = v)),
-        flag("--shards", "<s>", "", "intra-run shards per replica (default: auto; results are \
-              identical for every value)", Int(1, USIZE, |o, v| o.shards = Some(v as usize))),
-        flag("--pin", "", "", "pin intra-run shard workers to cores (wall-clock only)",
-             Switch(|o| o.pin = true)),
         flag("--full", "", "", "paper-scale defaults", Switch(|o| o.full = true)),
     ];
 }
@@ -644,7 +621,7 @@ mod tests {
         assert!(fig(&["--bogus"]).is_err());
         let help = help::<FigureOpts>();
         assert!(help.contains("--rounds"));
-        assert!(help.contains("--shards"));
+        assert!(help.contains("--full"));
         // Zero nodes or zero runs are usage errors naming the flag, not
         // panics deep in the runner.
         for (flag, bad) in [
@@ -657,21 +634,6 @@ mod tests {
             assert!(err.contains(flag), "{flag} {bad}: {err}");
         }
         assert_eq!(fig(&["--rounds", "0"]).unwrap().rounds, Some(0));
-    }
-
-    #[test]
-    fn shards_parse_and_validate() {
-        assert_eq!(fig(&["--shards", "4"]).unwrap().shards, Some(4));
-        assert_eq!(fig(&[]).unwrap().shards, None);
-        assert!(fig(&["--shards", "0"]).is_err());
-        assert!(fig(&["--shards", "x"]).is_err());
-    }
-
-    #[test]
-    fn pin_parses_and_is_in_usage() {
-        assert!(fig(&["--pin"]).unwrap().pin);
-        assert!(!fig(&[]).unwrap().pin);
-        assert!(help::<FigureOpts>().contains("--pin"));
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //! and most do for chaotic iteration; push gossip is insensitive to the
 //! parameters except `A = C`; gossip learning needs a large enough `C`.
 
+use std::path::PathBuf;
+
 use crate::cli::FigureOpts;
 use crate::figures::{comparison_table, plot_series, Family, FigureError};
 use crate::report::Report;
@@ -26,18 +28,17 @@ pub const APPS: [AppKind; 3] = [
     AppKind::ChaoticIteration,
 ];
 
-/// Runs one panel (one app × one family) over `prepared`, the topology
-/// of `base_spec`: baseline first, then the family's representative
-/// strategies. Returns labelled results.
+/// Runs one panel of Figures 2–4 over `prepared`, the topology of
+/// `base_spec`: the proactive baseline first, then `strategies`. Returns
+/// labelled results.
 pub fn run_panel(
-    app: AppKind,
-    family: Family,
     base_spec: &ExperimentSpec,
+    strategies: impl IntoIterator<Item = StrategySpec>,
     prepared: &PreparedTopology,
 ) -> Result<Vec<(String, ExperimentResult)>, RunError> {
-    debug_assert_eq!(app, base_spec.app, "panel app must match the base spec");
-    let mut strategies = vec![StrategySpec::Proactive];
-    strategies.extend(family.representative());
+    let strategies: Vec<StrategySpec> = std::iter::once(StrategySpec::Proactive)
+        .chain(strategies)
+        .collect();
     // One flattened (strategy × run) grid: the whole panel saturates the
     // worker pool instead of joining after each curve.
     let specs: Vec<ExperimentSpec> = strategies
@@ -49,6 +50,25 @@ pub fn run_panel(
         .collect();
     let results = run_grid_prepared(&specs, prepared)?;
     Ok(strategies.iter().map(|s| s.label()).zip(results).collect())
+}
+
+/// Adds one panel of Figures 2–4 to `report`: its comparison table under
+/// `title`, and its plot series as the `.dat` file `path`, headed by
+/// `caption`.
+pub fn report_panel(
+    report: &mut Report,
+    app: AppKind,
+    entries: &[(String, ExperimentResult)],
+    title: String,
+    path: PathBuf,
+    caption: &str,
+) -> Result<(), FigureError> {
+    report.table(title, comparison_table(app, entries));
+    let labels: Vec<&str> = entries.iter().map(|(l, _)| l.as_str()).collect();
+    let series: Vec<_> = entries.iter().map(|(_, r)| plot_series(app, r)).collect();
+    ta_metrics::output::write_dat(&path, caption, &labels, &series)?;
+    report.file(path);
+    Ok(())
 }
 
 /// Runs the full Figure 2 regeneration.
@@ -73,28 +93,15 @@ pub fn run(opts: &FigureOpts) -> Result<Report, FigureError> {
         // iteration, its reference eigenvector: prepare them once.
         let prepared = prepare_topology(&base)?;
         for family in Family::ALL {
-            let entries = run_panel(app, family, &base, &prepared)?;
-            report.table(
-                format!("{} / {}", app.name(), family.name()),
-                comparison_table(app, &entries),
-            );
-            let labels: Vec<String> = entries.iter().map(|(l, _)| l.clone()).collect();
-            let label_refs: Vec<&str> = labels.iter().map(String::as_str).collect();
-            let series: Vec<_> = entries.iter().map(|(_, r)| plot_series(app, r)).collect();
-            let path = opts
-                .out_dir
-                .join(format!("fig2_{}_{}.dat", app.name(), family.name()));
-            ta_metrics::output::write_dat(
-                &path,
-                &format!(
-                    "Figure 2 panel: {} with {} strategies (failure-free, N={n})",
-                    app.name(),
-                    family.name()
-                ),
-                &label_refs,
-                &series,
+            let (a, f) = (app.name(), family.name());
+            report_panel(
+                &mut report,
+                app,
+                &run_panel(&base, family.representative(), &prepared)?,
+                format!("{a} / {f}"),
+                opts.out_dir.join(format!("fig2_{a}_{f}.dat")),
+                &format!("Figure 2 panel: {a} with {f} strategies (failure-free, N={n})"),
             )?;
-            report.file(path);
         }
     }
     Ok(report)
@@ -114,13 +121,7 @@ mod tests {
                 .with_seed(2);
         base.topology = TopologyKind::KOut { k: 8 };
         let prepared = prepare_topology(&base).unwrap();
-        let entries = run_panel(
-            AppKind::GossipLearning,
-            Family::Randomized,
-            &base,
-            &prepared,
-        )
-        .unwrap();
+        let entries = run_panel(&base, Family::Randomized.representative(), &prepared).unwrap();
         // Baseline + 6 representative combos.
         assert_eq!(entries.len(), 7);
         let baseline = entries[0].1.metric.last_value().unwrap();

@@ -13,9 +13,10 @@
 //! well-defined under aggressive churn.)
 
 use crate::cli::FigureOpts;
-use crate::figures::{comparison_table, plot_series, Family, FigureError};
+use crate::figures::fig2::{report_panel, run_panel};
+use crate::figures::{Family, FigureError};
 use crate::report::Report;
-use crate::runner::{prepare_topology, run_grid_prepared};
+use crate::runner::prepare_topology;
 use crate::spec::{AppKind, ExperimentSpec};
 use token_account::StrategySpec;
 
@@ -38,46 +39,23 @@ pub fn run(opts: &FigureOpts) -> Result<Report, FigureError> {
         format!("smartphone trace scenario, N={n}, {rounds} rounds, {runs} runs per curve"),
     );
     for app in APPS {
+        let base = ExperimentSpec::paper_defaults(app, StrategySpec::Proactive, n)
+            .with_rounds(rounds)
+            .with_runs(runs)
+            .with_seed(opts.seed)
+            .with_smartphone_churn();
+        // The families share the app's overlay: prepare it once.
+        let prepared = prepare_topology(&base)?;
         for family in Family::ALL {
-            let base = ExperimentSpec::paper_defaults(app, StrategySpec::Proactive, n)
-                .with_rounds(rounds)
-                .with_runs(runs)
-                .with_seed(opts.seed)
-                .with_smartphone_churn();
-            let prepared = prepare_topology(&base)?;
-            let mut strategies = vec![StrategySpec::Proactive];
-            strategies.extend(family.representative());
-            // One flattened (strategy × run) grid per panel.
-            let specs: Vec<ExperimentSpec> = strategies
-                .iter()
-                .map(|&strategy| ExperimentSpec {
-                    strategy,
-                    ..base.clone()
-                })
-                .collect();
-            let results = run_grid_prepared(&specs, &prepared)?;
-            let entries: Vec<_> = strategies.iter().map(|s| s.label()).zip(results).collect();
-            report.table(
-                format!("{} / {} (trace)", app.name(), family.name()),
-                comparison_table(app, &entries),
-            );
-            let labels: Vec<String> = entries.iter().map(|(l, _)| l.clone()).collect();
-            let label_refs: Vec<&str> = labels.iter().map(String::as_str).collect();
-            let series: Vec<_> = entries.iter().map(|(_, r)| plot_series(app, r)).collect();
-            let path = opts
-                .out_dir
-                .join(format!("fig3_{}_{}.dat", app.name(), family.name()));
-            ta_metrics::output::write_dat(
-                &path,
-                &format!(
-                    "Figure 3 panel: {} with {} strategies (smartphone trace, N={n})",
-                    app.name(),
-                    family.name()
-                ),
-                &label_refs,
-                &series,
+            let (a, f) = (app.name(), family.name());
+            report_panel(
+                &mut report,
+                app,
+                &run_panel(&base, family.representative(), &prepared)?,
+                format!("{a} / {f} (trace)"),
+                opts.out_dir.join(format!("fig3_{a}_{f}.dat")),
+                &format!("Figure 3 panel: {a} with {f} strategies (smartphone trace, N={n})"),
             )?;
-            report.file(path);
         }
     }
     Ok(report)

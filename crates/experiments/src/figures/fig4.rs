@@ -15,9 +15,10 @@
 //! `--full` runs the paper's N = 500,000.
 
 use crate::cli::FigureOpts;
-use crate::figures::{comparison_table, plot_series, Family, FigureError};
+use crate::figures::fig2::{report_panel, run_panel};
+use crate::figures::{Family, FigureError};
 use crate::report::Report;
-use crate::runner::{prepare_topology, run_grid_prepared};
+use crate::runner::prepare_topology;
 use crate::spec::{AppKind, ExperimentSpec};
 use token_account::StrategySpec;
 
@@ -41,45 +42,23 @@ pub fn run(opts: &FigureOpts) -> Result<Report, FigureError> {
         format!("failure-free scenario at N={n}, {rounds} rounds, {runs} runs per curve"),
     );
     for app in APPS {
+        let base = ExperimentSpec::paper_defaults(app, StrategySpec::Proactive, n)
+            .with_rounds(rounds)
+            .with_runs(runs)
+            .with_seed(opts.seed);
+        // The families share the app's overlay: prepare it once.
+        let prepared = prepare_topology(&base)?;
         for family in [Family::Generalized, Family::Randomized] {
-            let base = ExperimentSpec::paper_defaults(app, StrategySpec::Proactive, n)
-                .with_rounds(rounds)
-                .with_runs(runs)
-                .with_seed(opts.seed);
-            let prepared = prepare_topology(&base)?;
-            let mut strategies = vec![StrategySpec::Proactive];
-            strategies.extend(LARGE_N_AC.iter().map(|&(a, c)| family.with_params(a, c)));
-            // One flattened (strategy × run) grid per panel.
-            let specs: Vec<ExperimentSpec> = strategies
-                .iter()
-                .map(|&strategy| ExperimentSpec {
-                    strategy,
-                    ..base.clone()
-                })
-                .collect();
-            let results = run_grid_prepared(&specs, &prepared)?;
-            let entries: Vec<_> = strategies.iter().map(|s| s.label()).zip(results).collect();
-            report.table(
-                format!("{} / {} (N={n})", app.name(), family.name()),
-                comparison_table(app, &entries),
-            );
-            let labels: Vec<String> = entries.iter().map(|(l, _)| l.clone()).collect();
-            let label_refs: Vec<&str> = labels.iter().map(String::as_str).collect();
-            let series: Vec<_> = entries.iter().map(|(_, r)| plot_series(app, r)).collect();
-            let path = opts
-                .out_dir
-                .join(format!("fig4_{}_{}.dat", app.name(), family.name()));
-            ta_metrics::output::write_dat(
-                &path,
-                &format!(
-                    "Figure 4 panel: {} with {} strategies (failure-free, N={n})",
-                    app.name(),
-                    family.name()
-                ),
-                &label_refs,
-                &series,
+            let strategies = LARGE_N_AC.iter().map(|&(a, c)| family.with_params(a, c));
+            let (a, f) = (app.name(), family.name());
+            report_panel(
+                &mut report,
+                app,
+                &run_panel(&base, strategies, &prepared)?,
+                format!("{a} / {f} (N={n})"),
+                opts.out_dir.join(format!("fig4_{a}_{f}.dat")),
+                &format!("Figure 4 panel: {a} with {f} strategies (failure-free, N={n})"),
             )?;
-            report.file(path);
         }
     }
     Ok(report)

@@ -30,20 +30,6 @@ pub fn max_workers() -> usize {
     }
 }
 
-/// Explicit intra-run shard count from the `TA_SHARDS` environment
-/// variable (the `--shards` CLI knob exports it), or `None` to let the
-/// runner trade across-run against intra-run parallelism itself.
-///
-/// Shard count never affects results — a run is byte-identical for every
-/// `TA_SHARDS`, 1 included — so this knob is purely about wall-clock
-/// scheduling.
-pub fn shard_override() -> Option<usize> {
-    match std::env::var("TA_SHARDS") {
-        Ok(v) => v.trim().parse::<usize>().ok().filter(|&n| n >= 1),
-        Err(_) => None,
-    }
-}
-
 /// Tells glibc's allocator to keep freed memory mapped for the rest of the
 /// process (once; a no-op elsewhere).
 ///

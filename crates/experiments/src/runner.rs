@@ -14,12 +14,10 @@
 //! the thread of its pool worker — is the choice while the flattened grid
 //! fills the pool. When it cannot (one huge-N spec, a straggler tail),
 //! replicas of shardable applications are cut into several shards that run
-//! side by side — `TA_SHARDS`/`--shards` overrides the automatic trade,
-//! and `TA_PIN`/`--pin` additionally pins the shard workers to cores.
-//! Whatever the trade, intra-run worker threads are capped so that
-//! *concurrent replicas × threads per replica* never exceeds the pool size
-//! (an explicit shard count keeps its S blocks, multiplexed onto fewer
-//! threads). The shard count never changes a result; failure-free specs
+//! side by side. The runner alone makes that trade, per grid, from the
+//! number of jobs and of pool workers, and caps intra-run worker threads
+//! so that *concurrent replicas × threads per replica* never exceeds the
+//! pool size. The shard count never changes a result; failure-free specs
 //! additionally share one frozen `OnlineNeighbors` mirror across all their
 //! runs (built once per prepared topology instead of once per job). A run
 //! under churn builds its own mirror, and a sharded one cuts it into
@@ -264,11 +262,7 @@ impl<A: Application> Face<A> for Whole {
 
 /// Cut into `shards` blocks (one block is the same run as [`Whole`]):
 /// shardable applications. Sharding never changes results, so this is
-/// purely a wall-clock scheduling choice. The shard *count* and the
-/// worker-*thread* count are decoupled on purpose: `run_grid_prepared`
-/// caps `grid workers × intra-run threads` at the pool size, so an explicit
-/// `TA_SHARDS` still partitions into S blocks but multiplexes them onto the
-/// capped thread budget instead of oversubscribing the machine.
+/// purely a wall-clock scheduling choice, made by [`layout`].
 impl<A> Face<A> for ShardOpts
 where
     A: ShardableApplication + Send,
@@ -280,7 +274,7 @@ where
         schedule: &AvailabilitySchedule,
         proto: TokenProtocol<A>,
     ) -> (TokenProtocol<A>, SimStats, ProfileData) {
-        let mut sim = ShardedSimulation::with_opts(cfg, schedule, proto, self);
+        let mut sim = ShardedSimulation::new(cfg, schedule, proto, self);
         sim.run_to_end();
         let profile = sim.profile();
         let (proto, stats) = sim.into_parts();
@@ -521,29 +515,7 @@ pub fn run_grid_prepared(
         .enumerate()
         .flat_map(|(s, spec)| (0..spec.runs).map(move |r| (s, r)))
         .collect();
-    // Trade across-run against intra-run parallelism: while the job list
-    // alone can fill the pool, every replica is one shard on its pool
-    // worker's thread; once there are fewer jobs than workers (one huge-N
-    // spec, a tail of stragglers), cut each replica into shards so the
-    // machine stays saturated. `TA_SHARDS` overrides the choice; results
-    // are byte-identical either way.
-    //
-    // Oversubscription policy: the pool runs `min(max_workers, jobs)`
-    // replicas concurrently, so each replica's shards get a thread budget
-    // of `max_workers / grid_workers` — the product never exceeds the pool
-    // size. An explicit `TA_SHARDS=S` keeps its S shard *blocks* (the
-    // partition is part of the byte-identical contract's schedule, never
-    // its results) but multiplexes them onto the capped budget instead of
-    // spawning S threads per concurrent replica.
-    let workers = crate::pool::max_workers();
-    let grid_workers = workers.min(jobs.len()).max(1);
-    let thread_budget = (workers / grid_workers).max(1);
-    let shards = match crate::pool::shard_override() {
-        Some(s) => s,
-        None if jobs.len() >= workers => 1,
-        None => thread_budget.min(8),
-    };
-    let opts = ShardOpts::new(shards, shards.min(thread_budget));
+    let opts = layout(jobs.len(), crate::pool::max_workers());
     let topo = Arc::clone(&prepared.topo);
     let reference = prepared.reference.clone();
     let mirror = prepared.frozen_mirror.clone();
@@ -561,6 +533,26 @@ pub fn run_grid_prepared(
         results.push(aggregate(spec, runs));
     }
     Ok(results)
+}
+
+/// The shard layout of every replica of a grid of `jobs` replicas on a
+/// pool of `workers` workers: across-run against intra-run parallelism.
+///
+/// While the job list alone can fill the pool, every replica is one shard
+/// on its pool worker's thread. Once there are fewer jobs than workers
+/// (one huge-N spec, a tail of stragglers), each replica is cut into
+/// shards so the machine stays saturated. The pool runs
+/// `min(workers, jobs)` replicas concurrently, so each replica's shards
+/// get a thread budget of `workers / min(workers, jobs)`: the product
+/// never exceeds the pool size. Results are byte-identical for every
+/// layout.
+fn layout(jobs: usize, workers: usize) -> ShardOpts {
+    let budget = (workers / workers.min(jobs).max(1)).max(1);
+    let shards = if jobs >= workers { 1 } else { budget.min(8) };
+    ShardOpts {
+        shards,
+        threads: shards.min(budget),
+    }
 }
 
 /// Averages one spec's replica outcomes into an [`ExperimentResult`].
@@ -608,7 +600,6 @@ mod tests {
     const ONE_SHARD: ShardOpts = ShardOpts {
         shards: 1,
         threads: 1,
-        pin: false,
     };
 
     fn tiny(app: AppKind, strategy: StrategySpec) -> ExperimentSpec {
@@ -753,18 +744,14 @@ mod tests {
                 ONE_SHARD,
             )
             .unwrap();
-            for (shards, pin) in [(2, false), (3, true), (4, false)] {
+            for shards in [2, 3, 4] {
                 let sharded = dispatch_run(
                     &spec,
                     0,
                     &prepared.topo,
                     &prepared.reference,
                     prepared.frozen_mirror.as_ref(),
-                    ShardOpts {
-                        shards,
-                        threads: 2,
-                        pin,
-                    },
+                    ShardOpts { shards, threads: 2 },
                 )
                 .unwrap();
                 assert_eq!(serial.metric, sharded.metric, "churn={churn} S={shards}");
@@ -776,6 +763,24 @@ mod tests {
                 assert_eq!(serial.sim, sharded.sim, "churn={churn} S={shards}");
                 assert_eq!(serial.sends_per_slot, sharded.sends_per_slot);
             }
+        }
+    }
+
+    #[test]
+    fn layout_trades_replicas_against_shards() {
+        for ((jobs, workers), (shards, threads)) in [
+            ((8, 2), (1, 1)), // sim_paper_grid: the grid fills the pool
+            ((1, 2), (2, 2)), // sim_big_churn: one replica, two workers
+            ((2, 4), (2, 2)),
+            ((1, 16), (8, 8)), // capped at eight shards
+            ((3, 8), (2, 2)),
+            ((0, 2), (2, 2)), // an empty grid runs nothing, but must not panic
+        ] {
+            assert_eq!(
+                layout(jobs, workers),
+                ShardOpts { shards, threads },
+                "jobs={jobs} workers={workers}"
+            );
         }
     }
 

@@ -193,9 +193,8 @@ fn figure_argv(o: &FigureOpts) -> Vec<String> {
         ("--rounds", o.rounds.map(|v| v.to_string())),
         ("--seed", Some(o.seed.to_string())),
         ("--out", Some(path(&o.out_dir))),
-        ("--shards", o.shards.map(|v| v.to_string())),
     ]);
-    a.extend(switches(&[("--pin", o.pin), ("--full", o.full)]));
+    a.extend(switches(&[("--full", o.full)]));
     a
 }
 

@@ -204,7 +204,7 @@ const GROUPED_FROM_CLIENTS: usize = 1 << 18;
 
 /// Recovers the durability domain in `dir`. The tail of a domain of 2¹⁸
 /// clients or more (`GROUPED_FROM_CLIENTS`) is folded in one shard group
-/// per core (`available_parallelism()`, which honours the affinity
+/// per core (`available_parallelism()`, which honours the process's CPU
 /// mask); a smaller domain's in one.
 ///
 /// # Errors

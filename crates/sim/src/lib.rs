@@ -47,7 +47,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod affinity;
 pub mod config;
 pub mod engine;
 pub mod ids;

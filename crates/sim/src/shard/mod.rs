@@ -46,16 +46,12 @@
 //! threads than on one. With `S == T` every shard stays on one thread for
 //! the whole run.
 //!
-//! Worker threads can be pinned to cores ([`crate::affinity`]) with
-//! `TA_PIN=1` or [`ShardOpts::pin`]; pinning trades nothing but
-//! wall-clock — results are identical either way.
-//!
 //! # Exactness, not just determinism
 //!
 //! Results are **byte-identical to S = 1** — the run [`Simulation`]
-//! executes — for every shard count, every worker-thread count, and
-//! pinning on or off; and S = 1 is pinned to the serial engine this
-//! workspace used to carry by the constants of `tests/golden_runs.rs`.
+//! executes — for every shard count and every worker-thread count; and
+//! S = 1 is pinned to the serial engine this workspace used to carry by
+//! the constants of `tests/golden_runs.rs`.
 //! Every source of ordering and randomness in the engine is
 //! *shard-invariant*:
 //!
@@ -82,13 +78,12 @@
 //! Sharding buys wall-clock parallelism *within one run*; the experiment
 //! harness's worker pool buys it *across* runs. Prefer across-run
 //! parallelism while there are at least as many (spec × run) jobs as
-//! cores; reach for `--shards` when a single huge-N scenario must saturate
-//! the machine (see `ta-experiments`' `run_grid_prepared`, which trades
-//! the two automatically and caps the product of the two layers at the
-//! core count). A shard-window must hold enough events to pay for its gate
-//! pass: at n = 100 000 two shards on two cores run 1.6× the single block,
-//! at n = 2 000 they run at 0.6–0.8× of it. Shard big runs, not small
-//! ones.
+//! cores; shard when a single huge-N scenario must saturate the machine.
+//! `ta-experiments`' `run_grid_prepared` makes that trade for every
+//! replica and caps the product of the two layers at the core count. A
+//! shard-window must hold enough events to pay for its gate pass: at
+//! n = 100 000 two shards on two cores run 1.6× the single block, at
+//! n = 2 000 they run at 0.6–0.8× of it. Shard big runs, not small ones.
 
 mod exchange;
 pub(crate) mod pipeline;
@@ -224,39 +219,15 @@ pub trait ShardableDriver: Driver + Sized {
     }
 }
 
-/// Whether `TA_PIN` requests pinned shard workers (`1` or `true`).
-///
-/// Read once per [`ShardedSimulation::new`]; tests that must not race on
-/// process environment use [`ShardOpts::pin`] instead.
-pub fn pin_from_env() -> bool {
-    std::env::var("TA_PIN")
-        .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-        .unwrap_or(false)
-}
-
-/// Execution options of a sharded run (partition width, worker threads,
-/// core pinning). All three trade wall-clock only: results are
-/// byte-identical for every combination.
+/// Execution options of a sharded run (partition width, worker threads).
+/// Both trade wall-clock only: results are byte-identical for every
+/// combination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardOpts {
     /// Number of shards (clamped to `[1, n]`).
     pub shards: usize,
-    /// Worker threads (`0` = all available cores; effective count is
-    /// additionally clamped to the shard count).
+    /// Worker threads (clamped to `[1, shards]`).
     pub threads: usize,
-    /// Pin worker `w` to core `w % cores` ([`crate::affinity`]).
-    pub pin: bool,
-}
-
-impl ShardOpts {
-    /// Options with `pin` taken from the `TA_PIN` environment knob.
-    pub fn new(shards: usize, threads: usize) -> Self {
-        ShardOpts {
-            shards,
-            threads,
-            pin: pin_from_env(),
-        }
-    }
 }
 
 /// One run partitioned across S ≥ 1 shards of a [`ShardableDriver`].
@@ -269,24 +240,10 @@ pub struct ShardedSimulation<D: ShardableDriver> {
 
 impl<D: ShardableDriver> ShardedSimulation<D> {
     /// Builds a sharded simulation over `availability` with the given
-    /// driver, partitioned into `shards` blocks (clamped to `[1, n]`) and
-    /// executed on up to `threads` worker threads (`0` = all available
-    /// cores; thread count never affects results). Worker pinning follows
-    /// the `TA_PIN` environment knob — use [`with_opts`](Self::with_opts)
-    /// to set it explicitly.
+    /// driver, partitioned into `opts.shards` blocks (clamped to `[1, n]`)
+    /// and executed on up to `opts.threads` worker threads (thread count
+    /// never affects results).
     pub fn new(
-        cfg: SimConfig,
-        availability: &dyn AvailabilityModel,
-        driver: D,
-        shards: usize,
-        threads: usize,
-    ) -> Self {
-        Self::with_opts(cfg, availability, driver, ShardOpts::new(shards, threads))
-    }
-
-    /// Builds a sharded simulation with explicit [`ShardOpts`] (the
-    /// environment-independent constructor).
-    pub fn with_opts(
         cfg: SimConfig,
         availability: &dyn AvailabilityModel,
         driver: D,
@@ -318,11 +275,7 @@ impl<D: ShardableDriver> ShardedSimulation<D> {
         D: Send,
         D::Msg: Send,
     {
-        let threads = match self.opts.threads {
-            0 => crate::affinity::available_cores(),
-            t => t,
-        };
-        self.core.run_to_end(threads, self.opts.pin);
+        self.core.run_to_end(self.opts.threads);
     }
 
     /// Current virtual time (the horizon once finished).
@@ -433,19 +386,5 @@ mod tests {
     fn plan_clamps_shard_count() {
         assert_eq!(ShardPlan::new(3, 10).shards(), 3);
         assert_eq!(ShardPlan::new(3, 0).shards(), 1);
-    }
-
-    #[test]
-    fn shard_opts_reads_pin_knob_shape() {
-        // Constructors only; the environment knob itself is covered by the
-        // root-level `TA_PIN`/`TA_SHARDS` test (env mutation is confined
-        // there because tests run concurrently).
-        let opts = ShardOpts {
-            shards: 4,
-            threads: 2,
-            pin: true,
-        };
-        assert_eq!(opts.shards, 4);
-        assert!(opts.pin);
     }
 }

@@ -279,8 +279,8 @@ where
     B::Msg: Send,
 {
     /// Runs to the horizon on up to `threads` worker threads (clamped to
-    /// the shard count), optionally pinned.
-    pub(crate) fn run_to_end(&mut self, threads: usize, pin: bool) {
+    /// `[1, shards]`).
+    pub(crate) fn run_to_end(&mut self, threads: usize) {
         if self.finished {
             return;
         }
@@ -312,9 +312,7 @@ where
                     txs.push(tx);
                     let done = done_tx.clone();
                     let (engines, ctl) = (&engines, &ctl);
-                    scope.spawn(move || {
-                        worker::worker_loop(w, rx, done, engines, ctl, transfer, pin)
-                    });
+                    scope.spawn(move || worker::worker_loop(w, rx, done, engines, ctl, transfer));
                 }
                 drop(done_tx);
                 let dispatch = Dispatch { txs, done: done_rx };

@@ -1,9 +1,8 @@
 //! Shard-window execution and the persistent worker loop.
 //!
 //! [`worker_loop`] is the thread body of a pipeline worker: spawned once
-//! per run, optionally pinned to a core, it receives [`Work`] messages
-//! from the coordinator, executes them through the shared [`SegCtl`] gate
-//! (claiming shard-window drains from its home lane first) — each drain is
+//! per run, it receives [`Work`] messages from the coordinator, executes
+//! them through the shared [`SegCtl`] gate (claiming shard-window drains from its home lane first) — each drain is
 //! the block's own [`Engine::run_until`] between a mailbox drain and an
 //! outbox deposit — and reports one done message per dispatch.
 //! Driver panics are caught, poison the gate so peers stop claiming, and
@@ -221,11 +220,9 @@ pub(super) fn run_part<D: Driver>(
     }
 }
 
-/// The thread body of one pipeline worker: optionally pin, then serve
-/// [`Work`] until the coordinator drops the channel. Every dispatch is
+/// The thread body of one pipeline worker: serves [`Work`] until the coordinator drops the channel. Every dispatch is
 /// answered with exactly one message on `done`, panic or not — the
 /// coordinator counts them to know the fleet is quiescent.
-#[allow(clippy::too_many_arguments)]
 pub(super) fn worker_loop<D: Driver>(
     index: usize,
     work: Receiver<Work>,
@@ -233,11 +230,7 @@ pub(super) fn worker_loop<D: Driver>(
     engines: &[Mutex<Engine<D>>],
     ctl: &SegCtl<D::Msg>,
     transfer: SimDuration,
-    pin: bool,
 ) {
-    if pin {
-        crate::affinity::pin_current_thread(index % crate::affinity::available_cores());
-    }
     let mut scratch = Scratch::new(engines.len());
     while let Ok(msg) = work.recv() {
         // Catch panics from driver callbacks (and anything else in the

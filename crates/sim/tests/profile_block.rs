@@ -93,16 +93,11 @@ impl ShardableDriver for Ring {
 #[test]
 fn sharded_profile_merges_engines_and_gate() {
     let run = |profiled: bool| {
-        let mut sim = ShardedSimulation::with_opts(
-            cfg(80),
-            &AlwaysOn,
-            Ring::default(),
-            ShardOpts {
-                shards: 4,
-                threads: 2,
-                pin: false,
-            },
-        );
+        let opts = ShardOpts {
+            shards: 4,
+            threads: 2,
+        };
+        let mut sim = ShardedSimulation::new(cfg(80), &AlwaysOn, Ring::default(), opts);
         sim.set_profiling(profiled);
         sim.run_to_end();
         (sim.profile(), sim.stats())

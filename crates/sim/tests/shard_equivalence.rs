@@ -2,7 +2,7 @@
 //! protocol that touches every event type: ticks, deliveries, reactive
 //! replies, timers, churn, sampling, injection, and fault drops. The same
 //! driver cut into S blocks must be **byte-identical** to its S = 1 run
-//! for every shard count, thread count and pin setting — including when
+//! for every shard count and thread count — including when
 //! tail-stealing between home lanes is doing the load balancing (the
 //! imbalanced-topology test below) — and a shard must never leave its home
 //! worker when there are as many workers as shards.
@@ -208,10 +208,11 @@ fn run_sharded(
     threads: usize,
 ) -> (Toy, SimStats) {
     let config = cfg(n, seed, drop);
+    let opts = ShardOpts { shards, threads };
     let mut sim = if churn {
-        ShardedSimulation::new(config, &Bouncy { n }, Toy::new(n), shards, threads)
+        ShardedSimulation::new(config, &Bouncy { n }, Toy::new(n), opts)
     } else {
-        ShardedSimulation::new(config, &ta_sim::AlwaysOn, Toy::new(n), shards, threads)
+        ShardedSimulation::new(config, &ta_sim::AlwaysOn, Toy::new(n), opts)
     };
     sim.run_to_end();
     sim.into_parts()
@@ -247,42 +248,35 @@ fn thread_count_never_changes_results() {
 }
 
 #[test]
-fn full_shards_threads_pin_matrix_matches_serial() {
-    // The acceptance matrix of the channel pipeline: every
-    // S × threads × pin combination — inline path, single worker,
-    // stealing workers, oversubscribed workers, pinned or not — produces
-    // the bytes of the S = 1 run. Shard affinity rides along: every
-    // shard-window drain is claimed exactly once, and with one lane per
-    // shard (or a single participant) no shard ever changes threads.
+fn full_shards_threads_matrix_matches_serial() {
+    // The acceptance matrix of the channel pipeline: every S × threads
+    // combination — inline path, single worker, stealing workers,
+    // oversubscribed workers — produces the bytes of the S = 1 run. A
+    // shard's home lane rides along: every shard-window drain is claimed
+    // exactly once, and with one lane per shard (or a single participant)
+    // no shard ever changes threads.
     let n = 40;
     let (toy, stats) = run_serial(n, 7, 0.0, true);
     for shards in [1, 2, 3, 4] {
         for threads in [1, 2, 4] {
-            for pin in [false, true] {
-                let config = cfg(n, 7, 0.0);
-                let opts = ShardOpts {
-                    shards,
-                    threads,
-                    pin,
-                };
-                let mut sim =
-                    ShardedSimulation::with_opts(config, &Bouncy { n }, Toy::new(n), opts);
-                sim.set_profiling(true);
-                sim.run_to_end();
-                let profile = sim.profile();
-                // `windows` counts shard-window drains (gate windows × S).
-                assert_eq!(
-                    profile.claims, profile.windows,
-                    "S={shards} T={threads} pin={pin} claims"
-                );
-                assert_eq!(shards > 1, profile.windows > 0);
-                if threads == 1 || threads >= shards {
-                    assert_eq!(profile.steals, 0, "S={shards} T={threads} pin={pin} steals");
-                }
-                let (stoy, sstats) = sim.into_parts();
-                assert_eq!(toy, stoy, "S={shards} T={threads} pin={pin} diverged");
-                assert_eq!(stats, sstats, "S={shards} T={threads} pin={pin} stats");
+            let config = cfg(n, 7, 0.0);
+            let opts = ShardOpts { shards, threads };
+            let mut sim = ShardedSimulation::new(config, &Bouncy { n }, Toy::new(n), opts);
+            sim.set_profiling(true);
+            sim.run_to_end();
+            let profile = sim.profile();
+            // `windows` counts shard-window drains (gate windows × S).
+            assert_eq!(
+                profile.claims, profile.windows,
+                "S={shards} T={threads} claims"
+            );
+            assert_eq!(shards > 1, profile.windows > 0);
+            if threads == 1 || threads >= shards {
+                assert_eq!(profile.steals, 0, "S={shards} T={threads} steals");
             }
+            let (stoy, sstats) = sim.into_parts();
+            assert_eq!(toy, stoy, "S={shards} T={threads} diverged");
+            assert_eq!(stats, sstats, "S={shards} T={threads} stats");
         }
     }
 }
@@ -325,23 +319,17 @@ fn work_stealing_on_imbalanced_shards_is_exact() {
     );
     for shards in [2, 4] {
         for threads in [2, 4] {
-            for pin in [false, true] {
-                let config = cfg(n, 23, 0.0);
-                let opts = ShardOpts {
-                    shards,
-                    threads,
-                    pin,
-                };
-                let mut sim = ShardedSimulation::with_opts(config, &avail, Toy::new(n), opts);
-                sim.run_to_end();
-                // How many claims migrate depends on timing; that they
-                // are a subset of the claims does not.
-                let profile = sim.profile();
-                assert!(profile.claims > 0 && profile.steals <= profile.claims);
-                let (stoy, sstats) = sim.into_parts();
-                assert_eq!(toy, stoy, "S={shards} T={threads} pin={pin} diverged");
-                assert_eq!(stats, sstats, "S={shards} T={threads} pin={pin}");
-            }
+            let config = cfg(n, 23, 0.0);
+            let opts = ShardOpts { shards, threads };
+            let mut sim = ShardedSimulation::new(config, &avail, Toy::new(n), opts);
+            sim.run_to_end();
+            // How many claims migrate depends on timing; that they are a
+            // subset of the claims does not.
+            let profile = sim.profile();
+            assert!(profile.claims > 0 && profile.steals <= profile.claims);
+            let (stoy, sstats) = sim.into_parts();
+            assert_eq!(toy, stoy, "S={shards} T={threads} diverged");
+            assert_eq!(stats, sstats, "S={shards} T={threads}");
         }
     }
 }
@@ -388,14 +376,14 @@ fn worker_panics_propagate_instead_of_deadlocking() {
             Bomb { last: plan.n() - 1 }
         }
     }
-    // Both pin settings: the channel pipeline must poison the window gate,
-    // release the idle workers, and re-raise on the coordinator instead of
-    // leaving anyone parked on a gate that will never open. The third
-    // case lands the panic on a spinning peer: shard 1 holds only offline
+    // The channel pipeline must poison the window gate, release the idle
+    // workers, and re-raise on the coordinator instead of leaving anyone
+    // parked on a gate that will never open. The second case lands the
+    // panic on a spinning peer: shard 1 holds only offline
     // nodes, so its worker drains nothing, is back at the gate within a
     // microsecond of every window opening, and is inside its spin budget
     // when the few-event drain of shard 0 blows up.
-    for (idle_peer, shards, pin) in [(false, 4, false), (false, 4, true), (true, 2, false)] {
+    for (idle_peer, shards) in [(false, 4), (true, 2)] {
         let config = cfg(24, 3, 0.0);
         // Run under a watchdog: a waiter the poison failed to release
         // would otherwise hang the test binary instead of failing it.
@@ -407,18 +395,14 @@ fn worker_panics_propagate_instead_of_deadlocking() {
             } else {
                 &ta_sim::AlwaysOn
             };
-            let opts = ShardOpts {
-                shards,
-                threads: 2,
-                pin,
-            };
-            let mut sim = ShardedSimulation::with_opts(config, avail, Bomb { last: 23 }, opts);
+            let opts = ShardOpts { shards, threads: 2 };
+            let mut sim = ShardedSimulation::new(config, avail, Bomb { last: 23 }, opts);
             sim.run_to_end();
         });
         assert_eq!(
             rx.recv_timeout(std::time::Duration::from_secs(120)),
             Err(std::sync::mpsc::RecvTimeoutError::Disconnected),
-            "S={shards} pin={pin}: the pipeline deadlocked"
+            "S={shards}: the pipeline deadlocked"
         );
         let result = run.join();
         let payload = result.expect_err("the driver panic must propagate");
@@ -428,7 +412,7 @@ fn worker_panics_propagate_instead_of_deadlocking() {
             .unwrap_or_default();
         assert!(
             msg.contains("boom"),
-            "S={shards} pin={pin}: unexpected panic payload: {msg}"
+            "S={shards}: unexpected panic payload: {msg}"
         );
     }
 }
@@ -511,8 +495,8 @@ fn offline_at_delivery_is_lost_across_shard_boundaries() {
         "scenario must actually lose a boundary-crossing message"
     );
     for shards in [2, 4] {
-        let mut sharded =
-            ShardedSimulation::new(config.clone(), &avail, Probe::default(), shards, 2);
+        let opts = ShardOpts { shards, threads: 2 };
+        let mut sharded = ShardedSimulation::new(config.clone(), &avail, Probe::default(), opts);
         sharded.run_to_end();
         let (pp, ps) = sharded.into_parts();
         assert_eq!(sp, pp, "S={shards}");

@@ -15,8 +15,6 @@ fn micro_opts(tag: &str) -> (FigureOpts, PathBuf) {
         seed: 1,
         out_dir: dir.clone(),
         full: false,
-        shards: None,
-        pin: false,
     };
     (opts, dir)
 }

@@ -12,9 +12,9 @@
 //! × {failure-free, smartphone churn} × `drop_probability` ∈ {0, 0.3},
 //!
 //! which the engine must reproduce at S = 1, and which every shardable
-//! cell must reproduce at S ∈ {2, 3, 4} × T ∈ {1, 2} × pin on/off. A second table pins the
-//! experiment runner end to end, so the `TA_SHARDS`/`TA_PIN` CI legs are
-//! held to the same numbers.
+//! cell must reproduce at S ∈ {2, 3, 4} × T ∈ {1, 2}. A second table pins
+//! the experiment runner end to end, whatever shard layout the runner
+//! picks for the pool it finds (CI runs it on two and on four workers).
 //!
 //! The constants were generated by the serial `Simulation` event loop of
 //! commit 23bb7fb, the last one that had a serial loop of its own, on
@@ -189,7 +189,7 @@ where
     };
     let schedule = cell.schedule;
     let (cfg, proto) = cell.protocol(strategy);
-    let mut sim = ShardedSimulation::with_opts(cfg, schedule, proto, opts);
+    let mut sim = ShardedSimulation::new(cfg, schedule, proto, opts);
     sim.run_to_end();
     let (proto, stats) = sim.into_parts();
     digest_of(proto, stats)
@@ -230,17 +230,11 @@ fn schedule(churn: bool) -> AvailabilitySchedule {
 }
 
 /// The shard layouts every shardable cell must reproduce its constant
-/// under: S x T x pin.
+/// under: S x T.
 fn layouts() -> impl Iterator<Item = ShardOpts> {
-    [2, 3, 4].into_iter().flat_map(|shards| {
-        [1, 2].into_iter().flat_map(move |threads| {
-            [false, true].into_iter().map(move |pin| ShardOpts {
-                shards,
-                threads,
-                pin,
-            })
-        })
-    })
+    [2, 3, 4]
+        .into_iter()
+        .flat_map(|shards| [1, 2].map(|threads| ShardOpts { shards, threads }))
 }
 
 /// Runs every cell of one application family and compares with `golden`,
@@ -414,8 +408,8 @@ fn chaotic_iteration_cells() {
 }
 
 /// The experiment runner end to end (`run_experiment`, two replicas per
-/// cell on the pool): whatever `TA_SHARDS`, `TA_PIN` and `TA_THREADS` say,
-/// these are the numbers.
+/// cell on the pool): whatever `TA_THREADS` says, and so whatever shard
+/// layout the runner picks, these are the numbers.
 #[test]
 fn runner_cells() {
     let mut measured = Vec::new();

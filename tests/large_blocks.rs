@@ -9,9 +9,8 @@
 //! on the shard count. The sharded runs also merge cross-block mail into
 //! the transfer lane, so this is that path at scale as well.
 //!
-//! The test picks its shard counts itself, so `TA_SHARDS` does not change
-//! it; CI runs it once more in a release build, the code the benchmarks
-//! time.
+//! The test picks its shard counts itself; CI runs it once more in a
+//! release build, the code the benchmarks time.
 
 use std::sync::Arc;
 
@@ -54,8 +53,8 @@ fn run(
         sim.run_to_end();
         sim.into_parts()
     } else {
-        let opts = ShardOpts::new(shards, 2);
-        let mut sim = ShardedSimulation::with_opts(cfg.clone(), schedule, proto, opts);
+        let opts = ShardOpts { shards, threads: 2 };
+        let mut sim = ShardedSimulation::new(cfg.clone(), schedule, proto, opts);
         sim.run_to_end();
         sim.into_parts()
     };
