@@ -240,20 +240,17 @@ mod tests {
         let now = SimTime::from_secs(1);
         let initial_angle = app.angle();
         for _ in 0..200 {
-            // Snapshot then deliver x_k to every out-neighbour of k.
+            // Snapshot then deliver x_k along every edge k -> to.
             let values: Vec<f64> = app.vector();
-            for k in 0..100u32 {
-                let from = NodeId::new(k);
-                for &to in topo.out_neighbors(from) {
-                    app.update_state(
-                        to,
-                        from,
-                        &WeightMsg {
-                            x: values[k as usize],
-                        },
-                        now,
-                    );
-                }
+            for (from, to) in topo.edges() {
+                app.update_state(
+                    to,
+                    from,
+                    &WeightMsg {
+                        x: values[from.index()],
+                    },
+                    now,
+                );
             }
         }
         let final_angle = app.angle();

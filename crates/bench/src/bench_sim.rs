@@ -47,7 +47,7 @@ use ta_apps::sgd::{RegressionData, SgdGossipLearning};
 use ta_experiments::runner::{prepare_topology, run_grid_prepared};
 use ta_experiments::spec::{AppKind, ExperimentSpec, TopologyKind};
 use ta_overlay::generators::k_out_random;
-use ta_overlay::sampling::{OnlineNeighbors, PeerSampler};
+use ta_overlay::sampling::OnlineNeighbors;
 use ta_sim::config::SimConfig;
 use ta_sim::engine::{AlwaysOn, Driver, SimApi, Simulation};
 use ta_sim::paper;
@@ -59,7 +59,8 @@ use token_account::node::TokenNode;
 use token_account::prelude::*;
 
 use crate::legacy_proto::{
-    formula_message, formula_round, two_pass_select_online, CloningSgd, LegacyTokenProtocol,
+    formula_message, formula_round, rejection_select_online, two_pass_select_online, CloningSgd,
+    LegacyTokenProtocol,
 };
 use crate::report::{find, json_section, measure_events_per_sec, Sample};
 
@@ -321,7 +322,9 @@ fn sampling_churn_run(
     let mut online: Vec<bool> = (0..n).map(|_| rng.chance(online_fraction)).collect();
     online[0] = true; // keep at least one node up
     let mut mirror = OnlineNeighbors::new(topo, &online);
-    let sampler = PeerSampler::new(topo);
+    // The stateless samplers read whole out-lists: a mirror with every
+    // node online holds them.
+    let out = OnlineNeighbors::new(topo, &vec![true; n]);
     let flip_every = 16u64;
     let mut acc = 0u64;
     for i in 0..selections {
@@ -333,8 +336,10 @@ fn sampling_churn_run(
         }
         let node = NodeId::from_index((i % n as u64) as usize);
         let picked = match mode {
-            "two_pass" => two_pass_select_online(topo, node, &online, &mut rng),
-            "rejection_fallback" => sampler.select_online(node, &online, &mut rng),
+            "two_pass" => two_pass_select_online(out.online_neighbors(node), &online, &mut rng),
+            "rejection_fallback" => {
+                rejection_select_online(out.online_neighbors(node), &online, &mut rng)
+            }
             "packed_mirror" => mirror.select(node, &mut rng),
             _ => unreachable!("unknown sampling mode"),
         };

@@ -23,7 +23,7 @@
 use std::sync::Arc;
 
 use ta_apps::sgd::{LinearModel, RegressionData};
-use ta_overlay::Topology;
+use ta_overlay::{OnlineNeighbors, Topology};
 use ta_sim::engine::{Driver, SimApi};
 use ta_sim::rng::Xoshiro256pp;
 use ta_sim::NodeId;
@@ -57,15 +57,13 @@ pub fn formula_message(
     x
 }
 
-/// The old exact two-pass online selection: count, then `nth` (no
-/// rejection sampling, no packed mirror).
+/// The old exact two-pass online selection from a node's out-list
+/// `peers`: count, then `nth` (no rejection sampling, no packed mirror).
 pub fn two_pass_select_online(
-    topo: &Topology,
-    node: NodeId,
+    peers: &[NodeId],
     online: &[bool],
     rng: &mut Xoshiro256pp,
 ) -> Option<NodeId> {
-    let peers = topo.out_neighbors(node);
     let alive = peers.iter().filter(|p| online[p.index()]).count();
     if alive == 0 {
         return None;
@@ -76,6 +74,31 @@ pub fn two_pass_select_online(
         .filter(|p| online[p.index()])
         .nth(pick)
         .copied()
+}
+
+/// Rejection-sampling attempts before [`rejection_select_online`] falls
+/// back to the exact two-pass scan. With online fraction `q`, the chance of
+/// needing the fallback is `(1 - q)^8`.
+const REJECTION_TRIES: usize = 8;
+
+/// The old stateless sampler: a few uniform draws from the out-list
+/// `peers` until one is online, then the exact two-pass scan. Uniform over
+/// the online subset in both phases.
+pub fn rejection_select_online(
+    peers: &[NodeId],
+    online: &[bool],
+    rng: &mut Xoshiro256pp,
+) -> Option<NodeId> {
+    if peers.is_empty() {
+        return None;
+    }
+    for _ in 0..REJECTION_TRIES {
+        let p = peers[rng.below(peers.len() as u64) as usize];
+        if online[p.index()] {
+            return Some(p);
+        }
+    }
+    two_pass_select_online(peers, online, rng)
 }
 
 /// Gossip learning over real SGD models with the old value-copy message
@@ -128,7 +151,8 @@ impl CloningSgd {
 pub struct LegacyTokenProtocol {
     strategy: Box<dyn Strategy>,
     app: CloningSgd,
-    topo: Arc<Topology>,
+    /// The out-lists: a mirror with every node online.
+    out: OnlineNeighbors,
     balances: Vec<i64>,
     online: Vec<bool>,
     sends_per_slot: Vec<u64>,
@@ -143,7 +167,7 @@ impl LegacyTokenProtocol {
         LegacyTokenProtocol {
             strategy,
             app,
-            topo,
+            out: OnlineNeighbors::new(&topo, &vec![true; n]),
             balances: vec![0; n],
             online: vec![true; n],
             sends_per_slot: Vec::new(),
@@ -167,7 +191,8 @@ impl LegacyTokenProtocol {
     }
 
     fn send_state(&mut self, api: &mut SimApi<'_, LinearModel>, node: NodeId) -> bool {
-        match two_pass_select_online(&self.topo, node, &self.online, api.rng()) {
+        let peers = self.out.online_neighbors(node);
+        match two_pass_select_online(peers, &self.online, api.rng()) {
             Some(peer) => {
                 let msg = self.app.create_message(node);
                 api.send(node, peer, msg);
@@ -247,15 +272,19 @@ mod tests {
     }
 
     #[test]
-    fn two_pass_matches_online_filter() {
+    fn both_samplers_draw_only_online_peers() {
         let mut rng = Xoshiro256pp::stream(4, 0);
         let topo = k_out_random(20, 6, &mut rng).unwrap();
+        let out = OnlineNeighbors::new(&topo, &[true; 20]);
         let online: Vec<bool> = (0..20).map(|i| i % 2 == 0).collect();
         for node in 0..20 {
-            let id = NodeId::from_index(node);
-            match two_pass_select_online(&topo, id, &online, &mut rng) {
-                Some(p) => assert!(online[p.index()]),
-                None => assert!(topo.out_neighbors(id).iter().all(|p| !online[p.index()])),
+            let peers = out.online_neighbors(NodeId::from_index(node));
+            let none_online = peers.iter().all(|p| !online[p.index()]);
+            for pick in [two_pass_select_online, rejection_select_online] {
+                match pick(peers, &online, &mut rng) {
+                    Some(p) => assert!(online[p.index()] && peers.contains(&p)),
+                    None => assert!(none_online),
+                }
             }
         }
     }

@@ -1,67 +1,72 @@
 //! Per-node availability schedules.
 //!
 //! An [`AvailabilitySchedule`] holds, for every node, its initial
-//! online/offline state and an alternating, strictly increasing list of
-//! transition times. It implements [`ta_sim::AvailabilityModel`] so the
-//! engine can replay it, and offers point queries used by the metric and
-//! statistics code.
+//! online/offline state and a strictly increasing list of transition
+//! times, each of which flips the state. It implements
+//! [`ta_sim::AvailabilityModel`] so the engine can replay it, and offers
+//! point queries used by the metric and statistics code.
+//!
+//! The layout is flat: one initial flag and one `u32` end offset per node,
+//! and every node's transition times back to back in one array. A
+//! transition's direction is not stored: alternation, which
+//! [`AvailabilitySchedule::new`] validates, fixes it. That is 5 B per node
+//! plus 8 B per transition; a node that never changes state costs only its
+//! 5 B.
 
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 use ta_sim::engine::AvailabilityModel;
-use ta_sim::{NodeId, SimTime};
+use ta_sim::{NodeId, SimDuration, SimTime};
 
-/// One node's availability over the simulated horizon.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Segment {
+/// One node's availability over the simulated horizon, borrowed from an
+/// [`AvailabilitySchedule`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Segment<'a> {
     /// Online at time zero?
     pub initial_online: bool,
-    /// Alternating transitions `(time, goes_online)`, strictly increasing in
-    /// time, each flipping the previous state.
-    pub transitions: Vec<(SimTime, bool)>,
+    /// Transition times, strictly increasing; each flips the previous
+    /// state.
+    pub times: &'a [SimTime],
 }
 
-impl Segment {
-    /// A segment that never changes state.
-    pub fn constant(online: bool) -> Self {
-        Segment {
-            initial_online: online,
-            transitions: Vec::new(),
-        }
+impl<'a> Segment<'a> {
+    /// The transitions as `(time, goes_online)` pairs: the first goes
+    /// online exactly when the node starts offline, and each later one
+    /// flips the one before.
+    pub fn transitions(&self) -> impl ExactSizeIterator<Item = (SimTime, bool)> + 'a {
+        let first_up = !self.initial_online;
+        self.times
+            .iter()
+            .enumerate()
+            .map(move |(k, &time)| (time, first_up ^ (k % 2 == 1)))
     }
 
     /// Whether this segment is online at `t`.
     pub fn is_online_at(&self, t: SimTime) -> bool {
-        // Transitions are sorted; find the last one at or before `t`.
-        match self.transitions.partition_point(|&(time, _)| time <= t) {
-            0 => self.initial_online,
-            k => self.transitions[k - 1].1,
-        }
+        // Transitions are sorted; count those at or before `t`.
+        let flips = self.times.partition_point(|&time| time <= t);
+        self.initial_online ^ (flips % 2 == 1)
     }
 
     /// Whether this segment has been online at any point in `[0, t]`.
     pub fn has_been_online_by(&self, t: SimTime) -> bool {
-        if self.initial_online {
-            return true;
-        }
-        self.transitions
-            .iter()
-            .take_while(|&&(time, _)| time <= t)
-            .any(|&(_, up)| up)
+        // Starting offline, the first transition goes online.
+        self.initial_online || self.times.first().is_some_and(|&first| first <= t)
     }
 
     /// Whether this segment is ever online over the whole horizon.
     pub fn is_ever_online(&self) -> bool {
-        self.initial_online || self.transitions.iter().any(|&(_, up)| up)
+        self.initial_online || !self.times.is_empty()
     }
 
     /// Total time spent online within `[0, horizon]`.
-    pub fn online_time(&self, horizon: SimTime) -> ta_sim::SimDuration {
-        let mut acc = ta_sim::SimDuration::ZERO;
+    pub fn online_time(&self, horizon: SimTime) -> SimDuration {
+        let mut acc = SimDuration::ZERO;
         let mut state = self.initial_online;
         let mut since = SimTime::ZERO;
-        for &(time, up) in &self.transitions {
+        for (time, up) in self.transitions() {
             if time > horizon {
                 break;
             }
@@ -75,24 +80,6 @@ impl Segment {
             acc += horizon - since;
         }
         acc
-    }
-
-    fn validate(&self) -> Result<(), InvalidScheduleError> {
-        let mut state = self.initial_online;
-        let mut last: Option<SimTime> = None;
-        for &(time, up) in &self.transitions {
-            if let Some(prev) = last {
-                if time <= prev {
-                    return Err(InvalidScheduleError::NonMonotonicTime { at: time });
-                }
-            }
-            if up == state {
-                return Err(InvalidScheduleError::NonAlternating { at: time });
-            }
-            state = up;
-            last = Some(time);
-        }
-        Ok(())
     }
 }
 
@@ -130,66 +117,148 @@ impl fmt::Display for InvalidScheduleError {
 
 impl Error for InvalidScheduleError {}
 
-/// Availability of a whole network: one [`Segment`] per node.
+/// Availability of a whole network: one [`Segment`] per node, stored flat.
 ///
 /// ```
-/// use ta_churn::schedule::{AvailabilitySchedule, Segment};
+/// use ta_churn::schedule::AvailabilitySchedule;
 /// use ta_sim::SimTime;
 ///
-/// let mut seg = Segment::constant(false);
-/// seg.transitions.push((SimTime::from_secs(60), true));
-/// let sched = AvailabilitySchedule::new(vec![Segment::constant(true), seg])?;
+/// let sched = AvailabilitySchedule::new([
+///     (true, vec![]),
+///     (false, vec![(SimTime::from_secs(60), true)]),
+/// ])?;
 /// assert_eq!(sched.online_count_at(SimTime::from_secs(0)), 1);
 /// assert_eq!(sched.online_count_at(SimTime::from_secs(120)), 2);
 /// # Ok::<(), ta_churn::schedule::InvalidScheduleError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AvailabilitySchedule {
-    segments: Vec<Segment>,
+    /// Online at time zero, per node.
+    initial: Vec<bool>,
+    /// One past each node's last transition in `times`; a node's
+    /// transitions start where the previous node's end (at 0 for node 0).
+    ends: Vec<u32>,
+    /// Every node's transition times, node by node.
+    times: Vec<SimTime>,
 }
 
 impl AvailabilitySchedule {
-    /// Wraps validated segments.
+    /// Builds a schedule from each node's initial state and its
+    /// transitions as `(time, goes_online)` pairs.
     ///
     /// # Errors
     ///
-    /// Returns [`InvalidScheduleError`] if `segments` is empty or any
-    /// segment has non-monotonic or non-alternating transitions.
-    pub fn new(segments: Vec<Segment>) -> Result<Self, InvalidScheduleError> {
-        if segments.is_empty() {
+    /// Returns [`InvalidScheduleError`] if there are no nodes, or a node's
+    /// transition times do not strictly increase, or a transition does not
+    /// flip the state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the schedule has more than `u32::MAX` transitions.
+    pub fn new<N, T>(nodes: N) -> Result<Self, InvalidScheduleError>
+    where
+        N: IntoIterator<Item = (bool, T)>,
+        T: IntoIterator<Item = (SimTime, bool)>,
+    {
+        let mut sched = Self::with_capacity(0);
+        for (initial, transitions) in nodes {
+            sched.push_node(initial);
+            let (mut state, mut last) = (initial, None);
+            for (time, up) in transitions {
+                if last.is_some_and(|prev| time <= prev) {
+                    return Err(InvalidScheduleError::NonMonotonicTime { at: time });
+                }
+                if up == state {
+                    return Err(InvalidScheduleError::NonAlternating { at: time });
+                }
+                sched.push_transition(time);
+                (state, last) = (up, Some(time));
+            }
+        }
+        if sched.n() == 0 {
             return Err(InvalidScheduleError::Empty);
         }
-        for seg in &segments {
-            seg.validate()?;
-        }
-        Ok(AvailabilitySchedule { segments })
+        Ok(sched.finish())
     }
 
     /// A failure-free schedule: `n` nodes online throughout.
     pub fn always_on(n: usize) -> Self {
         AvailabilitySchedule {
-            segments: vec![Segment::constant(true); n],
+            initial: vec![true; n],
+            ends: vec![0; n],
+            times: Vec::new(),
         }
+    }
+
+    /// An empty schedule with room for `n` nodes, for [`push_node`]
+    /// and [`push_transition`] to fill.
+    ///
+    /// [`push_node`]: Self::push_node
+    /// [`push_transition`]: Self::push_transition
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        AvailabilitySchedule {
+            initial: Vec::with_capacity(n),
+            ends: Vec::with_capacity(n),
+            times: Vec::new(),
+        }
+    }
+
+    /// Appends a node that starts online or offline, with no transitions
+    /// yet.
+    pub(crate) fn push_node(&mut self, initial_online: bool) {
+        self.initial.push(initial_online);
+        self.ends.push(self.ends.last().copied().unwrap_or(0));
+    }
+
+    /// Appends a transition at `time` to the last node, flipping its
+    /// state. The caller keeps each node's times strictly increasing.
+    pub(crate) fn push_transition(&mut self, time: SimTime) {
+        self.times.push(time);
+        let end = u32::try_from(self.times.len()).expect("more than u32::MAX transitions");
+        *self.ends.last_mut().expect("a node to append to") = end;
+    }
+
+    /// Drops the spare capacity left by appending.
+    pub(crate) fn finish(mut self) -> Self {
+        self.initial.shrink_to_fit();
+        self.ends.shrink_to_fit();
+        self.times.shrink_to_fit();
+        self
     }
 
     /// Number of nodes covered.
     pub fn n(&self) -> usize {
-        self.segments.len()
+        self.initial.len()
+    }
+
+    /// Number of transitions of all nodes together.
+    pub fn transition_count(&self) -> usize {
+        self.times.len()
+    }
+
+    /// Where node `i`'s transitions lie in `times`.
+    fn span(&self, i: usize) -> Range<usize> {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        start..self.ends[i] as usize
     }
 
     /// The segment of `node`.
-    pub fn segment(&self, node: NodeId) -> &Segment {
-        &self.segments[node.index()]
+    pub fn segment(&self, node: NodeId) -> Segment<'_> {
+        let i = node.index();
+        Segment {
+            initial_online: self.initial[i],
+            times: &self.times[self.span(i)],
+        }
     }
 
     /// The segments, in node order.
-    pub fn segments(&self) -> &[Segment] {
-        &self.segments
+    pub fn segments(&self) -> impl ExactSizeIterator<Item = Segment<'_>> + '_ {
+        (0..self.n()).map(|i| self.segment(NodeId::from_index(i)))
     }
 
     /// Number of nodes online at `t`.
     pub fn online_count_at(&self, t: SimTime) -> usize {
-        self.segments.iter().filter(|s| s.is_online_at(t)).count()
+        self.segments().filter(|s| s.is_online_at(t)).count()
     }
 
     /// Fraction of nodes online at `t`.
@@ -199,35 +268,24 @@ impl AvailabilitySchedule {
 
     /// Fraction of nodes that have been online at least once by `t`.
     pub fn has_been_online_fraction_at(&self, t: SimTime) -> f64 {
-        let c = self
-            .segments
-            .iter()
-            .filter(|s| s.has_been_online_by(t))
-            .count();
+        let c = self.segments().filter(|s| s.has_been_online_by(t)).count();
         c as f64 / self.n() as f64
     }
 
     /// Fraction of nodes that never come online over the whole horizon.
     pub fn never_online_fraction(&self) -> f64 {
-        let c = self.segments.iter().filter(|s| !s.is_ever_online()).count();
+        let c = self.segments().filter(|s| !s.is_ever_online()).count();
         c as f64 / self.n() as f64
-    }
-
-    /// Consumes the schedule, returning its segments.
-    pub fn into_segments(self) -> Vec<Segment> {
-        self.segments
     }
 }
 
 impl AvailabilityModel for AvailabilitySchedule {
     fn initially_online(&self, node: NodeId) -> bool {
-        self.segments[node.index()].initial_online
+        self.initial[node.index()]
     }
 
     fn for_each_transition(&self, node: NodeId, f: &mut dyn FnMut(SimTime, bool)) {
-        // Stream the stored slice directly: engine setup at large N used to
-        // clone one Vec per node through the `transitions` wrapper.
-        for &(time, up) in &self.segments[node.index()].transitions {
+        for (time, up) in self.segment(node).transitions() {
             f(time, up);
         }
     }
@@ -236,21 +294,21 @@ impl AvailabilityModel for AvailabilitySchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ta_sim::SimDuration;
 
-    fn seg(initial: bool, times: &[(u64, bool)]) -> Segment {
-        Segment {
-            initial_online: initial,
-            transitions: times
-                .iter()
-                .map(|&(s, up)| (SimTime::from_secs(s), up))
-                .collect(),
-        }
+    fn node(initial: bool, times: &[(u64, bool)]) -> (bool, Vec<(SimTime, bool)>) {
+        let times = times.iter().map(|&(s, up)| (SimTime::from_secs(s), up));
+        (initial, times.collect())
+    }
+
+    /// A one-node schedule (its segment is `sched.segment(NodeId::new(0))`).
+    fn seg(initial: bool, times: &[(u64, bool)]) -> AvailabilitySchedule {
+        AvailabilitySchedule::new([node(initial, times)]).unwrap()
     }
 
     #[test]
     fn point_queries_follow_transitions() {
         let s = seg(false, &[(10, true), (20, false), (30, true)]);
+        let s = s.segment(NodeId::new(0));
         assert!(!s.is_online_at(SimTime::from_secs(5)));
         assert!(s.is_online_at(SimTime::from_secs(10)));
         assert!(s.is_online_at(SimTime::from_secs(15)));
@@ -261,6 +319,7 @@ mod tests {
     #[test]
     fn has_been_online_is_monotone() {
         let s = seg(false, &[(10, true), (20, false)]);
+        let s = s.segment(NodeId::new(0));
         assert!(!s.has_been_online_by(SimTime::from_secs(9)));
         assert!(s.has_been_online_by(SimTime::from_secs(10)));
         assert!(s.has_been_online_by(SimTime::from_secs(100)));
@@ -268,14 +327,16 @@ mod tests {
 
     #[test]
     fn ever_online_detects_permanently_offline() {
-        assert!(!seg(false, &[]).is_ever_online());
-        assert!(seg(true, &[]).is_ever_online());
-        assert!(seg(false, &[(5, true)]).is_ever_online());
+        let ever = |s: AvailabilitySchedule| s.segment(NodeId::new(0)).is_ever_online();
+        assert!(!ever(seg(false, &[])));
+        assert!(ever(seg(true, &[])));
+        assert!(ever(seg(false, &[(5, true)])));
     }
 
     #[test]
     fn online_time_accumulates_intervals() {
         let s = seg(true, &[(10, false), (30, true), (40, false)]);
+        let s = s.segment(NodeId::new(0));
         // Online [0,10) and [30,40) within horizon 100 ⇒ 20 s.
         assert_eq!(
             s.online_time(SimTime::from_secs(100)),
@@ -290,37 +351,38 @@ mod tests {
 
     #[test]
     fn validation_rejects_non_monotonic() {
-        let bad = seg(false, &[(10, true), (10, false)]);
+        let bad = node(false, &[(10, true), (10, false)]);
         assert!(matches!(
-            AvailabilitySchedule::new(vec![bad]).unwrap_err(),
+            AvailabilitySchedule::new([bad]).unwrap_err(),
             InvalidScheduleError::NonMonotonicTime { .. }
         ));
     }
 
     #[test]
     fn validation_rejects_non_alternating() {
-        let bad = seg(false, &[(10, false)]);
+        let bad = node(false, &[(10, false)]);
         assert!(matches!(
-            AvailabilitySchedule::new(vec![bad]).unwrap_err(),
+            AvailabilitySchedule::new([bad]).unwrap_err(),
             InvalidScheduleError::NonAlternating { .. }
         ));
     }
 
     #[test]
     fn validation_rejects_empty() {
+        let none: [(bool, Vec<(SimTime, bool)>); 0] = [];
         assert_eq!(
-            AvailabilitySchedule::new(vec![]).unwrap_err(),
+            AvailabilitySchedule::new(none).unwrap_err(),
             InvalidScheduleError::Empty
         );
     }
 
     #[test]
     fn network_level_fractions() {
-        let sched = AvailabilitySchedule::new(vec![
-            seg(true, &[]),
-            seg(false, &[(10, true)]),
-            seg(false, &[]),
-            seg(true, &[(5, false)]),
+        let sched = AvailabilitySchedule::new([
+            node(true, &[]),
+            node(false, &[(10, true)]),
+            node(false, &[]),
+            node(true, &[(5, false)]),
         ])
         .unwrap();
         assert_eq!(sched.online_count_at(SimTime::ZERO), 2);
@@ -338,5 +400,29 @@ mod tests {
         assert!(sched.initially_online(NodeId::new(2)));
         assert!(sched.transitions(NodeId::new(2)).is_empty());
         assert_eq!(sched.never_online_fraction(), 0.0);
+    }
+
+    #[test]
+    fn flat_layout_keeps_every_node_apart() {
+        let sched = AvailabilitySchedule::new([
+            node(false, &[(10, true), (20, false)]),
+            node(true, &[]),
+            node(true, &[(7, false)]),
+        ])
+        .unwrap();
+        assert_eq!(sched.ends, [2, 2, 3]);
+        assert_eq!(sched.transition_count(), 3);
+        assert_eq!(
+            sched.transitions(NodeId::new(0)),
+            node(false, &[(10, true), (20, false)]).1
+        );
+        assert!(sched.transitions(NodeId::new(1)).is_empty());
+        assert_eq!(
+            sched.transitions(NodeId::new(2)),
+            node(true, &[(7, false)]).1
+        );
+        assert!(!sched
+            .segment(NodeId::new(2))
+            .is_online_at(SimTime::from_secs(8)));
     }
 }

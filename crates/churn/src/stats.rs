@@ -48,7 +48,7 @@ pub fn figure1_series(
         let mut logins = 0u64;
         let mut logouts = 0u64;
         for seg in schedule.segments() {
-            for &(t, up) in &seg.transitions {
+            for (t, up) in seg.transitions() {
                 if t >= start && t < end {
                     if up {
                         logins += 1;
@@ -72,17 +72,16 @@ pub fn figure1_series(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::Segment;
     use crate::synthetic::SmartphoneTraceModel;
     use ta_sim::paper;
 
     #[test]
     fn counts_logins_and_logouts_per_bucket() {
-        let mut a = Segment::constant(false);
-        a.transitions.push((SimTime::from_secs(30), true));
-        a.transitions.push((SimTime::from_secs(90), false));
-        let b = Segment::constant(true);
-        let sched = AvailabilitySchedule::new(vec![a, b]).unwrap();
+        let a = vec![
+            (SimTime::from_secs(30), true),
+            (SimTime::from_secs(90), false),
+        ];
+        let sched = AvailabilitySchedule::new([(false, a), (true, vec![])]).unwrap();
         let series = figure1_series(
             &sched,
             SimDuration::from_secs(120),

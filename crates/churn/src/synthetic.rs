@@ -29,7 +29,7 @@
 use ta_sim::rng::Xoshiro256pp;
 use ta_sim::time::{SimDuration, SimTime};
 
-use crate::schedule::{AvailabilitySchedule, Segment};
+use crate::schedule::AvailabilitySchedule;
 
 /// Parameters of the synthetic smartphone availability model.
 ///
@@ -88,16 +88,21 @@ impl SmartphoneTraceModel {
         self.churn_rate_mean + self.churn_rate_amplitude.abs()
     }
 
-    /// Generates one node's two-day (or `horizon`-long) segment.
-    pub fn generate_segment(&self, horizon: SimDuration, rng: &mut Xoshiro256pp) -> Segment {
+    /// Appends one node's two-day (or `horizon`-long) segment to `sched`.
+    fn append_node(
+        &self,
+        horizon: SimDuration,
+        rng: &mut Xoshiro256pp,
+        sched: &mut AvailabilitySchedule,
+    ) {
         if rng.chance(self.permanently_offline) {
-            return Segment::constant(false);
+            sched.push_node(false);
+            return;
         }
         let mut t = SimTime::ZERO;
         let end = SimTime::ZERO + horizon;
         let mut online = rng.chance(self.online_target(SimTime::ZERO));
-        let initial = online;
-        let mut transitions = Vec::new();
+        sched.push_node(online);
         let rate_bound = self.max_rate();
         loop {
             // Exponential(rate_bound) inter-candidate time, in hours.
@@ -119,27 +124,23 @@ impl SmartphoneTraceModel {
             let leave = if online { r * (1.0 - q) } else { r * q };
             if rng.chance(leave / rate_bound) {
                 online = !online;
-                transitions.push((t, online));
+                sched.push_transition(t);
             }
-        }
-        Segment {
-            initial_online: initial,
-            transitions,
         }
     }
 
-    /// Generates a full-network schedule of `n` independent segments.
+    /// Generates a full-network schedule of `n` independent segments,
+    /// appended straight into the schedule's flat layout.
     ///
     /// Each node draws from its own RNG stream of `seed`, so the schedule
     /// for node `i` is stable regardless of `n`.
     pub fn generate(&self, n: usize, horizon: SimDuration, seed: u64) -> AvailabilitySchedule {
-        let segments = (0..n)
-            .map(|i| {
-                let mut rng = Xoshiro256pp::stream(seed, 0xc4u64 ^ (i as u64) << 8);
-                self.generate_segment(horizon, &mut rng)
-            })
-            .collect();
-        AvailabilitySchedule::new(segments).expect("generator yields valid segments")
+        let mut sched = AvailabilitySchedule::with_capacity(n);
+        for i in 0..n {
+            let mut rng = Xoshiro256pp::stream(seed, 0xc4u64 ^ (i as u64) << 8);
+            self.append_node(horizon, &mut rng, &mut sched);
+        }
+        sched.finish()
     }
 }
 
@@ -204,7 +205,7 @@ mod tests {
         assert_eq!(a, b);
         // Node i's segment does not depend on n.
         let big = model.generate(200, paper::TWO_DAYS, 7);
-        assert_eq!(a.segments()[..100], big.segments()[..100]);
+        assert!(a.segments().eq(big.segments().take(100)));
         // Different seed differs.
         let c = model.generate(100, paper::TWO_DAYS, 8);
         assert_ne!(a, c);
@@ -226,11 +227,10 @@ mod tests {
         let sched = two_day_schedule(1000);
         // Mean transitions per churning user over 48 h at rate ~0.22/h with
         // thinning acceptance < 1: somewhere in single digits.
-        let total: usize = sched.segments().iter().map(|s| s.transitions.len()).sum();
+        let total = sched.transition_count();
         let churning = sched
             .segments()
-            .iter()
-            .filter(|s| s.is_ever_online() || !s.transitions.is_empty())
+            .filter(|s| s.is_ever_online() || !s.times.is_empty())
             .count();
         let mean = total as f64 / churning.max(1) as f64;
         assert!((1.0..12.0).contains(&mean), "mean transitions {mean}");

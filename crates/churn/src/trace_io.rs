@@ -18,7 +18,7 @@ use std::fmt;
 
 use ta_sim::SimTime;
 
-use crate::schedule::{AvailabilitySchedule, InvalidScheduleError, Segment};
+use crate::schedule::{AvailabilitySchedule, InvalidScheduleError};
 
 /// Error parsing a trace document.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,7 +79,7 @@ fn parse_state(token: &str, line: usize) -> Result<bool, ParseTraceError> {
 /// Returns [`ParseTraceError`] on syntax errors or schedule invariant
 /// violations (non-monotonic or non-alternating transitions).
 pub fn parse_trace(text: &str) -> Result<AvailabilitySchedule, ParseTraceError> {
-    let mut segments = Vec::new();
+    let mut nodes = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
         let line = raw.trim();
@@ -115,12 +115,9 @@ pub fn parse_trace(text: &str) -> Result<AvailabilitySchedule, ParseTraceError> 
             let state = parse_state(state_str, line_no)?;
             transitions.push((SimTime::from_secs_f64(secs), state));
         }
-        segments.push(Segment {
-            initial_online: initial,
-            transitions,
-        });
+        nodes.push((initial, transitions));
     }
-    Ok(AvailabilitySchedule::new(segments)?)
+    Ok(AvailabilitySchedule::new(nodes)?)
 }
 
 /// Serializes a schedule to the trace text format (inverse of
@@ -129,7 +126,7 @@ pub fn write_trace(schedule: &AvailabilitySchedule) -> String {
     let mut out = String::from("# ta-trace v1\n");
     for seg in schedule.segments() {
         out.push(if seg.initial_online { '1' } else { '0' });
-        for &(t, up) in &seg.transitions {
+        for (t, up) in seg.transitions() {
             out.push_str(&format!(" {}:{}", t.as_secs_f64(), u8::from(up)));
         }
         out.push('\n');
@@ -141,20 +138,22 @@ pub fn write_trace(schedule: &AvailabilitySchedule) -> String {
 mod tests {
     use super::*;
     use crate::synthetic::SmartphoneTraceModel;
-    use ta_sim::paper;
+    use ta_sim::engine::AvailabilityModel;
+    use ta_sim::{paper, NodeId};
 
     #[test]
     fn parses_the_documented_example() {
         let text = "# ta-trace v1\n1\n0 60.5:1 7200:0\n";
         let sched = parse_trace(text).unwrap();
         assert_eq!(sched.n(), 2);
-        assert!(sched.segments()[0].initial_online);
-        assert!(sched.segments()[0].transitions.is_empty());
-        let seg1 = &sched.segments()[1];
-        assert!(!seg1.initial_online);
-        assert_eq!(seg1.transitions.len(), 2);
-        assert_eq!(seg1.transitions[0].0, SimTime::from_secs_f64(60.5));
-        assert!(seg1.transitions[0].1);
+        let seg0 = sched.segment(NodeId::new(0));
+        assert!(seg0.initial_online);
+        assert!(seg0.times.is_empty());
+        let seg1 = sched.transitions(NodeId::new(1));
+        assert!(!sched.initially_online(NodeId::new(1)));
+        assert_eq!(seg1.len(), 2);
+        assert_eq!(seg1[0].0, SimTime::from_secs_f64(60.5));
+        assert!(seg1[0].1);
     }
 
     #[test]

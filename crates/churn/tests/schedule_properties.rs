@@ -1,13 +1,15 @@
 //! Property tests over availability schedules and the synthetic model.
 
 use proptest::prelude::*;
-use ta_churn::schedule::{AvailabilitySchedule, Segment};
+use ta_churn::schedule::AvailabilitySchedule;
 use ta_churn::synthetic::SmartphoneTraceModel;
 use ta_churn::trace_io::{parse_trace, write_trace};
 use ta_sim::time::{SimDuration, SimTime};
+use ta_sim::NodeId;
 
-/// Builds a valid alternating segment from a list of positive gaps.
-fn segment_from_gaps(initial: bool, gaps: Vec<u64>) -> Segment {
+/// Builds a valid alternating one-node schedule from a list of positive
+/// gaps (its segment is `sched.segment(NodeId::new(0))`).
+fn schedule_from_gaps(initial: bool, gaps: Vec<u64>) -> AvailabilitySchedule {
     let mut transitions = Vec::new();
     let mut t = 0u64;
     let mut state = initial;
@@ -16,10 +18,7 @@ fn segment_from_gaps(initial: bool, gaps: Vec<u64>) -> Segment {
         state = !state;
         transitions.push((SimTime::from_micros(t), state));
     }
-    Segment {
-        initial_online: initial,
-        transitions,
-    }
+    AvailabilitySchedule::new([(initial, transitions)]).unwrap()
 }
 
 proptest! {
@@ -30,7 +29,8 @@ proptest! {
         initial in any::<bool>(),
         gaps in proptest::collection::vec(1u64..5_000_000u64, 0..12)
     ) {
-        let seg = segment_from_gaps(initial, gaps);
+        let sched = schedule_from_gaps(initial, gaps);
+        let seg = sched.segment(NodeId::new(0));
         let horizon = SimTime::from_micros(30_000_000);
         let reported = seg.online_time(horizon);
         // Riemann sum at 10 ms resolution.
@@ -45,7 +45,7 @@ proptest! {
         }
         let diff = (acc as i64 - reported.as_micros() as i64).abs();
         // Each transition contributes at most one step of error.
-        let tolerance = step as i64 * (seg.transitions.len() as i64 + 1);
+        let tolerance = step as i64 * (seg.times.len() as i64 + 1);
         prop_assert!(diff <= tolerance, "diff {diff} > tolerance {tolerance}");
     }
 
@@ -56,8 +56,7 @@ proptest! {
         initial in any::<bool>(),
         gaps in proptest::collection::vec(1u64..100_000_000u64, 0..10)
     ) {
-        let seg = segment_from_gaps(initial, gaps);
-        let sched = AvailabilitySchedule::new(vec![seg]).unwrap();
+        let sched = schedule_from_gaps(initial, gaps);
         let text = write_trace(&sched);
         let parsed = parse_trace(&text).unwrap();
         prop_assert_eq!(parsed, sched);
@@ -69,7 +68,8 @@ proptest! {
         initial in any::<bool>(),
         gaps in proptest::collection::vec(1u64..2_000_000u64, 0..10)
     ) {
-        let seg = segment_from_gaps(initial, gaps);
+        let sched = schedule_from_gaps(initial, gaps);
+        let seg = sched.segment(NodeId::new(0));
         let mut last = false;
         for ms in (0..20_000).step_by(500) {
             let now = seg.has_been_online_by(SimTime::from_micros(ms * 1000));
@@ -91,7 +91,7 @@ proptest! {
         for seg in sched.segments() {
             let mut state = seg.initial_online;
             let mut last = None;
-            for &(t, up) in &seg.transitions {
+            for (t, up) in seg.transitions() {
                 prop_assert!(t <= SimTime::ZERO + horizon);
                 prop_assert_ne!(up, state);
                 if let Some(prev) = last {

@@ -21,7 +21,9 @@
 //! additionally share one frozen `OnlineNeighbors` mirror across all their
 //! runs (built once per prepared topology instead of once per job). A run
 //! under churn builds its own mirror, and a sharded one cuts it into
-//! per-shard pieces rather than copying it.
+//! per-shard pieces rather than copying it. The mirror is a run's only
+//! copy of the out-lists: the shared topology stores each edge once, as
+//! an in-edge, and every mirror is built from those.
 
 use std::error::Error;
 use std::fmt;

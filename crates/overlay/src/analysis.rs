@@ -5,49 +5,40 @@ use ta_sim::rng::Xoshiro256pp;
 use ta_sim::NodeId;
 
 use crate::graph::Topology;
+use crate::sampling::OnlineNeighbors;
 
 /// Breadth-first hop distances from `from` along out-edges.
 ///
 /// Unreachable nodes get `None`.
 pub fn bfs_distances(topo: &Topology, from: NodeId) -> Vec<Option<u32>> {
-    let mut dist = vec![None; topo.n()];
-    let mut frontier = vec![from];
-    dist[from.index()] = Some(0);
-    let mut hops = 0;
-    while !frontier.is_empty() {
-        hops += 1;
-        let mut next = Vec::new();
-        for &node in &frontier {
-            for &peer in topo.out_neighbors(node) {
-                if dist[peer.index()].is_none() {
-                    dist[peer.index()] = Some(hops);
-                    next.push(peer);
-                }
-            }
-        }
-        frontier = next;
-    }
-    dist
+    let out = out_lists(topo);
+    bfs(topo.n(), from, |v| out.online_neighbors(v))
 }
 
-/// Hop distances along *in*-edges (reachability in the transposed graph).
-fn bfs_distances_reverse(topo: &Topology, from: NodeId) -> Vec<Option<u32>> {
-    let mut dist = vec![None; topo.n()];
+/// The out-adjacency: an all-online mirror, whose online lists are the
+/// whole out-lists.
+fn out_lists(topo: &Topology) -> OnlineNeighbors {
+    OnlineNeighbors::new(topo, &vec![true; topo.n()])
+}
+
+/// Hop distances from `from` over `n` nodes, following `next`.
+fn bfs<'a>(n: usize, from: NodeId, next: impl Fn(NodeId) -> &'a [NodeId]) -> Vec<Option<u32>> {
+    let mut dist = vec![None; n];
     let mut frontier = vec![from];
     dist[from.index()] = Some(0);
     let mut hops = 0;
     while !frontier.is_empty() {
         hops += 1;
-        let mut next = Vec::new();
+        let mut later = Vec::new();
         for &node in &frontier {
-            for &peer in topo.in_neighbors(node) {
+            for &peer in next(node) {
                 if dist[peer.index()].is_none() {
                     dist[peer.index()] = Some(hops);
-                    next.push(peer);
+                    later.push(peer);
                 }
             }
         }
-        frontier = next;
+        frontier = later;
     }
     dist
 }
@@ -62,7 +53,7 @@ pub fn is_strongly_connected(topo: &Topology) -> bool {
     }
     let origin = NodeId::new(0);
     bfs_distances(topo, origin).iter().all(Option::is_some)
-        && bfs_distances_reverse(topo, origin)
+        && bfs(topo.n(), origin, |v| topo.in_neighbors(v))
             .iter()
             .all(Option::is_some)
 }
@@ -112,10 +103,11 @@ pub fn degree_stats(topo: &Topology) -> DegreeStats {
 ///
 /// Returns `None` if some sampled source cannot reach the whole graph.
 pub fn estimate_diameter(topo: &Topology, samples: usize, rng: &mut Xoshiro256pp) -> Option<u32> {
+    let out = out_lists(topo);
     let mut best = 0;
     for _ in 0..samples {
         let from = NodeId::from_index(rng.below(topo.n() as u64) as usize);
-        let dist = bfs_distances(topo, from);
+        let dist = bfs(topo.n(), from, |v| out.online_neighbors(v));
         let mut ecc = 0;
         for d in dist {
             ecc = ecc.max(d?);

@@ -1,10 +1,12 @@
 //! Directed overlay graphs in compressed sparse row form.
 //!
-//! A [`Topology`] is an immutable digraph over dense [`NodeId`]s storing both
-//! out-adjacency (who a node can send to) and in-adjacency (whose values a
-//! node buffers in chaotic iteration). In-neighbour lists are sorted so that
-//! per-sender buffer slots can be located by binary search
-//! ([`Topology::in_edge_index`]).
+//! A [`Topology`] is an immutable digraph over dense [`NodeId`]s that stores
+//! each edge once, in its in-adjacency (whose values a node buffers in
+//! chaotic iteration), plus every node's out-degree. In-neighbour lists are
+//! sorted so that per-sender buffer slots can be located by binary search
+//! ([`Topology::in_edge_index`]). Out-neighbour lists (who a node can send
+//! to) are not kept here: [`crate::sampling::OnlineNeighbors`] builds them
+//! from the in-adjacency, and a run keeps them there, once.
 
 use std::error::Error;
 use std::fmt;
@@ -52,7 +54,8 @@ impl fmt::Display for InvalidGraphError {
 
 impl Error for InvalidGraphError {}
 
-/// An immutable directed overlay graph (CSR, out- and in-adjacency).
+/// An immutable directed overlay graph: the in-adjacency in CSR form and
+/// the out-degrees, as out-CSR offsets.
 ///
 /// ```
 /// use ta_overlay::graph::Topology;
@@ -68,8 +71,8 @@ impl Error for InvalidGraphError {}
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     n: usize,
+    /// `out_degree(k) == out_offsets[k + 1] - out_offsets[k]`.
     out_offsets: Vec<u32>,
-    out_targets: Vec<NodeId>,
     in_offsets: Vec<u32>,
     /// Sorted by source id within each destination's slice.
     in_sources: Vec<NodeId>,
@@ -117,19 +120,17 @@ impl Topology {
         }
         assert!(edge_count <= u32::MAX as usize, "more than u32::MAX edges");
 
+        // Out-degrees, then the in-adjacency by counting sort over
+        // destinations; visiting sources in increasing order leaves each
+        // slice sorted by source.
         let mut out_offsets = Vec::with_capacity(n + 1);
-        let mut out_targets = Vec::with_capacity(edge_count);
         out_offsets.push(0);
-        for targets in &lists {
-            out_targets.extend_from_slice(targets);
-            out_offsets.push(out_targets.len() as u32);
-        }
-
-        // Build in-adjacency by counting sort over destinations; visiting
-        // sources in increasing order leaves each slice sorted by source.
         let mut in_offsets = vec![0u32; n + 1];
-        for &t in &out_targets {
-            in_offsets[t.index() + 1] += 1;
+        for targets in &lists {
+            out_offsets.push(out_offsets[out_offsets.len() - 1] + targets.len() as u32);
+            for &t in targets {
+                in_offsets[t.index() + 1] += 1;
+            }
         }
         for v in 0..n {
             in_offsets[v + 1] += in_offsets[v];
@@ -147,7 +148,6 @@ impl Topology {
         Ok(Topology {
             n,
             out_offsets,
-            out_targets,
             in_offsets,
             in_sources,
         })
@@ -185,14 +185,7 @@ impl Topology {
     /// Total number of directed edges.
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.out_targets.len()
-    }
-
-    /// Nodes reachable from `node` in one hop (message targets).
-    #[inline]
-    pub fn out_neighbors(&self, node: NodeId) -> &[NodeId] {
-        let i = node.index();
-        &self.out_targets[self.out_offsets[i] as usize..self.out_offsets[i + 1] as usize]
+        self.in_sources.len()
     }
 
     /// Nodes with an edge into `node`, sorted by id.
@@ -240,11 +233,12 @@ impl Topology {
         self.in_neighbors(dst).binary_search(&src).ok()
     }
 
-    /// Iterates over all `(from, to)` edges in CSR order.
+    /// Iterates over all `(from, to)` edges in in-CSR order: by `to`, then
+    /// by `from`.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        (0..self.n).flat_map(move |src| {
-            let src_id = NodeId::from_index(src);
-            self.out_neighbors(src_id).iter().map(move |&t| (src_id, t))
+        (0..self.n).flat_map(move |dst| {
+            let dst_id = NodeId::from_index(dst);
+            self.in_neighbors(dst_id).iter().map(move |&s| (s, dst_id))
         })
     }
 }
@@ -265,10 +259,7 @@ mod tests {
         assert_eq!(t.edge_count(), 5);
         assert_eq!(t.out_degree(NodeId::new(0)), 2);
         assert_eq!(t.in_degree(NodeId::new(3)), 2);
-        assert_eq!(
-            t.out_neighbors(NodeId::new(0)),
-            &[NodeId::new(1), NodeId::new(2)]
-        );
+        assert_eq!(t.out_degree(NodeId::new(3)), 1);
         assert_eq!(
             t.in_neighbors(NodeId::new(3)),
             &[NodeId::new(1), NodeId::new(2)]
@@ -307,7 +298,7 @@ mod tests {
     fn edges_iterator_roundtrips() {
         let t = diamond();
         let edges: Vec<(u32, u32)> = t.edges().map(|(a, b)| (a.raw(), b.raw())).collect();
-        assert_eq!(edges, vec![(0, 1), (0, 2), (1, 3), (2, 3), (3, 0)]);
+        assert_eq!(edges, vec![(3, 0), (0, 1), (0, 2), (1, 3), (2, 3)]);
     }
 
     #[test]
@@ -351,7 +342,6 @@ mod tests {
         let t = Topology::from_edges(3, [(0, 1)]).unwrap();
         assert_eq!(t.out_degree(NodeId::new(2)), 0);
         assert_eq!(t.in_degree(NodeId::new(2)), 0);
-        assert!(t.out_neighbors(NodeId::new(2)).is_empty());
     }
 
     #[test]

@@ -3,11 +3,13 @@
 //! Substrate crate of the token account reproduction providing the fixed
 //! communication overlays of the paper's evaluation (Section 4.1):
 //!
-//! * [`graph::Topology`] — immutable CSR digraph with out- and in-adjacency.
+//! * [`graph::Topology`] — immutable CSR digraph: the in-adjacency, each
+//!   edge once, plus out-degrees.
 //! * [`generators`] — the random 20-out network, the Watts–Strogatz
 //!   small-world ring (4 nearest neighbours, rewire p = 0.01), plus ring and
 //!   complete graphs for tests.
-//! * [`sampling::PeerSampler`] — the `selectPeer()` black box, online-aware.
+//! * [`sampling::OnlineNeighbors`] — the `selectPeer()` black box,
+//!   online-aware, and the one copy of the out-lists.
 //! * [`analysis`] — BFS, strong connectivity, degree stats, diameter.
 //! * [`spectral`] — column-stochastic normalization and the reference
 //!   dominant eigenvector for chaotic power iteration.
@@ -36,4 +38,4 @@ pub mod spectral;
 pub use analysis::{degree_stats, is_strongly_connected, DegreeStats};
 pub use generators::{complete, k_out_random, ring, watts_strogatz};
 pub use graph::Topology;
-pub use sampling::{OnlineNeighbors, PeerSampler};
+pub use sampling::OnlineNeighbors;

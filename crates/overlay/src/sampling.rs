@@ -5,25 +5,19 @@
 //! assumes "the failure of a neighbor is detected by the node", so selection
 //! is restricted to currently online neighbours.
 //!
-//! Two implementations are provided:
-//!
-//! * [`OnlineNeighbors`] — an incrementally maintained mirror of the
-//!   online set, keeping every node's out-neighbour list packed into an
-//!   online prefix and an offline suffix. Selection is a single RNG draw
-//!   plus one array read — **O(1)** regardless of degree or online
-//!   fraction. The mirror stores 4 B per edge (the permuted targets) and
-//!   nothing per in-edge: a churn transition of `v` walks the topology's
-//!   sorted in-list of `v` and finds `v` in each in-neighbour's slice by a
-//!   linear scan, O(out-degree) per in-edge. A mirror covers a contiguous
-//!   node block, so a sharded run cuts it into per-shard pieces instead of
-//!   copying it. This is what the protocol hot path uses: token-account
-//!   workloads are dominated by sends, and each send needs one online
-//!   peer.
-//! * [`PeerSampler::select_online`] — a stateless fallback for callers
-//!   that do not maintain the mirror: bounded rejection sampling over the
-//!   full neighbour list, degrading to an exact two-pass scan when the
-//!   online fraction is too small to hit quickly. Uniform over the online
-//!   subset in both phases.
+//! [`OnlineNeighbors`] is an incrementally maintained mirror of the online
+//! set, keeping every node's out-neighbour list packed into an online
+//! prefix and an offline suffix. Selection is a single RNG draw plus one
+//! array read — **O(1)** regardless of degree or online fraction. The
+//! mirror is the only copy of the out-lists: it builds them from the
+//! topology's in-adjacency ([`Topology`] stores each edge once, as an
+//! in-edge) and stores 4 B per edge (the permuted targets) plus 9 B per
+//! node. A churn transition of `v` walks the topology's sorted in-list of
+//! `v` and finds `v` in each in-neighbour's slice by a linear scan,
+//! O(out-degree) per in-edge. A mirror covers a contiguous node block, so
+//! a sharded run cuts it into per-shard pieces instead of copying it. An
+//! all-online mirror is the plain out-adjacency, ascending: graph analysis
+//! walks that.
 
 use std::ops::Range;
 
@@ -32,86 +26,6 @@ use ta_sim::rng::Xoshiro256pp;
 use ta_sim::NodeId;
 
 use crate::graph::Topology;
-
-/// Uniform peer sampling over a fixed overlay.
-///
-/// ```
-/// use ta_overlay::generators::complete;
-/// use ta_overlay::sampling::PeerSampler;
-/// use ta_sim::rng::Xoshiro256pp;
-/// use ta_sim::NodeId;
-/// use rand::SeedableRng;
-///
-/// let topo = complete(4)?;
-/// let sampler = PeerSampler::new(&topo);
-/// let mut rng = Xoshiro256pp::seed_from_u64(1);
-/// let peer = sampler.select(NodeId::new(0), &mut rng).unwrap();
-/// assert_ne!(peer, NodeId::new(0));
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct PeerSampler<'a> {
-    topo: &'a Topology,
-}
-
-/// Rejection-sampling attempts before [`PeerSampler::select_online`] falls
-/// back to the exact two-pass scan. With online fraction `q`, the chance of
-/// needing the fallback is `(1 - q)^8` — under 1% once 40% of neighbours
-/// are up.
-const REJECTION_TRIES: usize = 8;
-
-impl<'a> PeerSampler<'a> {
-    /// Creates a sampler over `topo`.
-    pub fn new(topo: &'a Topology) -> Self {
-        PeerSampler { topo }
-    }
-
-    /// Selects a uniformly random out-neighbour of `node`, or `None` if it
-    /// has none.
-    pub fn select(&self, node: NodeId, rng: &mut Xoshiro256pp) -> Option<NodeId> {
-        let peers = self.topo.out_neighbors(node);
-        if peers.is_empty() {
-            return None;
-        }
-        Some(peers[rng.below(peers.len() as u64) as usize])
-    }
-
-    /// Selects a uniformly random *online* out-neighbour of `node`, or
-    /// `None` if none is online.
-    ///
-    /// `online` is indexed by [`NodeId::index`]. Uniformity is over the
-    /// online subset: a few rejection-sampling draws (each accepted draw is
-    /// uniform over the online neighbours), then an exact O(degree)
-    /// two-pass scan if none hit. Callers on a hot path should maintain an
-    /// [`OnlineNeighbors`] mirror instead, which selects in O(1).
-    pub fn select_online(
-        &self,
-        node: NodeId,
-        online: &[bool],
-        rng: &mut Xoshiro256pp,
-    ) -> Option<NodeId> {
-        let peers = self.topo.out_neighbors(node);
-        if peers.is_empty() {
-            return None;
-        }
-        for _ in 0..REJECTION_TRIES {
-            let p = peers[rng.below(peers.len() as u64) as usize];
-            if online[p.index()] {
-                return Some(p);
-            }
-        }
-        let alive = peers.iter().filter(|p| online[p.index()]).count();
-        if alive == 0 {
-            return None;
-        }
-        let pick = rng.below(alive as u64) as usize;
-        peers
-            .iter()
-            .filter(|p| online[p.index()])
-            .nth(pick)
-            .copied()
-    }
-}
 
 /// A packed, incrementally maintained view of the *online* out-neighbours
 /// of a contiguous node block, giving O(1) uniform selection under churn.
@@ -122,8 +36,9 @@ impl<'a> PeerSampler<'a> {
 /// callbacks, moves one target across that boundary per slice. Only the
 /// prefix is observable, and its order — an artifact of the transition
 /// history, deterministic per seed — is the same for every cut of the
-/// network into blocks. Uniformity over the online subset is
-/// property-tested against the stateless [`PeerSampler::select_online`].
+/// network into blocks. The offline suffix's order is never observable:
+/// a transition moves `v` across the boundary by one swap whose effect on
+/// the prefix does not depend on where the suffix keeps its entries.
 ///
 /// ```
 /// use ta_overlay::generators::complete;
@@ -144,10 +59,11 @@ impl<'a> PeerSampler<'a> {
 pub struct OnlineNeighbors {
     /// First node of the block.
     lo: usize,
-    /// CSR offsets into `targets`, one per block node plus one.
-    offsets: Vec<u32>,
+    /// Start of each block node's slice of `targets`; a slice ends where
+    /// the next one starts, the last one at `targets.len()`.
+    starts: Vec<u32>,
     /// Out-neighbour lists, permuted so each node's slice keeps online
-    /// targets in the prefix `[offsets[i], offsets[i] + online_len[i])`.
+    /// targets in the prefix `[starts[i], starts[i] + online_len[i])`.
     targets: Vec<NodeId>,
     /// Online prefix length per block node.
     online_len: Vec<u32>,
@@ -158,10 +74,12 @@ pub struct OnlineNeighbors {
 
 impl OnlineNeighbors {
     /// Builds the mirror of the whole network for `topo` with the given
-    /// initial online set, in one sequential pass: each node's online
+    /// initial online set from the topology's in-adjacency: a counting pass
+    /// for each node's online out-degree, then one scatter pass over the
+    /// destinations in ascending id. Each node's slice holds its online
     /// out-neighbours in ascending id (the order that bringing the online
     /// nodes up one by one, in id order, would leave), then the offline
-    /// ones.
+    /// ones, also ascending.
     ///
     /// # Panics
     ///
@@ -169,26 +87,45 @@ impl OnlineNeighbors {
     pub fn new(topo: &Topology, initial_online: &[bool]) -> Self {
         let n = topo.n();
         assert_eq!(initial_online.len(), n, "initial_online length mismatch");
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(topo.edge_count());
-        let mut online_len = Vec::with_capacity(n);
-        offsets.push(0u32);
-        for v in 0..n {
-            let out = topo.out_neighbors(NodeId::from_index(v));
-            let start = targets.len();
-            targets.extend(out.iter().filter(|t| initial_online[t.index()]));
-            targets[start..].sort_unstable();
-            online_len.push((targets.len() - start) as u32);
-            targets.extend(out.iter().filter(|t| !initial_online[t.index()]));
-            offsets.push(targets.len() as u32);
+        let in_list = |v: usize| topo.in_neighbors(NodeId::from_index(v));
+        let mut online_len = vec![0u32; n];
+        for v in (0..n).filter(|&v| initial_online[v]) {
+            for u in in_list(v) {
+                online_len[u.index()] += 1;
+            }
+        }
+        let starts = topo.out_offsets()[..n].to_vec();
+        let mut next_online = starts.clone();
+        let mut next_offline: Vec<u32> =
+            starts.iter().zip(&online_len).map(|(s, l)| s + l).collect();
+        let mut targets = vec![NodeId::new(0); topo.edge_count()];
+        for (v, &up) in initial_online.iter().enumerate() {
+            let next = if up {
+                &mut next_online
+            } else {
+                &mut next_offline
+            };
+            for u in in_list(v) {
+                targets[next[u.index()] as usize] = NodeId::from_index(v);
+                next[u.index()] += 1;
+            }
         }
         OnlineNeighbors {
             lo: 0,
-            offsets,
+            starts,
             targets,
             online_len,
             online: initial_online.to_vec(),
         }
+    }
+
+    /// Where the slice of the `i`-th block node begins (`i` may be the
+    /// block length: then it is where the last slice ends).
+    #[inline]
+    fn bound(&self, i: usize) -> usize {
+        self.starts
+            .get(i)
+            .map_or(self.targets.len(), |&s| s as usize)
     }
 
     /// The node block whose out-neighbours this mirror holds.
@@ -220,7 +157,7 @@ impl OnlineNeighbors {
     #[inline]
     pub fn online_neighbors(&self, node: NodeId) -> &[NodeId] {
         let i = node.index() - self.lo;
-        let start = self.offsets[i] as usize;
+        let start = self.starts[i] as usize;
         &self.targets[start..start + self.online_len[i] as usize]
     }
 
@@ -237,19 +174,19 @@ impl OnlineNeighbors {
             return None;
         }
         let pick = rng.below(len as u64) as usize;
-        Some(self.targets[self.offsets[i] as usize + pick])
+        Some(self.targets[self.starts[i] as usize + pick])
     }
 
     /// Prefetches what [`select`](Self::select) reads for block node
-    /// `node`: its offset and online length, then the line of `targets`
-    /// they point at (the offset load is real; the rest are hints, see
-    /// [`ta_sim::engine::prefetch`]). Changes nothing.
+    /// `node`: its slice start and online length, then the line of
+    /// `targets` they point at (the start load is real; the rest are
+    /// hints, see [`ta_sim::engine::prefetch`]). Changes nothing.
     #[inline]
     pub fn prefetch(&self, node: NodeId) {
         let i = node.index().wrapping_sub(self.lo);
-        prefetch(&self.offsets, i);
+        prefetch(&self.starts, i);
         prefetch(&self.online_len, i);
-        if let Some(&start) = self.offsets.get(i) {
+        if let Some(&start) = self.starts.get(i) {
             prefetch(&self.targets, start as usize);
         }
     }
@@ -268,7 +205,8 @@ impl OnlineNeighbors {
         let last = sources.partition_point(|u| u.index() < self.lo + self.online_len.len());
         for u in &sources[first..last] {
             let i = u.index() - self.lo;
-            let slice = &mut self.targets[self.offsets[i] as usize..self.offsets[i + 1] as usize];
+            let (start, end) = (self.bound(i), self.bound(i + 1));
+            let slice = &mut self.targets[start..end];
             let at = slice.iter().position(|&t| t == node).expect("edge listed");
             // Up: `node` swaps into the first offline slot, which joins the
             // prefix. Down: the prefix's last slot (perhaps `node`'s own)
@@ -285,11 +223,11 @@ impl OnlineNeighbors {
     pub fn split(self, ranges: impl IntoIterator<Item = Range<usize>>) -> Vec<Self> {
         let piece = |r: Range<usize>| {
             let (a, b) = (r.start - self.lo, r.end - self.lo);
-            let base = self.offsets[a];
+            let base = self.bound(a);
             OnlineNeighbors {
                 lo: r.start,
-                offsets: self.offsets[a..=b].iter().map(|o| o - base).collect(),
-                targets: self.targets[base as usize..self.offsets[b] as usize].to_vec(),
+                starts: self.starts[a..b].iter().map(|s| s - base as u32).collect(),
+                targets: self.targets[base..self.bound(b)].to_vec(),
                 online_len: self.online_len[a..b].to_vec(),
                 online: self.online.clone(),
             }
@@ -303,8 +241,8 @@ impl OnlineNeighbors {
         let mut pieces = pieces.into_iter();
         let mut whole = pieces.next().expect("at least one piece");
         for p in pieces {
-            let base = whole.offsets.pop().expect("offsets never empty");
-            whole.offsets.extend(p.offsets.iter().map(|o| o + base));
+            let base = whole.targets.len() as u32;
+            whole.starts.extend(p.starts.iter().map(|s| s + base));
             whole.targets.extend_from_slice(&p.targets);
             whole.online_len.extend_from_slice(&p.online_len);
         }
@@ -320,75 +258,18 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn select_is_uniform_over_neighbors() {
-        let mut rng = Xoshiro256pp::seed_from_u64(1);
-        let topo = k_out_random(50, 10, &mut rng).unwrap();
-        let sampler = PeerSampler::new(&topo);
-        let node = NodeId::new(0);
-        let mut counts = std::collections::HashMap::new();
-        for _ in 0..10_000 {
-            let p = sampler.select(node, &mut rng).unwrap();
-            *counts.entry(p).or_insert(0u32) += 1;
-        }
-        assert_eq!(counts.len(), 10);
-        for (&peer, &c) in &counts {
-            assert!((700..1300).contains(&c), "peer {peer} selected {c} times");
-            assert!(topo.out_neighbors(node).contains(&peer));
-        }
-    }
-
-    #[test]
-    fn select_none_without_neighbors() {
-        let topo = Topology::from_edges(2, [(1, 0)]).unwrap();
-        let sampler = PeerSampler::new(&topo);
-        let mut rng = Xoshiro256pp::seed_from_u64(2);
-        assert_eq!(sampler.select(NodeId::new(0), &mut rng), None);
-    }
-
-    #[test]
-    fn select_online_skips_offline_peers() {
-        let topo = complete(5).unwrap();
-        let sampler = PeerSampler::new(&topo);
-        let mut rng = Xoshiro256pp::seed_from_u64(3);
-        // Only node 3 is online besides the sender.
-        let online = vec![false, false, false, true, false];
-        for _ in 0..100 {
-            let p = sampler.select_online(NodeId::new(0), &online, &mut rng);
-            assert_eq!(p, Some(NodeId::new(3)));
-        }
-    }
-
-    #[test]
-    fn select_online_none_when_all_offline() {
-        let topo = complete(3).unwrap();
-        let sampler = PeerSampler::new(&topo);
-        let mut rng = Xoshiro256pp::seed_from_u64(4);
-        let online = vec![false; 3];
+    fn build_keeps_both_parts_of_every_slice_ascending() {
+        let topo = Topology::from_edges(4, [(0, 3), (0, 1), (0, 2), (2, 1), (3, 0)]).unwrap();
+        let mirror = OnlineNeighbors::new(&topo, &[true, false, true, false]);
+        assert_eq!(mirror.targets, [2, 1, 3, 1, 0].map(NodeId::new));
+        assert_eq!(mirror.starts, [0, 3, 3, 4]);
+        assert_eq!(mirror.online_len, [1, 0, 0, 1]);
+        let all = OnlineNeighbors::new(&topo, &[true; 4]);
         assert_eq!(
-            sampler.select_online(NodeId::new(0), &online, &mut rng),
-            None
+            all.online_neighbors(NodeId::new(0)),
+            [1, 2, 3].map(NodeId::new)
         );
-    }
-
-    #[test]
-    fn select_online_is_uniform_over_online_subset() {
-        let topo = complete(6).unwrap();
-        let sampler = PeerSampler::new(&topo);
-        let mut rng = Xoshiro256pp::seed_from_u64(5);
-        let online = vec![true, false, true, true, false, true];
-        let mut counts = std::collections::HashMap::new();
-        for _ in 0..12_000 {
-            let p = sampler
-                .select_online(NodeId::new(0), &online, &mut rng)
-                .unwrap();
-            *counts.entry(p.raw()).or_insert(0u32) += 1;
-        }
-        // Node 0's online neighbours: 2, 3, 5 (not itself).
-        assert_eq!(counts.len(), 3);
-        for (&peer, &c) in &counts {
-            assert!([2, 3, 5].contains(&peer));
-            assert!((3_400..4_600).contains(&c), "peer {peer}: {c}");
-        }
+        assert!(all.online_neighbors(NodeId::new(1)).is_empty());
     }
 
     /// Sorted online out-neighbour set per the mirror.
@@ -400,14 +281,11 @@ mod tests {
 
     /// Sorted online out-neighbour set straight from the topology.
     fn reference_set(topo: &Topology, online: &[bool], node: NodeId) -> Vec<u32> {
-        let mut v: Vec<u32> = topo
-            .out_neighbors(node)
-            .iter()
-            .filter(|p| online[p.index()])
+        (0..topo.n())
+            .map(NodeId::from_index)
+            .filter(|&p| online[p.index()] && topo.has_edge(node, p))
             .map(|p| p.raw())
-            .collect();
-        v.sort_unstable();
-        v
+            .collect()
     }
 
     #[test]

@@ -4,16 +4,20 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use ta_overlay::generators::{k_out_random, watts_strogatz};
 use ta_overlay::graph::Topology;
+use ta_overlay::sampling::OnlineNeighbors;
 use ta_sim::rng::Xoshiro256pp;
 use ta_sim::NodeId;
 
 fn check_basic_invariants(topo: &Topology) {
     let n = topo.n();
+    // An all-online mirror holds the whole out-lists.
+    let out = OnlineNeighbors::new(topo, &vec![true; n]);
     let mut in_total = 0;
     let mut out_total = 0;
     for i in 0..n {
         let node = NodeId::from_index(i);
-        let outs = topo.out_neighbors(node);
+        let outs = out.online_neighbors(node);
+        assert_eq!(outs.len(), topo.out_degree(node));
         out_total += outs.len();
         in_total += topo.in_degree(node);
         // No self-loops, no duplicate targets.
@@ -27,7 +31,7 @@ fn check_basic_invariants(topo: &Topology) {
         assert!(ins.windows(2).all(|w| w[0] < w[1]));
         // Every in-edge is mirrored by the out-edge.
         for &src in ins {
-            assert!(topo.out_neighbors(src).contains(&node));
+            assert!(out.online_neighbors(src).contains(&node));
             assert!(topo.has_edge(src, node));
             let slot = topo.in_edge_index(node, src).unwrap();
             assert_eq!(ins[slot], src);

@@ -1,12 +1,13 @@
-//! Property tests for online peer sampling: the packed O(1) mirror must be
-//! statistically indistinguishable from the stateless exact sampler, over
-//! arbitrary overlays and arbitrary churn histories; its direct build must
-//! equal a replay of transitions from all-offline; and its cut blocks must
-//! draw exactly what the whole mirror draws.
+//! Property tests for online peer sampling: the packed O(1) mirror must
+//! draw uniformly from the online out-neighbours, over arbitrary overlays
+//! and arbitrary churn histories; its direct build must equal a replay of
+//! transitions from all-offline; the order of its offline suffixes must
+//! never show in a prefix or a draw; and its cut blocks must draw exactly
+//! what the whole mirror draws.
 
 use proptest::prelude::*;
 use ta_overlay::generators::k_out_random;
-use ta_overlay::sampling::{OnlineNeighbors, PeerSampler};
+use ta_overlay::sampling::OnlineNeighbors;
 use ta_overlay::Topology;
 use ta_sim::rng::Xoshiro256pp;
 use ta_sim::shard::ShardPlan;
@@ -17,23 +18,26 @@ fn mirror_and_flags(topo: &Topology, online: &[bool]) -> (OnlineNeighbors, Vec<b
     (OnlineNeighbors::new(topo, online), online.to_vec())
 }
 
-/// Sorted online out-neighbour ids straight from the topology (the ground
-/// truth both samplers must draw from).
+/// Sorted online out-neighbour ids straight from the topology's edge
+/// test (the ground truth the mirror must draw from).
 fn ground_truth(topo: &Topology, online: &[bool], node: NodeId) -> Vec<u32> {
-    let mut v: Vec<u32> = topo
-        .out_neighbors(node)
-        .iter()
-        .filter(|p| online[p.index()])
+    (0..topo.n())
+        .map(NodeId::from_index)
+        .filter(|&p| online[p.index()] && topo.has_edge(node, p))
         .map(|p| p.raw())
-        .collect();
-    v.sort_unstable();
-    v
+        .collect()
 }
 
-/// Reference model of the mirror, one `Vec` per node: every out-list in
-/// topology order, all nodes offline, moved one transition at a time with
-/// the mirror's swap (up: into the first offline slot, then grow the
-/// prefix; down: shrink the prefix, then into its old last slot).
+/// [`ground_truth`] as node ids.
+fn truth_ids(topo: &Topology, online: &[bool], node: usize) -> Vec<NodeId> {
+    let ids = ground_truth(topo, online, NodeId::from_index(node));
+    ids.into_iter().map(NodeId::new).collect()
+}
+
+/// Reference model of the mirror, one `Vec` per node, moved one
+/// transition at a time with the mirror's swap (up: into the first
+/// offline slot, then grow the prefix; down: shrink the prefix, then into
+/// its old last slot).
 struct Replay {
     slices: Vec<Vec<NodeId>>,
     len: Vec<usize>,
@@ -41,16 +45,45 @@ struct Replay {
 }
 
 impl Replay {
+    /// Every out-list ascending, all nodes offline.
     fn new(topo: &Topology) -> Self {
         let n = topo.n();
-        let slices = (0..n)
-            .map(|u| topo.out_neighbors(NodeId::from_index(u)).to_vec())
-            .collect();
+        let all = vec![true; n];
         Replay {
-            slices,
+            slices: (0..n).map(|u| truth_ids(topo, &all, u)).collect(),
             len: vec![0; n],
             online: vec![false; n],
         }
+    }
+
+    /// The mirror's initial layout for `online`, except that every offline
+    /// suffix is shuffled: online out-neighbours ascending, then the
+    /// offline ones in random order.
+    fn with_shuffled_suffixes(topo: &Topology, online: &[bool], rng: &mut Xoshiro256pp) -> Self {
+        let offline: Vec<bool> = online.iter().map(|&up| !up).collect();
+        let mut slices = Vec::new();
+        let mut len = Vec::new();
+        for u in 0..topo.n() {
+            let mut slice = truth_ids(topo, online, u);
+            len.push(slice.len());
+            let mut suffix = truth_ids(topo, &offline, u);
+            for i in (1..suffix.len()).rev() {
+                suffix.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            slice.extend(suffix);
+            slices.push(slice);
+        }
+        Replay {
+            slices,
+            len,
+            online: online.to_vec(),
+        }
+    }
+
+    /// [`OnlineNeighbors::select`]'s draw on this model.
+    fn select(&self, u: usize, rng: &mut Xoshiro256pp) -> Option<NodeId> {
+        let prefix = self.prefix(u);
+        (!prefix.is_empty()).then(|| prefix[rng.below(prefix.len() as u64) as usize])
     }
 
     fn set(&mut self, v: NodeId, up: bool) {
@@ -123,36 +156,6 @@ fn mirror_is_uniform_over_online_subset() {
 }
 
 #[test]
-fn mirror_matches_two_pass_distribution() {
-    // Equivalence against the stateless sampler: same support, and
-    // per-peer frequencies within ±4 sd of each other on the same trial
-    // budget.
-    let mut rng = Xoshiro256pp::stream(7, 0);
-    let topo = k_out_random(50, 10, &mut rng).unwrap();
-    let online: Vec<bool> = (0..50).map(|i| i % 3 != 0).collect();
-    let (mirror, flags) = mirror_and_flags(&topo, &online);
-    let sampler = PeerSampler::new(&topo);
-    let trials = 30_000u32;
-    let id = NodeId::new(4);
-    let mirror_counts = histogram(|rng| mirror.select(id, rng), trials, 5);
-    let two_pass_counts = histogram(|rng| sampler.select_online(id, &flags, rng), trials, 6);
-    let support = ground_truth(&topo, &flags, id);
-    assert_eq!(mirror_counts.len(), support.len());
-    assert_eq!(two_pass_counts.len(), support.len());
-    let k = support.len() as f64;
-    let mean = trials as f64 / k;
-    let sd = (mean * (1.0 - 1.0 / k)).sqrt();
-    for &peer in &support {
-        let a = *mirror_counts.get(&peer).unwrap_or(&0) as f64;
-        let b = *two_pass_counts.get(&peer).unwrap_or(&0) as f64;
-        assert!(
-            (a - b).abs() < 4.0 * (2.0f64).sqrt() * sd,
-            "peer {peer}: mirror {a} vs two-pass {b} (sd {sd:.1})"
-        );
-    }
-}
-
-#[test]
 fn churn_edge_cases_all_offline_single_online_flapping() {
     let topo = k_out_random(12, 5, &mut Xoshiro256pp::stream(3, 0)).unwrap();
     let mut mirror = OnlineNeighbors::new(&topo, &[true; 12]);
@@ -167,7 +170,8 @@ fn churn_edge_cases_all_offline_single_online_flapping() {
     assert_eq!(mirror.online_degree(probe), 0);
 
     // Single online: the one live neighbour is always chosen.
-    let lone = topo.out_neighbors(probe)[0];
+    let all = vec![true; 12];
+    let lone = NodeId::new(ground_truth(&topo, &all, probe)[0]);
     mirror.set_online(&topo, lone, true);
     for _ in 0..50 {
         assert_eq!(mirror.select(probe, &mut rng), Some(lone));
@@ -177,7 +181,7 @@ fn churn_edge_cases_all_offline_single_online_flapping() {
     // consistent with the ground truth.
     let mut online = vec![false; 12];
     online[lone.index()] = true;
-    let flapper = topo.out_neighbors(probe)[1];
+    let flapper = NodeId::new(ground_truth(&topo, &all, probe)[1]);
     for round in 0..100 {
         let up = round % 2 == 0;
         mirror.set_online(&topo, flapper, up);
@@ -260,6 +264,40 @@ proptest! {
         }
     }
 
+    /// The order of the offline suffixes never shows: a mirror built from
+    /// the in-adjacency (every suffix ascending) and the reference model
+    /// with every suffix shuffled give, after every transition of a random
+    /// script, the same online prefix of every node, element for element,
+    /// and the same peer for the same draws.
+    #[test]
+    fn offline_suffix_order_never_shows(
+        seed in 0u64..1_000,
+        n in 2usize..40,
+        mask in any::<u64>(),
+        script in proptest::collection::vec((0usize..40, any::<bool>()), 0..120),
+    ) {
+        let k = 6.min(n - 1);
+        let topo = k_out_random(n, k, &mut Xoshiro256pp::stream(seed, 0)).unwrap();
+        let online: Vec<bool> = (0..n).map(|i| mask >> (i % 64) & 1 == 1).collect();
+        let mut mirror = OnlineNeighbors::new(&topo, &online);
+        let mut shuffle = Xoshiro256pp::stream(seed, 3);
+        let mut reference = Replay::with_shuffled_suffixes(&topo, &online, &mut shuffle);
+        for (step, (raw, up)) in script.into_iter().enumerate() {
+            let v = NodeId::from_index(raw % n);
+            mirror.set_online(&topo, v, up);
+            reference.set(v, up);
+            for u in 0..n {
+                let id = NodeId::from_index(u);
+                prop_assert_eq!(mirror.online_neighbors(id), reference.prefix(u));
+                let mut a = Xoshiro256pp::stream(seed ^ step as u64, u as u64);
+                let mut b = a.clone();
+                for _ in 0..3 {
+                    prop_assert_eq!(mirror.select(id, &mut a), reference.select(u, &mut b));
+                }
+            }
+        }
+    }
+
     /// Cutting the mirror into S blocks and driving every block with the
     /// whole network's transitions gives, for every node, the same online
     /// prefix (order included) and the same peer for the same draw as the
@@ -304,29 +342,6 @@ proptest! {
         for u in 0..n {
             let id = NodeId::from_index(u);
             prop_assert_eq!(joined.online_neighbors(id), whole.online_neighbors(id));
-        }
-    }
-
-    /// The stateless sampler (rejection + fallback) always returns an
-    /// online neighbour, and `None` exactly when there is none.
-    #[test]
-    fn stateless_sampler_respects_online_set(
-        seed in 0u64..1_000,
-        n in 3usize..30,
-        mask in 0u64..u64::MAX,
-    ) {
-        let k = 3.min(n - 1).max(1);
-        let topo = k_out_random(n, k, &mut Xoshiro256pp::stream(seed, 0)).unwrap();
-        let online: Vec<bool> = (0..n).map(|i| mask >> (i % 64) & 1 == 1).collect();
-        let sampler = PeerSampler::new(&topo);
-        let mut rng = Xoshiro256pp::stream(seed, 2);
-        for node in 0..n {
-            let id = NodeId::from_index(node);
-            let truth = ground_truth(&topo, &online, id);
-            match sampler.select_online(id, &online, &mut rng) {
-                Some(p) => prop_assert!(truth.contains(&p.raw())),
-                None => prop_assert!(truth.is_empty()),
-            }
         }
     }
 }

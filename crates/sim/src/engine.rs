@@ -507,10 +507,15 @@ impl<M> Kernel<M> {
     }
 
     fn schedule_tick(&mut self, node: NodeId, delay: SimDuration) {
+        let tick = self.tick(node, delay);
+        self.pending.push(tick);
+    }
+
+    /// The next tick of `node`, `delay` from now, with its key.
+    fn tick(&mut self, node: NodeId, delay: SimDuration) -> (SimTime, u64, Ev<M>) {
         let epoch = self.tick_epoch[self.local(node)];
         let key = self.next_key(node);
-        self.pending
-            .push((self.now + delay, key, Ev::Tick { node, epoch }));
+        (self.now + delay, key, Ev::Tick { node, epoch })
     }
 
     /// The protocol stream of the current callback context.
@@ -752,20 +757,24 @@ impl<D: Driver> Engine<D> {
         // node's counter assignment; because keys and streams are per-node,
         // every partition reproduces the identical schedule. Every block
         // replays every node's churn (so its mirror stays exact), but only
-        // owned nodes get ticks and a stored counter.
+        // owned nodes get ticks and a stored counter. These events go
+        // straight into the queue: staged in `pending`, they would leave it
+        // with a capacity of one entry per transition for the whole run.
         for node in node_ids(n) {
             if availability.initially_online(node) {
                 kernel.online.set(node, true);
             }
         }
+        let mut queue = LaneScheduler::with_delays([cfg.delta(), cfg.transfer_time()]);
+        let mut pushes = 0;
         for node in node_ids(n) {
             let mut counter = 0;
             availability.for_each_transition(node, &mut |time, up| {
-                let key = order_key(node.raw(), counter);
-                counter += 1;
                 let ev = if up { Ev::Up(node) } else { Ev::Down(node) };
-                kernel.pending.push((time, key, ev));
+                queue.push_keyed(time, order_key(node.raw(), counter), ev);
+                counter += 1;
             });
+            pushes += counter as usize;
             if kernel.owns(node) {
                 let local = kernel.local(node);
                 kernel.counters[local] = counter;
@@ -774,19 +783,21 @@ impl<D: Driver> Engine<D> {
         for node in range.clone().map(NodeId::from_index) {
             if kernel.online.is_online(node) {
                 let delay = kernel.tick_delay(node);
-                kernel.schedule_tick(node, delay);
+                let (time, key, ev) = kernel.tick(node, delay);
+                queue.push_keyed(time, key, ev);
+                pushes += 1;
             }
         }
-        let mut engine = Engine {
+        let mut profile = Profile::from_env();
+        profile.pushes(pushes, queue.fallback_len());
+        Engine {
             kernel,
-            queue: LaneScheduler::with_delays([cfg.delta(), cfg.transfer_time()]),
+            queue,
             driver,
             batch: ReadyBatch::new(),
             lookahead: range.len() >= LOOKAHEAD_FROM_NODES,
-            profile: Profile::from_env(),
-        };
-        engine.flush_pending();
-        engine
+            profile,
+        }
     }
 
     /// Moves buffered schedules into the queue, telling the profile how

@@ -73,7 +73,7 @@ pub mod prelude {
     pub use ta_metrics::{OnlineStats, Table, TimeSeries};
     pub use ta_overlay::{
         generators::{complete, k_out_random, ring, watts_strogatz},
-        PeerSampler, Topology,
+        OnlineNeighbors, Topology,
     };
     pub use ta_sim::prelude::*;
     pub use token_account::prelude::*;

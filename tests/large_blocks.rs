@@ -4,10 +4,12 @@
 //! `ta_sim::engine::LOOKAHEAD_FROM_NODES`, so none of them prefetches. This
 //! one runs a push-gossip replica under smartphone churn whose blocks are
 //! at least that large at every shard count it tries, for a few rounds,
-//! and holds the cut runs to the whole one: the engine counters, the
-//! metric series (by bits) and the final token balances must not depend
-//! on the shard count. The sharded runs also merge cross-block mail into
-//! the transfer lane, so this is that path at scale as well.
+//! and holds the whole run to absolute constants and the cut runs to the
+//! whole one: the engine counters, the metric series (by bits) and the
+//! final token balances must not depend on the shard count, nor move with
+//! a change to how the topology, the mirror or the schedule is stored. The
+//! sharded runs also merge cross-block mail into the transfer lane, so
+//! this is that path at scale as well.
 //!
 //! The test picks its shard counts itself; CI runs it once more in a
 //! release build, the code the benchmarks time.
@@ -23,6 +25,31 @@ use ta::sim::paper;
 const N: usize = 3 * LOOKAHEAD_FROM_NODES;
 
 const ROUNDS: u64 = 3;
+
+/// The whole run's books, taken at commit 6b5fde5 (where `Topology` still
+/// kept an out-CSR and the schedule one `Vec` per node). They are never
+/// regenerated: a mismatch means the engine's observable behaviour moved.
+fn pinned() -> Books {
+    Books {
+        sim: SimStats {
+            messages_sent: 57_024,
+            messages_delivered: 56_703,
+            messages_lost_offline: 1,
+            messages_dropped_fault: 0,
+            ticks_fired: 126_648,
+            ticks_stale: 390,
+            samples: 3,
+            injections: 30,
+            events_processed: 184_695,
+        },
+        metric: vec![
+            (4_640_283_876_061_190_554, 4_621_255_567_560_983_599),
+            (4_644_787_475_688_561_050, 4_626_038_621_727_802_130),
+            (4_647_771_110_441_694_003, 4_628_294_682_140_582_314),
+        ],
+        balances_sum: 70_029,
+    }
+}
 
 /// The results a shard count must not change.
 #[derive(Debug, PartialEq, Eq)]
@@ -94,6 +121,7 @@ fn large_blocks_give_one_result_for_every_shard_count() {
         );
     }
     let whole = run(&topo, &schedule, &cfg, 1);
+    assert_eq!(whole, pinned());
     // Spending from the second round on (randomized, A = 1, C = 2), with
     // reactive bursts after every injection: deliveries, and so mail
     // between blocks, are a good part of the events.

@@ -154,7 +154,7 @@ proptest! {
             seed,
         );
         // AvailabilitySchedule::new re-validates; round-trip through it.
-        let segments = sched.clone().into_segments();
-        prop_assert!(AvailabilitySchedule::new(segments).is_ok());
+        let nodes = sched.segments().map(|s| (s.initial_online, s.transitions()));
+        prop_assert_eq!(AvailabilitySchedule::new(nodes), Ok(sched.clone()));
     }
 }
